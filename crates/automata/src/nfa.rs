@@ -6,8 +6,72 @@
 //! textbook NLogspace RPQ algorithm.
 
 use crate::regex::Regex;
-use gde_datagraph::{DataGraph, GraphSnapshot, Label, NodeId, Relation, RelationBuilder};
+use crate::ReachedRows;
+use gde_datagraph::{DataGraph, GraphSnapshot, Label, NodeId, Relation};
 use std::collections::VecDeque;
+
+/// The one thing a product search needs from a graph: the
+/// `label`-successors of a dense node.
+trait Successors {
+    fn successors(&self, v: u32, label: Label, visit: impl FnMut(u32));
+}
+
+impl Successors for GraphSnapshot {
+    #[inline]
+    fn successors(&self, v: u32, label: Label, mut visit: impl FnMut(u32)) {
+        for &w in self.out(label, v) {
+            visit(w);
+        }
+    }
+}
+
+impl Successors for DataGraph {
+    #[inline]
+    fn successors(&self, v: u32, label: Label, mut visit: impl FnMut(u32)) {
+        for &(l, w) in self.out_at(v) {
+            if l == label {
+                visit(w);
+            }
+        }
+    }
+}
+
+/// The visited `(node, state)` set of a product search, dense over
+/// `n × states`, shared by every start of one evaluation call. The BFS
+/// queue keeps every configuration it ever held, so it doubles as the
+/// list of touched slots and clearing costs the configurations the last
+/// start reached.
+struct ProductSpace {
+    states: usize,
+    seen: Vec<bool>,
+    queue: Vec<(u32, u32)>,
+}
+
+impl ProductSpace {
+    fn new(n: usize, nfa: &Nfa) -> ProductSpace {
+        ProductSpace {
+            states: nfa.state_count(),
+            seen: vec![false; n * nfa.state_count()],
+            queue: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn visit(&mut self, node: u32, state: u32) {
+        let slot = node as usize * self.states + state as usize;
+        if !self.seen[slot] {
+            self.seen[slot] = true;
+            self.queue.push((node, state));
+        }
+    }
+
+    fn clear(&mut self) {
+        for &(node, state) in &self.queue {
+            self.seen[node as usize * self.states + state as usize] = false;
+        }
+        self.queue.clear();
+    }
+}
 
 /// A nondeterministic finite automaton over edge labels.
 #[derive(Clone, Debug)]
@@ -453,56 +517,39 @@ impl Nfa {
         let Some(start) = g.idx(from) else {
             return Vec::new();
         };
-        let mask = self.product_bfs(g.n(), start, |v, l, visit| {
-            for &(el, w) in g.out_at(v) {
-                if el == l {
-                    visit(w);
-                }
-            }
-        });
-        (0..g.n() as u32)
-            .filter(|&d| mask[d as usize])
-            .map(|d| g.id_at(d))
-            .collect()
+        let mut hit = ReachedRows::new(g.n(), usize::MAX);
+        self.search(g, &mut ProductSpace::new(g.n(), self), start, &mut hit);
+        hit.node_ids(|d| g.id_at(d))
     }
 
-    /// The shared product-BFS core of [`Nfa::eval_from`] and
-    /// [`Nfa::eval_from_snapshot`]: explore `(node, state)` configurations,
-    /// where `succs(v, l, visit)` enumerates the `l`-successors of `v`.
-    /// Returns the per-node "reached in an accepting state" mask.
-    fn product_bfs(
+    /// The product-BFS kernel behind every per-start entry point: explore
+    /// `(node, state)` configurations from `(start, initial)` and record
+    /// the rows reached in an accepting state in `hit`, stopping early
+    /// once `hit` is full. `space` is the caller's per-call workspace;
+    /// the search clears what the previous start touched, so a start
+    /// costs the configurations it reaches, never `n · states`.
+    fn search(
         &self,
-        n: usize,
+        g: &impl Successors,
+        space: &mut ProductSpace,
         start: u32,
-        mut succs: impl FnMut(u32, Label, &mut dyn FnMut(u32)),
-    ) -> Vec<bool> {
-        let q = self.state_count();
-        let mut seen = vec![false; n * q];
-        let mut out_mask = vec![false; n];
-        let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
-
-        let push =
-            |node: u32, state: u32, seen: &mut Vec<bool>, queue: &mut VecDeque<(u32, u32)>| {
-                let slot = node as usize * q + state as usize;
-                if !seen[slot] {
-                    seen[slot] = true;
-                    queue.push_back((node, state));
-                }
-            };
-
-        push(start, self.initial, &mut seen, &mut queue);
-        while let Some((v, s)) = queue.pop_front() {
-            if self.accepting[s as usize] {
-                out_mask[v as usize] = true;
+        hit: &mut ReachedRows,
+    ) {
+        space.clear();
+        space.visit(start, self.initial);
+        let mut head = 0;
+        while let Some(&(v, s)) = space.queue.get(head) {
+            head += 1;
+            if self.accepting[s as usize] && hit.insert(v) {
+                return;
             }
             for &t in &self.eps[s as usize] {
-                push(v, t, &mut seen, &mut queue);
+                space.visit(v, t);
             }
             for &(l, t) in &self.steps[s as usize] {
-                succs(v, l, &mut |w| push(w, t, &mut seen, &mut queue));
+                g.successors(v, l, |w| space.visit(w, t));
             }
         }
-        out_mask
     }
 
     /// Is there a path `from → to` whose label is **rejected** by this
@@ -571,15 +618,9 @@ impl Nfa {
         let Some(start) = s.idx(from) else {
             return Vec::new();
         };
-        let mask = self.product_bfs(s.n(), start, |v, l, visit| {
-            for &w in s.out(l, v) {
-                visit(w);
-            }
-        });
-        (0..s.n() as u32)
-            .filter(|&d| mask[d as usize])
-            .map(|d| s.id_at(d))
-            .collect()
+        let mut hit = ReachedRows::new(s.n(), usize::MAX);
+        self.search(s, &mut ProductSpace::new(s.n(), self), start, &mut hit);
+        hit.node_ids(|d| s.id_at(d))
     }
 
     /// Full RPQ evaluation `e(G)` as a [`Relation`] over dense node indices.
@@ -588,18 +629,12 @@ impl Nfa {
         self.eval_snapshot(&g.snapshot())
     }
 
-    /// Full RPQ evaluation against a prebuilt snapshot. Rows are collected
-    /// through a [`RelationBuilder`], so large sparse answers get the CSR
-    /// representation directly.
+    /// Full RPQ evaluation against a prebuilt snapshot: the row-restricted
+    /// evaluation over every row. Rows are collected through a
+    /// [`RelationBuilder`](gde_datagraph::RelationBuilder), so large sparse
+    /// answers get the CSR representation directly.
     pub fn eval_snapshot(&self, s: &GraphSnapshot) -> Relation {
-        let n = s.n();
-        let mut b = RelationBuilder::new(n);
-        for u in 0..n as u32 {
-            for v in self.eval_from_snapshot(s, s.id_at(u)) {
-                b.push(u as usize, s.idx(v).unwrap() as usize);
-            }
-        }
-        b.build()
+        self.eval_rows_snapshot(s, 0..s.n())
     }
 
     /// Row-restricted RPQ evaluation: the rows of
@@ -607,16 +642,19 @@ impl Nfa {
     /// `rows`. The product BFS runs only from the given start rows — it
     /// still walks the whole graph, crossing stripe boundaries freely —
     /// so a partition of `0..n` splits the full evaluation's work across
-    /// shards exactly, with no overlap and no merge conflicts.
+    /// shards exactly, with no overlap and no merge conflicts. Every start
+    /// shares one workspace.
     pub fn eval_rows_snapshot(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> Relation {
-        crate::eval_rows_by(s, rows, |from| self.eval_from_snapshot(s, from))
+        let mut space = ProductSpace::new(s.n(), self);
+        crate::eval_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
     }
 
-    /// Does any source row in `rows` reach an answer? Early-exits on the
-    /// first matching start row — the Boolean projection sharded serving
-    /// OR-merges across stripes.
+    /// Does any source row in `rows` reach an answer? Stops at the first
+    /// answer of the first matching start row — the Boolean projection
+    /// sharded serving OR-merges across stripes.
     pub fn holds_in_rows(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> bool {
-        crate::holds_in_rows_by(s, rows, |from| self.eval_from_snapshot(s, from))
+        let mut space = ProductSpace::new(s.n(), self);
+        crate::holds_in_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
     }
 
     /// Full RPQ evaluation as `(NodeId, NodeId)` pairs, sorted.
@@ -633,6 +671,47 @@ impl Nfa {
             .collect();
         out.sort();
         out
+    }
+}
+
+/// The per-start product BFS the shared-workspace kernel replaced, kept
+/// as the reference it is checked against: a fresh `n × states` visited
+/// array and answer mask per start, the mask scanned in full.
+#[cfg(test)]
+impl Nfa {
+    pub(crate) fn reference_eval_from(&self, s: &GraphSnapshot, from: NodeId) -> Vec<NodeId> {
+        let Some(start) = s.idx(from) else {
+            return Vec::new();
+        };
+        let q = self.state_count();
+        let mut seen = vec![false; s.n() * q];
+        let mut out = vec![false; s.n()];
+        let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
+        seen[start as usize * q + self.initial as usize] = true;
+        queue.push_back((start, self.initial));
+        while let Some((v, st)) = queue.pop_front() {
+            if self.accepting[st as usize] {
+                out[v as usize] = true;
+            }
+            let mut push = |w: u32, t: u32| {
+                if !seen[w as usize * q + t as usize] {
+                    seen[w as usize * q + t as usize] = true;
+                    queue.push_back((w, t));
+                }
+            };
+            for &t in &self.eps[st as usize] {
+                push(v, t);
+            }
+            for &(l, t) in &self.steps[st as usize] {
+                for &w in s.out(l, v) {
+                    push(w, t);
+                }
+            }
+        }
+        (0..s.n() as u32)
+            .filter(|&d| out[d as usize])
+            .map(|d| s.id_at(d))
+            .collect()
     }
 }
 

@@ -17,6 +17,7 @@
 //! involving [`Value::Null`] is true. On null-free graphs (the §3 semantics)
 //! this coincides with plain equality, so one implementation serves both.
 
+use crate::ReachedRows;
 use gde_datagraph::{
     DataGraph, DataPath, FxHashMap, FxHashSet, GraphSnapshot, Label, NodeId, Relation, Value,
 };
@@ -258,6 +259,86 @@ impl Builder {
     }
 }
 
+/// A search configuration: `(node, state, valuation id)`.
+type Config = (u32, u32, u32);
+
+/// The workspace of a register-automaton search, shared by every start of
+/// one evaluation call. Register valuations (vectors of value ids) are
+/// interned to dense ids once per call — they depend on the snapshot's
+/// values, not on the start — so a configuration is three integers and a
+/// step copies no register vector. The visited set is hashed (the
+/// valuation space is not bounded up front); the BFS queue keeps every
+/// configuration it ever held, so it doubles as the touched list and
+/// clearing costs the configurations the last start reached.
+struct ConfigSpace {
+    regs: usize,
+    /// Interned valuations, `regs` value ids each, in id order.
+    valuations: Vec<u32>,
+    ids: FxHashMap<Box<[u32]>, u32>,
+    scratch: Vec<u32>,
+    seen: FxHashSet<Config>,
+    queue: Vec<Config>,
+}
+
+impl ConfigSpace {
+    /// The id of the all-undefined valuation every search starts from.
+    const ALL_UNDEF: u32 = 0;
+
+    fn new(regs: usize) -> ConfigSpace {
+        let mut space = ConfigSpace {
+            regs,
+            valuations: Vec::new(),
+            ids: FxHashMap::default(),
+            scratch: vec![GraphSnapshot::no_vid(); regs],
+            seen: FxHashSet::default(),
+            queue: Vec::new(),
+        };
+        let undef = space.intern_scratch();
+        debug_assert_eq!(undef, ConfigSpace::ALL_UNDEF);
+        space
+    }
+
+    fn valuation(&self, id: u32) -> &[u32] {
+        &self.valuations[id as usize * self.regs..(id as usize + 1) * self.regs]
+    }
+
+    /// The id of `scratch`'s valuation, interning it if new.
+    fn intern_scratch(&mut self) -> u32 {
+        if let Some(&id) = self.ids.get(self.scratch.as_slice()) {
+            return id;
+        }
+        let id = self.ids.len() as u32;
+        self.valuations.extend_from_slice(&self.scratch);
+        self.ids.insert(self.scratch.clone().into_boxed_slice(), id);
+        id
+    }
+
+    /// The valuation `id` with the registers `rs` set to `vid`.
+    fn store(&mut self, id: u32, rs: &[Reg], vid: u32) -> u32 {
+        let base = id as usize * self.regs;
+        self.scratch
+            .copy_from_slice(&self.valuations[base..base + self.regs]);
+        for r in rs {
+            self.scratch[r.0 as usize] = vid;
+        }
+        self.intern_scratch()
+    }
+
+    #[inline]
+    fn visit(&mut self, cfg: Config) {
+        if self.seen.insert(cfg) {
+            self.queue.push(cfg);
+        }
+    }
+
+    fn clear(&mut self) {
+        for cfg in &self.queue {
+            self.seen.remove(cfg);
+        }
+        self.queue.clear();
+    }
+}
+
 impl RegisterAutomaton {
     /// Number of registers.
     pub fn n_regs(&self) -> usize {
@@ -367,74 +448,78 @@ impl RegisterAutomaton {
         let Some(start) = s.idx(from) else {
             return Vec::new();
         };
+        let mut hit = ReachedRows::new(s.n(), usize::MAX);
+        self.search(s, &mut ConfigSpace::new(self.n_regs), start, &mut hit);
+        hit.node_ids(|d| s.id_at(d))
+    }
+
+    /// The configuration-BFS kernel behind every per-start entry point:
+    /// explore `(node, state, valuation)` from `(start, initial, ⊥…⊥)` and
+    /// record the rows reached in an accepting state in `hit`, stopping
+    /// early once `hit` is full. `space` is the caller's per-call
+    /// workspace; the search clears what the previous start touched, so a
+    /// start costs the configurations it reaches, never `n`.
+    fn search(
+        &self,
+        s: &GraphSnapshot,
+        space: &mut ConfigSpace,
+        start: u32,
+        hit: &mut ReachedRows,
+    ) {
         let undef = GraphSnapshot::no_vid();
         let null_vid = s.null_vid();
-        type Cfg = (u32, u32, Box<[u32]>); // (node, state, regs as value ids)
-        let mut seen: FxHashSet<Cfg> = FxHashSet::default();
-        let mut out = vec![false; s.n()];
-        let mut queue: VecDeque<Cfg> = VecDeque::new();
-        let init: Cfg = (
-            start,
-            self.initial,
-            vec![undef; self.n_regs].into_boxed_slice(),
-        );
-        seen.insert(init.clone());
-        queue.push_back(init);
-        while let Some((node, state, regs)) = queue.pop_front() {
-            if self.accepting[state as usize] {
-                out[node as usize] = true;
+        space.clear();
+        space.visit((start, self.initial, ConfigSpace::ALL_UNDEF));
+        let mut head = 0;
+        while let Some(&(node, state, val)) = space.queue.get(head) {
+            head += 1;
+            if self.accepting[state as usize] && hit.insert(node) {
+                return;
             }
             let cur_vid = s.vid(node);
             for (action, to) in &self.eps[state as usize] {
-                let next_regs = match action {
-                    EpsAction::Jump => regs.clone(),
-                    EpsAction::Store(rs) => {
-                        let mut r2 = regs.clone();
-                        for r in rs {
-                            r2[r.0 as usize] = cur_vid;
-                        }
-                        r2
-                    }
+                let next = match action {
+                    EpsAction::Jump => val,
+                    EpsAction::Store(rs) => space.store(val, rs, cur_vid),
                     EpsAction::Check(c) => {
-                        if !c.eval_vids(&regs, cur_vid, null_vid, undef) {
+                        if !c.eval_vids(space.valuation(val), cur_vid, null_vid, undef) {
                             continue;
                         }
-                        regs.clone()
+                        val
                     }
                 };
-                let cfg = (node, *to, next_regs);
-                if seen.insert(cfg.clone()) {
-                    queue.push_back(cfg);
-                }
+                space.visit((node, *to, next));
             }
             for &(l, to) in &self.steps[state as usize] {
                 for &w in s.out(l, node) {
-                    let cfg = (w, to, regs.clone());
-                    if seen.insert(cfg.clone()) {
-                        queue.push_back(cfg);
-                    }
+                    space.visit((w, to, val));
                 }
             }
         }
-        (0..s.n() as u32)
-            .filter(|&d| out[d as usize])
-            .map(|d| s.id_at(d))
-            .collect()
+    }
+
+    /// Full evaluation `e(G)` as a [`Relation`] over the snapshot's dense
+    /// node indices: the row-restricted evaluation over every row.
+    pub fn eval_snapshot(&self, s: &GraphSnapshot) -> Relation {
+        self.eval_rows_snapshot(s, 0..s.n())
     }
 
     /// Row-restricted evaluation: the rows of the full answer relation
     /// whose *source* index lies in `rows`, over dense snapshot indices.
     /// The per-start BFS only launches from the given rows (configurations
     /// still roam the whole graph), so a partition of `0..n` splits the
-    /// full evaluation's work across shards exactly.
+    /// full evaluation's work across shards exactly. Every start shares one
+    /// workspace.
     pub fn eval_rows_snapshot(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> Relation {
-        crate::eval_rows_by(s, rows, |from| self.eval_from_snapshot(s, from))
+        let mut space = ConfigSpace::new(self.n_regs);
+        crate::eval_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
     }
 
-    /// Does any source row in `rows` reach an answer? Early-exits on the
-    /// first matching start row.
+    /// Does any source row in `rows` reach an answer? Stops at the first
+    /// answer of the first matching start row.
     pub fn holds_in_rows(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> bool {
-        crate::holds_in_rows_by(s, rows, |from| self.eval_from_snapshot(s, from))
+        let mut space = ConfigSpace::new(self.n_regs);
+        crate::holds_in_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
     }
 
     /// Full evaluation `e(G)` as sorted `(NodeId, NodeId)` pairs. The graph
@@ -445,13 +530,11 @@ impl RegisterAutomaton {
 
     /// [`RegisterAutomaton::eval_pairs`] against a prebuilt snapshot.
     pub fn eval_pairs_snapshot(&self, s: &GraphSnapshot) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        for u in 0..s.n() as u32 {
-            let u_id = s.id_at(u);
-            for v in self.eval_from_snapshot(s, u_id) {
-                out.push((u_id, v));
-            }
-        }
+        let mut out: Vec<(NodeId, NodeId)> = self
+            .eval_snapshot(s)
+            .iter_pairs()
+            .map(|(i, j)| (s.id_at(i as u32), s.id_at(j as u32)))
+            .collect();
         out.sort();
         out
     }
@@ -778,6 +861,72 @@ impl RegisterAutomaton {
             }
         }
         b.build()
+    }
+}
+
+/// The per-start configuration BFS the shared-workspace kernel replaced,
+/// kept as the reference it is checked against: a fresh hash set of
+/// `(node, state, boxed registers)` and answer mask per start, the mask
+/// scanned in full.
+#[cfg(test)]
+impl RegisterAutomaton {
+    pub(crate) fn reference_eval_from(&self, s: &GraphSnapshot, from: NodeId) -> Vec<NodeId> {
+        let Some(start) = s.idx(from) else {
+            return Vec::new();
+        };
+        let undef = GraphSnapshot::no_vid();
+        let null_vid = s.null_vid();
+        type Cfg = (u32, u32, Box<[u32]>);
+        let mut seen: FxHashSet<Cfg> = FxHashSet::default();
+        let mut out = vec![false; s.n()];
+        let mut queue: VecDeque<Cfg> = VecDeque::new();
+        let init: Cfg = (
+            start,
+            self.initial,
+            vec![undef; self.n_regs].into_boxed_slice(),
+        );
+        seen.insert(init.clone());
+        queue.push_back(init);
+        while let Some((node, state, regs)) = queue.pop_front() {
+            if self.accepting[state as usize] {
+                out[node as usize] = true;
+            }
+            let cur_vid = s.vid(node);
+            for (action, to) in &self.eps[state as usize] {
+                let next_regs = match action {
+                    EpsAction::Jump => regs.clone(),
+                    EpsAction::Store(rs) => {
+                        let mut r2 = regs.clone();
+                        for r in rs {
+                            r2[r.0 as usize] = cur_vid;
+                        }
+                        r2
+                    }
+                    EpsAction::Check(c) => {
+                        if !c.eval_vids(&regs, cur_vid, null_vid, undef) {
+                            continue;
+                        }
+                        regs.clone()
+                    }
+                };
+                let cfg = (node, *to, next_regs);
+                if seen.insert(cfg.clone()) {
+                    queue.push_back(cfg);
+                }
+            }
+            for &(l, to) in &self.steps[state as usize] {
+                for &w in s.out(l, node) {
+                    let cfg = (w, to, regs.clone());
+                    if seen.insert(cfg.clone()) {
+                        queue.push_back(cfg);
+                    }
+                }
+            }
+        }
+        (0..s.n() as u32)
+            .filter(|&d| out[d as usize])
+            .map(|d| s.id_at(d))
+            .collect()
     }
 }
 

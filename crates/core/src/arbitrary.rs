@@ -136,8 +136,8 @@ pub fn certain_answers_arbitrary(
         words: Vec<Vec<Label>>,
     }
     let mut slots: Vec<PairChoices> = Vec::new();
-    for rule in m.rules() {
-        let pairs = m.source_answers(rule, gs);
+    let answers = m.rule_answers(gs);
+    for (rule, pairs) in m.rules().iter().zip(&answers) {
         if pairs.is_empty() {
             continue;
         }
@@ -153,7 +153,7 @@ pub fn certain_answers_arbitrary(
         if let Some(long) = nfa.some_word_longer_than(k) {
             words.push(long);
         }
-        for pair in pairs {
+        for &pair in pairs {
             let mut ws = words.clone();
             // ε connects a pair only when its endpoints coincide
             if pair.0 != pair.1 {
@@ -183,7 +183,7 @@ pub fn certain_answers_arbitrary(
     }
 
     // Base target graph: dom nodes with values.
-    let dom_nodes = m.dom(gs);
+    let dom_nodes = Gsm::dom_of(&answers);
     let dom: FxHashSet<NodeId> = dom_nodes.iter().copied().collect();
     let mut base = DataGraph::with_alphabet(m.target_alphabet().clone());
     base.reserve_ids(gs.fresh_id_watermark());

@@ -113,25 +113,36 @@ impl Gsm {
         self.classify().relational
     }
 
-    /// Evaluate a rule's source query on the source graph.
-    pub fn source_answers(&self, rule: &Rule, gs: &DataGraph) -> Vec<(NodeId, NodeId)> {
-        Nfa::from_regex(&rule.source).eval_pairs(gs)
+    /// Every rule's source answers `q(G_s)`, in rule order, each sorted:
+    /// one evaluation per rule, all on one snapshot of `gs`. Canonical
+    /// solutions read both their fresh paths and `dom(M, G_s)`
+    /// ([`Gsm::dom_of`]) from this.
+    pub fn rule_answers(&self, gs: &DataGraph) -> Vec<Vec<(NodeId, NodeId)>> {
+        let s = gs.snapshot();
+        self.rules
+            .iter()
+            .map(|rule| Nfa::from_regex(&rule.source).eval_pairs_snapshot(&s))
+            .collect()
+    }
+
+    /// `dom(M, G_s)` from the rules' source answers ([`Gsm::rule_answers`]):
+    /// all nodes appearing in some answer, sorted and deduplicated.
+    pub fn dom_of(answers: &[Vec<(NodeId, NodeId)>]) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = answers
+            .iter()
+            .flatten()
+            .flat_map(|&(u, v)| [u, v])
+            .collect();
+        out.sort();
+        out.dedup();
+        out
     }
 
     /// `dom(M, G_s)`: all nodes appearing in some source-query answer
     /// (sorted, deduplicated). These are exactly the nodes that every
     /// solution must contain with their source values.
     pub fn dom(&self, gs: &DataGraph) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = Vec::new();
-        for rule in &self.rules {
-            for (u, v) in self.source_answers(rule, gs) {
-                out.push(u);
-                out.push(v);
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
+        Gsm::dom_of(&self.rule_answers(gs))
     }
 
     /// Does *any* solution exist for this source graph? The only
@@ -139,8 +150,7 @@ impl Gsm {
     /// source query matches) or contains only ε (while a source pair has
     /// distinct endpoints).
     pub fn has_solution(&self, gs: &DataGraph) -> bool {
-        for rule in &self.rules {
-            let pairs = self.source_answers(rule, gs);
+        for (rule, pairs) in self.rules.iter().zip(self.rule_answers(gs)) {
             if pairs.is_empty() {
                 continue;
             }
@@ -202,8 +212,7 @@ impl Gsm {
             .iter()
             .map(|(_, name)| gt.alphabet().label(name))
             .collect();
-        for rule in &self.rules {
-            let src_pairs = self.source_answers(rule, gs);
+        for (rule, src_pairs) in self.rules.iter().zip(self.rule_answers(gs)) {
             if src_pairs.is_empty() {
                 continue;
             }

@@ -480,8 +480,11 @@ fn build(
     // disjoint across graphs sharing the paper's global N
     gt.reserve_ids(gs.fresh_id_watermark());
 
+    // Each rule's source query is evaluated once; both steps read it.
+    let answers = m.rule_answers(gs);
+
     // Step 1: dom(M, G_s) with source values.
-    for id in m.dom(gs) {
+    for id in Gsm::dom_of(&answers) {
         let val = gs.value(id).expect("invariant: dom node in source").clone();
         gt.add_node(id, val).expect("invariant: distinct dom nodes");
     }
@@ -489,12 +492,12 @@ fn build(
     // Step 2: fresh paths per rule and source pair.
     let mut invented = Vec::new();
     let mut fresh_counter: u64 = 0;
-    for rule in m.rules() {
+    for (rule, pairs) in m.rules().iter().zip(answers) {
         let word = rule
             .target
             .as_word()
             .expect("invariant: relational checked");
-        for (u, v) in m.source_answers(rule, gs) {
+        for (u, v) in pairs {
             if word.is_empty() {
                 if u != v {
                     return Err(SolutionError::NoSolution { pair: (u, v) });

@@ -95,8 +95,8 @@ pub fn translate_to_relational(
         let id = source_schema.lookup(&name).expect("copied relation");
         extended.insert(id, fact.to_vec());
     }
-    for (i, rule) in m.rules().iter().enumerate() {
-        for (u, v) in m.source_answers(rule, gs) {
+    for (i, pairs) in m.rule_answers(gs).into_iter().enumerate() {
+        for (u, v) in pairs {
             extended.insert(q_rels[i], vec![Term::Node(u), Term::Node(v)]);
         }
     }

@@ -222,15 +222,16 @@ impl CompiledQuery {
     }
 
     /// Evaluate to a [`Relation`] over the snapshot's dense node indices.
-    /// RPQs and REEs already evaluate natively to relations (no pair
-    /// materialisation or sort); the other classes build one from their
-    /// pair answers. The serving engine consumes this form so its
-    /// dom-filtering runs on packed rows instead of hashed node ids.
+    /// RPQs, REEs and memory RPQs already evaluate natively to relations
+    /// (no pair materialisation or sort); conjunctive queries build one
+    /// from their pair answers. The serving engine consumes this form so
+    /// its dom-filtering runs on packed rows instead of hashed node ids.
     pub fn eval_relation(&self, s: &GraphSnapshot) -> Relation {
         match &*self.form {
             CompiledForm::Rpq(nfa) => nfa.eval_snapshot(s),
             CompiledForm::Ree(e) => e.eval_snapshot(s),
-            _ => {
+            CompiledForm::Rem(ra) => ra.eval_snapshot(s),
+            CompiledForm::Conjunctive { .. } => {
                 let mut b = RelationBuilder::new(s.n());
                 for (u, v) in self.eval_pairs(s) {
                     if let (Some(i), Some(j)) = (s.idx(u), s.idx(v)) {

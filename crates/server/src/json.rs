@@ -222,6 +222,7 @@ pub fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
         msg: "invalid UTF-8",
     })?;
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -235,6 +236,9 @@ pub fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The input, validated as UTF-8 once at entry; string runs are
+    /// copied out of it as slices.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -344,6 +348,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "expected string")?;
         let mut out = String::new();
         loop {
+            // copy the run of plain bytes up to the next quote, backslash
+            // or control byte as one slice: all three are ASCII, so both
+            // ends of the run are char boundaries of the validated text
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -388,18 +401,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // multi-byte UTF-8 sequences are valid string chars;
-                    // walk char-wise from here
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -419,18 +421,39 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Advance past a run of ASCII digits; was there at least one?
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// An RFC 8259 number, `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`,
+    /// checked by hand before `f64::from_str`, which also accepts forms
+    /// JSON forbids (`01`, `1.`, `-.5`, `1.e5`).
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(self.err("leading zero in number"));
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("expected digit after '-'")),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected digit after '.'"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -438,13 +461,13 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(self.err("expected digit in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let n: f64 = self.text[start..self.pos]
+            .parse()
             .map_err(|_| self.err("invalid number"))?;
-        let n: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }
@@ -455,6 +478,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_basic_values() {
@@ -524,8 +548,147 @@ mod tests {
             b"\"\\q\"",
             b"\"\\u12\"",
             b"{1:2}",
+            // RFC 8259 numbers: f64::from_str accepts all of these
+            b"01",
+            b"-01",
+            b"00",
+            b"1.",
+            b"-.5",
+            b"1.e5",
         ] {
             assert!(parse(bad).is_err());
+        }
+    }
+
+    #[test]
+    fn non_rfc_numbers_name_the_broken_rule() {
+        for (bad, pos, msg) in [
+            (&b"01"[..], 1, "leading zero in number"),
+            (b"-01", 2, "leading zero in number"),
+            (b"00", 1, "leading zero in number"),
+            (b"[1,007]", 4, "leading zero in number"),
+            (b"1.", 2, "expected digit after '.'"),
+            (b"1.e5", 2, "expected digit after '.'"),
+            (b"-.5", 1, "expected digit after '-'"),
+            (b"-", 1, "expected digit after '-'"),
+            (b"{\"a\":-x}", 6, "expected digit after '-'"),
+            (b"1e", 2, "expected digit in exponent"),
+            (b"1e+", 3, "expected digit in exponent"),
+        ] {
+            assert_eq!(parse(bad), Err(JsonError { pos, msg }), "{bad:?}");
+        }
+        for (good, n) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("0.5", 0.5),
+            ("-0.25e-2", -0.0025),
+            ("1E+2", 100.0),
+            ("10", 10.0),
+            ("120.5e1", 1205.0),
+        ] {
+            assert_eq!(parse(good.as_bytes()), Ok(Json::Num(n)), "{good}");
+        }
+    }
+
+    #[test]
+    fn unescaped_control_bytes_error_at_their_position() {
+        for (bad, pos) in [
+            (&b"\"ab\x01c\""[..], 3),
+            (b"\"\xc3\xa9\x1f\"", 3),
+            (b"\"\\n\n\"", 3),
+            (b"{\"k\x00\":1}", 3),
+        ] {
+            assert_eq!(
+                parse(bad),
+                Err(JsonError {
+                    pos,
+                    msg: "unescaped control character"
+                }),
+                "{bad:?}"
+            );
+        }
+        // DEL is not a control character in JSON
+        assert_eq!(parse(b"\"\x7f\"").unwrap(), Json::str("\u{7f}"));
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected_at_valid_up_to() {
+        for (bad, pos) in [
+            (&b"\"ab\xffcd\""[..], 3),
+            (b"\"\xc3\xa9\xc3\"", 3),
+            (b"{\"\xe4\xb8\":1}", 2),
+            (b"[\"ok\",\"\xf0\x9f\x98\"]", 7),
+        ] {
+            assert_eq!(
+                parse(bad),
+                Err(JsonError {
+                    pos,
+                    msg: "invalid UTF-8"
+                }),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn multibyte_runs_decode_exactly_between_escapes() {
+        let src = "\"h\u{e9}llo \u{4e16}\u{754c}\\n\u{1F600}\\\"q\\u00e9\u{65e5}\\ud83d\\ude00\u{672c}\\t\"";
+        assert_eq!(
+            parse(src.as_bytes()).unwrap(),
+            Json::str("h\u{e9}llo \u{4e16}\u{754c}\n\u{1F600}\"q\u{e9}\u{65e5}\u{1F600}\u{672c}\t")
+        );
+        // a string that is one long multi-byte run, and an empty one
+        let long = "\u{e9}\u{4e16}\u{1F600}".repeat(500);
+        assert_eq!(
+            parse(format!("\"{long}\"").as_bytes()).unwrap(),
+            Json::str(&long)
+        );
+        assert_eq!(parse(b"\"\"").unwrap(), Json::str(""));
+    }
+
+    #[test]
+    fn object_keys_decode_like_strings() {
+        let v = parse(
+            "{\"cl\u{e9}\\n\u{4e16}\":1,\"\\ud83d\\ude00\u{1F600}\":[\"\u{e9}\"]}".as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(
+            v,
+            Json::Obj(vec![
+                ("cl\u{e9}\n\u{4e16}".to_string(), Json::num(1.0)),
+                (
+                    "\u{1F600}\u{1F600}".to_string(),
+                    Json::Arr(vec![Json::str("\u{e9}")])
+                ),
+            ])
+        );
+    }
+
+    /// One random char, drawn evenly from the four UTF-8 widths (the
+    /// one-byte class includes the control bytes, quote and backslash
+    /// that the encoder must escape).
+    fn arb_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            (0u32..0x80).prop_map(|c| char::from_u32(c).expect("ASCII")),
+            (0x80u32..0x800).prop_map(|c| char::from_u32(c).expect("two-byte")),
+            // the surrogate block is not chars: fold it onto Hangul
+            (0x800u32..0x10000).prop_map(|c| {
+                char::from_u32(c).unwrap_or_else(|| char::from_u32(c - 0x1000).expect("Hangul"))
+            }),
+            (0x10000u32..0x110000).prop_map(|c| char::from_u32(c).expect("astral")),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encoded_strings_round_trip(chars in prop::collection::vec(arb_char(), 0..48)) {
+            let s: String = chars.into_iter().collect();
+            let v = Json::Str(s.clone());
+            prop_assert_eq!(parse(v.encode().as_bytes()), Ok(v));
+            let obj = Json::Obj(vec![(s.clone(), Json::Str(s))]);
+            prop_assert_eq!(parse(obj.encode().as_bytes()), Ok(obj));
         }
     }
 
