@@ -13,7 +13,16 @@
 //!   [`JsonError`] with a byte position.
 //! * **Integer-exact numbers** — numbers are stored as `f64` but
 //!   integers up to 2⁵³ round-trip exactly, which covers every id,
-//!   counter and byte budget the protocol carries.
+//!   counter and byte budget the protocol carries. One integer writer
+//!   (`int_text`) renders them, for [`Json::Num`] and for the answer
+//!   encoder alike, so the two cannot disagree on a number's text.
+//! * **Pre-encoded fragments** — [`Json::Fragment`] carries text that an
+//!   encoder in this crate already wrote (a certain-answer body, written
+//!   in one pass over the engine's pairs with no tree). Its text is
+//!   private and only this crate can build one, so every `Json` still
+//!   encodes to valid JSON. [`parse`] never produces a fragment, and the
+//!   accessors ([`Json::get`], `as_*`) see nothing inside one: to read a
+//!   fragment's fields, encode it and parse the text, as a client does.
 
 use std::fmt;
 
@@ -36,7 +45,16 @@ pub enum Json {
     /// An object, in insertion order (later duplicates win on lookup is
     /// **not** implemented — first key wins, duplicates are kept as-is).
     Obj(Vec<(String, Json)>),
+    /// One complete JSON value that an encoder in this crate already
+    /// wrote as text; encoding copies it verbatim. Equality compares the
+    /// text, so a fragment never equals a tree with the same encoding.
+    Fragment(Fragment),
 }
+
+/// The text of a [`Json::Fragment`]: exactly one JSON value. The field is
+/// private to this crate, so only its encoders build one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Fragment(pub(crate) String);
 
 impl Json {
     /// Build an object from key/value pairs.
@@ -119,7 +137,9 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    out.push_str(&format!("{}", *n as i64));
+                    let mut buf = [0u8; 20];
+                    let at = int_text(*n as i64, &mut buf, 20);
+                    out.extend(buf[at..].iter().map(|&b| char::from(b)));
                 } else {
                     out.push_str(&format!("{n}"));
                 }
@@ -147,6 +167,7 @@ impl Json {
                 }
                 out.push('}');
             }
+            Json::Fragment(Fragment(text)) => out.push_str(text),
         }
     }
 }
@@ -179,6 +200,28 @@ impl From<String> for Json {
     fn from(s: String) -> Json {
         Json::Str(s)
     }
+}
+
+/// Write the decimal text of `n` into `buf` so that it ends just before
+/// `end`, and return where it starts. The text is byte-equal to
+/// `format!("{n}")`; this is the one integer writer behind [`Json::Num`]
+/// and the answer encoder.
+pub(crate) fn int_text(n: i64, buf: &mut [u8], end: usize) -> usize {
+    let mut m = n.unsigned_abs();
+    let mut at = end;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    at
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -258,7 +301,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8, msg: &'static str) -> Result<(), JsonError> {
+    fn eat(&mut self, b: u8, msg: &'static str) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -294,7 +337,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[', "expected '['")?;
+        self.eat(b'[', "expected '['")?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -317,7 +360,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{', "expected '{'")?;
+        self.eat(b'{', "expected '{'")?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -328,7 +371,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':', "expected ':' after object key")?;
+            self.eat(b':', "expected ':' after object key")?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
             pairs.push((key, value));
@@ -345,7 +388,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"', "expected string")?;
+        self.eat(b'"', "expected string")?;
         let mut out = String::new();
         loop {
             // copy the run of plain bytes up to the next quote, backslash
@@ -380,8 +423,8 @@ impl<'a> Parser<'a> {
                             // surrogate pairs: a high surrogate must be
                             // followed by an escaped low surrogate
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                self.expect(b'\\', "expected low surrogate")?;
-                                self.expect(b'u', "expected low surrogate")?;
+                                self.eat(b'\\', "expected low surrogate")?;
+                                self.eat(b'u', "expected low surrogate")?;
                                 let lo = self.hex4()?;
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
@@ -690,6 +733,53 @@ mod tests {
             let obj = Json::Obj(vec![(s.clone(), Json::Str(s))]);
             prop_assert_eq!(parse(obj.encode().as_bytes()), Ok(obj));
         }
+    }
+
+    #[test]
+    fn integer_writer_matches_format() {
+        for n in [
+            0i64,
+            1,
+            -1,
+            9,
+            10,
+            i64::from(u32::MAX),
+            1 << 53,
+            -(1 << 53),
+            i64::MIN,
+            i64::MAX,
+        ] {
+            let mut buf = [0u8; 20];
+            let at = int_text(n, &mut buf, 20);
+            assert_eq!(&buf[at..], format!("{n}").as_bytes());
+        }
+        for n in [0i64, 1, -1, 9, 10, i64::from(u32::MAX), 1 << 53, -(1 << 53)] {
+            assert_eq!(Json::Num(n as f64).encode(), format!("{n}"));
+        }
+        assert_eq!(Json::Num(-0.0).encode(), "0");
+        assert_eq!(Json::Num(0.5).encode(), "0.5");
+    }
+
+    #[test]
+    fn fragments_encode_verbatim_and_hide_their_fields() {
+        let frag = Json::Fragment(Fragment("{\"a\":[1,2]}".to_string()));
+        assert_eq!(frag.encode(), "{\"a\":[1,2]}");
+        assert_eq!(frag.get("a"), None);
+        assert_eq!(frag.as_arr(), None);
+        assert_eq!(frag.as_u64(), None);
+        let nested = Json::obj([("x", frag.clone()), ("y", Json::Arr(vec![frag]))]);
+        assert_eq!(
+            nested.encode(),
+            "{\"x\":{\"a\":[1,2]},\"y\":[{\"a\":[1,2]}]}"
+        );
+        // the parser only builds trees
+        assert_eq!(
+            parse(nested.encode().as_bytes()).unwrap().get("x"),
+            Some(&Json::obj([(
+                "a",
+                Json::Arr(vec![Json::num(1.0), Json::num(2.0)])
+            )]))
+        );
     }
 
     #[test]

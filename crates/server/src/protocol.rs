@@ -12,7 +12,7 @@
 //! Every decoder here returns a typed [`ApiError`] on malformed input and
 //! never panics; the conformance suite fuzzes them directly.
 
-use crate::json::Json;
+use crate::json::{self, Fragment, Json};
 use gde_core::engine::{Answer, Mode, Semantics, ServeError, ServingStats};
 use gde_core::CertainAnswers;
 use gde_core::ExactOptions;
@@ -157,25 +157,55 @@ impl ApiResponse {
 /// deterministic — pairs in the engine's sorted order, objects in fixed
 /// key order — so "byte-identical over the wire" is a meaningful claim
 /// the equivalence suite can test with a string comparison.
+///
+/// The body is written in one pass over the engine's pair slice into a
+/// buffer reserved once, and returned as a [`Json::Fragment`]: no tree
+/// is built, so [`Json::get`] and the `as_*` accessors see nothing
+/// inside it. Encode it to read the text; to read it back as an
+/// [`Answer`], parse that text and pass it to [`decode_answer`].
 pub fn encode_answer(a: &Answer) -> Json {
-    match a {
-        Answer::Boolean(b) => Json::obj([("boolean", Json::Bool(*b))]),
-        Answer::Tuples(CertainAnswers::AllVacuously) => {
-            Json::obj([("all_vacuously", Json::Bool(true))])
-        }
-        Answer::Tuples(CertainAnswers::Pairs(pairs)) => Json::obj([(
-            "pairs",
-            Json::Arr(
-                pairs
-                    .iter()
-                    .map(|(u, v)| Json::Arr(vec![Json::num(u.0 as f64), Json::num(v.0 as f64)]))
-                    .collect(),
-            ),
-        )]),
-    }
+    let text = match a {
+        Answer::Boolean(true) => "{\"boolean\":true}".to_string(),
+        Answer::Boolean(false) => "{\"boolean\":false}".to_string(),
+        Answer::Tuples(CertainAnswers::AllVacuously) => "{\"all_vacuously\":true}".to_string(),
+        Answer::Tuples(CertainAnswers::Pairs(pairs)) => encode_pairs(pairs),
+    };
+    Json::Fragment(Fragment(text))
 }
 
-/// Decode an answer body produced by [`encode_answer`].
+/// `{"pairs":[[u,v],…]}`, reserved once: a pair takes at most two ids of
+/// the widest id's digits, two brackets and two commas.
+fn encode_pairs(pairs: &[(NodeId, NodeId)]) -> String {
+    const HEAD: &[u8] = b"{\"pairs\":[";
+    const TAIL: &[u8] = b"]}";
+    let widest = pairs.iter().map(|(u, v)| u.0.max(v.0)).max().unwrap_or(0);
+    let digits = widest.checked_ilog10().unwrap_or(0) as usize + 1;
+    let mut out = Vec::with_capacity(HEAD.len() + pairs.len() * (2 * digits + 4) + TAIL.len());
+    out.extend_from_slice(HEAD);
+    // one pair's text `,[u,v]`, written back to front so it is appended
+    // with one copy; two 10-digit ids fill it exactly
+    let mut pair = [0u8; 24];
+    for (i, (u, v)) in pairs.iter().enumerate() {
+        let mut at = pair.len() - 1;
+        pair[at] = b']';
+        at = json::int_text(v.0.into(), &mut pair, at) - 1;
+        pair[at] = b',';
+        at = json::int_text(u.0.into(), &mut pair, at) - 1;
+        pair[at] = b'[';
+        if i > 0 {
+            at -= 1;
+            pair[at] = b',';
+        }
+        out.extend_from_slice(&pair[at..]);
+    }
+    out.extend_from_slice(TAIL);
+    String::from_utf8(out).expect("invariant: the pair encoder writes only ASCII")
+}
+
+/// Decode an answer body produced by [`encode_answer`], after it has been
+/// encoded and parsed back: a client decodes the parsed response body.
+/// The [`Json::Fragment`] that [`encode_answer`] returns has no fields
+/// of its own, so passing it here directly fails as a malformed body.
 pub fn decode_answer(j: &Json) -> Result<Answer, ApiError> {
     if let Some(b) = j.get("boolean").and_then(Json::as_bool) {
         return Ok(Answer::Boolean(b));
@@ -466,18 +496,137 @@ pub fn stats_to_json(s: &ServingStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tree encoder `encode_answer` was before it wrote bytes
+    /// directly: the reference that pins the wire format.
+    fn encode_answer_tree(a: &Answer) -> Json {
+        match a {
+            Answer::Boolean(b) => Json::obj([("boolean", Json::Bool(*b))]),
+            Answer::Tuples(CertainAnswers::AllVacuously) => {
+                Json::obj([("all_vacuously", Json::Bool(true))])
+            }
+            Answer::Tuples(CertainAnswers::Pairs(pairs)) => Json::obj([(
+                "pairs",
+                Json::Arr(
+                    pairs
+                        .iter()
+                        .map(|(u, v)| Json::Arr(vec![Json::num(u.0 as f64), Json::num(v.0 as f64)]))
+                        .collect(),
+                ),
+            )]),
+        }
+    }
+
+    /// Ids on both sides of decimal-width boundaries, and the extremes.
+    const EDGE_IDS: [u32; 7] = [0, 9, 10, 99, 100, 65_535, u32::MAX];
+
+    fn arb_id() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            (0..EDGE_IDS.len()).prop_map(|i| EDGE_IDS[i]),
+            0u32..1000,
+            any::<u32>(),
+        ]
+    }
+
+    /// A sorted, duplicate-free pair list, as the engine returns it.
+    fn arb_pairs() -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
+        prop::collection::vec((arb_id(), arb_id()), 0..40).prop_map(|mut pairs| {
+            pairs.sort_unstable();
+            pairs.dedup();
+            pairs
+                .into_iter()
+                .map(|(u, v)| (NodeId(u), NodeId(v)))
+                .collect()
+        })
+    }
+
+    fn arb_answer() -> impl Strategy<Value = Answer> {
+        prop_oneof![
+            arb_pairs().prop_map(|p| Answer::Tuples(CertainAnswers::Pairs(p))),
+            Just(Answer::Tuples(CertainAnswers::Pairs(Vec::new()))),
+            Just(Answer::Tuples(CertainAnswers::AllVacuously)),
+            any::<bool>().prop_map(Answer::Boolean),
+        ]
+    }
+
+    /// Error bodies a batch carries next to answers, messages with
+    /// characters the string encoder escapes included.
+    fn arb_error() -> impl Strategy<Value = ApiError> {
+        prop_oneof![
+            Just(ApiError::from_serve_error(&ServeError::DeadlineExceeded {
+                completed_stripes: 1,
+                total_stripes: 4,
+            })),
+            Just(ApiError::unprocessable(
+                "parse-error",
+                "rpq: unexpected \"(\" at 3\n\tnear \\",
+            )),
+            Just(ApiError::new(503, "worker-panicked", "stripe 2 panicked")),
+        ]
+    }
+
+    /// The envelope the batch route builds, from either answer encoder.
+    fn envelope(items: &[Result<Answer, ApiError>], encode: fn(&Answer) -> Json) -> Json {
+        Json::obj([(
+            "answers",
+            Json::Arr(
+                items
+                    .iter()
+                    .map(|r| match r {
+                        Ok(a) => encode(a),
+                        Err(e) => e.to_json(),
+                    })
+                    .collect(),
+            ),
+        )])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn answer_bytes_match_the_tree_reference(a in arb_answer()) {
+            prop_assert_eq!(encode_answer(&a).encode(), encode_answer_tree(&a).encode());
+        }
+
+        #[test]
+        fn batch_envelope_bytes_match_the_tree_reference(
+            items in prop::collection::vec(
+                prop_oneof![arb_answer().prop_map(Ok), arb_error().prop_map(Err)],
+                0..6,
+            )
+        ) {
+            prop_assert_eq!(
+                envelope(&items, encode_answer).encode(),
+                envelope(&items, encode_answer_tree).encode()
+            );
+        }
+    }
+
+    #[test]
+    fn every_edge_id_pair_matches_the_tree_reference() {
+        let pairs: Vec<(NodeId, NodeId)> = EDGE_IDS
+            .iter()
+            .flat_map(|&u| EDGE_IDS.iter().map(move |&v| (NodeId(u), NodeId(v))))
+            .collect();
+        let a = Answer::Tuples(CertainAnswers::Pairs(pairs));
+        assert_eq!(encode_answer(&a).encode(), encode_answer_tree(&a).encode());
+    }
 
     #[test]
     fn answer_encoding_round_trips() {
+        // through text, as a client decodes: a fragment has no fields
+        let wire = |a: &Answer| json::parse(encode_answer(a).encode().as_bytes()).unwrap();
         let a = Answer::Tuples(CertainAnswers::Pairs(vec![
             (NodeId(0), NodeId(3)),
             (NodeId(7), NodeId(7)),
         ]));
-        assert_eq!(decode_answer(&encode_answer(&a)).unwrap(), a);
+        assert_eq!(decode_answer(&wire(&a)).unwrap(), a);
         let b = Answer::Boolean(true);
-        assert_eq!(decode_answer(&encode_answer(&b)).unwrap(), b);
+        assert_eq!(decode_answer(&wire(&b)).unwrap(), b);
         let v = Answer::Tuples(CertainAnswers::AllVacuously);
-        assert_eq!(decode_answer(&encode_answer(&v)).unwrap(), v);
+        assert_eq!(decode_answer(&wire(&v)).unwrap(), v);
     }
 
     #[test]

@@ -261,6 +261,14 @@ fn bad_request_shapes_get_typed_4xx() {
         (r.status, r.error_code().as_deref()),
         (409, Some("mapping-exists"))
     );
+    // ... and its status line carries the canonical reason phrase
+    let body = mapping.encode();
+    let req = format!(
+        "POST /tenants/t/mappings HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let resp = raw_exchange(&handle, req.as_bytes(), false);
+    assert!(resp.starts_with("HTTP/1.1 409 Conflict\r\n"), "got: {resp}");
     // garbage shards spec
     let r = c
         .post(

@@ -29,12 +29,14 @@ use std::fmt;
 use std::path::Path;
 
 /// Files the lint gates, relative to the workspace root: the engine's
-/// serve path plus the evaluation layers it calls while holding serving
-/// invariants. `par.rs` (which defines the recover helpers) is
-/// deliberately absent.
+/// serve path, the evaluation layers it calls while holding serving
+/// invariants, and the wire codecs every server worker runs. `par.rs`
+/// (which defines the recover helpers) is deliberately absent.
 pub const SERVE_PATH_FILES: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/server/src/handlers.rs",
+    "crates/server/src/json.rs",
+    "crates/server/src/protocol.rs",
     "crates/core/src/solution.rs",
     "crates/dataquery/src/canon.rs",
     "crates/dataquery/src/compiled.rs",

@@ -19,7 +19,10 @@ use gde_dataquery::{canonicalize, DataQuery};
 use gde_server::json::Json;
 use gde_server::protocol::{delta_to_json, encode_answer, graph_to_json, ApiError};
 use gde_server::{Client, ServerConfig, ServerHandle};
-use gde_workload::{social_churn_deltas, social_serving_scenario, ServingScenario, SocialConfig};
+use gde_workload::{
+    merge_bound_queries, sharded_serving_scenario, social_churn_deltas, social_serving_scenario,
+    ServingScenario, SocialConfig,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -452,5 +455,95 @@ fn churn_deltas_under_live_traffic_stay_equivalent() {
         handle.state().http_5xx.load(Ordering::Relaxed),
         0,
         "no 5xx under churn"
+    );
+}
+
+/// The answer body built from public `Json` constructors, independently
+/// of the answer encoder the server uses.
+fn pairs_body(a: &Answer) -> String {
+    let pairs = match a {
+        Answer::Tuples(gde_core::CertainAnswers::Pairs(pairs)) => pairs,
+        other => panic!("expected a pair answer, got {other:?}"),
+    };
+    Json::obj([(
+        "pairs",
+        Json::Arr(
+            pairs
+                .iter()
+                .map(|(u, v)| Json::Arr(vec![Json::num(u.0), Json::num(v.0)]))
+                .collect(),
+        ),
+    )])
+    .encode()
+}
+
+#[test]
+fn multi_segment_answer_is_byte_identical_ad_hoc_and_bound() {
+    // an answer of tens of thousands of pairs: its body spans many TCP
+    // segments, as analytics-sized answers do
+    let sv = sharded_serving_scenario(1024, 0x10AD);
+    let mut ta = sv.scenario.gsm.target_alphabet().clone();
+    let (_, q) = merge_bound_queries(&mut ta)
+        .into_iter()
+        .find(|(name, _)| name == "four-hop-contact")
+        .expect("merge-bound batch has four-hop-contact");
+    let (kind, text) = wire_query(&q, &ta).expect("an RPQ has wire text");
+
+    let mirror = MappingService::new();
+    let mid = mirror.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    mirror.set_shard_count(mid, ShardSpec::Fixed(4)).unwrap();
+    let answer = mirror
+        .answer(mid, &q.compile(), Semantics::nulls())
+        .unwrap();
+    let expected = pairs_body(&answer);
+    assert!(
+        expected.len() > 64 * 1024,
+        "answer spans many segments: {} bytes",
+        expected.len()
+    );
+
+    let handle = serve_scenario(&sv, "acme", "big", 2);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let r = c
+        .post(
+            "/tenants/acme/mappings/big/shards",
+            &Json::obj([("shards", Json::num(4.0))]),
+        )
+        .unwrap();
+    assert_eq!(r.status, 200);
+
+    let body = Json::obj([("query", Json::str(&text)), ("kind", Json::str(kind))]);
+    let r = c.post("/tenants/acme/mappings/big/query", &body).unwrap();
+    assert_eq!(r.status, 200);
+    assert!(
+        r.raw_body == expected.as_bytes(),
+        "ad-hoc: wire body ({} bytes) differs from the expected {} bytes",
+        r.raw_body.len(),
+        expected.len()
+    );
+
+    let r = c
+        .post("/tenants/acme/mappings/big/templates", &body)
+        .unwrap();
+    assert_eq!(r.status, 201);
+    let j = r.json().unwrap();
+    let wire_id = j
+        .get("template")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let bindings = j.get("bindings").cloned().unwrap();
+    let r = c
+        .post(
+            &format!("/tenants/acme/mappings/big/templates/{wire_id}/query"),
+            &Json::obj([("bindings", bindings)]),
+        )
+        .unwrap();
+    assert_eq!(r.status, 200);
+    assert!(
+        r.raw_body == expected.as_bytes(),
+        "bound: wire body ({} bytes) differs from the expected {} bytes",
+        r.raw_body.len(),
+        expected.len()
     );
 }
