@@ -1,28 +1,22 @@
-//! Tractable certain answers via canonical solutions (Theorems 3–5).
+//! Tractable certain answers via canonical solutions (Theorems 3–5): the
+//! answer and error types of the canonical-solution engines.
 //!
-//! * [`certain_answers_nulls`] — `2ⁿ_M(Q, G_s)` of §7: evaluate `Q` (under
-//!   SQL-null semantics, which is how all of `gde-dataquery` evaluates) on
-//!   the universal solution and keep tuples without null nodes. Sound and
-//!   complete for `2ⁿ` by Theorem 4 for every query closed under
-//!   null-absorbing homomorphisms — in particular all data RPQs
-//!   (Proposition 6). It *underapproximates* the plain certain answers `2`:
-//!   `2ⁿ ⊆ 2`.
-//! * [`certain_answers_least_informative`] — `2_M(Q, G_s)` of §8, exact for
-//!   REM=/REE= queries (Theorem 5): evaluate on the least informative
-//!   solution and keep tuples over `dom(M, G_s)`.
+//! * `2ⁿ_M(Q, G_s)` of §7 ([`crate::engine::Semantics::Nulls`]): evaluate
+//!   `Q` (under SQL-null semantics, which is how all of `gde-dataquery`
+//!   evaluates) on the universal solution and keep tuples without null
+//!   nodes. Sound and complete for `2ⁿ` by Theorem 4 for every query
+//!   closed under null-absorbing homomorphisms — in particular all data
+//!   RPQs (Proposition 6). It *underapproximates* the plain certain
+//!   answers `2`: `2ⁿ ⊆ 2`.
+//! * `2_M(Q, G_s)` of §8 ([`crate::engine::Semantics::LeastInformative`]),
+//!   exact for REM=/REE= queries (Theorem 5): evaluate on the least
+//!   informative solution and keep tuples over `dom(M, G_s)`.
 //!
-//! These free functions are **deprecated one-shot shims** over the unified
-//! serving entry point: each is `answer_once(m, gs, &q.compile(), sem)` for
-//! the corresponding [`crate::engine::Semantics`], so every call rebuilds
-//! the canonical solution, refreezes the graph and re-lowers the query.
-//! Serving paths that answer many queries against one `(M, G_s)` should
-//! hold a [`crate::engine::MappingService`] (register once, answer many,
-//! absorb deltas) and precompiled queries instead.
+//! Both are served by [`crate::engine::MappingService`] (register once,
+//! answer many, absorb deltas); [`crate::engine::answer_once`] answers a
+//! single query without keeping anything.
 
-use crate::engine::{answer_once, solve_error, Answer, Semantics};
-use crate::gsm::Gsm;
-use gde_datagraph::{DataGraph, NodeId};
-use gde_dataquery::DataQuery;
+use gde_datagraph::NodeId;
 
 /// Errors from the tractable certain-answer engines.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,90 +70,15 @@ impl CertainAnswers {
     }
 }
 
-/// `2ⁿ_M(Q, G_s)`: certain answers over target graphs with SQL-null values
-/// (Theorem 3/4). Polynomial data complexity.
-///
-/// **Migration**: this is `answer_once(m, gs, &q.compile(),
-/// Semantics::nulls())`; long-lived callers should register the mapping in
-/// a [`crate::engine::MappingService`] once and call
-/// `service.answer(id, &q, Semantics::nulls())` per query instead, which
-/// caches the universal solution across calls and survives source deltas.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MappingService::answer(id, &q, Semantics::nulls()) — or answer_once for one-shot calls"
-)]
-pub fn certain_answers_nulls(
-    m: &Gsm,
-    q: &DataQuery,
-    gs: &DataGraph,
-) -> Result<CertainAnswers, SolveError> {
-    answer_once(m, gs, &q.compile(), Semantics::nulls())
-        .map(Answer::into_tuples)
-        .map_err(solve_error)
-}
-
-/// Boolean `2ⁿ`: does `Q` hold (have any match) in every solution over
-/// `D ∪ {n}`? For hom-closed Boolean queries this is just `Q` holding on
-/// the universal solution.
-///
-/// **Migration**: `Semantics::nulls_boolean()` through a
-/// [`crate::engine::MappingService`] (or [`answer_once`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "use MappingService::answer(id, &q, Semantics::nulls_boolean()) — or answer_once for one-shot calls"
-)]
-pub fn certain_boolean_nulls(m: &Gsm, q: &DataQuery, gs: &DataGraph) -> Result<bool, SolveError> {
-    answer_once(m, gs, &q.compile(), Semantics::nulls_boolean())
-        .map(|a| a.boolean())
-        .map_err(solve_error)
-}
-
-/// `2_M(Q, G_s)` for equality-only queries (REM=/REE=, and plain RPQs):
-/// evaluate on the least informative solution, keep tuples over
-/// `dom(M, G_s)` (Theorem 5). Polynomial data complexity; **exact** plain
-/// certain answers for this fragment.
-///
-/// **Migration**: `Semantics::least_informative()` through a
-/// [`crate::engine::MappingService`] (or [`answer_once`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "use MappingService::answer(id, &q, Semantics::least_informative()) — or answer_once for one-shot calls"
-)]
-pub fn certain_answers_least_informative(
-    m: &Gsm,
-    q: &DataQuery,
-    gs: &DataGraph,
-) -> Result<CertainAnswers, SolveError> {
-    answer_once(m, gs, &q.compile(), Semantics::least_informative())
-        .map(Answer::into_tuples)
-        .map_err(solve_error)
-}
-
-/// Boolean variant of [`certain_answers_least_informative`].
-///
-/// **Migration**: `Semantics::least_informative_boolean()` through a
-/// [`crate::engine::MappingService`] (or [`answer_once`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "use MappingService::answer(id, &q, Semantics::least_informative_boolean()) — or answer_once for one-shot calls"
-)]
-pub fn certain_boolean_least_informative(
-    m: &Gsm,
-    q: &DataQuery,
-    gs: &DataGraph,
-) -> Result<bool, SolveError> {
-    answer_once(m, gs, &q.compile(), Semantics::least_informative_boolean())
-        .map(|a| a.boolean())
-        .map_err(solve_error)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep answering exactly as before
 mod tests {
     use super::*;
+    use crate::engine::{answer_once, ServeError};
+    use crate::gsm::Gsm;
+    use crate::Semantics;
     use gde_automata::parse_regex;
-    use gde_datagraph::{Alphabet, Value};
-    use gde_dataquery::parse_ree;
+    use gde_datagraph::{Alphabet, DataGraph, Value};
+    use gde_dataquery::{parse_ree, DataQuery};
 
     /// Source: 0(v5) -a-> 1(v5), 1 -a-> 2(v7).
     /// Mapping: (a, x y) — each a-edge becomes an x·y path with an invented
@@ -181,13 +100,28 @@ mod tests {
         (m, gs)
     }
 
+    fn tuples(
+        m: &Gsm,
+        q: &DataQuery,
+        gs: &DataGraph,
+        sem: Semantics,
+    ) -> Result<CertainAnswers, ServeError> {
+        answer_once(m, gs, &q.compile(), sem).map(|a| a.into_tuples())
+    }
+
+    fn boolean(m: &Gsm, q: &DataQuery, gs: &DataGraph, sem: Semantics) -> bool {
+        answer_once(m, gs, &q.compile(), sem).unwrap().boolean()
+    }
+
     #[test]
     fn navigational_certain_answers() {
         let (m, gs) = scenario();
         let q: DataQuery = parse_regex("x y", &mut m.target_alphabet().clone())
             .unwrap()
             .into();
-        let ans = certain_answers_nulls(&m, &q, &gs).unwrap().into_pairs();
+        let ans = tuples(&m, &q, &gs, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
         assert_eq!(ans, vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]);
     }
 
@@ -198,7 +132,9 @@ mod tests {
         // (x y)=: endpoints equal. For pair (0,1): values 5,5 — matches in
         // the universal solution (nulls only in the middle).
         let q: DataQuery = parse_ree("(x y)=", &mut ta).unwrap().into();
-        let ans = certain_answers_nulls(&m, &q, &gs).unwrap().into_pairs();
+        let ans = tuples(&m, &q, &gs, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
         assert_eq!(ans, vec![(NodeId(0), NodeId(1))]);
     }
 
@@ -208,11 +144,15 @@ mod tests {
         let mut ta = m.target_alphabet().clone();
         // (x)=: source node vs invented null node — never certain
         let q: DataQuery = parse_ree("x=", &mut ta).unwrap().into();
-        let ans = certain_answers_nulls(&m, &q, &gs).unwrap().into_pairs();
+        let ans = tuples(&m, &q, &gs, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
         assert!(ans.is_empty());
         // and pairs ending in a null node are filtered anyway
         let q: DataQuery = parse_ree("x", &mut ta).unwrap().into();
-        let ans = certain_answers_nulls(&m, &q, &gs).unwrap().into_pairs();
+        let ans = tuples(&m, &q, &gs, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
         assert!(ans.is_empty());
     }
 
@@ -221,8 +161,10 @@ mod tests {
         let (m, gs) = scenario();
         let mut ta = m.target_alphabet().clone();
         let q: DataQuery = parse_ree("(x y)=", &mut ta).unwrap().into();
-        let a1 = certain_answers_nulls(&m, &q, &gs).unwrap().into_pairs();
-        let a2 = certain_answers_least_informative(&m, &q, &gs)
+        let a1 = tuples(&m, &q, &gs, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
+        let a2 = tuples(&m, &q, &gs, Semantics::least_informative())
             .unwrap()
             .into_pairs();
         assert_eq!(a1, a2);
@@ -234,8 +176,8 @@ mod tests {
         let mut ta = m.target_alphabet().clone();
         let q: DataQuery = parse_ree("(x y)!=", &mut ta).unwrap().into();
         assert!(matches!(
-            certain_answers_least_informative(&m, &q, &gs),
-            Err(SolveError::UnsupportedQuery(_))
+            tuples(&m, &q, &gs, Semantics::least_informative()),
+            Err(ServeError::UnsupportedQuery(_))
         ));
     }
 
@@ -246,7 +188,9 @@ mod tests {
         // (x y)≠: (1,2) has values 5,7 — differs in the universal solution,
         // and in fact in every solution (dom values are fixed): 2ⁿ finds it.
         let q: DataQuery = parse_ree("(x y)!=", &mut ta).unwrap().into();
-        let ans = certain_answers_nulls(&m, &q, &gs).unwrap().into_pairs();
+        let ans = tuples(&m, &q, &gs, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
         assert_eq!(ans, vec![(NodeId(1), NodeId(2))]);
     }
 
@@ -255,15 +199,15 @@ mod tests {
         let (m, gs) = scenario();
         let mut ta = m.target_alphabet().clone();
         let q: DataQuery = parse_ree("x y", &mut ta).unwrap().into();
-        assert!(certain_boolean_nulls(&m, &q, &gs).unwrap());
-        assert!(certain_boolean_least_informative(&m, &q, &gs).unwrap());
+        assert!(boolean(&m, &q, &gs, Semantics::nulls_boolean()));
+        assert!(boolean(&m, &q, &gs, Semantics::least_informative_boolean()));
         // "y x" holds too: the universal solution chains the two invented
         // paths through node 1 (0 -x-> m₁ -y-> 1 -x-> m₂ -y-> 2).
         let q2: DataQuery = parse_ree("y x", &mut ta).unwrap().into();
-        assert!(certain_boolean_nulls(&m, &q2, &gs).unwrap());
+        assert!(boolean(&m, &q2, &gs, Semantics::nulls_boolean()));
         // "y y" can never appear in any minimal solution
         let q3: DataQuery = parse_ree("y y", &mut ta).unwrap().into();
-        assert!(!certain_boolean_nulls(&m, &q3, &gs).unwrap());
+        assert!(!boolean(&m, &q3, &gs, Semantics::nulls_boolean()));
     }
 
     #[test]
@@ -278,8 +222,8 @@ mod tests {
         let mut ta = m.target_alphabet().clone();
         let q: DataQuery = parse_ree("x", &mut ta).unwrap().into();
         assert_eq!(
-            certain_answers_nulls(&m2, &q, &gs).err(),
-            Some(SolveError::NotRelational)
+            tuples(&m2, &q, &gs, Semantics::nulls()).err(),
+            Some(ServeError::NotRelational)
         );
     }
 
@@ -298,9 +242,9 @@ mod tests {
         gs.add_edge_str(NodeId(0), "a", NodeId(1)).unwrap();
         let mut ta2 = ta.clone();
         let q: DataQuery = parse_ree("x", &mut ta2).unwrap().into();
-        let ans = certain_answers_nulls(&m, &q, &gs).unwrap();
+        let ans = tuples(&m, &q, &gs, Semantics::nulls()).unwrap();
         assert_eq!(ans, CertainAnswers::AllVacuously);
         assert!(ans.contains(NodeId(0), NodeId(1)));
-        assert!(certain_boolean_nulls(&m, &q, &gs).unwrap());
+        assert!(boolean(&m, &q, &gs, Semantics::nulls_boolean()));
     }
 }

@@ -19,25 +19,30 @@
 //!   and frozen into a [`PreparedSolution`] (solution + [`GraphSnapshot`] +
 //!   dense invented-node mask). [`MappingService::prepare`] warms it
 //!   eagerly; [`MappingService::answer`] warms it lazily.
-//! * **answer** — the single entry point
-//!   [`MappingService::answer`]`(id, q, sem)` unifies the former
-//!   `certain_answers_nulls` / `certain_answers_least_informative` /
-//!   `certain_answers_exact` / `certain_boolean_*` family: [`Semantics`]
+//! * **answer** — [`MappingService::answer`]`(id, q, sem)`: [`Semantics`]
 //!   picks the engine (`Nulls`, `LeastInformative`, `Exact`), [`Mode`]
 //!   picks tuple vs Boolean answers, and [`Answer`] carries the result.
 //!   The service is `Send + Sync`; scoped threads can call `answer`
 //!   concurrently, and [`MappingService::answer_batch`] fans a query batch
 //!   out over [`gde_datagraph::par`] workers itself.
-//! * **shard** — [`MappingService::set_shard_count`] partitions a
-//!   mapping's prepared solutions into node-range stripes
-//!   ([`ShardedSnapshot`], under a cost-model-balanced
-//!   [`ShardPlan`]); it takes a fixed count or [`ShardSpec::Auto`],
-//!   which picks K from the graph size, the thread budget, and the
-//!   observed [`ServingStats`]. Tuple answers evaluate per stripe on
-//!   [`gde_datagraph::par`] workers into sorted runs and union through
-//!   the streaming k-way merge ([`gde_datagraph::merge`]); Boolean
-//!   answers OR across stripes with a short-circuit; `answer_batch`
-//!   schedules `(query, stripe)` tasks dynamically. Answers are
+//! * **one serve path** — `answer`, `answer_bound` and `answer_batch` (and
+//!   their `_with` forms) all enter one private function: a single answer
+//!   is a batch of one. Each query passes the same door (template and
+//!   arity, fragment, an already-fired control, canonicalisation routing,
+//!   the statically-empty verdict), the admitted queries are evaluated
+//!   inside one panic → quarantine → retry-once loop, and one
+//!   `(query, stripe)` scheduler runs them; the exact enumeration enters
+//!   the same door and loop and runs as one task per query.
+//! * **shard** — every prepared solution serves from node-range stripes
+//!   ([`ShardedSnapshot`], under a cost-model-balanced [`ShardPlan`]); a
+//!   mapping without sharding is a one-stripe plan whose stripe aliases
+//!   the snapshot's relations, so it copies nothing and caches like any
+//!   other K. [`MappingService::set_shard_count`] takes a fixed count or
+//!   [`ShardSpec::Auto`], which picks K from the graph size, the thread
+//!   budget, and the observed [`ServingStats`]. Tuple answers evaluate
+//!   per stripe on [`gde_datagraph::par`] workers into sorted runs and
+//!   union through the streaming k-way merge ([`gde_datagraph::merge`]);
+//!   Boolean answers OR across stripes with a short-circuit. Answers are
 //!   byte-identical at every K, `Auto` included.
 //! * **apply_delta** — [`MappingService::apply_delta`] mutates the owned
 //!   source graph (copy-on-write behind the shared `Arc`), bumps the
@@ -55,10 +60,8 @@
 //!   rebuilt on demand), so a service can hold many registered mappings
 //!   with only the hot ones resident.
 //!
-//! [`PreparedMapping`] — the previous, borrow-based engine — and the free
-//! functions in [`crate::certain`] survive as thin deprecated wrappers over
-//! this service. One-shot callers can also use [`answer_once`], which
-//! skips the registry and caches entirely.
+//! One-shot callers can use [`answer_once`], which serves one query
+//! through a private service and throws it away.
 
 use crate::analyze::{self, MappingFacts, MappingReport, WorkloadProfile};
 use crate::certain::{CertainAnswers, SolveError};
@@ -73,12 +76,13 @@ use gde_datagraph::{
     Label, NodeId, ShardPlan, ShardedSnapshot, WorkerPanic,
 };
 use gde_dataquery::{
-    canonicalize, BindError, CompiledQuery, DataQuery, EvalControl, LruSubRelCache, PlanSkeleton,
+    canonicalize, BindError, CompiledQuery, EvalControl, LruSubRelCache, PlanSkeleton,
     QueryTemplate, RowEvalShared, StopCause, SubRelCache, SubRelKey,
 };
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 // Poisoning recovery: a panicking worker must not wedge the whole service,
@@ -148,7 +152,7 @@ pub enum Semantics {
     /// `2ⁿ_M(Q, G_s)` (Theorems 3/4): certain answers over targets with
     /// SQL nulls, from the cached universal solution. Sound and complete
     /// for every query closed under null-absorbing homomorphisms — all
-    /// [`DataQuery`] classes; underapproximates plain `2`.
+    /// [`gde_dataquery::DataQuery`] classes; underapproximates plain `2`.
     Nulls(Mode),
     /// `2_M(Q, G_s)` for equality-only queries (Theorem 5): **exact**
     /// plain certain answers for REM=/REE=/RPQs, from the cached least
@@ -225,7 +229,8 @@ impl Semantics {
 /// keep working; [`ShardSpec::Auto`] lets the engine pick K itself.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShardSpec {
-    /// Exactly this many stripes (`0` and `1` both mean unsharded).
+    /// Exactly this many stripes (`0` and `1` both mean one stripe: the
+    /// unsharded plan).
     Fixed(usize),
     /// Let the engine choose K per mapping, from the source-graph size,
     /// the worker-thread budget ([`par::max_threads`] /
@@ -266,7 +271,7 @@ impl From<usize> for ShardSpec {
 }
 
 /// Cumulative serving statistics for one stripe of a mapping (part of
-/// [`ServingStats`]). Unsharded mappings record everything under stripe 0.
+/// [`ServingStats`]). A one-stripe plan records everything under stripe 0.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StripeServingStats {
     /// Per-(query, stripe) evaluations recorded against this stripe.
@@ -313,9 +318,9 @@ pub struct ServingStats {
     /// Nanoseconds spent merging per-stripe sorted runs into final tuple
     /// answers.
     pub merge_ns: u64,
-    /// Sub-relation cache hits across sharded serving calls.
+    /// Sub-relation cache hits across serving calls.
     pub cache_hits: u64,
-    /// Sub-relation cache misses across sharded serving calls.
+    /// Sub-relation cache misses across serving calls.
     pub cache_misses: u64,
     /// Resident bytes in the mapping's sub-relation caches — a gauge
     /// (last observed value), unlike the cumulative counters above.
@@ -358,8 +363,8 @@ pub struct ServingStats {
     /// so the gauge reads as "compilation work traffic would have done
     /// without parameterized plans".
     pub compile_skipped_ns: u64,
-    /// The same counters, split by stripe index (stripe 0 for unsharded
-    /// serving). Grows to the largest stripe index observed.
+    /// The same counters, split by stripe index (stripe 0 for a
+    /// one-stripe plan). Grows to the largest stripe index observed.
     pub per_stripe: Vec<StripeServingStats>,
 }
 
@@ -377,7 +382,7 @@ impl ServingStats {
         self.tuples.checked_div(self.tuple_evals).unwrap_or(0)
     }
 
-    /// Fraction of sharded serving time spent on shared phase-1 builds
+    /// Fraction of serving time spent on shared phase-1 builds
     /// (memo/cache construction) rather than stripe evaluation, in
     /// `[0, 1]`. High values mean the serial prefix dominates and extra
     /// stripes cannot pay off.
@@ -452,7 +457,7 @@ impl ServingStats {
         true
     }
 
-    /// Fold one sharded call's shared-phase accounting in: phase-1 build
+    /// Fold one serve's shared-phase accounting in: phase-1 build
     /// and merge nanoseconds, this call's cache hit/miss counts, and the
     /// current cache-bytes gauge.
     fn record_overheads(
@@ -497,8 +502,11 @@ impl ServingStats {
 /// * The baseline is one stripe per worker thread.
 /// * A Boolean-leaning workload gets at least 4 stripes (when the graph
 ///   affords them): the cross-stripe OR-short-circuit pays even on one
-///   core, because an unsharded Boolean answer evaluates the full
-///   relation before its `any()`.
+///   core for REE answers, which evaluate a stripe's rows before its
+///   `any()` — at K=1, the whole relation. (Per-start classes, RPQ and
+///   REM, stop at the first satisfying row at every K, one stripe
+///   included, so for them the rationale no longer holds; the policy is
+///   kept as is.)
 /// * When observed evaluations are heavy (≥ 10 ms mean), stripes are
 ///   oversubscribed 2× so the dynamic `(query, stripe)` scheduler can
 ///   balance uneven stripes across workers.
@@ -643,9 +651,9 @@ fn panic_error(p: WorkerPanic) -> ServeError {
 }
 
 /// Errors from the serving engine. `NoSolution` only surfaces from the
-/// solution accessors ([`MappingService::solution`] and the deprecated
-/// `PreparedMapping` ones); [`MappingService::answer`] converts it into the
-/// vacuous answer (every tuple certain) instead.
+/// solution accessor [`MappingService::solution`];
+/// [`MappingService::answer`] converts it into the vacuous answer (every
+/// tuple certain) instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// No mapping is registered under this id (never was, or unregistered).
@@ -779,32 +787,32 @@ impl From<ExactError> for ServeError {
     }
 }
 
-/// Convert a serving error back into the legacy `SolveError` (for the
-/// deprecated canonical-engine wrappers). The wrappers serve through a
-/// private single-mapping service with unbounded options, so the
-/// deadline/cancel arms cannot fire; a contained worker panic, however,
-/// *can* reach them, and the legacy error type predates typed panics —
-/// re-raise it so the pre-containment behaviour (a propagating panic) is
-/// preserved for the deprecated surface.
+/// Convert a serving error into the `SolveError` of the one-shot
+/// canonical-engine APIs built on [`answer_once`] (such as
+/// [`crate::integration::Integration::certain_answers`]). `answer_once`
+/// serves with unbounded options, so the deadline/cancel arms cannot fire;
+/// a contained worker panic, however, *can* reach it, and `SolveError`
+/// has no panic variant — re-raise it, as a propagating panic.
 pub(crate) fn solve_error(e: ServeError) -> SolveError {
     match e {
         ServeError::NotRelational => SolveError::NotRelational,
         ServeError::UnsupportedQuery(what) => SolveError::UnsupportedQuery(what),
         ServeError::StripePanicked { message, .. } => {
-            panic!("serving worker panicked (legacy wrapper re-raise): {message}")
+            panic!("serving worker panicked (one-shot re-raise): {message}")
         }
         other => unreachable!("canonical serving cannot fail with {other:?}"),
     }
 }
 
-/// Convert a serving error back into the legacy `ExactError` (for the
-/// exact-engine wrappers; same re-raise contract as [`solve_error`]).
+/// Convert a serving error into the `ExactError` of the one-shot exact
+/// APIs ([`crate::exact::certain_answers_exact`] and its Boolean
+/// variant; same re-raise contract as [`solve_error`]).
 pub(crate) fn exact_error(e: ServeError) -> ExactError {
     match e {
         ServeError::NotRelational => ExactError::NotRelational,
         ServeError::TooComplex { invented, cap } => ExactError::TooComplex { invented, cap },
         ServeError::StripePanicked { message, .. } => {
-            panic!("exact serving worker panicked (legacy wrapper re-raise): {message}")
+            panic!("exact serving worker panicked (one-shot re-raise): {message}")
         }
         other => unreachable!("exact serving cannot fail with {other:?}"),
     }
@@ -851,10 +859,9 @@ pub struct ServiceStats {
 /// stamp carry-over on the sharded view.
 #[derive(Debug)]
 struct RefreezeCarry {
-    /// The snapshot before the patch(es).
-    snapshot: Arc<GraphSnapshot>,
-    /// The sharded view before the patch(es) (when sharding was on).
-    sharded: Option<Arc<ShardedSnapshot>>,
+    /// The striped view (and, as its base, the snapshot) before the
+    /// patch(es).
+    sharded: Arc<ShardedSnapshot>,
     /// Per-shard generation stamps before the patch(es).
     stamps: Vec<u64>,
     /// Target labels whose edge sets changed.
@@ -874,7 +881,6 @@ struct RefreezeCarry {
 impl RefreezeCarry {
     fn from_prepared(prep: &PreparedSolution) -> RefreezeCarry {
         RefreezeCarry {
-            snapshot: prep.snapshot.clone(),
             sharded: prep.sharded.clone(),
             stamps: prep.shard_stamps.clone(),
             stale_labels: FxHashSet::default(),
@@ -888,8 +894,8 @@ impl RefreezeCarry {
     /// snapshot, shard slices, and sub-relation cache), charged against
     /// the cache budget while the slot waits for its refreeze.
     fn approx_bytes(&self) -> usize {
-        self.snapshot.approx_bytes()
-            + self.sharded.as_ref().map_or(0, |s| s.approx_bytes())
+        self.sharded.base().approx_bytes()
+            + self.sharded.approx_bytes()
             + self.sub_cache.as_ref().map_or(0, |c| c.bytes())
     }
 
@@ -898,7 +904,7 @@ impl RefreezeCarry {
         self.stale_labels
             .extend(patch.touched_labels.iter().copied());
         for &node in &patch.touched_nodes {
-            if let Some(row) = self.snapshot.idx(node) {
+            if let Some(row) = self.sharded.base().idx(node) {
                 self.touched_rows.insert(row);
             }
         }
@@ -909,17 +915,17 @@ impl RefreezeCarry {
 }
 
 /// A canonical solution frozen for serving: the solution itself, its
-/// snapshot, a dense-index mask of the invented nodes (so dom-filtering
-/// is an array lookup per endpoint instead of a hash probe per pair), and
-/// — when the mapping is sharded — the node-range-partitioned view with
-/// per-shard generation stamps.
+/// snapshot partitioned into node-range stripes (a mapping without
+/// sharding serves from a one-stripe plan that aliases the snapshot's
+/// relations), per-stripe generation stamps, and a dense-index mask of the
+/// invented nodes (so dom-filtering is an array lookup per endpoint
+/// instead of a hash probe per pair).
 #[derive(Debug)]
 pub struct PreparedSolution {
     solution: CanonicalSolution,
-    snapshot: Arc<GraphSnapshot>,
     invented_mask: Vec<bool>,
-    /// Present when the mapping serves from more than one stripe.
-    sharded: Option<Arc<ShardedSnapshot>>,
+    /// The snapshot (its base) and its stripe plan.
+    sharded: Arc<ShardedSnapshot>,
     /// Generation stamp per stripe: the last generation whose delta
     /// touched rows in that stripe (so untouched stripes keep their
     /// slices — and their stamp — across a refreeze).
@@ -978,7 +984,7 @@ impl PreparedSolution {
         if let Some(c) = carry {
             if c.reusable {
                 if let Some(snap) =
-                    GraphSnapshot::refreeze_from(&solution.graph, &c.snapshot, &c.stale_labels)
+                    GraphSnapshot::refreeze_from(&solution.graph, c.sharded.base(), &c.stale_labels)
                 {
                     return PreparedSolution::assemble(
                         solution,
@@ -1011,50 +1017,41 @@ impl PreparedSolution {
             .map(|d| invented.contains(&snapshot.id_at(d)))
             .collect();
         let k = shards.max(1);
-        let (sharded, shard_stamps) = if k > 1 {
-            let plan = match carry.and_then(|c| c.sharded.as_ref()) {
-                // keep the previous stripe layout so slices and stamps line
-                // up — but only while it still has the resolved stripe
-                // count, so an `Auto` pick that drifted with the workload
-                // (or an explicit resize) re-plans instead of being
-                // silently pinned to the carried layout
-                Some(prev) if prev.plan().n() == snapshot.n() && prev.plan().shard_count() == k => {
-                    prev.plan().clone()
-                }
-                // with a registered workload, the analyzer's label set
-                // focuses the cost model on the labels serving will
-                // actually walk (cold-start prior; the layout stays a
-                // contiguous partition, so answers are unchanged)
-                _ => match prior.filter(|p| !p.labels().is_empty()) {
-                    Some(p) => ShardPlan::by_cost_focused(&snapshot, k, p.labels()),
-                    None => ShardPlan::by_cost(&snapshot, k),
-                },
-            };
-            let ss = ShardedSnapshot::new(snapshot.clone(), plan);
-            let mut stamps = vec![generation; ss.shard_count()];
-            if let Some(c) = carry {
-                if let Some(prev) = c.sharded.as_ref().filter(|p| p.plan() == ss.plan()) {
-                    let mut touched = vec![false; ss.shard_count()];
-                    for &row in &c.touched_rows {
-                        touched[ss.plan().shard_of(row)] = true;
-                    }
-                    for (i, stamp) in stamps.iter_mut().enumerate() {
-                        if !touched[i] {
-                            *stamp = c.stamps.get(i).copied().unwrap_or(generation);
-                        }
-                    }
-                    // a stripe keeps a label's slice unless that label went
-                    // stale *and* the stripe holds a touched row
-                    ss.carry_from(prev, |shard, l| {
-                        !touched[shard] || !c.stale_labels.contains(&l)
-                    });
+        let plan = match carry.map(|c| c.sharded.plan()) {
+            // keep the previous stripe layout so slices and stamps line
+            // up — but only while it still has the resolved stripe count,
+            // so an `Auto` pick that drifted with the workload (or an
+            // explicit resize) re-plans instead of being silently pinned
+            // to the carried layout
+            Some(prev) if prev.n() == snapshot.n() && prev.shard_count() == k => prev.clone(),
+            // with a registered workload, the analyzer's label set focuses
+            // the cost model on the labels serving will actually walk
+            // (cold-start prior; the layout stays a contiguous partition,
+            // so answers are unchanged)
+            _ => match prior.filter(|p| !p.labels().is_empty()) {
+                Some(p) => ShardPlan::by_cost_focused(&snapshot, k, p.labels()),
+                None => ShardPlan::by_cost(&snapshot, k),
+            },
+        };
+        let sharded = ShardedSnapshot::new(snapshot.clone(), plan);
+        let mut shard_stamps = vec![generation; sharded.shard_count()];
+        if let Some(c) = carry.filter(|c| c.sharded.plan() == sharded.plan()) {
+            let mut touched = vec![false; sharded.shard_count()];
+            for &row in &c.touched_rows {
+                touched[sharded.plan().shard_of(row)] = true;
+            }
+            for (i, stamp) in shard_stamps.iter_mut().enumerate() {
+                if !touched[i] {
+                    *stamp = c.stamps.get(i).copied().unwrap_or(generation);
                 }
             }
-            ss.warm();
-            (Some(Arc::new(ss)), stamps)
-        } else {
-            (None, vec![generation])
-        };
+            // a stripe keeps a label's slice unless that label went stale
+            // *and* the stripe holds a touched row
+            sharded.carry_from(&c.sharded, |shard, l| {
+                !touched[shard] || !c.stale_labels.contains(&l)
+            });
+        }
+        sharded.warm();
         // keep the patched solution's cache object (its budget and byte
         // accounting survive), but purge entries from superseded
         // generations: a stripe's answer rows depend on the *whole*
@@ -1080,9 +1077,8 @@ impl PreparedSolution {
         });
         PreparedSolution {
             solution,
-            snapshot,
             invented_mask,
-            sharded,
+            sharded: Arc::new(sharded),
             shard_stamps,
             generation,
             sub_cache,
@@ -1099,18 +1095,18 @@ impl PreparedSolution {
 
     /// The frozen snapshot of the solution's target graph.
     pub fn snapshot(&self) -> &GraphSnapshot {
-        &self.snapshot
+        self.sharded.base()
     }
 
-    /// The sharded view (when the mapping serves from more than one
-    /// stripe).
-    pub fn sharded(&self) -> Option<&ShardedSnapshot> {
-        self.sharded.as_deref()
+    /// The striped view every serve evaluates on (one stripe when the
+    /// mapping is not sharded).
+    pub fn sharded(&self) -> &ShardedSnapshot {
+        &self.sharded
     }
 
-    /// Number of stripes this solution serves from (1 = unsharded).
+    /// Number of stripes this solution serves from.
     pub fn shard_count(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |s| s.shard_count())
+        self.sharded.shard_count()
     }
 
     /// Per-stripe generation stamps: entry `i` is the last generation
@@ -1122,13 +1118,14 @@ impl PreparedSolution {
     }
 
     /// Approximate heap footprint (solution + snapshot + mask + shard
-    /// slices + the sub-relation cache charge as last settled by the
-    /// service), the unit the service's eviction budget is counted in.
+    /// slices — none on a one-stripe plan — + the sub-relation cache
+    /// charge as last settled by the service), the unit the service's
+    /// eviction budget is counted in.
     pub fn approx_bytes(&self) -> usize {
         self.solution.approx_bytes()
-            + self.snapshot.approx_bytes()
+            + self.snapshot().approx_bytes()
             + self.invented_mask.len()
-            + self.sharded.as_ref().map_or(0, |s| s.approx_bytes())
+            + self.sharded.approx_bytes()
             + self.charged_cache_bytes.load(Ordering::Relaxed)
     }
 
@@ -1158,7 +1155,7 @@ impl PreparedSolution {
     /// densities give a sharper cold-start prior ([`Self::cold_bytes`])
     /// than the whole-snapshot bound.
     fn estimated_serve_bytes(&self) -> usize {
-        let full = self.snapshot.approx_bytes();
+        let full = self.snapshot().approx_bytes();
         let stats_cold = {
             let s = lock(&self.serving);
             s.tuple_evals + s.boolean_evals == 0
@@ -1170,40 +1167,21 @@ impl PreparedSolution {
         est.min(SUB_REL_CACHE_BUDGET)
     }
 
-    /// Shared row-evaluation state wired to this solution's sub-relation
-    /// cache at its generation — the per-query handle every sharded
-    /// serving call evaluates through.
-    fn row_shared(&self) -> RowEvalShared {
-        RowEvalShared::with_cache(
-            self.sub_cache.clone() as Arc<dyn SubRelCache>,
-            self.generation,
-        )
-    }
-
-    /// [`PreparedSolution::row_shared`] under a deadline/cancel control;
-    /// `use_cache: false` is the admission-control degraded mode — every
-    /// artifact is computed from scratch and nothing is charged to the
-    /// cache budget.
-    fn row_shared_with(&self, ctrl: &Arc<EvalControl>, use_cache: bool) -> RowEvalShared {
+    /// Shared row-evaluation state for one query of a serve, under the
+    /// serve's deadline/cancel control: wired to this solution's
+    /// sub-relation cache at its generation, or — `use_cache: false`, the
+    /// admission-control degraded mode — computing every artifact from
+    /// scratch and charging nothing to the cache budget.
+    fn row_shared(&self, ctrl: &Arc<EvalControl>, use_cache: bool) -> RowEvalShared {
         let shared = if use_cache {
-            self.row_shared()
+            RowEvalShared::with_cache(
+                self.sub_cache.clone() as Arc<dyn SubRelCache>,
+                self.generation,
+            )
         } else {
             RowEvalShared::new()
         };
         shared.with_control(ctrl.clone())
-    }
-
-    /// Fold one sharded call's shared-phase accounting (phase-1 build
-    /// and merge time, the handle's cache hit/miss counts) into the
-    /// serving stats, refreshing the cache-bytes gauge.
-    fn record_overheads(&self, memo_ns: u64, merge_ns: u64, shared: &RowEvalShared) {
-        lock(&self.serving).record_overheads(
-            memo_ns,
-            merge_ns,
-            shared.cache_hits(),
-            shared.cache_misses(),
-            self.sub_cache.bytes() as u64,
-        );
     }
 
     /// Unfreeze, keeping only the solution (the delta-patching path).
@@ -1221,88 +1199,20 @@ impl PreparedSolution {
         lock(&self.serving).record(stripe, elapsed.as_nanos() as u64, tuples, boolean);
     }
 
-    /// Evaluate a compiled query and keep pairs over `dom(M, G_s)` (drop
-    /// tuples touching invented nodes). Unsharded, the query is consumed
-    /// in relation form: filtering walks the relation's rows with the
-    /// dense invented mask, and only surviving pairs pay the node-id
-    /// translation. Sharded, every stripe evaluates its own rows on a
-    /// [`par::try_map_shards`] worker into a **sorted run**, and the runs
-    /// union through the streaming k-way merge
-    /// ([`gde_datagraph::merge`]) — no intermediate concatenation, and
-    /// the result is identical either way.
-    ///
-    /// A panicking stripe worker surfaces as
-    /// [`ServeError::StripePanicked`]; a fired deadline/cancel control as
-    /// [`ServeError::DeadlineExceeded`] / [`ServeError::Cancelled`]. In
-    /// both cases nothing incomplete was inserted into the sub-relation
-    /// cache.
-    fn answers_over_dom(
-        &self,
-        q: &CompiledQuery,
-        ctrl: &Arc<EvalControl>,
-        use_cache: bool,
-    ) -> Result<Vec<(NodeId, NodeId)>, ServeError> {
-        match &self.sharded {
-            None => {
-                if ctrl.should_stop() {
-                    let cause = ctrl
-                        .fired()
-                        .expect("invariant: should_stop latched a cause");
-                    return Err(stop_error(cause, 0, 1));
-                }
-                let started = Instant::now();
-                let mut pairs = self.dom_pairs(&q.eval_relation(&self.snapshot));
-                pairs.sort();
-                self.record(0, started.elapsed(), pairs.len(), false);
-                Ok(pairs)
-            }
-            Some(ss) => {
-                // phase 1 (memo/cache build) runs before the fan-out so
-                // stripe workers never serialize on it
-                let shared = self.row_shared_with(ctrl, use_cache);
-                let prewarm = Instant::now();
-                q.prewarm_rows(ss, &shared);
-                let memo_ns = prewarm.elapsed().as_nanos() as u64;
-                let completed = AtomicUsize::new(0);
-                let parts = par::try_map_shards(&ss.plan().ranges(), |shard, _| {
-                    if ctrl.should_stop() {
-                        return Vec::new();
-                    }
-                    let run = self.shard_pairs(q, shard, &shared);
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    run
-                });
-                // stats stay consistent whatever the outcome — partial
-                // work is recorded, fabricated results are not
-                self.record_overheads(memo_ns, 0, &shared);
-                let parts = parts.map_err(panic_error)?;
-                if let Some(cause) = ctrl.fired() {
-                    return Err(stop_error(
-                        cause,
-                        completed.load(Ordering::Relaxed),
-                        ss.shard_count(),
-                    ));
-                }
-                let merge = Instant::now();
-                let merged = merge_sorted_runs(&parts);
-                lock(&self.serving).merge_ns += merge.elapsed().as_nanos() as u64;
-                Ok(merged)
-            }
-        }
-    }
-
-    /// The dom-filter-and-translate pipeline shared by the sharded and
-    /// unsharded tuple paths — one implementation so they cannot diverge.
+    /// Keep the pairs of an evaluated relation over `dom(M, G_s)` (drop
+    /// tuples touching invented nodes), translated to node ids. Filtering
+    /// walks the relation's rows with the dense invented mask, so only
+    /// surviving pairs pay the translation.
     fn dom_pairs(&self, rel: &gde_datagraph::Relation) -> Vec<(NodeId, NodeId)> {
-        let mask = &self.invented_mask;
+        let (mask, snap) = (&self.invented_mask, self.snapshot());
         rel.iter_pairs()
             .filter(|&(i, j)| !mask[i] && !mask[j])
-            .map(|(i, j)| (self.snapshot.id_at(i as u32), self.snapshot.id_at(j as u32)))
+            .map(|(i, j)| (snap.id_at(i as u32), snap.id_at(j as u32)))
             .collect()
     }
 
     /// One stripe's dom-filtered pairs as a **sorted run** — the unit
-    /// sharded batch serving schedules, and the input shape of the
+    /// the `(query, stripe)` scheduler runs, and the input shape of the
     /// streaming k-way merge. Also records the stripe's evaluation time
     /// and result cardinality into the serving stats.
     ///
@@ -1321,10 +1231,7 @@ impl PreparedSolution {
         // an injected panic here models a stripe worker dying at the top
         // of its evaluation, before any shared state is touched
         faults::point(FaultSite::StripeEval);
-        let ss = self
-            .sharded
-            .as_ref()
-            .expect("invariant: sharded serving only");
+        let ss = &self.sharded;
         let started = Instant::now();
         let ctrl = shared.control();
         let rel = match shared.cache() {
@@ -1365,77 +1272,74 @@ impl PreparedSolution {
     /// counterpart of [`PreparedSolution::shard_pairs`]).
     fn shard_holds(&self, q: &CompiledQuery, shard: usize, shared: &RowEvalShared) -> bool {
         faults::point(FaultSite::StripeEval);
-        let ss = self
-            .sharded
-            .as_ref()
-            .expect("invariant: sharded serving only");
         let started = Instant::now();
-        let holds = q.holds_in_rows(ss, shard, shared);
+        let holds = q.holds_in_rows(&self.sharded, shard, shared);
         self.record(shard, started.elapsed(), 0, true);
         holds
     }
 
-    /// Boolean projection: does the query hold anywhere? Sharded, stripes
-    /// evaluate concurrently and OR-merge with a short-circuit flag (a
-    /// stripe that finds a match stops the others from starting).
-    ///
-    /// Because Boolean certain answers are monotone across stripes, a
-    /// short-circuit hit found *before* a deadline/cancel fired is still
-    /// a definitive `true` and is returned instead of the stop error.
-    fn holds(
-        &self,
-        q: &CompiledQuery,
-        ctrl: &Arc<EvalControl>,
-        use_cache: bool,
-    ) -> Result<bool, ServeError> {
-        match &self.sharded {
-            None => {
-                if ctrl.should_stop() {
-                    let cause = ctrl
-                        .fired()
-                        .expect("invariant: should_stop latched a cause");
-                    return Err(stop_error(cause, 0, 1));
-                }
-                let started = Instant::now();
-                let holds = q.holds_somewhere(&self.snapshot);
-                self.record(0, started.elapsed(), 0, true);
-                Ok(holds)
+    /// The exact enumeration (Theorem 2's coNP procedure) over the whole
+    /// solution. It does not decompose into stripes or cooperative stop
+    /// points, but its serves are recorded all the same (as one stripe-0
+    /// evaluation) so hit-rate and template numbers cover every semantics.
+    fn exact(&self, q: &CompiledQuery, mode: Mode, opts: ExactOptions) -> Outcome {
+        let started = Instant::now();
+        let (answer, tuples) = match mode {
+            Mode::Tuples => {
+                let answers = exact_answers_from(&self.solution, q.source(), opts)?;
+                let tuples = match &answers {
+                    CertainAnswers::Pairs(pairs) => pairs.len(),
+                    CertainAnswers::AllVacuously => 0,
+                };
+                (Answer::Tuples(answers), tuples)
             }
-            Some(ss) => {
-                // Boolean stripes stay uncached (no reusable relation is
-                // produced) but still share phase-1 artifacts through
-                // the cache, built before the fan-out
-                let shared = self.row_shared_with(ctrl, use_cache);
-                let prewarm = Instant::now();
-                q.prewarm_rows(ss, &shared);
-                let memo_ns = prewarm.elapsed().as_nanos() as u64;
-                let found = AtomicBool::new(false);
-                let completed = AtomicUsize::new(0);
-                let fanned = par::try_map_shards(&ss.plan().ranges(), |shard, _| {
-                    if found.load(Ordering::Relaxed) || ctrl.should_stop() {
-                        return;
-                    }
-                    if self.shard_holds(q, shard, &shared) {
-                        found.store(true, Ordering::Relaxed);
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                });
-                self.record_overheads(memo_ns, 0, &shared);
-                fanned.map_err(panic_error)?;
-                if found.load(Ordering::Relaxed) {
-                    return Ok(true);
-                }
-                if let Some(cause) = ctrl.fired() {
-                    return Err(stop_error(
-                        cause,
-                        completed.load(Ordering::Relaxed),
-                        ss.shard_count(),
-                    ));
-                }
-                Ok(false)
-            }
+            Mode::Boolean => (
+                Answer::Boolean(exact_boolean_from(&self.solution, q.source(), opts)?),
+                0,
+            ),
+        };
+        self.record(0, started.elapsed(), tuples, mode == Mode::Boolean);
+        Ok(answer)
+    }
+}
+
+/// One request's result.
+type Outcome = Result<Answer, ServeError>;
+
+/// One query as it arrives at the serve door.
+#[derive(Copy, Clone)]
+enum Request<'a> {
+    /// An ad-hoc compiled query (routed onto its template at the door).
+    Query(&'a CompiledQuery),
+    /// A binding of an interned template.
+    Bound(TemplateId, &'a [Label]),
+}
+
+/// A query past the serve door: the caller's own, or a bound template
+/// instance shared with the template's binding memo.
+enum Routed<'a> {
+    Borrowed(&'a CompiledQuery),
+    Shared(Arc<CompiledQuery>),
+}
+
+impl std::ops::Deref for Routed<'_> {
+    type Target = CompiledQuery;
+
+    fn deref(&self) -> &CompiledQuery {
+        match self {
+            Routed::Borrowed(q) => q,
+            Routed::Shared(q) => q,
         }
     }
+}
+
+/// What one `(query, stripe)` task hands the merge. Boolean stripes hand
+/// nothing: their hits land in the scheduler's per-query flags.
+enum Part {
+    /// A stripe's dom-filtered pairs as a sorted run.
+    Run(Vec<(NodeId, NodeId)>),
+    /// A whole exact enumeration.
+    Exact(Outcome),
 }
 
 /// The two canonical-solution flavours a mapping can be served from.
@@ -1496,7 +1400,7 @@ struct MappingEntry {
     source: RwLock<Arc<DataGraph>>,
     generation: AtomicU64,
     /// Encoded [`ShardSpec`]: the stripe count the mapping's prepared
-    /// solutions are partitioned into (1 = unsharded, [`AUTO_SHARDS`] =
+    /// solutions are partitioned into (1 = one stripe, [`AUTO_SHARDS`] =
     /// engine-picked).
     shards: AtomicUsize,
     cache: Mutex<[Slot; 2]>,
@@ -1616,7 +1520,7 @@ impl MappingService {
     }
 
     /// Partition this mapping's prepared solutions into node-range
-    /// stripes. Accepts a plain count (`0`/`1` = unsharded) or
+    /// stripes. Accepts a plain count (`0`/`1` = one stripe) or
     /// [`ShardSpec::Auto`], which picks K per mapping from the graph
     /// size, the thread budget, and the observed serving stats. Answers
     /// evaluate per stripe on [`gde_datagraph::par`] workers and merge —
@@ -1641,7 +1545,7 @@ impl MappingService {
         Ok(())
     }
 
-    /// The stripe count a mapping currently serves from (1 = unsharded).
+    /// The stripe count a mapping currently serves from.
     /// Under [`ShardSpec::Auto`] this is the pick the next preparation
     /// would use; it can drift as serving statistics accrue.
     pub fn shard_count(&self, id: MappingId) -> Option<usize> {
@@ -1732,7 +1636,7 @@ impl MappingService {
         let snap = {
             let slots = lock(&entry.cache);
             match &slots[Flavour::Universal as usize].state {
-                SlotState::Ready(p) => Some(p.snapshot.clone()),
+                SlotState::Ready(p) => Some(p.sharded.base_arc().clone()),
                 _ => None,
             }
         };
@@ -1945,7 +1849,9 @@ impl MappingService {
     /// answer vacuously certain: `Tuples(AllVacuously)` / `Boolean(true)`.
     ///
     /// Equivalent to [`MappingService::answer_with`] under unbounded
-    /// [`ServeOptions`] (no deadline, never cancelled).
+    /// [`ServeOptions`] (no deadline, never cancelled), and to a batch of
+    /// one: every entry point serves through the same door, retry loop and
+    /// `(query, stripe)` scheduler.
     pub fn answer(
         &self,
         id: MappingId,
@@ -1974,12 +1880,8 @@ impl MappingService {
         sem: Semantics,
         opts: &ServeOptions,
     ) -> Result<Answer, ServeError> {
-        let entry = self.entry(id)?;
-        let ctrl = Arc::new(opts.control());
-        match self.route_template(&entry, q) {
-            Some(bound) => self.answer_entry(&entry, &bound, sem, &ctrl),
-            None => self.answer_entry(&entry, q, sem, &ctrl),
-        }
+        let mut outcomes = self.serve(id, &[Request::Query(q)], sem, opts);
+        outcomes.pop().expect("invariant: one request, one outcome")
     }
 
     /// Intern a prepared-statement template for this mapping: the
@@ -2035,20 +1937,152 @@ impl MappingService {
         sem: Semantics,
         opts: &ServeOptions,
     ) -> Result<Answer, ServeError> {
-        let entry = self.entry(id)?;
-        let tpl = lock(&entry.templates)
-            .get(&template.0)
-            .cloned()
-            .ok_or(ServeError::UnknownTemplate(template))?;
-        let bound = tpl.bind_shared(bindings).map_err(|e| match e {
-            BindError::Arity { expected, got } => ServeError::BindingArity { expected, got },
-        })?;
-        Self::note(&entry, |s| {
-            s.template_hits += 1;
-            s.compile_skipped_ns += tpl.compile_ns();
-        });
+        let mut outcomes = self.serve(id, &[Request::Bound(template, bindings)], sem, opts);
+        outcomes.pop().expect("invariant: one request, one outcome")
+    }
+
+    /// Answer a whole batch under one semantics. Results come back in
+    /// input order; per-query errors don't abort the batch. The
+    /// scheduling unit is a `(query, stripe)` task: workers (bounded by
+    /// `par::set_max_threads` / `GDE_MAX_THREADS`) claim tasks
+    /// dynamically, stripe-major so one query's stripes land on different
+    /// workers, partial answers merge per query — union for tuples, OR
+    /// with cross-stripe short-circuit for Booleans — and heavy queries
+    /// don't pin a whole worker for their full duration.
+    pub fn answer_batch(
+        &self,
+        id: MappingId,
+        queries: &[CompiledQuery],
+        sem: Semantics,
+    ) -> Vec<Result<Answer, ServeError>> {
+        self.answer_batch_with(id, queries, sem, &ServeOptions::default())
+    }
+
+    /// [`MappingService::answer_batch`] under per-call [`ServeOptions`]:
+    /// one deadline/cancel control governs the whole batch. A control that
+    /// fired before the call refuses every in-fragment query at the door;
+    /// one that fires mid-flight stops the scheduler cooperatively, and
+    /// every query still being evaluated returns the stop error (queries
+    /// resolved at the door keep their outcome). Nothing incomplete is
+    /// cached or half-recorded, so retrying the batch returns
+    /// byte-identical answers. A panicking worker quarantines the flavour
+    /// and the whole batch retries once against the rebuilt solution.
+    pub fn answer_batch_with(
+        &self,
+        id: MappingId,
+        queries: &[CompiledQuery],
+        sem: Semantics,
+        opts: &ServeOptions,
+    ) -> Vec<Result<Answer, ServeError>> {
+        let requests: Vec<Request<'_>> = queries.iter().map(Request::Query).collect();
+        self.serve(id, &requests, sem, opts)
+    }
+
+    /// The one serve path behind every `answer*` entry point. Each
+    /// request passes the same door ([`MappingService::door`]); the
+    /// queries it admits are covered by the workload in one step, so one
+    /// reprune-and-rebuild serves the whole call, and then evaluate
+    /// together inside the one retry loop ([`MappingService::evaluate`]).
+    /// Outcomes come back in request order.
+    fn serve(
+        &self,
+        id: MappingId,
+        requests: &[Request<'_>],
+        sem: Semantics,
+        opts: &ServeOptions,
+    ) -> Vec<Outcome> {
+        let entry = match self.entry(id) {
+            Ok(e) => e,
+            Err(e) => return vec![Err(e); requests.len()],
+        };
         let ctrl = Arc::new(opts.control());
-        self.answer_entry(&entry, &bound, sem, &ctrl)
+        let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(requests.len());
+        let mut admitted: Vec<Routed<'_>> = Vec::new();
+        for &request in requests {
+            match self.door(&entry, request, sem, &ctrl) {
+                ControlFlow::Continue(q) => {
+                    admitted.push(q);
+                    outcomes.push(None);
+                }
+                ControlFlow::Break(outcome) => outcomes.push(Some(outcome)),
+            }
+        }
+        self.ensure_covered(&entry, admitted.iter().map(|q| &**q));
+        let mut evaluated = self.evaluate(&entry, &admitted, sem, &ctrl).into_iter();
+        outcomes
+            .into_iter()
+            .map(|o| {
+                o.unwrap_or_else(|| {
+                    evaluated
+                        .next()
+                        .expect("invariant: one outcome per admitted query")
+                })
+            })
+            .collect()
+    }
+
+    /// The serve door for one request. Every request takes the same steps
+    /// in the same order, whichever entry point it came from:
+    ///
+    /// 1. an unknown template or a binding of the wrong arity;
+    /// 2. a query outside the fragment the semantics supports;
+    /// 3. a control that had already fired: the request is refused and
+    ///    counted as `rejected`, before it charges anything — no routing,
+    ///    no template hit, no solution;
+    /// 4. canonicalisation routing and template-hit accounting;
+    /// 5. the analyzer's statically-empty verdict.
+    ///
+    /// `Break` carries the request's outcome; `Continue` the query to
+    /// evaluate, borrowed or shared with its template — never a copy.
+    fn door<'a>(
+        &self,
+        entry: &MappingEntry,
+        request: Request<'a>,
+        sem: Semantics,
+        ctrl: &EvalControl,
+    ) -> ControlFlow<Outcome, Routed<'a>> {
+        let (q, template) = match request {
+            Request::Query(q) => (Routed::Borrowed(q), None),
+            Request::Bound(id, bindings) => {
+                let Some(template) = lock(&entry.templates).get(&id.0).cloned() else {
+                    return ControlFlow::Break(Err(ServeError::UnknownTemplate(id)));
+                };
+                match template.bind_shared(bindings) {
+                    Ok(bound) => (Routed::Shared(bound), Some(template)),
+                    Err(BindError::Arity { expected, got }) => {
+                        return ControlFlow::Break(Err(ServeError::BindingArity { expected, got }))
+                    }
+                }
+            }
+        };
+        if let Err(e) = check_fragment(&q, sem) {
+            return ControlFlow::Break(Err(e));
+        }
+        if ctrl.should_stop() {
+            let cause = ctrl
+                .fired()
+                .expect("invariant: should_stop latched a cause");
+            Self::note(entry, |s| s.rejected += 1);
+            return ControlFlow::Break(Err(stop_error(cause, 0, 0)));
+        }
+        let q = match template {
+            Some(template) => {
+                Self::note_template_hit(entry, &template);
+                q
+            }
+            None => self.route_template(entry, &q).map_or(q, Routed::Shared),
+        };
+        // the analyzer's statically-empty verdict: the query's labels are
+        // disjoint from everything the mapping can produce and it cannot
+        // match an isolated node — its certain answer is empty on every
+        // source graph, under every semantics. O(1), no solution, no
+        // stripes, no cache. (Such a query also never constrains pruning,
+        // so it is deliberately not folded into the workload.)
+        if analyze::statically_empty(q.shape(), &entry.facts) {
+            Self::note(entry, |s| s.static_empty += 1);
+            return ControlFlow::Break(Ok(empty_answer(sem.mode())));
+        }
+        ControlFlow::Continue(q)
     }
 
     /// Route an ad-hoc query onto its interned template: canonicalise
@@ -2070,136 +2104,62 @@ impl MappingService {
         let (skeleton, bindings) = canonicalize(q.source());
         let hash = skeleton.hash();
         let existing = lock(&entry.templates).get(&hash).cloned();
-        let (template, hit) = match existing {
-            Some(t) => (t, true),
+        let template = match existing {
+            Some(t) => {
+                Self::note_template_hit(entry, &t);
+                t
+            }
             None => {
                 let built = Arc::new(QueryTemplate::new(skeleton));
                 let mut templates = lock(&entry.templates);
-                let t = Arc::clone(templates.entry(hash).or_insert(built));
-                (t, false)
+                Arc::clone(templates.entry(hash).or_insert(built))
             }
         };
-        if hit {
-            Self::note(entry, |s| {
-                s.template_hits += 1;
-                s.compile_skipped_ns += template.compile_ns();
-            });
-        }
         let bound = template
             .bind_shared(bindings.labels())
             .expect("invariant: canonical bindings match their skeleton's arity");
         Some(bound)
     }
 
-    /// Answer a whole batch under one semantics, fanning out over
-    /// [`gde_datagraph::par`] scoped workers (bounded by
-    /// `par::set_max_threads` / `GDE_MAX_THREADS`). Results come back in
-    /// input order; per-query errors don't abort the batch.
-    ///
-    /// When the mapping is sharded ([`MappingService::set_shard_count`])
-    /// the scheduling unit is a `(query, stripe)` task instead of a whole
-    /// query: workers claim tasks dynamically (stripe-major, so one
-    /// query's stripes land on different workers), partial answers merge
-    /// per query — union for tuples, OR with cross-stripe short-circuit
-    /// for Booleans — and heavy queries no longer pin a whole worker for
-    /// their full duration.
-    pub fn answer_batch(
+    /// Step 7 of a serve: evaluate the queries the door admitted inside
+    /// the one retry loop. Every panic on the serve path is contained —
+    /// fan-out workers by the `try_` fan-outs; (re)freezes, phase-1 builds
+    /// and merges on this thread by `catch_unwind` here. A contained panic
+    /// quarantines the flavour and the call retries once against a fresh
+    /// rebuild; a second one fails every query with
+    /// [`ServeError::StripePanicked`]. A stop is not a fault: stop errors
+    /// are counted and returned with nothing quarantined and no retry —
+    /// the caches are consistent as they are.
+    fn evaluate(
         &self,
-        id: MappingId,
-        queries: &[CompiledQuery],
+        entry: &MappingEntry,
+        queries: &[Routed<'_>],
         sem: Semantics,
-    ) -> Vec<Result<Answer, ServeError>> {
-        self.answer_batch_with(id, queries, sem, &ServeOptions::default())
-    }
-
-    /// [`MappingService::answer_batch`] under per-call [`ServeOptions`]:
-    /// one deadline/cancel control governs the whole batch. A fired
-    /// control stops the `(query, stripe)` scheduler cooperatively and
-    /// every query returns the stop error; nothing incomplete is cached
-    /// or half-recorded, so retrying the batch returns byte-identical
-    /// answers. A panicking worker quarantines the flavour and the whole
-    /// batch retries once against the rebuilt solution.
-    pub fn answer_batch_with(
-        &self,
-        id: MappingId,
-        queries: &[CompiledQuery],
-        sem: Semantics,
-        opts: &ServeOptions,
-    ) -> Vec<Result<Answer, ServeError>> {
-        let entry = match self.entry(id) {
-            Ok(e) => e,
-            Err(e) => return queries.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let ctrl = Arc::new(opts.control());
-        if ctrl.should_stop() {
-            let cause = ctrl
-                .fired()
-                .expect("invariant: should_stop latched a cause");
-            Self::note(&entry, |s| s.rejected += queries.len() as u64);
-            return queries
-                .iter()
-                .map(|_| Err(stop_error(cause, 0, 0)))
-                .collect();
+        ctrl: &Arc<EvalControl>,
+    ) -> Vec<Outcome> {
+        let n = queries.len();
+        if n == 0 {
+            return Vec::new();
         }
-        // canonicalisation routing: each ad-hoc query is replaced by the
-        // bound instance of its interned template, so alpha-equivalent
-        // batch members share one plan and its cached stripes (answers
-        // are byte-identical — routing preserves the query's language)
-        let routed: Option<Vec<CompiledQuery>> = if self.canon_off.load(Ordering::Relaxed) {
-            None
-        } else {
-            Some(
-                queries
-                    .iter()
-                    .map(|q| match self.route_template(&entry, q) {
-                        Some(bound) => (*bound).clone(),
-                        None => q.clone(),
-                    })
-                    .collect(),
-            )
-        };
-        let queries: &[CompiledQuery] = routed.as_deref().unwrap_or(queries);
-        // cover the evaluated queries up front so one reprune-and-rebuild
-        // serves the whole batch (statically-empty queries never touch
-        // the solution and don't constrain pruning)
-        self.ensure_covered(
-            &entry,
-            queries
-                .iter()
-                .filter(|q| !analyze::statically_empty(q.shape(), &entry.facts)),
-        );
-        let mut last_err: Option<ServeError> = None;
         for attempt in 0..2 {
-            // warm the flavour once so workers don't serialize on the
-            // build; a panic mid-(re)freeze is contained like any other
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let prep = self.prepared(&entry, sem.flavour());
-                // the exact enumeration doesn't decompose by stripe: keep
-                // per-query scheduling for it (and for unsharded mappings)
-                let sharded = match (&prep, sem) {
-                    (Ok(p), Semantics::Nulls(_) | Semantics::LeastInformative(_))
-                        if p.sharded.is_some() =>
-                    {
-                        Some(p.clone())
+                match self.prepared(entry, sem.flavour()) {
+                    Ok(prep) => self.fan_out(entry, &prep, queries, sem, ctrl),
+                    Err(SolutionError::NotRelational) => {
+                        Ok(vec![Err(ServeError::NotRelational); n])
                     }
-                    _ => None,
-                };
-                match sharded {
-                    // per-query fallback: answer_entry contains its own
-                    // panics and applies its own quarantine/retry
-                    None => Ok(par::map_blocks(queries.len(), 1, |range| {
-                        range
-                            .map(|i| self.answer_entry(&entry, &queries[i], sem, &ctrl))
-                            .collect::<Vec<_>>()
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect()),
-                    Some(prep) => self.batch_sharded(&entry, &prep, queries, sem, &ctrl),
+                    Err(SolutionError::NoSolution { .. }) => {
+                        Ok(vec![Ok(vacuous_answer(sem.mode())); n])
+                    }
                 }
             }));
             let err = match outcome {
-                Ok(Ok(answers)) => return answers,
+                Ok(Ok(outcomes)) => {
+                    for e in outcomes.iter().filter_map(|o| o.as_ref().err()) {
+                        Self::note_stop(entry, e);
+                    }
+                    return outcomes;
+                }
                 Ok(Err(e)) => e,
                 Err(payload) => ServeError::StripePanicked {
                     message: par::panic_message(&*payload),
@@ -2210,105 +2170,104 @@ impl MappingService {
                 ServeError::StripePanicked { stripes, .. } => stripes.len().max(1) as u64,
                 _ => 1,
             };
-            Self::note(&entry, |s| s.worker_panics += panics);
-            self.quarantine(&entry, sem.flavour());
-            if attempt == 0 {
-                Self::note(&entry, |s| s.retries += 1);
+            Self::note(entry, |s| s.worker_panics += panics);
+            self.quarantine(entry, sem.flavour());
+            if attempt == 1 {
+                return vec![Err(err); n];
             }
-            last_err = Some(err);
+            Self::note(entry, |s| s.retries += 1);
         }
-        let err = last_err.expect("invariant: two attempts ran");
-        queries.iter().map(|_| Err(err.clone())).collect()
+        unreachable!("the retry loop always returns")
     }
 
-    /// The sharded `(query, stripe)` scheduler behind
-    /// [`MappingService::answer_batch_with`]. Returns `Err` only for a
-    /// contained worker panic (the caller quarantines and retries);
-    /// deadline/cancel outcomes are encoded per query in the `Ok` vec.
-    fn batch_sharded(
+    /// The one `(query, stripe)` scheduler: every query of a serve
+    /// evaluates on every stripe of the prepared solution's plan (a
+    /// mapping without sharding is a one-stripe plan).
+    ///
+    /// Admission control first decides whether the serve may fill the
+    /// sub-relation cache. Phase 1 — REE memos and the full answers of
+    /// non-decomposing queries — is factored out before the fan-out,
+    /// queries in parallel: because every build goes through the shared
+    /// cache, a closure or tail factor two queries have in common is
+    /// computed once and reused (up to a benign race when structurally
+    /// identical artifacts build concurrently — both compute, either
+    /// result serves). Workers then claim `(query, stripe)` tasks
+    /// dynamically; tuple runs union per query through the streaming
+    /// k-way merge, Boolean stripes OR with a cross-stripe short-circuit.
+    /// The exact enumeration neither decomposes by stripe nor fills the
+    /// cache: it runs as one task per query over the whole solution.
+    ///
+    /// Returns `Err` only for a contained worker panic (the caller
+    /// quarantines and retries). A control that fires mid-flight gives
+    /// every query the stop error, except a Boolean hit found before it
+    /// fired: certain answers are monotone across stripes, so the hit is
+    /// a definitive `true`.
+    fn fan_out(
         &self,
         entry: &MappingEntry,
-        prep: &Arc<PreparedSolution>,
-        queries: &[CompiledQuery],
+        prep: &PreparedSolution,
+        queries: &[Routed<'_>],
         sem: Semantics,
         ctrl: &Arc<EvalControl>,
-    ) -> Result<Vec<Result<Answer, ServeError>>, ServeError> {
+    ) -> Result<Vec<Outcome>, ServeError> {
         let nq = queries.len();
-        let k = prep.shard_count();
-        let pre: Vec<Result<(), ServeError>> =
-            queries.iter().map(|q| check_fragment(q, sem)).collect();
-        // statically-empty pre-pass: these queries get their empty answer
-        // without a single (query, stripe) task, prewarm, or cache touch
-        let empty: Vec<bool> = queries
-            .iter()
-            .map(|q| analyze::statically_empty(q.shape(), &entry.facts))
-            .collect();
-        let n_empty = (0..nq).filter(|&i| pre[i].is_ok() && empty[i]).count() as u64;
-        if n_empty > 0 {
-            Self::note(entry, |s| s.static_empty += n_empty);
-        }
-        let use_cache = self.admit_serve(entry, prep, sem.flavour());
-        if !use_cache {
-            Self::note(entry, |s| s.degraded += nq as u64);
-        }
+        let exact = matches!(sem, Semantics::Exact(..));
+        let (k, use_cache) = if exact {
+            (1, false)
+        } else {
+            let admitted = self.admit_serve(entry, prep, sem.flavour());
+            if !admitted {
+                Self::note(entry, |s| s.degraded += nq as u64);
+            }
+            (prep.shard_count(), admitted)
+        };
         let shareds: Vec<RowEvalShared> = queries
             .iter()
-            .map(|_| prep.row_shared_with(ctrl, use_cache))
+            .map(|_| prep.row_shared(ctrl, use_cache))
             .collect();
-        // factor the batch's phase-1 work out before the stripe fan-out:
-        // queries build their memos in parallel, and because every build
-        // goes through the shared sub-relation cache, a closure or tail
-        // factor two queries have in common is computed once and reused
-        // (up to a benign race when structurally identical artifacts
-        // build concurrently — both compute, either result serves)
-        let ss = prep
-            .sharded
-            .as_ref()
-            .expect("invariant: batch fan-out is sharded");
         let prewarm = Instant::now();
         let warmed = par::try_map_blocks(nq, 1, |range| {
             for qi in range {
-                if pre[qi].is_ok() && !empty[qi] && !ctrl.should_stop() {
-                    queries[qi].prewarm_rows(ss, &shareds[qi]);
+                if !exact && !ctrl.should_stop() {
+                    queries[qi].prewarm_rows(&prep.sharded, &shareds[qi]);
                 }
             }
         });
         let memo_ns = prewarm.elapsed().as_nanos() as u64;
         let found: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
         let completed = AtomicUsize::new(0);
-        let fanned = match warmed {
-            Ok(_) => par::try_map_tasks(nq * k, |t| {
+        let fanned = warmed.and_then(|_| {
+            par::try_map_tasks(nq * k, |t| {
                 // stripe-major order: task t → (query t % nq, stripe t / nq)
                 let (qi, shard) = (t % nq, t / nq);
-                if pre[qi].is_err() || empty[qi] || ctrl.should_stop() {
+                if ctrl.should_stop() {
                     return None;
                 }
-                let q = &queries[qi];
-                match sem.mode() {
-                    Mode::Tuples => {
-                        let run = prep.shard_pairs(q, shard, &shareds[qi]);
+                let (q, shared) = (&*queries[qi], &shareds[qi]);
+                let part = match sem {
+                    Semantics::Exact(mode, opts) => Some(Part::Exact(prep.exact(q, mode, opts))),
+                    Semantics::Nulls(Mode::Tuples) | Semantics::LeastInformative(Mode::Tuples) => {
+                        let run = prep.shard_pairs(q, shard, shared);
                         // a fired control truncates runs: drop them here
-                        // so the merge below can never see one (the
-                        // latched cause short-circuits the whole batch)
+                        // so the merge below can never see one
                         if ctrl.should_stop() {
                             return None;
                         }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        Some(run)
+                        Some(Part::Run(run))
                     }
-                    Mode::Boolean => {
-                        if !found[qi].load(Ordering::Relaxed)
-                            && prep.shard_holds(q, shard, &shareds[qi])
+                    Semantics::Nulls(Mode::Boolean)
+                    | Semantics::LeastInformative(Mode::Boolean) => {
+                        if !found[qi].load(Ordering::Relaxed) && prep.shard_holds(q, shard, shared)
                         {
                             found[qi].store(true, Ordering::Relaxed);
                         }
-                        completed.fetch_add(1, Ordering::Relaxed);
                         None
                     }
-                }
-            }),
-            Err(p) => Err(p),
-        };
+                };
+                completed.fetch_add(1, Ordering::Relaxed);
+                part
+            })
+        });
         // record the shared-phase accounting whatever the outcome, so
         // stats stay consistent across faulted and cancelled serves
         let (hits, misses) = shareds.iter().fold((0, 0), |(h, m), s| {
@@ -2321,42 +2280,48 @@ impl MappingService {
             misses,
             prep.sub_cache.bytes() as u64,
         );
-        let mut parts: Vec<Option<Vec<(NodeId, NodeId)>>> = fanned.map_err(panic_error)?;
-        if let Some(cause) = ctrl.fired() {
-            let e = stop_error(cause, completed.load(Ordering::Relaxed), nq * k);
-            for _ in 0..nq {
-                Self::note_stop(entry, &e);
-            }
-            return Ok(queries.iter().map(|_| Err(e.clone())).collect());
-        }
+        let mut parts = fanned.map_err(panic_error)?;
+        let stopped = ctrl
+            .fired()
+            .map(|cause| stop_error(cause, completed.load(Ordering::Relaxed), nq * k));
         let merge = Instant::now();
-        let answers: Vec<Result<Answer, ServeError>> = (0..nq)
+        let outcomes = (0..nq)
             .map(|qi| {
-                pre[qi].clone()?;
-                if empty[qi] {
-                    return Ok(empty_answer(sem.mode()));
+                if found[qi].load(Ordering::Relaxed) {
+                    return Ok(Answer::Boolean(true));
                 }
-                Ok(match sem.mode() {
-                    Mode::Boolean => Answer::Boolean(found[qi].load(Ordering::Relaxed)),
-                    Mode::Tuples => {
-                        // per-stripe sorted runs union through the
-                        // streaming k-way merge — no intermediate concat
-                        let runs: Vec<Vec<(NodeId, NodeId)>> = (0..k)
-                            .map(|shard| {
-                                parts[shard * nq + qi]
-                                    .take()
-                                    .expect("invariant: tuple task ran")
+                if let Some(e) = &stopped {
+                    return Err(e.clone());
+                }
+                let mut own = (0..k).map(|shard| parts[shard * nq + qi].take());
+                match sem {
+                    Semantics::Exact(..) => match own.next() {
+                        Some(Some(Part::Exact(outcome))) => outcome,
+                        _ => unreachable!("invariant: an unstopped exact task ran"),
+                    },
+                    _ if sem.mode() == Mode::Boolean => Ok(Answer::Boolean(false)),
+                    _ => {
+                        let mut runs: Vec<Vec<(NodeId, NodeId)>> = own
+                            .map(|part| match part {
+                                Some(Part::Run(run)) => run,
+                                _ => unreachable!("invariant: an unstopped tuple task ran"),
                             })
                             .collect();
-                        Answer::Tuples(CertainAnswers::Pairs(merge_sorted_runs(&runs)))
+                        // one stripe's run is the answer; more union
+                        // through the streaming k-way merge
+                        let pairs = match runs.len() {
+                            1 => runs.pop().expect("invariant: one stripe, one run"),
+                            _ => merge_sorted_runs(&runs),
+                        };
+                        Ok(Answer::Tuples(CertainAnswers::Pairs(pairs)))
                     }
-                })
+                }
             })
             .collect();
-        if sem.mode() == Mode::Tuples {
+        if !exact && sem.mode() == Mode::Tuples {
             lock(&prep.serving).merge_ns += merge.elapsed().as_nanos() as u64;
         }
-        Ok(answers)
+        Ok(outcomes)
     }
 
     /// Eagerly build (or re-freeze) the solution this semantics serves
@@ -2604,6 +2569,15 @@ impl MappingService {
         f(&mut lock(&entry.serving));
     }
 
+    /// Count a serve answered through an already-interned template, with
+    /// the compile work the template saved it.
+    fn note_template_hit(entry: &MappingEntry, template: &QueryTemplate) {
+        Self::note(entry, |s| {
+            s.template_hits += 1;
+            s.compile_skipped_ns += template.compile_ns();
+        });
+    }
+
     /// Count a stop-error outcome against the mapping's serving stats.
     fn note_stop(entry: &MappingEntry, e: &ServeError) {
         match e {
@@ -2636,10 +2610,7 @@ impl MappingService {
     /// degraded (uncached) instead of failing or thrashing the cache.
     fn admit_serve(&self, entry: &MappingEntry, prep: &PreparedSolution, flavour: Flavour) -> bool {
         let budget = self.budget.load(Ordering::Relaxed);
-        // only sharded serves fill the sub-relation cache; unsharded and
-        // exact serves charge nothing beyond the already-admitted
-        // solution, so there is nothing to gate
-        if budget == 0 || prep.sharded.is_none() {
+        if budget == 0 {
             return true;
         }
         let est = prep.estimated_serve_bytes();
@@ -2654,81 +2625,6 @@ impl MappingService {
             self.enforce_budget_reserve(est, Some((entry.id, flavour)));
         }
         true
-    }
-
-    fn answer_entry(
-        &self,
-        entry: &MappingEntry,
-        q: &CompiledQuery,
-        sem: Semantics,
-        ctrl: &Arc<EvalControl>,
-    ) -> Result<Answer, ServeError> {
-        check_fragment(q, sem)?;
-        // admission: a serve whose deadline already expired (or that was
-        // cancelled before it started) is rejected at the door
-        if ctrl.should_stop() {
-            let cause = ctrl
-                .fired()
-                .expect("invariant: should_stop latched a cause");
-            Self::note(entry, |s| s.rejected += 1);
-            return Err(stop_error(cause, 0, 0));
-        }
-        // the analyzer's statically-empty verdict: the query's labels are
-        // disjoint from everything the mapping can produce and it cannot
-        // match an isolated node — its certain answer is empty on every
-        // source graph, under every semantics. O(1), no solution, no
-        // stripes, no cache. (Such a query also never constrains pruning,
-        // so it is deliberately not folded into the workload.)
-        if analyze::statically_empty(q.shape(), &entry.facts) {
-            Self::note(entry, |s| s.static_empty += 1);
-            return Ok(empty_answer(sem.mode()));
-        }
-        self.ensure_covered(entry, std::iter::once(q));
-        for attempt in 0..2 {
-            // contain every panic on the serve path — stripe workers are
-            // caught by the try_ fan-outs; phase-1 builds, merges and
-            // (re)freezes run on this thread and are caught here
-            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Answer, ServeError> {
-                let prep = match self.prepared(entry, sem.flavour()) {
-                    Ok(p) => p,
-                    Err(SolutionError::NotRelational) => return Err(ServeError::NotRelational),
-                    Err(SolutionError::NoSolution { .. }) => return Ok(vacuous_answer(sem.mode())),
-                };
-                let use_cache = self.admit_serve(entry, &prep, sem.flavour());
-                if !use_cache {
-                    Self::note(entry, |s| s.degraded += 1);
-                }
-                eval_semantics(&prep, q, sem, ctrl, use_cache)
-            }));
-            let err = match outcome {
-                Ok(Err(e @ ServeError::StripePanicked { .. })) => e,
-                Ok(Err(
-                    e @ (ServeError::DeadlineExceeded { .. } | ServeError::Cancelled { .. }),
-                )) => {
-                    // a stop is not a fault: nothing is quarantined, no
-                    // retry — the caches are consistent as-is
-                    Self::note_stop(entry, &e);
-                    return Err(e);
-                }
-                Ok(done) => return done,
-                Err(payload) => ServeError::StripePanicked {
-                    message: par::panic_message(&*payload),
-                    stripes: Vec::new(),
-                },
-            };
-            let panics = match &err {
-                ServeError::StripePanicked { stripes, .. } => stripes.len().max(1) as u64,
-                _ => 1,
-            };
-            Self::note(entry, |s| s.worker_panics += panics);
-            self.quarantine(entry, sem.flavour());
-            if attempt == 0 {
-                Self::note(entry, |s| s.retries += 1);
-            } else {
-                return Err(err);
-            }
-        }
-        unreachable!("the retry loop always returns")
     }
 
     /// Get (building or re-freezing if necessary) the cached prepared
@@ -2945,279 +2841,29 @@ fn empty_answer(mode: Mode) -> Answer {
     }
 }
 
-/// Evaluate a query on a frozen solution under the chosen semantics.
-/// The deadline/cancel control is checked between stripes and phase-1
-/// units on the canonical engines; the exact enumeration checks only at
-/// entry (its search is not decomposed into cooperative units).
-fn eval_semantics(
-    prep: &PreparedSolution,
-    q: &CompiledQuery,
-    sem: Semantics,
-    ctrl: &Arc<EvalControl>,
-    use_cache: bool,
-) -> Result<Answer, ServeError> {
-    Ok(match sem {
-        Semantics::Nulls(Mode::Tuples) | Semantics::LeastInformative(Mode::Tuples) => {
-            Answer::Tuples(CertainAnswers::Pairs(
-                prep.answers_over_dom(q, ctrl, use_cache)?,
-            ))
-        }
-        Semantics::Nulls(Mode::Boolean) | Semantics::LeastInformative(Mode::Boolean) => {
-            Answer::Boolean(prep.holds(q, ctrl, use_cache)?)
-        }
-        Semantics::Exact(mode, opts) => {
-            if ctrl.should_stop() {
-                let cause = ctrl
-                    .fired()
-                    .expect("invariant: should_stop latched a cause");
-                return Err(stop_error(cause, 0, 1));
-            }
-            // the exact enumeration doesn't decompose into stripes, but
-            // its serves are recorded all the same (as one stripe-0
-            // evaluation) so hit-rate and template numbers cover every
-            // semantics
-            let started = Instant::now();
-            match mode {
-                Mode::Tuples => {
-                    let answers = exact_answers_from(prep.solution(), q.source(), opts)?;
-                    let tuples = match &answers {
-                        CertainAnswers::Pairs(pairs) => pairs.len(),
-                        CertainAnswers::AllVacuously => 0,
-                    };
-                    prep.record(0, started.elapsed(), tuples, false);
-                    Answer::Tuples(answers)
-                }
-                Mode::Boolean => {
-                    let holds = exact_boolean_from(prep.solution(), q.source(), opts)?;
-                    prep.record(0, started.elapsed(), 0, true);
-                    Answer::Boolean(holds)
-                }
-            }
-        }
-    })
-}
-
-/// One-shot serving without a service: build the needed canonical solution
-/// for `(gsm, source)`, answer `q` under `sem`, throw the artifacts away.
-/// This is what the deprecated free functions in [`crate::certain`] now
-/// wrap; hold a [`MappingService`] instead when answering more than once.
+/// One-shot serving: register `(gsm, source)` on a private service and
+/// answer `q` under `sem` through the same door as every other serve, then
+/// throw the artifacts away. Hold a [`MappingService`] instead when
+/// answering more than once.
 pub fn answer_once(
     gsm: &Gsm,
     source: &DataGraph,
     q: &CompiledQuery,
     sem: Semantics,
 ) -> Result<Answer, ServeError> {
-    check_fragment(q, sem)?;
-    let sol = match sem.flavour() {
-        Flavour::Universal => universal_solution(gsm, source),
-        Flavour::LeastInformative => least_informative_solution(gsm, source),
-    };
-    let sol = match sol {
-        Ok(sol) => sol,
-        Err(SolutionError::NotRelational) => return Err(ServeError::NotRelational),
-        Err(SolutionError::NoSolution { .. }) => return Ok(vacuous_answer(sem.mode())),
-    };
-    if let Semantics::Exact(mode, opts) = sem {
-        // the exact enumeration consumes the solution directly — skip the
-        // snapshot freeze
-        return Ok(match mode {
-            Mode::Tuples => Answer::Tuples(exact_answers_from(&sol, q.source(), opts)?),
-            Mode::Boolean => Answer::Boolean(exact_boolean_from(&sol, q.source(), opts)?),
-        });
-    }
-    eval_semantics(
-        &PreparedSolution::new(sol, 1, 0, None),
-        q,
-        sem,
-        &Arc::new(EvalControl::unbounded()),
-        true,
-    )
-}
-
-/// A schema mapping prepared against one source graph, serving certain
-/// answers for many queries.
-///
-/// This is the pre-[`MappingService`] engine, kept as a thin borrowing
-/// wrapper over a single-mapping service: construction clones the mapping
-/// and source into a private service; every `certain_*` method forwards to
-/// [`MappingService::answer`] with the corresponding [`Semantics`].
-///
-/// Migration: replace
-/// `PreparedMapping::new(&gsm, &source).certain_answers_nulls(&q)` with
-/// a service you keep around —
-/// `let id = svc.register(gsm, source); svc.answer(id, &q, Semantics::nulls())`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MappingService: register(gsm, source) once, then answer(id, &query, Semantics); \
-            the service owns Arc-shared graphs, caches under a byte budget and absorbs deltas"
-)]
-pub struct PreparedMapping<'a> {
-    gsm: &'a Gsm,
-    source: &'a DataGraph,
-    service: MappingService,
-    id: MappingId,
-    universal: OnceLock<Result<Arc<PreparedSolution>, SolutionError>>,
-    least_informative: OnceLock<Result<Arc<PreparedSolution>, SolutionError>>,
-}
-
-#[allow(deprecated)]
-impl<'a> PreparedMapping<'a> {
-    /// Prepare a mapping against a source graph. The pair is cloned into a
-    /// private single-mapping [`MappingService`]; solutions are still built
-    /// lazily, at most once per flavour, on first use.
-    pub fn new(gsm: &'a Gsm, source: &'a DataGraph) -> PreparedMapping<'a> {
-        let service = MappingService::new();
-        let id = service.register(gsm.clone(), source.clone());
-        PreparedMapping {
-            gsm,
-            source,
-            service,
-            id,
-            universal: OnceLock::new(),
-            least_informative: OnceLock::new(),
-        }
-    }
-
-    /// The mapping being served.
-    pub fn gsm(&self) -> &Gsm {
-        self.gsm
-    }
-
-    /// The source graph being served.
-    pub fn source(&self) -> &DataGraph {
-        self.source
-    }
-
-    fn cached(&self, sem: Semantics) -> &Result<Arc<PreparedSolution>, SolutionError> {
-        let cell = match sem.flavour() {
-            Flavour::Universal => &self.universal,
-            Flavour::LeastInformative => &self.least_informative,
-        };
-        cell.get_or_init(|| {
-            self.service.solution(self.id, sem).map_err(|e| match e {
-                ServeError::NotRelational => SolutionError::NotRelational,
-                ServeError::NoSolution { pair } => SolutionError::NoSolution { pair },
-                other => unreachable!("solution access cannot fail with {other:?}"),
-            })
-        })
-    }
-
-    /// The cached universal solution (§7), building it on first call.
-    pub fn universal(&self) -> Result<&PreparedSolution, SolutionError> {
-        match self.cached(Semantics::nulls()) {
-            Ok(p) => Ok(p),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// The cached least-informative solution (§8), building it on first
-    /// call.
-    pub fn least_informative(&self) -> Result<&PreparedSolution, SolutionError> {
-        match self.cached(Semantics::least_informative()) {
-            Ok(p) => Ok(p),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    fn forward_tuples(
-        &self,
-        q: &CompiledQuery,
-        sem: Semantics,
-    ) -> Result<CertainAnswers, SolveError> {
-        // reject out-of-fragment queries before building anything (the
-        // pre-redesign behaviour), then pin the solution so the wrapper
-        // keeps its historical "built at most once" pointer stability
-        check_fragment(q, sem).map_err(solve_error)?;
-        let _ = self.cached(sem);
-        self.service
-            .answer(self.id, q, sem)
-            .map(Answer::into_tuples)
-            .map_err(solve_error)
-    }
-
-    fn forward_boolean(&self, q: &CompiledQuery, sem: Semantics) -> Result<bool, SolveError> {
-        check_fragment(q, sem).map_err(solve_error)?;
-        let _ = self.cached(sem);
-        self.service
-            .answer(self.id, q, sem)
-            .map(|a| a.boolean())
-            .map_err(solve_error)
-    }
-
-    /// `2ⁿ_M(Q, G_s)` (Theorems 3/4): certain answers over targets with SQL
-    /// nulls, served from the cached universal solution.
-    pub fn certain_answers_nulls(&self, q: &CompiledQuery) -> Result<CertainAnswers, SolveError> {
-        self.forward_tuples(q, Semantics::nulls())
-    }
-
-    /// Boolean `2ⁿ`: does `Q` match somewhere in every solution over
-    /// `D ∪ {n}`?
-    pub fn certain_boolean_nulls(&self, q: &CompiledQuery) -> Result<bool, SolveError> {
-        self.forward_boolean(q, Semantics::nulls_boolean())
-    }
-
-    /// `2_M(Q, G_s)` for equality-only queries (Theorem 5): **exact** plain
-    /// certain answers for REM=/REE=/RPQs, served from the cached
-    /// least-informative solution.
-    pub fn certain_answers_least_informative(
-        &self,
-        q: &CompiledQuery,
-    ) -> Result<CertainAnswers, SolveError> {
-        self.forward_tuples(q, Semantics::least_informative())
-    }
-
-    /// Boolean variant of
-    /// [`PreparedMapping::certain_answers_least_informative`].
-    pub fn certain_boolean_least_informative(&self, q: &CompiledQuery) -> Result<bool, SolveError> {
-        self.forward_boolean(q, Semantics::least_informative_boolean())
-    }
-
-    /// The serving default: exact `2` answers when the query allows it
-    /// (equality-only, Theorem 5), the `2ⁿ` under-approximation otherwise
-    /// (Theorem 4).
-    pub fn certain_answers(&self, q: &CompiledQuery) -> Result<CertainAnswers, SolveError> {
-        self.forward_tuples(q, Semantics::preferred_for(q))
-    }
-
-    /// Exact plain certain answers `2_M(Q, G_s)` (Theorem 2's coNP
-    /// procedure), reusing the cached universal solution as the enumeration
-    /// skeleton. Exponential in the number of invented nodes; bounded by
-    /// `opts`.
-    pub fn certain_answers_exact(
-        &self,
-        q: &DataQuery,
-        opts: ExactOptions,
-    ) -> Result<CertainAnswers, ExactError> {
-        // consume the cached skeleton directly — the enumeration needs the
-        // DataQuery itself, so there is nothing to gain from compiling
-        match self.cached(Semantics::nulls()) {
-            Ok(prep) => exact_answers_from(prep.solution(), q, opts),
-            Err(SolutionError::NotRelational) => Err(ExactError::NotRelational),
-            Err(SolutionError::NoSolution { .. }) => Ok(CertainAnswers::AllVacuously),
-        }
-    }
-
-    /// Boolean variant of [`PreparedMapping::certain_answers_exact`].
-    pub fn certain_boolean_exact(
-        &self,
-        q: &DataQuery,
-        opts: ExactOptions,
-    ) -> Result<bool, ExactError> {
-        match self.cached(Semantics::nulls()) {
-            Ok(prep) => exact_boolean_from(prep.solution(), q, opts),
-            Err(SolutionError::NotRelational) => Err(ExactError::NotRelational),
-            Err(SolutionError::NoSolution { .. }) => Ok(true),
-        }
-    }
+    let svc = MappingService::new();
+    // one query has no alpha-equivalent sibling to share a template with
+    svc.set_canonicalisation(false);
+    let id = svc.register(gsm.clone(), source.clone());
+    svc.answer(id, q, sem)
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use gde_automata::parse_regex;
     use gde_datagraph::{Alphabet, Value};
-    use gde_dataquery::parse_ree;
+    use gde_dataquery::{parse_ree, DataQuery};
 
     /// The same scenario as `certain.rs`: 0(v5) -a-> 1(v5) -a-> 2(v7),
     /// mapping (a, x y).
@@ -3319,7 +2965,7 @@ mod tests {
             let prep = svc.solution(id, Semantics::nulls()).unwrap();
             assert_eq!(prep.shard_count(), k);
             assert_eq!(prep.shard_stamps().len(), k);
-            assert!(prep.sharded().is_some());
+            assert_eq!(prep.sharded().shard_count(), k);
         }
         // resizing (including back to 1) re-prepares and keeps answers
         let svc = MappingService::new();
@@ -3328,11 +2974,14 @@ mod tests {
         let a4 = svc.answer(id, &queries[0], Semantics::nulls());
         svc.set_shard_count(id, 1).unwrap();
         assert_eq!(svc.answer(id, &queries[0], Semantics::nulls()), a4);
-        assert!(svc
-            .solution(id, Semantics::nulls())
-            .unwrap()
-            .sharded()
-            .is_none());
+        // K=1 is a one-stripe plan that copies nothing: its stripe reads
+        // the snapshot's own relations
+        let one = MappingService::new();
+        let oid = one.register(m.clone(), gs.clone());
+        one.prepare(oid, Semantics::nulls()).unwrap();
+        let prep = one.solution(oid, Semantics::nulls()).unwrap();
+        assert_eq!(prep.shard_count(), 1);
+        assert_eq!(prep.sharded().approx_bytes(), 0);
     }
 
     #[test]
@@ -3418,15 +3067,26 @@ mod tests {
         assert_eq!(stats.mean_tuples(), 2);
         assert_eq!(stats.per_stripe.len(), 1, "unsharded records stripe 0");
         assert_eq!(stats.per_stripe[0].evals, 2);
+        // a one-stripe plan caches like any other: the repeat hits
+        let misses = stats.cache_misses;
+        assert!(misses > 0, "the cold K=1 serve fills the cache");
+        svc.answer(id, &q, Semantics::nulls()).unwrap();
+        let stats = svc.serving_stats(id).unwrap();
+        assert!(
+            stats.cache_hits > 0,
+            "the repeated K=1 serve hits the cache"
+        );
+        assert_eq!(stats.cache_misses, misses);
+        assert_eq!(stats.tuple_evals, 2);
         // sharded serving records one eval per (query, stripe)
         svc.set_shard_count(id, 2).unwrap();
         svc.answer(id, &q, Semantics::nulls()).unwrap();
         let stats = svc.serving_stats(id).unwrap();
-        assert_eq!(stats.tuple_evals, 3);
+        assert_eq!(stats.tuple_evals, 4);
         assert_eq!(stats.per_stripe.len(), 2);
         // the accumulator belongs to the mapping: eviction keeps it
         svc.evict_all();
-        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 3);
+        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 4);
     }
 
     #[test]
@@ -3578,82 +3238,61 @@ mod tests {
     #[test]
     fn serves_repeated_queries_from_one_solution() {
         let (m, gs) = scenario();
-        let prepared = PreparedMapping::new(&m, &gs);
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
         let mut ta = m.target_alphabet().clone();
         let q1 = DataQuery::from(parse_regex("x y", &mut ta).unwrap()).compile();
         let q2 = DataQuery::from(parse_ree("(x y)=", &mut ta).unwrap()).compile();
-        let a1 = prepared.certain_answers_nulls(&q1).unwrap().into_pairs();
+        let a1 = svc
+            .answer(id, &q1, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
         assert_eq!(a1, vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]);
-        let a2 = prepared.certain_answers_nulls(&q2).unwrap().into_pairs();
+        let a2 = svc
+            .answer(id, &q2, Semantics::nulls())
+            .unwrap()
+            .into_pairs();
         assert_eq!(a2, vec![(NodeId(0), NodeId(1))]);
         // the universal solution was built exactly once
-        let p1 = prepared.universal().unwrap() as *const PreparedSolution;
-        let _ = prepared.certain_answers_nulls(&q1).unwrap();
-        let p2 = prepared.universal().unwrap() as *const PreparedSolution;
-        assert_eq!(p1, p2);
+        let p1 = svc.solution(id, Semantics::nulls()).unwrap();
+        svc.answer(id, &q1, Semantics::nulls()).unwrap();
+        let p2 = svc.solution(id, Semantics::nulls()).unwrap();
+        assert!(Arc::ptr_eq(&p1, &p2));
     }
 
     #[test]
-    fn least_informative_engine_and_dispatch() {
+    fn preferred_semantics_dispatch_answers() {
         let (m, gs) = scenario();
-        let prepared = PreparedMapping::new(&m, &gs);
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
         let mut ta = m.target_alphabet().clone();
         let eq = DataQuery::from(parse_ree("(x y)=", &mut ta).unwrap()).compile();
         let neq = DataQuery::from(parse_ree("(x y)!=", &mut ta).unwrap()).compile();
-        assert_eq!(
-            prepared
-                .certain_answers_least_informative(&eq)
-                .unwrap()
-                .into_pairs(),
-            vec![(NodeId(0), NodeId(1))]
-        );
-        assert!(matches!(
-            prepared.certain_answers_least_informative(&neq),
-            Err(SolveError::UnsupportedQuery(_))
-        ));
         // serving default: = dispatches to 2, ≠ to 2ⁿ
-        assert_eq!(
-            prepared.certain_answers(&eq).unwrap().into_pairs(),
-            vec![(NodeId(0), NodeId(1))]
-        );
-        assert_eq!(
-            prepared.certain_answers(&neq).unwrap().into_pairs(),
-            vec![(NodeId(1), NodeId(2))]
-        );
+        let serve = |q: &CompiledQuery| {
+            svc.answer(id, q, Semantics::preferred_for(q))
+                .unwrap()
+                .into_pairs()
+        };
+        assert_eq!(serve(&eq), vec![(NodeId(0), NodeId(1))]);
+        assert_eq!(serve(&neq), vec![(NodeId(1), NodeId(2))]);
     }
 
     #[test]
-    fn boolean_engines() {
+    fn boolean_engines_answer_false_too() {
         let (m, gs) = scenario();
-        let prepared = PreparedMapping::new(&m, &gs);
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
         let mut ta = m.target_alphabet().clone();
-        let q = DataQuery::from(parse_ree("x y", &mut ta).unwrap()).compile();
-        assert!(prepared.certain_boolean_nulls(&q).unwrap());
-        assert!(prepared.certain_boolean_least_informative(&q).unwrap());
-        let q3 = DataQuery::from(parse_ree("y y", &mut ta).unwrap()).compile();
-        assert!(!prepared.certain_boolean_nulls(&q3).unwrap());
-    }
-
-    #[test]
-    fn exact_engine_reuses_skeleton() {
-        let (m, gs) = scenario();
-        let prepared = PreparedMapping::new(&m, &gs);
-        let mut ta = m.target_alphabet().clone();
-        let q = DataQuery::from(parse_ree("(x y)=", &mut ta).unwrap());
-        let exact = prepared
-            .certain_answers_exact(&q, ExactOptions::default())
-            .unwrap()
-            .into_pairs();
-        // Theorem 5: for equality-only queries the exact and
-        // least-informative engines agree
-        let li = prepared
-            .certain_answers_least_informative(&q.compile())
-            .unwrap()
-            .into_pairs();
-        assert_eq!(exact, li);
-        assert!(prepared
-            .certain_boolean_exact(&q, ExactOptions::default())
-            .unwrap());
+        // "y y" can never appear in any minimal solution
+        let q = DataQuery::from(parse_ree("y y", &mut ta).unwrap()).compile();
+        for sem in [
+            Semantics::nulls_boolean(),
+            Semantics::least_informative_boolean(),
+            Semantics::exact_boolean(),
+        ] {
+            assert!(!svc.answer(id, &q, sem).unwrap().boolean(), "{sem:?}");
+        }
     }
 
     #[test]
@@ -3670,17 +3309,19 @@ mod tests {
         gs.add_node(NodeId(0), Value::int(1)).unwrap();
         gs.add_node(NodeId(1), Value::int(2)).unwrap();
         gs.add_edge_str(NodeId(0), "a", NodeId(1)).unwrap();
-        let prepared = PreparedMapping::new(&m, &gs);
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
         let mut ta2 = ta.clone();
         let q = DataQuery::from(parse_ree("x", &mut ta2).unwrap()).compile();
         assert_eq!(
-            prepared.certain_answers_nulls(&q).unwrap(),
-            CertainAnswers::AllVacuously
+            svc.answer(id, &q, Semantics::nulls()),
+            Ok(Answer::Tuples(CertainAnswers::AllVacuously))
         );
-        assert!(prepared.certain_boolean_nulls(&q).unwrap());
+        assert_eq!(
+            svc.answer(id, &q, Semantics::nulls_boolean()),
+            Ok(Answer::Boolean(true))
+        );
         // ... and through the service accessor it surfaces as an error
-        let svc = MappingService::new();
-        let id = svc.register(m, gs);
         assert!(matches!(
             svc.solution(id, Semantics::nulls()),
             Err(ServeError::NoSolution { .. })
@@ -3694,11 +3335,6 @@ mod tests {
         m3.add_rule(
             gde_automata::Regex::Atom(m3.source_alphabet().label("a").unwrap()),
             reach,
-        );
-        let prepared = PreparedMapping::new(&m3, &gs2);
-        assert_eq!(
-            prepared.certain_answers_nulls(&q).err(),
-            Some(SolveError::NotRelational)
         );
         let svc = MappingService::new();
         let id = svc.register(m3, gs2);

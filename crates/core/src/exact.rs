@@ -329,8 +329,7 @@ mod tests {
     use gde_datagraph::{Alphabet, Value};
     use gde_dataquery::parse_ree;
 
-    /// The `2ⁿ` answers through the unified serving entry point (what the
-    /// deprecated `certain_answers_nulls` free function now wraps).
+    /// The `2ⁿ` answers through the unified serving entry point.
     fn nulls_pairs(m: &Gsm, q: &DataQuery, gs: &DataGraph) -> Vec<(NodeId, NodeId)> {
         answer_once(m, gs, &q.compile(), Semantics::nulls())
             .unwrap()

@@ -17,8 +17,8 @@
 //! | Thm 2 / Prop 2 | coNP for relational mappings, all data RPQs | [`exact`] (complete enumeration) |
 //! | Prop 3 | coNP-hard already for data path queries (3 inequalities) | gadget in `gde-reductions` |
 //! | Prop 5 | data path queries decidable for arbitrary GSMs | [`arbitrary`] |
-//! | Thm 3/4 | PTime via universal solutions with SQL nulls | [`solution`], [`certain`] |
-//! | Thm 5 / Cor 1 | PTime for REM=/REE= via least informative solutions | [`solution`], [`certain`] |
+//! | Thm 3/4 | PTime via universal solutions with SQL nulls | [`solution`], [`engine`] |
+//! | Thm 5 / Cor 1 | PTime for REM=/REE= via least informative solutions | [`solution`], [`engine`] |
 //! | Prop 1 | relational GSMs ≡ relational mappings over `D_G` | [`translate`] |
 //!
 //! [`integration`] exposes the LAV virtual-data-integration reading of §4.
@@ -60,15 +60,17 @@
 //!   degrades over-budget serves to uncached evaluation, and the seeded
 //!   [`faults`] harness replays any failure deterministically.
 //!
-//! One-shot callers can use [`engine::answer_once`], which skips registry
-//! and caches. The previous engines survive as thin deprecated wrappers:
-//! [`engine::PreparedMapping`] (borrowing, per-`(M, G_s)`) and the
-//! `certain_*` free functions in [`certain`] (cold path: rebuild solution
-//! and re-lower the query per call). On the social serving workload a
-//! prepared batch of ten queries answers several times faster than the
-//! cold path (`prepared_vs_cold` bench, `BENCH_prepared.json`), and
-//! delta-aware patching beats full re-preparation on the churn workload
-//! (`service_churn` bench, `BENCH_service.json`).
+//! Every serve — one query, a batch, or a template binding — takes one
+//! path: the same per-query door, one retry loop and one
+//! `(query, stripe)` scheduler; a mapping without sharding is a
+//! one-stripe plan that aliases its snapshot. One-shot callers can use
+//! [`engine::answer_once`], which serves through a private service and
+//! throws it away (cold path: rebuild the solution per call). On the
+//! social serving workload a prepared batch of ten queries answers
+//! several times faster than the cold path (`prepared_vs_cold` bench,
+//! `BENCH_prepared.json`), and delta-aware patching beats full
+//! re-preparation on the churn workload (`service_churn` bench,
+//! `BENCH_service.json`).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,14 +92,7 @@ pub use analyze::{
     MappingReport, QueryVerdict, WorkloadProfile,
 };
 pub use arbitrary::{certain_answers_arbitrary, ArbitraryOptions};
-#[allow(deprecated)]
-pub use certain::{
-    certain_answers_least_informative, certain_answers_nulls, certain_boolean_least_informative,
-    certain_boolean_nulls,
-};
 pub use certain::{CertainAnswers, SolveError};
-#[allow(deprecated)]
-pub use engine::PreparedMapping;
 pub use engine::{
     answer_once, Answer, DeltaReport, MappingId, MappingService, Mode, PreparedSolution, Semantics,
     ServeError, ServeOptions, ServiceStats, ServingStats, ShardSpec, StripeServingStats,

@@ -9,10 +9,12 @@
 //!
 //! One process-wide knob bounds every parallel operation:
 //! [`set_max_threads`]. The default (`0`) resolves to the `GDE_MAX_THREADS`
-//! environment variable — read **once**, on first use — and, when that is
-//! unset (or `0`, or unparsable), to the machine's available parallelism
-//! capped at 8: relation algebra is memory-bound and gains little beyond
-//! that. Parallel paths only engage when a block would hold enough rows to
+//! environment variable and, when that is unset (or `0`, or unparsable),
+//! to the machine's available parallelism capped at 8: relation algebra is
+//! memory-bound and gains little beyond that. Either way the default is
+//! resolved **once**, on first use: probing the machine's parallelism reads
+//! cgroup files, far too slow for a value asked for on every fan-out.
+//! Parallel paths only engage when a block would hold enough rows to
 //! amortise thread spawn cost; small relations always run sequentially on
 //! the calling thread.
 //!
@@ -53,8 +55,8 @@ pub fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// parallelism capped at [`AUTO_CAP`]).
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// The `GDE_MAX_THREADS` value, parsed once per process. `0` = unset.
-static ENV_DEFAULT: OnceLock<usize> = OnceLock::new();
+/// The default thread budget, resolved once per process.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Parse a `GDE_MAX_THREADS` setting: a positive thread count (clamped to
 /// [`HARD_CAP`]), with unset/empty/unparsable/`0` all meaning "no default".
@@ -64,8 +66,18 @@ fn parse_thread_env(raw: Option<&str>) -> usize {
         .min(HARD_CAP)
 }
 
-fn env_default() -> usize {
-    *ENV_DEFAULT.get_or_init(|| parse_thread_env(std::env::var("GDE_MAX_THREADS").ok().as_deref()))
+/// The `GDE_MAX_THREADS` value, else the machine's available parallelism
+/// capped at [`AUTO_CAP`].
+fn default_threads() -> usize {
+    *DEFAULT_THREADS.get_or_init(|| {
+        match parse_thread_env(std::env::var("GDE_MAX_THREADS").ok().as_deref()) {
+            0 => std::thread::available_parallelism()
+                .map(|v| v.get())
+                .unwrap_or(1)
+                .min(AUTO_CAP),
+            n => n,
+        }
+    })
 }
 
 /// Serialises tests that mutate the process-global [`MAX_THREADS`] knob, so
@@ -84,7 +96,7 @@ const HARD_CAP: usize = 64;
 
 /// Set the maximum number of worker threads used by relation algebra.
 /// `0` restores the default (the `GDE_MAX_THREADS` environment variable,
-/// read once per process, else auto-detection). Values above 64 are
+/// else auto-detection; resolved once per process). Values above 64 are
 /// clamped.
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n.min(HARD_CAP), Ordering::Relaxed);
@@ -93,13 +105,7 @@ pub fn set_max_threads(n: usize) {
 /// The resolved maximum number of worker threads (≥ 1).
 pub fn max_threads() -> usize {
     match MAX_THREADS.load(Ordering::Relaxed) {
-        0 => match env_default() {
-            0 => std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-                .min(AUTO_CAP),
-            n => n,
-        },
+        0 => default_threads(),
         n => n,
     }
     .max(1)

@@ -1192,8 +1192,12 @@ impl Relation {
     /// The sub-relation keeping only rows in `rows` (same dimension; other
     /// rows become empty). This is the stripe shape of sharded serving:
     /// the union of `restrict_rows` over a partition of `0..n` rebuilds
-    /// the relation exactly.
+    /// the relation exactly. A range covering every row (the one stripe of
+    /// an unsharded plan) is a plain clone.
     pub fn restrict_rows(&self, rows: Range<usize>) -> Relation {
+        if rows.start == 0 && rows.end >= self.n {
+            return self.clone();
+        }
         let mut b = RelationBuilder::new(self.n);
         for i in rows.start..rows.end.min(self.n) {
             for j in self.row_iter(i) {

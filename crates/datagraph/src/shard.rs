@@ -18,7 +18,10 @@
 //!   consumes as its atoms. All slices are built lazily, at most once per
 //!   `(shard, label)`, and can be carried over a refreeze when neither the
 //!   stripe's rows nor the label's edge set changed (the per-shard
-//!   invalidation path of `MappingService::apply_delta`).
+//!   invalidation path of `MappingService::apply_delta`). A one-stripe
+//!   plan builds no slices at all: its stripe *is* the snapshot, so its
+//!   row slices alias the snapshot's own label relations and its boundary
+//!   is empty.
 //!
 //! Scheduling stripes onto workers is [`crate::par::map_shards`].
 
@@ -298,7 +301,8 @@ struct ShardSlice {
 pub struct ShardedSnapshot {
     base: Arc<GraphSnapshot>,
     plan: ShardPlan,
-    /// `shard * label_count + label` → slices, built at most once.
+    /// `shard * label_count + label` → slices, built at most once. Empty
+    /// on a one-stripe plan, whose stripe reads the base relations.
     slices: Vec<OnceLock<ShardSlice>>,
 }
 
@@ -307,7 +311,11 @@ impl ShardedSnapshot {
     /// node domain.
     pub fn new(base: Arc<GraphSnapshot>, plan: ShardPlan) -> ShardedSnapshot {
         assert_eq!(plan.n(), base.n(), "plan does not cover the snapshot");
-        let cells = plan.shard_count() * base.label_count();
+        // a one-stripe plan aliases the snapshot's relations: no cells
+        let cells = match plan.shard_count() {
+            1 => 0,
+            k => k * base.label_count(),
+        };
         ShardedSnapshot {
             base,
             plan,
@@ -361,29 +369,46 @@ impl ShardedSnapshot {
     }
 
     /// The row slice of `E_label` owned by a stripe: all edges whose
-    /// source lies in the stripe (intra ∪ boundary). `None` for labels the
-    /// snapshot has never seen.
+    /// source lies in the stripe (intra ∪ boundary). On a one-stripe plan
+    /// this is the snapshot's own [`GraphSnapshot::label_relation`].
+    /// `None` for labels the snapshot has never seen.
     pub fn label_rows(&self, shard: usize, l: Label) -> Option<&Relation> {
+        if self.slices.is_empty() {
+            return self.base.label_relation(l);
+        }
         self.cell(shard, l).map(|s| &s.rows)
     }
 
     /// The intra-stripe part of a stripe's label relation (derived:
     /// `rows` minus the boundary overlay; diagnostic use).
     pub fn intra(&self, shard: usize, l: Label) -> Option<Relation> {
+        if self.slices.is_empty() {
+            return self.base.label_relation(l).cloned();
+        }
         self.cell(shard, l)
             .map(|s| s.rows.filter(|i, j| !s.boundary.contains(i, j)))
     }
 
     /// The boundary overlay of a stripe's label relation (edges crossing
-    /// out of the stripe).
-    pub fn boundary(&self, shard: usize, l: Label) -> Option<&Relation> {
-        self.cell(shard, l).map(|s| &s.boundary)
+    /// out of the stripe; empty on a one-stripe plan; diagnostic use).
+    pub fn boundary(&self, shard: usize, l: Label) -> Option<Relation> {
+        if self.slices.is_empty() {
+            return self
+                .base
+                .label_relation(l)
+                .map(|r| Relation::empty(r.dim()));
+        }
+        self.cell(shard, l).map(|s| s.boundary.clone())
     }
 
     /// Build every `(shard, label)` slice now, fanning stripes out over
     /// [`crate::par::map_shards`] workers. Useful to move slice
-    /// construction out of first-query latency.
+    /// construction out of first-query latency. A one-stripe plan has no
+    /// slices to build.
     pub fn warm(&self) {
+        if self.slices.is_empty() {
+            return;
+        }
         let ranges = self.plan.ranges();
         crate::par::map_shards(&ranges, |shard, _| {
             for li in 0..self.base.label_count() {
@@ -417,7 +442,7 @@ impl ShardedSnapshot {
     /// holds — the per-shard carry of a lazy refreeze. Cells not yet built
     /// in `prev` stay lazy here.
     pub fn carry_from(&self, prev: &ShardedSnapshot, mut keep: impl FnMut(usize, Label) -> bool) {
-        if prev.base.n() != self.base.n() || prev.plan != self.plan {
+        if prev.base.n() != self.base.n() || prev.plan != self.plan || self.slices.is_empty() {
             return;
         }
         let labels = self.base.label_count().min(prev.base.label_count());
@@ -597,7 +622,7 @@ mod tests {
                 let mut union = Relation::empty(snap.n());
                 for shard in 0..sharded.shard_count() {
                     let intra = sharded.intra(shard, l).unwrap();
-                    let boundary = sharded.boundary(shard, l).unwrap().clone();
+                    let boundary = sharded.boundary(shard, l).unwrap();
                     let rows = sharded.label_rows(shard, l).unwrap();
                     // rows = intra ⊎ boundary, and rows stay in the stripe
                     assert_eq!(&intra.union(&boundary), rows);
@@ -616,6 +641,26 @@ mod tests {
                 assert_eq!(&union, full, "shards cover E_{name} exactly at k={k}");
             }
         }
+    }
+
+    #[test]
+    fn one_stripe_aliases_the_snapshot_relations() {
+        let g = ring(40);
+        let snap = Arc::new(g.snapshot());
+        let one = ShardedSnapshot::new(snap.clone(), ShardPlan::single(snap.n()));
+        one.warm();
+        assert_eq!(one.approx_bytes(), 0, "a one-stripe view copies nothing");
+        for name in ["a", "b"] {
+            let l = g.alphabet().label(name).unwrap();
+            let rows = one.label_rows(0, l).unwrap();
+            assert!(std::ptr::eq(rows, snap.label_relation(l).unwrap()));
+            assert!(one.boundary(0, l).unwrap().is_empty());
+        }
+        assert_eq!(one.boundary_edges(), 0);
+        // carrying between one-stripe views is a no-op, not a panic
+        let next = ShardedSnapshot::new(snap.clone(), ShardPlan::single(snap.n()));
+        next.carry_from(&one, |_, _| true);
+        assert_eq!(next.approx_bytes(), 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! Evaluation consumes a [`GraphSnapshot`], so letter transitions walk
 //! label-partitioned CSR slices and `=`/`≠` tests compare interned value
 //! ids. Building one snapshot and one compiled query and pairing them is
-//! exactly what `gde-core`'s `PreparedMapping` engine does.
+//! exactly what `gde-core`'s `MappingService` engine does.
 
 use crate::analyze::QueryShape;
 use crate::cache::{subplan_hash, CacheHandle, SubRelCache, SubRelKey};

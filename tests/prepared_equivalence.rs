@@ -1,29 +1,21 @@
-//! Engine equivalence: the owned `MappingService`, the deprecated
-//! `PreparedMapping` wrapper and the deprecated one-shot free functions
-//! must all answer identically, across the workload generators' scenarios
-//! and every query class.
+//! Engine equivalence: the owned `MappingService` (register once, answer
+//! many) and the one-shot `answer_once` (rebuild everything per call)
+//! must answer identically, across the workload generators' scenarios,
+//! every query class and every `Semantics`.
 //!
-//! This is the contract that makes the serving-API redesign safe: the
-//! legacy entry points are thin wrappers over `MappingService::answer`,
-//! and the service's cached solutions + snapshots + compiled queries must
-//! be observationally identical to rebuilding everything per call. The
-//! legacy calls below are deliberate — they are the reference being
-//! compared against.
-#![allow(deprecated)]
+//! This is the contract that makes the service's caching safe: its cached
+//! solutions, snapshots, compiled queries and sub-relation caches must be
+//! observationally identical to rebuilding everything per call.
 //!
-//! Since the wrappers now share the snapshot-based evaluation code with
-//! the engine, the wrapper-vs-engine checks alone would not catch a bug in
-//! the snapshot layer itself (both sides would be identically wrong). The
+//! Both sides share the snapshot-based evaluation code, so the
+//! service-vs-one-shot checks alone would not catch a bug in the snapshot
+//! layer itself (both sides would be identically wrong). The
 //! `snapshot_eval_matches_naive_oracle` test closes that hole: it
 //! re-implements REE/RPQ evaluation directly over the graph's adjacency
 //! iterators — the pre-snapshot evaluation strategy — and compares the
 //! production path against it on random graphs and queries.
 
-use gde_core::{
-    certain_answers_exact, certain_answers_least_informative, certain_answers_nulls,
-    certain_boolean_least_informative, certain_boolean_nulls, Answer, ExactOptions, MappingService,
-    Mode, PreparedMapping, Semantics, SolveError,
-};
+use gde_core::{answer_once, certain_answers_exact, ExactOptions, MappingService, Mode, Semantics};
 use gde_datagraph::{DataGraph, Relation};
 use gde_dataquery::{DataQuery, Ree};
 use gde_workload::{
@@ -47,8 +39,16 @@ fn random_query_batch(seed: u64) -> Vec<DataQuery> {
     out
 }
 
+/// The canonical-solution semantics, tuple and Boolean.
+const CANONICAL: [Semantics; 4] = [
+    Semantics::Nulls(Mode::Tuples),
+    Semantics::Nulls(Mode::Boolean),
+    Semantics::LeastInformative(Mode::Tuples),
+    Semantics::LeastInformative(Mode::Boolean),
+];
+
 #[test]
-fn prepared_matches_free_functions_on_random_scenarios() {
+fn service_matches_answer_once_on_random_scenarios() {
     for seed in 0..12u64 {
         let sc = random_scenario(&ScenarioConfig {
             graph: GraphConfig {
@@ -62,48 +62,39 @@ fn prepared_matches_free_functions_on_random_scenarios() {
             seed: seed ^ 0xA11CE,
             ..ScenarioConfig::default()
         });
-        let prepared = PreparedMapping::new(&sc.gsm, &sc.source);
+        let svc = MappingService::new();
+        let id = svc.register(sc.gsm.clone(), sc.source.clone());
         for (qi, q) in random_query_batch(seed).into_iter().enumerate() {
             let compiled = q.compile();
-            // 2ⁿ engine
-            let free = certain_answers_nulls(&sc.gsm, &q, &sc.source).unwrap();
-            let served = prepared.certain_answers_nulls(&compiled).unwrap();
-            assert_eq!(free, served, "2ⁿ mismatch: seed {seed} query {qi} {q:?}");
-            let free_b = certain_boolean_nulls(&sc.gsm, &q, &sc.source).unwrap();
-            let served_b = prepared.certain_boolean_nulls(&compiled).unwrap();
-            assert_eq!(
-                free_b, served_b,
-                "2ⁿ boolean mismatch: seed {seed} query {qi}"
-            );
-            // 2 engine (equality-only fragment)
-            let free_li = certain_answers_least_informative(&sc.gsm, &q, &sc.source);
-            let served_li = prepared.certain_answers_least_informative(&compiled);
-            assert_eq!(
-                free_li, served_li,
-                "2 mismatch: seed {seed} query {qi} {q:?}"
-            );
-            let free_lib = certain_boolean_least_informative(&sc.gsm, &q, &sc.source);
-            let served_lib = prepared.certain_boolean_least_informative(&compiled);
-            assert_eq!(
-                free_lib, served_lib,
-                "2 boolean mismatch: seed {seed} query {qi}"
-            );
-            // serving dispatch agrees with whichever engine it routes to
-            let dispatched = prepared.certain_answers(&compiled).unwrap();
-            if q.is_equality_only() {
-                assert_eq!(dispatched, served_li.unwrap(), "dispatch ≠ 2: seed {seed}");
-            } else {
-                assert_eq!(dispatched, served, "dispatch ≠ 2ⁿ: seed {seed}");
+            // errors included: an out-of-fragment rejection must match too
+            for sem in CANONICAL {
+                assert_eq!(
+                    svc.answer(id, &compiled, sem),
+                    answer_once(&sc.gsm, &sc.source, &compiled, sem),
+                    "{sem:?} mismatch: seed {seed} query {qi} {q:?}"
+                );
             }
+            // serving dispatch agrees with whichever engine it routes to
+            let preferred = Semantics::preferred_for(&compiled);
+            let routed_to = if q.is_equality_only() {
+                Semantics::least_informative()
+            } else {
+                Semantics::nulls()
+            };
+            assert_eq!(
+                svc.answer(id, &compiled, preferred),
+                answer_once(&sc.gsm, &sc.source, &compiled, routed_to),
+                "dispatch: seed {seed} query {qi}"
+            );
         }
     }
 }
 
-/// The acceptance contract of the API redesign: `MappingService::answer`
-/// with each `Semantics` variant returns answers identical to the
-/// pre-redesign `PreparedMapping` methods, on the existing workloads.
+/// Every `Semantics` variant, the bounded exact enumeration included, on
+/// small random scenarios: the service and the one-shot path agree, and
+/// so does the exact one-shot free function.
 #[test]
-fn service_matches_prepared_mapping_on_every_semantics() {
+fn service_matches_answer_once_on_every_semantics() {
     for seed in 0..5u64 {
         let sc = random_scenario(&ScenarioConfig {
             graph: GraphConfig {
@@ -117,41 +108,17 @@ fn service_matches_prepared_mapping_on_every_semantics() {
             seed: seed ^ 0x5EC7,
             ..ScenarioConfig::default()
         });
-        let prepared = PreparedMapping::new(&sc.gsm, &sc.source);
         let svc = MappingService::new();
         let id = svc.register(sc.gsm.clone(), sc.source.clone());
         for (qi, q) in random_query_batch(seed).into_iter().enumerate() {
             let c = q.compile();
             let ctx = format!("seed {seed} query {qi}");
-            assert_eq!(
-                svc.answer(id, &c, Semantics::nulls())
-                    .map(Answer::into_tuples)
-                    .map_err(|e| e.to_string()),
-                prepared
-                    .certain_answers_nulls(&c)
-                    .map_err(|e| e.to_string()),
-                "Nulls/Tuples {ctx}"
-            );
-            assert_eq!(
-                svc.answer(id, &c, Semantics::nulls_boolean())
-                    .map(|a| a.boolean())
-                    .map_err(|e| e.to_string()),
-                prepared
-                    .certain_boolean_nulls(&c)
-                    .map_err(|e| e.to_string()),
-                "Nulls/Boolean {ctx}"
-            );
-            let li_svc = svc.answer(id, &c, Semantics::least_informative());
-            let li_old = prepared.certain_answers_least_informative(&c);
-            match (li_svc, li_old) {
-                (Ok(a), Ok(b)) => assert_eq!(a.into_tuples(), b, "LI/Tuples {ctx}"),
-                (
-                    Err(gde_core::ServeError::UnsupportedQuery(x)),
-                    Err(SolveError::UnsupportedQuery(y)),
-                ) => {
-                    assert_eq!(x, y, "LI error {ctx}")
-                }
-                (a, b) => panic!("LI divergence {ctx}: {a:?} vs {b:?}"),
+            for sem in CANONICAL {
+                assert_eq!(
+                    svc.answer(id, &c, sem),
+                    answer_once(&sc.gsm, &sc.source, &c, sem),
+                    "{sem:?} {ctx}"
+                );
             }
             // bounded exact comparisons on a query subset (the enumeration
             // is exponential; both sides must agree on TooComplex too)
@@ -162,28 +129,18 @@ fn service_matches_prepared_mapping_on_every_semantics() {
                 max_invented: 10,
                 max_patterns: 5_000,
             };
-            assert_eq!(
-                svc.answer(id, &c, Semantics::Exact(Mode::Tuples, opts))
-                    .map(Answer::into_tuples)
-                    .map_err(|e| e.to_string()),
-                prepared
-                    .certain_answers_exact(&q, opts)
-                    .map_err(|e| e.to_string()),
-                "Exact/Tuples {ctx}"
-            );
-            assert_eq!(
-                svc.answer(id, &c, Semantics::Exact(Mode::Boolean, opts))
-                    .map(|a| a.boolean())
-                    .map_err(|e| e.to_string()),
-                prepared
-                    .certain_boolean_exact(&q, opts)
-                    .map_err(|e| e.to_string()),
-                "Exact/Boolean {ctx}"
-            );
+            for mode in [Mode::Tuples, Mode::Boolean] {
+                let sem = Semantics::Exact(mode, opts);
+                assert_eq!(
+                    svc.answer(id, &c, sem),
+                    answer_once(&sc.gsm, &sc.source, &c, sem),
+                    "{sem:?} {ctx}"
+                );
+            }
             // the one-shot exact free function agrees too
             assert_eq!(
                 svc.answer(id, &c, Semantics::Exact(Mode::Tuples, opts))
-                    .map(Answer::into_tuples)
+                    .map(|a| a.into_tuples())
                     .map_err(|e| e.to_string()),
                 certain_answers_exact(&sc.gsm, &q, &sc.source, opts).map_err(|e| e.to_string()),
                 "Exact one-shot {ctx}"
@@ -193,7 +150,7 @@ fn service_matches_prepared_mapping_on_every_semantics() {
 }
 
 #[test]
-fn prepared_matches_free_functions_on_social_serving_scenario() {
+fn service_matches_answer_once_on_social_serving_scenario() {
     let sv = social_serving_scenario(&SocialConfig {
         persons: 25,
         knows_per_person: 3,
@@ -203,22 +160,24 @@ fn prepared_matches_free_functions_on_social_serving_scenario() {
     });
     let gsm = &sv.scenario.gsm;
     let source = &sv.scenario.source;
-    let prepared = PreparedMapping::new(gsm, source);
+    let svc = MappingService::new();
+    let id = svc.register(gsm.clone(), source.clone());
     let mut nonempty = 0;
     for (name, q) in &sv.queries {
         let compiled = q.compile();
-        let free = certain_answers_nulls(gsm, q, source).unwrap();
-        let served = prepared.certain_answers_nulls(&compiled).unwrap();
-        assert_eq!(free, served, "2ⁿ mismatch on {name}");
-        if !free.clone().into_pairs().is_empty() {
+        let once = answer_once(gsm, source, &compiled, Semantics::nulls()).unwrap();
+        let served = svc.answer(id, &compiled, Semantics::nulls()).unwrap();
+        assert_eq!(once, served, "2ⁿ mismatch on {name}");
+        if !once.clone().into_pairs().is_empty() {
             nonempty += 1;
         }
         if q.is_equality_only() {
-            let free_li = certain_answers_least_informative(gsm, q, source).unwrap();
-            let served_li = prepared
-                .certain_answers_least_informative(&compiled)
-                .unwrap();
-            assert_eq!(free_li, served_li, "2 mismatch on {name}");
+            let sem = Semantics::least_informative();
+            assert_eq!(
+                answer_once(gsm, source, &compiled, sem).unwrap(),
+                svc.answer(id, &compiled, sem).unwrap(),
+                "2 mismatch on {name}"
+            );
         }
     }
     assert!(
@@ -322,13 +281,14 @@ fn repeated_serving_is_stable() {
         cities: 2,
         seed: 7,
     });
-    let prepared = PreparedMapping::new(&sv.scenario.gsm, &sv.scenario.source);
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
     for (name, q) in &sv.queries {
         let compiled = q.compile();
-        let first = prepared.certain_answers_nulls(&compiled).unwrap();
+        let first = svc.answer(id, &compiled, Semantics::nulls()).unwrap();
         for _ in 0..3 {
             assert_eq!(
-                prepared.certain_answers_nulls(&compiled).unwrap(),
+                svc.answer(id, &compiled, Semantics::nulls()).unwrap(),
                 first,
                 "unstable answers for {name}"
             );

@@ -44,9 +44,18 @@ fn lru_evicts_least_recently_served_under_byte_budget() {
         .map(|sv| svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone()))
         .collect();
     let q = svs[0].queries[0].1.compile();
-    // measure one resident solution, then budget for about two of them
+    // measure what one serving solution occupies, then budget for about
+    // two of them: its resident bytes once a repeat serve has settled the
+    // sub-relation cache charge, plus the headroom admission control
+    // reserves for the cache a serve may fill (the snapshot's size)
     svc.answer(ids[0], &q, Semantics::nulls()).unwrap();
-    let one = svc.cached_bytes();
+    svc.answer(ids[0], &q, Semantics::nulls()).unwrap();
+    let snapshot = svc
+        .solution(ids[0], Semantics::nulls())
+        .unwrap()
+        .snapshot()
+        .approx_bytes();
+    let one = svc.cached_bytes() + snapshot;
     assert!(one > 0);
     svc.set_cache_budget(one * 5 / 2);
     svc.answer(ids[1], &q, Semantics::nulls()).unwrap();
