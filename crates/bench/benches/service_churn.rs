@@ -1,19 +1,16 @@
 //! Churn bench for the owned `MappingService`: register several mappings,
 //! then interleave answers and additive source deltas under an eviction
-//! budget. Two arms differ in one knob only:
-//!
-//! * **patched** — delta patching on: additive LAV deltas are absorbed by
-//!   patching the cached canonical solutions in place (snapshots refreeze
-//!   lazily);
-//! * **rebuild** — delta patching off: every delta invalidates the
-//!   mapping's caches and the next answer pays a full re-preparation.
+//! budget. Every delta adds `knows` edges, which the social mapping's
+//! rules read, so it drops the mapping's cached solutions and the next
+//! answer pays a full re-preparation: one `churn` arm times apply plus
+//! re-answer.
 //!
 //! Emits `BENCH_service.json` at the workspace root as a machine-readable
 //! perf baseline. `SERVICE_CHURN_SMOKE=1` shrinks the workload for CI.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gde_core::{Gsm, MappingService, Semantics};
-use gde_datagraph::{DataGraph, GraphDelta};
+use gde_datagraph::{par, DataGraph, GraphDelta};
 use gde_dataquery::CompiledQuery;
 use gde_workload::{social_churn_deltas, social_serving_scenario, SocialConfig};
 use std::sync::Arc;
@@ -68,10 +65,9 @@ fn workload(smoke: bool) -> ChurnWorkload {
 
 /// One full churn run: fresh service, register everything, then per round
 /// and mapping apply the delta and re-answer the whole batch (both
-/// canonical semantics). Returns (patched, invalidating) delta counts.
-fn churn(w: &ChurnWorkload, patching: bool) -> (u64, u64) {
+/// canonical semantics). Returns the invalidating delta count.
+fn churn(w: &ChurnWorkload) -> u64 {
     let svc = MappingService::with_cache_budget(w.budget);
-    svc.set_delta_patching(patching);
     let ids: Vec<_> = w
         .mappings
         .iter()
@@ -97,60 +93,53 @@ fn churn(w: &ChurnWorkload, patching: bool) -> (u64, u64) {
             }
         }
     }
-    let stats = svc.stats();
-    (stats.patched_deltas, stats.invalidating_deltas)
+    svc.stats().invalidating_deltas
 }
 
 fn bench(c: &mut Criterion) {
     let smoke = std::env::var("SERVICE_CHURN_SMOKE").is_ok();
     let w = workload(smoke);
+    let threads = par::max_threads();
+    let physical_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // sanity: the two arms really take the two paths
-    let (patched, _) = churn(&w, true);
-    assert!(patched > 0, "patching arm must patch deltas in place");
-    let (patched_off, invalidated) = churn(&w, false);
-    assert_eq!(patched_off, 0, "rebuild arm must never patch");
-    assert!(invalidated > 0);
+    // sanity: the deltas really drop cached solutions
+    let invalidated = churn(&w);
+    assert!(
+        invalidated > 0,
+        "churn deltas must invalidate cached solutions"
+    );
 
     let mut group = c.benchmark_group("service_churn");
     group.sample_size(if smoke { 3 } else { 10 });
-    group.bench_with_input(BenchmarkId::from_parameter("patched"), &w, |b, w| {
-        b.iter(|| churn(w, true))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("rebuild"), &w, |b, w| {
-        b.iter(|| churn(w, false))
+    group.bench_with_input(BenchmarkId::from_parameter("churn"), &w, |b, w| {
+        b.iter(|| churn(w))
     });
     group.finish();
 
-    let patched_ns = c
-        .median_ns("service_churn", "patched")
-        .expect("patched measured");
-    let rebuild_ns = c
-        .median_ns("service_churn", "rebuild")
-        .expect("rebuild measured");
-    let speedup = rebuild_ns as f64 / patched_ns.max(1) as f64;
+    let churn_ns = c
+        .median_ns("service_churn", "churn")
+        .expect("churn measured");
     println!(
-        "churn ({} mappings x {} rounds): patched {:.3} ms, rebuild {:.3} ms, speedup {speedup:.2}x",
+        "churn ({} mappings x {} rounds, {threads} threads): {:.3} ms, {invalidated} invalidating deltas",
         w.mappings.len(),
         w.rounds,
-        patched_ns as f64 / 1e6,
-        rebuild_ns as f64 / 1e6,
+        churn_ns as f64 / 1e6,
     );
 
     let json = format!(
         "{{\n  \"bench\": \"service_churn\",\n  \"workload\": \"social_serving_scenario + social_churn_deltas\",\n  \
-         \"smoke\": {},\n  \"mappings\": {},\n  \"rounds\": {},\n  \"queries_per_mapping\": {},\n  \
-         \"cache_budget_bytes\": {},\n  \"patched_deltas_per_run\": {},\n  \
-         \"churn_patched_ns\": {},\n  \"churn_rebuild_ns\": {},\n  \"speedup\": {:.2}\n}}\n",
+         \"smoke\": {},\n  \"threads\": {},\n  \"physical_cpus\": {},\n  \"mappings\": {},\n  \
+         \"rounds\": {},\n  \"queries_per_mapping\": {},\n  \"cache_budget_bytes\": {},\n  \
+         \"invalidating_deltas_per_run\": {},\n  \"churn_ns\": {}\n}}\n",
         smoke,
+        threads,
+        physical_cpus,
         w.mappings.len(),
         w.rounds,
         w.queries[0].len(),
         w.budget,
-        patched,
-        patched_ns,
-        rebuild_ns,
-        speedup,
+        invalidated,
+        churn_ns,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     std::fs::write(path, json).expect("write BENCH_service.json");

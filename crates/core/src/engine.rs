@@ -45,15 +45,10 @@
 //!   Boolean answers OR across stripes with a short-circuit. Answers are
 //!   byte-identical at every K, `Auto` included.
 //! * **apply_delta** — [`MappingService::apply_delta`] mutates the owned
-//!   source graph (copy-on-write behind the shared `Arc`), bumps the
-//!   mapping's generation stamp, and reconciles cached solutions: under
-//!   LAV mappings added edges are **patched in place** (rule matches are
-//!   per-edge, [`CanonicalSolution::patch_lav_edges`]) and bounded
-//!   removals **unpatched** ([`CanonicalSolution::unpatch_lav_edges`]),
-//!   with snapshots re-frozen lazily on the next answer — per label, and
-//!   per stripe (untouched stripes keep their slices and generation
-//!   stamps); anything else invalidates the cache and the next answer
-//!   rebuilds from scratch.
+//!   source graph (copy-on-write behind the shared `Arc`) and bumps the
+//!   mapping's generation stamp. A delta whose net effect no rule can see
+//!   keeps the cached solutions; any other delta drops them, and the next
+//!   answer rebuilds from the new source through the one build path.
 //! * **evict** — prepared solutions live behind interior mutability under
 //!   a byte budget ([`MappingService::set_cache_budget`]); when the cache
 //!   outgrows it, the least-recently-served solutions are dropped (and
@@ -69,7 +64,7 @@ use crate::exact::{exact_answers_from, exact_boolean_from, ExactError, ExactOpti
 use crate::faults::{self, FaultSite};
 use crate::gsm::Gsm;
 use crate::solution::{
-    least_informative_solution, universal_solution, CanonicalSolution, LavPatch, SolutionError,
+    least_informative_solution, universal_solution, CanonicalSolution, SolutionError,
 };
 use gde_datagraph::{
     merge_sorted_runs, par, DataGraph, FxHashMap, FxHashSet, GraphDelta, GraphError, GraphSnapshot,
@@ -697,7 +692,7 @@ pub enum ServeError {
         message: String,
         /// Stripe (or task) indices whose workers panicked, sorted.
         /// Empty when the panic happened outside the fan-out (phase-1
-        /// build, merge, refreeze).
+        /// build, merge, solution freeze).
         stripes: Vec<usize>,
     },
     /// The [`ServeOptions`] deadline expired before the serve finished.
@@ -823,9 +818,10 @@ pub(crate) fn exact_error(e: ServeError) -> ExactError {
 pub struct DeltaReport {
     /// The mapping's generation stamp after the delta.
     pub generation: u64,
-    /// `true` when every cached solution was patched in place (or nothing
-    /// was cached); `false` when caches had to be invalidated and the next
-    /// answer pays a full rebuild.
+    /// `true` when no cached solution was invalidated: the net delta
+    /// changed nothing any rule reads (or nothing was cached), so the
+    /// resident solutions stay current. `false` when the delta dropped
+    /// them and the next answer rebuilds from the new source.
     pub patched: bool,
     /// Nodes added.
     pub added_nodes: usize,
@@ -840,105 +836,36 @@ pub struct DeltaReport {
 pub struct ServiceStats {
     /// Registered mappings.
     pub mappings: usize,
-    /// Resident cached solutions (ready or patched), across flavours.
+    /// Resident cached solutions, across flavours.
     pub cached_solutions: usize,
     /// Approximate bytes held by resident solutions.
     pub cached_bytes: usize,
     /// Solutions evicted under the byte budget so far.
     pub evictions: u64,
-    /// Deltas fully absorbed by in-place patching.
+    /// Deltas after which no cached solution was invalidated (see
+    /// [`DeltaReport::patched`]).
     pub patched_deltas: u64,
     /// Deltas that invalidated at least one cached solution.
     pub invalidating_deltas: u64,
 }
 
-/// Refreeze material carried alongside a delta-patched solution: the
-/// previous frozen artifacts plus what the patches made stale. On the next
-/// answer, [`PreparedSolution::refreeze`] rebuilds only the stale parts —
-/// per-label relation carry-over on the snapshot, per-shard slice and
-/// stamp carry-over on the sharded view.
-#[derive(Debug)]
-struct RefreezeCarry {
-    /// The striped view (and, as its base, the snapshot) before the
-    /// patch(es).
-    sharded: Arc<ShardedSnapshot>,
-    /// Per-shard generation stamps before the patch(es).
-    stamps: Vec<u64>,
-    /// Target labels whose edge sets changed.
-    stale_labels: FxHashSet<Label>,
-    /// Dense rows (in `snapshot`) of nodes the patches touched.
-    touched_rows: FxHashSet<u32>,
-    /// The sub-relation cache of the solution being patched: carried so
-    /// the refrozen solution keeps the same cache object (budget, byte
-    /// accounting), with superseded-generation entries purged at
-    /// assembly.
-    sub_cache: Option<Arc<LruSubRelCache>>,
-    /// `false` once the node set changed (grew/shrank): a full freeze is
-    /// required and only the accounting above survives.
-    reusable: bool,
-}
-
-impl RefreezeCarry {
-    fn from_prepared(prep: &PreparedSolution) -> RefreezeCarry {
-        RefreezeCarry {
-            sharded: prep.sharded.clone(),
-            stamps: prep.shard_stamps.clone(),
-            stale_labels: FxHashSet::default(),
-            touched_rows: FxHashSet::default(),
-            sub_cache: Some(prep.sub_cache.clone()),
-            reusable: true,
-        }
-    }
-
-    /// Approximate heap bytes the carry keeps alive (the previous
-    /// snapshot, shard slices, and sub-relation cache), charged against
-    /// the cache budget while the slot waits for its refreeze.
-    fn approx_bytes(&self) -> usize {
-        self.sharded.base().approx_bytes()
-            + self.sharded.approx_bytes()
-            + self.sub_cache.as_ref().map_or(0, |c| c.bytes())
-    }
-
-    /// Fold a patch summary into the carry.
-    fn absorb(&mut self, patch: &LavPatch) {
-        self.stale_labels
-            .extend(patch.touched_labels.iter().copied());
-        for &node in &patch.touched_nodes {
-            if let Some(row) = self.sharded.base().idx(node) {
-                self.touched_rows.insert(row);
-            }
-        }
-        if patch.grew || patch.shrank {
-            self.reusable = false;
-        }
-    }
-}
-
 /// A canonical solution frozen for serving: the solution itself, its
 /// snapshot partitioned into node-range stripes (a mapping without
 /// sharding serves from a one-stripe plan that aliases the snapshot's
-/// relations), per-stripe generation stamps, and a dense-index mask of the
-/// invented nodes (so dom-filtering is an array lookup per endpoint
-/// instead of a hash probe per pair).
+/// relations), and a dense-index mask of the invented nodes (so
+/// dom-filtering is an array lookup per endpoint instead of a hash probe
+/// per pair).
 #[derive(Debug)]
 pub struct PreparedSolution {
     solution: CanonicalSolution,
     invented_mask: Vec<bool>,
     /// The snapshot (its base) and its stripe plan.
     sharded: Arc<ShardedSnapshot>,
-    /// Generation stamp per stripe: the last generation whose delta
-    /// touched rows in that stripe (so untouched stripes keep their
-    /// slices — and their stamp — across a refreeze).
-    shard_stamps: Vec<u64>,
-    /// The mapping generation this solution was frozen at: the stamp on
-    /// every sub-relation cache key this solution reads or writes.
-    generation: u64,
     /// Evaluated sub-relations (closures, tail factors, per-stripe
-    /// answers), keyed `(generation, stripe-or-global, subplan hash)`.
-    /// Owned per prepared solution — the two flavours of one mapping
-    /// serve different solutions and never share entries — and carried
-    /// across delta refreezes (with superseded generations purged) via
-    /// [`RefreezeCarry`].
+    /// answers), keyed `(stripe-or-global, subplan hash)`. Owned per
+    /// prepared solution and dropped with it — the two flavours of one
+    /// mapping serve different solutions and never share entries, and a
+    /// delta that changes a solution drops the solution, cache included.
     sub_cache: Arc<LruSubRelCache>,
     /// Cache bytes currently charged against the service's eviction
     /// budget for `sub_cache` (the cache fills while serving, so the
@@ -964,104 +891,28 @@ impl PreparedSolution {
     fn new(
         solution: CanonicalSolution,
         shards: usize,
-        generation: u64,
         prior: Option<&WorkloadProfile>,
     ) -> PreparedSolution {
-        let snapshot = Arc::new(solution.graph.snapshot());
-        PreparedSolution::assemble(solution, snapshot, shards, generation, None, prior)
-    }
-
-    /// Refreeze a delta-patched solution, reusing whatever the carry says
-    /// is still fresh; falls back to a full freeze when the node set
-    /// changed (or no carry is available).
-    fn refreeze(
-        solution: CanonicalSolution,
-        carry: Option<RefreezeCarry>,
-        shards: usize,
-        generation: u64,
-        prior: Option<&WorkloadProfile>,
-    ) -> PreparedSolution {
-        if let Some(c) = carry {
-            if c.reusable {
-                if let Some(snap) =
-                    GraphSnapshot::refreeze_from(&solution.graph, c.sharded.base(), &c.stale_labels)
-                {
-                    return PreparedSolution::assemble(
-                        solution,
-                        Arc::new(snap),
-                        shards,
-                        generation,
-                        Some(&c),
-                        prior,
-                    );
-                }
-            }
-        }
-        PreparedSolution::new(solution, shards, generation, prior)
-    }
-
-    fn assemble(
-        solution: CanonicalSolution,
-        snapshot: Arc<GraphSnapshot>,
-        shards: usize,
-        generation: u64,
-        carry: Option<&RefreezeCarry>,
-        prior: Option<&WorkloadProfile>,
-    ) -> PreparedSolution {
-        // an injected panic here models a crash mid-(re)freeze: the slot
-        // the caller took the previous state from stays Empty with zero
-        // bytes charged, so containment leaves the service consistent
+        // an injected panic here models a crash mid-freeze: the caller's
+        // slot stays Empty with zero bytes charged, so containment leaves
+        // the service consistent
         faults::point(FaultSite::Refreeze);
+        let snapshot = Arc::new(solution.graph.snapshot());
         let invented = solution.invented_set();
         let invented_mask = (0..snapshot.n() as u32)
             .map(|d| invented.contains(&snapshot.id_at(d)))
             .collect();
         let k = shards.max(1);
-        let plan = match carry.map(|c| c.sharded.plan()) {
-            // keep the previous stripe layout so slices and stamps line
-            // up — but only while it still has the resolved stripe count,
-            // so an `Auto` pick that drifted with the workload (or an
-            // explicit resize) re-plans instead of being silently pinned
-            // to the carried layout
-            Some(prev) if prev.n() == snapshot.n() && prev.shard_count() == k => prev.clone(),
-            // with a registered workload, the analyzer's label set focuses
-            // the cost model on the labels serving will actually walk
-            // (cold-start prior; the layout stays a contiguous partition,
-            // so answers are unchanged)
-            _ => match prior.filter(|p| !p.labels().is_empty()) {
-                Some(p) => ShardPlan::by_cost_focused(&snapshot, k, p.labels()),
-                None => ShardPlan::by_cost(&snapshot, k),
-            },
+        // with a registered workload, the analyzer's label set focuses the
+        // cost model on the labels serving will actually walk (cold-start
+        // prior; the layout stays a contiguous partition, so answers are
+        // unchanged)
+        let plan = match prior.filter(|p| !p.labels().is_empty()) {
+            Some(p) => ShardPlan::by_cost_focused(&snapshot, k, p.labels()),
+            None => ShardPlan::by_cost(&snapshot, k),
         };
         let sharded = ShardedSnapshot::new(snapshot.clone(), plan);
-        let mut shard_stamps = vec![generation; sharded.shard_count()];
-        if let Some(c) = carry.filter(|c| c.sharded.plan() == sharded.plan()) {
-            let mut touched = vec![false; sharded.shard_count()];
-            for &row in &c.touched_rows {
-                touched[sharded.plan().shard_of(row)] = true;
-            }
-            for (i, stamp) in shard_stamps.iter_mut().enumerate() {
-                if !touched[i] {
-                    *stamp = c.stamps.get(i).copied().unwrap_or(generation);
-                }
-            }
-            // a stripe keeps a label's slice unless that label went stale
-            // *and* the stripe holds a touched row
-            sharded.carry_from(&c.sharded, |shard, l| {
-                !touched[shard] || !c.stale_labels.contains(&l)
-            });
-        }
         sharded.warm();
-        // keep the patched solution's cache object (its budget and byte
-        // accounting survive), but purge entries from superseded
-        // generations: a stripe's answer rows depend on the *whole*
-        // graph, so any delta invalidates every stripe's cached results
-        // — per-stripe stamps only validate row-local label slices,
-        // which `carry_from` above already reuses at a lower layer
-        let sub_cache = carry
-            .and_then(|c| c.sub_cache.clone())
-            .unwrap_or_else(|| Arc::new(LruSubRelCache::new(SUB_REL_CACHE_BUDGET)));
-        sub_cache.retain_generation(generation);
         // cold-start admission prior: sub-relations over workload labels
         // are bounded by those labels' edge mass (per stripe artifacts,
         // closures and merge rows ≈ tens of bytes per pair), not by the
@@ -1079,9 +930,7 @@ impl PreparedSolution {
             solution,
             invented_mask,
             sharded: Arc::new(sharded),
-            shard_stamps,
-            generation,
-            sub_cache,
+            sub_cache: Arc::new(LruSubRelCache::new(SUB_REL_CACHE_BUDGET)),
             charged_cache_bytes: AtomicUsize::new(0),
             serving: Arc::new(Mutex::new(ServingStats::default())),
             cold_bytes,
@@ -1107,14 +956,6 @@ impl PreparedSolution {
     /// Number of stripes this solution serves from.
     pub fn shard_count(&self) -> usize {
         self.sharded.shard_count()
-    }
-
-    /// Per-stripe generation stamps: entry `i` is the last generation
-    /// whose delta touched rows in stripe `i`. Untouched stripes keep
-    /// their stamp (and their cached slices) across delta refreezes —
-    /// invalidation is per shard, not per mapping.
-    pub fn shard_stamps(&self) -> &[u64] {
-        &self.shard_stamps
     }
 
     /// Approximate heap footprint (solution + snapshot + mask + shard
@@ -1169,24 +1010,16 @@ impl PreparedSolution {
 
     /// Shared row-evaluation state for one query of a serve, under the
     /// serve's deadline/cancel control: wired to this solution's
-    /// sub-relation cache at its generation, or — `use_cache: false`, the
-    /// admission-control degraded mode — computing every artifact from
-    /// scratch and charging nothing to the cache budget.
+    /// sub-relation cache, or — `use_cache: false`, the admission-control
+    /// degraded mode — computing every artifact from scratch and charging
+    /// nothing to the cache budget.
     fn row_shared(&self, ctrl: &Arc<EvalControl>, use_cache: bool) -> RowEvalShared {
         let shared = if use_cache {
-            RowEvalShared::with_cache(
-                self.sub_cache.clone() as Arc<dyn SubRelCache>,
-                self.generation,
-            )
+            RowEvalShared::with_cache(self.sub_cache.clone() as Arc<dyn SubRelCache>)
         } else {
             RowEvalShared::new()
         };
         shared.with_control(ctrl.clone())
-    }
-
-    /// Unfreeze, keeping only the solution (the delta-patching path).
-    fn into_solution(self) -> CanonicalSolution {
-        self.solution
     }
 
     /// Fold one per-(query, stripe) evaluation into the mapping's serving
@@ -1217,11 +1050,10 @@ impl PreparedSolution {
     /// and result cardinality into the serving stats.
     ///
     /// The stripe's evaluated relation is served through the
-    /// sub-relation cache under `(generation, stripe, plan hash)`, so a
-    /// repeated query (same structure, same generation) skips evaluation
-    /// entirely and goes straight to dom-filter + sort. The key carries
-    /// the **mapping** generation, not the stripe's stamp: a stripe's
-    /// answer rows depend on the whole graph, so any delta must miss.
+    /// sub-relation cache under `(stripe, plan hash)`, so a repeated query
+    /// (same structure) skips evaluation entirely and goes straight to
+    /// dom-filter + sort. The cache lives and dies with this solution, so
+    /// no entry outlives the graph it was evaluated on.
     fn shard_pairs(
         &self,
         q: &CompiledQuery,
@@ -1236,8 +1068,7 @@ impl PreparedSolution {
         let ctrl = shared.control();
         let rel = match shared.cache() {
             Some(h) => {
-                let key = SubRelKey::stripe(h.generation(), shard, q.plan_hash())
-                    .with_binding(q.binding_hash());
+                let key = SubRelKey::stripe(shard, q.plan_hash()).with_binding(q.binding_hash());
                 match h.lookup(&key) {
                     Some(rel) => rel,
                     None => {
@@ -1355,12 +1186,6 @@ enum SlotState {
     /// Nothing cached; the next answer builds from the source graph.
     #[default]
     Empty,
-    /// A delta-patched solution whose snapshot is re-frozen lazily on the
-    /// next answer — incrementally, when the carry allows it.
-    Patched {
-        sol: Box<CanonicalSolution>,
-        carry: Option<RefreezeCarry>,
-    },
     /// Fully frozen and servable.
     Ready(Arc<PreparedSolution>),
     /// Building failed; the error is replayed (NoSolution ⇒ vacuous
@@ -1427,8 +1252,6 @@ pub struct MappingService {
     budget: AtomicUsize,
     /// Approximate bytes currently resident.
     cached: AtomicUsize,
-    /// Whether additive LAV deltas patch caches in place (default true).
-    patching_off: AtomicBool,
     /// Whether statically dead/subsumed rules are pruned from the served
     /// mapping once a workload is registered (default true; see
     /// [`MappingService::set_rule_pruning`]).
@@ -1483,14 +1306,6 @@ impl MappingService {
         self.cached.load(Ordering::Relaxed)
     }
 
-    /// Enable/disable in-place delta patching (on by default). With
-    /// patching off every delta invalidates the mapping's cached solutions
-    /// — the full-rebuild baseline the `service_churn` bench compares
-    /// against.
-    pub fn set_delta_patching(&self, on: bool) {
-        self.patching_off.store(!on, Ordering::Relaxed);
-    }
-
     /// Register a mapping with its source graph. Accepts owned values or
     /// `Arc`s (graphs are shared, never copied). Registration is free; the
     /// first answer per flavour builds the canonical solution.
@@ -1525,10 +1340,9 @@ impl MappingService {
     /// size, the thread budget, and the observed serving stats. Answers
     /// evaluate per stripe on [`gde_datagraph::par`] workers and merge —
     /// a streaming k-way union for tuple mode, OR-short-circuit for
-    /// Boolean — and deltas invalidate per stripe instead of per mapping.
-    /// Changing the spec drops resident frozen solutions (they re-prepare
-    /// under the new stripe layout on the next answer); answers are
-    /// byte-identical at every `k`, `Auto` included.
+    /// Boolean. Changing the spec drops resident frozen solutions (they
+    /// re-prepare under the new stripe layout on the next answer); answers
+    /// are byte-identical at every `k`, `Auto` included.
     pub fn set_shard_count(
         &self,
         id: MappingId,
@@ -1866,8 +1680,8 @@ impl MappingService {
     ///
     /// Fault isolation applies on every path: a panicking stripe worker
     /// is contained, the flavour's prepared solution is quarantined
-    /// (slot dropped, generation bumped so no poisoned cache entry can
-    /// ever serve again), and the serve retries once against a fresh
+    /// (slot dropped with its cache, so no poisoned cache entry can ever
+    /// serve again), and the serve retries once against a fresh
     /// rebuild — a second panic surfaces as
     /// [`ServeError::StripePanicked`]. Deadline/cancel expiry returns
     /// [`ServeError::DeadlineExceeded`] / [`ServeError::Cancelled`]
@@ -2324,9 +2138,9 @@ impl MappingService {
         Ok(outcomes)
     }
 
-    /// Eagerly build (or re-freeze) the solution this semantics serves
-    /// from. `Ok(true)` when a solution is resident afterwards, `Ok(false)`
-    /// when the mapping has no solution at all (answers are vacuous).
+    /// Eagerly build the solution this semantics serves from. `Ok(true)`
+    /// when a solution is resident afterwards, `Ok(false)` when the
+    /// mapping has no solution at all (answers are vacuous).
     pub fn prepare(&self, id: MappingId, sem: Semantics) -> Result<bool, ServeError> {
         match self.solution(id, sem) {
             Ok(_) => Ok(true),
@@ -2349,19 +2163,16 @@ impl MappingService {
     }
 
     /// Apply a batch of source-graph mutations. The owned graph is updated
-    /// copy-on-write (previously handed-out `Arc`s keep the old state), the
-    /// generation stamp is bumped, and cached solutions are reconciled:
+    /// copy-on-write (previously handed-out `Arc`s keep the old state) and
+    /// the generation stamp is bumped. Cached solutions then stay or go:
     ///
-    /// * under LAV relational mappings, added edges **patch** cached
-    ///   solutions in place (one fresh path per new edge and matching
-    ///   rule) and bounded edge removals **unpatch** them (the matching
-    ///   fresh paths are deleted; see
-    ///   [`CanonicalSolution::unpatch_lav_edges`]); an edge added and
-    ///   removed by the same delta cancels out. Snapshots re-freeze lazily
-    ///   on the next answer — per label, and (sharded) per stripe;
-    /// * anything else — non-LAV mappings, id collisions, removals no
-    ///   clean fresh path exists for — invalidates the cache and the next
-    ///   answer rebuilds from the new source.
+    /// * they stay when no rule can see the delta's net effect (an edge
+    ///   added and removed by the same delta cancels out): the net delta
+    ///   changes nothing, or the mapping is LAV and relational — its rule
+    ///   answers are exactly the per-label edge sets — and the delta
+    ///   touches no rule's source label;
+    /// * otherwise every cached solution is dropped, and the next answer
+    ///   rebuilds from the new source.
     ///
     /// No-op deltas (nothing actually changed) bump nothing.
     pub fn apply_delta(
@@ -2378,163 +2189,52 @@ impl MappingService {
                 .apply_delta(delta)
                 .map_err(ServeError::InvalidDelta)?
         };
-        if !applied.changed() {
-            return Ok(DeltaReport {
-                generation: entry.generation.load(Ordering::Acquire),
-                patched: true,
-                added_nodes: 0,
-                added_edges: 0,
-                removed_edges: 0,
-            });
-        }
-        let generation = entry.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        let source = read(&entry.source).clone();
-        let report = |patched: bool| DeltaReport {
-            generation,
-            patched,
+        let mut report = DeltaReport {
+            generation: entry.generation.load(Ordering::Acquire),
+            patched: true,
             added_nodes: applied.added_nodes,
             added_edges: applied.added_edges.len(),
             removed_edges: applied.removed_edges.len(),
         };
-        // An edge both added and removed by this delta (adds apply first)
-        // is a net no-op for every cached solution; cancel the pair so the
-        // patch path reasons about the delta's net effect only.
-        let added_set: FxHashSet<_> = applied.added_edges.iter().copied().collect();
-        let removed_set: FxHashSet<_> = applied.removed_edges.iter().copied().collect();
-        let net_added: Vec<_> = applied
-            .added_edges
-            .iter()
-            .filter(|e| !removed_set.contains(e))
-            .copied()
-            .collect();
-        let net_removed: Vec<_> = applied
-            .removed_edges
-            .iter()
-            .filter(|e| !added_set.contains(e))
-            .copied()
-            .collect();
-        let try_patch = !self.patching_off.load(Ordering::Relaxed);
-        // Cached solutions were built from the *served* (possibly pruned)
-        // mapping, so patching reasons about that rule set. Pruning
-        // decisions are data-independent (rules + workload only), so a
-        // delta never invalidates them.
-        let serve = read(&entry.serve_gsm).clone();
-        // Under a LAV mapping, source answers are exactly the per-label edge
-        // sets: changes matching no rule atom leave every cached solution —
-        // snapshots included — valid as-is.
-        let class = serve.classify();
-        let matches_rule = |&(_, l, _): &(NodeId, Label, NodeId)| {
-            serve.rules().iter().any(|r| r.source.as_atom() == Some(l))
-        };
-        if try_patch
-            && class.lav
-            && class.relational
-            && !net_added.iter().any(matches_rule)
-            && !net_removed.iter().any(matches_rule)
-        {
-            for slot in slots.iter_mut() {
-                if !matches!(slot.state, SlotState::Empty) {
-                    slot.generation = generation;
-                }
-            }
-            drop(slots);
-            self.patched_deltas.fetch_add(1, Ordering::Relaxed);
-            return Ok(report(true));
+        if !applied.changed() {
+            return Ok(report);
         }
-        let mut patched = true;
-        for (fi, slot) in slots.iter_mut().enumerate() {
-            let universal = fi == Flavour::Universal as usize;
-            match std::mem::take(&mut slot.state) {
+        report.generation = entry.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        // adds apply before removals, so an edge in both sets is net absent
+        // exactly as before the delta
+        let added: FxHashSet<_> = applied.added_edges.iter().copied().collect();
+        let removed: FxHashSet<_> = applied.removed_edges.iter().copied().collect();
+        let mut net = added.symmetric_difference(&removed);
+        // cached solutions were built from the *served* (possibly pruned)
+        // mapping; pruning is data-independent, so a delta never changes it
+        let serve = read(&entry.serve_gsm).clone();
+        let class = serve.classify();
+        let inert = if class.lav && class.relational {
+            !net.any(|&(_, l, _)| serve.rules().iter().any(|r| r.source.as_atom() == Some(l)))
+        } else {
+            applied.added_nodes == 0 && net.next().is_none()
+        };
+        for slot in slots.iter_mut() {
+            match slot.state {
                 SlotState::Empty => {}
                 // the mapping's class doesn't change with data
                 SlotState::Failed(SolutionError::NotRelational) => {
-                    slot.state = SlotState::Failed(SolutionError::NotRelational);
-                    slot.generation = generation;
+                    slot.generation = report.generation
                 }
-                // additions can't un-conflict an ε-rule; a removal might,
-                // so it falls through to invalidation below
-                SlotState::Failed(e @ SolutionError::NoSolution { .. })
-                    if try_patch && net_removed.is_empty() =>
-                {
-                    slot.state = SlotState::Failed(e);
-                    slot.generation = generation;
-                }
-                SlotState::Failed(_) => {
+                _ if inert => slot.generation = report.generation,
+                _ => {
                     self.release(slot);
-                    patched = false;
-                }
-                state @ (SlotState::Patched { .. } | SlotState::Ready(_)) if try_patch => {
-                    let (mut sol, mut carry) = match state {
-                        SlotState::Patched { sol, carry } => (*sol, carry),
-                        SlotState::Ready(prep) => {
-                            let carry = Some(RefreezeCarry::from_prepared(&prep));
-                            let sol = match Arc::try_unwrap(prep) {
-                                Ok(prep) => prep.into_solution(),
-                                Err(shared) => shared.solution().clone(),
-                            };
-                            (sol, carry)
-                        }
-                        _ => unreachable!(),
-                    };
-                    let outcome = sol
-                        .patch_lav_edges(&serve, &source, &net_added, universal)
-                        .map(|add| {
-                            add.and_then(|mut summary| {
-                                if net_removed.is_empty() {
-                                    return Some(summary);
-                                }
-                                sol.unpatch_lav_edges(&serve, &source, &net_removed)
-                                    .map(|rem| {
-                                        summary.merge(rem);
-                                        summary
-                                    })
-                            })
-                        });
-                    match outcome {
-                        Ok(Some(summary)) => {
-                            if let Some(c) = carry.as_mut() {
-                                c.absorb(&summary);
-                            }
-                            self.sub_bytes(slot.bytes);
-                            // the carry's retained snapshot/slices stay
-                            // resident until the refreeze: charge them too
-                            slot.bytes =
-                                sol.approx_bytes() + carry.as_ref().map_or(0, |c| c.approx_bytes());
-                            self.add_bytes(slot.bytes);
-                            slot.state = SlotState::Patched {
-                                sol: Box::new(sol),
-                                carry,
-                            };
-                            slot.generation = generation;
-                        }
-                        Ok(None) => {
-                            self.release(slot);
-                            patched = false;
-                        }
-                        Err(e) => {
-                            // the delta made the mapping unsatisfiable:
-                            // answers are vacuous from here on
-                            self.release(slot);
-                            slot.state = SlotState::Failed(e);
-                            slot.generation = generation;
-                        }
-                    }
-                }
-                SlotState::Patched { .. } | SlotState::Ready(_) => {
-                    self.release(slot);
-                    patched = false;
+                    report.patched = false;
                 }
             }
         }
         drop(slots);
-        if patched {
+        if report.patched {
             self.patched_deltas.fetch_add(1, Ordering::Relaxed);
         } else {
             self.invalidating_deltas.fetch_add(1, Ordering::Relaxed);
         }
-        self.enforce_budget(None);
-        self.release_if_unregistered(&entry);
-        Ok(report(patched))
+        Ok(report)
     }
 
     // ----- internals -----
@@ -2592,10 +2292,10 @@ impl MappingService {
     /// Quarantine one flavour after a contained worker panic: the panic
     /// may have left the prepared solution's shared artifacts (sub-
     /// relation cache, half-built memo state) in an arbitrary state, so
-    /// the slot is dropped and the mapping generation is bumped — every
-    /// cache key the poisoned solution could still write (from a
-    /// concurrent serve holding the old `Arc`) becomes unreachable, and
-    /// the next serve rebuilds from the source at the new generation.
+    /// the slot is dropped — the poisoned cache goes with its solution,
+    /// so nothing a concurrent serve holding the old `Arc` still writes
+    /// is reachable — and the mapping generation is bumped; the next
+    /// serve rebuilds from the source.
     fn quarantine(&self, entry: &MappingEntry, flavour: Flavour) {
         let mut slots = lock(&entry.cache);
         self.release(&mut slots[flavour as usize]);
@@ -2627,10 +2327,9 @@ impl MappingService {
         true
     }
 
-    /// Get (building or re-freezing if necessary) the cached prepared
-    /// solution for a flavour. Builds happen under the entry's cache lock —
-    /// concurrent first answers to one mapping serialize, different
-    /// mappings don't.
+    /// Get (building if necessary) the cached prepared solution for a
+    /// flavour. Builds happen under the entry's cache lock — concurrent
+    /// first answers to one mapping serialize, different mappings don't.
     fn prepared(
         &self,
         entry: &MappingEntry,
@@ -2672,44 +2371,25 @@ impl MappingService {
                     return Ok(p.clone());
                 }
                 SlotState::Failed(e) => return Err(e.clone()),
-                SlotState::Empty | SlotState::Patched { .. } => {}
+                SlotState::Empty => {}
             }
-            let shards = self.resolve_shards(entry);
-            // release the slot's previous charge *before* the build: a
-            // contained panic mid-(re)freeze then leaves an Empty slot
-            // with zero bytes — consistent, just cold — instead of a
-            // phantom charge no eviction could ever reclaim
-            let prev = std::mem::take(&mut slot.state);
-            self.sub_bytes(slot.bytes);
-            slot.bytes = 0;
+            // an Empty slot charges nothing, so a contained panic mid-build
+            // leaves it Empty with zero bytes — consistent, just cold
             slot.generation = generation;
-            let built = match prev {
-                // a delta-patched solution only needs re-freezing — and the
-                // carry keeps untouched labels/stripes from re-freezing too
-                SlotState::Patched { sol, carry } => Ok(PreparedSolution::refreeze(
-                    *sol,
-                    carry,
-                    shards,
-                    generation,
-                    prior.as_ref(),
-                )),
-                SlotState::Empty => {
-                    let source = read(&entry.source).clone();
-                    // build from the served (possibly pruned) mapping —
-                    // answer-equivalent for every covered query, smaller
-                    // when the analyzer dropped dead/subsumed rules
-                    let gsm = read(&entry.serve_gsm).clone();
-                    match flavour {
-                        Flavour::Universal => universal_solution(&gsm, &source),
-                        Flavour::LeastInformative => least_informative_solution(&gsm, &source),
-                    }
-                    .map(|sol| PreparedSolution::new(sol, shards, generation, prior.as_ref()))
-                }
-                _ => unreachable!("ready/failed handled above"),
+            let shards = self.resolve_shards(entry);
+            let source = read(&entry.source).clone();
+            // build from the served (possibly pruned) mapping —
+            // answer-equivalent for every covered query, smaller when the
+            // analyzer dropped dead/subsumed rules
+            let gsm = read(&entry.serve_gsm).clone();
+            let built = match flavour {
+                Flavour::Universal => universal_solution(&gsm, &source),
+                Flavour::LeastInformative => least_informative_solution(&gsm, &source),
             }
-            // every solution built for this mapping records into the
-            // mapping's own accumulator
-            .map(|mut p| {
+            .map(|sol| {
+                let mut p = PreparedSolution::new(sol, shards, prior.as_ref());
+                // every solution built for this mapping records into the
+                // mapping's own accumulator
                 p.serving = entry.serving.clone();
                 p
             });
@@ -2964,7 +2644,6 @@ mod tests {
             }
             let prep = svc.solution(id, Semantics::nulls()).unwrap();
             assert_eq!(prep.shard_count(), k);
-            assert_eq!(prep.shard_stamps().len(), k);
             assert_eq!(prep.sharded().shard_count(), k);
         }
         // resizing (including back to 1) re-prepares and keeps answers
@@ -3134,62 +2813,6 @@ mod tests {
     }
 
     #[test]
-    fn deltas_bump_only_touched_shard_stamps() {
-        // a LAV mapping with two labels: a => x (no invented nodes, so the
-        // dense domain never grows and refreezes stay incremental)
-        let mut sa = Alphabet::from_labels(["a", "b"]);
-        let mut ta = Alphabet::from_labels(["x", "y"]);
-        let mut m = Gsm::new(sa.clone(), ta.clone());
-        m.add_rule(
-            parse_regex("a", &mut sa).unwrap(),
-            parse_regex("x", &mut ta).unwrap(),
-        );
-        m.add_rule(
-            parse_regex("b", &mut sa).unwrap(),
-            parse_regex("y", &mut ta).unwrap(),
-        );
-        let mut gs = DataGraph::new();
-        for i in 0..16u32 {
-            gs.add_node(NodeId(i), Value::int(i as i64)).unwrap();
-        }
-        for i in 0..15u32 {
-            gs.add_edge_str(NodeId(i), "a", NodeId(i + 1)).unwrap();
-        }
-        gs.add_edge_str(NodeId(0), "b", NodeId(15)).unwrap();
-        let svc = MappingService::new();
-        let id = svc.register(m, gs);
-        svc.set_shard_count(id, 4).unwrap();
-        let mut ta2 = ta.clone();
-        let q = gde_dataquery::DataQuery::from(parse_ree("x", &mut ta2).unwrap()).compile();
-        svc.answer(id, &q, Semantics::nulls()).unwrap();
-        let prep0 = svc.solution(id, Semantics::nulls()).unwrap();
-        assert_eq!(prep0.shard_stamps(), &[0, 0, 0, 0]);
-
-        // an a-edge between two low-row nodes touches exactly their stripe
-        let delta = GraphDelta::new().with_edge(NodeId(0), "a", NodeId(2));
-        let report = svc.apply_delta(id, &delta).unwrap();
-        assert!(report.patched);
-        let answer = svc.answer(id, &q, Semantics::nulls()).unwrap();
-        let prep1 = svc.solution(id, Semantics::nulls()).unwrap();
-        let bumped: Vec<usize> = prep1
-            .shard_stamps()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == 1)
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            !bumped.is_empty() && bumped.len() < 4,
-            "only the touched stripes refreeze, got stamps {:?}",
-            prep1.shard_stamps()
-        );
-        // and the answers still match a cold rebuild
-        let fresh = MappingService::new();
-        let fid = fresh.register(svc.gsm(id).unwrap(), svc.source(id).unwrap());
-        assert_eq!(answer, fresh.answer(fid, &q, Semantics::nulls()).unwrap());
-    }
-
-    #[test]
     fn unknown_and_unregistered_mappings_error() {
         let (m, gs) = scenario();
         let svc = MappingService::new();
@@ -3346,5 +2969,524 @@ mod tests {
             svc.answer(id, &q, Semantics::exact()).err(),
             Some(ServeError::NotRelational)
         );
+    }
+
+    // ----- deltas: a write either keeps every slot or drops them all, and
+    // the next serve rebuilds what a fresh build of the new source would -----
+
+    /// `gs` with `delta` applied: the source a service that took the delta
+    /// must serve exactly as if it had been registered with it.
+    fn mutated(gs: &DataGraph, delta: &GraphDelta) -> DataGraph {
+        let mut g = gs.clone();
+        g.apply_delta(delta).unwrap();
+        g
+    }
+
+    fn compile(src: &str, ta: &mut Alphabet) -> CompiledQuery {
+        DataQuery::from(parse_ree(src, ta).unwrap()).compile()
+    }
+
+    #[test]
+    fn rule_delta_rebuilds_what_a_fresh_build_would() {
+        // a new a-edge 2 -a-> 0 between existing nodes: both flavours drop
+        // and rebuild shaped like a fresh build of the new source
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
+        for sem in [Semantics::nulls(), Semantics::least_informative()] {
+            svc.prepare(id, sem).unwrap();
+        }
+        let delta = GraphDelta::new().with_edge(NodeId(2), "a", NodeId(0));
+        let report = svc.apply_delta(id, &delta).unwrap();
+        assert!(!report.patched);
+        assert_eq!((report.generation, report.added_edges), (1, 1));
+        let gs2 = mutated(&gs, &delta);
+        for (sem, fresh) in [
+            (Semantics::nulls(), universal_solution(&m, &gs2).unwrap()),
+            (
+                Semantics::least_informative(),
+                least_informative_solution(&m, &gs2).unwrap(),
+            ),
+        ] {
+            let prep = svc.solution(id, sem).unwrap();
+            let sol = prep.solution();
+            assert!(m.is_solution(&gs2, &sol.graph), "{sem:?}");
+            assert_eq!(sol.dom_nodes(), fresh.dom_nodes(), "{sem:?}");
+            assert_eq!(sol.invented.len(), 3, "one middle per a-edge");
+            assert_eq!(sol.invented.len(), fresh.invented.len());
+            assert_eq!(sol.graph.edge_count(), fresh.graph.edge_count());
+            assert!(sol.invented.iter().all(|&n| sol.is_invented(n)));
+        }
+    }
+
+    #[test]
+    fn least_informative_values_stay_distinct_across_deltas() {
+        // add a chain, drop the original one, re-add it: every rebuild
+        // hands out pairwise distinct, non-null values no source node has
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
+        let sem = Semantics::least_informative();
+        for (delta, chains) in [
+            (GraphDelta::new().with_edge(NodeId(2), "a", NodeId(0)), 3),
+            (GraphDelta::new().without_edge(NodeId(0), "a", NodeId(1)), 2),
+            (GraphDelta::new().with_edge(NodeId(0), "a", NodeId(1)), 3),
+        ] {
+            svc.prepare(id, sem).unwrap();
+            assert!(!svc.apply_delta(id, &delta).unwrap().patched);
+            let src = svc.source(id).unwrap();
+            let prep = svc.solution(id, sem).unwrap();
+            let sol = prep.solution();
+            assert!(m.is_solution(&src, &sol.graph));
+            assert_eq!(sol.invented.len(), chains);
+            let vals: FxHashSet<&Value> = sol
+                .invented
+                .iter()
+                .map(|&n| sol.graph.value(n).unwrap())
+                .collect();
+            assert_eq!(vals.len(), chains, "fresh values stay distinct");
+            let source_vals = src.value_set();
+            assert!(vals
+                .iter()
+                .all(|v| !v.is_null() && !source_vals.contains(v)));
+        }
+    }
+
+    #[test]
+    fn delta_added_source_node_serves_as_a_dom_node() {
+        // the delta adds a source node under the id the old solution gave
+        // an invented node, plus an edge into it: the rebuild serves it
+        // with its source value, and its own nulls clear every source id
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
+        let before = svc.solution(id, Semantics::nulls()).unwrap();
+        let f = *before.solution().invented.last().unwrap();
+        assert!(!gs.has_node(f));
+        let delta = GraphDelta::new()
+            .with_node(f, Value::int(40))
+            .with_edge(NodeId(2), "a", f);
+        let report = svc.apply_delta(id, &delta).unwrap();
+        assert_eq!((report.added_nodes, report.patched), (1, false));
+        let gs2 = mutated(&gs, &delta);
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        let sol = prep.solution();
+        assert!(!sol.is_invented(f));
+        assert_eq!(sol.graph.value(f), Some(&Value::int(40)));
+        assert!(sol.invented.iter().all(|&n| !gs2.has_node(n)));
+        assert_eq!(
+            sol.dom_nodes(),
+            vec![NodeId(0), NodeId(1), NodeId(2), f],
+            "f is a dom node like any source node"
+        );
+        assert!(m.is_solution(&gs2, &sol.graph));
+        // the solution handed out before the delta is untouched
+        assert!(before.solution().is_invented(f));
+    }
+
+    #[test]
+    fn epsilon_rule_delta_extends_dom_and_can_kill_solutions() {
+        // rules: a => x y, b => ε. A new b-self-loop at a node outside dom
+        // adds no target edge but pulls the node into dom; a b-edge
+        // between distinct nodes leaves the mapping without solutions
+        let mut sa = Alphabet::from_labels(["a", "b"]);
+        let mut ta = Alphabet::from_labels(["x", "y"]);
+        let mut m = Gsm::new(sa.clone(), ta.clone());
+        m.add_rule(
+            parse_regex("a", &mut sa).unwrap(),
+            parse_regex("x y", &mut ta).unwrap(),
+        );
+        m.add_rule(
+            parse_regex("b", &mut sa).unwrap(),
+            gde_automata::Regex::Epsilon,
+        );
+        let mut gs = DataGraph::with_alphabet(sa);
+        for i in 0..3u32 {
+            gs.add_node(NodeId(i), Value::int(i64::from(i) + 1))
+                .unwrap();
+        }
+        gs.add_edge_str(NodeId(0), "a", NodeId(1)).unwrap();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
+        let before = svc.solution(id, Semantics::nulls()).unwrap();
+        assert_eq!(before.solution().dom_nodes(), vec![NodeId(0), NodeId(1)]);
+        let self_loop = GraphDelta::new().with_edge(NodeId(2), "b", NodeId(2));
+        assert!(!svc.apply_delta(id, &self_loop).unwrap().patched);
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        assert_eq!(
+            prep.solution().dom_nodes(),
+            vec![NodeId(0), NodeId(1), NodeId(2)]
+        );
+        assert_eq!(
+            prep.solution().graph.edge_count(),
+            before.solution().graph.edge_count()
+        );
+        let split = GraphDelta::new().with_edge(NodeId(2), "b", NodeId(0));
+        assert!(!svc.apply_delta(id, &split).unwrap().patched);
+        assert_eq!(
+            svc.solution(id, Semantics::nulls()).err(),
+            Some(ServeError::NoSolution {
+                pair: (NodeId(2), NodeId(0))
+            })
+        );
+        let q = compile("x y", &mut ta);
+        assert_eq!(
+            svc.answer(id, &q, Semantics::nulls()),
+            Ok(Answer::Tuples(CertainAnswers::AllVacuously))
+        );
+    }
+
+    #[test]
+    fn removal_delta_drops_chains_and_dom_leavers() {
+        // removing the a-edge 0 -a-> 1 takes its x·y chain and middle
+        // node with it, and node 0 leaves dom: no other rule sees it
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
+        let mut ta = m.target_alphabet().clone();
+        let q = compile("x y", &mut ta);
+        assert_eq!(
+            svc.answer(id, &q, Semantics::nulls()).unwrap().into_pairs(),
+            vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]
+        );
+        assert_eq!(
+            svc.solution(id, Semantics::nulls())
+                .unwrap()
+                .solution()
+                .invented
+                .len(),
+            2
+        );
+        let delta = GraphDelta::new().without_edge(NodeId(0), "a", NodeId(1));
+        let report = svc.apply_delta(id, &delta).unwrap();
+        assert_eq!((report.removed_edges, report.patched), (1, false));
+        let gs2 = mutated(&gs, &delta);
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        let sol = prep.solution();
+        assert_eq!(sol.dom_nodes(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(sol.invented.len(), 1);
+        assert_eq!(sol.graph.edge_count(), 2);
+        assert!(m.is_solution(&gs2, &sol.graph));
+        assert_eq!(
+            svc.answer(id, &q, Semantics::nulls()).unwrap().into_pairs(),
+            vec![(NodeId(1), NodeId(2))]
+        );
+    }
+
+    #[test]
+    fn removal_delta_keeps_edges_other_rules_justify() {
+        // a => x and c => x: dropping the a-edge keeps the x-edge the
+        // c-edge still justifies; dropping both empties the solution
+        let mut sa = Alphabet::from_labels(["a", "c"]);
+        let mut ta = Alphabet::from_labels(["x"]);
+        let mut m = Gsm::new(sa.clone(), ta.clone());
+        for src in ["a", "c"] {
+            m.add_rule(
+                parse_regex(src, &mut sa).unwrap(),
+                parse_regex("x", &mut ta).unwrap(),
+            );
+        }
+        let mut gs = DataGraph::with_alphabet(sa);
+        gs.add_node(NodeId(0), Value::int(1)).unwrap();
+        gs.add_node(NodeId(1), Value::int(2)).unwrap();
+        gs.add_edge_str(NodeId(0), "a", NodeId(1)).unwrap();
+        gs.add_edge_str(NodeId(0), "c", NodeId(1)).unwrap();
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
+        let q = compile("x", &mut ta);
+        let x_pairs = || svc.answer(id, &q, Semantics::nulls()).unwrap().into_pairs();
+        assert_eq!(x_pairs(), vec![(NodeId(0), NodeId(1))]);
+        svc.apply_delta(
+            id,
+            &GraphDelta::new().without_edge(NodeId(0), "a", NodeId(1)),
+        )
+        .unwrap();
+        assert_eq!(
+            x_pairs(),
+            vec![(NodeId(0), NodeId(1))],
+            "the c-edge still justifies x"
+        );
+        svc.apply_delta(
+            id,
+            &GraphDelta::new().without_edge(NodeId(0), "c", NodeId(1)),
+        )
+        .unwrap();
+        assert!(x_pairs().is_empty());
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        assert_eq!(prep.solution().graph.node_count(), 0);
+    }
+
+    #[test]
+    fn no_op_deltas_bump_nothing_and_keep_solutions() {
+        // re-adding a present edge and removing an absent one (or an
+        // empty delta) change nothing: no generation, no counter, no drop
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
+        let before = svc.solution(id, Semantics::nulls()).unwrap();
+        let bytes = svc.cached_bytes();
+        for delta in [
+            GraphDelta::new(),
+            GraphDelta::new().with_edge(NodeId(0), "a", NodeId(1)),
+            GraphDelta::new().without_edge(NodeId(2), "a", NodeId(0)),
+        ] {
+            let report = svc.apply_delta(id, &delta).unwrap();
+            assert!(report.patched);
+            assert_eq!(report.generation, 0);
+            assert_eq!((report.added_edges, report.removed_edges), (0, 0));
+        }
+        assert_eq!(svc.generation(id), Some(0));
+        assert_eq!(svc.cached_bytes(), bytes);
+        let stats = svc.stats();
+        assert_eq!((stats.patched_deltas, stats.invalidating_deltas), (0, 0));
+        let after = svc.solution(id, Semantics::nulls()).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+    }
+
+    #[test]
+    fn lav_delta_no_rule_reads_keeps_solutions() {
+        // LAV + relational: each rule's answers are its label's edge set,
+        // so a delta on a label no rule reads (here a new one), or one
+        // that adds and removes the same edge, keeps every solution
+        // under the new generation
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
+        let mut ta = m.target_alphabet().clone();
+        let q = compile("x y", &mut ta);
+        let want = svc.answer(id, &q, Semantics::nulls()).unwrap();
+        let before = svc.solution(id, Semantics::nulls()).unwrap();
+        let unread = GraphDelta::new()
+            .with_edge(NodeId(2), "z", NodeId(0))
+            .with_edge(NodeId(0), "z", NodeId(0));
+        let report = svc.apply_delta(id, &unread).unwrap();
+        assert!(report.patched);
+        assert_eq!((report.generation, report.added_edges), (1, 2));
+        let blip = GraphDelta::new()
+            .with_edge(NodeId(1), "a", NodeId(0))
+            .without_edge(NodeId(1), "a", NodeId(0));
+        let report = svc.apply_delta(id, &blip).unwrap();
+        assert!(report.patched);
+        assert_eq!(
+            (report.generation, report.added_edges, report.removed_edges),
+            (2, 1, 1)
+        );
+        assert_eq!(svc.generation(id), Some(2));
+        assert!(svc.is_cached(id, Semantics::nulls()));
+        let after = svc.solution(id, Semantics::nulls()).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+        let src = svc.source(id).unwrap();
+        assert_eq!(src.edge_count(), 4);
+        assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), want);
+        assert_eq!(answer_once(&m, &src, &q, Semantics::nulls()), Ok(want));
+        let stats = svc.stats();
+        assert_eq!((stats.patched_deltas, stats.invalidating_deltas), (2, 0));
+    }
+
+    #[test]
+    fn non_lav_mappings_drop_solutions_on_any_real_change() {
+        // a non-LAV rule (a a => x) joins edges, so no single label
+        // decides what it sees: any real change drops its solutions, even
+        // one on a label no rule reads or a bare new node; only a
+        // net-empty delta keeps them
+        let mut sa = Alphabet::from_labels(["a"]);
+        let mut ta = Alphabet::from_labels(["x"]);
+        let mut m = Gsm::new(sa.clone(), ta.clone());
+        m.add_rule(
+            parse_regex("a a", &mut sa).unwrap(),
+            parse_regex("x", &mut ta).unwrap(),
+        );
+        let (_, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
+        let q = compile("x", &mut ta);
+        let want = vec![(NodeId(0), NodeId(2))];
+        assert_eq!(
+            svc.answer(id, &q, Semantics::nulls()).unwrap().into_pairs(),
+            want
+        );
+        let before = svc.solution(id, Semantics::nulls()).unwrap();
+        let blip = GraphDelta::new()
+            .with_edge(NodeId(2), "a", NodeId(0))
+            .without_edge(NodeId(2), "a", NodeId(0));
+        assert!(svc.apply_delta(id, &blip).unwrap().patched);
+        let after = svc.solution(id, Semantics::nulls()).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+        for delta in [
+            GraphDelta::new().with_edge(NodeId(2), "z", NodeId(0)),
+            GraphDelta::new().with_node(NodeId(9), Value::int(1)),
+        ] {
+            svc.prepare(id, Semantics::nulls()).unwrap();
+            assert!(!svc.apply_delta(id, &delta).unwrap().patched);
+            assert!(!svc.is_cached(id, Semantics::nulls()));
+            assert_eq!(
+                svc.answer(id, &q, Semantics::nulls()).unwrap().into_pairs(),
+                want
+            );
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.patched_deltas, stats.invalidating_deltas), (1, 2));
+    }
+
+    #[test]
+    fn invalidating_delta_releases_every_slot_and_its_bytes() {
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let other = svc.register(m.clone(), gs.clone());
+        svc.prepare(other, Semantics::nulls()).unwrap();
+        let other_bytes = svc.cached_bytes();
+        let id = svc.register(m, gs);
+        for sem in [Semantics::nulls(), Semantics::least_informative()] {
+            svc.prepare(id, sem).unwrap();
+        }
+        assert_eq!(svc.stats().cached_solutions, 3);
+        assert!(svc.cached_bytes() > other_bytes);
+        let delta = GraphDelta::new().with_edge(NodeId(2), "a", NodeId(0));
+        assert!(!svc.apply_delta(id, &delta).unwrap().patched);
+        // both flavours go, their bytes with them; the other mapping stays
+        assert!(!svc.is_cached(id, Semantics::nulls()));
+        assert!(!svc.is_cached(id, Semantics::least_informative()));
+        assert!(svc.is_cached(other, Semantics::nulls()));
+        assert_eq!(svc.cached_bytes(), other_bytes);
+        let stats = svc.stats();
+        assert_eq!(stats.cached_solutions, 1);
+        assert_eq!((stats.patched_deltas, stats.invalidating_deltas), (0, 1));
+        // the next serve rebuilds only the flavour it needs
+        svc.prepare(id, Semantics::nulls()).unwrap();
+        assert!(svc.is_cached(id, Semantics::nulls()));
+        assert!(!svc.is_cached(id, Semantics::least_informative()));
+        assert!(svc.cached_bytes() > other_bytes);
+    }
+
+    #[test]
+    fn not_relational_failure_survives_deltas() {
+        // the class is data-independent: the failed slot stays (nothing
+        // is dropped, so the delta reports patched) and keeps answering
+        let (m, gs) = scenario();
+        let mut m3 = m.clone();
+        let reach = gde_automata::Regex::reachability(m3.target_alphabet());
+        m3.add_rule(
+            gde_automata::Regex::Atom(m3.source_alphabet().label("a").unwrap()),
+            reach,
+        );
+        let svc = MappingService::new();
+        let id = svc.register(m3, gs);
+        let mut ta = m.target_alphabet().clone();
+        let q = compile("x", &mut ta);
+        assert_eq!(
+            svc.answer(id, &q, Semantics::nulls()).err(),
+            Some(ServeError::NotRelational)
+        );
+        for delta in [
+            GraphDelta::new().with_edge(NodeId(2), "a", NodeId(0)),
+            GraphDelta::new().without_edge(NodeId(0), "a", NodeId(1)),
+        ] {
+            assert!(svc.apply_delta(id, &delta).unwrap().patched);
+            assert_eq!(
+                svc.answer(id, &q, Semantics::nulls()).err(),
+                Some(ServeError::NotRelational)
+            );
+        }
+        assert_eq!(svc.generation(id), Some(2));
+        assert_eq!(svc.cached_bytes(), 0);
+    }
+
+    #[test]
+    fn rejected_delta_leaves_source_and_solutions_untouched() {
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
+        let before = svc.solution(id, Semantics::nulls()).unwrap();
+        let src = svc.source(id).unwrap();
+        // the valid parts come first; validation still refuses them all
+        let dup = GraphDelta::new()
+            .with_edge(NodeId(2), "a", NodeId(0))
+            .with_node(NodeId(1), Value::int(9));
+        assert_eq!(
+            svc.apply_delta(id, &dup).err(),
+            Some(ServeError::InvalidDelta(GraphError::DuplicateNode(NodeId(
+                1
+            ))))
+        );
+        let dangling = GraphDelta::new()
+            .without_edge(NodeId(0), "a", NodeId(1))
+            .with_edge(NodeId(0), "a", NodeId(42));
+        assert_eq!(
+            svc.apply_delta(id, &dangling).err(),
+            Some(ServeError::InvalidDelta(GraphError::UnknownNode(NodeId(
+                42
+            ))))
+        );
+        assert_eq!(svc.generation(id), Some(0));
+        let now = svc.source(id).unwrap();
+        assert_eq!(now.edge_count(), src.edge_count());
+        assert!(now.edges().all(|(u, l, v)| src.contains_edge(u, l, v)));
+        let after = svc.solution(id, Semantics::nulls()).unwrap();
+        assert!(Arc::ptr_eq(&before, &after));
+        let stats = svc.stats();
+        assert_eq!((stats.patched_deltas, stats.invalidating_deltas), (0, 0));
+    }
+
+    #[test]
+    fn handed_out_arcs_keep_the_pre_delta_state() {
+        // copy-on-write: a source or solution handed out before a delta
+        // is a snapshot; the service moves on without touching it
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
+        let src = svc.source(id).unwrap();
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        let delta = GraphDelta::new().without_edge(NodeId(0), "a", NodeId(1));
+        svc.apply_delta(id, &delta).unwrap();
+        assert_eq!(src.edge_count(), 2);
+        assert_eq!(svc.source(id).unwrap().edge_count(), 1);
+        assert!(m.is_solution(&src, &prep.solution().graph));
+        assert_eq!(prep.solution().invented.len(), 2);
+        let fresh = svc.solution(id, Semantics::nulls()).unwrap();
+        assert!(!Arc::ptr_eq(&prep, &fresh));
+        assert_eq!(fresh.solution().invented.len(), 1);
+    }
+
+    #[test]
+    fn sharded_delta_rebuilds_every_stripe_at_the_same_count() {
+        // one release drops every stripe at once; the rebuild keeps K and
+        // answers like an unsharded service registered on the new source
+        let (m, gs) = scenario();
+        let mut ta = m.target_alphabet().clone();
+        let queries: Vec<CompiledQuery> = ["x y", "(x y)=", "(x y)+", "x"]
+            .iter()
+            .map(|s| compile(s, &mut ta))
+            .collect();
+        let delta = GraphDelta::new()
+            .with_node(NodeId(7), Value::int(5))
+            .with_edge(NodeId(2), "a", NodeId(7))
+            .without_edge(NodeId(0), "a", NodeId(1));
+        let reference = MappingService::new();
+        let rid = reference.register(m.clone(), mutated(&gs, &delta));
+        for k in [2, 3] {
+            let svc = MappingService::new();
+            let id = svc.register(m.clone(), gs.clone());
+            svc.set_shard_count(id, k).unwrap();
+            for got in svc.answer_batch(id, &queries, Semantics::nulls()) {
+                got.unwrap();
+            }
+            assert!(!svc.apply_delta(id, &delta).unwrap().patched);
+            assert!(!svc.is_cached(id, Semantics::nulls()));
+            for sem in [
+                Semantics::nulls(),
+                Semantics::nulls_boolean(),
+                Semantics::least_informative(),
+            ] {
+                for q in &queries {
+                    assert_eq!(
+                        svc.answer(id, q, sem),
+                        reference.answer(rid, q, sem),
+                        "k={k} {sem:?}"
+                    );
+                }
+            }
+            let prep = svc.solution(id, Semantics::nulls()).unwrap();
+            assert_eq!(prep.shard_count(), k);
+        }
     }
 }

@@ -11,7 +11,8 @@
 //!   contain;
 //! * [`FaultSite::Merge`] — entry of every streaming k-way merge;
 //! * [`FaultSite::CacheInsert`] — before a sub-relation cache admission;
-//! * [`FaultSite::Refreeze`] — top of every solution (re)freeze.
+//! * [`FaultSite::Refreeze`] — top of every solution freeze (snapshot and
+//!   stripe plan), the first build and every rebuild after a delta alike.
 //!
 //! Arm a deterministic plan with [`arm`]`(`[`FaultPlan::seeded`]`(seed))`
 //! and every decision — which hit of which site panics or stalls — is a

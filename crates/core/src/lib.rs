@@ -37,17 +37,15 @@
 //!   engine per call with [`engine::Semantics`] (`Nulls`,
 //!   `LeastInformative`, `Exact` — each in tuple or Boolean [`engine::Mode`]);
 //! * **apply deltas** to the owned source
-//!   ([`engine::MappingService::apply_delta`]): under LAV mappings, added
-//!   edges patch the cached solutions in place and bounded removals
-//!   delete the matching fresh paths; everything else invalidates them
-//!   under a generation stamp;
+//!   ([`engine::MappingService::apply_delta`]): a delta no rule can see
+//!   keeps the cached solutions, any other drops them under a new
+//!   generation stamp and the next answer rebuilds;
 //! * **shard** a mapping into node-range stripes
 //!   ([`engine::MappingService::set_shard_count`], taking a count or
 //!   [`engine::ShardSpec::Auto`]): answers evaluate per stripe into
 //!   sorted runs that union through a streaming k-way merge (Boolean
 //!   answers OR with a short-circuit), batches schedule
-//!   `(query, stripe)` tasks, and deltas invalidate per stripe — answers
-//!   are byte-identical at every K, `Auto` included. Per-(query, stripe)
+//!   `(query, stripe)` tasks, and answers are byte-identical at every K, `Auto` included. Per-(query, stripe)
 //!   serving statistics ([`engine::ServingStats`], via
 //!   [`engine::MappingService::serving_stats`]) feed the `Auto` pick;
 //! * cached solutions live under a byte budget with least-recently-served
@@ -68,9 +66,8 @@
 //! throws it away (cold path: rebuild the solution per call). On the
 //! social serving workload a prepared batch of ten queries answers
 //! several times faster than the cold path (`prepared_vs_cold` bench,
-//! `BENCH_prepared.json`), and delta-aware patching beats full
-//! re-preparation on the churn workload (`service_churn` bench,
-//! `BENCH_service.json`).
+//! `BENCH_prepared.json`); the `service_churn` bench
+//! (`BENCH_service.json`) times deltas interleaved with re-answers.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,7 +98,7 @@ pub use engine::{
 pub use exact::{certain_answers_exact, certain_boolean_exact, ExactOptions};
 pub use gsm::{Gsm, MappingClass, Rule};
 pub use rel2graph::{RelToGraphMapping, RelToGraphRule};
-pub use solution::{least_informative_solution, universal_solution, CanonicalSolution, LavPatch};
+pub use solution::{least_informative_solution, universal_solution, CanonicalSolution};
 
 /// Names used by virtually every program built on the library.
 pub mod prelude {

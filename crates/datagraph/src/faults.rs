@@ -9,8 +9,8 @@
 //!
 //! Injection points sit at the four spots where the engine's containment
 //! story is interesting ([`FaultSite`]): stripe evaluation, the k-way
-//! merge of per-stripe runs, sub-relation cache inserts, and snapshot
-//! refreeze. A [`FaultPlan::seeded`] plan decides **deterministically**
+//! merge of per-stripe runs, sub-relation cache inserts, and the
+//! solution freeze. A [`FaultPlan::seeded`] plan decides **deterministically**
 //! per `(site, hit-ordinal)` whether a point panics, sleeps briefly, or
 //! does nothing — so a failing soak seed replays exactly, regardless of
 //! thread interleaving (the per-site hit counter is the only shared
@@ -40,7 +40,8 @@ pub enum FaultSite {
     Merge,
     /// Sub-relation cache admission (`LruSubRelCache::insert`).
     CacheInsert,
-    /// Snapshot refreeze / shard-plan assembly after a delta.
+    /// Freezing a built solution into its snapshot and stripe plan: the
+    /// first build and every rebuild after a delta.
     Refreeze,
 }
 

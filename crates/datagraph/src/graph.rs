@@ -197,101 +197,13 @@ impl DataGraph {
         }
     }
 
-    /// Remove a node together with its incident edges; returns `false` for
-    /// unknown ids. `O(deg)` plus a swap-remove of the dense slot, so dense
-    /// indices obtained earlier (and snapshots) are invalidated; node ids
-    /// of other nodes are untouched, and the fresh-id watermark does not
-    /// move backwards (a removed id is never reissued by
-    /// [`DataGraph::fresh_node`]).
-    pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let Some(&d) = self.index.get(&id) else {
-            return false;
-        };
-        // detach incident edges (self-loops appear in both lists; the
-        // second erase is a no-op)
-        for (l, v) in std::mem::take(&mut self.out[d as usize]) {
-            self.edges.remove(&(d, l, v));
-            if v != d {
-                let inn = &mut self.inn[v as usize];
-                if let Some(p) = inn.iter().position(|&e| e == (l, d)) {
-                    inn.swap_remove(p);
-                }
-            }
-        }
-        for (l, u) in std::mem::take(&mut self.inn[d as usize]) {
-            self.edges.remove(&(u, l, d));
-            if u != d {
-                let out = &mut self.out[u as usize];
-                if let Some(p) = out.iter().position(|&e| e == (l, d)) {
-                    out.swap_remove(p);
-                }
-            }
-        }
-        self.index.remove(&id);
-        let last = (self.ids.len() - 1) as u32;
-        if d != last {
-            // renumber the swapped-in last node: rewrite its edge triples…
-            for &(l, v) in &self.out[last as usize] {
-                self.edges.remove(&(last, l, v));
-                let v = if v == last { d } else { v };
-                self.edges.insert((d, l, v));
-            }
-            for &(l, u) in &self.inn[last as usize] {
-                if u == last {
-                    continue; // self-loop re-inserted above
-                }
-                self.edges.remove(&(u, l, last));
-                self.edges.insert((u, l, d));
-            }
-            self.index.insert(self.ids[last as usize], d);
-        }
-        self.ids.swap_remove(d as usize);
-        self.values.swap_remove(d as usize);
-        self.out.swap_remove(d as usize);
-        self.inn.swap_remove(d as usize);
-        if d != last {
-            // …then every adjacency entry still pointing at the old slot
-            for e in self.out[d as usize].iter_mut() {
-                if e.1 == last {
-                    e.1 = d;
-                }
-            }
-            for e in self.inn[d as usize].iter_mut() {
-                if e.1 == last {
-                    e.1 = d;
-                }
-            }
-            let moved_out = self.out[d as usize].clone();
-            for (l, v) in moved_out {
-                if v != d {
-                    for e in self.inn[v as usize].iter_mut() {
-                        if *e == (l, last) {
-                            *e = (l, d);
-                        }
-                    }
-                }
-            }
-            let moved_in = self.inn[d as usize].clone();
-            for (l, u) in moved_in {
-                if u != d {
-                    for e in self.out[u as usize].iter_mut() {
-                        if *e == (l, last) {
-                            *e = (l, d);
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Apply a [`GraphDelta`] in one shot: new nodes, then new edges, then
     /// edge removals. The delta is validated **before** anything is applied
     /// (duplicate node ids, edge endpoints that exist neither in the graph
     /// nor among the delta's new nodes), so an `Err` leaves the graph
     /// untouched. Returns a [`DeltaApplied`] summary listing the edges that
-    /// were actually new — already-present edges are ignored, which is what
-    /// lets delta-aware serving caches patch per *new* rule match.
+    /// were actually new — already-present edges are ignored, so a
+    /// delta-aware serving cache reasons about real changes only.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaApplied, GraphError> {
         // validate first so application cannot fail halfway
         let mut fresh: FxHashSet<NodeId> = FxHashSet::default();
@@ -554,8 +466,7 @@ impl GraphDelta {
         self.add_nodes.is_empty() && self.add_edges.is_empty() && self.remove_edges.is_empty()
     }
 
-    /// Does the delta only *add* (no removals)? Additive deltas are the
-    /// ones LAV serving caches can patch instead of rebuilding.
+    /// Does the delta only *add* (no removals)?
     pub fn is_additive(&self) -> bool {
         self.remove_edges.is_empty()
     }
@@ -570,8 +481,8 @@ pub struct DeltaApplied {
     /// (already-present edges are skipped).
     pub added_edges: Vec<(NodeId, Label, NodeId)>,
     /// The edges actually removed, with their interned labels (absent
-    /// edges are skipped). Labels let delta-aware serving caches unpatch
-    /// per removed rule match.
+    /// edges are skipped). Labels let a delta-aware serving cache tell
+    /// which rules can see the removal.
     pub removed_edges: Vec<(NodeId, Label, NodeId)>,
 }
 
@@ -849,48 +760,6 @@ mod tests {
         assert!(!applied.changed());
         assert!(applied.removed_edges.is_empty());
         assert!(g.alphabet().label("nope").is_none());
-    }
-
-    #[test]
-    fn remove_node_detaches_and_renumbers() {
-        let mut g = triangle();
-        g.add_node(NodeId(7), Value::str("x")).unwrap();
-        g.add_edge_str(NodeId(7), "z", NodeId(7)).unwrap(); // self-loop
-        g.add_edge_str(NodeId(2), "z", NodeId(7)).unwrap();
-        // remove a middle node: 1 had edges 0-a->1 and 1-b->2
-        assert!(g.remove_node(NodeId(1)));
-        assert!(!g.has_node(NodeId(1)));
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 3); // 2-a->0, 7-z->7, 2-z->7
-        let a = g.alphabet().label("a").unwrap();
-        let z = g.alphabet().label("z").unwrap();
-        assert!(g.contains_edge(NodeId(2), a, NodeId(0)));
-        assert!(g.contains_edge(NodeId(7), z, NodeId(7)));
-        assert!(g.contains_edge(NodeId(2), z, NodeId(7)));
-        // dense view stays coherent after the swap-remove
-        for id in [NodeId(0), NodeId(2), NodeId(7)] {
-            let d = g.idx(id).unwrap();
-            assert_eq!(g.id_at(d), id);
-        }
-        let succ: Vec<_> = g.successors(NodeId(2), z).collect();
-        assert_eq!(succ, vec![NodeId(7)]);
-        assert_eq!(g.in_edges(NodeId(7)).count(), 2);
-        // unknown / double removal
-        assert!(!g.remove_node(NodeId(1)));
-        assert!(!g.remove_node(NodeId(99)));
-        // removed ids are not reissued
-        assert!(g.fresh_node(Value::Null).0 >= 8);
-        // removing the last-dense node works too
-        let n_before = g.node_count();
-        assert!(g.remove_node(NodeId(7)));
-        assert_eq!(g.node_count(), n_before - 1);
-        assert_eq!(
-            g.in_edges(NodeId(0)).count() + g.out_edges(NodeId(2)).count(),
-            {
-                // 2-a->0 survives; both z-edges died with node 7
-                2
-            }
-        );
     }
 
     #[test]

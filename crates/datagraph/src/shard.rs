@@ -16,12 +16,9 @@
 //!   outside the stripe. Their union is exactly the row slice of the full
 //!   label relation, which is what row-restricted query evaluation
 //!   consumes as its atoms. All slices are built lazily, at most once per
-//!   `(shard, label)`, and can be carried over a refreeze when neither the
-//!   stripe's rows nor the label's edge set changed (the per-shard
-//!   invalidation path of `MappingService::apply_delta`). A one-stripe
-//!   plan builds no slices at all: its stripe *is* the snapshot, so its
-//!   row slices alias the snapshot's own label relations and its boundary
-//!   is empty.
+//!   `(shard, label)`. A one-stripe plan builds no slices at all: its
+//!   stripe *is* the snapshot, so its row slices alias the snapshot's own
+//!   label relations and its boundary is empty.
 //!
 //! Scheduling stripes onto workers is [`crate::par::map_shards`].
 
@@ -436,31 +433,6 @@ impl ShardedSnapshot {
             .map(|s| s.rows.heap_bytes() + s.boundary.heap_bytes())
             .sum()
     }
-
-    /// Clone cached slices over from a previous sharded view of an
-    /// equal-dimension snapshot, for every cell where `keep(shard, label)`
-    /// holds — the per-shard carry of a lazy refreeze. Cells not yet built
-    /// in `prev` stay lazy here.
-    pub fn carry_from(&self, prev: &ShardedSnapshot, mut keep: impl FnMut(usize, Label) -> bool) {
-        if prev.base.n() != self.base.n() || prev.plan != self.plan || self.slices.is_empty() {
-            return;
-        }
-        let labels = self.base.label_count().min(prev.base.label_count());
-        for shard in 0..self.plan.shard_count() {
-            for li in 0..labels {
-                let l = Label(li as u16);
-                if !keep(shard, l) {
-                    continue;
-                }
-                if let Some(slice) = prev.slices[shard * prev.base.label_count() + li].get() {
-                    let _ = self.slices[shard * self.base.label_count() + li].set(ShardSlice {
-                        rows: slice.rows.clone(),
-                        boundary: slice.boundary.clone(),
-                    });
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -657,10 +629,6 @@ mod tests {
             assert!(one.boundary(0, l).unwrap().is_empty());
         }
         assert_eq!(one.boundary_edges(), 0);
-        // carrying between one-stripe views is a no-op, not a panic
-        let next = ShardedSnapshot::new(snap.clone(), ShardPlan::single(snap.n()));
-        next.carry_from(&one, |_, _| true);
-        assert_eq!(next.approx_bytes(), 0);
     }
 
     #[test]
@@ -671,25 +639,5 @@ mod tests {
         let c = g.alphabet_mut().intern("zz");
         assert!(sharded.label_rows(0, c).is_none());
         assert!(sharded.boundary(1, c).is_none());
-    }
-
-    #[test]
-    fn carry_from_clones_kept_cells() {
-        let g = ring(16);
-        let snap = Arc::new(g.snapshot());
-        let a = g.alphabet().label("a").unwrap();
-        let b = g.alphabet().label("b").unwrap();
-        let prev = ShardedSnapshot::new(snap.clone(), ShardPlan::even(16, 2));
-        prev.warm();
-        let next = ShardedSnapshot::new(snap.clone(), ShardPlan::even(16, 2));
-        // keep only label a in shard 0
-        next.carry_from(&prev, |shard, l| shard == 0 && l == a);
-        assert_eq!(next.approx_bytes(), {
-            let s = prev.slices[a.index()].get().unwrap();
-            s.rows.heap_bytes() + s.boundary.heap_bytes()
-        });
-        // carried and rebuilt cells agree with the base either way
-        assert_eq!(next.label_rows(0, a), prev.label_rows(0, a));
-        assert_eq!(next.label_rows(1, b), prev.label_rows(1, b));
     }
 }

@@ -25,7 +25,7 @@
 //! values out of the graph, so the graph can be dropped or mutated freely
 //! afterwards (mutations are *not* reflected — take a new snapshot).
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::graph::DataGraph;
 use crate::label::Label;
 use crate::node::NodeId;
@@ -37,8 +37,7 @@ use std::sync::OnceLock;
 const NO_VID: u32 = u32::MAX;
 
 /// Label-partitioned CSR adjacency (forward and backward) of a graph, in
-/// two counting-sort passes. Shared by the full freeze and the
-/// edges-changed-only refreeze.
+/// two counting-sort passes.
 #[allow(clippy::type_complexity)]
 fn build_csr(g: &DataGraph, n: usize, n_labels: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
     let stripe = n + 1;
@@ -165,68 +164,6 @@ impl GraphSnapshot {
             group_members,
             label_rel: (0..n_labels).map(|_| OnceLock::new()).collect(),
         }
-    }
-
-    /// Refreeze a graph whose **edge set** changed but whose node set did
-    /// not, reusing everything node-shaped from a previous snapshot: the
-    /// id table, the interned value table and the value groups are carried
-    /// over (no re-hashing), only the CSR adjacency is rebuilt, and cached
-    /// per-label relations survive for every label not in `stale` — the
-    /// per-label lazy refreeze used by delta-patched serving caches.
-    ///
-    /// Returns `None` when `prev` is not reusable (node count, dense
-    /// order, or a node value differs), in which case the caller should
-    /// pay the full [`GraphSnapshot::new`].
-    pub fn refreeze_from(
-        g: &DataGraph,
-        prev: &GraphSnapshot,
-        stale: &FxHashSet<Label>,
-    ) -> Option<GraphSnapshot> {
-        let n = g.n();
-        if n != prev.n {
-            return None;
-        }
-        for d in 0..n as u32 {
-            if g.id_at(d) != prev.ids[d as usize] || g.value_at(d) != prev.value_at(d) {
-                return None;
-            }
-        }
-        let n_labels = g.alphabet().len();
-        let (fwd_off, fwd_dst, bwd_off, bwd_src) = build_csr(g, n, n_labels);
-        let mut stale_ix = vec![false; n_labels];
-        for l in stale {
-            if l.index() < n_labels {
-                stale_ix[l.index()] = true;
-            }
-        }
-        let label_rel: Vec<OnceLock<Relation>> = (0..n_labels)
-            .map(|li| {
-                let cell = OnceLock::new();
-                if li < prev.n_labels && !stale_ix[li] {
-                    if let Some(r) = prev.label_rel[li].get() {
-                        let _ = cell.set(r.clone());
-                    }
-                }
-                cell
-            })
-            .collect();
-        Some(GraphSnapshot {
-            n,
-            n_labels,
-            ids: prev.ids.clone(),
-            index: prev.index.clone(),
-            fwd_off,
-            fwd_dst,
-            bwd_off,
-            bwd_src,
-            vid: prev.vid.clone(),
-            values: prev.values.clone(),
-            null_vid: prev.null_vid,
-            value_index: prev.value_index.clone(),
-            group_off: prev.group_off.clone(),
-            group_members: prev.group_members.clone(),
-            label_rel,
-        })
     }
 
     /// Number of nodes.
@@ -556,45 +493,6 @@ mod tests {
             assert_eq!(s.idx(s.id_at(d)), Some(d));
         }
         assert_eq!(s.idx(NodeId(99)), None);
-    }
-
-    #[test]
-    fn refreeze_carries_fresh_labels_and_tables() {
-        use crate::fxhash::FxHashSet;
-        let mut g = g();
-        let s1 = g.snapshot();
-        let a = g.alphabet().label("a").unwrap();
-        let b = g.alphabet().label("b").unwrap();
-        // warm both label relations, then add an a-edge
-        let _ = s1.label_relation(a);
-        let _ = s1.label_relation(b);
-        g.add_edge_str(NodeId(3), "a", NodeId(2)).unwrap();
-        let stale: FxHashSet<_> = [a].into_iter().collect();
-        let s2 = GraphSnapshot::refreeze_from(&g, &s1, &stale).expect("node set unchanged");
-        // CSR reflects the new edge, value tables carried over
-        assert_eq!(s2.edge_count(), 6);
-        assert_eq!(s2.out(a, 3).len(), 2);
-        assert_eq!(s2.vid(0), s1.vid(0));
-        assert!(s2.is_null(3));
-        // the fresh label's relation was carried (same contents as prev),
-        // the stale one rebuilds lazily and sees the new edge
-        assert_eq!(s2.label_relation(b), s1.label_relation(b));
-        let ra = s2.label_relation(a).unwrap();
-        assert!(ra.contains(3, 2) && ra.contains(0, 1));
-        assert_eq!(ra.len(), 4);
-        // full freeze agrees with the refreeze on everything observable
-        let full = g.snapshot();
-        assert_eq!(full.label_relation(a), s2.label_relation(a));
-        assert_eq!(full.label_relation(b), s2.label_relation(b));
-
-        // node-set changes make prev unusable
-        g.fresh_node(Value::int(9));
-        assert!(GraphSnapshot::refreeze_from(&g, &s2, &stale).is_none());
-        // …and so do value rewrites
-        let mut g2 = super::tests::g();
-        let s3 = g2.snapshot();
-        g2.set_value(NodeId(0), Value::int(42)).unwrap();
-        assert!(GraphSnapshot::refreeze_from(&g2, &s3, &FxHashSet::default()).is_none());
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The sub-relation cache: structural subplan keys and a
-//! generation-stamped, byte-budgeted store for evaluated sub-relations.
+//! The sub-relation cache: structural subplan keys and a byte-budgeted
+//! store for evaluated sub-relations.
 //!
 //! Sharded serving evaluates the same *sub-plans* over and over: the
 //! closure bodies and non-head concatenation factors of an REE memo
 //! ([`crate::ReeRowMemo`]) are identical across every stripe, every call
 //! and — when two queries in a batch share a factor — across queries; a
 //! stripe's evaluated answer relation is identical across repeated calls
-//! at the same mapping generation. This module gives those artifacts
-//! **canonical keys** and a cache to live in:
+//! on one snapshot. This module gives those artifacts **canonical keys**
+//! and a cache to live in:
 //!
 //! * [`subplan_hash`] — a 128-bit structural hash of any `Hash`-able
 //!   query AST (REE subexpressions, register-automaton sources, whole
@@ -16,17 +16,16 @@
 //!   body shared by two batch queries is computed once. 128 bits makes
 //!   accidental collision negligible (the cache stores no collision
 //!   payload; see the type docs).
-//! * [`SubRelKey`] — `(generation, stripe-or-global, subplan hash)`.
-//!   Generation stamps make invalidation free: a delta bumps the
-//!   mapping's generation, so every lookup from the refrozen solution
-//!   misses and stale entries are never served (they are purged by
-//!   [`SubRelCache::retain_generation`] on the next refreeze).
+//! * [`SubRelKey`] — `(stripe-or-global, subplan hash, binding)`. A key
+//!   names an artifact of *one* snapshot: the serving engine owns one
+//!   cache per prepared solution and drops it with the solution, so a
+//!   delta that changes the graph never meets an entry evaluated before
+//!   it.
 //! * [`SubRelCache`] — the lookup/insert trait evaluation code is
 //!   written against, with [`LruSubRelCache`] as the byte-budgeted
 //!   LRU store the serving engine owns per prepared solution.
-//! * [`CacheHandle`] — a per-query view pairing a cache with the
-//!   generation it serves and hit/miss counters, carried by
-//!   [`crate::RowEvalShared`].
+//! * [`CacheHandle`] — a per-query view pairing a cache with hit/miss
+//!   counters, carried by [`crate::RowEvalShared`].
 
 use gde_datagraph::par::lock_recover;
 use gde_datagraph::{FxHashMap, Relation};
@@ -82,20 +81,12 @@ impl Hasher for Fnv128 {
 const GLOBAL_STRIPE: u32 = u32::MAX;
 
 /// The cache key of one evaluated sub-relation:
-/// `(generation, stripe-or-global, subplan hash, binding)`.
+/// `(stripe-or-global, subplan hash, binding)`, within one cache that
+/// serves one snapshot.
 ///
-/// * `generation` is the mapping generation the entry was computed at.
-///   Every entry — per-stripe ones included — keys on the **mapping**
-///   generation, not a per-stripe stamp: a stripe's answer rows depend on
-///   the whole graph (paths leave the stripe freely), so a delta touching
-///   any stripe invalidates every stripe's cached results. (Per-stripe
-///   stamps do validate per-stripe *label slices*, which are row-local;
-///   that reuse happens in `ShardedSnapshot::carry_from`, below this
-///   cache.)
 /// * `stripe` is [`u32::MAX`] for global artifacts, else the stripe
 ///   index (only meaningful alongside a fixed shard plan — the engine
-///   guarantees a plan change always comes with a fresh cache or a fresh
-///   generation).
+///   guarantees a plan change always comes with a fresh cache).
 /// * `hash` is [`subplan_hash`] of the sub-plan. There is no stored
 ///   collision payload: at 128 bits the collision probability is far
 ///   below hardware error rates.
@@ -109,8 +100,6 @@ const GLOBAL_STRIPE: u32 = u32::MAX;
 ///   skeleton never alias while repeat bindings share entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SubRelKey {
-    /// Mapping generation the entry serves.
-    pub generation: u64,
     /// Stripe index, or [`u32::MAX`] for snapshot-global artifacts.
     pub stripe: u32,
     /// Structural hash of the sub-plan ([`subplan_hash`]).
@@ -123,9 +112,8 @@ pub struct SubRelKey {
 impl SubRelKey {
     /// Key for a snapshot-global artifact (closure, tail factor, full
     /// answer of a non-decomposing query).
-    pub fn global(generation: u64, hash: u128) -> SubRelKey {
+    pub fn global(hash: u128) -> SubRelKey {
         SubRelKey {
-            generation,
             stripe: GLOBAL_STRIPE,
             hash,
             binding: 0,
@@ -133,10 +121,9 @@ impl SubRelKey {
     }
 
     /// Key for one stripe's evaluated answer relation.
-    pub fn stripe(generation: u64, stripe: usize, hash: u128) -> SubRelKey {
+    pub fn stripe(stripe: usize, hash: u128) -> SubRelKey {
         let stripe = u32::try_from(stripe).unwrap_or(GLOBAL_STRIPE - 1);
         SubRelKey {
-            generation,
             stripe,
             hash,
             binding: 0,
@@ -165,10 +152,6 @@ pub trait SubRelCache: Send + Sync + std::fmt::Debug {
     fn lookup(&self, key: &SubRelKey) -> Option<Arc<Relation>>;
     /// Insert (or refresh) `rel` under `key`.
     fn insert(&self, key: SubRelKey, rel: Arc<Relation>);
-    /// Drop every entry whose generation differs from `generation`
-    /// (called on delta refreeze so superseded entries release their
-    /// bytes immediately instead of lingering until LRU pressure).
-    fn retain_generation(&self, generation: u64);
     /// Approximate heap bytes currently resident.
     fn bytes(&self) -> usize;
 }
@@ -288,26 +271,12 @@ impl SubRelCache for LruSubRelCache {
         }
     }
 
-    fn retain_generation(&self, generation: u64) {
-        let mut inner = self.lock();
-        let mut freed = 0usize;
-        inner.map.retain(|k, e| {
-            let keep = k.generation == generation;
-            if !keep {
-                freed += e.bytes;
-            }
-            keep
-        });
-        inner.bytes -= freed;
-    }
-
     fn bytes(&self) -> usize {
         self.lock().bytes
     }
 }
 
-/// A per-query view of a [`SubRelCache`]: the cache, the generation this
-/// query serves (all its keys are stamped with it), and hit/miss
+/// A per-query view of a [`SubRelCache`]: the cache and hit/miss
 /// counters the serving engine folds into its `ServingStats`. Carried by
 /// [`crate::RowEvalShared`]; all lookups/inserts of one query go through
 /// its handle so attribution is per query even when many queries share
@@ -315,25 +284,18 @@ impl SubRelCache for LruSubRelCache {
 #[derive(Debug)]
 pub struct CacheHandle {
     cache: Arc<dyn SubRelCache>,
-    generation: u64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl CacheHandle {
-    /// A handle over `cache` serving `generation`.
-    pub fn new(cache: Arc<dyn SubRelCache>, generation: u64) -> CacheHandle {
+    /// A handle over `cache`.
+    pub fn new(cache: Arc<dyn SubRelCache>) -> CacheHandle {
         CacheHandle {
             cache,
-            generation,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The generation every key from this handle is stamped with.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Counted lookup.
@@ -415,22 +377,18 @@ mod tests {
     }
 
     #[test]
-    fn lru_cache_roundtrip_and_generation_retain() {
+    fn lru_cache_roundtrip() {
         let cache = LruSubRelCache::new(0);
-        let k0 = SubRelKey::global(0, 42);
-        let k1 = SubRelKey::global(1, 42);
+        let k0 = SubRelKey::global(42);
+        let k1 = SubRelKey::global(43);
         assert!(cache.lookup(&k0).is_none());
         cache.insert(k0, Arc::new(Relation::identity(8)));
         cache.insert(k1, Arc::new(Relation::identity(8)));
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(&k0).is_some());
         assert!(cache.bytes() > 0);
-        // a stale-generation key is a different key entirely
-        assert!(cache.lookup(&SubRelKey::global(2, 42)).is_none());
-        cache.retain_generation(1);
-        assert!(cache.lookup(&k0).is_none(), "old generation purged");
-        assert!(cache.lookup(&k1).is_some(), "current generation kept");
-        assert_eq!(cache.len(), 1);
+        // a different subplan hash is a different key entirely
+        assert!(cache.lookup(&SubRelKey::global(44)).is_none());
     }
 
     #[test]
@@ -441,26 +399,26 @@ mod tests {
         // room for about three entries
         let cache = LruSubRelCache::new(3 * per + per / 2);
         for i in 0..8u64 {
-            cache.insert(SubRelKey::global(0, i as u128), one.clone());
+            cache.insert(SubRelKey::global(i as u128), one.clone());
             // touch the first entry so it stays hot
-            cache.lookup(&SubRelKey::global(0, 0));
+            cache.lookup(&SubRelKey::global(0));
         }
         assert!(cache.bytes() <= cache.budget(), "stays within budget");
         assert!(cache.len() < 8, "something was evicted");
         assert!(
-            cache.lookup(&SubRelKey::global(0, 0)).is_some(),
+            cache.lookup(&SubRelKey::global(0)).is_some(),
             "hot entry survives LRU pressure"
         );
         assert!(
-            cache.lookup(&SubRelKey::global(0, 1)).is_none(),
+            cache.lookup(&SubRelKey::global(1)).is_none(),
             "cold entry evicted"
         );
     }
 
     #[test]
     fn stripe_and_global_keys_do_not_alias() {
-        let g = SubRelKey::global(3, 7);
-        let s = SubRelKey::stripe(3, 0, 7);
+        let g = SubRelKey::global(7);
+        let s = SubRelKey::stripe(0, 7);
         assert_ne!(g, s);
         assert!(g.is_global());
         assert!(!s.is_global());
@@ -472,9 +430,8 @@ mod tests {
     #[test]
     fn handle_counts_hits_and_misses() {
         let cache: Arc<dyn SubRelCache> = Arc::new(LruSubRelCache::new(0));
-        let h = CacheHandle::new(cache.clone(), 5);
-        assert_eq!(h.generation(), 5);
-        let key = SubRelKey::global(5, 99);
+        let h = CacheHandle::new(cache.clone());
+        let key = SubRelKey::global(99);
         let built = h.get_or_insert(key, || Relation::identity(4));
         assert_eq!(built.len(), 4);
         assert_eq!((h.hits(), h.misses()), (0, 1));
@@ -482,7 +439,7 @@ mod tests {
         assert_eq!(again.len(), 4);
         assert_eq!((h.hits(), h.misses()), (1, 1));
         // a second handle over the same cache shares entries, not counters
-        let h2 = CacheHandle::new(cache, 5);
+        let h2 = CacheHandle::new(cache);
         assert!(h2.lookup(&key).is_some());
         assert_eq!((h2.hits(), h2.misses()), (1, 0));
         assert_eq!((h.hits(), h.misses()), (1, 1));

@@ -373,15 +373,14 @@ impl RowEvalShared {
         RowEvalShared::default()
     }
 
-    /// Shared state whose phase-1 artifacts go through `cache`, keyed at
-    /// `generation` (the mapping generation of the snapshot being
-    /// served — stale-generation entries are never returned because the
-    /// generation is part of every key).
-    pub fn with_cache(cache: Arc<dyn SubRelCache>, generation: u64) -> RowEvalShared {
+    /// Shared state whose phase-1 artifacts go through `cache`. Its keys
+    /// name artifacts of the snapshot being served, so one cache must
+    /// serve one snapshot only.
+    pub fn with_cache(cache: Arc<dyn SubRelCache>) -> RowEvalShared {
         RowEvalShared {
             ree_memo: OnceLock::new(),
             full: OnceLock::new(),
-            cache: Some(CacheHandle::new(cache, generation)),
+            cache: Some(CacheHandle::new(cache)),
             control: Arc::new(EvalControl::unbounded()),
         }
     }
@@ -434,7 +433,7 @@ impl RowEvalShared {
             }
             match &self.cache {
                 Some(h) => h.get_or_insert(
-                    SubRelKey::global(h.generation(), q.plan_hash()).with_binding(q.binding),
+                    SubRelKey::global(q.plan_hash()).with_binding(q.binding),
                     || q.eval_relation(s),
                 ),
                 None => Arc::new(q.eval_relation(s)),
@@ -621,11 +620,11 @@ mod tests {
             let cq = q.compile();
             let plain = eval_all(&RowEvalShared::new(), &cq);
             // cold pass populates the cache
-            let cold = RowEvalShared::with_cache(cache.clone(), 7);
+            let cold = RowEvalShared::with_cache(cache.clone());
             assert_eq!(eval_all(&cold, &cq), plain, "cold cached run ({q:?})");
             assert_eq!(cold.cache_hits(), 0, "first run cannot hit ({q:?})");
             // warm pass serves the same artifacts from cache
-            let warm = RowEvalShared::with_cache(cache.clone(), 7);
+            let warm = RowEvalShared::with_cache(cache.clone());
             assert_eq!(eval_all(&warm, &cq), plain, "warm cached run ({q:?})");
             assert_eq!(warm.cache_misses(), 0, "warm run must not miss ({q:?})");
             assert_eq!(
@@ -634,13 +633,9 @@ mod tests {
                 "warm hits = artifacts the cold run inserted ({q:?})"
             );
             // a recompiled (structurally identical) query shares entries
-            let warm2 = RowEvalShared::with_cache(cache.clone(), 7);
+            let warm2 = RowEvalShared::with_cache(cache.clone());
             assert_eq!(eval_all(&warm2, &q.compile()), plain);
             assert_eq!(warm2.cache_misses(), 0, "recompiled query hits ({q:?})");
-            // a new generation never sees old-generation entries
-            let stale = RowEvalShared::with_cache(cache.clone(), 8);
-            assert_eq!(eval_all(&stale, &cq), plain);
-            assert_eq!(stale.cache_hits(), 0, "stale generation must miss ({q:?})");
         }
         // different queries sharing a subexpression share cache entries:
         // `(a b)=` stores the tail factor `b`, which `(b b)!=` then reuses
@@ -648,10 +643,10 @@ mod tests {
         let cache: Arc<dyn SubRelCache> = Arc::new(LruSubRelCache::new(0));
         let q1: DataQuery = parse_ree("(a b)=", g.alphabet_mut()).unwrap().into();
         let q2: DataQuery = parse_ree("(b b)!=", g.alphabet_mut()).unwrap().into();
-        let s1 = RowEvalShared::with_cache(cache.clone(), 3);
+        let s1 = RowEvalShared::with_cache(cache.clone());
         eval_all(&s1, &q1.compile());
         assert!(s1.cache_misses() > 0);
-        let s2 = RowEvalShared::with_cache(cache, 3);
+        let s2 = RowEvalShared::with_cache(cache);
         eval_all(&s2, &q2.compile());
         assert!(
             s2.cache_hits() > 0,

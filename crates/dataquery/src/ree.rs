@@ -447,12 +447,11 @@ impl ReeRowMemo {
     }
 
     /// Build the memo, looking each artifact up in `cache` (under its
-    /// structural subplan key, stamped with the cache handle's
-    /// generation) before computing it, and inserting what was computed.
-    /// With `None` this is [`ReeRowMemo::build`]. On a cache hit the
-    /// subexpression is not traversed at all — the memo borrows the
-    /// cached `Arc<Relation>` directly — so a warm cache makes memo
-    /// construction O(subexpression count) lookups.
+    /// structural subplan key) before computing it, and inserting what
+    /// was computed. With `None` this is [`ReeRowMemo::build`]. On a
+    /// cache hit the subexpression is not traversed at all — the memo
+    /// borrows the cached `Arc<Relation>` directly — so a warm cache makes
+    /// memo construction O(subexpression count) lookups.
     pub fn build_cached(e: &Ree, s: &GraphSnapshot, cache: Option<&CacheHandle>) -> ReeRowMemo {
         ReeRowMemo::build_controlled(e, s, cache, &crate::control::EvalControl::unbounded())
     }
@@ -539,10 +538,7 @@ fn build_memo(
         return None;
     }
     let key = match (memoises, cache) {
-        (true, Some(h)) => Some(SubRelKey::global(
-            h.generation(),
-            subplan_hash(REE_DOMAIN, e),
-        )),
+        (true, Some(_)) => Some(SubRelKey::global(subplan_hash(REE_DOMAIN, e))),
         _ => None,
     };
     if let (Some(h), Some(k)) = (cache, key) {

@@ -310,10 +310,11 @@ pub fn merge_bound_queries(ta: &mut Alphabet) -> Vec<(String, DataQuery)> {
 }
 
 /// A stream of churn deltas for the social serving scenario: each round
-/// adds `edges_per_round` random `knows` edges between existing persons —
-/// the additive, LAV-patchable change shape a delta-aware serving engine
-/// ([`gde_core::MappingService::apply_delta`]) absorbs without rebuilding
-/// its cached solutions. Deterministic in `seed`; duplicate picks are fine
+/// adds `edges_per_round` random `knows` edges between existing persons.
+/// The mapping reads `knows`, so a round that adds an edge drops the
+/// cached solutions of a serving engine
+/// ([`gde_core::MappingService::apply_delta`]) and the next answer
+/// rebuilds. Deterministic in `seed`; duplicate picks are fine
 /// (graph-level dedup reports them as no-ops).
 pub fn social_churn_deltas(
     cfg: &SocialConfig,

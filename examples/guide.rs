@@ -73,18 +73,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("certain answers (all engines agree): {nulls:?}");
 
-    // §6 — a source delta: patched in place, not rebuilt
+    // §6 — a source delta: the next answer reflects the new source
     let delta = GraphDelta::new()
         .with_node(NodeId(7), Value::str("cat"))
         .with_edge(NodeId(2), "follows", NodeId(7));
     let report = service.apply_delta(id, &delta)?;
-    assert!(report.patched);
     assert_eq!(service.generation(id), Some(1));
-    let after = service
-        .answer(id, &compiled, Semantics::nulls())?
-        .into_pairs();
-    assert_eq!(after, vec![(NodeId(0), NodeId(2))]);
-    println!("delta absorbed: generation {}", report.generation);
+    let after = service.answer(id, &compiled, Semantics::nulls())?;
+    let source = service.source(id).expect("registered");
+    let gsm = service.gsm(id).expect("registered");
+    assert_eq!(
+        after,
+        answer_once(&gsm, &source, &compiled, Semantics::nulls())?
+    );
+    assert_eq!(after.into_pairs(), vec![(NodeId(0), NodeId(2))]);
+    println!("delta applied: generation {}", report.generation);
 
     // §7 — sharding is a pure performance knob: answers never change
     let unsharded = service.answer(id, &compiled, Semantics::nulls())?;

@@ -19,14 +19,14 @@
 //!
 //! ## Serving many queries: the owned `MappingService`
 //!
-//! The certain-answer free functions are one-shot: each call rebuilds the
-//! canonical solution and re-lowers the query. When answering a *stream* of
-//! queries — the paper's own access pattern, since one universal solution
-//! serves every hom-closed query — register the mapping in a
-//! [`core::MappingService`] once and serve repeatedly. The service owns its
-//! graphs (`Arc`-shared), is `Send + Sync`, evicts cold solutions under a
-//! byte budget, and absorbs source deltas (patching its caches in place
-//! for additive LAV changes):
+//! A one-shot [`core::answer_once`] rebuilds the canonical solution on
+//! every call. When answering a *stream* of queries — the paper's own
+//! access pattern, since one universal solution serves every hom-closed
+//! query — register the mapping in a [`core::MappingService`] once and
+//! serve repeatedly. The service owns its graphs (`Arc`-shared), is
+//! `Send + Sync`, evicts cold solutions under a byte budget, and absorbs
+//! source deltas (a delta no rule reads keeps its caches; any other drops
+//! them and the next answer rebuilds from the new source):
 //!
 //! ```
 //! use graph_data_exchange::prelude::*;
@@ -43,16 +43,22 @@
 //!     let answers = service.answer(id, &compiled, Semantics::preferred_for(&compiled))?;
 //!     let _ = (name, answers);
 //! }
-//! // a source delta: the caches are patched, not rebuilt
+//! // a source delta: answers reflect the new source
 //! let delta = GraphDelta::new().with_edge(NodeId(0), "knows", NodeId(1));
-//! assert!(service.apply_delta(id, &delta)?.patched);
+//! service.apply_delta(id, &delta)?;
+//! let (gsm, source) = (service.gsm(id).unwrap(), service.source(id).unwrap());
+//! let q = sv.queries[0].1.compile();
+//! assert_eq!(
+//!     service.answer(id, &q, Semantics::nulls())?,
+//!     answer_once(&gsm, &source, &q, Semantics::nulls())?
+//! );
 //! # Ok(())
 //! # }
 //! ```
 //!
 //! The `prepared_vs_cold` bench in `gde-bench` measures cold vs cached
-//! serving (`BENCH_prepared.json`); the `service_churn` bench measures
-//! delta patching vs full re-preparation (`BENCH_service.json`).
+//! serving (`BENCH_prepared.json`); the `service_churn` bench times
+//! deltas interleaved with re-answers (`BENCH_service.json`).
 //!
 //! The sixty-second version of the whole story:
 //!

@@ -1,8 +1,9 @@
 //! Prepared-template equivalence: `answer_bound` must serve answers
 //! byte-identical to ad-hoc `answer` for **every** `Semantics` × `Mode`
-//! at K ∈ {1, 4, Auto}, stay identical while churn deltas patch stripes,
-//! and survive the seeded fault-injection soak. Alpha-equivalent ad-hoc
-//! requests must transparently collapse onto one interned template.
+//! at K ∈ {1, 4, Auto}, stay identical across churn deltas (each drops
+//! the cached solutions, templates stay interned), and survive the
+//! seeded fault-injection soak. Alpha-equivalent ad-hoc requests must
+//! transparently collapse onto one interned template.
 //!
 //! The fault plan ([`gde_core::faults`]) is process-global, so every test
 //! in this binary serialises on one mutex — an armed plan would otherwise
@@ -170,8 +171,8 @@ fn bound_answers_survive_churn_deltas() {
     let _serial = serial();
     let fam = family(4, 40, 0xC4);
     let nodes = 40u32;
-    // additive contact churn: the LAV-patchable shape the engine absorbs
-    // without rebuilding cached solutions
+    // additive contact churn: a delta a served rule reads drops the
+    // cached solutions, and the next serve rebuilds
     let deltas: Vec<GraphDelta> = (0..3)
         .map(|round| {
             let mut d = GraphDelta::new();
@@ -198,7 +199,7 @@ fn bound_answers_survive_churn_deltas() {
         })
         .collect();
     for delta in &deltas {
-        // warm caches so the deltas patch rather than build cold
+        // warm caches so every delta meets a resident solution
         let (expected, expected_bound) = fingerprints(&fam, &reference, rid, rtpl);
         assert_eq!(expected, expected_bound);
         for (spec, svc, id, tpl) in &sharded {

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use gde_core::faults::{self, FaultPlan, FaultSite};
 use gde_core::{Answer, MappingId, MappingService, Semantics, ServeError, ServeOptions, ShardSpec};
 use gde_dataquery::CompiledQuery;
-use gde_workload::{social_serving_scenario, ServingScenario, SocialConfig};
+use gde_workload::{social_churn_deltas, social_serving_scenario, ServingScenario, SocialConfig};
 
 /// Serialises every test here: fault plans and the panic hook are
 /// process-global.
@@ -92,8 +92,7 @@ fn seeded_soak_never_aborts_and_recovers_byte_identical() {
     assert!(baseline_bytes > 0);
 
     let mut seeds: Vec<u64> = (0..32).collect();
-    if let Ok(s) = std::env::var("GDE_FAULT_SEED") {
-        let s: u64 = s.parse().expect("GDE_FAULT_SEED must be a u64");
+    if let Some(s) = smoke_seed() {
         eprintln!("fault soak: extra smoke seed {s}");
         seeds.push(s);
     }
@@ -147,6 +146,104 @@ fn seeded_soak_never_aborts_and_recovers_byte_identical() {
     assert!(stats.retries > 0, "no quarantine retry was counted");
 }
 
+/// The soak's extra `GDE_FAULT_SEED` smoke seed, when the environment
+/// sets one.
+fn smoke_seed() -> Option<u64> {
+    let s = std::env::var("GDE_FAULT_SEED").ok()?;
+    Some(s.parse().expect("GDE_FAULT_SEED must be a u64"))
+}
+
+/// The delta path under faults: across 16 seeds (plus the optional
+/// `GDE_FAULT_SEED` smoke seed), apply a churn delta, then serve the batch
+/// with panics and delays armed. Every answer must equal a fresh
+/// service's answer on the mutated source or be a contained injected
+/// panic; once disarmed, the service must match a twin that ran the same
+/// sequence fault-free, answers and cache charge alike.
+#[test]
+fn seeded_soak_delta_then_batch_matches_a_fault_free_twin() {
+    let _serial = serial();
+    quiet_injected_panics();
+    let cfg = SocialConfig {
+        persons: 14,
+        knows_per_person: 3,
+        posts: 10,
+        cities: 3,
+        seed: 0xDE,
+    };
+    let sv = social_serving_scenario(&cfg);
+    let qs: Vec<CompiledQuery> = compiled_batch(&sv).into_iter().take(6).collect();
+    let mut seeds: Vec<u64> = (0..16).collect();
+    seeds.extend(smoke_seed());
+    let deltas = social_churn_deltas(&cfg, seeds.len(), 4, 0xFA17);
+    let [(svc, id), (twin, tid)] = [(); 2].map(|_| {
+        let svc = MappingService::new();
+        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+        svc.set_shard_count(id, 3).unwrap();
+        (svc, id)
+    });
+    assert_eq!(fingerprint(&svc, id, &qs), fingerprint(&twin, tid, &qs));
+
+    let (mut served, mut contained) = (0u64, 0u64);
+    for (&seed, delta) in seeds.iter().zip(&deltas) {
+        twin.apply_delta(tid, delta).unwrap();
+        let twin_batch = twin.answer_batch(tid, &qs, Semantics::nulls());
+        let fresh = MappingService::new();
+        let fid = fresh.register(sv.scenario.gsm.clone(), twin.source(tid).unwrap());
+        let expected: Vec<Answer> = fresh
+            .answer_batch(fid, &qs, Semantics::nulls())
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        for (got, want) in twin_batch.into_iter().zip(&expected) {
+            assert_eq!(&got.unwrap(), want, "seed {seed}: fault-free twin");
+        }
+
+        // the cold serve after a delta rebuilds and refills the cache,
+        // crossing dozens of fault points: at the default 1-in-7 panic
+        // rate both attempts of every batch would fail, so a sparser rate
+        // mixes served answers with contained panics
+        let plan = FaultPlan::seeded(seed).panic_one_in(40);
+        let armed = faults::arm(plan.delay(Duration::from_micros(20)));
+        svc.apply_delta(id, delta).unwrap();
+        for (i, r) in svc
+            .answer_batch(id, &qs, Semantics::nulls())
+            .into_iter()
+            .enumerate()
+        {
+            match r {
+                Ok(ans) => {
+                    assert_eq!(ans, expected[i], "seed {seed} query {i}");
+                    served += 1;
+                }
+                Err(ServeError::StripePanicked { message, .. }) => {
+                    assert!(faults::is_injected(&message), "seed {seed}: {message}");
+                    contained += 1;
+                }
+                Err(e) => panic!("seed {seed}: unexpected serve error: {e}"),
+            }
+        }
+        drop(armed);
+        assert_eq!(
+            fingerprint(&svc, id, &qs),
+            fingerprint(&twin, tid, &qs),
+            "seed {seed}"
+        );
+        assert_eq!(svc.cached_bytes(), twin.cached_bytes(), "seed {seed}");
+    }
+    assert!(
+        svc.stats().invalidating_deltas > 0,
+        "churn never reached a warm cache"
+    );
+    assert!(
+        served > 0 && contained > 0,
+        "{served} served, {contained} contained"
+    );
+    assert!(
+        svc.serving_stats(id).unwrap().retries > 0,
+        "no quarantine retry ran"
+    );
+}
+
 fn sem_index(sem: Semantics) -> usize {
     usize::from(sem == Semantics::nulls_boolean())
 }
@@ -170,7 +267,7 @@ fn panicking_stripe_quarantines_only_that_mapping() {
     assert!(svc.is_cached(idb, Semantics::nulls()));
 
     // every hit panics: the warm serve's stripe panics, the quarantine
-    // retry's rebuild panics at refreeze, and the serve surfaces the
+    // retry's rebuild panics at the freeze, and the serve surfaces the
     // typed error after both contained attempts
     let armed = faults::arm(FaultPlan::seeded(9).panic_one_in(1).delay_one_in(0));
     match svc.answer(ida, &qa, Semantics::nulls()) {

@@ -1,11 +1,20 @@
 //! `MappingService` lifecycle tests: LRU eviction under a byte budget,
-//! concurrent serving from scoped threads, and delta-aware invalidation
-//! (generation stamps, LAV in-place patching, full-rebuild fallbacks).
+//! concurrent serving from scoped threads, and deltas (generation stamps;
+//! every delta shape checked against a one-shot serve of the mutated
+//! source and the exact engine).
 
-use gde_core::{Answer, MappingId, MappingService, Semantics, ServeError};
-use gde_datagraph::{GraphDelta, NodeId, Value};
-use gde_dataquery::CompiledQuery;
-use gde_workload::{social_churn_deltas, social_serving_scenario, ServingScenario, SocialConfig};
+use gde_automata::{parse_regex, Regex};
+use gde_core::certain::CertainAnswers;
+use gde_core::{
+    answer_once, certain_answers_exact, Answer, ExactOptions, Gsm, MappingId, MappingService,
+    Semantics, ServeError,
+};
+use gde_datagraph::{Alphabet, DataGraph, GraphDelta, Label, NodeId, Value};
+use gde_dataquery::{parse_ree, CompiledQuery, DataQuery};
+use gde_workload::{
+    random_scenario, social_serving_scenario, GraphConfig, ScenarioConfig, ServingScenario,
+    SocialConfig,
+};
 
 fn scenario(seed: u64) -> ServingScenario {
     social_serving_scenario(&SocialConfig {
@@ -107,133 +116,334 @@ fn scoped_threads_get_identical_answers() {
     }
 }
 
-#[test]
-fn additive_lav_delta_patches_and_matches_full_rebuild() {
-    let sv = scenario(0xD0);
-    let queries = compiled_batch(&sv);
-    let cfg = SocialConfig {
-        persons: 20,
-        knows_per_person: 3,
-        posts: 12,
-        cities: 3,
-        seed: 0xD0,
+/// The delta shapes the oracle test applies, in this order, each built
+/// against the source as the shapes before it left it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Shape {
+    /// A new edge on a label some rule reads.
+    EdgeAdd,
+    /// Removal of an edge whose rule has a one-letter target word.
+    WordOneRemoval,
+    /// Removal of an edge whose rule invents a chain (target word ≥ 2,
+    /// `likes/src` in the social mapping).
+    ChainRemoval,
+    /// A new node with a rule-read edge into it.
+    NewNodeWithEdge,
+    /// An edge added and removed by the same delta: no net change.
+    AddAndRemove,
+    /// An edge on a label no rule reads.
+    UnreadLabel,
+}
+
+const SHAPES: [Shape; 6] = [
+    Shape::EdgeAdd,
+    Shape::WordOneRemoval,
+    Shape::ChainRemoval,
+    Shape::NewNodeWithEdge,
+    Shape::AddAndRemove,
+    Shape::UnreadLabel,
+];
+
+/// The delta of one shape against `src`, or `None` when the graph has
+/// nothing the shape needs (say, no edge under a chain-inventing rule).
+fn shape_delta(shape: Shape, gsm: &Gsm, src: &DataGraph) -> Option<GraphDelta> {
+    // (source label, target word length) of every rule reading an atom
+    let rules: Vec<(Label, usize)> = gsm
+        .rules()
+        .iter()
+        .filter_map(|r| Some((r.source.as_atom()?, r.target.as_word()?.len())))
+        .collect();
+    let read = rules.first()?.0;
+    let name = |l: Label| src.alphabet().name(l).to_string();
+    let mut nodes: Vec<NodeId> = src.node_ids().collect();
+    nodes.sort();
+    let mut edges: Vec<_> = src.edges().collect();
+    edges.sort();
+    let absent = || {
+        let mut pairs = nodes
+            .iter()
+            .flat_map(|&u| nodes.iter().map(move |&v| (u, v)));
+        pairs.find(|&(u, v)| u != v && !src.contains_edge(u, read, v))
     };
-    let deltas = social_churn_deltas(&cfg, 3, 5, 0xFEED);
-
-    let patching = MappingService::new();
-    let pid = patching.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    let rebuilding = MappingService::new();
-    rebuilding.set_delta_patching(false);
-    let rid = rebuilding.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-
-    assert_eq!(patching.generation(pid), Some(0));
-    let mut expected_gen = 0;
-    for delta in &deltas {
-        // warm caches so the delta actually has something to patch
-        fingerprint(&patching, pid, &queries);
-        fingerprint(&rebuilding, rid, &queries);
-        let rp = patching.apply_delta(pid, delta).unwrap();
-        let rr = rebuilding.apply_delta(rid, delta).unwrap();
-        assert_eq!(rp.added_edges, rr.added_edges);
-        if rp.added_edges > 0 {
-            expected_gen += 1;
-            assert!(rp.patched, "additive LAV delta must patch in place");
-            assert!(!rr.patched, "patching disabled ⇒ invalidate");
-            assert!(!rebuilding.is_cached(rid, Semantics::nulls()));
+    let removal = |chain: bool| {
+        let wanted = |l| {
+            rules
+                .iter()
+                .any(|&(a, len)| a == l && (len >= 2) == chain && len > 0)
+        };
+        let &(u, l, v) = edges.iter().find(|e| wanted(e.1))?;
+        Some(GraphDelta::new().without_edge(u, &name(l), v))
+    };
+    match shape {
+        Shape::EdgeAdd => absent().map(|(u, v)| GraphDelta::new().with_edge(u, &name(read), v)),
+        Shape::WordOneRemoval => removal(false),
+        Shape::ChainRemoval => removal(true),
+        Shape::NewNodeWithEdge => {
+            let (anchor, fresh) = (*nodes.first()?, NodeId(src.fresh_id_watermark()));
+            let value = src.value(anchor)?.clone();
+            Some(
+                GraphDelta::new()
+                    .with_node(fresh, value)
+                    .with_edge(anchor, &name(read), fresh),
+            )
         }
-        assert_eq!(patching.generation(pid), Some(expected_gen));
-        // both routes agree with each other after the delta
-        assert_eq!(
-            fingerprint(&patching, pid, &queries),
-            fingerprint(&rebuilding, rid, &queries)
-        );
-    }
-    assert!(patching.stats().patched_deltas >= 1);
-    // the exact engine consumes the patched skeleton identically too (on
-    // this workload both typically hit the same TooComplex bound — the
-    // point is that patched and rebuilt skeletons behave the same)
-    for (_, q) in sv.queries.iter().take(2) {
-        let c = q.compile();
-        assert_eq!(
-            patching.answer(pid, &c, Semantics::exact()),
-            rebuilding.answer(rid, &c, Semantics::exact())
-        );
+        Shape::AddAndRemove => absent().map(|(u, v)| {
+            GraphDelta::new()
+                .with_edge(u, &name(read), v)
+                .without_edge(u, &name(read), v)
+        }),
+        Shape::UnreadLabel => {
+            Some(GraphDelta::new().with_edge(*nodes.first()?, "unread", *nodes.last()?))
+        }
     }
 }
 
+/// One mapping the oracle test drives through every delta shape.
+struct OracleCase {
+    name: String,
+    gsm: Gsm,
+    source: DataGraph,
+    queries: Vec<DataQuery>,
+    /// Small cases must be answerable by the exact engine; on the social
+    /// scenario it may give up as too complex.
+    exact_required: bool,
+}
+
+/// Ten random LAV scenarios sized like `tests/end_to_end.rs`'s, each also
+/// with a join rule `a b → y` added (so not LAV), plus the social scenario.
+fn oracle_cases() -> Vec<OracleCase> {
+    let mut cases = Vec::new();
+    for seed in 0..10u64 {
+        let sc = random_scenario(&ScenarioConfig {
+            graph: GraphConfig {
+                nodes: 6,
+                edges: 6,
+                labels: vec!["a".into(), "b".into()],
+                value_pool: 2,
+                seed,
+            },
+            target_labels: vec!["x".into(), "y".into()],
+            max_word_len: 2,
+            seed: seed.wrapping_mul(31) + 7,
+        });
+        let mut ta = sc.gsm.target_alphabet().clone();
+        let queries: Vec<DataQuery> = ["x", "x y", "(x y)=", "(x | y)+", "((x | y)+)=", "(x y)!="]
+            .iter()
+            .map(|s| parse_ree(s, &mut ta).unwrap().into())
+            .collect();
+        let mut joined = sc.gsm.clone();
+        let mut sa = joined.source_alphabet().clone();
+        joined.add_rule(
+            parse_regex("a b", &mut sa).unwrap(),
+            parse_regex("y", &mut ta).unwrap(),
+        );
+        assert!(!joined.classify().lav);
+        cases.push(OracleCase {
+            name: format!("lav seed {seed}"),
+            gsm: sc.gsm,
+            source: sc.source.clone(),
+            queries: queries.clone(),
+            exact_required: true,
+        });
+        cases.push(OracleCase {
+            name: format!("join seed {seed}"),
+            gsm: joined,
+            source: sc.source,
+            queries,
+            exact_required: true,
+        });
+    }
+    let sv = scenario(0xD0);
+    cases.push(OracleCase {
+        name: "social".into(),
+        queries: sv.query_batch(),
+        gsm: sv.scenario.gsm,
+        source: sv.scenario.source,
+        exact_required: false,
+    });
+    cases
+}
+
+/// Is every certain tuple of `sub` certain in `sup` too?
+fn contained(sub: &CertainAnswers, sup: &CertainAnswers) -> bool {
+    match (sub, sup) {
+        (_, CertainAnswers::AllVacuously) => true,
+        (CertainAnswers::AllVacuously, CertainAnswers::Pairs(_)) => false,
+        (CertainAnswers::Pairs(a), CertainAnswers::Pairs(b)) => a.iter().all(|p| b.contains(p)),
+    }
+}
+
+/// Serve every query at K = 1 and K = 2 and check the answers against a
+/// one-shot serve of the current source, and against the exact engine:
+/// Nulls ⊆ Exact, and LI = Exact on equality-only queries.
+fn check_against_oracle(case: &OracleCase, services: &[(MappingService, MappingId)], at: &str) {
+    let src = services[0].0.source(services[0].1).unwrap();
+    for q in &case.queries {
+        let cq = q.compile();
+        let nulls = answer_once(&case.gsm, &src, &cq, Semantics::nulls()).unwrap();
+        let li = cq
+            .is_equality_only()
+            .then(|| answer_once(&case.gsm, &src, &cq, Semantics::least_informative()).unwrap());
+        for (svc, id) in services {
+            let k = svc.shard_count(*id).unwrap();
+            let got = svc.answer(*id, &cq, Semantics::nulls()).unwrap();
+            assert_eq!(got, nulls, "{} {at} K={k}: nulls {q:?}", case.name);
+            if let Some(li) = &li {
+                let got = svc
+                    .answer(*id, &cq, Semantics::least_informative())
+                    .unwrap();
+                assert_eq!(&got, li, "{} {at} K={k}: LI {q:?}", case.name);
+            }
+        }
+        match certain_answers_exact(&case.gsm, q, &src, ExactOptions::default()) {
+            Ok(exact) => {
+                let nulls = nulls.into_tuples();
+                assert!(
+                    contained(&nulls, &exact),
+                    "{} {at}: Nulls ⊄ Exact on {q:?}",
+                    case.name
+                );
+                if let Some(li) = li {
+                    assert_eq!(
+                        li.into_tuples(),
+                        exact,
+                        "{} {at}: LI ≠ Exact on {q:?}",
+                        case.name
+                    );
+                }
+            }
+            Err(e) => assert!(
+                !case.exact_required,
+                "{} {at}: exact on {q:?}: {e}",
+                case.name
+            ),
+        }
+    }
+}
+
+/// Drive one case through every delta shape at K ∈ {1, 2}; returns how
+/// many times each shape applied.
+fn run_oracle_case(case: &OracleCase) -> [usize; SHAPES.len()] {
+    let mut applied = [0; SHAPES.len()];
+    let services: Vec<(MappingService, MappingId)> = [1, 2]
+        .into_iter()
+        .map(|k| {
+            let svc = MappingService::new();
+            let id = svc.register(case.gsm.clone(), case.source.clone());
+            svc.set_shard_count(id, k).unwrap();
+            (svc, id)
+        })
+        .collect();
+    // the check serves both flavours, so every delta meets warm caches
+    check_against_oracle(case, &services, "before any delta");
+    let lav = case.gsm.classify().lav;
+    for (si, &shape) in SHAPES.iter().enumerate() {
+        let src = services[0].0.source(services[0].1).unwrap();
+        let Some(delta) = shape_delta(shape, &case.gsm, &src) else {
+            continue;
+        };
+        applied[si] += 1;
+        for (svc, id) in &services {
+            let generation = svc.generation(*id).unwrap();
+            let report = svc.apply_delta(*id, &delta).unwrap();
+            assert_eq!(report.generation, generation + 1, "{} {shape:?}", case.name);
+            if lav {
+                let keeps = matches!(shape, Shape::AddAndRemove | Shape::UnreadLabel);
+                assert_eq!(report.patched, keeps, "{} {shape:?}", case.name);
+                assert_eq!(svc.is_cached(*id, Semantics::nulls()), keeps);
+            }
+        }
+        check_against_oracle(case, &services, &format!("after {shape:?}"));
+    }
+    // a delta that changes nothing bumps nothing and keeps the caches
+    for (svc, id) in &services {
+        let generation = svc.generation(*id).unwrap();
+        let noop = GraphDelta::new().without_edge(NodeId(0), "unread", NodeId(0));
+        let report = svc.apply_delta(*id, &noop).unwrap();
+        assert_eq!(report.generation, generation);
+        assert!(report.patched && svc.is_cached(*id, Semantics::nulls()));
+    }
+    applied
+}
+
+/// Every delta shape, on LAV and non-LAV mappings at K ∈ {1, 2}: answers
+/// after the delta equal a one-shot serve of the mutated source and pass
+/// the exact oracle, and on LAV mappings only the two shapes no rule can
+/// see keep the cached solutions (`patched`). The cases are independent,
+/// so they run on scoped threads (the exact engine dominates the time).
 #[test]
-fn lav_removals_unpatch_in_place_and_match_rebuild() {
-    let sv = scenario(0xA7);
-    let queries = compiled_batch(&sv);
-    let svc = MappingService::new();
-    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    fingerprint(&svc, id, &queries);
-    assert!(svc.is_cached(id, Semantics::nulls()));
-    let gen0 = svc.generation(id).unwrap();
+fn delta_shapes_match_answer_once_and_the_exact_oracle() {
+    let cases = oracle_cases();
+    let per_case: Vec<[usize; SHAPES.len()]> = std::thread::scope(|scope| {
+        let handles: Vec<_> = cases
+            .iter()
+            .map(|case| scope.spawn(|| run_oracle_case(case)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (si, shape) in SHAPES.iter().enumerate() {
+        let runs: usize = per_case.iter().map(|a| a[si]).sum();
+        assert!(runs > 0, "{shape:?} never applied");
+    }
+}
 
-    // remove an existing knows edge (target word length 1): the matching
-    // contact edge is deleted from the cached solutions in place
-    let src = svc.source(id).unwrap();
-    let (u, _, v) = src
-        .edges()
-        .find(|&(_, l, _)| src.alphabet().name(l) == "knows")
-        .expect("social graph has knows edges");
-    let delta = GraphDelta::new().without_edge(u, "knows", v);
-    let report = svc.apply_delta(id, &delta).unwrap();
-    assert_eq!(report.removed_edges, 1);
-    assert!(report.patched, "bounded LAV removals are absorbed in place");
-    assert_eq!(report.generation, gen0 + 1);
-    assert_eq!(svc.generation(id), Some(gen0 + 1));
-
-    // unpatched answers match a fresh service over the mutated graph
-    let fresh = MappingService::new();
-    let fid = fresh.register(sv.scenario.gsm.clone(), svc.source(id).unwrap());
-    assert_eq!(
-        fingerprint(&svc, id, &queries),
-        fingerprint(&fresh, fid, &queries)
+/// An ε-rule makes any non-loop match unsatisfiable: a delta adding one
+/// turns every answer vacuous, and removing it makes the mapping
+/// solvable again.
+#[test]
+fn epsilon_rule_deltas_toggle_solvability() {
+    let mut sa = Alphabet::from_labels(["a", "b"]);
+    let mut ta = Alphabet::from_labels(["x", "y"]);
+    let mut m = Gsm::new(sa.clone(), ta.clone());
+    m.add_rule(
+        parse_regex("a", &mut sa).unwrap(),
+        parse_regex("x y", &mut ta).unwrap(),
     );
-
-    // a removal whose fresh path carries an invented middle (likes/src →
-    // endorses·via, target word length 2) unpatches too: the chain and its
-    // invented node disappear exactly as a rebuild would drop them
-    let src = svc.source(id).unwrap();
-    let (lu, _, lv) = src
-        .edges()
-        .find(|&(_, l, _)| src.alphabet().name(l) == "likes/src")
-        .expect("social graph has likes edges");
-    let report = svc
-        .apply_delta(id, &GraphDelta::new().without_edge(lu, "likes/src", lv))
-        .unwrap();
-    assert!(report.patched, "chain removals are absorbed in place");
-    let fresh2 = MappingService::new();
-    let fid2 = fresh2.register(sv.scenario.gsm.clone(), svc.source(id).unwrap());
-    assert_eq!(
-        fingerprint(&svc, id, &queries),
-        fingerprint(&fresh2, fid2, &queries)
-    );
-    assert!(svc.stats().patched_deltas >= 2);
-
-    // with patching disabled the same removal shape invalidates instead
-    let rebuilding = MappingService::new();
-    rebuilding.set_delta_patching(false);
-    let rid = rebuilding.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    fingerprint(&rebuilding, rid, &queries);
-    let report = rebuilding
-        .apply_delta(rid, &GraphDelta::new().without_edge(u, "knows", v))
-        .unwrap();
-    assert!(!report.patched);
-    assert!(
-        !rebuilding.is_cached(rid, Semantics::nulls()),
-        "generation bump invalidates the stale cache"
-    );
-
-    // a delta that changes nothing bumps nothing
-    let gen = svc.generation(id).unwrap();
-    fingerprint(&svc, id, &queries); // refreeze so the cache is resident
-    let noop = GraphDelta::new().without_edge(u, "knows", v);
-    let report = svc.apply_delta(id, &noop).unwrap();
-    assert_eq!(report.generation, gen);
-    assert!(svc.is_cached(id, Semantics::nulls()));
+    m.add_rule(parse_regex("b", &mut sa).unwrap(), Regex::Epsilon);
+    let mut gs = DataGraph::with_alphabet(sa);
+    for i in 0..3u32 {
+        gs.add_node(NodeId(i), Value::int(i64::from(i % 2)))
+            .unwrap();
+    }
+    gs.add_edge_str(NodeId(0), "a", NodeId(1)).unwrap();
+    gs.add_edge_str(NodeId(2), "b", NodeId(2)).unwrap();
+    let q = DataQuery::from(parse_ree("x y", &mut ta).unwrap()).compile();
+    for k in [1, 2] {
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
+        svc.set_shard_count(id, k).unwrap();
+        let solvable = svc.answer(id, &q, Semantics::nulls()).unwrap();
+        assert_eq!(solvable.clone().into_pairs(), vec![(NodeId(0), NodeId(1))]);
+        let report = svc
+            .apply_delta(id, &GraphDelta::new().with_edge(NodeId(1), "b", NodeId(2)))
+            .unwrap();
+        assert!(!report.patched);
+        for sem in [Semantics::nulls(), Semantics::least_informative()] {
+            assert_eq!(
+                svc.answer(id, &q, sem).unwrap().into_tuples(),
+                CertainAnswers::AllVacuously,
+                "K={k} {sem:?}"
+            );
+        }
+        assert!(svc
+            .answer(id, &q, Semantics::nulls_boolean())
+            .unwrap()
+            .boolean());
+        assert!(!svc.prepare(id, Semantics::nulls()).unwrap(), "no solution");
+        let report = svc
+            .apply_delta(
+                id,
+                &GraphDelta::new().without_edge(NodeId(1), "b", NodeId(2)),
+            )
+            .unwrap();
+        assert!(!report.patched, "the failed slot is dropped, not kept");
+        assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), solvable);
+        let src = svc.source(id).unwrap();
+        assert_eq!(
+            svc.answer(id, &q, Semantics::least_informative()).unwrap(),
+            answer_once(&m, &src, &q, Semantics::least_informative()).unwrap()
+        );
+    }
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! K ∈ {1, 2, 4, 8} node-range stripes must serve answers byte-identical
 //! to the unsharded engine for **every** `Semantics` × `Mode` on the
 //! social serving workload — through both `answer` and `answer_batch` —
-//! and stay identical while deltas patch stripes incrementally, across
-//! worker-thread budgets, and with the generation-stamped sub-relation
-//! cache warm (stale generations must never serve).
+//! and stay identical across churn deltas (each drops the warm solution
+//! and its sub-relation cache, so no pre-delta entry may ever serve),
+//! across worker-thread budgets, and with the sub-relation cache warm.
 
 use gde_core::{
     Answer, ExactOptions, Gsm, MappingId, MappingService, Mode, Semantics, ServeError,
@@ -113,7 +113,7 @@ fn sharded_answers_survive_incremental_deltas() {
         })
         .collect();
     for delta in &deltas {
-        // warm caches so deltas patch rather than build cold
+        // warm caches so every delta meets a resident solution
         let expected = fingerprint(&reference, rid, &queries);
         for (k, svc, id) in &sharded {
             assert_eq!(fingerprint(svc, *id, &queries), expected, "pre-delta {k:?}");
@@ -131,12 +131,12 @@ fn sharded_answers_survive_incremental_deltas() {
             "post-churn {k:?}"
         );
         assert!(
-            svc.stats().patched_deltas >= 1,
-            "churn must exercise the patch path at {k:?}"
+            svc.stats().invalidating_deltas >= 1,
+            "churn must invalidate warm caches at {k:?}"
         );
         // the warm fingerprints before each delta and the batch half of
         // every fingerprint reuse cached stripe results; the equivalence
-        // asserts above prove no stale generation ever served (every fixed
+        // asserts above prove no pre-delta entry ever served (every fixed
         // K caches, one stripe included)
         if matches!(k, ShardSpec::Fixed(_)) {
             assert!(
