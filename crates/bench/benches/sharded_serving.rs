@@ -39,6 +39,12 @@
 //! the JSON so a 1-CPU container's sweep is read for what it is
 //! (scheduling overhead, not parallel speedup).
 //!
+//! Each K also records `prepared_bytes`, the prepared solution's
+//! `approx_bytes()` right after `prepare`. A stripe is a row range of the
+//! one snapshot, not a copy, so the figure is the same at every K; the
+//! bench asserts that (in smoke mode too), so a stripe that starts
+//! copying the snapshot again fails it.
+//!
 //! Emits `BENCH_sharded.json` at the workspace root as a machine-readable
 //! perf baseline (full mode only). `SHARDED_SERVING_SMOKE=1` (CI) shrinks
 //! the graph, runs K ∈ {1, 2}, forces 2 threads unless GDE_MAX_THREADS
@@ -100,6 +106,7 @@ fn bench(c: &mut Criterion) {
 
     // one service per K, prepared outside the measured path: the bench is
     // steady-state serving, not preparation
+    let mut prepared_bytes: Vec<usize> = Vec::with_capacity(ks.len());
     let services: Vec<(usize, MappingService, MappingId)> = ks
         .iter()
         .map(|&k| {
@@ -107,9 +114,18 @@ fn bench(c: &mut Criterion) {
             let id = svc.register(gsm.clone(), source.clone());
             svc.set_shard_count(id, k).expect("registered");
             svc.prepare(id, Semantics::nulls()).expect("prepares");
+            let prep = svc.solution(id, Semantics::nulls()).expect("prepared");
+            prepared_bytes.push(prep.approx_bytes());
             (k, svc, id)
         })
         .collect();
+    for (&k, &bytes) in ks.iter().zip(&prepared_bytes) {
+        println!("k={k}: {bytes} prepared bytes");
+    }
+    assert!(
+        prepared_bytes.iter().all(|&b| b == prepared_bytes[0]),
+        "a stripe must not copy the snapshot: prepared bytes per K {prepared_bytes:?}"
+    );
 
     // the merge-bound batch: high-cardinality tuple queries where the
     // cross-stripe merge, not the evaluation, is the interesting cost
@@ -159,7 +175,7 @@ fn bench(c: &mut Criterion) {
     let merge_prep = merge_svc
         .solution(*merge_id, Semantics::nulls())
         .expect("prepared");
-    let merge_plan = merge_prep.sharded().plan().clone();
+    let merge_plan = merge_prep.plan().clone();
     let runs_per_query: Vec<Vec<Vec<(NodeId, NodeId)>>> = mb_ref
         .iter()
         .map(|a| {
@@ -345,11 +361,6 @@ fn bench(c: &mut Criterion) {
             booleans.iter().find(|&&(kk, _)| kk == k).unwrap().1 as f64 / 1e6,
         );
     }
-    // overlay cost of the partition, from the largest-K service
-    let (k_max, svc, id) = services.last().expect("at least one K");
-    let prep = svc.solution(*id, Semantics::nulls()).expect("prepared");
-    let boundary = prep.sharded().boundary_edges();
-    println!("k={k_max}: {boundary} boundary edges across stripes");
 
     // sweep summary (printed in smoke too; JSON is full-mode only)
     let sweep_ns = |name: &str, t: usize, k: usize| -> u64 {
@@ -384,9 +395,10 @@ fn bench(c: &mut Criterion) {
         .enumerate()
         .map(|(i, &k)| {
             format!(
-                "    {{ \"k\": {k}, \"mixed_batch_ns\": {}, \"tuple_batch_ns\": {}, \
-                 \"boolean_batch_ns\": {}, \"merge_bound_batch_ns\": {} }}",
-                mixed[i].1, tuples[i].1, booleans[i].1, merge_bound[i].1
+                "    {{ \"k\": {k}, \"prepared_bytes\": {}, \"mixed_batch_ns\": {}, \
+                 \"tuple_batch_ns\": {}, \"boolean_batch_ns\": {}, \
+                 \"merge_bound_batch_ns\": {} }}",
+                prepared_bytes[i], mixed[i].1, tuples[i].1, booleans[i].1, merge_bound[i].1
             )
         })
         .collect();
@@ -408,7 +420,7 @@ fn bench(c: &mut Criterion) {
          \"smoke\": false,\n  \"scale\": {},\n  \"source_nodes\": {},\n  \"source_edges\": {},\n  \
          \"solution_nodes\": {},\n  \"queries\": {},\n  \"boolean_queries\": {},\n  \
          \"threads\": {},\n  \"physical_cpus\": {physical_cpus},\n  \
-         \"boundary_edges_at_kmax\": {},\n  \"per_k\": [\n{}\n  ],\n  \
+         \"per_k\": [\n{}\n  ],\n  \
          \"speedup_k4_over_k1\": {:.2},\n  \"tuple_speedup_k4_over_k1\": {:.2},\n  \
          \"boolean_speedup_k4_over_k1\": {:.2},\n  \
          \"tuple_speedup_k4_over_k1_at_4_threads\": {:.2},\n  \
@@ -420,11 +432,10 @@ fn bench(c: &mut Criterion) {
         scale,
         source.node_count(),
         source.edge_count(),
-        prep.snapshot().n(),
+        merge_prep.snapshot().n(),
         queries.len(),
         boolean.len(),
         threads,
-        boundary,
         per_k.join(",\n"),
         speedup_at(&mixed, 4),
         speedup_at(&tuples, 4),

@@ -33,11 +33,12 @@
 //!   inside one panic → quarantine → retry-once loop, and one
 //!   `(query, stripe)` scheduler runs them; the exact enumeration enters
 //!   the same door and loop and runs as one task per query.
-//! * **shard** — every prepared solution serves from node-range stripes
-//!   ([`ShardedSnapshot`], under a cost-model-balanced [`ShardPlan`]); a
-//!   mapping without sharding is a one-stripe plan whose stripe aliases
-//!   the snapshot's relations, so it copies nothing and caches like any
-//!   other K. [`MappingService::set_shard_count`] takes a fixed count or
+//! * **shard** — every prepared solution splits evaluation into
+//!   node-range stripes under a cost-model-balanced [`ShardPlan`]. A
+//!   stripe is a row range of the solution's one snapshot, not a copy:
+//!   preparing at any K builds nothing per stripe, and a mapping without
+//!   sharding is a one-stripe plan that caches like any other K.
+//!   [`MappingService::set_shard_count`] takes a fixed count or
 //!   [`ShardSpec::Auto`], which picks K from the graph size, the thread
 //!   budget, and the observed [`ServingStats`]. Tuple answers evaluate
 //!   per stripe on [`gde_datagraph::par`] workers into sorted runs and
@@ -68,11 +69,11 @@ use crate::solution::{
 };
 use gde_datagraph::{
     merge_sorted_runs, par, DataGraph, FxHashMap, FxHashSet, GraphDelta, GraphError, GraphSnapshot,
-    Label, NodeId, ShardPlan, ShardedSnapshot, WorkerPanic,
+    Label, NodeId, ShardPlan, WorkerPanic,
 };
 use gde_dataquery::{
     canonicalize, BindError, CompiledQuery, EvalControl, LruSubRelCache, PlanSkeleton,
-    QueryTemplate, RowEvalShared, StopCause, SubRelCache, SubRelKey,
+    QueryTemplate, RowEvalShared, StopCause, SubRelKey,
 };
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -492,8 +493,10 @@ impl ServingStats {
 /// The [`ShardSpec::Auto`] policy: pick a stripe count from the graph
 /// size, the thread budget, and the observed workload.
 ///
-/// * Stripes below ~1k rows don't amortise their slice overhead: tiny
-///   graphs stay unsharded, and K never exceeds `nodes / 1024`.
+/// * Stripes below ~1k rows don't amortise their per-stripe overhead
+///   (one task, one row-restricted atom copy per letter and one merge
+///   run each): tiny graphs stay unsharded, and K never exceeds
+///   `nodes / 1024`.
 /// * The baseline is one stripe per worker thread.
 /// * A Boolean-leaning workload gets at least 4 stripes (when the graph
 ///   affords them): the cross-stripe OR-short-circuit pays even on one
@@ -509,7 +512,7 @@ impl ServingStats {
 ///   shared phase-1 build ([`ServingStats::memo_share`] > ½) — the
 ///   serial prefix stripes cannot shrink — oversubscription is pointless
 ///   and K is capped back to the thread count (Amdahl: extra stripes
-///   only add slice-and-merge overhead to a memo-bound workload).
+///   only add per-stripe and merge overhead to a memo-bound workload).
 fn auto_shard_count(nodes: usize, threads: usize, stats: &ServingStats) -> usize {
     const MIN_STRIPE_ROWS: usize = 1024;
     const HEAVY_EVAL_NS: u64 = 10_000_000;
@@ -850,17 +853,18 @@ pub struct ServiceStats {
 }
 
 /// A canonical solution frozen for serving: the solution itself, its
-/// snapshot partitioned into node-range stripes (a mapping without
-/// sharding serves from a one-stripe plan that aliases the snapshot's
-/// relations), and a dense-index mask of the invented nodes (so
-/// dom-filtering is an array lookup per endpoint instead of a hash probe
-/// per pair).
+/// snapshot, the stripe plan that splits evaluation by source row (a
+/// mapping without sharding serves from a one-stripe plan), and a
+/// dense-index mask of the invented nodes (so dom-filtering is an array
+/// lookup per endpoint instead of a hash probe per pair). Every stripe
+/// evaluates on the one snapshot; a stripe is a row range, not a copy.
 #[derive(Debug)]
 pub struct PreparedSolution {
     solution: CanonicalSolution,
     invented_mask: Vec<bool>,
-    /// The snapshot (its base) and its stripe plan.
-    sharded: Arc<ShardedSnapshot>,
+    snapshot: Arc<GraphSnapshot>,
+    /// The stripes of every serve: row ranges of `snapshot`.
+    plan: ShardPlan,
     /// Evaluated sub-relations (closures, tail factors, per-stripe
     /// answers), keyed `(stripe-or-global, subplan hash)`. Owned per
     /// prepared solution and dropped with it — the two flavours of one
@@ -911,8 +915,6 @@ impl PreparedSolution {
             Some(p) => ShardPlan::by_cost_focused(&snapshot, k, p.labels()),
             None => ShardPlan::by_cost(&snapshot, k),
         };
-        let sharded = ShardedSnapshot::new(snapshot.clone(), plan);
-        sharded.warm();
         // cold-start admission prior: sub-relations over workload labels
         // are bounded by those labels' edge mass (per stripe artifacts,
         // closures and merge rows ≈ tens of bytes per pair), not by the
@@ -929,7 +931,8 @@ impl PreparedSolution {
         PreparedSolution {
             solution,
             invented_mask,
-            sharded: Arc::new(sharded),
+            snapshot,
+            plan,
             sub_cache: Arc::new(LruSubRelCache::new(SUB_REL_CACHE_BUDGET)),
             charged_cache_bytes: AtomicUsize::new(0),
             serving: Arc::new(Mutex::new(ServingStats::default())),
@@ -944,29 +947,28 @@ impl PreparedSolution {
 
     /// The frozen snapshot of the solution's target graph.
     pub fn snapshot(&self) -> &GraphSnapshot {
-        self.sharded.base()
+        &self.snapshot
     }
 
-    /// The striped view every serve evaluates on (one stripe when the
-    /// mapping is not sharded).
-    pub fn sharded(&self) -> &ShardedSnapshot {
-        &self.sharded
+    /// The stripe plan every serve splits its evaluation by (one stripe
+    /// when the mapping is not sharded).
+    pub fn plan(&self) -> &ShardPlan {
+        &self.plan
     }
 
     /// Number of stripes this solution serves from.
     pub fn shard_count(&self) -> usize {
-        self.sharded.shard_count()
+        self.plan.shard_count()
     }
 
-    /// Approximate heap footprint (solution + snapshot + mask + shard
-    /// slices — none on a one-stripe plan — + the sub-relation cache
-    /// charge as last settled by the service), the unit the service's
-    /// eviction budget is counted in.
+    /// Approximate heap footprint (solution + snapshot + mask + the
+    /// sub-relation cache charge as last settled by the service), the
+    /// unit the service's eviction budget is counted in. Stripes add
+    /// nothing: they are row ranges of the one snapshot.
     pub fn approx_bytes(&self) -> usize {
         self.solution.approx_bytes()
-            + self.snapshot().approx_bytes()
+            + self.snapshot.approx_bytes()
             + self.invented_mask.len()
-            + self.sharded.approx_bytes()
             + self.charged_cache_bytes.load(Ordering::Relaxed)
     }
 
@@ -1015,7 +1017,7 @@ impl PreparedSolution {
     /// nothing to the cache budget.
     fn row_shared(&self, ctrl: &Arc<EvalControl>, use_cache: bool) -> RowEvalShared {
         let shared = if use_cache {
-            RowEvalShared::with_cache(self.sub_cache.clone() as Arc<dyn SubRelCache>)
+            RowEvalShared::with_cache(self.sub_cache.clone())
         } else {
             RowEvalShared::new()
         };
@@ -1063,7 +1065,7 @@ impl PreparedSolution {
         // an injected panic here models a stripe worker dying at the top
         // of its evaluation, before any shared state is touched
         faults::point(FaultSite::StripeEval);
-        let ss = &self.sharded;
+        let rows = self.plan.range(shard);
         let started = Instant::now();
         let ctrl = shared.control();
         let rel = match shared.cache() {
@@ -1072,7 +1074,7 @@ impl PreparedSolution {
                 match h.lookup(&key) {
                     Some(rel) => rel,
                     None => {
-                        let rel = Arc::new(q.eval_relation_rows(ss, shard, shared));
+                        let rel = Arc::new(q.eval_relation_rows(&self.snapshot, rows, shared));
                         // a control that fired mid-evaluation may have
                         // truncated sub-factors: the relation is garbage
                         // by design and must never reach the cache — the
@@ -1086,7 +1088,7 @@ impl PreparedSolution {
                 }
             }
             None => {
-                let rel = Arc::new(q.eval_relation_rows(ss, shard, shared));
+                let rel = Arc::new(q.eval_relation_rows(&self.snapshot, rows, shared));
                 if ctrl.should_stop() {
                     return Vec::new();
                 }
@@ -1104,7 +1106,7 @@ impl PreparedSolution {
     fn shard_holds(&self, q: &CompiledQuery, shard: usize, shared: &RowEvalShared) -> bool {
         faults::point(FaultSite::StripeEval);
         let started = Instant::now();
-        let holds = q.holds_in_rows(&self.sharded, shard, shared);
+        let holds = q.holds_in_rows(&self.snapshot, self.plan.range(shard), shared);
         self.record(shard, started.elapsed(), 0, true);
         holds
     }
@@ -1196,8 +1198,6 @@ enum SlotState {
 #[derive(Debug, Default)]
 struct Slot {
     state: SlotState,
-    /// Generation the state was computed at.
-    generation: u64,
     /// LRU tick of the last serve from this slot.
     last_used: u64,
     /// Bytes charged against the service budget (0 unless resident).
@@ -1450,7 +1450,7 @@ impl MappingService {
         let snap = {
             let slots = lock(&entry.cache);
             match &slots[Flavour::Universal as usize].state {
-                SlotState::Ready(p) => Some(p.sharded.base_arc().clone()),
+                SlotState::Ready(p) => Some(p.snapshot.clone()),
                 _ => None,
             }
         };
@@ -1500,8 +1500,9 @@ impl MappingService {
     }
 
     /// Recompute a mapping's served rule set from its workload profile
-    /// and the pruning toggle; on change, drop resident solutions and
-    /// bump the generation so every stale cache key dies with them.
+    /// and the pruning toggle; on change, drop resident solutions (their
+    /// sub-relation caches die with them) so the next serve rebuilds from
+    /// the new rules.
     fn reprune(&self, entry: &MappingEntry) {
         let target: Arc<Gsm> = if self.pruning_off.load(Ordering::Relaxed) {
             entry.gsm.clone()
@@ -1526,7 +1527,6 @@ impl MappingService {
         for slot in slots.iter_mut() {
             self.release(slot);
         }
-        entry.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Guarantee the workload profile covers these queries before they
@@ -1605,23 +1605,22 @@ impl MappingService {
 
     /// The mapping's generation stamp: 0 at registration, +1 per
     /// state-changing delta. Answers are always served from a solution of
-    /// the current generation.
+    /// the current source: a delta that changes what a cached solution
+    /// may serve releases it.
     pub fn generation(&self, id: MappingId) -> Option<u64> {
         read(&self.registry)
             .get(&id)
             .map(|e| e.generation.load(Ordering::Acquire))
     }
 
-    /// Is a fully frozen, current-generation solution resident for this
-    /// semantics' flavour right now?
+    /// Is a fully frozen solution resident for this semantics' flavour
+    /// right now?
     pub fn is_cached(&self, id: MappingId, sem: Semantics) -> bool {
         match self.entry(id) {
-            Ok(e) => {
-                let slots = lock(&e.cache);
-                let slot = &slots[sem.flavour() as usize];
-                matches!(slot.state, SlotState::Ready(_))
-                    && slot.generation == e.generation.load(Ordering::Acquire)
-            }
+            Ok(e) => matches!(
+                lock(&e.cache)[sem.flavour() as usize].state,
+                SlotState::Ready(_)
+            ),
             Err(_) => false,
         }
     }
@@ -2043,7 +2042,7 @@ impl MappingService {
         let warmed = par::try_map_blocks(nq, 1, |range| {
             for qi in range {
                 if !exact && !ctrl.should_stop() {
-                    queries[qi].prewarm_rows(&prep.sharded, &shareds[qi]);
+                    queries[qi].prewarm_rows(&prep.snapshot, &shareds[qi]);
                 }
             }
         });
@@ -2216,12 +2215,9 @@ impl MappingService {
         };
         for slot in slots.iter_mut() {
             match slot.state {
-                SlotState::Empty => {}
                 // the mapping's class doesn't change with data
-                SlotState::Failed(SolutionError::NotRelational) => {
-                    slot.generation = report.generation
-                }
-                _ if inert => slot.generation = report.generation,
+                SlotState::Empty | SlotState::Failed(SolutionError::NotRelational) => {}
+                _ if inert => {}
                 _ => {
                     self.release(slot);
                     report.patched = false;
@@ -2294,12 +2290,10 @@ impl MappingService {
     /// relation cache, half-built memo state) in an arbitrary state, so
     /// the slot is dropped — the poisoned cache goes with its solution,
     /// so nothing a concurrent serve holding the old `Arc` still writes
-    /// is reachable — and the mapping generation is bumped; the next
-    /// serve rebuilds from the source.
+    /// is reachable — and the next serve of that flavour rebuilds from
+    /// the source. The other flavour's slot is untouched.
     fn quarantine(&self, entry: &MappingEntry, flavour: Flavour) {
-        let mut slots = lock(&entry.cache);
-        self.release(&mut slots[flavour as usize]);
-        entry.generation.fetch_add(1, Ordering::AcqRel);
+        self.release(&mut lock(&entry.cache)[flavour as usize]);
     }
 
     /// Admission control for one serve: would letting this serve fill
@@ -2348,12 +2342,7 @@ impl MappingService {
         let out;
         {
             let mut slots = lock(&entry.cache);
-            let generation = entry.generation.load(Ordering::Acquire);
             let slot = &mut slots[flavour as usize];
-            if slot.generation != generation && !matches!(slot.state, SlotState::Empty) {
-                // apply_delta reconciles eagerly; this is belt and braces
-                self.release(slot);
-            }
             match &slot.state {
                 SlotState::Ready(p) => {
                     // the sub-relation cache filled (or got evicted)
@@ -2375,7 +2364,6 @@ impl MappingService {
             }
             // an Empty slot charges nothing, so a contained panic mid-build
             // leaves it Empty with zero bytes — consistent, just cold
-            slot.generation = generation;
             let shards = self.resolve_shards(entry);
             let source = read(&entry.source).clone();
             // build from the served (possibly pruned) mapping —
@@ -2644,7 +2632,7 @@ mod tests {
             }
             let prep = svc.solution(id, Semantics::nulls()).unwrap();
             assert_eq!(prep.shard_count(), k);
-            assert_eq!(prep.sharded().shard_count(), k);
+            assert_eq!(prep.plan().shard_count(), k);
         }
         // resizing (including back to 1) re-prepares and keeps answers
         let svc = MappingService::new();
@@ -2653,14 +2641,24 @@ mod tests {
         let a4 = svc.answer(id, &queries[0], Semantics::nulls());
         svc.set_shard_count(id, 1).unwrap();
         assert_eq!(svc.answer(id, &queries[0], Semantics::nulls()), a4);
-        // K=1 is a one-stripe plan that copies nothing: its stripe reads
-        // the snapshot's own relations
-        let one = MappingService::new();
-        let oid = one.register(m.clone(), gs.clone());
-        one.prepare(oid, Semantics::nulls()).unwrap();
-        let prep = one.solution(oid, Semantics::nulls()).unwrap();
-        assert_eq!(prep.shard_count(), 1);
-        assert_eq!(prep.sharded().approx_bytes(), 0);
+        // a stripe is a row range of the one snapshot, not a copy: a
+        // freshly prepared solution weighs the same at every K
+        let fresh_bytes: Vec<usize> = [1, 2, 4]
+            .into_iter()
+            .map(|k| {
+                let svc = MappingService::new();
+                let id = svc.register(m.clone(), gs.clone());
+                svc.set_shard_count(id, k).unwrap();
+                svc.prepare(id, Semantics::nulls()).unwrap();
+                let prep = svc.solution(id, Semantics::nulls()).unwrap();
+                assert_eq!(prep.shard_count(), k);
+                prep.approx_bytes()
+            })
+            .collect();
+        assert!(
+            fresh_bytes.iter().all(|&b| b == fresh_bytes[0]),
+            "{fresh_bytes:?}"
+        );
     }
 
     #[test]

@@ -45,15 +45,16 @@
 //!   [`engine::ShardSpec::Auto`]): answers evaluate per stripe into
 //!   sorted runs that union through a streaming k-way merge (Boolean
 //!   answers OR with a short-circuit), batches schedule
-//!   `(query, stripe)` tasks, and answers are byte-identical at every K, `Auto` included. Per-(query, stripe)
-//!   serving statistics ([`engine::ServingStats`], via
+//!   `(query, stripe)` tasks, and answers are byte-identical at every
+//!   K, `Auto` included. A stripe is a row range of the one snapshot,
+//!   not a copy. Per-(query, stripe) serving statistics ([`engine::ServingStats`], via
 //!   [`engine::MappingService::serving_stats`]) feed the `Auto` pick;
 //! * cached solutions live under a byte budget with least-recently-served
 //!   **eviction**, and the service is `Send + Sync`, so scoped threads
 //!   serve one instance concurrently;
 //! * serving is **fault-isolated**: a panicking stripe worker is
-//!   contained and quarantines only its mapping (retried once against a
-//!   rebuild), per-call [`engine::ServeOptions`] impose cooperative
+//!   contained and quarantines only its `(mapping, flavour)` slot
+//!   (retried once against a rebuild), per-call [`engine::ServeOptions`] impose cooperative
 //!   deadlines and cancellation with typed errors, admission control
 //!   degrades over-budget serves to uncached evaluation, and the seeded
 //!   [`faults`] harness replays any failure deterministically.
@@ -61,7 +62,7 @@
 //! Every serve — one query, a batch, or a template binding — takes one
 //! path: the same per-query door, one retry loop and one
 //! `(query, stripe)` scheduler; a mapping without sharding is a
-//! one-stripe plan that aliases its snapshot. One-shot callers can use
+//! one-stripe plan over the same snapshot. One-shot callers can use
 //! [`engine::answer_once`], which serves through a private service and
 //! throws it away (cold path: rebuild the solution per call). On the
 //! social serving workload a prepared batch of ten queries answers

@@ -29,12 +29,12 @@
 //! * [`GraphSnapshot`] — a frozen, label-partitioned CSR view with interned
 //!   values and cached per-label relations, the substrate of the
 //!   prepared-mapping serving engine in `gde-core`;
-//! * [`ShardPlan`] and [`ShardedSnapshot`] — node-range stripes over a
-//!   snapshot with per-shard label relations and a boundary-edge overlay,
-//!   scheduled onto workers by [`par::map_shards`]: the partition unit of
-//!   the sharded serving pipeline in `gde-core`. Plans cut evenly, by
-//!   out-degree, or by the cost model of [`ShardPlan::by_cost`], fed by
-//!   the per-stripe statistics of [`ShardPlan::stripe_stats`];
+//! * [`ShardPlan`] — node-range stripes over a snapshot, the partition
+//!   unit of the sharded serving pipeline in `gde-core`. A stripe is a
+//!   row range of the one snapshot, not a copy of it: each stripe
+//!   evaluates the rows of its range ([`Relation::restrict_rows`] for
+//!   relation-algebra atoms). Plans cut evenly or by the cost model of
+//!   [`ShardPlan::by_cost`];
 //! * [`merge`] — streaming k-way unions of sorted runs (heap-of-cursors
 //!   with galloping bulk copies), merging the per-stripe tuple runs of
 //!   sharded serving and the per-row column lists of k-ary relation
@@ -43,11 +43,11 @@
 //! * homomorphisms between data graphs, both the exact form of §6 and the
 //!   null-absorbing form of §7 ([`hom`]);
 //! * fault-tolerance plumbing: panic-containing `try_` fan-out variants
-//!   ([`par::try_map_blocks`], [`par::try_map_tasks`],
-//!   [`par::try_map_shards`]) reporting [`WorkerPanic`] instead of
-//!   aborting, shared poisoned-lock recovery ([`par::lock_recover`]),
-//!   and the seeded, inert-unless-armed fault-injection points of
-//!   [`faults`] that the serving engine's recovery soak drives.
+//!   ([`par::try_map_blocks`], [`par::try_map_tasks`]) reporting
+//!   [`WorkerPanic`] instead of aborting, shared poisoned-lock recovery
+//!   ([`par::lock_recover`]), and the seeded, inert-unless-armed
+//!   fault-injection points of [`faults`] that the serving engine's
+//!   recovery soak drives.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,6 +78,6 @@ pub use par::{lock_recover, read_recover, write_recover, WorkerPanic};
 pub use path::{DataPath, Path};
 pub use property::{Properties, PropertyGraph};
 pub use relation::{Relation, RelationBuilder, RowIter};
-pub use shard::{ShardPlan, ShardedSnapshot, StripeStats};
+pub use shard::ShardPlan;
 pub use snapshot::GraphSnapshot;
 pub use value::Value;

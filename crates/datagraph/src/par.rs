@@ -127,9 +127,8 @@ pub(crate) fn threads_for(items: usize, min_per_thread: usize) -> usize {
 ///
 /// Carries the first panic payload rendered as a string plus **every**
 /// failed index (task index for [`try_map_tasks`], block index for
-/// [`try_map_blocks`], stripe index for [`try_map_shards`]) — the whole
-/// fan-out is still driven to completion so one poisoned unit doesn't
-/// hide others.
+/// [`try_map_blocks`]) — the whole fan-out is still driven to completion
+/// so one poisoned unit doesn't hide others.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// The first caught panic payload (`&str`/`String` payloads verbatim,
@@ -212,9 +211,9 @@ where
 
 /// Run `f(i)` for every task index `0..count` on scoped worker threads,
 /// collecting the results **in task order**. Tasks are claimed one at a
-/// time from a shared atomic queue — the dynamic scheduler behind
-/// [`map_shards`] and the sharded batch serving in `gde-core`, where task
-/// costs are too uneven for [`map_blocks`]'s static cuts. Runs inline
+/// time from a shared atomic queue — the dynamic scheduler behind the
+/// sharded batch serving in `gde-core`, where task costs are too uneven
+/// for [`map_blocks`]'s static cuts. Runs inline
 /// when parallelism is off or there is at most one task. A panicking task
 /// re-panics on the calling thread; see [`try_map_tasks`] for containment.
 pub fn map_tasks<T, F>(count: usize, f: F) -> Vec<T>
@@ -300,32 +299,6 @@ where
         .collect())
 }
 
-/// Run `f` over explicit index ranges — the stripes of a shard plan — on
-/// scoped worker threads, and collect the per-stripe results **in stripe
-/// order**. Unlike [`map_blocks`], which cuts `0..items` into equal
-/// blocks, the caller owns the partition here; stripes are claimed whole
-/// (each worker owns one stripe at a time) from a shared queue, so
-/// imbalanced stripes don't idle workers.
-///
-/// `f` receives `(stripe_index, range)`.
-pub fn map_shards<T, F>(ranges: &[Range<usize>], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    map_tasks(ranges.len(), |i| f(i, ranges[i].clone()))
-}
-
-/// [`map_shards`] with per-stripe panic containment: a poisoned stripe
-/// becomes an `Err(WorkerPanic)` whose indices are **stripe** indices.
-pub fn try_map_shards<T, F>(ranges: &[Range<usize>], f: F) -> Result<Vec<T>, WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    try_map_tasks(ranges.len(), |i| f(i, ranges[i].clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,7 +379,6 @@ mod tests {
         for t in [1, 4] {
             set_max_threads(t);
             assert_eq!(map_tasks(0, |i| i), Vec::<usize>::new());
-            assert_eq!(map_shards(&[], |i, _| i), Vec::<usize>::new());
             assert_eq!(
                 map_blocks(0, 1, |r| r.len()),
                 Vec::<usize>::new(),
@@ -428,9 +400,9 @@ mod tests {
             let blocks = try_map_blocks(1025, 100, |r| r.collect::<Vec<usize>>()).unwrap();
             let flat: Vec<usize> = blocks.into_iter().flatten().collect();
             assert_eq!(flat, (0..1025).collect::<Vec<usize>>());
-            let ranges = vec![0..5, 5..6, 6..40];
+            let ranges = [0..5, 5..6, 6..40];
             assert_eq!(
-                try_map_shards(&ranges, |i, r| (i, r.len())).unwrap(),
+                try_map_tasks(ranges.len(), |i| (i, ranges[i].len())).unwrap(),
                 vec![(0, 5), (1, 1), (2, 34)]
             );
         }
@@ -502,8 +474,9 @@ mod tests {
         let _guard = test_knob_lock();
         for t in [1, 3] {
             set_max_threads(t);
-            let ranges = vec![0..5, 5..6, 6..40, 40..40, 40..41];
-            let got = map_shards(&ranges, |i, r| (i, r.len()));
+            // one task per stripe of a plan, empty stripes included
+            let ranges = [0..5, 5..6, 6..40, 40..40, 40..41];
+            let got = map_tasks(ranges.len(), |i| (i, ranges[i].len()));
             assert_eq!(got, vec![(0, 5), (1, 1), (2, 34), (3, 0), (4, 1)]);
         }
         set_max_threads(0);

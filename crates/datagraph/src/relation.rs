@@ -1190,21 +1190,44 @@ impl Relation {
     }
 
     /// The sub-relation keeping only rows in `rows` (same dimension; other
-    /// rows become empty). This is the stripe shape of sharded serving:
+    /// rows become empty). This is what a stripe of sharded serving reads:
     /// the union of `restrict_rows` over a partition of `0..n` rebuilds
     /// the relation exactly. A range covering every row (the one stripe of
-    /// an unsharded plan) is a plain clone.
+    /// an unsharded plan) is a plain clone. A sparse relation's range is
+    /// copied straight out of its CSR arena — shifted offsets plus one
+    /// slice of columns — while a dense one goes through the builder,
+    /// which picks the result's representation by its density.
     pub fn restrict_rows(&self, rows: Range<usize>) -> Relation {
-        if rows.start == 0 && rows.end >= self.n {
+        let hi = rows.end.min(self.n);
+        let lo = rows.start.min(hi);
+        if lo == 0 && hi == self.n {
             return self.clone();
         }
-        let mut b = RelationBuilder::new(self.n);
-        for i in rows.start..rows.end.min(self.n) {
-            for j in self.row_iter(i) {
-                b.push(i, j);
+        match &self.repr {
+            Repr::Sparse(s) if !dense_is_better(self.n, s.off[hi] - s.off[lo]) => {
+                let (base, top) = (s.off[lo], s.off[hi]);
+                let mut off = Vec::with_capacity(self.n + 1);
+                off.resize(lo + 1, 0);
+                off.extend(s.off[lo + 1..=hi].iter().map(|&o| o - base));
+                off.resize(self.n + 1, top - base);
+                Relation {
+                    n: self.n,
+                    repr: Repr::Sparse(Csr {
+                        off,
+                        cols: s.cols[base..top].to_vec(),
+                    }),
+                }
+            }
+            _ => {
+                let mut b = RelationBuilder::new(self.n);
+                for i in lo..hi {
+                    for j in self.row_iter(i) {
+                        b.push(i, j);
+                    }
+                }
+                b.build()
             }
         }
-        b.build()
     }
 
     /// Do any of the given rows hold at least one pair?

@@ -1,32 +1,22 @@
-//! Node-range sharding of a frozen [`GraphSnapshot`].
+//! Node-range stripes over a frozen [`GraphSnapshot`].
 //!
 //! The certain-answer semantics served by `gde-core` are embarrassingly
 //! partitionable over the answer relation's *source* rows: the full answer
 //! is the disjoint union of its row stripes, so K workers can each own one
 //! contiguous dense-index range and evaluate independently, with a single
-//! cheap merge at the end. This module provides the two pieces a sharded
-//! serving engine needs below the query layer:
+//! cheap merge at the end. A stripe is nothing but that row range: every
+//! stripe evaluates on the one snapshot, reading the rows of its range
+//! and copying nothing up front.
 //!
-//! * [`ShardPlan`] — a partition of the dense node domain `0..n` into K
-//!   contiguous stripes (even by node count, or balanced by out-degree so
-//!   hub-heavy graphs don't leave workers idle);
-//! * [`ShardedSnapshot`] — a [`GraphSnapshot`] plus, per shard and label,
-//!   the **intra-stripe** label relation (both endpoints inside the
-//!   stripe) and a thin **boundary overlay** of edges whose target falls
-//!   outside the stripe. Their union is exactly the row slice of the full
-//!   label relation, which is what row-restricted query evaluation
-//!   consumes as its atoms. All slices are built lazily, at most once per
-//!   `(shard, label)`. A one-stripe plan builds no slices at all: its
-//!   stripe *is* the snapshot, so its row slices alias the snapshot's own
-//!   label relations and its boundary is empty.
-//!
-//! Scheduling stripes onto workers is [`crate::par::map_shards`].
+//! [`ShardPlan`] is the partition of the dense node domain `0..n` into K
+//! contiguous stripes — even by node count, or balanced by a cost model
+//! ([`ShardPlan::by_cost`]) so hub-heavy graphs don't leave workers idle.
+//! `gde-core` schedules `(query, stripe)` tasks onto workers with
+//! [`crate::par::try_map_tasks`].
 
 use crate::label::Label;
-use crate::relation::{Relation, RelationBuilder};
 use crate::snapshot::GraphSnapshot;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
 
 /// A partition of the dense node domain `0..n` into contiguous stripes.
 ///
@@ -39,11 +29,6 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A single stripe covering everything — the unsharded plan.
-    pub fn single(n: usize) -> ShardPlan {
-        ShardPlan::even(n, 1)
-    }
-
     /// `k` stripes of (nearly) equal node count.
     pub fn even(n: usize, k: usize) -> ShardPlan {
         let k = k.max(1);
@@ -59,8 +44,8 @@ impl ShardPlan {
     /// `k` stripes balanced by out-degree, so each worker owns roughly the
     /// same number of edge *sources* even when the graph has hubs. Every
     /// node also counts 1 (isolated nodes still cost a visit in
-    /// per-source evaluation).
-    pub fn by_out_degree(s: &GraphSnapshot, k: usize) -> ShardPlan {
+    /// per-source evaluation). The seed partition of the cost model.
+    fn by_out_degree(s: &GraphSnapshot, k: usize) -> ShardPlan {
         let k = k.max(1);
         let n = s.n();
         let mut weight = vec![1u64; n];
@@ -74,9 +59,8 @@ impl ShardPlan {
     }
 
     /// `k` stripes balanced by a **cost model** instead of raw degree: the
-    /// estimated per-node evaluation work, assembled from the per-stripe
-    /// statistics a seed partition exposes ([`ShardPlan::stripe_stats`]).
-    /// Three terms feed the model:
+    /// estimated per-node evaluation work, measured against an
+    /// out-degree-balanced seed partition. Three terms feed the model:
     ///
     /// * **out-degree mass** — every edge costs one adjacency visit;
     /// * **label histogram** — an edge of a dense label costs more: the
@@ -84,14 +68,13 @@ impl ShardPlan {
     ///   `E_label`, so per-edge cost grows with the label's mean
     ///   out-degree;
     /// * **boundary-edge count** — an edge leaving its source's stripe
-    ///   (measured under an out-degree-balanced seed plan) pays the
-    ///   boundary-overlay build plus a cross-stripe continuation in the
-    ///   per-start walks.
+    ///   (measured under the seed plan) pays a cross-stripe continuation
+    ///   in the per-start walks.
     ///
     /// The result still partitions `0..n` into contiguous stripes — only
-    /// the cut points move — so everything downstream (slices, carries,
-    /// row-restricted eval) is unchanged. Falls back to the seed when the
-    /// model has nothing to add (`k = 1`, empty graphs).
+    /// the cut points move — so row-restricted evaluation is unchanged.
+    /// Falls back to the seed when the model has nothing to add (`k = 1`,
+    /// empty graphs).
     pub fn by_cost(s: &GraphSnapshot, k: usize) -> ShardPlan {
         ShardPlan::cost_model(s, k, None)
     }
@@ -186,40 +169,6 @@ impl ShardPlan {
         ShardPlan { bounds }
     }
 
-    /// Per-stripe statistics of this plan over a snapshot: node count,
-    /// out-edge mass, per-label edge histogram, and the number of edges
-    /// whose target falls outside the stripe (the boundary overlay this
-    /// partition would build). These are the inputs of the cost model
-    /// behind [`ShardPlan::by_cost`] and a planning diagnostic for
-    /// operators.
-    pub fn stripe_stats(&self, s: &GraphSnapshot) -> Vec<StripeStats> {
-        assert_eq!(self.n(), s.n(), "plan does not cover the snapshot");
-        let mut out: Vec<StripeStats> = (0..self.shard_count())
-            .map(|i| StripeStats {
-                nodes: self.range(i).len(),
-                out_edges: 0,
-                boundary_edges: 0,
-                label_edges: vec![0; s.label_count()],
-            })
-            .collect();
-        for li in 0..s.label_count() {
-            let l = Label(li as u16);
-            for (shard, st) in out.iter_mut().enumerate() {
-                let range = self.range(shard);
-                for u in range.clone() {
-                    let outs = s.out(l, u as u32);
-                    st.out_edges += outs.len();
-                    st.label_edges[li] += outs.len();
-                    st.boundary_edges += outs
-                        .iter()
-                        .filter(|&&v| !range.contains(&(v as usize)))
-                        .count();
-                }
-            }
-        }
-        out
-    }
-
     /// Number of stripes.
     pub fn shard_count(&self) -> usize {
         self.bounds.len() - 1
@@ -235,11 +184,6 @@ impl ShardPlan {
         self.bounds[i] as usize..self.bounds[i + 1] as usize
     }
 
-    /// All stripe ranges, in order.
-    pub fn ranges(&self) -> Vec<Range<usize>> {
-        (0..self.shard_count()).map(|i| self.range(i)).collect()
-    }
-
     /// The stripe containing a dense row (out-of-range rows clamp to the
     /// last stripe).
     pub fn shard_of(&self, row: u32) -> usize {
@@ -249,197 +193,12 @@ impl ShardPlan {
     }
 }
 
-/// Per-stripe static statistics of a [`ShardPlan`] over a snapshot (see
-/// [`ShardPlan::stripe_stats`]): what the cost-informed planner consumes
-/// and what an operator inspects to judge a partition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StripeStats {
-    /// Nodes in the stripe.
-    pub nodes: usize,
-    /// Edges whose source lies in the stripe, across all labels.
-    pub out_edges: usize,
-    /// Of those, edges whose target falls outside the stripe — the
-    /// boundary overlay this partition builds.
-    pub boundary_edges: usize,
-    /// Out-edge histogram by label index.
-    pub label_edges: Vec<usize>,
-}
-
-impl StripeStats {
-    /// The fraction of the stripe's out-edges that cross its boundary
-    /// (`0.0` for an edgeless stripe).
-    pub fn boundary_fraction(&self) -> f64 {
-        if self.out_edges == 0 {
-            0.0
-        } else {
-            self.boundary_edges as f64 / self.out_edges as f64
-        }
-    }
-}
-
-/// The cached slices of one `(shard, label)` cell. Only two relations are
-/// stored — the full row slice (what evaluation reads) and the thin
-/// boundary overlay — so edges inside the stripe are materialised once;
-/// the intra-stripe part is derived on demand.
-#[derive(Debug)]
-struct ShardSlice {
-    /// The row slice of the full label relation (all edges whose source
-    /// lies in the stripe) — the atom row-restricted evaluation starts
-    /// from.
-    rows: Relation,
-    /// The boundary overlay: edges whose source is inside the stripe and
-    /// whose target is outside.
-    boundary: Relation,
-}
-
-/// A [`GraphSnapshot`] partitioned into node-range stripes, with lazily
-/// built per-shard label relations (see the module docs).
-#[derive(Debug)]
-pub struct ShardedSnapshot {
-    base: Arc<GraphSnapshot>,
-    plan: ShardPlan,
-    /// `shard * label_count + label` → slices, built at most once. Empty
-    /// on a one-stripe plan, whose stripe reads the base relations.
-    slices: Vec<OnceLock<ShardSlice>>,
-}
-
-impl ShardedSnapshot {
-    /// Shard a snapshot under a plan. The plan must cover the snapshot's
-    /// node domain.
-    pub fn new(base: Arc<GraphSnapshot>, plan: ShardPlan) -> ShardedSnapshot {
-        assert_eq!(plan.n(), base.n(), "plan does not cover the snapshot");
-        // a one-stripe plan aliases the snapshot's relations: no cells
-        let cells = match plan.shard_count() {
-            1 => 0,
-            k => k * base.label_count(),
-        };
-        ShardedSnapshot {
-            base,
-            plan,
-            slices: (0..cells).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The underlying full snapshot.
-    pub fn base(&self) -> &GraphSnapshot {
-        &self.base
-    }
-
-    /// The underlying snapshot, shared.
-    pub fn base_arc(&self) -> &Arc<GraphSnapshot> {
-        &self.base
-    }
-
-    /// The stripe plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of stripes.
-    pub fn shard_count(&self) -> usize {
-        self.plan.shard_count()
-    }
-
-    fn cell(&self, shard: usize, l: Label) -> Option<&ShardSlice> {
-        if l.index() >= self.base.label_count() {
-            return None; // label interned after freezing: no edges
-        }
-        let idx = shard * self.base.label_count() + l.index();
-        Some(self.slices[idx].get_or_init(|| {
-            let range = self.plan.range(shard);
-            let n = self.base.n();
-            let mut boundary = RelationBuilder::new(n);
-            let mut rows = RelationBuilder::new(n);
-            for u in range.clone() {
-                for &v in self.base.out(l, u as u32) {
-                    if !range.contains(&(v as usize)) {
-                        boundary.push(u, v as usize);
-                    }
-                    rows.push(u, v as usize);
-                }
-            }
-            ShardSlice {
-                rows: rows.build(),
-                boundary: boundary.build(),
-            }
-        }))
-    }
-
-    /// The row slice of `E_label` owned by a stripe: all edges whose
-    /// source lies in the stripe (intra ∪ boundary). On a one-stripe plan
-    /// this is the snapshot's own [`GraphSnapshot::label_relation`].
-    /// `None` for labels the snapshot has never seen.
-    pub fn label_rows(&self, shard: usize, l: Label) -> Option<&Relation> {
-        if self.slices.is_empty() {
-            return self.base.label_relation(l);
-        }
-        self.cell(shard, l).map(|s| &s.rows)
-    }
-
-    /// The intra-stripe part of a stripe's label relation (derived:
-    /// `rows` minus the boundary overlay; diagnostic use).
-    pub fn intra(&self, shard: usize, l: Label) -> Option<Relation> {
-        if self.slices.is_empty() {
-            return self.base.label_relation(l).cloned();
-        }
-        self.cell(shard, l)
-            .map(|s| s.rows.filter(|i, j| !s.boundary.contains(i, j)))
-    }
-
-    /// The boundary overlay of a stripe's label relation (edges crossing
-    /// out of the stripe; empty on a one-stripe plan; diagnostic use).
-    pub fn boundary(&self, shard: usize, l: Label) -> Option<Relation> {
-        if self.slices.is_empty() {
-            return self
-                .base
-                .label_relation(l)
-                .map(|r| Relation::empty(r.dim()));
-        }
-        self.cell(shard, l).map(|s| s.boundary.clone())
-    }
-
-    /// Build every `(shard, label)` slice now, fanning stripes out over
-    /// [`crate::par::map_shards`] workers. Useful to move slice
-    /// construction out of first-query latency. A one-stripe plan has no
-    /// slices to build.
-    pub fn warm(&self) {
-        if self.slices.is_empty() {
-            return;
-        }
-        let ranges = self.plan.ranges();
-        crate::par::map_shards(&ranges, |shard, _| {
-            for li in 0..self.base.label_count() {
-                let _ = self.cell(shard, Label(li as u16));
-            }
-        });
-    }
-
-    /// Number of boundary edges across all stripes built so far (the
-    /// overlay cost of the partition; `warm` first for an exact figure).
-    pub fn boundary_edges(&self) -> usize {
-        self.slices
-            .iter()
-            .filter_map(|c| c.get())
-            .map(|s| s.boundary.len())
-            .sum()
-    }
-
-    /// Approximate heap bytes of the cached slices (the base snapshot is
-    /// accounted separately by its own `approx_bytes`).
-    pub fn approx_bytes(&self) -> usize {
-        self.slices
-            .iter()
-            .filter_map(|c| c.get())
-            .map(|s| s.rows.heap_bytes() + s.boundary.heap_bytes())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::DataGraph;
     use crate::node::NodeId;
+    use crate::relation::{Relation, RelationBuilder};
     use crate::value::Value;
 
     fn ring(n: usize) -> DataGraph {
@@ -551,26 +310,28 @@ mod tests {
         let g = ring(48);
         let s = g.snapshot();
         for plan in [ShardPlan::even(48, 4), ShardPlan::by_cost(&s, 3)] {
-            let stats = plan.stripe_stats(&s);
-            assert_eq!(stats.len(), plan.shard_count());
-            assert_eq!(stats.iter().map(|t| t.nodes).sum::<usize>(), 48);
-            assert_eq!(
-                stats.iter().map(|t| t.out_edges).sum::<usize>(),
-                s.edge_count()
-            );
-            // the histogram refines the out-edge mass
-            for t in &stats {
-                assert_eq!(t.label_edges.iter().sum::<usize>(), t.out_edges);
-                assert!(t.boundary_edges <= t.out_edges);
-                assert!((0.0..=1.0).contains(&t.boundary_fraction()));
+            let (mut nodes, mut edges) = (0, 0);
+            for shard in 0..plan.shard_count() {
+                let range = plan.range(shard);
+                nodes += range.len();
+                let (mut out_edges, mut boundary_edges) = (0, 0);
+                for li in 0..s.label_count() {
+                    let l = Label(li as u16);
+                    // a stripe's rows of E_l are its sources' out-edges
+                    let rows = s.label_relation(l).unwrap().restrict_rows(range.clone());
+                    let label_edges: usize = range.clone().map(|u| s.out(l, u as u32).len()).sum();
+                    assert_eq!(rows.len(), label_edges);
+                    out_edges += label_edges;
+                    boundary_edges += rows
+                        .iter_pairs()
+                        .filter(|(_, j)| !range.contains(j))
+                        .count();
+                }
+                assert!(boundary_edges <= out_edges);
+                edges += out_edges;
             }
-            // stats agree with the slices the sharded snapshot builds
-            let sharded = ShardedSnapshot::new(Arc::new(g.snapshot()), plan.clone());
-            sharded.warm();
-            assert_eq!(
-                stats.iter().map(|t| t.boundary_edges).sum::<usize>(),
-                sharded.boundary_edges()
-            );
+            assert_eq!(nodes, 48);
+            assert_eq!(edges, s.edge_count());
         }
     }
 
@@ -584,33 +345,36 @@ mod tests {
     #[test]
     fn slices_partition_label_relations() {
         let g = ring(32);
-        let snap = Arc::new(g.snapshot());
+        let snap = g.snapshot();
         for k in [1, 2, 4, 7] {
-            let sharded = ShardedSnapshot::new(snap.clone(), ShardPlan::even(snap.n(), k));
-            sharded.warm();
+            let plan = ShardPlan::even(snap.n(), k);
             for name in ["a", "b"] {
                 let l = g.alphabet().label(name).unwrap();
                 let full = snap.label_relation(l).unwrap();
                 let mut union = Relation::empty(snap.n());
-                for shard in 0..sharded.shard_count() {
-                    let intra = sharded.intra(shard, l).unwrap();
-                    let boundary = sharded.boundary(shard, l).unwrap();
-                    let rows = sharded.label_rows(shard, l).unwrap();
+                let mut total = 0;
+                for shard in 0..plan.shard_count() {
+                    let range = plan.range(shard);
+                    let rows = full.restrict_rows(range.clone());
+                    // the stripe's slice is exactly its sources' adjacency
+                    let mut want = RelationBuilder::new(snap.n());
+                    for u in range.clone() {
+                        for &v in snap.out(l, u as u32) {
+                            want.push(u, v as usize);
+                        }
+                    }
+                    assert_eq!(rows, want.build());
                     // rows = intra ⊎ boundary, and rows stay in the stripe
-                    assert_eq!(&intra.union(&boundary), rows);
-                    assert!(intra.iter_pairs().all(|(i, j)| sharded
-                        .plan()
-                        .range(shard)
-                        .contains(&i)
-                        && sharded.plan().range(shard).contains(&j)));
-                    assert!(boundary.iter_pairs().all(|(i, j)| sharded
-                        .plan()
-                        .range(shard)
-                        .contains(&i)
-                        && !sharded.plan().range(shard).contains(&j)));
-                    union.union_with(rows);
+                    let intra = rows.filter(|_, j| range.contains(&j));
+                    let boundary = rows.filter(|_, j| !range.contains(&j));
+                    assert_eq!(intra.len() + boundary.len(), rows.len());
+                    assert_eq!(intra.union(&boundary), rows);
+                    assert!(rows.iter_pairs().all(|(i, _)| range.contains(&i)));
+                    total += rows.len();
+                    union.union_with(&rows);
                 }
-                assert_eq!(&union, full, "shards cover E_{name} exactly at k={k}");
+                assert_eq!(total, full.len(), "stripes are disjoint at k={k}");
+                assert_eq!(&union, full, "stripes cover E_{name} exactly at k={k}");
             }
         }
     }
@@ -618,26 +382,36 @@ mod tests {
     #[test]
     fn one_stripe_aliases_the_snapshot_relations() {
         let g = ring(40);
-        let snap = Arc::new(g.snapshot());
-        let one = ShardedSnapshot::new(snap.clone(), ShardPlan::single(snap.n()));
-        one.warm();
-        assert_eq!(one.approx_bytes(), 0, "a one-stripe view copies nothing");
-        for name in ["a", "b"] {
-            let l = g.alphabet().label(name).unwrap();
-            let rows = one.label_rows(0, l).unwrap();
-            assert!(std::ptr::eq(rows, snap.label_relation(l).unwrap()));
-            assert!(one.boundary(0, l).unwrap().is_empty());
+        let snap = g.snapshot();
+        for one in [ShardPlan::even(snap.n(), 1), ShardPlan::by_cost(&snap, 1)] {
+            assert_eq!(one.shard_count(), 1);
+            assert_eq!(one.range(0), 0..snap.n());
+            assert!((0..snap.n() as u32).all(|row| one.shard_of(row) == 0));
+            for name in ["a", "b"] {
+                let l = g.alphabet().label(name).unwrap();
+                let full = snap.label_relation(l).unwrap();
+                // the one stripe reads the whole relation, and no edge
+                // leaves it
+                let rows = full.restrict_rows(one.range(0));
+                assert_eq!(&rows, full);
+                assert!(rows.iter_pairs().all(|(_, j)| one.range(0).contains(&j)));
+            }
         }
-        assert_eq!(one.boundary_edges(), 0);
     }
 
     #[test]
     fn foreign_labels_have_no_slices() {
         let mut g = ring(8);
-        let snap = Arc::new(g.snapshot());
-        let sharded = ShardedSnapshot::new(snap, ShardPlan::even(8, 2));
+        let snap = g.snapshot();
+        let plan = ShardPlan::even(8, 2);
         let c = g.alphabet_mut().intern("zz");
-        assert!(sharded.label_rows(0, c).is_none());
-        assert!(sharded.boundary(1, c).is_none());
+        assert!(snap.label_relation(c).is_none());
+        for shard in 0..plan.shard_count() {
+            assert!(plan.range(shard).all(|u| snap.out(c, u as u32).is_empty()));
+            assert!(snap
+                .label_relation_or_empty(c)
+                .restrict_rows(plan.range(shard))
+                .is_empty());
+        }
     }
 }

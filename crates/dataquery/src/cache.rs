@@ -21,9 +21,8 @@
 //!   cache per prepared solution and drops it with the solution, so a
 //!   delta that changes the graph never meets an entry evaluated before
 //!   it.
-//! * [`SubRelCache`] — the lookup/insert trait evaluation code is
-//!   written against, with [`LruSubRelCache`] as the byte-budgeted
-//!   LRU store the serving engine owns per prepared solution.
+//! * [`LruSubRelCache`] — the byte-budgeted LRU store the serving engine
+//!   owns per prepared solution, sharable across stripe workers.
 //! * [`CacheHandle`] — a per-query view pairing a cache with hit/miss
 //!   counters, carried by [`crate::RowEvalShared`].
 
@@ -143,19 +142,6 @@ impl SubRelKey {
     }
 }
 
-/// What evaluation code asks of a sub-relation cache: lookup and insert,
-/// both sharable across threads (stripe workers hit the cache
-/// concurrently). Implementations decide retention; entries are
-/// immutable `Arc<Relation>`s so a hit is an `Arc` clone, never a copy.
-pub trait SubRelCache: Send + Sync + std::fmt::Debug {
-    /// The cached relation under `key`, if resident.
-    fn lookup(&self, key: &SubRelKey) -> Option<Arc<Relation>>;
-    /// Insert (or refresh) `rel` under `key`.
-    fn insert(&self, key: SubRelKey, rel: Arc<Relation>);
-    /// Approximate heap bytes currently resident.
-    fn bytes(&self) -> usize;
-}
-
 struct LruEntry {
     rel: Arc<Relation>,
     bytes: usize,
@@ -168,11 +154,13 @@ struct LruInner {
     tick: u64,
 }
 
-/// The byte-budgeted LRU [`SubRelCache`] the serving engine owns per
-/// prepared solution. Entries are charged their
-/// [`Relation::heap_bytes`]; inserting past the budget evicts
-/// least-recently-used entries first (the entry being inserted is
-/// dropped last — an artifact bigger than the whole budget is simply
+/// The byte-budgeted LRU sub-relation cache the serving engine owns per
+/// prepared solution. Lookup and insert are sharable across threads
+/// (stripe workers hit the cache concurrently); entries are immutable
+/// `Arc<Relation>`s, so a hit is an `Arc` clone, never a copy. Entries
+/// are charged their [`Relation::heap_bytes`]; inserting past the budget
+/// evicts least-recently-used entries first (the entry being inserted
+/// is dropped last — an artifact bigger than the whole budget is simply
 /// not retained).
 pub struct LruSubRelCache {
     inner: Mutex<LruInner>,
@@ -224,10 +212,9 @@ impl LruSubRelCache {
         // the cache (byte accounting is settled before any unlock)
         lock_recover(&self.inner)
     }
-}
 
-impl SubRelCache for LruSubRelCache {
-    fn lookup(&self, key: &SubRelKey) -> Option<Arc<Relation>> {
+    /// The cached relation under `key`, if resident.
+    pub fn lookup(&self, key: &SubRelKey) -> Option<Arc<Relation>> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -237,7 +224,8 @@ impl SubRelCache for LruSubRelCache {
         })
     }
 
-    fn insert(&self, key: SubRelKey, rel: Arc<Relation>) {
+    /// Insert (or refresh) `rel` under `key`.
+    pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) {
         // fault site sits before the lock: an injected panic models a
         // worker dying at admission, never a torn byte ledger
         gde_datagraph::faults::point(gde_datagraph::faults::FaultSite::CacheInsert);
@@ -271,26 +259,27 @@ impl SubRelCache for LruSubRelCache {
         }
     }
 
-    fn bytes(&self) -> usize {
+    /// Approximate heap bytes currently resident.
+    pub fn bytes(&self) -> usize {
         self.lock().bytes
     }
 }
 
-/// A per-query view of a [`SubRelCache`]: the cache and hit/miss
+/// A per-query view of an [`LruSubRelCache`]: the cache and hit/miss
 /// counters the serving engine folds into its `ServingStats`. Carried by
 /// [`crate::RowEvalShared`]; all lookups/inserts of one query go through
 /// its handle so attribution is per query even when many queries share
 /// one cache.
 #[derive(Debug)]
 pub struct CacheHandle {
-    cache: Arc<dyn SubRelCache>,
+    cache: Arc<LruSubRelCache>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl CacheHandle {
     /// A handle over `cache`.
-    pub fn new(cache: Arc<dyn SubRelCache>) -> CacheHandle {
+    pub fn new(cache: Arc<LruSubRelCache>) -> CacheHandle {
         CacheHandle {
             cache,
             hits: AtomicU64::new(0),
@@ -429,7 +418,7 @@ mod tests {
 
     #[test]
     fn handle_counts_hits_and_misses() {
-        let cache: Arc<dyn SubRelCache> = Arc::new(LruSubRelCache::new(0));
+        let cache = Arc::new(LruSubRelCache::new(0));
         let h = CacheHandle::new(cache.clone());
         let key = SubRelKey::global(99);
         let built = h.get_or_insert(key, || Relation::identity(4));

@@ -24,15 +24,14 @@
 //! exactly what `gde-core`'s `MappingService` engine does.
 
 use crate::analyze::QueryShape;
-use crate::cache::{subplan_hash, CacheHandle, SubRelCache, SubRelKey};
+use crate::cache::{subplan_hash, CacheHandle, LruSubRelCache, SubRelKey};
 use crate::control::EvalControl;
 use crate::crpq::{join_atom_answers, AtomAnswers};
 use crate::query::DataQuery;
 use crate::ree::ReeRowMemo;
 use gde_automata::{Nfa, RegisterAutomaton};
-use gde_datagraph::{
-    DataGraph, GraphSnapshot, Label, NodeId, Relation, RelationBuilder, ShardedSnapshot,
-};
+use gde_datagraph::{DataGraph, GraphSnapshot, Label, NodeId, Relation, RelationBuilder};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The lowered form of one query class.
@@ -259,10 +258,10 @@ impl CompiledQuery {
     }
 
     /// Row-restricted (sharded) evaluation: the rows of
-    /// [`CompiledQuery::eval_relation`] whose source index lies in stripe
-    /// `shard` of the sharded snapshot. The union over all stripes equals
-    /// the full relation exactly — this is the per-shard evaluation the
-    /// sharded serving engine merges.
+    /// [`CompiledQuery::eval_relation`] whose source index lies in `rows`,
+    /// one stripe of a partition of the snapshot's node domain. The union
+    /// over a partition's stripes equals the full relation exactly — this
+    /// is the per-stripe evaluation the sharded serving engine merges.
     ///
     /// How the work splits depends on the query class:
     ///
@@ -280,48 +279,41 @@ impl CompiledQuery {
     /// [`RowEvalShared`] per pairing.
     pub fn eval_relation_rows(
         &self,
-        shards: &ShardedSnapshot,
-        shard: usize,
+        s: &GraphSnapshot,
+        rows: Range<usize>,
         shared: &RowEvalShared,
     ) -> Relation {
-        let s = shards.base();
         // cooperative stop point between stripes: a fired control makes
         // the remaining stripes no-ops (the caller discards the serve)
         if shared.control.should_stop() {
             return Relation::empty(s.n());
         }
-        let range = shards.plan().range(shard);
         match &*self.form {
-            CompiledForm::Rpq(nfa) => nfa.eval_rows_snapshot(s, range),
-            CompiledForm::Ree(e) => {
-                let memo = shared.memo(e, s);
-                e.eval_rows_snapshot(shards, shard, memo)
-            }
-            CompiledForm::Rem(ra) => ra.eval_rows_snapshot(s, range),
-            CompiledForm::Conjunctive { .. } => shared.full(self, s).restrict_rows(range),
+            CompiledForm::Rpq(nfa) => nfa.eval_rows_snapshot(s, rows),
+            CompiledForm::Ree(e) => e.eval_rows_snapshot(s, rows, shared.memo(e, s)),
+            CompiledForm::Rem(ra) => ra.eval_rows_snapshot(s, rows),
+            CompiledForm::Conjunctive { .. } => shared.full(self, s).restrict_rows(rows),
         }
     }
 
-    /// Boolean projection of one stripe: does any source row in the
-    /// stripe have an answer? Per-start classes early-exit on the first
-    /// matching row; the sharded serving engine OR-merges (and
-    /// short-circuits) across stripes.
+    /// Boolean projection of one stripe: does any source row in `rows`
+    /// have an answer? Per-start classes early-exit on the first matching
+    /// row; the sharded serving engine OR-merges (and short-circuits)
+    /// across stripes.
     pub fn holds_in_rows(
         &self,
-        shards: &ShardedSnapshot,
-        shard: usize,
+        s: &GraphSnapshot,
+        rows: Range<usize>,
         shared: &RowEvalShared,
     ) -> bool {
-        let s = shards.base();
         if shared.control.should_stop() {
             return false;
         }
-        let range = shards.plan().range(shard);
         match &*self.form {
-            CompiledForm::Rpq(nfa) => nfa.holds_in_rows(s, range),
-            CompiledForm::Rem(ra) => ra.holds_in_rows(s, range),
-            CompiledForm::Ree(_) => self.eval_relation_rows(shards, shard, shared).any(),
-            CompiledForm::Conjunctive { .. } => shared.full(self, s).any_in_rows(range),
+            CompiledForm::Rpq(nfa) => nfa.holds_in_rows(s, rows),
+            CompiledForm::Rem(ra) => ra.holds_in_rows(s, rows),
+            CompiledForm::Ree(_) => self.eval_relation_rows(s, rows, shared).any(),
+            CompiledForm::Conjunctive { .. } => shared.full(self, s).any_in_rows(rows),
         }
     }
 
@@ -333,8 +325,7 @@ impl CompiledQuery {
     /// expensive serial work off the per-stripe critical path; it is
     /// idempotent and safe to skip (the first stripe worker would build
     /// the same state lazily).
-    pub fn prewarm_rows(&self, shards: &ShardedSnapshot, shared: &RowEvalShared) {
-        let s = shards.base();
+    pub fn prewarm_rows(&self, s: &GraphSnapshot, shared: &RowEvalShared) {
         match &*self.form {
             CompiledForm::Ree(e) => {
                 shared.memo(e, s);
@@ -348,16 +339,17 @@ impl CompiledQuery {
 }
 
 /// Shared phase-1 state for row-restricted evaluation of **one** compiled
-/// query against **one** sharded snapshot: the REE memo of globally
-/// materialised sub-relations, or (for classes that don't decompose) the
-/// full answer relation. Built lazily by the first stripe worker that
+/// query against **one** snapshot: the REE memo of globally materialised
+/// sub-relations, or (for classes that don't decompose) the full answer
+/// relation. Built lazily by the first stripe worker that
 /// needs it and reused by the rest — or, better, ahead of the fan-out via
 /// [`CompiledQuery::prewarm_rows`].
 ///
 /// Constructed [`RowEvalShared::with_cache`], phase-1 artifacts are
-/// looked up in / inserted into a [`SubRelCache`] under their structural
-/// subplan keys, so repeated calls (and queries sharing subexpressions)
-/// reuse closures and tail factors instead of recomputing them.
+/// looked up in / inserted into an [`LruSubRelCache`] under their
+/// structural subplan keys, so repeated calls (and queries sharing
+/// subexpressions) reuse closures and tail factors instead of recomputing
+/// them.
 #[derive(Debug, Default)]
 pub struct RowEvalShared {
     ree_memo: OnceLock<ReeRowMemo>,
@@ -376,7 +368,7 @@ impl RowEvalShared {
     /// Shared state whose phase-1 artifacts go through `cache`. Its keys
     /// name artifacts of the snapshot being served, so one cache must
     /// serve one snapshot only.
-    pub fn with_cache(cache: Arc<dyn SubRelCache>) -> RowEvalShared {
+    pub fn with_cache(cache: Arc<LruSubRelCache>) -> RowEvalShared {
         RowEvalShared {
             ree_memo: OnceLock::new(),
             full: OnceLock::new(),
@@ -538,8 +530,7 @@ mod tests {
 
     #[test]
     fn sharded_rows_union_to_full_eval_for_every_class() {
-        use gde_datagraph::{ShardPlan, ShardedSnapshot, Value};
-        use std::sync::Arc;
+        use gde_datagraph::{ShardPlan, Value};
 
         // a denser graph than sample_graph so stripes are non-trivial
         let mut g = DataGraph::new();
@@ -560,22 +551,29 @@ mod tests {
             .iter()
             .map(|s| parse_ree(s, g.alphabet_mut()).unwrap().into())
             .collect();
-        let snap = Arc::new(g.snapshot());
-        for q in queries.iter().chain(&extra) {
+        let snap = g.snapshot();
+        // a label interned after the snapshot froze has no edges in it: as
+        // a head atom and as a memoised tail factor, every stripe is empty
+        let foreign: Vec<DataQuery> = ["zz", "(a zz)="]
+            .iter()
+            .map(|s| parse_ree(s, g.alphabet_mut()).unwrap().into())
+            .collect();
+        assert!(g.alphabet().label("zz").unwrap().index() >= snap.label_count());
+        for q in queries.iter().chain(&extra).chain(&foreign) {
             let compiled = q.compile();
             let full = compiled.eval_relation(&snap);
             for k in [1, 2, 3, 5] {
-                let shards = ShardedSnapshot::new(snap.clone(), ShardPlan::even(snap.n(), k));
+                let plan = ShardPlan::even(snap.n(), k);
                 let shared = RowEvalShared::new();
                 let mut union = Relation::empty(snap.n());
                 let mut holds = false;
-                for shard in 0..shards.shard_count() {
-                    let rows = compiled.eval_relation_rows(&shards, shard, &shared);
+                for shard in 0..plan.shard_count() {
+                    let range = plan.range(shard);
+                    let rows = compiled.eval_relation_rows(&snap, range.clone(), &shared);
                     // stripe results stay inside the stripe
-                    let range = shards.plan().range(shard);
                     assert!(rows.iter_pairs().all(|(i, _)| range.contains(&i)));
                     union.union_with(&rows);
-                    holds |= compiled.holds_in_rows(&shards, shard, &shared);
+                    holds |= compiled.holds_in_rows(&snap, range, &shared);
                 }
                 assert_eq!(
                     union, full,
@@ -584,13 +582,14 @@ mod tests {
                 assert_eq!(holds, compiled.holds_somewhere(&snap));
             }
         }
+        for q in &foreign {
+            assert!(q.compile().eval_relation(&snap).is_empty(), "{q:?}");
+        }
     }
 
     #[test]
     fn cached_shared_state_serves_identical_stripe_answers() {
-        use crate::cache::{LruSubRelCache, SubRelCache};
-        use gde_datagraph::{ShardPlan, ShardedSnapshot, Value};
-        use std::sync::Arc;
+        use gde_datagraph::{ShardPlan, Value};
 
         let mut g = DataGraph::new();
         for i in 0..16u32 {
@@ -607,16 +606,16 @@ mod tests {
             .iter()
             .map(|s| parse_ree(s, g.alphabet_mut()).unwrap().into())
             .collect();
-        let snap = Arc::new(g.snapshot());
-        let shards = ShardedSnapshot::new(snap.clone(), ShardPlan::even(snap.n(), 4));
+        let snap = g.snapshot();
+        let plan = ShardPlan::even(snap.n(), 4);
         let eval_all = |shared: &RowEvalShared, cq: &CompiledQuery| -> Vec<Relation> {
             (0..4)
-                .map(|s| cq.eval_relation_rows(&shards, s, shared))
+                .map(|s| cq.eval_relation_rows(&snap, plan.range(s), shared))
                 .collect()
         };
         for q in queries.iter().chain(&extra) {
             // a fresh cache per query: cross-query sharing is asserted below
-            let cache: Arc<dyn SubRelCache> = Arc::new(LruSubRelCache::new(0));
+            let cache = Arc::new(LruSubRelCache::new(0));
             let cq = q.compile();
             let plain = eval_all(&RowEvalShared::new(), &cq);
             // cold pass populates the cache
@@ -640,7 +639,7 @@ mod tests {
         // different queries sharing a subexpression share cache entries:
         // `(a b)=` stores the tail factor `b`, which `(b b)!=` then reuses
         // for its own tail on a cold run
-        let cache: Arc<dyn SubRelCache> = Arc::new(LruSubRelCache::new(0));
+        let cache = Arc::new(LruSubRelCache::new(0));
         let q1: DataQuery = parse_ree("(a b)=", g.alphabet_mut()).unwrap().into();
         let q2: DataQuery = parse_ree("(b b)!=", g.alphabet_mut()).unwrap().into();
         let s1 = RowEvalShared::with_cache(cache.clone());
@@ -656,18 +655,17 @@ mod tests {
 
     #[test]
     fn prewarm_builds_phase1_state_off_the_stripe_path() {
-        use gde_datagraph::{ShardPlan, ShardedSnapshot};
-        use std::sync::Arc;
+        use gde_datagraph::ShardPlan;
 
         let mut g = sample_graph();
         let queries = all_query_classes(&mut g);
-        let snap = Arc::new(g.snapshot());
-        let shards = ShardedSnapshot::new(snap.clone(), ShardPlan::even(snap.n(), 2));
+        let snap = g.snapshot();
+        let plan = ShardPlan::even(snap.n(), 2);
         for q in &queries {
             let cq = q.compile();
             let shared = RowEvalShared::new();
             assert!(!shared.memo_ready());
-            cq.prewarm_rows(&shards, &shared);
+            cq.prewarm_rows(&snap, &shared);
             let needs_phase1 = matches!(
                 q,
                 DataQuery::Ree(_) | DataQuery::PathTest(_) | DataQuery::Conjunctive(_)
@@ -681,8 +679,8 @@ mod tests {
             let fresh = RowEvalShared::new();
             for s in 0..2 {
                 assert_eq!(
-                    cq.eval_relation_rows(&shards, s, &shared),
-                    cq.eval_relation_rows(&shards, s, &fresh),
+                    cq.eval_relation_rows(&snap, plan.range(s), &shared),
+                    cq.eval_relation_rows(&snap, plan.range(s), &fresh),
                 );
             }
         }

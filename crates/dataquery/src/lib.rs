@@ -42,7 +42,7 @@ pub mod ree;
 pub mod rem;
 
 pub use analyze::{estimate_cardinality, CardinalityEstimate, QueryShape};
-pub use cache::{subplan_hash, CacheHandle, LruSubRelCache, SubRelCache, SubRelKey};
+pub use cache::{subplan_hash, CacheHandle, LruSubRelCache, SubRelKey};
 pub use canon::{binding_hash, canonicalize, BindError, Bindings, PlanSkeleton, QueryTemplate};
 pub use compiled::{CompiledQuery, RowEvalShared};
 pub use control::{EvalControl, StopCause};

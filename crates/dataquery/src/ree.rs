@@ -19,9 +19,9 @@
 
 use crate::cache::{subplan_hash, CacheHandle, SubRelKey};
 use gde_datagraph::{
-    DataGraph, DataPath, FxHashMap, GraphSnapshot, Label, Relation, RelationBuilder,
-    ShardedSnapshot, Value,
+    DataGraph, DataPath, FxHashMap, GraphSnapshot, Label, Relation, RelationBuilder, Value,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Domain separator for REE subexpression keys in the sub-relation cache
@@ -220,49 +220,46 @@ impl Ree {
         }
     }
 
-    /// Phase 2 of sharded REE evaluation: the stripe's rows of `R(e)` —
-    /// exactly `eval_snapshot(…).restrict_rows(stripe)`, but computed from
-    /// the stripe's own atoms wherever the algebra decomposes by source
-    /// row. Letter atoms come from the stripe's cached label slices
-    /// ([`ShardedSnapshot::label_rows`]), head concatenation factors and
-    /// tests evaluate per stripe, while closures and non-head factors —
-    /// whose paths cross stripes arbitrarily — come from the shared
-    /// `memo` built once by [`ReeRowMemo::build`]. The union over a
+    /// Phase 2 of sharded REE evaluation: the rows of `R(e)` whose source
+    /// lies in `rows` — exactly `eval_snapshot(s).restrict_rows(rows)`,
+    /// but computed from the row-restricted atoms wherever the algebra
+    /// decomposes by source row. Letter atoms are the snapshot's label
+    /// relations restricted to `rows`, head concatenation factors and
+    /// tests evaluate on those rows only, while closures and non-head
+    /// factors — whose paths cross stripes arbitrarily — come from the
+    /// shared `memo` built once by [`ReeRowMemo::build`]. The union over a
     /// partition's stripes equals the full evaluation exactly.
     pub fn eval_rows_snapshot(
         &self,
-        shards: &ShardedSnapshot,
-        shard: usize,
+        s: &GraphSnapshot,
+        rows: Range<usize>,
         memo: &ReeRowMemo,
     ) -> Relation {
         let mut id = 0usize;
-        self.eval_rows_rec(shards, shard, memo, &mut id)
+        self.eval_rows_rec(s, &rows, memo, &mut id)
     }
 
     fn eval_rows_rec(
         &self,
-        shards: &ShardedSnapshot,
-        shard: usize,
+        s: &GraphSnapshot,
+        rows: &Range<usize>,
         memo: &ReeRowMemo,
         id: &mut usize,
     ) -> Relation {
         let my_id = *id;
         *id += 1;
-        let s = shards.base();
         let n = s.n();
-        let range = shards.plan().range(shard);
         match self {
-            Ree::Epsilon => identity_rows(n, range),
-            Ree::Atom(l) => shards
-                .label_rows(shard, *l)
-                .cloned()
-                .unwrap_or_else(|| Relation::empty(n)),
+            Ree::Epsilon => identity_rows(n, rows.clone()),
+            Ree::Atom(l) => s
+                .label_relation(*l)
+                .map_or_else(|| Relation::empty(n), |r| r.restrict_rows(rows.clone())),
             Ree::Concat(es) => {
                 let mut it = es.iter();
                 let Some(head) = it.next() else {
-                    return identity_rows(n, range);
+                    return identity_rows(n, rows.clone());
                 };
-                let mut acc = head.eval_rows_rec(shards, shard, memo, id);
+                let mut acc = head.eval_rows_rec(s, rows, memo, id);
                 for child in it {
                     let child_id = *id;
                     *id += child.subtree_size();
@@ -278,19 +275,19 @@ impl Ree {
                 Relation::union_many_iter(
                     n,
                     es.iter()
-                        .map(|child| child.eval_rows_rec(shards, shard, memo, id)),
+                        .map(|child| child.eval_rows_rec(s, rows, memo, id)),
                 )
             }
             Ree::Plus(b) | Ree::Star(b) => {
                 *id += b.subtree_size();
-                memo.get(my_id).restrict_rows(range)
+                memo.get(my_id).restrict_rows(rows.clone())
             }
             Ree::Eq(b) => {
-                let inner = b.eval_rows_rec(shards, shard, memo, id);
+                let inner = b.eval_rows_rec(s, rows, memo, id);
                 inner.filter(|i, j| s.sql_eq(i as u32, j as u32))
             }
             Ree::Neq(b) => {
-                let inner = b.eval_rows_rec(shards, shard, memo, id);
+                let inner = b.eval_rows_rec(s, rows, memo, id);
                 inner.filter(|i, j| s.sql_ne(i as u32, j as u32))
             }
         }
@@ -410,7 +407,7 @@ fn compose_ep(r1: u8, r2: u8) -> u8 {
 }
 
 /// The identity relation restricted to a row range.
-fn identity_rows(n: usize, rows: std::ops::Range<usize>) -> Relation {
+fn identity_rows(n: usize, rows: Range<usize>) -> Relation {
     let mut b = RelationBuilder::new(n);
     for i in rows.start..rows.end.min(n) {
         b.push(i, i);

@@ -265,6 +265,15 @@ fn panicking_stripe_quarantines_only_that_mapping() {
     let ref_b = svc.answer(idb, &qb, Semantics::nulls()).unwrap();
     assert!(svc.is_cached(ida, Semantics::nulls()));
     assert!(svc.is_cached(idb, Semantics::nulls()));
+    // mapping A's other flavour is resident too: an equality-only query
+    // served under the least-informative semantics
+    let qa_eq = compiled_batch(&sva)
+        .into_iter()
+        .find(CompiledQuery::is_equality_only)
+        .expect("the social workload has an equality-only query");
+    svc.answer(ida, &qa_eq, Semantics::least_informative())
+        .unwrap();
+    let li_a = svc.solution(ida, Semantics::least_informative()).unwrap();
 
     // every hit panics: the warm serve's stripe panics, the quarantine
     // retry's rebuild panics at the freeze, and the serve surfaces the
@@ -287,6 +296,13 @@ fn panicking_stripe_quarantines_only_that_mapping() {
     let sb = svc.serving_stats(idb).unwrap();
     assert_eq!(sb.worker_panics, 0);
     assert_eq!(sb.retries, 0);
+    // the quarantine dropped A's Nulls flavour alone: its least-
+    // informative solution is the same resident one, and with no delta
+    // applied the generation never moved
+    assert!(svc.is_cached(ida, Semantics::least_informative()));
+    let li_after = svc.solution(ida, Semantics::least_informative()).unwrap();
+    assert!(Arc::ptr_eq(&li_a, &li_after));
+    assert_eq!(svc.generation(ida), Some(0));
     // both recover to byte-identical answers
     assert_eq!(svc.answer(ida, &qa, Semantics::nulls()).unwrap(), ref_a);
     assert_eq!(svc.answer(idb, &qb, Semantics::nulls()).unwrap(), ref_b);
