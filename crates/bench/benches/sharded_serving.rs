@@ -12,12 +12,12 @@
 //!
 //! Where the K-speedup comes from:
 //!
-//! * **Boolean mode** is where sharding pays even on one core: an REE
-//!   answer evaluates a whole stripe's rows before its `any()`, so with
-//!   more stripes the per-stripe evaluation OR-merges with a
-//!   short-circuit — a satisfied flag stops remaining stripes from
-//!   starting. Per-start classes (RPQ, REM) stop at the first satisfying
-//!   start row at every K, one stripe included.
+//! * **Boolean mode** stops at the first witness inside a stripe at
+//!   every K, one stripe included: per-start classes (RPQ, REM) at the
+//!   first satisfying start row, REEs through their early-exit walk. The
+//!   stripes OR-merge with a short-circuit — a satisfied flag stops
+//!   remaining stripes from starting — so K buys Booleans parallelism
+//!   only, and on one thread their batch is flat across K.
 //! * **Tuple mode** splits every query into `(query, stripe)` tasks the
 //!   dynamic scheduler spreads over `par` workers — and, since the
 //!   generation-stamped sub-relation cache, steady-state sharded serving

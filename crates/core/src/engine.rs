@@ -231,10 +231,9 @@ pub enum ShardSpec {
     /// Let the engine choose K per mapping, from the source-graph size,
     /// the worker-thread budget ([`par::max_threads`] /
     /// `GDE_MAX_THREADS`), and the observed serving statistics
-    /// ([`MappingService::serving_stats`]): small graphs stay unsharded,
-    /// Boolean-heavy workloads get stripes for the OR-short-circuit even
-    /// on one core, and heavy evaluations oversubscribe stripes so the
-    /// dynamic scheduler can balance them. The pick is re-resolved on
+    /// ([`MappingService::serving_stats`]): small graphs stay unsharded
+    /// and heavy evaluations oversubscribe stripes so the dynamic
+    /// scheduler can balance them. The pick is re-resolved on
     /// every (re)preparation, so it tracks the workload as stats accrue.
     Auto,
 }
@@ -497,14 +496,10 @@ impl ServingStats {
 ///   (one task, one row-restricted atom copy per letter and one merge
 ///   run each): tiny graphs stay unsharded, and K never exceeds
 ///   `nodes / 1024`.
-/// * The baseline is one stripe per worker thread.
-/// * A Boolean-leaning workload gets at least 4 stripes (when the graph
-///   affords them): the cross-stripe OR-short-circuit pays even on one
-///   core for REE answers, which evaluate a stripe's rows before its
-///   `any()` — at K=1, the whole relation. (Per-start classes, RPQ and
-///   REM, stop at the first satisfying row at every K, one stripe
-///   included, so for them the rationale no longer holds; the policy is
-///   kept as is.)
+/// * The baseline is one stripe per worker thread, in either answer
+///   mode: a Boolean stops at its first witness inside a stripe (RPQ and
+///   REM at the first satisfying row, REE through its early-exit walk),
+///   so stripes beyond the workers buy it nothing.
 /// * When observed evaluations are heavy (≥ 10 ms mean), stripes are
 ///   oversubscribed 2× so the dynamic `(query, stripe)` scheduler can
 ///   balance uneven stripes across workers.
@@ -518,9 +513,6 @@ fn auto_shard_count(nodes: usize, threads: usize, stats: &ServingStats) -> usize
     const HEAVY_EVAL_NS: u64 = 10_000_000;
     let by_size = (nodes / MIN_STRIPE_ROWS).max(1);
     let mut k = threads.max(1).min(by_size);
-    if stats.boolean_evals > stats.tuple_evals {
-        k = k.max(4.min(by_size));
-    }
     if stats.mean_eval_ns() >= HEAVY_EVAL_NS {
         k = (2 * k).min(by_size);
     }
@@ -2699,14 +2691,14 @@ mod tests {
         assert_eq!(auto_shard_count(100_000, 4, &idle), 4);
         // ... but never stripes below ~1k rows
         assert_eq!(auto_shard_count(3000, 8, &idle), 2);
-        // Boolean-leaning workloads get stripes for the OR-short-circuit
-        // even on one thread
+        // Boolean-leaning workloads stop at their first witness inside a
+        // stripe, so they get no stripes beyond the thread budget
         let boolish = ServingStats {
             boolean_evals: 10,
             tuple_evals: 2,
             ..Default::default()
         };
-        assert_eq!(auto_shard_count(100_000, 1, &boolish), 4);
+        assert_eq!(auto_shard_count(100_000, 1, &boolish), 1);
         // heavy evaluations oversubscribe the thread budget 2x
         let heavy = ServingStats {
             tuple_evals: 4,

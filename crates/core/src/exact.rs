@@ -138,7 +138,7 @@ pub(crate) fn exact_boolean_from(
     // lower the query once; each pattern only changes invented-node values
     let compiled = q.compile();
     for_each_pattern(&mut skeleton, &sol.invented, opts, &mut 0, &mut |g| {
-        if compiled.eval_pairs_graph(g).is_empty() {
+        if !compiled.holds_somewhere(&g.snapshot()) {
             holds = false;
             return false; // counterexample found: stop
         }

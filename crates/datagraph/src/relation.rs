@@ -435,9 +435,9 @@ impl Relation {
         }
     }
 
-    /// Number of pairs in row `i`.
+    /// Number of pairs in row `i`: `O(1)` sparse, one row scan dense.
     #[inline]
-    fn row_len(&self, i: usize) -> usize {
+    pub fn row_len(&self, i: usize) -> usize {
         match &self.repr {
             Repr::Dense(d) => d.row(i).iter().map(|w| w.count_ones() as usize).sum(),
             Repr::Sparse(s) => s.off[i + 1] - s.off[i],

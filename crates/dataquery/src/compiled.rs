@@ -243,9 +243,14 @@ impl CompiledQuery {
     }
 
     /// Boolean projection: is the answer set non-empty on this snapshot?
+    /// An REE runs the early-exit walk of [`Ree::holds_rows_snapshot`]
+    /// over every row.
+    ///
+    /// [`Ree::holds_rows_snapshot`]: crate::ree::Ree::holds_rows_snapshot
     pub fn holds_somewhere(&self, s: &GraphSnapshot) -> bool {
         match &*self.form {
-            CompiledForm::Rpq(_) | CompiledForm::Ree(_) => self.eval_relation(s).any(),
+            CompiledForm::Rpq(_) => self.eval_relation(s).any(),
+            CompiledForm::Ree(e) => e.holds_rows_snapshot(s, 0..s.n(), &ReeRowMemo::build(e, s)),
             _ => !self.eval_pairs(s).is_empty(),
         }
     }
@@ -298,8 +303,11 @@ impl CompiledQuery {
 
     /// Boolean projection of one stripe: does any source row in `rows`
     /// have an answer? Per-start classes early-exit on the first matching
-    /// row; the sharded serving engine OR-merges (and short-circuits)
-    /// across stripes.
+    /// row, and REEs stop at the first witness of
+    /// [`Ree::holds_rows_snapshot`]'s walk; the sharded serving engine
+    /// OR-merges (and short-circuits) across stripes.
+    ///
+    /// [`Ree::holds_rows_snapshot`]: crate::ree::Ree::holds_rows_snapshot
     pub fn holds_in_rows(
         &self,
         s: &GraphSnapshot,
@@ -312,7 +320,7 @@ impl CompiledQuery {
         match &*self.form {
             CompiledForm::Rpq(nfa) => nfa.holds_in_rows(s, rows),
             CompiledForm::Rem(ra) => ra.holds_in_rows(s, rows),
-            CompiledForm::Ree(_) => self.eval_relation_rows(s, rows, shared).any(),
+            CompiledForm::Ree(e) => e.holds_rows_snapshot(s, rows, shared.memo(e, s)),
             CompiledForm::Conjunctive { .. } => shared.full(self, s).any_in_rows(rows),
         }
     }
@@ -545,12 +553,27 @@ mod tests {
                     .unwrap();
             }
         }
+        // a null-valued node on an `a` path: its row passes no test
+        g.add_node(NodeId(12), Value::Null).unwrap();
+        g.add_edge_str(NodeId(11), "a", NodeId(12)).unwrap();
+        g.add_edge_str(NodeId(12), "a", NodeId(0)).unwrap();
+        g.add_edge_str(NodeId(12), "b", NodeId(5)).unwrap();
         let queries = all_query_classes(&mut g);
-        // closure-heavy REEs exercise the memoised two-phase path
-        let extra: Vec<DataQuery> = ["a* (a+)= b*", "(a b)= a", "a+ + (b b)!="]
-            .iter()
-            .map(|s| parse_ree(s, g.alphabet_mut()).unwrap().into())
-            .collect();
+        // closure-heavy REEs exercise the memoised two-phase path, and
+        // tests over closures read the memo in place
+        let extra: Vec<DataQuery> = [
+            "a* (a+)= b*",
+            "(a b)= a",
+            "a+ + (b b)!=",
+            "(a+)=",
+            "(a*)=",
+            "(a+)!=",
+            "(a+)= b",
+            "b | (a+)=",
+        ]
+        .iter()
+        .map(|s| parse_ree(s, g.alphabet_mut()).unwrap().into())
+        .collect();
         let snap = g.snapshot();
         // a label interned after the snapshot froze has no edges in it: as
         // a head atom and as a memoised tail factor, every stripe is empty

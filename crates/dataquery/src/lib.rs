@@ -39,6 +39,8 @@ pub mod parser;
 pub mod pathtest;
 pub mod query;
 pub mod ree;
+#[cfg(test)]
+mod ree_props;
 pub mod rem;
 
 pub use analyze::{estimate_cardinality, CardinalityEstimate, QueryShape};

@@ -227,8 +227,10 @@ impl Ree {
     /// relations restricted to `rows`, head concatenation factors and
     /// tests evaluate on those rows only, while closures and non-head
     /// factors — whose paths cross stripes arbitrarily — come from the
-    /// shared `memo` built once by [`ReeRowMemo::build`]. The union over a
-    /// partition's stripes equals the full evaluation exactly.
+    /// shared `memo` built once by [`ReeRowMemo::build`]. A test over a
+    /// closure reads the closure's memo entry in place, row by row, with
+    /// no copy of the stripe's rows. The union over a partition's stripes
+    /// equals the full evaluation exactly.
     pub fn eval_rows_snapshot(
         &self,
         s: &GraphSnapshot,
@@ -282,14 +284,84 @@ impl Ree {
                 *id += b.subtree_size();
                 memo.get(my_id).restrict_rows(rows.clone())
             }
-            Ree::Eq(b) => {
-                let inner = b.eval_rows_rec(s, rows, memo, id);
-                inner.filter(|i, j| s.sql_eq(i as u32, j as u32))
+            Ree::Eq(b) | Ree::Neq(b) => {
+                let eq = matches!(self, Ree::Eq(_));
+                match spine_closure(b, memo, id) {
+                    Some(closure) => {
+                        let mut out = RelationBuilder::new(n);
+                        for i in rows.start..rows.end.min(n) {
+                            for j in test_witnesses(s, closure, i, eq) {
+                                out.push(i, j);
+                            }
+                        }
+                        out.build()
+                    }
+                    None => b
+                        .eval_rows_rec(s, rows, memo, id)
+                        .filter(|i, j| sql_test(s, eq, i, j)),
+                }
             }
-            Ree::Neq(b) => {
-                let inner = b.eval_rows_rec(s, rows, memo, id);
-                inner.filter(|i, j| s.sql_ne(i as u32, j as u32))
+        }
+    }
+
+    /// Boolean projection of [`Ree::eval_rows_snapshot`]: does any source
+    /// row in `rows` have an answer? The walk numbers nodes exactly as the
+    /// tuple walk does and stops at the first witness: a union at its
+    /// first arm that holds, a closure at its first non-empty memo row,
+    /// and an `=`/`≠` test over a closure at the first row with a passing
+    /// pair. A test over any other operand scans that operand's stripe
+    /// rows for a passing pair; every other node evaluates its stripe
+    /// rows and asks whether any pair is left.
+    pub fn holds_rows_snapshot(
+        &self,
+        s: &GraphSnapshot,
+        rows: Range<usize>,
+        memo: &ReeRowMemo,
+    ) -> bool {
+        let mut id = 0usize;
+        self.holds_rows_rec(s, &rows, memo, &mut id)
+    }
+
+    fn holds_rows_rec(
+        &self,
+        s: &GraphSnapshot,
+        rows: &Range<usize>,
+        memo: &ReeRowMemo,
+        id: &mut usize,
+    ) -> bool {
+        let my_id = *id;
+        match self {
+            Ree::Union(es) => {
+                *id += 1;
+                let mut holds = false;
+                for child in es {
+                    if holds {
+                        *id += child.subtree_size();
+                    } else {
+                        holds = child.holds_rows_rec(s, rows, memo, id);
+                    }
+                }
+                holds
             }
+            Ree::Plus(_) | Ree::Star(_) => {
+                *id += self.subtree_size();
+                memo.get(my_id).any_in_rows(rows.clone())
+            }
+            Ree::Eq(b) | Ree::Neq(b) => {
+                *id += 1;
+                let eq = matches!(self, Ree::Eq(_));
+                let mut stripe = rows.start..rows.end.min(s.n());
+                match spine_closure(b, memo, id) {
+                    Some(closure) => {
+                        stripe.any(|i| test_witnesses(s, closure, i, eq).next().is_some())
+                    }
+                    None => {
+                        let inner = b.eval_rows_rec(s, rows, memo, id);
+                        stripe.any(|i| inner.row_iter(i).any(|j| sql_test(s, eq, i, j)))
+                    }
+                }
+            }
+            _ => self.eval_rows_rec(s, rows, memo, id).any(),
         }
     }
 
@@ -406,6 +478,56 @@ fn compose_ep(r1: u8, r2: u8) -> u8 {
     out
 }
 
+/// The memoised relation of a spine closure `b` (`e⁺`/`e*`, which phase 1
+/// stores under its pre-order id, `*id` here), advancing `id` past `b`.
+/// Any other node yields `None` and leaves `id` alone.
+fn spine_closure<'m>(b: &Ree, memo: &'m ReeRowMemo, id: &mut usize) -> Option<&'m Relation> {
+    if !matches!(b, Ree::Plus(_) | Ree::Star(_)) {
+        return None;
+    }
+    let closure = memo.get(*id);
+    *id += b.subtree_size();
+    Some(closure)
+}
+
+/// SQL-null `=` (`eq`) or `≠` between two nodes' values.
+fn sql_test(s: &GraphSnapshot, eq: bool, i: usize, j: usize) -> bool {
+    if eq {
+        s.sql_eq(i as u32, j as u32)
+    } else {
+        s.sql_ne(i as u32, j as u32)
+    }
+}
+
+/// The columns `j` of row `i` of a memoised closure whose pair passes the
+/// test, `=` (`eq`) or `≠`, read in place. A null row has none. `=` walks
+/// the smaller side: row `i`'s value group, probing the closure, or the
+/// closure row, comparing value ids. `≠` walks the closure row.
+fn test_witnesses<'a>(
+    s: &'a GraphSnapshot,
+    closure: &'a Relation,
+    i: usize,
+    eq: bool,
+) -> impl Iterator<Item = usize> + 'a {
+    let u = i as u32;
+    let (group, row) = if s.is_null(u) {
+        (&[][..], None)
+    } else if eq && s.group(s.vid(u)).len() <= closure.row_len(i) {
+        (s.group(s.vid(u)), None)
+    } else {
+        (&[][..], Some(closure.row_iter(i)))
+    };
+    let probed = group
+        .iter()
+        .map(|&j| j as usize)
+        .filter(move |&j| closure.contains(i, j));
+    let walked = row
+        .into_iter()
+        .flatten()
+        .filter(move |&j| sql_test(s, eq, i, j));
+    probed.chain(walked)
+}
+
 /// The identity relation restricted to a row range.
 fn identity_rows(n: usize, rows: Range<usize>) -> Relation {
     let mut b = RelationBuilder::new(n);
@@ -422,7 +544,8 @@ fn identity_rows(n: usize, rows: Range<usize>) -> Relation {
 /// * closure bodies (`e⁺`/`e*`): a path's interior crosses stripes
 ///   arbitrarily often, so the closure is materialised globally (over
 ///   the already row-block-parallel relation algebra) and each stripe
-///   takes its row slice;
+///   takes its row slice, or under an `=`/`≠` test reads its rows in
+///   place;
 /// * non-head concatenation factors: `restrict(A·B) = restrict(A) ∘ B`,
 ///   so only the head factor is row-restricted and every tail factor is
 ///   needed in full.
@@ -943,6 +1066,81 @@ impl WitnessGen {
             acc = acc.concat(&p)?;
         }
         Some(acc)
+    }
+}
+
+/// The row evaluator before tests read closures in place: a closure's
+/// stripe rows are a `restrict_rows` copy of its memo entry, every test
+/// filters its operand's rows pair by pair, and a Boolean is the stripe
+/// relation's `any()`. The reference `ree_props` checks the in-place and
+/// early-exit walks against.
+#[cfg(test)]
+impl Ree {
+    pub(crate) fn reference_eval_rows(
+        &self,
+        s: &GraphSnapshot,
+        rows: Range<usize>,
+        memo: &ReeRowMemo,
+    ) -> Relation {
+        let mut id = 0usize;
+        self.reference_rows_rec(s, &rows, memo, &mut id)
+    }
+
+    pub(crate) fn reference_holds_rows(
+        &self,
+        s: &GraphSnapshot,
+        rows: Range<usize>,
+        memo: &ReeRowMemo,
+    ) -> bool {
+        self.reference_eval_rows(s, rows, memo).any()
+    }
+
+    fn reference_rows_rec(
+        &self,
+        s: &GraphSnapshot,
+        rows: &Range<usize>,
+        memo: &ReeRowMemo,
+        id: &mut usize,
+    ) -> Relation {
+        let my_id = *id;
+        *id += 1;
+        let n = s.n();
+        match self {
+            Ree::Epsilon => identity_rows(n, rows.clone()),
+            Ree::Atom(l) => s
+                .label_relation(*l)
+                .map_or_else(|| Relation::empty(n), |r| r.restrict_rows(rows.clone())),
+            Ree::Concat(es) => {
+                let mut it = es.iter();
+                let Some(head) = it.next() else {
+                    return identity_rows(n, rows.clone());
+                };
+                let mut acc = head.reference_rows_rec(s, rows, memo, id);
+                for child in it {
+                    let child_id = *id;
+                    *id += child.subtree_size();
+                    if !acc.is_empty() {
+                        acc = acc.compose(memo.get(child_id));
+                    }
+                }
+                acc
+            }
+            Ree::Union(es) => Relation::union_many_iter(
+                n,
+                es.iter()
+                    .map(|child| child.reference_rows_rec(s, rows, memo, id)),
+            ),
+            Ree::Plus(b) | Ree::Star(b) => {
+                *id += b.subtree_size();
+                memo.get(my_id).restrict_rows(rows.clone())
+            }
+            Ree::Eq(b) => b
+                .reference_rows_rec(s, rows, memo, id)
+                .filter(|i, j| s.sql_eq(i as u32, j as u32)),
+            Ree::Neq(b) => b
+                .reference_rows_rec(s, rows, memo, id)
+                .filter(|i, j| s.sql_ne(i as u32, j as u32)),
+        }
     }
 }
 

@@ -4,8 +4,8 @@
 use gde_automata::parse_regex;
 use gde_core::certain::CertainAnswers;
 use gde_core::{
-    answer_once, certain_answers_arbitrary, certain_answers_exact, universal_solution,
-    ArbitraryOptions, ExactOptions, Gsm, Semantics,
+    answer_once, certain_answers_arbitrary, certain_answers_exact, certain_boolean_exact,
+    universal_solution, ArbitraryOptions, ExactOptions, Gsm, MappingService, Semantics,
 };
 use gde_datagraph::{Alphabet, DataGraph, NodeId, Value};
 use gde_dataquery::{parse_ree, DataQuery};
@@ -31,7 +31,15 @@ fn nulls_is_contained_in_exact_on_random_scenarios() {
     for seed in 0..15u64 {
         let sc = small_scenario(seed);
         let mut ta = sc.gsm.target_alphabet().clone();
-        for qsrc in ["x", "x y", "(x y)=", "(x | y)+", "((x | y)+)=", "(x y)!="] {
+        for qsrc in [
+            "x",
+            "x y",
+            "(x y)=",
+            "(x | y)+",
+            "((x | y)+)=",
+            "((x | y)*)=",
+            "(x y)!=",
+        ] {
             let q: DataQuery = parse_ree(qsrc, &mut ta).unwrap().into();
             let nulls = answer_once(&sc.gsm, &sc.source, &q.compile(), Semantics::nulls())
                 .unwrap()
@@ -54,7 +62,14 @@ fn least_informative_equals_exact_for_equality_only() {
     for seed in 0..15u64 {
         let sc = small_scenario(seed);
         let mut ta = sc.gsm.target_alphabet().clone();
-        for qsrc in ["x", "x y", "(x y)=", "((x | y)+)=", "(x= y)="] {
+        for qsrc in [
+            "x",
+            "x y",
+            "(x y)=",
+            "((x | y)+)=",
+            "((x | y)*)=",
+            "(x= y)=",
+        ] {
             let q: DataQuery = parse_ree(qsrc, &mut ta).unwrap().into();
             let li = answer_once(
                 &sc.gsm,
@@ -70,6 +85,64 @@ fn least_informative_equals_exact_for_equality_only() {
             assert_eq!(li, exact, "seed {seed}, query {qsrc}");
         }
     }
+}
+
+/// Boolean answers of tests over closures, served through a
+/// `MappingService` at K ∈ {1, 2, 3}, against the Exact enumeration: a
+/// Nulls `true` is an Exact `true`, and LI equals Exact on equality-only
+/// queries.
+#[test]
+fn boolean_tests_over_closures_agree_with_exact() {
+    let sources = [
+        "(x y)=",
+        "((x | y)+)=",
+        "((x | y)*)=",
+        "(x+)= | y",
+        "(x+)= y",
+        "(x y)!=",
+        "((x | y)+)!=",
+    ];
+    let mut seen = [0usize; 2];
+    for seed in 0..15u64 {
+        let sc = small_scenario(seed);
+        let mut ta = sc.gsm.target_alphabet().clone();
+        let queries: Vec<DataQuery> = sources
+            .iter()
+            .map(|q| parse_ree(q, &mut ta).unwrap().into())
+            .collect();
+        let exact: Vec<bool> = queries
+            .iter()
+            .map(|q| {
+                certain_boolean_exact(&sc.gsm, q, &sc.source, ExactOptions::default()).unwrap()
+            })
+            .collect();
+        for &e in &exact {
+            seen[usize::from(e)] += 1;
+        }
+        for k in [1, 2, 3] {
+            let svc = MappingService::new();
+            let id = svc.register(sc.gsm.clone(), sc.source.clone());
+            svc.set_shard_count(id, k).unwrap();
+            for ((qsrc, q), &exact) in sources.iter().zip(&queries).zip(&exact) {
+                let cq = q.compile();
+                let nulls = svc.answer(id, &cq, Semantics::nulls_boolean()).unwrap();
+                assert!(
+                    !nulls.boolean() || exact,
+                    "Nulls true but Exact false: seed {seed}, K={k}, query {qsrc}"
+                );
+                if q.is_equality_only() {
+                    let li = svc
+                        .answer(id, &cq, Semantics::least_informative_boolean())
+                        .unwrap();
+                    assert_eq!(li.boolean(), exact, "seed {seed}, K={k}, query {qsrc}");
+                }
+            }
+        }
+    }
+    assert!(
+        seen[0] > 0 && seen[1] > 0,
+        "Exact answers both ways: {seen:?}"
+    );
 }
 
 #[test]
