@@ -14,10 +14,11 @@
 //!
 //! * **Boolean mode** stops at the first witness inside a stripe at
 //!   every K, one stripe included: per-start classes (RPQ, REM) at the
-//!   first satisfying start row, REEs through their early-exit walk. The
-//!   stripes OR-merge with a short-circuit — a satisfied flag stops
-//!   remaining stripes from starting — so K buys Booleans parallelism
-//!   only, and on one thread their batch is flat across K.
+//!   first satisfying start row, and this batch's REEs, all rooted in an
+//!   `=`/`≠` test, at the first row with a passing pair. The stripes
+//!   OR-merge with a short-circuit — a satisfied flag stops remaining
+//!   stripes from starting — so K buys these Booleans parallelism only,
+//!   and on one thread the Boolean batch is flat across K.
 //! * **Tuple mode** splits every query into `(query, stripe)` tasks the
 //!   dynamic scheduler spreads over `par` workers — and, since the
 //!   generation-stamped sub-relation cache, steady-state sharded serving

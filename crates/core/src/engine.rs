@@ -497,9 +497,15 @@ impl ServingStats {
 ///   run each): tiny graphs stay unsharded, and K never exceeds
 ///   `nodes / 1024`.
 /// * The baseline is one stripe per worker thread, in either answer
-///   mode: a Boolean stops at its first witness inside a stripe (RPQ and
-///   REM at the first satisfying row, REE through its early-exit walk),
-///   so stripes beyond the workers buy it nothing.
+///   mode. A Boolean that stops at its first witness inside a stripe
+///   gains nothing from more stripes than workers: RPQ and REM stop at
+///   the first satisfying row, and so does an REE rooted in an `=`/`≠`
+///   test. BENCH_sharded's 1-thread Boolean batch, whose REEs are rooted
+///   in `=`/`≠`, reads flat across K. Any other REE root (a
+///   concatenation, union, closure, atom or ε) evaluates all of a
+///   stripe's rows first, so for those shapes one stripe on one thread
+///   can do up to K times the work of K stripes whose OR stops at the
+///   first `true` one.
 /// * When observed evaluations are heavy (≥ 10 ms mean), stripes are
 ///   oversubscribed 2× so the dynamic `(query, stripe)` scheduler can
 ///   balance uneven stripes across workers.
@@ -2691,8 +2697,7 @@ mod tests {
         assert_eq!(auto_shard_count(100_000, 4, &idle), 4);
         // ... but never stripes below ~1k rows
         assert_eq!(auto_shard_count(3000, 8, &idle), 2);
-        // Boolean-leaning workloads stop at their first witness inside a
-        // stripe, so they get no stripes beyond the thread budget
+        // Boolean-leaning workloads get no stripes beyond the thread budget
         let boolish = ServingStats {
             boolean_evals: 10,
             tuple_evals: 2,

@@ -243,8 +243,8 @@ impl CompiledQuery {
     }
 
     /// Boolean projection: is the answer set non-empty on this snapshot?
-    /// An REE runs the early-exit walk of [`Ree::holds_rows_snapshot`]
-    /// over every row.
+    /// An REE goes through [`Ree::holds_rows_snapshot`] over every row, so
+    /// an `=`/`≠` test at its root stops at the first witness.
     ///
     /// [`Ree::holds_rows_snapshot`]: crate::ree::Ree::holds_rows_snapshot
     pub fn holds_somewhere(&self, s: &GraphSnapshot) -> bool {
@@ -303,8 +303,8 @@ impl CompiledQuery {
 
     /// Boolean projection of one stripe: does any source row in `rows`
     /// have an answer? Per-start classes early-exit on the first matching
-    /// row, and REEs stop at the first witness of
-    /// [`Ree::holds_rows_snapshot`]'s walk; the sharded serving engine
+    /// row, and so does an REE rooted in an `=`/`≠` test
+    /// ([`Ree::holds_rows_snapshot`]); the sharded serving engine
     /// OR-merges (and short-circuits) across stripes.
     ///
     /// [`Ree::holds_rows_snapshot`]: crate::ree::Ree::holds_rows_snapshot
@@ -603,6 +603,8 @@ mod tests {
                     "stripes must union to the full answer (k={k}, {q:?})"
                 );
                 assert_eq!(holds, compiled.holds_somewhere(&snap));
+                // the Booleans against the independent full evaluation
+                assert_eq!(holds, full.any(), "k={k}, {q:?}");
             }
         }
         for q in &foreign {

@@ -305,63 +305,30 @@ impl Ree {
     }
 
     /// Boolean projection of [`Ree::eval_rows_snapshot`]: does any source
-    /// row in `rows` have an answer? The walk numbers nodes exactly as the
-    /// tuple walk does and stops at the first witness: a union at its
-    /// first arm that holds, a closure at its first non-empty memo row,
-    /// and an `=`/`≠` test over a closure at the first row with a passing
-    /// pair. A test over any other operand scans that operand's stripe
-    /// rows for a passing pair; every other node evaluates its stripe
-    /// rows and asks whether any pair is left.
+    /// row in `rows` have an answer? An `=`/`≠` test at the root stops at
+    /// the first row with a passing pair: over a closure it reads the
+    /// memo entry in place, over any other operand it scans the operand's
+    /// stripe rows without building the filtered relation. Any other root
+    /// evaluates its stripe rows and asks whether a pair is left.
     pub fn holds_rows_snapshot(
         &self,
         s: &GraphSnapshot,
         rows: Range<usize>,
         memo: &ReeRowMemo,
     ) -> bool {
-        let mut id = 0usize;
-        self.holds_rows_rec(s, &rows, memo, &mut id)
-    }
-
-    fn holds_rows_rec(
-        &self,
-        s: &GraphSnapshot,
-        rows: &Range<usize>,
-        memo: &ReeRowMemo,
-        id: &mut usize,
-    ) -> bool {
-        let my_id = *id;
-        match self {
-            Ree::Union(es) => {
-                *id += 1;
-                let mut holds = false;
-                for child in es {
-                    if holds {
-                        *id += child.subtree_size();
-                    } else {
-                        holds = child.holds_rows_rec(s, rows, memo, id);
-                    }
-                }
-                holds
+        let (Ree::Eq(b) | Ree::Neq(b)) = self else {
+            return self.eval_rows_snapshot(s, rows, memo).any();
+        };
+        let eq = matches!(self, Ree::Eq(_));
+        // the operand's pre-order id: the root test is node 0
+        let mut id = 1usize;
+        let mut stripe = rows.start..rows.end.min(s.n());
+        match spine_closure(b, memo, &mut id) {
+            Some(closure) => stripe.any(|i| test_witnesses(s, closure, i, eq).next().is_some()),
+            None => {
+                let inner = b.eval_rows_rec(s, &rows, memo, &mut id);
+                stripe.any(|i| inner.row_iter(i).any(|j| sql_test(s, eq, i, j)))
             }
-            Ree::Plus(_) | Ree::Star(_) => {
-                *id += self.subtree_size();
-                memo.get(my_id).any_in_rows(rows.clone())
-            }
-            Ree::Eq(b) | Ree::Neq(b) => {
-                *id += 1;
-                let eq = matches!(self, Ree::Eq(_));
-                let mut stripe = rows.start..rows.end.min(s.n());
-                match spine_closure(b, memo, id) {
-                    Some(closure) => {
-                        stripe.any(|i| test_witnesses(s, closure, i, eq).next().is_some())
-                    }
-                    None => {
-                        let inner = b.eval_rows_rec(s, rows, memo, id);
-                        stripe.any(|i| inner.row_iter(i).any(|j| sql_test(s, eq, i, j)))
-                    }
-                }
-            }
-            _ => self.eval_rows_rec(s, rows, memo, id).any(),
         }
     }
 
@@ -1066,81 +1033,6 @@ impl WitnessGen {
             acc = acc.concat(&p)?;
         }
         Some(acc)
-    }
-}
-
-/// The row evaluator before tests read closures in place: a closure's
-/// stripe rows are a `restrict_rows` copy of its memo entry, every test
-/// filters its operand's rows pair by pair, and a Boolean is the stripe
-/// relation's `any()`. The reference `ree_props` checks the in-place and
-/// early-exit walks against.
-#[cfg(test)]
-impl Ree {
-    pub(crate) fn reference_eval_rows(
-        &self,
-        s: &GraphSnapshot,
-        rows: Range<usize>,
-        memo: &ReeRowMemo,
-    ) -> Relation {
-        let mut id = 0usize;
-        self.reference_rows_rec(s, &rows, memo, &mut id)
-    }
-
-    pub(crate) fn reference_holds_rows(
-        &self,
-        s: &GraphSnapshot,
-        rows: Range<usize>,
-        memo: &ReeRowMemo,
-    ) -> bool {
-        self.reference_eval_rows(s, rows, memo).any()
-    }
-
-    fn reference_rows_rec(
-        &self,
-        s: &GraphSnapshot,
-        rows: &Range<usize>,
-        memo: &ReeRowMemo,
-        id: &mut usize,
-    ) -> Relation {
-        let my_id = *id;
-        *id += 1;
-        let n = s.n();
-        match self {
-            Ree::Epsilon => identity_rows(n, rows.clone()),
-            Ree::Atom(l) => s
-                .label_relation(*l)
-                .map_or_else(|| Relation::empty(n), |r| r.restrict_rows(rows.clone())),
-            Ree::Concat(es) => {
-                let mut it = es.iter();
-                let Some(head) = it.next() else {
-                    return identity_rows(n, rows.clone());
-                };
-                let mut acc = head.reference_rows_rec(s, rows, memo, id);
-                for child in it {
-                    let child_id = *id;
-                    *id += child.subtree_size();
-                    if !acc.is_empty() {
-                        acc = acc.compose(memo.get(child_id));
-                    }
-                }
-                acc
-            }
-            Ree::Union(es) => Relation::union_many_iter(
-                n,
-                es.iter()
-                    .map(|child| child.reference_rows_rec(s, rows, memo, id)),
-            ),
-            Ree::Plus(b) | Ree::Star(b) => {
-                *id += b.subtree_size();
-                memo.get(my_id).restrict_rows(rows.clone())
-            }
-            Ree::Eq(b) => b
-                .reference_rows_rec(s, rows, memo, id)
-                .filter(|i, j| s.sql_eq(i as u32, j as u32)),
-            Ree::Neq(b) => b
-                .reference_rows_rec(s, rows, memo, id)
-                .filter(|i, j| s.sql_ne(i as u32, j as u32)),
-        }
     }
 }
 

@@ -90,9 +90,14 @@ fn least_informative_equals_exact_for_equality_only() {
 /// Boolean answers of tests over closures, served through a
 /// `MappingService` at K ∈ {1, 2, 3}, against the Exact enumeration: a
 /// Nulls `true` is an Exact `true`, and LI equals Exact on equality-only
-/// queries.
+/// queries. The Nulls Boolean also equals the one-shot full evaluation's
+/// non-emptiness on the universal solution, which shares no code with
+/// the early-exit walk that both the served Boolean and Exact run.
 #[test]
 fn boolean_tests_over_closures_agree_with_exact() {
+    // `((x y)+)=` and `(x | y)=` are false on the universal solution of
+    // some of these seeds, so a walk that ignores a test, or mixes up `=`
+    // and `≠`, shows as a Nulls Boolean that differs from the full one
     let sources = [
         "(x y)=",
         "((x | y)+)=",
@@ -101,6 +106,8 @@ fn boolean_tests_over_closures_agree_with_exact() {
         "(x+)= y",
         "(x y)!=",
         "((x | y)+)!=",
+        "((x y)+)=",
+        "(x | y)=",
     ];
     let mut seen = [0usize; 2];
     for seed in 0..15u64 {
@@ -119,13 +126,24 @@ fn boolean_tests_over_closures_agree_with_exact() {
         for &e in &exact {
             seen[usize::from(e)] += 1;
         }
+        let universal = universal_solution(&sc.gsm, &sc.source).unwrap().graph;
+        let full: Vec<bool> = queries
+            .iter()
+            .map(|q| q.holds_somewhere(&universal))
+            .collect();
         for k in [1, 2, 3] {
             let svc = MappingService::new();
             let id = svc.register(sc.gsm.clone(), sc.source.clone());
             svc.set_shard_count(id, k).unwrap();
-            for ((qsrc, q), &exact) in sources.iter().zip(&queries).zip(&exact) {
+            for (((qsrc, q), &exact), &full) in sources.iter().zip(&queries).zip(&exact).zip(&full)
+            {
                 let cq = q.compile();
                 let nulls = svc.answer(id, &cq, Semantics::nulls_boolean()).unwrap();
+                assert_eq!(
+                    nulls.boolean(),
+                    full,
+                    "Nulls vs full evaluation: seed {seed}, K={k}, query {qsrc}"
+                );
                 assert!(
                     !nulls.boolean() || exact,
                     "Nulls true but Exact false: seed {seed}, K={k}, query {qsrc}"
