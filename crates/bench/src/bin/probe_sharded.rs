@@ -68,7 +68,7 @@ fn main() {
     svc.set_tenant_label(id, "probe").unwrap();
     svc.set_shard_count(id, k).unwrap();
     // register the workload so the analyzer can prune dead/subsumed rules
-    // before the build, and the cost model sees the workload's labels
+    // before the build
     let all: Vec<CompiledQuery> = queries.iter().map(|(_, q)| q.clone()).collect();
     svc.register_queries(id, &all).unwrap();
     println!("gen {:?}; preparing…", t0.elapsed());

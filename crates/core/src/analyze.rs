@@ -22,8 +22,7 @@
 //! is answer-equivalent *for the covered workload* (the soundness gates
 //! are documented on the function); the serving engine uses it to build
 //! smaller canonical solutions, and uses the per-query verdicts to
-//! short-circuit statically empty serves and to seed cold-start cost
-//! estimates (see `engine`).
+//! short-circuit statically empty serves (see `engine`).
 
 use gde_automata::Dfa;
 use gde_datagraph::{GraphSnapshot, Label};

@@ -34,7 +34,7 @@
 //!   `(query, stripe)` scheduler runs them; the exact enumeration enters
 //!   the same door and loop and runs as one task per query.
 //! * **shard** — every prepared solution splits evaluation into
-//!   node-range stripes under a cost-model-balanced [`ShardPlan`]. A
+//!   node-range stripes under an out-degree-balanced [`ShardPlan`]. A
 //!   stripe is a row range of the solution's one snapshot, not a copy:
 //!   preparing at any K builds nothing per stripe, and a mapping without
 //!   sharding is a one-stripe plan that caches like any other K.
@@ -265,29 +265,16 @@ impl From<usize> for ShardSpec {
     }
 }
 
-/// Cumulative serving statistics for one stripe of a mapping (part of
-/// [`ServingStats`]). A one-stripe plan records everything under stripe 0.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StripeServingStats {
-    /// Per-(query, stripe) evaluations recorded against this stripe.
-    pub evals: u64,
-    /// Total evaluation wall-clock nanoseconds.
-    pub eval_ns: u64,
-    /// Total tuples produced (0 for Boolean evaluations).
-    pub tuples: u64,
-}
-
 /// Cumulative per-mapping serving statistics, collected by
 /// [`MappingService::answer`] / [`MappingService::answer_batch`] on every
 /// per-(query, stripe) evaluation: wall-clock evaluation time and result
-/// cardinality, in aggregate and per stripe. [`ShardSpec::Auto`] feeds its
+/// cardinality, summed over every stripe. [`ShardSpec::Auto`] feeds its
 /// shard-count picks from these; [`MappingService::serving_stats`] exposes
 /// them to operators. The accumulator survives shard-count changes and
 /// cache evictions (it belongs to the mapping, not to a prepared
 /// solution). The exact-enumeration engine ([`Semantics::Exact`]) does
-/// not decompose into stripes; its serves are recorded as single
-/// evaluations under stripe 0, so hit-rate and template numbers cover
-/// every semantics.
+/// not decompose into stripes; each of its serves is recorded as one
+/// evaluation, so hit-rate and template numbers cover every semantics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServingStats {
     /// The tenant namespace this mapping serves under (empty when the
@@ -358,9 +345,6 @@ pub struct ServingStats {
     /// so the gauge reads as "compilation work traffic would have done
     /// without parameterized plans".
     pub compile_skipped_ns: u64,
-    /// The same counters, split by stripe index (stripe 0 for a
-    /// one-stripe plan). Grows to the largest stripe index observed.
-    pub per_stripe: Vec<StripeServingStats>,
 }
 
 impl ServingStats {
@@ -409,14 +393,10 @@ impl ServingStats {
     /// starting from `ServingStats::default()`.
     ///
     /// Cumulative counters add; the `cache_bytes` gauge adds too
-    /// (resident bytes across a tenant's mappings are disjoint);
-    /// per-stripe rows add element-wise.
+    /// (resident bytes across a tenant's mappings are disjoint).
     pub fn absorb(&mut self, other: &ServingStats) -> bool {
         if self.tenant != other.tenant {
-            let fresh = self.tuple_evals == 0
-                && self.boolean_evals == 0
-                && self.eval_ns == 0
-                && self.per_stripe.is_empty();
+            let fresh = self.tuple_evals == 0 && self.boolean_evals == 0 && self.eval_ns == 0;
             if !(self.tenant.is_empty() && fresh) {
                 return false;
             }
@@ -440,15 +420,6 @@ impl ServingStats {
         self.retries += other.retries;
         self.template_hits += other.template_hits;
         self.compile_skipped_ns += other.compile_skipped_ns;
-        if self.per_stripe.len() < other.per_stripe.len() {
-            self.per_stripe
-                .resize(other.per_stripe.len(), StripeServingStats::default());
-        }
-        for (mine, theirs) in self.per_stripe.iter_mut().zip(&other.per_stripe) {
-            mine.evals += theirs.evals;
-            mine.eval_ns += theirs.eval_ns;
-            mine.tuples += theirs.tuples;
-        }
         true
     }
 
@@ -470,7 +441,7 @@ impl ServingStats {
         self.cache_bytes = bytes;
     }
 
-    fn record(&mut self, stripe: usize, ns: u64, tuples: usize, boolean: bool) {
+    fn record(&mut self, ns: u64, tuples: usize, boolean: bool) {
         if boolean {
             self.boolean_evals += 1;
         } else {
@@ -478,14 +449,6 @@ impl ServingStats {
             self.tuples += tuples as u64;
         }
         self.eval_ns += ns;
-        if self.per_stripe.len() <= stripe {
-            self.per_stripe
-                .resize(stripe + 1, StripeServingStats::default());
-        }
-        let s = &mut self.per_stripe[stripe];
-        s.evals += 1;
-        s.eval_ns += ns;
-        s.tuples += tuples as u64;
     }
 }
 
@@ -874,14 +837,8 @@ pub struct PreparedSolution {
     /// charge is re-synced on every serve; see
     /// [`PreparedSolution::sync_cache_charge`]).
     charged_cache_bytes: AtomicUsize,
-    /// The owning mapping's serving-stats accumulator (a fresh, unshared
-    /// one for solutions prepared outside a service, e.g. `answer_once`).
+    /// The owning mapping's serving-stats accumulator.
     serving: Arc<Mutex<ServingStats>>,
-    /// Cold-start admission prior: estimated sub-relation-cache bytes a
-    /// serve of the *registered workload* may charge, from per-label edge
-    /// counts of the labels the workload actually reads. `None` without a
-    /// workload; ignored once serving statistics exist.
-    cold_bytes: Option<usize>,
 }
 
 /// Default byte budget of one prepared solution's sub-relation cache.
@@ -893,7 +850,7 @@ impl PreparedSolution {
     fn new(
         solution: CanonicalSolution,
         shards: usize,
-        prior: Option<&WorkloadProfile>,
+        serving: Arc<Mutex<ServingStats>>,
     ) -> PreparedSolution {
         // an injected panic here models a crash mid-freeze: the caller's
         // slot stays Empty with zero bytes charged, so containment leaves
@@ -904,28 +861,7 @@ impl PreparedSolution {
         let invented_mask = (0..snapshot.n() as u32)
             .map(|d| invented.contains(&snapshot.id_at(d)))
             .collect();
-        let k = shards.max(1);
-        // with a registered workload, the analyzer's label set focuses the
-        // cost model on the labels serving will actually walk (cold-start
-        // prior; the layout stays a contiguous partition, so answers are
-        // unchanged)
-        let plan = match prior.filter(|p| !p.labels().is_empty()) {
-            Some(p) => ShardPlan::by_cost_focused(&snapshot, k, p.labels()),
-            None => ShardPlan::by_cost(&snapshot, k),
-        };
-        // cold-start admission prior: sub-relations over workload labels
-        // are bounded by those labels' edge mass (per stripe artifacts,
-        // closures and merge rows ≈ tens of bytes per pair), not by the
-        // whole snapshot
-        let cold_bytes = prior.map(|p| {
-            let pairs: usize = p
-                .labels()
-                .iter()
-                .map(|&l| snapshot.label_edge_count(l))
-                .sum::<usize>()
-                + if p.any_isolated() { snapshot.n() } else { 0 };
-            pairs.saturating_mul(64)
-        });
+        let plan = ShardPlan::by_out_degree(&snapshot, shards);
         PreparedSolution {
             solution,
             invented_mask,
@@ -933,8 +869,7 @@ impl PreparedSolution {
             plan,
             sub_cache: Arc::new(LruSubRelCache::new(SUB_REL_CACHE_BUDGET)),
             charged_cache_bytes: AtomicUsize::new(0),
-            serving: Arc::new(Mutex::new(ServingStats::default())),
-            cold_bytes,
+            serving,
         }
     }
 
@@ -989,23 +924,13 @@ impl PreparedSolution {
     }
 
     /// Admission-control estimate of the extra sub-relation-cache bytes
-    /// one cold serve of this solution may charge: per-stripe evaluated
-    /// relations plus phase-1 artifacts are bounded by the snapshot's own
-    /// footprint, and the cache clamps itself at its byte budget. Before
-    /// any serving statistics exist, a registered workload's label
-    /// densities give a sharper cold-start prior ([`Self::cold_bytes`])
-    /// than the whole-snapshot bound.
+    /// one serve of this solution may charge: the snapshot's own
+    /// footprint, capped at the cache's byte budget (the cache clamps
+    /// itself there). The snapshot size is an estimate, not a bound: a
+    /// closure's evaluated relation can outweigh the graph it was
+    /// evaluated on many times over.
     fn estimated_serve_bytes(&self) -> usize {
-        let full = self.snapshot().approx_bytes();
-        let stats_cold = {
-            let s = lock(&self.serving);
-            s.tuple_evals + s.boolean_evals == 0
-        };
-        let est = match (stats_cold, self.cold_bytes) {
-            (true, Some(prior)) => prior.min(full),
-            _ => full,
-        };
-        est.min(SUB_REL_CACHE_BUDGET)
+        self.snapshot().approx_bytes().min(SUB_REL_CACHE_BUDGET)
     }
 
     /// Shared row-evaluation state for one query of a serve, under the
@@ -1024,12 +949,12 @@ impl PreparedSolution {
 
     /// Fold one per-(query, stripe) evaluation into the mapping's serving
     /// stats (see [`ServingStats`]). One mutex acquisition per evaluation:
-    /// the lock is held for a handful of adds (no allocation once
-    /// `per_stripe` has grown), so at the µs-to-ms granularity of stripe
-    /// evaluations the serialization is noise; revisit with per-worker
-    /// accumulators if evaluations ever get micro enough to contend.
-    fn record(&self, stripe: usize, elapsed: std::time::Duration, tuples: usize, boolean: bool) {
-        lock(&self.serving).record(stripe, elapsed.as_nanos() as u64, tuples, boolean);
+    /// the lock is held for a handful of adds, so at the µs-to-ms
+    /// granularity of stripe evaluations the serialization is noise;
+    /// revisit with per-worker accumulators if evaluations ever get micro
+    /// enough to contend.
+    fn record(&self, elapsed: std::time::Duration, tuples: usize, boolean: bool) {
+        lock(&self.serving).record(elapsed.as_nanos() as u64, tuples, boolean);
     }
 
     /// Keep the pairs of an evaluated relation over `dom(M, G_s)` (drop
@@ -1095,7 +1020,7 @@ impl PreparedSolution {
         };
         let mut pairs = self.dom_pairs(&rel);
         pairs.sort();
-        self.record(shard, started.elapsed(), pairs.len(), false);
+        self.record(started.elapsed(), pairs.len(), false);
         pairs
     }
 
@@ -1105,13 +1030,13 @@ impl PreparedSolution {
         faults::point(FaultSite::StripeEval);
         let started = Instant::now();
         let holds = q.holds_in_rows(&self.snapshot, self.plan.range(shard), shared);
-        self.record(shard, started.elapsed(), 0, true);
+        self.record(started.elapsed(), 0, true);
         holds
     }
 
     /// The exact enumeration (Theorem 2's coNP procedure) over the whole
     /// solution. It does not decompose into stripes or cooperative stop
-    /// points, but its serves are recorded all the same (as one stripe-0
+    /// points, but its serves are recorded all the same (as one
     /// evaluation) so hit-rate and template numbers cover every semantics.
     fn exact(&self, q: &CompiledQuery, mode: Mode, opts: ExactOptions) -> Outcome {
         let started = Instant::now();
@@ -1129,7 +1054,7 @@ impl PreparedSolution {
                 0,
             ),
         };
-        self.record(0, started.elapsed(), tuples, mode == Mode::Boolean);
+        self.record(started.elapsed(), tuples, mode == Mode::Boolean);
         Ok(answer)
     }
 }
@@ -1250,10 +1175,6 @@ pub struct MappingService {
     budget: AtomicUsize,
     /// Approximate bytes currently resident.
     cached: AtomicUsize,
-    /// Whether statically dead/subsumed rules are pruned from the served
-    /// mapping once a workload is registered (default true; see
-    /// [`MappingService::set_rule_pruning`]).
-    pruning_off: AtomicBool,
     /// Whether ad-hoc `answer`/`answer_batch` queries are routed through
     /// canonicalisation onto shared templates (default true; see
     /// [`MappingService::set_canonicalisation`]).
@@ -1403,13 +1324,13 @@ impl MappingService {
 
     /// Register the query workload a mapping will serve: folds every
     /// query's labels and nullability into the mapping's workload
-    /// profile and (unless [`MappingService::set_rule_pruning`] turned it
-    /// off) recomputes the served mapping — statically dead and subsumed
-    /// rules are dropped, so the next preparation builds a smaller
-    /// canonical solution. Sound for every registered query; a later
-    /// *uncovered* query (new labels, or the first nullable one)
+    /// profile and recomputes the served mapping — statically dead and
+    /// subsumed rules are dropped, so the next preparation builds a
+    /// smaller canonical solution. Sound for every registered query; a
+    /// later *uncovered* query (new labels, or the first nullable one)
     /// auto-extends the workload and rebuilds, so answers are always
-    /// byte-identical to serving the full mapping.
+    /// byte-identical to serving the full mapping. A mapping that never
+    /// registers a workload serves its full rule set.
     pub fn register_queries(
         &self,
         id: MappingId,
@@ -1461,20 +1382,6 @@ impl MappingService {
         ))
     }
 
-    /// Enable/disable rule pruning (on by default): whether registering a
-    /// workload drops statically dead and subsumed rules from the served
-    /// mapping. Toggling recomputes every mapping's served rules and
-    /// evicts solutions built under the previous setting — answers are
-    /// byte-identical either way; only `approx_bytes` and build work
-    /// change.
-    pub fn set_rule_pruning(&self, on: bool) {
-        self.pruning_off.store(!on, Ordering::Relaxed);
-        let entries: Vec<Arc<MappingEntry>> = read(&self.registry).values().cloned().collect();
-        for e in entries {
-            self.reprune(&e);
-        }
-    }
-
     /// Enable/disable transparent canonicalisation of ad-hoc queries (on
     /// by default): whether [`MappingService::answer`] /
     /// [`MappingService::answer_batch`] normalise each query onto its
@@ -1497,22 +1404,17 @@ impl MappingService {
             .map(|e| read(&e.serve_gsm).clone())
     }
 
-    /// Recompute a mapping's served rule set from its workload profile
-    /// and the pruning toggle; on change, drop resident solutions (their
-    /// sub-relation caches die with them) so the next serve rebuilds from
-    /// the new rules.
+    /// Recompute a mapping's served rule set from its workload profile;
+    /// on change, drop resident solutions (their sub-relation caches die
+    /// with them) so the next serve rebuilds from the new rules.
     fn reprune(&self, entry: &MappingEntry) {
-        let target: Arc<Gsm> = if self.pruning_off.load(Ordering::Relaxed) {
+        let profile = lock(&entry.workload).clone();
+        let target: Arc<Gsm> = if profile.is_empty() {
             entry.gsm.clone()
         } else {
-            let profile = lock(&entry.workload).clone();
-            if profile.is_empty() {
-                entry.gsm.clone()
-            } else {
-                analyze::pruned_gsm(&entry.gsm, &profile)
-                    .map(Arc::new)
-                    .unwrap_or_else(|| entry.gsm.clone())
-            }
+            analyze::pruned_gsm(&entry.gsm, &profile)
+                .map(Arc::new)
+                .unwrap_or_else(|| entry.gsm.clone())
         };
         // lock order: cache, then serve_gsm (prepared()/apply_delta read
         // serve_gsm while holding the cache lock)
@@ -2327,16 +2229,6 @@ impl MappingService {
         entry: &MappingEntry,
         flavour: Flavour,
     ) -> Result<Arc<PreparedSolution>, SolutionError> {
-        // the workload profile seeds cold-start cost estimates; taken
-        // before the cache lock (lock order: workload before cache)
-        let prior = {
-            let w = lock(&entry.workload);
-            if w.is_empty() {
-                None
-            } else {
-                Some(w.clone())
-            }
-        };
         let out;
         {
             let mut slots = lock(&entry.cache);
@@ -2372,13 +2264,9 @@ impl MappingService {
                 Flavour::Universal => universal_solution(&gsm, &source),
                 Flavour::LeastInformative => least_informative_solution(&gsm, &source),
             }
-            .map(|sol| {
-                let mut p = PreparedSolution::new(sol, shards, prior.as_ref());
-                // every solution built for this mapping records into the
-                // mapping's own accumulator
-                p.serving = entry.serving.clone();
-                p
-            });
+            // every solution built for this mapping records into the
+            // mapping's own accumulator
+            .map(|sol| PreparedSolution::new(sol, shards, entry.serving.clone()));
             match built {
                 Ok(prep) => {
                     let prep = Arc::new(prep);
@@ -2739,8 +2627,6 @@ mod tests {
         assert_eq!(stats.boolean_evals, 1);
         assert_eq!(stats.tuples, 2, "x y has two dom answers");
         assert_eq!(stats.mean_tuples(), 2);
-        assert_eq!(stats.per_stripe.len(), 1, "unsharded records stripe 0");
-        assert_eq!(stats.per_stripe[0].evals, 2);
         // a one-stripe plan caches like any other: the repeat hits
         let misses = stats.cache_misses;
         assert!(misses > 0, "the cold K=1 serve fills the cache");
@@ -2757,7 +2643,6 @@ mod tests {
         svc.answer(id, &q, Semantics::nulls()).unwrap();
         let stats = svc.serving_stats(id).unwrap();
         assert_eq!(stats.tuple_evals, 4);
-        assert_eq!(stats.per_stripe.len(), 2);
         // the accumulator belongs to the mapping: eviction keeps it
         svc.evict_all();
         assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 4);

@@ -93,8 +93,7 @@ pub use arbitrary::{certain_answers_arbitrary, ArbitraryOptions};
 pub use certain::{CertainAnswers, SolveError};
 pub use engine::{
     answer_once, Answer, DeltaReport, MappingId, MappingService, Mode, PreparedSolution, Semantics,
-    ServeError, ServeOptions, ServiceStats, ServingStats, ShardSpec, StripeServingStats,
-    TemplateId,
+    ServeError, ServeOptions, ServiceStats, ServingStats, ShardSpec, TemplateId,
 };
 pub use exact::{certain_answers_exact, certain_boolean_exact, ExactOptions};
 pub use gsm::{Gsm, MappingClass, Rule};

@@ -33,8 +33,8 @@
 //!   unit of the sharded serving pipeline in `gde-core`. A stripe is a
 //!   row range of the one snapshot, not a copy of it: each stripe
 //!   evaluates the rows of its range ([`Relation::restrict_rows`] for
-//!   relation-algebra atoms). Plans cut evenly or by the cost model of
-//!   [`ShardPlan::by_cost`];
+//!   relation-algebra atoms). Plans cut evenly or balance out-degree
+//!   ([`ShardPlan::by_out_degree`]);
 //! * [`merge`] — streaming k-way unions of sorted runs (heap-of-cursors
 //!   with galloping bulk copies), merging the per-stripe tuple runs of
 //!   sharded serving and the per-row column lists of k-ary relation

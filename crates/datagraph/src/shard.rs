@@ -9,10 +9,12 @@
 //! and copying nothing up front.
 //!
 //! [`ShardPlan`] is the partition of the dense node domain `0..n` into K
-//! contiguous stripes — even by node count, or balanced by a cost model
-//! ([`ShardPlan::by_cost`]) so hub-heavy graphs don't leave workers idle.
-//! `gde-core` schedules `(query, stripe)` tasks onto workers with
-//! [`crate::par::try_map_tasks`].
+//! contiguous stripes — even by node count, or balanced by out-degree
+//! ([`ShardPlan::by_out_degree`]) so hub-heavy graphs don't leave workers
+//! idle. Since every plan is a contiguous partition of `0..n`, a plan
+//! decides only where its K − 1 cuts fall; answers are the same under
+//! any plan. `gde-core` schedules `(query, stripe)` tasks onto workers
+//! with [`crate::par::try_map_tasks`].
 
 use crate::label::Label;
 use crate::snapshot::GraphSnapshot;
@@ -44,8 +46,10 @@ impl ShardPlan {
     /// `k` stripes balanced by out-degree, so each worker owns roughly the
     /// same number of edge *sources* even when the graph has hubs. Every
     /// node also counts 1 (isolated nodes still cost a visit in
-    /// per-source evaluation). The seed partition of the cost model.
-    fn by_out_degree(s: &GraphSnapshot, k: usize) -> ShardPlan {
+    /// per-source evaluation), so a stripe weighs `Σ (1 + out-degree)`
+    /// over its rows, and no stripe exceeds `total / k` by more than its
+    /// heaviest node. The plan reads only the snapshot and `k`.
+    pub fn by_out_degree(s: &GraphSnapshot, k: usize) -> ShardPlan {
         let k = k.max(1);
         let n = s.n();
         let mut weight = vec![1u64; n];
@@ -58,93 +62,8 @@ impl ShardPlan {
         ShardPlan::cut_by_weight(&weight, k)
     }
 
-    /// `k` stripes balanced by a **cost model** instead of raw degree: the
-    /// estimated per-node evaluation work, measured against an
-    /// out-degree-balanced seed partition. Three terms feed the model:
-    ///
-    /// * **out-degree mass** — every edge costs one adjacency visit;
-    /// * **label histogram** — an edge of a dense label costs more: the
-    ///   relation-algebra paths (compose, closure) walk whole rows of
-    ///   `E_label`, so per-edge cost grows with the label's mean
-    ///   out-degree;
-    /// * **boundary-edge count** — an edge leaving its source's stripe
-    ///   (measured under the seed plan) pays a cross-stripe continuation
-    ///   in the per-start walks.
-    ///
-    /// The result still partitions `0..n` into contiguous stripes — only
-    /// the cut points move — so row-restricted evaluation is unchanged.
-    /// Falls back to the seed when the model has nothing to add (`k = 1`,
-    /// empty graphs).
-    pub fn by_cost(s: &GraphSnapshot, k: usize) -> ShardPlan {
-        ShardPlan::cost_model(s, k, None)
-    }
-
-    /// [`ShardPlan::by_cost`] with the cost model **focused** on a label
-    /// subset — typically the labels a registered query workload actually
-    /// reads. Edges of other labels still count their adjacency visit
-    /// (the seed partition and the per-edge base term are unchanged) but
-    /// skip the density and boundary terms: evaluation never walks them,
-    /// so they should not move the cut points. An empty `focus` means no
-    /// workload knowledge and falls back to the full model.
-    pub fn by_cost_focused(s: &GraphSnapshot, k: usize, focus: &[Label]) -> ShardPlan {
-        if focus.is_empty() {
-            ShardPlan::by_cost(s, k)
-        } else {
-            ShardPlan::cost_model(s, k, Some(focus))
-        }
-    }
-
-    fn cost_model(s: &GraphSnapshot, k: usize, focus: Option<&[Label]>) -> ShardPlan {
-        let k = k.max(1);
-        let n = s.n();
-        if k == 1 || n == 0 {
-            return ShardPlan::even(n, k);
-        }
-        let seed = ShardPlan::by_out_degree(s, k);
-        // label weight = 1 + mean out-degree of the label (integer floor):
-        // compose/closure over E_label touch rows proportional to density.
-        // Labels outside the focus keep the base visit cost only.
-        let in_focus = |li: usize| focus.is_none_or(|f| f.iter().any(|&l| l.index() == li));
-        let mut label_totals = vec![0u64; s.label_count()];
-        for (li, t) in label_totals.iter_mut().enumerate() {
-            let l = Label(li as u16);
-            for u in 0..n {
-                *t += s.out(l, u as u32).len() as u64;
-            }
-        }
-        let lw: Vec<u64> = label_totals
-            .iter()
-            .enumerate()
-            .map(|(li, &t)| if in_focus(li) { 1 + t / n as u64 } else { 1 })
-            .collect();
-        /// Extra cost per edge that crosses out of its stripe.
-        const BOUNDARY_WEIGHT: u64 = 2;
-        let mut weight = vec![1u64; n];
-        for (u, w) in weight.iter_mut().enumerate() {
-            // the node's seed stripe is looked up once, not once per label
-            let stripe = seed.range(seed.shard_of(u as u32));
-            for (li, &w_l) in lw.iter().enumerate() {
-                let out = s.out(Label(li as u16), u as u32);
-                if out.is_empty() {
-                    continue;
-                }
-                *w += out.len() as u64 * w_l;
-                if !in_focus(li) {
-                    continue;
-                }
-                let crossing = out
-                    .iter()
-                    .filter(|&&v| !stripe.contains(&(v as usize)))
-                    .count();
-                *w += crossing as u64 * BOUNDARY_WEIGHT;
-            }
-        }
-        ShardPlan::cut_by_weight(&weight, k)
-    }
-
     /// Cut `0..weight.len()` into `k` contiguous stripes of roughly equal
-    /// total weight (the shared core of [`ShardPlan::by_out_degree`] and
-    /// [`ShardPlan::by_cost`]).
+    /// total weight.
     fn cut_by_weight(weight: &[u64], k: usize) -> ShardPlan {
         let n = weight.len();
         let total: u64 = weight.iter().sum();
@@ -253,11 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn cost_plan_partitions_domain_and_balances() {
+    fn out_degree_plan_partitions_domain_and_balances() {
         let g = ring(96);
         let s = g.snapshot();
         for k in [1, 2, 4, 5] {
-            let plan = ShardPlan::by_cost(&s, k);
+            let plan = ShardPlan::by_out_degree(&s, k);
             assert_eq!(plan.shard_count(), k);
             assert_eq!(plan.n(), 96);
             let mut covered = 0;
@@ -267,49 +186,21 @@ mod tests {
                 covered = r.end;
             }
             assert_eq!(covered, 96);
-            // on this near-uniform graph the cost cuts stay near-even
+            // on this near-uniform graph the out-degree cuts stay near-even
             for i in 0..k {
                 assert!(!plan.range(i).is_empty(), "k={k} stripe {i} degenerate");
             }
         }
         // empty graph degenerates gracefully
         let empty = DataGraph::new().snapshot();
-        assert_eq!(ShardPlan::by_cost(&empty, 4).n(), 0);
-    }
-
-    #[test]
-    fn focused_cost_plan_matches_full_model_on_full_focus() {
-        let g = ring(96);
-        let s = g.snapshot();
-        let all: Vec<Label> = (0..s.label_count()).map(|i| Label(i as u16)).collect();
-        for k in [2, 4] {
-            // full focus and empty focus both reproduce the full model
-            assert_eq!(
-                ShardPlan::by_cost_focused(&s, k, &all),
-                ShardPlan::by_cost(&s, k)
-            );
-            assert_eq!(
-                ShardPlan::by_cost_focused(&s, k, &[]),
-                ShardPlan::by_cost(&s, k)
-            );
-            // a strict focus still partitions the domain into k stripes
-            let plan = ShardPlan::by_cost_focused(&s, k, &all[..1]);
-            assert_eq!(plan.shard_count(), k);
-            let mut covered = 0;
-            for i in 0..k {
-                let r = plan.range(i);
-                assert_eq!(r.start, covered);
-                covered = r.end;
-            }
-            assert_eq!(covered, 96);
-        }
+        assert_eq!(ShardPlan::by_out_degree(&empty, 4).n(), 0);
     }
 
     #[test]
     fn stripe_stats_account_for_every_edge() {
         let g = ring(48);
         let s = g.snapshot();
-        for plan in [ShardPlan::even(48, 4), ShardPlan::by_cost(&s, 3)] {
+        for plan in [ShardPlan::even(48, 4), ShardPlan::by_out_degree(&s, 3)] {
             let (mut nodes, mut edges) = (0, 0);
             for shard in 0..plan.shard_count() {
                 let range = plan.range(shard);
@@ -383,7 +274,10 @@ mod tests {
     fn one_stripe_aliases_the_snapshot_relations() {
         let g = ring(40);
         let snap = g.snapshot();
-        for one in [ShardPlan::even(snap.n(), 1), ShardPlan::by_cost(&snap, 1)] {
+        for one in [
+            ShardPlan::even(snap.n(), 1),
+            ShardPlan::by_out_degree(&snap, 1),
+        ] {
             assert_eq!(one.shard_count(), 1);
             assert_eq!(one.range(0), 0..snap.n());
             assert!((0..snap.n() as u32).all(|row| one.shard_of(row) == 0));

@@ -298,8 +298,7 @@ impl GraphSnapshot {
 
     /// Number of edges carrying `label` (0 for labels the snapshot has
     /// never seen). O(1) from the CSR offset arrays — this is the label
-    /// density statistic behind static cardinality estimation and the
-    /// shard cost model, cheap enough to query per serve.
+    /// density statistic behind static cardinality estimation.
     pub fn label_edge_count(&self, label: Label) -> usize {
         if label.index() >= self.n_labels {
             return 0;

@@ -18,8 +18,7 @@
 //! [`QueryShape`] packages the three and is computed once per
 //! [`crate::CompiledQuery`] at compile time; [`estimate_cardinality`]
 //! crosses a shape with [`GraphSnapshot`] label-density statistics into
-//! the cold-start prior used by admission control and the shard planner
-//! before any runtime `ServingStats` exist.
+//! the answer-size estimates of the mapping analyzer's reports.
 
 use crate::query::DataQuery;
 use crate::ree::Ree;
@@ -202,9 +201,8 @@ fn rem_star_depth(e: &Rem) -> usize {
 }
 
 /// A static answer-size estimate for one query shape against one
-/// snapshot's label statistics: the cold-start prior for admission
-/// control and shard planning, replaced by real `ServingStats` once
-/// serves have been recorded.
+/// snapshot's label statistics, reported by the mapping analyzer (its
+/// cardinality estimates and closure-hazard flags).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CardinalityEstimate {
     /// Estimated answer pairs (clamped at `n²`).

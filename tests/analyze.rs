@@ -151,11 +151,10 @@ fn pruning_is_invisible_and_shrinks_the_solution() {
         query(&mapping(rules), "x+"),
     ];
 
-    // reference: pruning globally off
+    // reference: a service that registers no workload serves the full
+    // mapping
     let off = MappingService::new();
-    off.set_rule_pruning(false);
     let off_id = off.register(mapping(rules), gs.clone());
-    off.register_queries(off_id, &workload).unwrap();
     let off_bytes = off
         .solution(off_id, Semantics::nulls())
         .unwrap()
@@ -198,7 +197,6 @@ fn uncovered_query_reexpands_the_pruned_mapping() {
     let gs = chain_source(30);
 
     let off = MappingService::new();
-    off.set_rule_pruning(false);
     let off_id = off.register(mapping(rules), gs.clone());
 
     let on = MappingService::new();
