@@ -167,11 +167,13 @@ fn main() {
     }
     let end = stats();
     println!(
-        "totals[tenant {:?}]: memo share {:.2}, cache hit rate {:.2}, {} cache bytes resident",
+        "totals[tenant {:?}]: memo share {:.2}, cache hit rate {:.2}, {} cache bytes resident, \
+         {} solution bytes charged",
         end.tenant,
         end.memo_share(),
         end.cache_hit_rate(),
         end.cache_bytes,
+        svc.cached_bytes(),
     );
     println!(
         "fault isolation: rejected {}, degraded {}, deadline {}, cancelled {}, worker panics {}, retries {}",

@@ -41,7 +41,8 @@
 //!   [`MappingService::set_shard_count`] takes a fixed count or
 //!   [`ShardSpec::Auto`], which picks K from the graph size, the thread
 //!   budget, and the observed [`ServingStats`]. Tuple answers evaluate
-//!   per stripe on [`gde_datagraph::par`] workers into sorted runs and
+//!   per stripe on [`gde_datagraph::par`] workers into sorted runs, which
+//!   the solution's sub-relation cache keeps for repeat serves, and
 //!   union through the streaming k-way merge ([`gde_datagraph::merge`]);
 //!   Boolean answers OR across stripes with a short-circuit. Answers are
 //!   byte-identical at every K, `Auto` included.
@@ -72,7 +73,7 @@ use gde_datagraph::{
     Label, NodeId, ShardPlan, WorkerPanic,
 };
 use gde_dataquery::{
-    canonicalize, BindError, CompiledQuery, EvalControl, LruSubRelCache, PlanSkeleton,
+    canonicalize, AnswerRun, BindError, CompiledQuery, EvalControl, LruSubRelCache, PlanSkeleton,
     QueryTemplate, RowEvalShared, StopCause, SubRelKey,
 };
 use std::ops::ControlFlow;
@@ -957,16 +958,26 @@ impl PreparedSolution {
         lock(&self.serving).record(elapsed.as_nanos() as u64, tuples, boolean);
     }
 
-    /// Keep the pairs of an evaluated relation over `dom(M, G_s)` (drop
-    /// tuples touching invented nodes), translated to node ids. Filtering
-    /// walks the relation's rows with the dense invented mask, so only
-    /// surviving pairs pay the translation.
-    fn dom_pairs(&self, rel: &gde_datagraph::Relation) -> Vec<(NodeId, NodeId)> {
+    /// Keep the pairs of a stripe's evaluated relation over `dom(M, G_s)`
+    /// (drop tuples touching invented nodes), translated to node ids.
+    /// Walks only the stripe's own `rows`, skipping invented source rows
+    /// before reading them, so only surviving pairs pay the translation.
+    fn dom_pairs(
+        &self,
+        rel: &gde_datagraph::Relation,
+        rows: std::ops::Range<usize>,
+    ) -> Vec<(NodeId, NodeId)> {
         let (mask, snap) = (&self.invented_mask, self.snapshot());
-        rel.iter_pairs()
-            .filter(|&(i, j)| !mask[i] && !mask[j])
-            .map(|(i, j)| (snap.id_at(i as u32), snap.id_at(j as u32)))
-            .collect()
+        let mut pairs = Vec::new();
+        for i in rows.filter(|&i| !mask[i]) {
+            let src = snap.id_at(i as u32);
+            pairs.extend(
+                rel.row_iter(i)
+                    .filter(|&j| !mask[j])
+                    .map(|j| (src, snap.id_at(j as u32))),
+            );
+        }
+        pairs
     }
 
     /// One stripe's dom-filtered pairs as a **sorted run** — the unit
@@ -974,54 +985,47 @@ impl PreparedSolution {
     /// streaming k-way merge. Also records the stripe's evaluation time
     /// and result cardinality into the serving stats.
     ///
-    /// The stripe's evaluated relation is served through the
-    /// sub-relation cache under `(stripe, plan hash)`, so a repeated query
-    /// (same structure) skips evaluation entirely and goes straight to
-    /// dom-filter + sort. The cache lives and dies with this solution, so
-    /// no entry outlives the graph it was evaluated on.
-    fn shard_pairs(
-        &self,
-        q: &CompiledQuery,
-        shard: usize,
-        shared: &RowEvalShared,
-    ) -> Vec<(NodeId, NodeId)> {
+    /// The run itself is what the sub-relation cache holds, under
+    /// `(stripe, plan hash)`: a repeated query (same structure) reads it
+    /// back and neither evaluates, filters nor sorts. A miss evaluates,
+    /// dom-filters and sorts, then inserts the run unless the serve is
+    /// uncached (admission degraded it) or its control fired. The cache
+    /// lives and dies with this solution, so no run outlives the graph it
+    /// was evaluated on.
+    fn shard_pairs(&self, q: &CompiledQuery, shard: usize, shared: &RowEvalShared) -> AnswerRun {
         // an injected panic here models a stripe worker dying at the top
         // of its evaluation, before any shared state is touched
         faults::point(FaultSite::StripeEval);
-        let rows = self.plan.range(shard);
         let started = Instant::now();
-        let ctrl = shared.control();
-        let rel = match shared.cache() {
-            Some(h) => {
-                let key = SubRelKey::stripe(shard, q.plan_hash()).with_binding(q.binding_hash());
-                match h.lookup(&key) {
-                    Some(rel) => rel,
-                    None => {
-                        let rel = Arc::new(q.eval_relation_rows(&self.snapshot, rows, shared));
-                        // a control that fired mid-evaluation may have
-                        // truncated sub-factors: the relation is garbage
-                        // by design and must never reach the cache — the
-                        // caller discards it via `fired()`
-                        if ctrl.should_stop() {
-                            return Vec::new();
-                        }
-                        h.insert(key, rel.clone());
-                        rel
-                    }
-                }
-            }
+        let key = SubRelKey::stripe(shard, q.plan_hash()).with_binding(q.binding_hash());
+        let cached = shared.cache().and_then(|h| h.lookup_run(&key));
+        let run = match cached {
+            Some(run) => run,
             None => {
-                let rel = Arc::new(q.eval_relation_rows(&self.snapshot, rows, shared));
-                if ctrl.should_stop() {
-                    return Vec::new();
+                let rows = self.plan.range(shard);
+                let mut pairs = {
+                    let rel = q.eval_relation_rows(&self.snapshot, rows.clone(), shared);
+                    // a control that fired mid-evaluation may have truncated
+                    // sub-factors: the run is garbage by design and must
+                    // never reach the cache — the caller discards it via
+                    // `fired()`
+                    if shared.control().should_stop() {
+                        return AnswerRun::from([]);
+                    }
+                    self.dom_pairs(&rel, rows)
+                };
+                // the pairs are distinct, so the in-place unstable sort
+                // orders them exactly as a stable one would
+                pairs.sort_unstable();
+                let run = AnswerRun::from(pairs);
+                if let Some(h) = shared.cache() {
+                    h.insert_run(key, run.clone());
                 }
-                rel
+                run
             }
         };
-        let mut pairs = self.dom_pairs(&rel);
-        pairs.sort();
-        self.record(started.elapsed(), pairs.len(), false);
-        pairs
+        self.record(started.elapsed(), run.len(), false);
+        run
     }
 
     /// One stripe's Boolean evaluation, with stats recording (the Boolean
@@ -1092,8 +1096,9 @@ impl std::ops::Deref for Routed<'_> {
 /// What one `(query, stripe)` task hands the merge. Boolean stripes hand
 /// nothing: their hits land in the scheduler's per-query flags.
 enum Part {
-    /// A stripe's dom-filtered pairs as a sorted run.
-    Run(Vec<(NodeId, NodeId)>),
+    /// A stripe's dom-filtered pairs as a sorted run, shared with the
+    /// sub-relation cache when the serve is cached.
+    Run(AnswerRun),
     /// A whole exact enumeration.
     Exact(Outcome),
 }
@@ -2014,7 +2019,7 @@ impl MappingService {
                     },
                     _ if sem.mode() == Mode::Boolean => Ok(Answer::Boolean(false)),
                     _ => {
-                        let mut runs: Vec<Vec<(NodeId, NodeId)>> = own
+                        let runs: Vec<AnswerRun> = own
                             .map(|part| match part {
                                 Some(Part::Run(run)) => run,
                                 _ => unreachable!("invariant: an unstopped tuple task ran"),
@@ -2022,8 +2027,8 @@ impl MappingService {
                             .collect();
                         // one stripe's run is the answer; more union
                         // through the streaming k-way merge
-                        let pairs = match runs.len() {
-                            1 => runs.pop().expect("invariant: one stripe, one run"),
+                        let pairs = match runs.as_slice() {
+                            [run] => run.to_vec(),
                             _ => merge_sorted_runs(&runs),
                         };
                         Ok(Answer::Tuples(CertainAnswers::Pairs(pairs)))
@@ -2646,6 +2651,39 @@ mod tests {
         // the accumulator belongs to the mapping: eviction keeps it
         svc.evict_all();
         assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 4);
+    }
+
+    #[test]
+    fn warm_tuple_serve_reads_one_cached_run_per_stripe() {
+        let (m, gs) = scenario();
+        let mut ta = m.target_alphabet().clone();
+        // an RPQ builds nothing in phase 1: every lookup is a stripe run's
+        let q = DataQuery::Rpq(parse_regex("x y", &mut ta).unwrap()).compile();
+        for k in [1u64, 2, 4] {
+            let svc = MappingService::new();
+            let id = svc.register(m.clone(), gs.clone());
+            svc.set_shard_count(id, k as usize).unwrap();
+            let cold = svc.answer(id, &q, Semantics::nulls()).unwrap();
+            assert_eq!(
+                cold.clone().into_pairs(),
+                vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]
+            );
+            let before = svc.serving_stats(id).unwrap();
+            assert_eq!((before.cache_hits, before.cache_misses), (0, k), "k={k}");
+            let prep = svc.solution(id, Semantics::nulls()).unwrap();
+            let bytes = prep.sub_cache().bytes();
+            assert_eq!(bytes, 2 * 8, "k={k}: the runs weigh 8 bytes a pair");
+            let warm = svc.answer(id, &q, Semantics::nulls()).unwrap();
+            let after = svc.serving_stats(id).unwrap();
+            assert_eq!(warm, cold, "k={k}");
+            assert_eq!(after.cache_hits - before.cache_hits, k, "k={k}");
+            assert_eq!(after.cache_misses, before.cache_misses, "k={k}");
+            assert_eq!(
+                prep.sub_cache().bytes(),
+                bytes,
+                "k={k}: a hit inserts nothing"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The sub-relation cache: structural subplan keys and a byte-budgeted
-//! store for evaluated sub-relations.
+//! store for evaluated sub-relations and served answer runs.
 //!
 //! Sharded serving evaluates the same *sub-plans* over and over: the
 //! closure bodies and non-head concatenation factors of an REE memo
 //! ([`crate::ReeRowMemo`]) are identical across every stripe, every call
 //! and — when two queries in a batch share a factor — across queries; a
-//! stripe's evaluated answer relation is identical across repeated calls
-//! on one snapshot. This module gives those artifacts **canonical keys**
-//! and a cache to live in:
+//! stripe's served answer (its sorted run of node-id pairs, an
+//! [`AnswerRun`]) is identical across repeated calls on one snapshot.
+//! This module gives those artifacts **canonical keys** and a cache to
+//! live in:
 //!
 //! * [`subplan_hash`] — a 128-bit structural hash of any `Hash`-able
 //!   query AST (REE subexpressions, register-automaton sources, whole
@@ -22,12 +23,14 @@
 //!   delta that changes the graph never meets an entry evaluated before
 //!   it.
 //! * [`LruSubRelCache`] — the byte-budgeted LRU store the serving engine
-//!   owns per prepared solution, sharable across stripe workers.
+//!   owns per prepared solution, sharable across stripe workers. Global
+//!   keys hold relations, stripe keys hold answer runs; both kinds share
+//!   one LRU order and one byte budget.
 //! * [`CacheHandle`] — a per-query view pairing a cache with hit/miss
 //!   counters, carried by [`crate::RowEvalShared`].
 
 use gde_datagraph::par::lock_recover;
-use gde_datagraph::{FxHashMap, Relation};
+use gde_datagraph::{FxHashMap, NodeId, Relation};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -119,7 +122,7 @@ impl SubRelKey {
         }
     }
 
-    /// Key for one stripe's evaluated answer relation.
+    /// Key for one stripe's served [`AnswerRun`].
     pub fn stripe(stripe: usize, hash: u128) -> SubRelKey {
         let stripe = u32::try_from(stripe).unwrap_or(GLOBAL_STRIPE - 1);
         SubRelKey {
@@ -142,8 +145,22 @@ impl SubRelKey {
     }
 }
 
+/// One stripe's served answer: its pairs over `dom(M, G_s)` as node ids,
+/// sorted ascending and duplicate-free — the run the serving engine's
+/// k-way merge reads. Shared, so a cache hit is an `Arc` clone.
+pub type AnswerRun = Arc<[(NodeId, NodeId)]>;
+
+/// What one cache entry holds.
+enum Cached {
+    /// A snapshot-global sub-relation (closure, tail factor, full
+    /// conjunctive answer).
+    Relation(Arc<Relation>),
+    /// A stripe's served answer run.
+    Run(AnswerRun),
+}
+
 struct LruEntry {
-    rel: Arc<Relation>,
+    value: Cached,
     bytes: usize,
     last_used: u64,
 }
@@ -156,12 +173,14 @@ struct LruInner {
 
 /// The byte-budgeted LRU sub-relation cache the serving engine owns per
 /// prepared solution. Lookup and insert are sharable across threads
-/// (stripe workers hit the cache concurrently); entries are immutable
-/// `Arc<Relation>`s, so a hit is an `Arc` clone, never a copy. Entries
-/// are charged their [`Relation::heap_bytes`]; inserting past the budget
-/// evicts least-recently-used entries first (the entry being inserted
-/// is dropped last — an artifact bigger than the whole budget is simply
-/// not retained).
+/// (stripe workers hit the cache concurrently). An entry is an immutable
+/// `Arc<Relation>` or [`AnswerRun`], so a hit is an `Arc` clone, never a
+/// copy; a lookup of one kind never returns the other. A relation is
+/// charged its [`Relation::heap_bytes`], a run its pairs' bytes. Both
+/// kinds share one LRU order and one budget: inserting past the budget
+/// evicts least-recently-used entries first, of either kind (the entry
+/// being inserted is dropped last — an artifact bigger than the whole
+/// budget is simply not retained).
 pub struct LruSubRelCache {
     inner: Mutex<LruInner>,
     budget: usize,
@@ -215,28 +234,56 @@ impl LruSubRelCache {
 
     /// The cached relation under `key`, if resident.
     pub fn lookup(&self, key: &SubRelKey) -> Option<Arc<Relation>> {
+        self.get(key, |c| match c {
+            Cached::Relation(rel) => Some(rel.clone()),
+            Cached::Run(_) => None,
+        })
+    }
+
+    /// The cached answer run under `key`, if resident.
+    pub fn lookup_run(&self, key: &SubRelKey) -> Option<AnswerRun> {
+        self.get(key, |c| match c {
+            Cached::Run(run) => Some(run.clone()),
+            Cached::Relation(_) => None,
+        })
+    }
+
+    /// The entry under `key` if `pick` accepts its kind, refreshing its
+    /// LRU tick.
+    fn get<T>(&self, key: &SubRelKey, pick: impl FnOnce(&Cached) -> Option<T>) -> Option<T> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        inner.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.rel.clone()
-        })
+        let e = inner.map.get_mut(key)?;
+        let got = pick(&e.value)?;
+        e.last_used = tick;
+        Some(got)
     }
 
     /// Insert (or refresh) `rel` under `key`.
     pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) {
+        let bytes = rel.heap_bytes();
+        self.put(key, Cached::Relation(rel), bytes);
+    }
+
+    /// Insert (or refresh) `run` under `key`, charged
+    /// `len × size_of::<(NodeId, NodeId)>()` bytes.
+    pub fn insert_run(&self, key: SubRelKey, run: AnswerRun) {
+        let bytes = run.len() * std::mem::size_of::<(NodeId, NodeId)>();
+        self.put(key, Cached::Run(run), bytes);
+    }
+
+    fn put(&self, key: SubRelKey, value: Cached, bytes: usize) {
         // fault site sits before the lock: an injected panic models a
         // worker dying at admission, never a torn byte ledger
         gde_datagraph::faults::point(gde_datagraph::faults::FaultSite::CacheInsert);
-        let bytes = rel.heap_bytes();
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.insert(
             key,
             LruEntry {
-                rel,
+                value,
                 bytes,
                 last_used: tick,
             },
@@ -289,12 +336,21 @@ impl CacheHandle {
 
     /// Counted lookup.
     pub fn lookup(&self, key: &SubRelKey) -> Option<Arc<Relation>> {
-        let got = self.cache.lookup(key);
-        if got.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        self.count(self.cache.lookup(key))
+    }
+
+    /// Counted lookup of a stripe's answer run.
+    pub fn lookup_run(&self, key: &SubRelKey) -> Option<AnswerRun> {
+        self.count(self.cache.lookup_run(key))
+    }
+
+    fn count<T>(&self, got: Option<T>) -> Option<T> {
+        let counter = if got.is_some() {
+            &self.hits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         got
     }
 
@@ -302,6 +358,12 @@ impl CacheHandle {
     /// paired [`CacheHandle::lookup`]).
     pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) {
         self.cache.insert(key, rel);
+    }
+
+    /// Insert a stripe's answer run without counting (the miss was
+    /// already counted by the paired [`CacheHandle::lookup_run`]).
+    pub fn insert_run(&self, key: SubRelKey, run: AnswerRun) {
+        self.cache.insert_run(key, run);
     }
 
     /// Counted lookup-or-compute: on a miss, `build` runs **outside**
@@ -414,6 +476,84 @@ mod tests {
         let cache = LruSubRelCache::new(0);
         cache.insert(g, Arc::new(Relation::identity(4)));
         assert!(cache.lookup(&s).is_none());
+    }
+
+    fn run(len: u32) -> AnswerRun {
+        (0..len).map(|i| (NodeId(i), NodeId(i + 1))).collect()
+    }
+
+    #[test]
+    fn a_run_is_charged_eight_bytes_a_pair() {
+        let cache = LruSubRelCache::new(0);
+        cache.insert_run(SubRelKey::stripe(0, 1), run(100));
+        assert_eq!(cache.bytes(), 800);
+        cache.insert_run(SubRelKey::stripe(1, 1), run(0));
+        assert_eq!(cache.bytes(), 800, "an empty run weighs nothing");
+        // a refresh replaces the charge rather than adding to it
+        cache.insert_run(SubRelKey::stripe(0, 1), run(10));
+        assert_eq!(cache.bytes(), 80);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn runs_and_relations_share_one_lru_budget() {
+        let rel = Arc::new(Relation::identity(64));
+        let per = rel.heap_bytes();
+        // a run of the same weight as the relation
+        let pairs = (per / 8) as u32;
+        assert_eq!(run(pairs).len() * 8, per);
+        let cache = LruSubRelCache::new(2 * per);
+        let (g, s) = (SubRelKey::global(1), SubRelKey::stripe(0, 2));
+        cache.insert(g, rel.clone());
+        cache.insert_run(s, run(pairs));
+        assert_eq!(cache.bytes(), 2 * per);
+        // a run past the budget evicts the least recently used relation
+        cache.insert_run(SubRelKey::stripe(1, 2), run(pairs));
+        assert!(cache.lookup(&g).is_none(), "the cold relation went first");
+        // reading the older run leaves the newer one least recently used,
+        // so a relation past the budget evicts that run
+        assert!(cache.lookup_run(&s).is_some());
+        cache.insert(g, rel);
+        assert!(cache.lookup_run(&SubRelKey::stripe(1, 2)).is_none());
+        assert!(cache.lookup_run(&s).is_some());
+        assert!(cache.lookup(&g).is_some());
+        assert_eq!(cache.bytes(), 2 * per);
+    }
+
+    #[test]
+    fn lookups_never_return_the_other_kind() {
+        let cache = LruSubRelCache::new(0);
+        let (rk, sk) = (SubRelKey::global(5), SubRelKey::stripe(0, 5));
+        cache.insert(rk, Arc::new(Relation::identity(4)));
+        cache.insert_run(sk, run(3));
+        assert!(cache.lookup_run(&rk).is_none());
+        assert!(cache.lookup(&sk).is_none());
+        assert_eq!(cache.lookup(&rk).map(|r| r.len()), Some(4));
+        assert_eq!(cache.lookup_run(&sk).map(|r| r.len()), Some(3));
+        // the counted view agrees, and counts a wrong-kind probe as a miss
+        let h = CacheHandle::new(Arc::new(cache));
+        assert!(h.lookup_run(&rk).is_none());
+        assert!(h.lookup_run(&sk).is_some());
+        assert_eq!((h.hits(), h.misses()), (1, 1));
+    }
+
+    #[test]
+    fn bytes_return_to_zero_once_everything_is_evicted() {
+        let rel = Arc::new(Relation::identity(64));
+        let per = rel.heap_bytes();
+        let cache = LruSubRelCache::new(per);
+        cache.insert(SubRelKey::global(1), rel.clone());
+        cache.insert_run(SubRelKey::stripe(0, 1), run(8));
+        assert!(cache.bytes() <= per);
+        // an artifact bigger than the whole budget evicts every resident
+        // entry and is not retained itself
+        cache.insert_run(SubRelKey::stripe(1, 1), run(per as u32));
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.bytes(), 0);
+        cache.insert_run(SubRelKey::stripe(2, 1), run(4));
+        cache.insert(SubRelKey::global(2), Arc::new(Relation::identity(4096)));
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use gde_core::faults::{self, FaultPlan, FaultSite};
 use gde_core::{Answer, MappingId, MappingService, Semantics, ServeError, ServeOptions, ShardSpec};
-use gde_dataquery::CompiledQuery;
+use gde_dataquery::{CompiledQuery, DataQuery};
 use gde_workload::{social_churn_deltas, social_serving_scenario, ServingScenario, SocialConfig};
 
 /// Serialises every test here: fault plans and the panic hook are
@@ -398,6 +398,75 @@ fn deadline_expiry_never_leaves_stale_answers() {
         }
         assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), reference);
     }
+}
+
+/// A cold serve whose deadline fires mid-evaluation caches no stripe
+/// run: the next unbounded serve misses on every stripe and answers
+/// exactly, and a repeat after it reads every run back without inserting
+/// one. (`cancel_mid_batch_then_retry_is_byte_identical` cancels on a
+/// warm cache, where every stripe is a hit, so it never reaches the
+/// first path.)
+#[test]
+fn deadline_mid_evaluation_caches_no_run() {
+    let _serial = serial();
+    quiet_injected_panics();
+    let sv = scenario(0xD5);
+    // a tuple RPQ builds nothing in phase 1, so the serve's first cache
+    // lookup is a stripe's, behind the stripe fault site
+    let q = sv
+        .queries
+        .iter()
+        .find(|(_, q)| matches!(q, DataQuery::Rpq(_)))
+        .expect("the social workload has an RPQ")
+        .1
+        .compile();
+    let k = 3u64;
+    let reference = {
+        let svc = MappingService::new();
+        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+        svc.answer(id, &q, Semantics::nulls()).unwrap()
+    };
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    svc.set_shard_count(id, k as usize).unwrap();
+    svc.prepare(id, Semantics::nulls()).unwrap();
+
+    // every fault hit stalls far past the deadline, and none panics
+    let plan = FaultPlan::seeded(0xD5)
+        .panic_one_in(0)
+        .delay_one_in(1)
+        .delay(Duration::from_millis(400));
+    let armed = faults::arm(plan);
+    let opts = ServeOptions::new().with_deadline(Instant::now() + Duration::from_millis(50));
+    match svc.answer_with(id, &q, Semantics::nulls(), &opts) {
+        Err(ServeError::DeadlineExceeded { .. }) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    assert!(
+        faults::hits(FaultSite::StripeEval) >= 1,
+        "the serve never reached a stripe evaluation"
+    );
+    drop(armed);
+
+    let before = svc.serving_stats(id).unwrap();
+    assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), reference);
+    let after = svc.serving_stats(id).unwrap();
+    assert!(
+        after.cache_misses - before.cache_misses >= k,
+        "a stripe run survived the fired deadline: {} misses",
+        after.cache_misses - before.cache_misses
+    );
+
+    // a plan that neither panics nor stalls only counts the sites
+    let counting = faults::arm(FaultPlan::seeded(0xD5).panic_one_in(0).delay_one_in(0));
+    assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), reference);
+    assert_eq!(faults::hits(FaultSite::StripeEval), k);
+    assert_eq!(
+        faults::hits(FaultSite::CacheInsert),
+        0,
+        "a warm serve inserted a run"
+    );
+    drop(counting);
 }
 
 /// Admission control degrades rather than refuses: when the estimated
