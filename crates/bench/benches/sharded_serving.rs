@@ -23,14 +23,13 @@
 //!   dynamic scheduler spreads over `par` workers, and steady-state
 //!   serving reads each stripe's answer back from the sub-relation
 //!   cache as the sorted, dom-filtered run it served: the timed
-//!   iterations measure warm-cache serving (read the cached runs, then
-//!   k-way merge them, or copy the one run at K=1), which is the
-//!   production access pattern of a long-lived service. K=1 is a
-//!   one-stripe plan that reads and fills the same cache, so the tuple
-//!   K-speedup is the fan-out and merge alone, with hit rates recorded
-//!   alongside to show every K serves warm; a repeated batch must hit on
-//!   every `(query, stripe)`, which the bench asserts (in smoke mode
-//!   too).
+//!   iterations measure warm-cache serving (read the cached runs and lay
+//!   them end to end), which is the production access pattern of a
+//!   long-lived service. K=1 is a one-stripe plan that reads and fills
+//!   the same cache, so the tuple K-speedup is the fan-out alone, with
+//!   hit rates recorded alongside to show every K serves warm; a repeated
+//!   batch must hit on every `(query, stripe)`, which the bench asserts
+//!   (in smoke mode too).
 //!
 //! Answers are asserted byte-identical across every K, in both modes,
 //! before anything is measured.
@@ -54,9 +53,9 @@
 //! the graph, runs K ∈ {1, 2}, forces 2 threads unless GDE_MAX_THREADS
 //! is set (the CI matrix leg sets 4), and writes nothing.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gde_core::{Gsm, MappingId, MappingService, Semantics};
-use gde_datagraph::{concat_sort_dedup, merge_sorted_runs, par, DataGraph, NodeId};
+use gde_datagraph::{par, DataGraph};
 use gde_dataquery::CompiledQuery;
 use gde_workload::{merge_bound_queries, sharded_serving_scenario, SHARDED_BOOLEAN_QUERIES};
 use std::sync::Arc;
@@ -131,8 +130,9 @@ fn bench(c: &mut Criterion) {
         "a stripe must not copy the snapshot: prepared bytes per K {prepared_bytes:?}"
     );
 
-    // the merge-bound batch: high-cardinality tuple queries where the
-    // cross-stripe merge, not the evaluation, is the interesting cost
+    // the merge-bound batch: high-cardinality tuple queries where
+    // assembling and copying the answer, not the evaluation, is the
+    // interesting cost
     let mut mta = gsm.target_alphabet().clone();
     let mb_queries: Vec<CompiledQuery> = merge_bound_queries(&mut mta)
         .iter()
@@ -168,61 +168,13 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // per-stripe sorted runs of the merge-bound answers at K=4 (the
-    // stripe of a pair is a function of its source row, so filtering the
-    // sorted full answer reconstructs exactly the runs the stripe workers
-    // hand the merge)
-    let (merge_k, merge_svc, merge_id) = services
+    let mb_pairs_total: usize = mb_ref
         .iter()
-        .find(|(k, _, _)| *k == 4)
-        .unwrap_or_else(|| services.last().expect("at least one K"));
-    let merge_prep = merge_svc
-        .solution(*merge_id, Semantics::nulls())
-        .expect("prepared");
-    let merge_plan = merge_prep.plan().clone();
-    let runs_per_query: Vec<Vec<Vec<(NodeId, NodeId)>>> = mb_ref
-        .iter()
-        .map(|a| {
-            let pairs = a.clone().expect("merge-bound answers").into_pairs();
-            let mut runs = vec![Vec::new(); merge_plan.shard_count()];
-            for p in pairs {
-                let row = merge_prep.snapshot().idx(p.0).expect("answer node known");
-                runs[merge_plan.shard_of(row)].push(p);
-            }
-            runs
-        })
-        .collect();
-    let mb_pairs_total: usize = runs_per_query
-        .iter()
-        .flat_map(|rs| rs.iter().map(|r| r.len()))
+        .map(|a| a.clone().expect("merge-bound answers").into_pairs().len())
         .sum();
 
     let mut group = c.benchmark_group("sharded_serving");
     group.sample_size(if smoke { 3 } else { 5 });
-    // the merge stage in isolation, on the actual runs: streaming k-way
-    // union vs the concatenate-and-sort baseline it replaced
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("merge_stream_k{merge_k}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                for runs in &runs_per_query {
-                    black_box(merge_sorted_runs(runs));
-                }
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("merge_concat_k{merge_k}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                for runs in &runs_per_query {
-                    black_box(concat_sort_dedup(runs));
-                }
-            })
-        },
-    );
     for (k, svc, id) in &services {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("merge_bound_k{k}")),
@@ -335,20 +287,10 @@ fn bench(c: &mut Criterion) {
     let tuples = series("tuple");
     let booleans = series("boolean");
     let merge_bound = series("merge_bound");
-    let stream_ns = c
-        .median_ns("sharded_serving", &format!("merge_stream_k{merge_k}"))
-        .expect("measured");
-    let concat_ns = c
-        .median_ns("sharded_serving", &format!("merge_concat_k{merge_k}"))
-        .expect("measured");
-    let merge_speedup = concat_ns as f64 / stream_ns.max(1) as f64;
     println!(
-        "merge-bound batch: {} queries, {} answer pairs; at k={merge_k} the streaming \
-         k-way merge runs {:.3} ms vs {:.3} ms concat+sort ({merge_speedup:.2}x)",
+        "merge-bound batch: {} queries, {} answer pairs",
         mb_queries.len(),
         mb_pairs_total,
-        stream_ns as f64 / 1e6,
-        concat_ns as f64 / 1e6,
     );
     let speedup_at = |s: &[(usize, u64)], k: usize| -> f64 {
         let t1 = s[0].1;
@@ -432,12 +374,16 @@ fn bench(c: &mut Criterion) {
          \"repeated_batch_cache_hit_rate\": {repeated_hit_rate:.2},\n  \
          \"thread_sweep\": [\n{}\n  ],\n  \"merge_bound\": {{\n    \
          \"workload\": \"merge_bound_queries\",\n    \"queries\": {},\n    \
-         \"answer_pairs\": {},\n    \"merge_k\": {},\n    \"stream_merge_ns\": {},\n    \
-         \"concat_sort_ns\": {},\n    \"stream_merge_speedup\": {:.2}\n  }}\n}}\n",
+         \"answer_pairs\": {}\n  }}\n}}\n",
         scale,
         source.node_count(),
         source.edge_count(),
-        merge_prep.snapshot().n(),
+        services[0]
+            .1
+            .solution(services[0].2, Semantics::nulls())
+            .expect("prepared")
+            .snapshot()
+            .n(),
         queries.len(),
         boolean.len(),
         threads,
@@ -449,10 +395,6 @@ fn bench(c: &mut Criterion) {
         sweep_json.join(",\n"),
         mb_queries.len(),
         mb_pairs_total,
-        merge_k,
-        stream_ns,
-        concat_ns,
-        merge_speedup,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded.json");
     std::fs::write(path, json).expect("write BENCH_sharded.json");

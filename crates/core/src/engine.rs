@@ -16,9 +16,10 @@
 //! * **prepare** — on first use per `(mapping, flavour)`, the canonical
 //!   solution ([`universal_solution`] for the `2ⁿ`/exact engines,
 //!   [`least_informative_solution`] for the `2` REM=/REE= engine) is built
-//!   and frozen into a [`PreparedSolution`] (solution + [`GraphSnapshot`] +
-//!   dense invented-node mask). [`MappingService::prepare`] warms it
-//!   eagerly; [`MappingService::answer`] warms it lazily.
+//!   and frozen into a [`PreparedSolution`] (solution + [`GraphSnapshot`],
+//!   whose rows are the dom nodes in id order followed by the invented
+//!   ones). [`MappingService::prepare`] warms it eagerly;
+//!   [`MappingService::answer`] warms it lazily.
 //! * **answer** — [`MappingService::answer`]`(id, q, sem)`: [`Semantics`]
 //!   picks the engine (`Nulls`, `LeastInformative`, `Exact`), [`Mode`]
 //!   picks tuple vs Boolean answers, and [`Answer`] carries the result.
@@ -42,10 +43,11 @@
 //!   [`ShardSpec::Auto`], which picks K from the graph size, the thread
 //!   budget, and the observed [`ServingStats`]. Tuple answers evaluate
 //!   per stripe on [`gde_datagraph::par`] workers into sorted runs, which
-//!   the solution's sub-relation cache keeps for repeat serves, and
-//!   union through the streaming k-way merge ([`gde_datagraph::merge`]);
-//!   Boolean answers OR across stripes with a short-circuit. Answers are
-//!   byte-identical at every K, `Auto` included.
+//!   the solution's sub-relation cache keeps for repeat serves; the runs
+//!   are disjoint and ascend with the stripes, so the answer is their
+//!   concatenation. Boolean answers OR across stripes with a
+//!   short-circuit. Answers are byte-identical at every K, `Auto`
+//!   included.
 //! * **apply_delta** — [`MappingService::apply_delta`] mutates the owned
 //!   source graph (copy-on-write behind the shared `Arc`) and bumps the
 //!   mapping's generation stamp. A delta whose net effect no rule can see
@@ -69,8 +71,8 @@ use crate::solution::{
     least_informative_solution, universal_solution, CanonicalSolution, SolutionError,
 };
 use gde_datagraph::{
-    merge_sorted_runs, par, DataGraph, FxHashMap, FxHashSet, GraphDelta, GraphError, GraphSnapshot,
-    Label, NodeId, ShardPlan, WorkerPanic,
+    par, DataGraph, FxHashMap, FxHashSet, GraphDelta, GraphError, GraphSnapshot, Label, NodeId,
+    ShardPlan, WorkerPanic,
 };
 use gde_dataquery::{
     canonicalize, AnswerRun, BindError, CompiledQuery, EvalControl, LruSubRelCache, PlanSkeleton,
@@ -298,8 +300,8 @@ pub struct ServingStats {
     /// conjunctive answers) ahead of the stripe fan-out — the serial work
     /// that does not shrink with the stripe count.
     pub memo_build_ns: u64,
-    /// Nanoseconds spent merging per-stripe sorted runs into final tuple
-    /// answers.
+    /// Nanoseconds spent assembling tuple answers from their per-stripe
+    /// sorted runs (laying the runs end to end).
     pub merge_ns: u64,
     /// Sub-relation cache hits across serving calls.
     pub cache_hits: u64,
@@ -457,7 +459,7 @@ impl ServingStats {
 /// size, the thread budget, and the observed workload.
 ///
 /// * Stripes below ~1k rows don't amortise their per-stripe overhead
-///   (one task, one row-restricted atom copy per letter and one merge
+///   (one task, one row-restricted atom copy per letter and one answer
 ///   run each): tiny graphs stay unsharded, and K never exceeds
 ///   `nodes / 1024`.
 /// * The baseline is one stripe per worker thread, in either answer
@@ -477,7 +479,7 @@ impl ServingStats {
 ///   shared phase-1 build ([`ServingStats::memo_share`] > ½) — the
 ///   serial prefix stripes cannot shrink — oversubscription is pointless
 ///   and K is capped back to the thread count (Amdahl: extra stripes
-///   only add per-stripe and merge overhead to a memo-bound workload).
+///   only add per-stripe overhead to a memo-bound workload).
 fn auto_shard_count(nodes: usize, threads: usize, stats: &ServingStats) -> usize {
     const MIN_STRIPE_ROWS: usize = 1024;
     const HEAVY_EVAL_NS: u64 = 10_000_000;
@@ -626,6 +628,9 @@ pub enum ServeError {
         /// The offending source pair.
         pair: (NodeId, NodeId),
     },
+    /// The canonical solution's invented nodes do not fit into the node
+    /// ids above every source id ([`SolutionError::IdSpaceExhausted`]).
+    IdSpaceExhausted,
     /// The query is outside the fragment the chosen semantics supports.
     UnsupportedQuery(&'static str),
     /// No template is interned under this id for the mapping (never
@@ -691,6 +696,7 @@ impl std::fmt::Display for ServeError {
                 "no solution exists: ε-rule forces distinct nodes {} = {}",
                 pair.0, pair.1
             ),
+            ServeError::IdSpaceExhausted => SolutionError::IdSpaceExhausted.fmt(f),
             ServeError::UnsupportedQuery(what) => write!(f, "unsupported query: {what}"),
             ServeError::UnknownTemplate(id) => write!(f, "unknown {id}"),
             ServeError::BindingArity { expected, got } => write!(
@@ -734,6 +740,7 @@ impl From<SolutionError> for ServeError {
         match e {
             SolutionError::NotRelational => ServeError::NotRelational,
             SolutionError::NoSolution { pair } => ServeError::NoSolution { pair },
+            SolutionError::IdSpaceExhausted => ServeError::IdSpaceExhausted,
         }
     }
 }
@@ -752,7 +759,8 @@ impl From<ExactError> for ServeError {
 /// [`crate::integration::Integration::certain_answers`]). `answer_once`
 /// serves with unbounded options, so the deadline/cancel arms cannot fire;
 /// a contained worker panic, however, *can* reach it, and `SolveError`
-/// has no panic variant — re-raise it, as a propagating panic.
+/// has no panic variant — re-raise it, as a propagating panic. A source
+/// whose ids leave no room for the invented nodes panics the same way.
 pub(crate) fn solve_error(e: ServeError) -> SolveError {
     match e {
         ServeError::NotRelational => SolveError::NotRelational,
@@ -760,6 +768,7 @@ pub(crate) fn solve_error(e: ServeError) -> SolveError {
         ServeError::StripePanicked { message, .. } => {
             panic!("serving worker panicked (one-shot re-raise): {message}")
         }
+        ServeError::IdSpaceExhausted => panic!("one-shot canonical serving: {e}"),
         other => unreachable!("canonical serving cannot fail with {other:?}"),
     }
 }
@@ -774,6 +783,7 @@ pub(crate) fn exact_error(e: ServeError) -> ExactError {
         ServeError::StripePanicked { message, .. } => {
             panic!("exact serving worker panicked (one-shot re-raise): {message}")
         }
+        ServeError::IdSpaceExhausted => panic!("one-shot exact serving: {e}"),
         other => unreachable!("exact serving cannot fail with {other:?}"),
     }
 }
@@ -815,16 +825,22 @@ pub struct ServiceStats {
 }
 
 /// A canonical solution frozen for serving: the solution itself, its
-/// snapshot, the stripe plan that splits evaluation by source row (a
-/// mapping without sharding serves from a one-stripe plan), and a
-/// dense-index mask of the invented nodes (so dom-filtering is an array
-/// lookup per endpoint instead of a hash probe per pair). Every stripe
+/// snapshot, and the stripe plan that splits evaluation by source row (a
+/// mapping without sharding serves from a one-stripe plan). Every stripe
 /// evaluates on the one snapshot; a stripe is a row range, not a copy.
+///
+/// The snapshot's rows follow the canonical build: rows `0..dom_len` are
+/// `dom(M, G_s)` in ascending id order and every later row is invented,
+/// in creation order. Construction checks that layout, and the tuple
+/// serve path relies on it: a row or column is invented iff it is
+/// `≥ dom_len`, each stripe's run comes out sorted, and the stripes' runs
+/// laid end to end are the answer.
 #[derive(Debug)]
 pub struct PreparedSolution {
     solution: CanonicalSolution,
-    invented_mask: Vec<bool>,
     snapshot: Arc<GraphSnapshot>,
+    /// Rows below this are `dom(M, G_s)`; the rest are invented.
+    dom_len: usize,
     /// The stripes of every serve: row ranges of `snapshot`.
     plan: ShardPlan,
     /// Evaluated sub-relations (closures, tail factors, per-stripe
@@ -858,15 +874,20 @@ impl PreparedSolution {
         // the service consistent
         faults::point(FaultSite::Refreeze);
         let snapshot = Arc::new(solution.graph.snapshot());
-        let invented = solution.invented_set();
-        let invented_mask = (0..snapshot.n() as u32)
-            .map(|d| invented.contains(&snapshot.id_at(d)))
-            .collect();
+        // `solution::build` adds the dom nodes in ascending id order, then
+        // appends every invented node; snapshot rows keep insertion order
+        let dom_len = snapshot.n() - solution.invented.len();
+        let ids = (0..snapshot.n() as u32).map(|row| snapshot.id_at(row));
+        assert!(
+            ids.clone().take(dom_len).is_sorted_by(|a, b| a < b)
+                && ids.skip(dom_len).eq(solution.invented.iter().copied()),
+            "invariant: dom rows ascend by id, then the invented nodes follow in creation order"
+        );
         let plan = ShardPlan::by_out_degree(&snapshot, shards);
         PreparedSolution {
             solution,
-            invented_mask,
             snapshot,
+            dom_len,
             plan,
             sub_cache: Arc::new(LruSubRelCache::new(SUB_REL_CACHE_BUDGET)),
             charged_cache_bytes: AtomicUsize::new(0),
@@ -895,14 +916,13 @@ impl PreparedSolution {
         self.plan.shard_count()
     }
 
-    /// Approximate heap footprint (solution + snapshot + mask + the
-    /// sub-relation cache charge as last settled by the service), the
-    /// unit the service's eviction budget is counted in. Stripes add
-    /// nothing: they are row ranges of the one snapshot.
+    /// Approximate heap footprint (solution + snapshot + the sub-relation
+    /// cache charge as last settled by the service), the unit the
+    /// service's eviction budget is counted in. Stripes add nothing: they
+    /// are row ranges of the one snapshot.
     pub fn approx_bytes(&self) -> usize {
         self.solution.approx_bytes()
             + self.snapshot.approx_bytes()
-            + self.invented_mask.len()
             + self.charged_cache_bytes.load(Ordering::Relaxed)
     }
 
@@ -960,20 +980,22 @@ impl PreparedSolution {
 
     /// Keep the pairs of a stripe's evaluated relation over `dom(M, G_s)`
     /// (drop tuples touching invented nodes), translated to node ids.
-    /// Walks only the stripe's own `rows`, skipping invented source rows
-    /// before reading them, so only surviving pairs pay the translation.
+    /// Walks only the stripe's own dom rows, and each row only up to its
+    /// first invented column (a row's columns ascend), so only surviving
+    /// pairs pay the translation. Dom rows and columns ascend by id too,
+    /// so the pairs come out sorted.
     fn dom_pairs(
         &self,
         rel: &gde_datagraph::Relation,
         rows: std::ops::Range<usize>,
     ) -> Vec<(NodeId, NodeId)> {
-        let (mask, snap) = (&self.invented_mask, self.snapshot());
+        let (dom, snap) = (self.dom_len, self.snapshot());
         let mut pairs = Vec::new();
-        for i in rows.filter(|&i| !mask[i]) {
+        for i in rows.start..rows.end.min(dom) {
             let src = snap.id_at(i as u32);
             pairs.extend(
                 rel.row_iter(i)
-                    .filter(|&j| !mask[j])
+                    .take_while(|&j| j < dom)
                     .map(|j| (src, snap.id_at(j as u32))),
             );
         }
@@ -981,14 +1003,15 @@ impl PreparedSolution {
     }
 
     /// One stripe's dom-filtered pairs as a **sorted run** — the unit
-    /// the `(query, stripe)` scheduler runs, and the input shape of the
-    /// streaming k-way merge. Also records the stripe's evaluation time
-    /// and result cardinality into the serving stats.
+    /// the `(query, stripe)` scheduler runs. Stripes are ascending row
+    /// ranges, so the runs of a query laid end to end in stripe order are
+    /// its answer. Also records the stripe's evaluation time and result
+    /// cardinality into the serving stats.
     ///
     /// The run itself is what the sub-relation cache holds, under
     /// `(stripe, plan hash)`: a repeated query (same structure) reads it
-    /// back and neither evaluates, filters nor sorts. A miss evaluates,
-    /// dom-filters and sorts, then inserts the run unless the serve is
+    /// back and neither evaluates nor filters. A miss evaluates and
+    /// dom-filters, then inserts the run unless the serve is
     /// uncached (admission degraded it) or its control fired. The cache
     /// lives and dies with this solution, so no run outlives the graph it
     /// was evaluated on.
@@ -1003,7 +1026,7 @@ impl PreparedSolution {
             Some(run) => run,
             None => {
                 let rows = self.plan.range(shard);
-                let mut pairs = {
+                let pairs = {
                     let rel = q.eval_relation_rows(&self.snapshot, rows.clone(), shared);
                     // a control that fired mid-evaluation may have truncated
                     // sub-factors: the run is garbage by design and must
@@ -1014,9 +1037,6 @@ impl PreparedSolution {
                     }
                     self.dom_pairs(&rel, rows)
                 };
-                // the pairs are distinct, so the in-place unstable sort
-                // orders them exactly as a stable one would
-                pairs.sort_unstable();
                 let run = AnswerRun::from(pairs);
                 if let Some(h) = shared.cache() {
                     h.insert_run(key, run.clone());
@@ -1093,8 +1113,9 @@ impl std::ops::Deref for Routed<'_> {
     }
 }
 
-/// What one `(query, stripe)` task hands the merge. Boolean stripes hand
-/// nothing: their hits land in the scheduler's per-query flags.
+/// What one `(query, stripe)` task hands the answer assembly. Boolean
+/// stripes hand nothing: their hits land in the scheduler's per-query
+/// flags.
 enum Part {
     /// A stripe's dom-filtered pairs as a sorted run, shared with the
     /// sub-relation cache when the serve is cached.
@@ -1119,7 +1140,7 @@ enum SlotState {
     /// Fully frozen and servable.
     Ready(Arc<PreparedSolution>),
     /// Building failed; the error is replayed (NoSolution ⇒ vacuous
-    /// answers, NotRelational ⇒ error).
+    /// answers, NotRelational and IdSpaceExhausted ⇒ errors).
     Failed(SolutionError),
 }
 
@@ -1262,9 +1283,9 @@ impl MappingService {
     /// stripes. Accepts a plain count (`0`/`1` = one stripe) or
     /// [`ShardSpec::Auto`], which picks K per mapping from the graph
     /// size, the thread budget, and the observed serving stats. Answers
-    /// evaluate per stripe on [`gde_datagraph::par`] workers and merge —
-    /// a streaming k-way union for tuple mode, OR-short-circuit for
-    /// Boolean. Changing the spec drops resident frozen solutions (they
+    /// evaluate per stripe on [`gde_datagraph::par`] workers and combine —
+    /// the stripes' runs laid end to end for tuple mode, OR-short-circuit
+    /// for Boolean. Changing the spec drops resident frozen solutions (they
     /// re-prepare under the new stripe layout on the next answer); answers
     /// are byte-identical at every `k`, `Auto` included.
     pub fn set_shard_count(
@@ -1863,8 +1884,8 @@ impl MappingService {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 match self.prepared(entry, sem.flavour()) {
                     Ok(prep) => self.fan_out(entry, &prep, queries, sem, ctrl),
-                    Err(SolutionError::NotRelational) => {
-                        Ok(vec![Err(ServeError::NotRelational); n])
+                    Err(e @ (SolutionError::NotRelational | SolutionError::IdSpaceExhausted)) => {
+                        Ok(vec![Err(ServeError::from(e)); n])
                     }
                     Err(SolutionError::NoSolution { .. }) => {
                         Ok(vec![Ok(vacuous_answer(sem.mode())); n])
@@ -1910,8 +1931,9 @@ impl MappingService {
     /// computed once and reused (up to a benign race when structurally
     /// identical artifacts build concurrently — both compute, either
     /// result serves). Workers then claim `(query, stripe)` tasks
-    /// dynamically; tuple runs union per query through the streaming
-    /// k-way merge, Boolean stripes OR with a cross-stripe short-circuit.
+    /// dynamically; a query's tuple runs are disjoint and ascend with the
+    /// stripes, so its answer is their concatenation in stripe order, and
+    /// Boolean stripes OR with a cross-stripe short-circuit.
     /// The exact enumeration neither decomposes by stripe nor fills the
     /// cache: it runs as one task per query over the whole solution.
     ///
@@ -1986,19 +2008,20 @@ impl MappingService {
                 part
             })
         });
-        // record the shared-phase accounting whatever the outcome, so
-        // stats stay consistent across faulted and cancelled serves
+        // record the shared-phase accounting and the assembly time under
+        // one lock whatever the fan-out's outcome, so stats stay
+        // consistent across faulted and cancelled serves
         let (hits, misses) = shareds.iter().fold((0, 0), |(h, m), s| {
             (h + s.cache_hits(), m + s.cache_misses())
         });
-        lock(&prep.serving).record_overheads(
-            memo_ns,
-            0,
-            hits,
-            misses,
-            prep.sub_cache.bytes() as u64,
-        );
-        let mut parts = fanned.map_err(panic_error)?;
+        let record = |merge_ns| {
+            let bytes = prep.sub_cache.bytes() as u64;
+            lock(&prep.serving).record_overheads(memo_ns, merge_ns, hits, misses, bytes);
+        };
+        let mut parts = fanned.map_err(|panic| {
+            record(0);
+            panic_error(panic)
+        })?;
         let stopped = ctrl
             .fired()
             .map(|cause| stop_error(cause, completed.load(Ordering::Relaxed), nq * k));
@@ -2025,20 +2048,15 @@ impl MappingService {
                                 _ => unreachable!("invariant: an unstopped tuple task ran"),
                             })
                             .collect();
-                        // one stripe's run is the answer; more union
-                        // through the streaming k-way merge
-                        let pairs = match runs.as_slice() {
-                            [run] => run.to_vec(),
-                            _ => merge_sorted_runs(&runs),
-                        };
-                        Ok(Answer::Tuples(CertainAnswers::Pairs(pairs)))
+                        faults::point(FaultSite::Merge);
+                        Ok(Answer::Tuples(CertainAnswers::Pairs(runs.concat())))
                     }
                 }
             })
             .collect();
-        if !exact && sem.mode() == Mode::Tuples {
-            lock(&prep.serving).merge_ns += merge.elapsed().as_nanos() as u64;
-        }
+        let tuples = !exact && sem.mode() == Mode::Tuples;
+        let merge_ns = merge.elapsed().as_nanos() as u64;
+        record(if tuples { merge_ns } else { 0 });
         Ok(outcomes)
     }
 
@@ -2687,6 +2705,29 @@ mod tests {
     }
 
     #[test]
+    fn prepared_rows_are_sorted_dom_then_invented() {
+        // a source inserted out of id order, with a node no rule reads
+        let (m, _) = scenario();
+        let mut gs = DataGraph::new();
+        for (id, v) in [(9, 7), (4, 5), (30, 1), (2, 5)] {
+            gs.add_node(NodeId(id), Value::int(v)).unwrap();
+        }
+        gs.add_edge_str(NodeId(9), "a", NodeId(2)).unwrap();
+        gs.add_edge_str(NodeId(4), "a", NodeId(9)).unwrap();
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
+        for sem in [Semantics::nulls(), Semantics::least_informative()] {
+            let prep = svc.solution(id, sem).unwrap();
+            let snap = prep.snapshot();
+            let rows: Vec<NodeId> = (0..snap.n() as u32).map(|d| snap.id_at(d)).collect();
+            let (dom, invented) = rows.split_at(3);
+            assert_eq!(dom, [NodeId(2), NodeId(4), NodeId(9)], "{sem:?}");
+            assert_eq!(invented, prep.solution().invented.as_slice(), "{sem:?}");
+            assert_eq!(invented.len(), 2, "{sem:?}: one middle node per a-edge");
+        }
+    }
+
+    #[test]
     fn sharded_serving_records_memo_and_cache_stats() {
         let (m, gs) = scenario();
         let svc = MappingService::new();
@@ -2933,7 +2974,7 @@ mod tests {
             assert_eq!(sol.invented.len(), 3, "one middle per a-edge");
             assert_eq!(sol.invented.len(), fresh.invented.len());
             assert_eq!(sol.graph.edge_count(), fresh.graph.edge_count());
-            assert!(sol.invented.iter().all(|&n| sol.is_invented(n)));
+            assert!(sol.invented.iter().all(|n| sol.invented.contains(n)));
         }
     }
 
@@ -2989,7 +3030,7 @@ mod tests {
         let gs2 = mutated(&gs, &delta);
         let prep = svc.solution(id, Semantics::nulls()).unwrap();
         let sol = prep.solution();
-        assert!(!sol.is_invented(f));
+        assert!(!sol.invented.contains(&f));
         assert_eq!(sol.graph.value(f), Some(&Value::int(40)));
         assert!(sol.invented.iter().all(|&n| !gs2.has_node(n)));
         assert_eq!(
@@ -2999,7 +3040,7 @@ mod tests {
         );
         assert!(m.is_solution(&gs2, &sol.graph));
         // the solution handed out before the delta is untouched
-        assert!(before.solution().is_invented(f));
+        assert!(before.solution().invented.contains(&f));
     }
 
     #[test]

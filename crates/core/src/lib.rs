@@ -43,8 +43,8 @@
 //! * **shard** a mapping into node-range stripes
 //!   ([`engine::MappingService::set_shard_count`], taking a count or
 //!   [`engine::ShardSpec::Auto`]): answers evaluate per stripe into
-//!   sorted runs that union through a streaming k-way merge (Boolean
-//!   answers OR with a short-circuit), batches schedule
+//!   sorted runs laid end to end into the answer (Boolean answers OR
+//!   with a short-circuit), batches schedule
 //!   `(query, stripe)` tasks, and answers are byte-identical at every
 //!   K, `Auto` included. A stripe is a row range of the one snapshot,
 //!   not a copy. Per-(query, stripe) serving statistics ([`engine::ServingStats`], via

@@ -20,7 +20,6 @@
 
 use crate::gsm::Gsm;
 use gde_datagraph::{DataGraph, FxHashSet, NodeId, Value};
-use std::sync::OnceLock;
 
 /// Why a canonical solution could not be built.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,6 +33,9 @@ pub enum SolutionError {
         /// The offending source pair.
         pair: (NodeId, NodeId),
     },
+    /// The invented nodes do not fit into the node ids above every source
+    /// id, which end at `u32::MAX`.
+    IdSpaceExhausted,
 }
 
 impl std::fmt::Display for SolutionError {
@@ -46,6 +48,11 @@ impl std::fmt::Display for SolutionError {
                 f,
                 "no solution exists: ε-rule forces distinct nodes {} = {}",
                 pair.0, pair.1
+            ),
+            SolutionError::IdSpaceExhausted => write!(
+                f,
+                "node id space exhausted: invented nodes need ids above every source id, up to {}",
+                u32::MAX
             ),
         }
     }
@@ -61,31 +68,17 @@ pub struct CanonicalSolution {
     /// Nodes invented by the construction (in creation order). All other
     /// nodes of `graph` form `dom(M, G_s)`.
     pub invented: Vec<NodeId>,
-    /// Hash index over `invented`, built on first membership query so that
-    /// [`CanonicalSolution::is_invented`] is O(1) instead of a linear scan
-    /// (per-node scans made answer filtering O(n²) overall).
-    invented_index: OnceLock<FxHashSet<NodeId>>,
 }
 
 impl CanonicalSolution {
     /// Package a target graph with its invented-node list.
     pub fn new(graph: DataGraph, invented: Vec<NodeId>) -> CanonicalSolution {
-        CanonicalSolution {
-            graph,
-            invented,
-            invented_index: OnceLock::new(),
-        }
-    }
-
-    /// The invented nodes as a hash set (built once, cached).
-    pub fn invented_set(&self) -> &FxHashSet<NodeId> {
-        self.invented_index
-            .get_or_init(|| self.invented.iter().copied().collect())
+        CanonicalSolution { graph, invented }
     }
 
     /// Nodes of `dom(M, G_s)` (sorted).
     pub fn dom_nodes(&self) -> Vec<NodeId> {
-        let invented = self.invented_set();
+        let invented: FxHashSet<NodeId> = self.invented.iter().copied().collect();
         let mut out: Vec<NodeId> = self
             .graph
             .node_ids()
@@ -95,18 +88,15 @@ impl CanonicalSolution {
         out
     }
 
-    /// Is this node one of the invented ones?
-    pub fn is_invented(&self, id: NodeId) -> bool {
-        self.invented_set().contains(&id)
-    }
-
     /// Approximate heap footprint of the solution in bytes (graph storage
-    /// plus the invented-node list and its index). An estimate for cache
-    /// budgeting, not an allocator measurement: nodes are costed at the
+    /// plus the invented-node list). An estimate for cache budgeting, not
+    /// an allocator measurement: nodes are costed at the
     /// id/value/hash-index/adjacency-header rate, edges at the
     /// hash-set-entry plus two-adjacency-slots rate.
     pub fn approx_bytes(&self) -> usize {
-        self.graph.node_count() * 96 + self.graph.edge_count() * 56 + self.invented.len() * 20
+        self.graph.node_count() * 96
+            + self.graph.edge_count() * 56
+            + self.invented.len() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -138,7 +128,9 @@ fn build(
         gt.add_node(id, val).expect("invariant: distinct dom nodes");
     }
 
-    // Step 2: fresh paths per rule and source pair.
+    // Step 2: fresh paths per rule and source pair. The watermark
+    // saturates at u32::MAX, so a source holding that id leaves no fresh id.
+    let source_full = gs.has_node(NodeId(gs.fresh_id_watermark()));
     let mut invented = Vec::new();
     let mut fresh_counter: u64 = 0;
     for (rule, pairs) in m.rules().iter().zip(answers) {
@@ -165,7 +157,10 @@ fn build(
                             Value::str(format!("fresh#{fresh_counter}"))
                         }
                     };
-                    let id = gt.fresh_node(val);
+                    let id = NodeId(gt.fresh_id_watermark());
+                    if source_full || gt.add_node(id, val).is_err() {
+                        return Err(SolutionError::IdSpaceExhausted);
+                    }
                     invented.push(id);
                     id
                 };
@@ -246,8 +241,8 @@ mod tests {
         let inv = sol.invented[0];
         assert!(inv.0 >= gs.fresh_id_watermark());
         assert!(sol.graph.value(inv).unwrap().is_null());
-        assert!(sol.is_invented(inv));
-        assert!(!sol.is_invented(NodeId(0)));
+        assert!(sol.invented.contains(&inv));
+        assert!(!sol.invented.contains(&NodeId(0)));
     }
 
     #[test]

@@ -191,6 +191,8 @@ pub fn verify_prop1(m: &Gsm, gs: &DataGraph) -> Result<bool, TranslateError> {
         Ok(s) => s,
         Err(SolutionError::NotRelational) => return Err(TranslateError::NotRelational),
         Err(SolutionError::NoSolution { .. }) => return Err(TranslateError::EpsilonTargetWord),
+        // the chased side needs fresh ids just as much: nothing to compare
+        Err(e @ SolutionError::IdSpaceExhausted) => panic!("{e}"),
     };
     // same sizes + homs both ways fixing dom ⇒ isomorphic for these shapes
     if decoded.node_count() != direct.graph.node_count()

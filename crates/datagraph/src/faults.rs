@@ -8,9 +8,9 @@
 //! per [`point`] call.
 //!
 //! Injection points sit at the four spots where the engine's containment
-//! story is interesting ([`FaultSite`]): stripe evaluation, the k-way
-//! merge of per-stripe runs, sub-relation cache inserts, and the
-//! solution freeze. A [`FaultPlan::seeded`] plan decides **deterministically**
+//! story is interesting ([`FaultSite`]): stripe evaluation, the assembly
+//! of a tuple answer from its per-stripe runs, sub-relation cache
+//! inserts, and the solution freeze. A [`FaultPlan::seeded`] plan decides **deterministically**
 //! per `(site, hit-ordinal)` whether a point panics, sleeps briefly, or
 //! does nothing — so a failing soak seed replays exactly, regardless of
 //! thread interleaving (the per-site hit counter is the only shared
@@ -36,7 +36,8 @@ pub const INJECTED_PANIC_MARKER: &str = "gde::faults injected panic";
 pub enum FaultSite {
     /// Per-(query, stripe) evaluation inside the shard fan-out workers.
     StripeEval,
-    /// The streaming k-way merge of sorted per-stripe runs.
+    /// Assembling a tuple answer from its sorted per-stripe runs (the
+    /// runs laid end to end), once per answer.
     Merge,
     /// Sub-relation cache admission (`LruSubRelCache::insert`).
     CacheInsert,

@@ -98,21 +98,25 @@ impl DataGraph {
         self.index.insert(id, dense);
         self.out.push(Vec::new());
         self.inn.push(Vec::new());
-        self.next_fresh = self.next_fresh.max(id.0 + 1);
+        self.next_fresh = self.next_fresh.max(id.0.saturating_add(1));
         Ok(())
     }
 
     /// Add a node with a freshly allocated id (greater than any id seen so
     /// far in this graph) and return the id. Used by solution-building
     /// procedures that "create fresh null nodes" (§7).
+    ///
+    /// Panics once the graph holds `u32::MAX`, when no greater id is left.
     pub fn fresh_node(&mut self, value: Value) -> NodeId {
         let id = NodeId(self.next_fresh);
-        self.add_node(id, value).expect("fresh id cannot collide");
+        self.add_node(id, value).expect("node id space exhausted");
         id
     }
 
     /// A node id strictly greater than every id in the graph (without
-    /// allocating a node). Useful when several graphs share an id space.
+    /// allocating a node), or `u32::MAX` once the graph holds `u32::MAX`
+    /// itself and no such id exists. Useful when several graphs share an
+    /// id space.
     pub fn fresh_id_watermark(&self) -> u32 {
         self.next_fresh
     }

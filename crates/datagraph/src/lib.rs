@@ -36,10 +36,9 @@
 //!   relation-algebra atoms). Plans cut evenly or balance out-degree
 //!   ([`ShardPlan::by_out_degree`]);
 //! * [`merge`] — streaming k-way unions of sorted runs (heap-of-cursors
-//!   with galloping bulk copies), merging the per-stripe tuple runs of
-//!   sharded serving and the per-row column lists of k-ary relation
-//!   unions ([`Relation::union_many`]) without intermediate
-//!   concatenation;
+//!   with galloping bulk copies), merging the per-row column lists of
+//!   k-ary relation unions ([`Relation::union_many`]) without
+//!   intermediate concatenation;
 //! * homomorphisms between data graphs, both the exact form of §6 and the
 //!   null-absorbing form of §7 ([`hom`]);
 //! * fault-tolerance plumbing: panic-containing `try_` fan-out variants
@@ -72,7 +71,6 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use graph::{DataGraph, DeltaApplied, GraphDelta, GraphError};
 pub use hom::{apply_hom, check_hom, find_hom, HomMode};
 pub use label::{Alphabet, Label};
-pub use merge::{concat_sort_dedup, merge_sorted_runs};
 pub use node::NodeId;
 pub use par::{lock_recover, read_recover, write_recover, WorkerPanic};
 pub use path::{DataPath, Path};

@@ -1,30 +1,19 @@
-//! Streaming k-way merges of sorted runs.
+//! Streaming k-way merges of sorted runs, the row kernel of the sparse
+//! relation algebra.
 //!
-//! Sharded serving produces one **sorted run** of answer tuples per
-//! stripe; their union is the full answer. The naive merge — concatenate
-//! everything into one buffer and sort it — allocates an intermediate
-//! vector, re-discovers the run boundaries the producer already knew, and
-//! re-copies every element once per merge level. The functions here
-//! replace that with a true streaming union: cursors over the input runs
-//! advance in lockstep behind a binary heap of run heads, whole stretches
-//! that cannot interleave are **bulk-copied** (a galloping
-//! `partition_point` finds how far the winning run may run ahead of the
-//! second-best head), and cross-run duplicates collapse inline —
-//! `O(N log k)` comparisons worst case, near-`memcpy` when runs barely
-//! overlap, one output allocation, no intermediate concat.
+//! A k-ary relation union ([`crate::Relation::union_many`]) is a per-row
+//! k-way merge instead of `k - 1` successive two-way merges that rewrite
+//! the arena each time, and the two-way [`crate::Relation::union_with`]
+//! merges its rows through the same two-cursor path. Cursors over the
+//! input runs advance in lockstep behind a binary heap of run heads,
+//! whole stretches that cannot interleave are **bulk-copied** (a
+//! galloping `partition_point` finds how far the winning run may run
+//! ahead of the second-best head), and cross-run duplicates collapse
+//! inline — `O(N log k)` comparisons worst case, near-`memcpy` when runs
+//! barely overlap, one output allocation, no intermediate concat.
 //!
-//! Inputs must be **sorted ascending and duplicate-free** — exactly the
-//! shape sharded serving and the sparse relation algebra produce (a CSR
-//! row is strictly increasing, an answer run is a sorted set of pairs).
-//! Debug builds assert the invariant.
-//!
-//! The same shape serves the relation algebra: a k-ary relation union
-//! ([`crate::Relation::union_many`]) is a per-row k-way merge instead of
-//! `k - 1` successive two-way merges that rewrite the arena each time.
-//!
-//! [`concat_sort_dedup`] keeps the naive strategy callable as the test
-//! oracle and the benchmark baseline (`sharded_serving` measures both on
-//! the high-cardinality tuple batch).
+//! Inputs must be **sorted ascending and duplicate-free**, the shape of a
+//! CSR row. Debug builds assert the invariant.
 
 /// Sift the root of the head heap down. The heap is a min-heap on the
 /// cursors' current heads, with the run index as tie-break so equal heads
@@ -51,35 +40,12 @@ fn sift_down<T: Copy + Ord>(heap: &mut [(T, u32)], mut at: usize) {
     }
 }
 
-/// Streaming union of sorted runs: merge `runs` (each sorted ascending and
-/// duplicate-free) into one sorted, duplicate-free vector — the set union
-/// of the runs, computed in one pass with bulk copies for non-interleaving
-/// stretches.
-///
-/// ```
-/// use gde_datagraph::merge::merge_sorted_runs;
-/// let runs = vec![vec![1u32, 4, 7], vec![2, 4, 9], vec![], vec![7]];
-/// assert_eq!(merge_sorted_runs(&runs), vec![1, 2, 4, 7, 9]);
-/// ```
-pub fn merge_sorted_runs<T, R>(runs: &[R]) -> Vec<T>
-where
-    T: Copy + Ord,
-    R: AsRef<[T]>,
-{
-    // the serving engine's merge fault site lives here, on the per-batch
-    // entry — NOT in `merge_sorted_slices_into`, which is also the per-row
-    // hot path of the relation algebra
-    crate::faults::point(crate::faults::FaultSite::Merge);
-    let slices: Vec<&[T]> = runs.iter().map(|r| r.as_ref()).collect();
-    let mut out = Vec::new();
-    merge_sorted_slices_into(&slices, &mut out);
-    out
-}
-
-/// The merge core, writing into a caller-owned buffer (cleared first).
-/// Exposed so per-row callers ([`crate::Relation::union_many`]) can reuse
-/// one scratch allocation across thousands of short rows. Runs must be
-/// sorted ascending and duplicate-free; empty runs are fine.
+/// Streaming union of sorted runs into a caller-owned buffer (cleared
+/// first): the set union of the runs, computed in one pass with bulk
+/// copies for non-interleaving stretches. Per-row callers
+/// ([`crate::Relation::union_many`]) reuse one scratch allocation across
+/// thousands of short rows. Runs must be sorted ascending and
+/// duplicate-free; empty runs are fine.
 pub fn merge_sorted_slices_into<T: Copy + Ord>(runs: &[&[T]], out: &mut Vec<T>) {
     out.clear();
     debug_assert!(
@@ -181,28 +147,27 @@ fn merge_heap<T: Copy + Ord>(runs: &[&[T]], out: &mut Vec<T>) {
     }
 }
 
-/// The baseline the streaming merge replaces: concatenate every run, sort,
-/// deduplicate. Kept callable as the property-test oracle and as the
-/// benchmark baseline the `sharded_serving` bench times the k-way merge
-/// against.
-pub fn concat_sort_dedup<T, R>(runs: &[R]) -> Vec<T>
-where
-    T: Copy + Ord,
-    R: AsRef<[T]>,
-{
-    let mut all: Vec<T> = Vec::with_capacity(runs.iter().map(|r| r.as_ref().len()).sum());
-    for r in runs {
-        all.extend_from_slice(r.as_ref());
-    }
-    all.sort();
-    all.dedup();
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The streaming union of owned runs, through the buffer-reusing core.
+    fn merge_sorted_runs<T: Copy + Ord>(runs: &[Vec<T>]) -> Vec<T> {
+        let slices: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        merge_sorted_slices_into(&slices, &mut out);
+        out
+    }
+
+    /// The naive union the streaming merge replaces: concatenate every
+    /// run, sort, deduplicate. The property-test oracle.
+    fn concat_sort_dedup<T: Copy + Ord>(runs: &[Vec<T>]) -> Vec<T> {
+        let mut all = runs.concat();
+        all.sort();
+        all.dedup();
+        all
+    }
 
     #[test]
     fn empty_inputs() {

@@ -32,8 +32,9 @@
 //! Tarjan) + topological reachability over per-SCC bitsets —
 //! `O(E + C²/64)` for `C` components — and then materialises per-SCC rows
 //! once. That asymptotic gap is what turns 20k-node closures from minutes
-//! into milliseconds; [`Relation::transitive_closure_warshall`] keeps the
-//! dense algorithm callable as a baseline and test oracle.
+//! into milliseconds. [`Relation::transitive_closure_warshall`] is the
+//! production closure for every `n ≤ 256`, and the test oracle and
+//! benchmark baseline of the SCC path above that.
 //!
 //! **Parallelism.** The hot operations (composition, sparse unions, large
 //! dense boolean combinations, closure materialisation) run over contiguous
@@ -795,8 +796,9 @@ impl Relation {
     }
 
     /// Transitive closure via Warshall on a dense copy: `O(n² · n/64)` word
-    /// operations regardless of sparsity. Kept as the baseline the adaptive
-    /// algorithm is benchmarked against and as a test oracle.
+    /// operations regardless of sparsity. [`Relation::transitive_closure`]
+    /// runs it for every `n ≤ 256`; above that it is the test oracle and
+    /// benchmark baseline of the SCC condensation.
     pub fn transitive_closure_warshall(&self) -> Relation {
         let mut r = self.clone();
         r.force_dense();

@@ -146,8 +146,9 @@ impl SubRelKey {
 }
 
 /// One stripe's served answer: its pairs over `dom(M, G_s)` as node ids,
-/// sorted ascending and duplicate-free — the run the serving engine's
-/// k-way merge reads. Shared, so a cache hit is an `Arc` clone.
+/// sorted ascending and duplicate-free — the run the serving engine lays
+/// end to end with its sibling stripes' runs to assemble the answer.
+/// Shared, so a cache hit is an `Arc` clone.
 pub type AnswerRun = Arc<[(NodeId, NodeId)]>;
 
 /// What one cache entry holds.

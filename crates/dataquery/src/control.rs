@@ -3,8 +3,8 @@
 //! Relation algebra has no preemption points: once a closure
 //! materialisation or a stripe evaluation starts, it runs to completion.
 //! What the serving engine *can* do is stop **between** units of work —
-//! between stripes of a fan-out, between phase-1 memo nodes, before a
-//! k-way merge — and that is exactly what [`EvalControl`] provides: a
+//! between stripes of a fan-out, between phase-1 memo nodes, before an
+//! answer is assembled — and that is exactly what [`EvalControl`] provides: a
 //! cheap, latching "stop now" decision shared by every worker of one
 //! serve.
 //!

@@ -84,6 +84,7 @@ impl ApiError {
             ServeError::NotRelational
             | ServeError::UnsupportedQuery(_)
             | ServeError::NoSolution { .. }
+            | ServeError::IdSpaceExhausted
             | ServeError::TooComplex { .. } => {
                 ApiError::unprocessable("unsupported-query", e.to_string())
             }

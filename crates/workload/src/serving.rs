@@ -277,10 +277,9 @@ pub fn sharded_serving_scenario(scale: usize, seed: u64) -> ServingScenario {
 /// The **merge-bound** tuple batch for the sharded scenario: long
 /// contact-walk queries whose answer cardinality is a large multiple of
 /// the node count, so at K stripes the per-stripe evaluation produces big
-/// sorted runs and the cross-stripe tuple merge — not the evaluation —
-/// dominates the cost profile. This is the workload the `sharded_serving`
-/// bench uses to compare the streaming k-way merge against the
-/// concatenate-and-sort baseline ([`gde_datagraph::merge`]).
+/// sorted runs and assembling and copying the answer — not the
+/// evaluation — dominates the cost profile. The `sharded_serving` bench
+/// times it per K as its big-answer batch.
 ///
 /// `ta` must be the scenario's target-alphabet interner
 /// (`gsm.target_alphabet().clone()`) so label indices line up.
