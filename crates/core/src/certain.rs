@@ -16,6 +16,7 @@
 //! answer many, absorb deltas); [`crate::engine::answer_once`] answers a
 //! single query without keeping anything.
 
+use crate::solution::SolutionError;
 use gde_datagraph::NodeId;
 
 /// Errors from the tractable certain-answer engines.
@@ -23,6 +24,9 @@ use gde_datagraph::NodeId;
 pub enum SolveError {
     /// The mapping is not relational; these engines require word targets.
     NotRelational,
+    /// The canonical solution's invented nodes do not fit into the node
+    /// ids above every source id ([`SolutionError::IdSpaceExhausted`]).
+    IdSpaceExhausted,
     /// The query is outside the fragment the engine is exact for.
     UnsupportedQuery(&'static str),
 }
@@ -31,6 +35,7 @@ impl std::fmt::Display for SolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SolveError::NotRelational => write!(f, "mapping is not relational"),
+            SolveError::IdSpaceExhausted => SolutionError::IdSpaceExhausted.fmt(f),
             SolveError::UnsupportedQuery(what) => write!(f, "unsupported query: {what}"),
         }
     }

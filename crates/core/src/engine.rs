@@ -53,11 +53,15 @@
 //!   mapping's generation stamp. A delta whose net effect no rule can see
 //!   keeps the cached solutions; any other delta drops them, and the next
 //!   answer rebuilds from the new source through the one build path.
-//! * **evict** — prepared solutions live behind interior mutability under
-//!   a byte budget ([`MappingService::set_cache_budget`]); when the cache
-//!   outgrows it, the least-recently-served solutions are dropped (and
-//!   rebuilt on demand), so a service can hold many registered mappings
-//!   with only the hot ones resident.
+//! * **evict** — prepared solutions and their sub-relation caches share
+//!   one byte budget ([`MappingService::set_cache_budget`]) kept by one
+//!   [`ByteLedger`]: a build charges its solution and snapshot, and each
+//!   cache insert reserves its own bytes, evicting its cache's own LRU
+//!   entries while the ledger is full or else served without being kept.
+//!   Least-recently-served solutions are dropped (and rebuilt on demand)
+//!   to make room for a build, or for a serve whose inserts found no
+//!   room when its whole footprint fits, so a service can hold many
+//!   registered mappings with only the hot ones resident.
 //!
 //! One-shot callers can use [`answer_once`], which serves one query
 //! through a private service and throws it away.
@@ -75,8 +79,8 @@ use gde_datagraph::{
     ShardPlan, WorkerPanic,
 };
 use gde_dataquery::{
-    canonicalize, AnswerRun, BindError, CompiledQuery, EvalControl, LruSubRelCache, PlanSkeleton,
-    QueryTemplate, RowEvalShared, StopCause, SubRelKey,
+    canonicalize, AnswerRun, BindError, ByteLedger, CompiledQuery, EvalControl, LruSubRelCache,
+    PlanSkeleton, QueryTemplate, RowEvalShared, StopCause, SubRelKey,
 };
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -229,7 +233,7 @@ impl Semantics {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShardSpec {
     /// Exactly this many stripes (`0` and `1` both mean one stripe: the
-    /// unsharded plan).
+    /// unsharded plan; counts above 64 are clamped to 64).
     Fixed(usize),
     /// Let the engine choose K per mapping, from the source-graph size,
     /// the worker-thread budget ([`par::max_threads`] /
@@ -245,10 +249,16 @@ pub enum ShardSpec {
 /// count this large is not meaningful — plans cap far below it).
 const AUTO_SHARDS: usize = usize::MAX;
 
+/// The most stripes a mapping serves from, fixed or picked by
+/// [`ShardSpec::Auto`]. Every stripe costs a task and an answer run per
+/// query on every serve, and a fixed count arrives unchecked from the
+/// wire, so a larger request is clamped to this.
+const MAX_SHARDS: usize = 64;
+
 impl ShardSpec {
     fn encode(self) -> usize {
         match self {
-            ShardSpec::Fixed(k) => k.clamp(1, AUTO_SHARDS - 1),
+            ShardSpec::Fixed(k) => k.clamp(1, MAX_SHARDS),
             ShardSpec::Auto => AUTO_SHARDS,
         }
     }
@@ -314,9 +324,9 @@ pub struct ServingStats {
     /// already fired before any evaluation started, so the serve was
     /// refused at the door without charging anything.
     pub rejected: u64,
-    /// Serves that ran **without** the sub-relation cache because
-    /// admission control decided their estimated cache footprint could
-    /// not fit the service budget even after eviction.
+    /// Queries whose sub-relation cache inserts found no room under the
+    /// service budget: an insert evicted this solution's own entries, or
+    /// was declined and served without being kept.
     pub degraded: u64,
     /// Serves answered from the static analyzer's empty verdict — the
     /// query's labels are disjoint from every label the mapping can
@@ -491,7 +501,7 @@ fn auto_shard_count(nodes: usize, threads: usize, stats: &ServingStats) -> usize
     if stats.memo_share() > 0.5 {
         k = k.min(threads.max(1));
     }
-    k.clamp(1, 64)
+    k.clamp(1, MAX_SHARDS)
 }
 
 /// A certain-answer result from [`MappingService::answer`]: tuples for
@@ -749,6 +759,7 @@ impl From<ExactError> for ServeError {
     fn from(e: ExactError) -> ServeError {
         match e {
             ExactError::NotRelational => ServeError::NotRelational,
+            ExactError::IdSpaceExhausted => ServeError::IdSpaceExhausted,
             ExactError::TooComplex { invented, cap } => ServeError::TooComplex { invented, cap },
         }
     }
@@ -759,16 +770,15 @@ impl From<ExactError> for ServeError {
 /// [`crate::integration::Integration::certain_answers`]). `answer_once`
 /// serves with unbounded options, so the deadline/cancel arms cannot fire;
 /// a contained worker panic, however, *can* reach it, and `SolveError`
-/// has no panic variant — re-raise it, as a propagating panic. A source
-/// whose ids leave no room for the invented nodes panics the same way.
+/// has no panic variant — re-raise it, as a propagating panic.
 pub(crate) fn solve_error(e: ServeError) -> SolveError {
     match e {
         ServeError::NotRelational => SolveError::NotRelational,
+        ServeError::IdSpaceExhausted => SolveError::IdSpaceExhausted,
         ServeError::UnsupportedQuery(what) => SolveError::UnsupportedQuery(what),
         ServeError::StripePanicked { message, .. } => {
             panic!("serving worker panicked (one-shot re-raise): {message}")
         }
-        ServeError::IdSpaceExhausted => panic!("one-shot canonical serving: {e}"),
         other => unreachable!("canonical serving cannot fail with {other:?}"),
     }
 }
@@ -779,11 +789,11 @@ pub(crate) fn solve_error(e: ServeError) -> SolveError {
 pub(crate) fn exact_error(e: ServeError) -> ExactError {
     match e {
         ServeError::NotRelational => ExactError::NotRelational,
+        ServeError::IdSpaceExhausted => ExactError::IdSpaceExhausted,
         ServeError::TooComplex { invented, cap } => ExactError::TooComplex { invented, cap },
         ServeError::StripePanicked { message, .. } => {
             panic!("exact serving worker panicked (one-shot re-raise): {message}")
         }
-        ServeError::IdSpaceExhausted => panic!("one-shot exact serving: {e}"),
         other => unreachable!("exact serving cannot fail with {other:?}"),
     }
 }
@@ -844,30 +854,23 @@ pub struct PreparedSolution {
     /// The stripes of every serve: row ranges of `snapshot`.
     plan: ShardPlan,
     /// Evaluated sub-relations (closures, tail factors, per-stripe
-    /// answers), keyed `(stripe-or-global, subplan hash)`. Owned per
-    /// prepared solution and dropped with it — the two flavours of one
-    /// mapping serve different solutions and never share entries, and a
-    /// delta that changes a solution drops the solution, cache included.
+    /// answers), keyed `(stripe-or-global, subplan hash)`, each charged to
+    /// the service's ledger as it is inserted. Owned per prepared
+    /// solution and closed when the service releases it — the two
+    /// flavours of one mapping serve different solutions and never share
+    /// entries, and a delta that changes a solution drops the solution,
+    /// cache included.
     sub_cache: Arc<LruSubRelCache>,
-    /// Cache bytes currently charged against the service's eviction
-    /// budget for `sub_cache` (the cache fills while serving, so the
-    /// charge is re-synced on every serve; see
-    /// [`PreparedSolution::sync_cache_charge`]).
-    charged_cache_bytes: AtomicUsize,
     /// The owning mapping's serving-stats accumulator.
     serving: Arc<Mutex<ServingStats>>,
 }
-
-/// Default byte budget of one prepared solution's sub-relation cache.
-/// Self-bounding (the cache evicts LRU entries past this) on top of the
-/// service-level eviction budget its resident bytes are charged to.
-const SUB_REL_CACHE_BUDGET: usize = 256 << 20;
 
 impl PreparedSolution {
     fn new(
         solution: CanonicalSolution,
         shards: usize,
         serving: Arc<Mutex<ServingStats>>,
+        ledger: &Arc<ByteLedger>,
     ) -> PreparedSolution {
         // an injected panic here models a crash mid-freeze: the caller's
         // slot stays Empty with zero bytes charged, so containment leaves
@@ -889,8 +892,7 @@ impl PreparedSolution {
             snapshot,
             dom_len,
             plan,
-            sub_cache: Arc::new(LruSubRelCache::new(SUB_REL_CACHE_BUDGET)),
-            charged_cache_bytes: AtomicUsize::new(0),
+            sub_cache: Arc::new(LruSubRelCache::new(ledger.clone())),
             serving,
         }
     }
@@ -916,56 +918,19 @@ impl PreparedSolution {
         self.plan.shard_count()
     }
 
-    /// Approximate heap footprint (solution + snapshot + the sub-relation
-    /// cache charge as last settled by the service), the unit the
-    /// service's eviction budget is counted in. Stripes add nothing: they
-    /// are row ranges of the one snapshot.
+    /// Approximate heap footprint now: solution, snapshot and the
+    /// sub-relation cache's resident entries. Stripes add nothing: they
+    /// are row ranges of the one snapshot. The service charges the first
+    /// two once, as they weigh when the build finishes, and each cache
+    /// entry as it is inserted. Label relations the snapshot materialises
+    /// later while serving grow this figure but are never charged.
     pub fn approx_bytes(&self) -> usize {
-        self.solution.approx_bytes()
-            + self.snapshot.approx_bytes()
-            + self.charged_cache_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Re-read the sub-relation cache's resident bytes into the charge
-    /// gauge; returns `(new, previous)` so the caller can settle the
-    /// difference against the service-level budget. The cache fills
-    /// *while serving* (after the build-time charge), so the service
-    /// re-syncs on every cache-hit serve; between serves the charge lags
-    /// by at most one call's insertions — bounded by the cache's own
-    /// byte budget.
-    fn sync_cache_charge(&self) -> (usize, usize) {
-        let live = self.sub_cache.bytes();
-        let prev = self.charged_cache_bytes.swap(live, Ordering::Relaxed);
-        (live, prev)
+        self.solution.approx_bytes() + self.snapshot.approx_bytes() + self.sub_cache.bytes()
     }
 
     /// The sub-relation cache this solution serves through.
     pub fn sub_cache(&self) -> &Arc<LruSubRelCache> {
         &self.sub_cache
-    }
-
-    /// Admission-control estimate of the extra sub-relation-cache bytes
-    /// one serve of this solution may charge: the snapshot's own
-    /// footprint, capped at the cache's byte budget (the cache clamps
-    /// itself there). The snapshot size is an estimate, not a bound: a
-    /// closure's evaluated relation can outweigh the graph it was
-    /// evaluated on many times over.
-    fn estimated_serve_bytes(&self) -> usize {
-        self.snapshot().approx_bytes().min(SUB_REL_CACHE_BUDGET)
-    }
-
-    /// Shared row-evaluation state for one query of a serve, under the
-    /// serve's deadline/cancel control: wired to this solution's
-    /// sub-relation cache, or — `use_cache: false`, the admission-control
-    /// degraded mode — computing every artifact from scratch and charging
-    /// nothing to the cache budget.
-    fn row_shared(&self, ctrl: &Arc<EvalControl>, use_cache: bool) -> RowEvalShared {
-        let shared = if use_cache {
-            RowEvalShared::with_cache(self.sub_cache.clone())
-        } else {
-            RowEvalShared::new()
-        };
-        shared.with_control(ctrl.clone())
     }
 
     /// Fold one per-(query, stripe) evaluation into the mapping's serving
@@ -1011,10 +976,10 @@ impl PreparedSolution {
     /// The run itself is what the sub-relation cache holds, under
     /// `(stripe, plan hash)`: a repeated query (same structure) reads it
     /// back and neither evaluates nor filters. A miss evaluates and
-    /// dom-filters, then inserts the run unless the serve is
-    /// uncached (admission degraded it) or its control fired. The cache
-    /// lives and dies with this solution, so no run outlives the graph it
-    /// was evaluated on.
+    /// dom-filters, then inserts the run unless the serve's control
+    /// fired; an insert that finds no room under the budget serves the
+    /// run without keeping it. The cache lives and dies with this
+    /// solution, so no run outlives the graph it was evaluated on.
     fn shard_pairs(&self, q: &CompiledQuery, shard: usize, shared: &RowEvalShared) -> AnswerRun {
         // an injected panic here models a stripe worker dying at the top
         // of its evaluation, before any shared state is touched
@@ -1149,7 +1114,9 @@ struct Slot {
     state: SlotState,
     /// LRU tick of the last serve from this slot.
     last_used: u64,
-    /// Bytes charged against the service budget (0 unless resident).
+    /// Solution and snapshot bytes the build charged to the ledger (0
+    /// unless resident), given back exactly on release. The cache's
+    /// entries are charged by the cache itself.
     bytes: usize,
 }
 
@@ -1197,10 +1164,9 @@ pub struct MappingService {
     next_id: AtomicU64,
     /// Monotonic LRU clock; bumped on every serve/build.
     clock: AtomicU64,
-    /// Cache budget in bytes; 0 = unlimited.
-    budget: AtomicUsize,
-    /// Approximate bytes currently resident.
-    cached: AtomicUsize,
+    /// The cache budget and the bytes charged against it: every resident
+    /// solution's base bytes and every entry of its sub-relation cache.
+    ledger: Arc<ByteLedger>,
     /// Whether ad-hoc `answer`/`answer_batch` queries are routed through
     /// canonicalisation onto shared templates (default true; see
     /// [`MappingService::set_canonicalisation`]).
@@ -1231,24 +1197,29 @@ impl MappingService {
         s
     }
 
-    /// Bound the resident prepared-solution cache to approximately `bytes`
-    /// ([`PreparedSolution::approx_bytes`]); least-recently-served
-    /// solutions are evicted first. `0` = unlimited. The budget is soft:
-    /// the solution serving the current answer is never evicted, so one
-    /// resident solution can exceed a tiny budget.
+    /// Bound the resident solutions and their sub-relation caches to
+    /// `bytes` (`0` = unlimited), evicting least-recently-served solutions
+    /// until they fit. Each solution is charged its solution and snapshot
+    /// bytes when it is built, and each cache entry when it is inserted.
+    /// A cache insert never passes the budget: it evicts its own cache's
+    /// LRU entries, or is declined and served without being kept (see
+    /// [`ServingStats::degraded`]). The base charge is soft: the solution
+    /// serving the current answer is never evicted, so one resident
+    /// solution can exceed a tiny budget.
     pub fn set_cache_budget(&self, bytes: usize) {
-        self.budget.store(bytes, Ordering::Relaxed);
-        self.enforce_budget(None);
+        self.ledger.set_budget(bytes);
+        self.enforce_budget(0, None);
     }
 
     /// The configured cache budget (0 = unlimited).
     pub fn cache_budget(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
+        self.ledger.budget()
     }
 
-    /// Approximate bytes currently held by cached solutions.
+    /// Bytes currently charged: resident solutions with their snapshots,
+    /// plus every resident sub-relation cache entry.
     pub fn cached_bytes(&self) -> usize {
-        self.cached.load(Ordering::Relaxed)
+        self.ledger.used()
     }
 
     /// Register a mapping with its source graph. Accepts owned values or
@@ -1923,8 +1894,7 @@ impl MappingService {
     /// evaluates on every stripe of the prepared solution's plan (a
     /// mapping without sharding is a one-stripe plan).
     ///
-    /// Admission control first decides whether the serve may fill the
-    /// sub-relation cache. Phase 1 — REE memos and the full answers of
+    /// Phase 1 — REE memos and the full answers of
     /// non-decomposing queries — is factored out before the fan-out,
     /// queries in parallel: because every build goes through the shared
     /// cache, a closure or tail factor two queries have in common is
@@ -1936,6 +1906,8 @@ impl MappingService {
     /// Boolean stripes OR with a cross-stripe short-circuit.
     /// The exact enumeration neither decomposes by stripe nor fills the
     /// cache: it runs as one task per query over the whole solution.
+    /// Once answered, a serve whose cache inserts found no room may evict
+    /// colder solutions to make room for them.
     ///
     /// Returns `Err` only for a contained worker panic (the caller
     /// quarantines and retries). A control that fires mid-flight gives
@@ -1952,18 +1924,10 @@ impl MappingService {
     ) -> Result<Vec<Outcome>, ServeError> {
         let nq = queries.len();
         let exact = matches!(sem, Semantics::Exact(..));
-        let (k, use_cache) = if exact {
-            (1, false)
-        } else {
-            let admitted = self.admit_serve(entry, prep, sem.flavour());
-            if !admitted {
-                Self::note(entry, |s| s.degraded += nq as u64);
-            }
-            (prep.shard_count(), admitted)
-        };
+        let k = if exact { 1 } else { prep.shard_count() };
         let shareds: Vec<RowEvalShared> = queries
             .iter()
-            .map(|_| prep.row_shared(ctrl, use_cache))
+            .map(|_| RowEvalShared::with_cache(prep.sub_cache.clone()).with_control(ctrl.clone()))
             .collect();
         let prewarm = Instant::now();
         let warmed = par::try_map_blocks(nq, 1, |range| {
@@ -2014,9 +1978,13 @@ impl MappingService {
         let (hits, misses) = shareds.iter().fold((0, 0), |(h, m), s| {
             (h + s.cache_hits(), m + s.cache_misses())
         });
+        let shortfall: usize = shareds.iter().map(|s| s.cache_shortfall() as usize).sum();
+        let degraded = shareds.iter().filter(|s| s.cache_shortfall() > 0).count() as u64;
         let record = |merge_ns| {
             let bytes = prep.sub_cache.bytes() as u64;
-            lock(&prep.serving).record_overheads(memo_ns, merge_ns, hits, misses, bytes);
+            let mut stats = lock(&prep.serving);
+            stats.record_overheads(memo_ns, merge_ns, hits, misses, bytes);
+            stats.degraded += degraded;
         };
         let mut parts = fanned.map_err(|panic| {
             record(0);
@@ -2057,6 +2025,14 @@ impl MappingService {
         let tuples = !exact && sem.mode() == Mode::Tuples;
         let merge_ns = merge.elapsed().as_nanos() as u64;
         record(if tuples { merge_ns } else { 0 });
+        // inserts found no room: evict colder solutions for them, but only
+        // when this solution's own footprint plus the shortfall fits the
+        // budget. Two solutions that cannot both fit would otherwise evict
+        // each other on every serve; without the eviction, one that does
+        // fit would never win room from a colder one.
+        if shortfall > 0 && prep.approx_bytes() + shortfall <= self.ledger.budget() {
+            self.enforce_budget(shortfall, Some((entry.id, sem.flavour() as usize)));
+        }
         Ok(outcomes)
     }
 
@@ -2169,17 +2145,15 @@ impl MappingService {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn add_bytes(&self, n: usize) {
-        self.cached.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sub_bytes(&self, n: usize) {
-        self.cached.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Clear a slot and give its bytes back to the budget.
+    /// Clear a slot and give its bytes back to the budget: the base bytes
+    /// exactly as the build charged them, and every cache entry by
+    /// closing the cache, which also declines the inserts of serves still
+    /// holding the solution.
     fn release(&self, slot: &mut Slot) {
-        self.sub_bytes(slot.bytes);
+        if let SlotState::Ready(prep) = &slot.state {
+            prep.sub_cache.close();
+        }
+        self.ledger.release(slot.bytes);
         *slot = Slot::default();
     }
 
@@ -2211,37 +2185,12 @@ impl MappingService {
     /// Quarantine one flavour after a contained worker panic: the panic
     /// may have left the prepared solution's shared artifacts (sub-
     /// relation cache, half-built memo state) in an arbitrary state, so
-    /// the slot is dropped — the poisoned cache goes with its solution,
-    /// so nothing a concurrent serve holding the old `Arc` still writes
-    /// is reachable — and the next serve of that flavour rebuilds from
-    /// the source. The other flavour's slot is untouched.
+    /// the slot is released — its cache is closed, so nothing a
+    /// concurrent serve holding the old `Arc` still writes is kept — and
+    /// the next serve of that flavour rebuilds from the source. The other
+    /// flavour's slot is untouched.
     fn quarantine(&self, entry: &MappingEntry, flavour: Flavour) {
         self.release(&mut lock(&entry.cache)[flavour as usize]);
-    }
-
-    /// Admission control for one serve: would letting this serve fill
-    /// the sub-relation cache blow the service budget? Returns `true`
-    /// when the serve may use the cache (evicting colder solutions first
-    /// if needed — evict-then-admit) and `false` when the estimated
-    /// footprint cannot fit even then, in which case the serve runs
-    /// degraded (uncached) instead of failing or thrashing the cache.
-    fn admit_serve(&self, entry: &MappingEntry, prep: &PreparedSolution, flavour: Flavour) -> bool {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return true;
-        }
-        let est = prep.estimated_serve_bytes();
-        // already-charged bytes for this solution count toward its own
-        // footprint, not against headroom
-        if prep.approx_bytes() + est > budget {
-            return false;
-        }
-        if self.cached.load(Ordering::Relaxed) + est > budget {
-            // evict-then-admit: free colder solutions until the estimate
-            // fits (the serving slot is protected)
-            self.enforce_budget_reserve(est, Some((entry.id, flavour)));
-        }
-        true
     }
 
     /// Get (building if necessary) the cached prepared solution for a
@@ -2258,17 +2207,6 @@ impl MappingService {
             let slot = &mut slots[flavour as usize];
             match &slot.state {
                 SlotState::Ready(p) => {
-                    // the sub-relation cache filled (or got evicted)
-                    // while serving: settle the delta against the
-                    // service budget so `cached` tracks reality
-                    let (new, old) = p.sync_cache_charge();
-                    if new >= old {
-                        slot.bytes += new - old;
-                        self.add_bytes(new - old);
-                    } else {
-                        slot.bytes -= old - new;
-                        self.sub_bytes(old - new);
-                    }
                     slot.last_used = self.tick();
                     return Ok(p.clone());
                 }
@@ -2288,14 +2226,15 @@ impl MappingService {
                 Flavour::LeastInformative => least_informative_solution(&gsm, &source),
             }
             // every solution built for this mapping records into the
-            // mapping's own accumulator
-            .map(|sol| PreparedSolution::new(sol, shards, entry.serving.clone()));
+            // mapping's own accumulator, and its cache charges the
+            // service's ledger
+            .map(|sol| PreparedSolution::new(sol, shards, entry.serving.clone(), &self.ledger));
             match built {
                 Ok(prep) => {
                     let prep = Arc::new(prep);
-                    prep.sync_cache_charge();
+                    // the cache is still empty: solution and snapshot
                     slot.bytes = prep.approx_bytes();
-                    self.add_bytes(slot.bytes);
+                    self.ledger.charge(slot.bytes);
                     slot.last_used = self.tick();
                     slot.state = SlotState::Ready(prep.clone());
                     out = Ok(prep);
@@ -2307,7 +2246,7 @@ impl MappingService {
             }
         }
         if out.is_ok() {
-            self.enforce_budget(Some((entry.id, flavour)));
+            self.enforce_budget(0, Some((entry.id, flavour as usize)));
             self.release_if_unregistered(entry);
         }
         out
@@ -2316,8 +2255,10 @@ impl MappingService {
     /// A racing `unregister` can drop an entry from the registry while a
     /// build still holds its `Arc` and is about to charge bytes for it;
     /// anything charged to such an orphan would be unreachable to both
-    /// eviction and `unregister` forever. Called after every charge.
-    /// (`release` zeroes `bytes`, so double releases are no-ops.)
+    /// eviction and `unregister` forever. Called after every build's
+    /// charge; the orphan's cache needs no such check, since releasing
+    /// the slot closes it. (`release` zeroes `bytes`, so double releases
+    /// are no-ops.)
     fn release_if_unregistered(&self, entry: &MappingEntry) {
         if !read(&self.registry).contains_key(&entry.id) {
             let mut slots = lock(&entry.cache);
@@ -2327,28 +2268,20 @@ impl MappingService {
         }
     }
 
-    /// Evict least-recently-served solutions until the cache fits the
-    /// budget. `protect` shields the slot serving the current answer. Locks
-    /// at most one entry cache at a time (and is only ever called with no
-    /// cache lock held), so builders in different entries cannot deadlock.
-    fn enforce_budget(&self, protect: Option<(MappingId, Flavour)>) {
-        self.enforce_budget_reserve(0, protect);
-    }
-
-    /// [`MappingService::enforce_budget`] with `reserve` extra bytes held
-    /// back — the evict-then-admit half of admission control: eviction
-    /// continues until `cached + reserve` fits the budget, so an
-    /// incoming serve's estimated cache footprint has room before it
-    /// starts charging.
-    fn enforce_budget_reserve(&self, reserve: usize, protect: Option<(MappingId, Flavour)>) {
-        let budget = self.budget.load(Ordering::Relaxed);
+    /// Evict least-recently-served solutions until the charged bytes plus
+    /// `reserve` fit the budget. `protect` shields the `(mapping, flavour
+    /// index)` slot serving the current answer. Locks at most one entry
+    /// cache at a time (and is only ever called with no cache lock held),
+    /// so builders in different entries cannot deadlock.
+    fn enforce_budget(&self, reserve: usize, protect: Option<(MappingId, usize)>) {
+        let budget = self.ledger.budget();
         if budget == 0 {
             return;
         }
         // bounded sweeps: a concurrent toucher can invalidate one pick, not
         // starve the loop
         for _ in 0..64 {
-            if self.cached.load(Ordering::Relaxed).saturating_add(reserve) <= budget {
+            if self.ledger.used().saturating_add(reserve) <= budget {
                 return;
             }
             let entries: Vec<Arc<MappingEntry>> = read(&self.registry).values().cloned().collect();
@@ -2356,19 +2289,7 @@ impl MappingService {
             for e in &entries {
                 let slots = lock(&e.cache);
                 for (fi, slot) in slots.iter().enumerate() {
-                    if slot.bytes == 0 {
-                        continue;
-                    }
-                    if protect
-                        == Some((
-                            e.id,
-                            if fi == 0 {
-                                Flavour::Universal
-                            } else {
-                                Flavour::LeastInformative
-                            },
-                        ))
-                    {
+                    if slot.bytes == 0 || protect == Some((e.id, fi)) {
                         continue;
                     }
                     if victim

@@ -23,7 +23,7 @@
 
 use crate::certain::CertainAnswers;
 use crate::gsm::Gsm;
-use crate::solution::{universal_solution, CanonicalSolution};
+use crate::solution::{universal_solution, CanonicalSolution, SolutionError};
 use gde_datagraph::{DataGraph, FxHashSet, NodeId, Value};
 use gde_dataquery::DataQuery;
 
@@ -50,6 +50,9 @@ impl Default for ExactOptions {
 pub enum ExactError {
     /// The mapping is not relational.
     NotRelational,
+    /// The universal solution's invented nodes do not fit into the node
+    /// ids above every source id ([`SolutionError::IdSpaceExhausted`]).
+    IdSpaceExhausted,
     /// The instance exceeds the configured bounds.
     TooComplex {
         /// Number of invented nodes in the skeleton.
@@ -63,6 +66,7 @@ impl std::fmt::Display for ExactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExactError::NotRelational => write!(f, "exact engine requires a relational mapping"),
+            ExactError::IdSpaceExhausted => SolutionError::IdSpaceExhausted.fmt(f),
             ExactError::TooComplex { invented, cap } => write!(
                 f,
                 "instance too large for exhaustive search ({invented} invented nodes; cap: {cap})"

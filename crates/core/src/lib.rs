@@ -55,8 +55,9 @@
 //! * serving is **fault-isolated**: a panicking stripe worker is
 //!   contained and quarantines only its `(mapping, flavour)` slot
 //!   (retried once against a rebuild), per-call [`engine::ServeOptions`] impose cooperative
-//!   deadlines and cancellation with typed errors, admission control
-//!   degrades over-budget serves to uncached evaluation, and the seeded
+//!   deadlines and cancellation with typed errors, every cache insert
+//!   reserves its bytes against one byte ledger (an insert that finds no
+//!   room is served without being kept), and the seeded
 //!   [`faults`] harness replays any failure deterministically.
 //!
 //! Every serve — one query, a batch, or a template binding — takes one

@@ -221,8 +221,7 @@ pub struct CardinalityEstimate {
 /// multiplies by the mean label density `1 + base/n`; the result clamps
 /// at `n²` pairs. Trivial-path matches add up to `n` reflexive pairs.
 /// Deliberately simple — the estimate only has to order queries for the
-/// planner and bound footprints for admission control until real stats
-/// take over.
+/// planner until real stats take over.
 pub fn estimate_cardinality(shape: &QueryShape, s: &GraphSnapshot) -> CardinalityEstimate {
     let n = s.n() as u64;
     let base: u64 = shape

@@ -1,5 +1,6 @@
-//! The sub-relation cache: structural subplan keys and a byte-budgeted
-//! store for evaluated sub-relations and served answer runs.
+//! The sub-relation cache: structural subplan keys, and a store for
+//! evaluated sub-relations and served answer runs bounded by a shared
+//! byte ledger.
 //!
 //! Sharded serving evaluates the same *sub-plans* over and over: the
 //! closure bodies and non-head concatenation factors of an REE memo
@@ -22,17 +23,19 @@
 //!   cache per prepared solution and drops it with the solution, so a
 //!   delta that changes the graph never meets an entry evaluated before
 //!   it.
-//! * [`LruSubRelCache`] — the byte-budgeted LRU store the serving engine
-//!   owns per prepared solution, sharable across stripe workers. Global
-//!   keys hold relations, stripe keys hold answer runs; both kinds share
-//!   one LRU order and one byte budget.
-//! * [`CacheHandle`] — a per-query view pairing a cache with hit/miss
-//!   counters, carried by [`crate::RowEvalShared`].
+//! * [`ByteLedger`] — the one byte budget a serving engine shares with
+//!   every cache it owns: each insert reserves its bytes there first.
+//! * [`LruSubRelCache`] — the LRU store the serving engine owns per
+//!   prepared solution, sharable across stripe workers. Global keys hold
+//!   relations, stripe keys hold answer runs; both kinds share one LRU
+//!   order, and the ledger is the cache's only bound.
+//! * [`CacheHandle`] — a per-query view pairing a cache with hit, miss
+//!   and shortfall counters, carried by [`crate::RowEvalShared`].
 
 use gde_datagraph::par::lock_recover;
 use gde_datagraph::{FxHashMap, NodeId, Relation};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// 128-bit FNV-1a over the `Hash` feed of a query AST, with a domain
@@ -160,6 +163,64 @@ enum Cached {
     Run(AnswerRun),
 }
 
+/// The byte budget a serving engine and all its caches share: `used`
+/// counts every charged byte, `budget` bounds it (`0` = unlimited, the
+/// default).
+///
+/// Cache inserts reserve through [`ByteLedger::try_reserve`], which never
+/// takes `used` past the budget. The engine charges each prepared
+/// solution's base bytes through [`ByteLedger::charge`], which always
+/// succeeds: the solution serving the current answer must be resident, so
+/// the engine evicts colder solutions afterwards instead. Every charge is
+/// given back through [`ByteLedger::release`] with the amount charged.
+#[derive(Debug, Default)]
+pub struct ByteLedger {
+    used: AtomicUsize,
+    budget: AtomicUsize,
+}
+
+impl ByteLedger {
+    /// The byte budget (`0` = unlimited).
+    pub fn budget(&self) -> usize {
+        self.budget.load(Ordering::Relaxed)
+    }
+
+    /// Set the byte budget (`0` = unlimited). Bytes already charged stay
+    /// charged; lowering the budget below them only makes later
+    /// reservations fail until enough is released.
+    pub fn set_budget(&self, bytes: usize) {
+        self.budget.store(bytes, Ordering::Relaxed);
+    }
+
+    /// Bytes currently charged.
+    pub fn used(&self) -> usize {
+        self.used.load(Ordering::Relaxed)
+    }
+
+    /// Charge `bytes` if they fit the budget. Returns whether they were
+    /// charged; a failed reservation charges nothing.
+    pub fn try_reserve(&self, bytes: usize) -> bool {
+        let budget = self.budget();
+        let fits = |used: usize| {
+            used.checked_add(bytes)
+                .filter(|&u| budget == 0 || u <= budget)
+        };
+        self.used
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fits)
+            .is_ok()
+    }
+
+    /// Charge `bytes` whether or not they fit the budget.
+    pub fn charge(&self, bytes: usize) {
+        self.used.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Give back `bytes` charged earlier.
+    pub fn release(&self, bytes: usize) {
+        self.used.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
 struct LruEntry {
     value: Cached,
     bytes: usize,
@@ -170,21 +231,29 @@ struct LruInner {
     map: FxHashMap<SubRelKey, LruEntry>,
     bytes: usize,
     tick: u64,
+    /// Set by [`LruSubRelCache::close`]: every later insert is declined.
+    closed: bool,
 }
 
-/// The byte-budgeted LRU sub-relation cache the serving engine owns per
-/// prepared solution. Lookup and insert are sharable across threads
-/// (stripe workers hit the cache concurrently). An entry is an immutable
+/// The LRU sub-relation cache the serving engine owns per prepared
+/// solution. Lookup and insert are sharable across threads (stripe
+/// workers hit the cache concurrently). An entry is an immutable
 /// `Arc<Relation>` or [`AnswerRun`], so a hit is an `Arc` clone, never a
 /// copy; a lookup of one kind never returns the other. A relation is
-/// charged its [`Relation::heap_bytes`], a run its pairs' bytes. Both
-/// kinds share one LRU order and one budget: inserting past the budget
-/// evicts least-recently-used entries first, of either kind (the entry
-/// being inserted is dropped last — an artifact bigger than the whole
-/// budget is simply not retained).
+/// charged its [`Relation::heap_bytes`], a run its pairs' bytes.
+///
+/// Both kinds share one LRU order, and the cache's only bound is its
+/// [`ByteLedger`]. An insert reserves its bytes there under the cache
+/// lock, so the cache's bytes and the ledger move together. While the
+/// ledger is full, the insert evicts this cache's own least recently used
+/// entries, of either kind. When even that cannot make room, the insert is
+/// declined: the caller still has its artifact, it is just not kept. An
+/// artifact that would not fit with every entry of this cache gone is
+/// declined at once, evicting nothing. Each insert reports its
+/// *shortfall*: the bytes it evicted, plus its own bytes when declined.
 pub struct LruSubRelCache {
     inner: Mutex<LruInner>,
-    budget: usize,
+    ledger: Arc<ByteLedger>,
 }
 
 impl std::fmt::Debug for LruSubRelCache {
@@ -193,28 +262,23 @@ impl std::fmt::Debug for LruSubRelCache {
         f.debug_struct("LruSubRelCache")
             .field("entries", &inner.map.len())
             .field("bytes", &inner.bytes)
-            .field("budget", &self.budget)
+            .field("closed", &inner.closed)
             .finish()
     }
 }
 
 impl LruSubRelCache {
-    /// An empty cache bounded to approximately `budget` bytes
-    /// (`0` = unlimited).
-    pub fn new(budget: usize) -> LruSubRelCache {
+    /// An empty cache whose entries are charged to `ledger`.
+    pub fn new(ledger: Arc<ByteLedger>) -> LruSubRelCache {
         LruSubRelCache {
             inner: Mutex::new(LruInner {
                 map: FxHashMap::default(),
                 bytes: 0,
                 tick: 0,
+                closed: false,
             }),
-            budget,
+            ledger,
         }
-    }
-
-    /// The configured byte budget (0 = unlimited).
-    pub fn budget(&self) -> usize {
-        self.budget
     }
 
     /// Number of resident entries.
@@ -261,50 +325,70 @@ impl LruSubRelCache {
         Some(got)
     }
 
-    /// Insert (or refresh) `rel` under `key`.
-    pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) {
+    /// Insert (or replace) `rel` under `key`; returns the shortfall.
+    pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) -> usize {
         let bytes = rel.heap_bytes();
-        self.put(key, Cached::Relation(rel), bytes);
+        self.put(key, Cached::Relation(rel), bytes)
     }
 
-    /// Insert (or refresh) `run` under `key`, charged
-    /// `len × size_of::<(NodeId, NodeId)>()` bytes.
-    pub fn insert_run(&self, key: SubRelKey, run: AnswerRun) {
+    /// Insert (or replace) `run` under `key`, charged
+    /// `len × size_of::<(NodeId, NodeId)>()` bytes; returns the shortfall.
+    pub fn insert_run(&self, key: SubRelKey, run: AnswerRun) -> usize {
         let bytes = run.len() * std::mem::size_of::<(NodeId, NodeId)>();
-        self.put(key, Cached::Run(run), bytes);
+        self.put(key, Cached::Run(run), bytes)
     }
 
-    fn put(&self, key: SubRelKey, value: Cached, bytes: usize) {
-        // fault site sits before the lock: an injected panic models a
-        // worker dying at admission, never a torn byte ledger
+    fn put(&self, key: SubRelKey, value: Cached, bytes: usize) -> usize {
+        // the fault site sits before the lock and the reservation inside
+        // it: an injected panic models a worker dying at admission, never
+        // a reservation without its entry
         gde_datagraph::faults::point(gde_datagraph::faults::FaultSite::CacheInsert);
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.insert(
-            key,
-            LruEntry {
-                value,
-                bytes,
-                last_used: tick,
-            },
-        ) {
+        if let Some(old) = inner.map.remove(&key) {
             inner.bytes -= old.bytes;
+            self.ledger.release(old.bytes);
         }
-        inner.bytes += bytes;
-        if self.budget == 0 {
-            return;
+        let budget = self.ledger.budget();
+        let futile = budget != 0 && inner.bytes + budget.saturating_sub(self.ledger.used()) < bytes;
+        if inner.closed || futile {
+            return bytes;
         }
-        while inner.bytes > self.budget {
+        let mut evicted = 0;
+        while !self.ledger.try_reserve(bytes) {
             let Some((&victim, _)) = inner.map.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
+                return evicted + bytes;
             };
             let e = inner
                 .map
                 .remove(&victim)
                 .expect("invariant: victim resident");
             inner.bytes -= e.bytes;
+            self.ledger.release(e.bytes);
+            evicted += e.bytes;
         }
+        inner.tick += 1;
+        let tick = inner.tick;
+        inner.map.insert(
+            key,
+            LruEntry {
+                value,
+                bytes,
+                last_used: tick,
+            },
+        );
+        inner.bytes += bytes;
+        evicted
+    }
+
+    /// Drop every entry, give its bytes back to the ledger at once, and
+    /// decline every later insert. The engine closes a prepared
+    /// solution's cache when it releases the solution, so a serve still
+    /// holding the solution can no longer charge anything.
+    pub fn close(&self) {
+        let mut inner = self.lock();
+        inner.closed = true;
+        inner.map.clear();
+        self.ledger.release(std::mem::take(&mut inner.bytes));
     }
 
     /// Approximate heap bytes currently resident.
@@ -313,16 +397,17 @@ impl LruSubRelCache {
     }
 }
 
-/// A per-query view of an [`LruSubRelCache`]: the cache and hit/miss
-/// counters the serving engine folds into its `ServingStats`. Carried by
-/// [`crate::RowEvalShared`]; all lookups/inserts of one query go through
-/// its handle so attribution is per query even when many queries share
-/// one cache.
+/// A per-query view of an [`LruSubRelCache`]: the cache and the hit,
+/// miss and shortfall counters the serving engine folds into its
+/// `ServingStats`. Carried by [`crate::RowEvalShared`]; all
+/// lookups/inserts of one query go through its handle so attribution is
+/// per query even when many queries share one cache.
 #[derive(Debug)]
 pub struct CacheHandle {
     cache: Arc<LruSubRelCache>,
     hits: AtomicU64,
     misses: AtomicU64,
+    shortfall: AtomicU64,
 }
 
 impl CacheHandle {
@@ -332,6 +417,7 @@ impl CacheHandle {
             cache,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            shortfall: AtomicU64::new(0),
         }
     }
 
@@ -355,16 +441,19 @@ impl CacheHandle {
         got
     }
 
-    /// Insert without counting (the miss was already counted by the
-    /// paired [`CacheHandle::lookup`]).
+    /// Insert, adding the insert's shortfall to this handle (the miss
+    /// was already counted by the paired [`CacheHandle::lookup`]).
     pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) {
-        self.cache.insert(key, rel);
+        let shortfall = self.cache.insert(key, rel) as u64;
+        self.shortfall.fetch_add(shortfall, Ordering::Relaxed);
     }
 
-    /// Insert a stripe's answer run without counting (the miss was
-    /// already counted by the paired [`CacheHandle::lookup_run`]).
+    /// Insert a stripe's answer run, adding the insert's shortfall to
+    /// this handle (the miss was already counted by the paired
+    /// [`CacheHandle::lookup_run`]).
     pub fn insert_run(&self, key: SubRelKey, run: AnswerRun) {
-        self.cache.insert_run(key, run);
+        let shortfall = self.cache.insert_run(key, run) as u64;
+        self.shortfall.fetch_add(shortfall, Ordering::Relaxed);
     }
 
     /// Counted lookup-or-compute: on a miss, `build` runs **outside**
@@ -388,6 +477,12 @@ impl CacheHandle {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
+
+    /// Bytes this handle's inserts found no room for: what they evicted,
+    /// plus what was declined (see [`LruSubRelCache`]).
+    pub fn shortfall(&self) -> u64 {
+        self.shortfall.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +490,19 @@ mod tests {
     use super::*;
     use crate::parser::parse_ree;
     use gde_datagraph::Alphabet;
+    use proptest::prelude::*;
+
+    /// A ledger with this budget (`0` = unlimited).
+    fn ledger(budget: usize) -> Arc<ByteLedger> {
+        let ledger = ByteLedger::default();
+        ledger.set_budget(budget);
+        Arc::new(ledger)
+    }
+
+    /// A cache charged to a ledger of its own with this budget.
+    fn cache(budget: usize) -> LruSubRelCache {
+        LruSubRelCache::new(ledger(budget))
+    }
 
     #[test]
     fn structural_hash_is_structural() {
@@ -430,7 +538,7 @@ mod tests {
 
     #[test]
     fn lru_cache_roundtrip() {
-        let cache = LruSubRelCache::new(0);
+        let cache = cache(0);
         let k0 = SubRelKey::global(42);
         let k1 = SubRelKey::global(43);
         assert!(cache.lookup(&k0).is_none());
@@ -449,13 +557,16 @@ mod tests {
         let per = one.heap_bytes();
         assert!(per > 0);
         // room for about three entries
-        let cache = LruSubRelCache::new(3 * per + per / 2);
+        let budget = 3 * per + per / 2;
+        let ledger = ledger(budget);
+        let cache = LruSubRelCache::new(ledger.clone());
         for i in 0..8u64 {
             cache.insert(SubRelKey::global(i as u128), one.clone());
             // touch the first entry so it stays hot
             cache.lookup(&SubRelKey::global(0));
         }
-        assert!(cache.bytes() <= cache.budget(), "stays within budget");
+        assert!(cache.bytes() <= budget, "stays within budget");
+        assert_eq!(ledger.used(), cache.bytes());
         assert!(cache.len() < 8, "something was evicted");
         assert!(
             cache.lookup(&SubRelKey::global(0)).is_some(),
@@ -474,7 +585,7 @@ mod tests {
         assert_ne!(g, s);
         assert!(g.is_global());
         assert!(!s.is_global());
-        let cache = LruSubRelCache::new(0);
+        let cache = cache(0);
         cache.insert(g, Arc::new(Relation::identity(4)));
         assert!(cache.lookup(&s).is_none());
     }
@@ -485,7 +596,7 @@ mod tests {
 
     #[test]
     fn a_run_is_charged_eight_bytes_a_pair() {
-        let cache = LruSubRelCache::new(0);
+        let cache = cache(0);
         cache.insert_run(SubRelKey::stripe(0, 1), run(100));
         assert_eq!(cache.bytes(), 800);
         cache.insert_run(SubRelKey::stripe(1, 1), run(0));
@@ -503,7 +614,7 @@ mod tests {
         // a run of the same weight as the relation
         let pairs = (per / 8) as u32;
         assert_eq!(run(pairs).len() * 8, per);
-        let cache = LruSubRelCache::new(2 * per);
+        let cache = cache(2 * per);
         let (g, s) = (SubRelKey::global(1), SubRelKey::stripe(0, 2));
         cache.insert(g, rel.clone());
         cache.insert_run(s, run(pairs));
@@ -523,7 +634,7 @@ mod tests {
 
     #[test]
     fn lookups_never_return_the_other_kind() {
-        let cache = LruSubRelCache::new(0);
+        let cache = cache(0);
         let (rk, sk) = (SubRelKey::global(5), SubRelKey::stripe(0, 5));
         cache.insert(rk, Arc::new(Relation::identity(4)));
         cache.insert_run(sk, run(3));
@@ -542,24 +653,165 @@ mod tests {
     fn bytes_return_to_zero_once_everything_is_evicted() {
         let rel = Arc::new(Relation::identity(64));
         let per = rel.heap_bytes();
-        let cache = LruSubRelCache::new(per);
-        cache.insert(SubRelKey::global(1), rel.clone());
-        cache.insert_run(SubRelKey::stripe(0, 1), run(8));
-        assert!(cache.bytes() <= per);
-        // an artifact bigger than the whole budget evicts every resident
-        // entry and is not retained itself
-        cache.insert_run(SubRelKey::stripe(1, 1), run(per as u32));
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.bytes(), 0);
-        cache.insert_run(SubRelKey::stripe(2, 1), run(4));
-        cache.insert(SubRelKey::global(2), Arc::new(Relation::identity(4096)));
+        let ledger = ledger(per);
+        let cache = LruSubRelCache::new(ledger.clone());
+        assert_eq!(cache.insert(SubRelKey::global(1), rel.clone()), 0);
+        // the run needs room: the relation is evicted for it
+        assert_eq!(cache.insert_run(SubRelKey::stripe(0, 1), run(8)), per);
+        assert_eq!((cache.len(), cache.bytes()), (1, 64));
+        // an artifact bigger than the whole budget is declined at once:
+        // evicting the resident run could not have made room for it
+        let big = 8 * per;
+        assert_eq!(
+            cache.insert_run(SubRelKey::stripe(1, 1), run(per as u32)),
+            big
+        );
+        assert_eq!((cache.len(), cache.bytes()), (1, 64));
+        // closing drops every entry and gives its bytes back at once ...
+        cache.close();
         assert!(cache.is_empty());
-        assert_eq!(cache.bytes(), 0);
+        assert_eq!((cache.bytes(), ledger.used()), (0, 0));
+        // ... and declines every later insert, whatever room is left
+        assert_eq!(cache.insert_run(SubRelKey::stripe(2, 1), run(4)), 32);
+        assert!(cache.lookup_run(&SubRelKey::stripe(2, 1)).is_none());
+        assert_eq!((cache.bytes(), ledger.used()), (0, 0));
+    }
+
+    #[test]
+    fn caches_sharing_a_ledger_make_room_only_from_their_own_entries() {
+        let rel = Arc::new(Relation::identity(64));
+        let per = rel.heap_bytes();
+        let ledger = ledger(2 * per);
+        let (a, b) = (
+            LruSubRelCache::new(ledger.clone()),
+            LruSubRelCache::new(ledger.clone()),
+        );
+        assert_eq!(a.insert(SubRelKey::global(1), rel.clone()), 0);
+        assert_eq!(b.insert(SubRelKey::global(1), rel.clone()), 0);
+        assert_eq!(ledger.used(), 2 * per);
+        // the ledger is full: `a` makes room by evicting its own entry,
+        // never `b`'s
+        assert_eq!(a.insert(SubRelKey::global(2), rel.clone()), per);
+        assert!(a.lookup(&SubRelKey::global(1)).is_none());
+        assert!(b.lookup(&SubRelKey::global(1)).is_some());
+        // `b` closes: its bytes return, and `a` finds room without evicting
+        b.close();
+        assert_eq!(a.insert(SubRelKey::global(3), rel), 0);
+        assert_eq!((a.len(), ledger.used()), (2, 2 * per));
+        // a base charge may pass the budget; reservations then fail until
+        // it is released
+        ledger.charge(per);
+        assert!(!ledger.try_reserve(1));
+        ledger.release(per);
+        assert!(ledger.try_reserve(0));
+        assert_eq!(ledger.used(), 2 * per);
+    }
+
+    /// One random cache operation of the ledger property test.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Insert a relation of this many nodes under a global key.
+        Insert(usize, u8, usize),
+        /// Insert a run of this many pairs under a stripe key.
+        InsertRun(usize, u8, u32),
+        Lookup(usize, u8),
+        Close(usize),
+    }
+
+    /// Inserts are drawn most often; a close ends a cache's life, so it
+    /// is drawn least.
+    fn op() -> impl Strategy<Value = Op> {
+        let insert = || (0usize..3, 0u8..6, 1usize..48).prop_map(|(c, k, n)| Op::Insert(c, k, n));
+        let run = || (0usize..3, 0u8..6, 0u32..400).prop_map(|(c, k, n)| Op::InsertRun(c, k, n));
+        prop_oneof![
+            insert(),
+            insert(),
+            insert(),
+            run(),
+            run(),
+            run(),
+            (0usize..3, 0u8..6).prop_map(|(c, k)| Op::Lookup(c, k)),
+            (0usize..3, 0u8..6).prop_map(|(c, k)| Op::Lookup(c, k)),
+            (0usize..3).prop_map(Op::Close),
+        ]
+    }
+
+    /// The resident bytes under `key` in `cache`, of either kind.
+    fn resident(cache: &LruSubRelCache, key: &SubRelKey) -> usize {
+        let rel = cache.lookup(key).map_or(0, |r| r.heap_bytes());
+        rel + cache.lookup_run(key).map_or(0, |r| r.len() * 8)
+    }
+
+    /// Run one insert of a `bytes`-byte artifact under `key` and check
+    /// its reported shortfall: the bytes it evicted, plus its own bytes
+    /// when it was declined. (Probing `key` first only refreshes the
+    /// entry the insert replaces, so eviction order is unchanged.)
+    fn checked_insert(
+        cache: &LruSubRelCache,
+        key: SubRelKey,
+        bytes: usize,
+        insert: impl FnOnce() -> usize,
+    ) {
+        let (before, old) = (cache.bytes(), resident(cache, &key));
+        let shortfall = insert();
+        let kept = cache.lookup(&key).is_some() || cache.lookup_run(&key).is_some();
+        let kept_bytes = if kept { bytes } else { 0 };
+        let evicted = before - old + kept_bytes - cache.bytes();
+        assert_eq!(shortfall, evicted + bytes - kept_bytes, "{key:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Three caches share one budgeted ledger. After every operation
+        /// the ledger holds exactly the caches' bytes and never more than
+        /// its budget, and a closed cache stays empty.
+        #[test]
+        fn three_caches_share_one_ledger(
+            budget in 1usize..6000,
+            ops in prop::collection::vec(op(), 1..80),
+        ) {
+            let ledger = ledger(budget);
+            let caches: Vec<LruSubRelCache> =
+                (0..3).map(|_| LruSubRelCache::new(ledger.clone())).collect();
+            let mut closed = [false; 3];
+            for op in ops {
+                match op {
+                    Op::Insert(c, k, n) => {
+                        let key = SubRelKey::global(k.into());
+                        let rel = Arc::new(Relation::identity(n));
+                        let bytes = rel.heap_bytes();
+                        checked_insert(&caches[c], key, bytes, || caches[c].insert(key, rel));
+                    }
+                    Op::InsertRun(c, k, n) => {
+                        let key = SubRelKey::stripe(0, k.into());
+                        let bytes = 8 * n as usize;
+                        checked_insert(&caches[c], key, bytes, || caches[c].insert_run(key, run(n)));
+                    }
+                    Op::Lookup(c, k) => {
+                        caches[c].lookup(&SubRelKey::global(k.into()));
+                        caches[c].lookup_run(&SubRelKey::stripe(0, k.into()));
+                    }
+                    Op::Close(c) => {
+                        caches[c].close();
+                        closed[c] = true;
+                    }
+                }
+                let total: usize = caches.iter().map(LruSubRelCache::bytes).sum();
+                prop_assert_eq!(ledger.used(), total);
+                prop_assert!(ledger.used() <= budget);
+                for (cache, &shut) in caches.iter().zip(&closed) {
+                    if shut {
+                        prop_assert_eq!((cache.len(), cache.bytes()), (0, 0));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn handle_counts_hits_and_misses() {
-        let cache = Arc::new(LruSubRelCache::new(0));
+        let cache = Arc::new(cache(0));
         let h = CacheHandle::new(cache.clone());
         let key = SubRelKey::global(99);
         let built = h.get_or_insert(key, || Relation::identity(4));

@@ -414,6 +414,12 @@ impl RowEvalShared {
         self.cache.as_ref().map_or(0, CacheHandle::misses)
     }
 
+    /// Bytes this shared state's cache inserts found no room for (0 when
+    /// uncached; see [`CacheHandle::shortfall`]).
+    pub fn cache_shortfall(&self) -> u64 {
+        self.cache.as_ref().map_or(0, CacheHandle::shortfall)
+    }
+
     /// Is the phase-1 state already built (memo or full answer)?
     pub fn memo_ready(&self) -> bool {
         self.ree_memo.get().is_some() || self.full.get().is_some()
@@ -638,9 +644,10 @@ mod tests {
                 .map(|s| cq.eval_relation_rows(&snap, plan.range(s), shared))
                 .collect()
         };
+        let unbounded = || Arc::new(LruSubRelCache::new(Arc::default()));
         for q in queries.iter().chain(&extra) {
             // a fresh cache per query: cross-query sharing is asserted below
-            let cache = Arc::new(LruSubRelCache::new(0));
+            let cache = unbounded();
             let cq = q.compile();
             let plain = eval_all(&RowEvalShared::new(), &cq);
             // cold pass populates the cache
@@ -664,7 +671,7 @@ mod tests {
         // different queries sharing a subexpression share cache entries:
         // `(a b)=` stores the tail factor `b`, which `(b b)!=` then reuses
         // for its own tail on a cold run
-        let cache = Arc::new(LruSubRelCache::new(0));
+        let cache = unbounded();
         let q1: DataQuery = parse_ree("(a b)=", g.alphabet_mut()).unwrap().into();
         let q2: DataQuery = parse_ree("(b b)!=", g.alphabet_mut()).unwrap().into();
         let s1 = RowEvalShared::with_cache(cache.clone());

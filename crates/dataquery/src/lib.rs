@@ -44,7 +44,7 @@ mod ree_props;
 pub mod rem;
 
 pub use analyze::{estimate_cardinality, CardinalityEstimate, QueryShape};
-pub use cache::{subplan_hash, AnswerRun, CacheHandle, LruSubRelCache, SubRelKey};
+pub use cache::{subplan_hash, AnswerRun, ByteLedger, CacheHandle, LruSubRelCache, SubRelKey};
 pub use canon::{binding_hash, canonicalize, BindError, Bindings, PlanSkeleton, QueryTemplate};
 pub use compiled::{CompiledQuery, RowEvalShared};
 pub use control::{EvalControl, StopCause};

@@ -4,7 +4,7 @@
 //! template registries.
 //!
 //! **One `MappingService` per tenant** is the isolation unit: the
-//! engine's LRU byte budget, admission control and generation stamps all
+//! engine's byte ledger, LRU eviction and generation stamps all
 //! live inside a service, so giving every tenant its own service makes
 //! budgets, evictions, quarantines and statistics tenant-local by
 //! construction — one tenant's hot queries can never evict another

@@ -200,6 +200,45 @@ fn unknown_names_get_typed_404s() {
     assert_alive(&handle);
 }
 
+/// A fixed stripe count is any u64 on the wire; the engine clamps it to
+/// 64 stripes and the reply reports the clamped count, so a huge request
+/// never sizes a plan by it.
+#[test]
+fn an_oversized_stripe_count_is_clamped_to_sixty_four() {
+    let handle = tight_server();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert_eq!(c.put("/tenants/t", &Json::obj([])).unwrap().status, 201);
+    let mapping = Json::obj([
+        ("name", Json::str("m")),
+        ("source", Json::obj([])),
+        (
+            "rules",
+            Json::Arr(vec![Json::obj([
+                ("source", Json::str("knows")),
+                ("target", Json::str("contact")),
+            ])]),
+        ),
+    ]);
+    assert_eq!(c.post("/tenants/t/mappings", &mapping).unwrap().status, 201);
+    for k in [65.0, 5_000_000.0, 4_294_967_296.0] {
+        let r = c
+            .post(
+                "/tenants/t/mappings/m/shards",
+                &Json::obj([("shards", Json::num(k))]),
+            )
+            .unwrap();
+        assert_eq!(r.status, 200, "{k}");
+        let shards = r.json().unwrap().get("shards").and_then(Json::as_u64);
+        assert_eq!(shards, Some(64), "{k}");
+        let q = Json::obj([("query", Json::str("contact"))]);
+        assert_eq!(
+            c.post("/tenants/t/mappings/m/query", &q).unwrap().status,
+            200
+        );
+    }
+    assert_alive(&handle);
+}
+
 #[test]
 fn bad_request_shapes_get_typed_4xx() {
     let handle = tight_server();

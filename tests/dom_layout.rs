@@ -17,7 +17,12 @@
 //! `case(seed)` rebuilds the mapping, the source and the queries.
 
 use gde_automata::parse_regex;
-use gde_core::{Gsm, MappingService, Semantics, ServeError};
+use gde_core::exact::ExactError;
+use gde_core::integration::Integration;
+use gde_core::{
+    answer_once, certain_answers_exact, certain_boolean_exact, Answer, CertainAnswers,
+    ExactOptions, Gsm, MappingService, Semantics, ServeError, SolveError,
+};
 use gde_datagraph::{Alphabet, DataGraph, FxHashSet, NodeId, Value};
 use gde_dataquery::{CompiledQuery, DataQuery};
 use gde_workload::{random_data_graph, random_ree, random_rem, GraphConfig, QueryConfig};
@@ -159,9 +164,11 @@ type TopCase = (
 /// Invented ids rise from the source's id watermark. Every serve of a
 /// source whose ids leave too little room above it returns a typed error
 /// (never a panic, so nothing is quarantined or retried), and one that
-/// fits answers correctly. Debug and release builds behave alike.
+/// fits answers correctly. The one-shot exact and integration APIs return
+/// their own typed errors too. Debug and release builds behave alike.
 #[test]
 fn sources_at_the_top_of_the_id_space_serve_typed_errors_or_answers() {
+    let mut integration_errors = 0;
     let cases: [TopCase; 5] = [
         // one invented node takes the last id
         (&[TOP - 1, 0], &[(0, TOP - 1)], "x y", Some(&[(0, TOP - 1)])),
@@ -193,13 +200,47 @@ fn sources_at_the_top_of_the_id_space_serve_typed_errors_or_answers() {
         for &(u, v) in edges {
             source.add_edge_str(NodeId(u), "a", NodeId(v)).unwrap();
         }
-        let q = DataQuery::Rpq(parse_regex(word, &mut ta).unwrap()).compile();
-        let svc = MappingService::new();
-        let id = svc.register(gsm, source);
-        let expected = match expected {
+        let view = parse_regex(word, &mut ta).unwrap();
+        let query = DataQuery::Rpq(view.clone());
+        let q = query.compile();
+        let expected: Result<Vec<_>, _> = match expected {
             Some(pairs) => Ok(pairs.iter().map(|&(u, v)| (NodeId(u), NodeId(v))).collect()),
             None => Err(ServeError::IdSpaceExhausted),
         };
+        // an RPQ is preserved under homomorphisms: its exact certain
+        // answers are the served ones
+        let opts = ExactOptions::default();
+        let exact = expected.clone().map(CertainAnswers::Pairs);
+        assert_eq!(
+            certain_answers_exact(&gsm, &query, &source, opts),
+            exact.clone().map_err(|_| ExactError::IdSpaceExhausted),
+            "{nodes:?} {word}"
+        );
+        assert_eq!(
+            certain_boolean_exact(&gsm, &query, &source, opts),
+            exact
+                .map(|a| a != CertainAnswers::Pairs(Vec::new()))
+                .map_err(|_| ExactError::IdSpaceExhausted),
+            "{nodes:?} {word}"
+        );
+        // an integration holds only the nodes its source tuples name, so
+        // its reference is a serve of its own mapping and sources
+        let mut task = Integration::new(ta.clone());
+        let tuples: Vec<_> = edges
+            .iter()
+            .map(|&(u, v)| ((NodeId(u), Value::int(1)), (NodeId(v), Value::int(1))))
+            .collect();
+        task.add_source("a", view, &tuples).unwrap();
+        let reference = answer_once(task.gsm(), task.sources(), &q, Semantics::nulls())
+            .map(Answer::into_tuples)
+            .map_err(|e| match e {
+                ServeError::IdSpaceExhausted => SolveError::IdSpaceExhausted,
+                other => panic!("{nodes:?} {word}: {other}"),
+            });
+        integration_errors += usize::from(reference.is_err());
+        assert_eq!(task.certain_answers(&query), reference, "{nodes:?} {word}");
+        let svc = MappingService::new();
+        let id = svc.register(gsm, source);
         for sem in [Semantics::nulls(), Semantics::least_informative()] {
             for k in [1, 2] {
                 svc.set_shard_count(id, k).unwrap();
@@ -216,4 +257,5 @@ fn sources_at_the_top_of_the_id_space_serve_typed_errors_or_answers() {
             "{nodes:?} {word}"
         );
     }
+    assert_eq!(integration_errors, 2, "two integrations run out of ids");
 }

@@ -469,9 +469,9 @@ fn deadline_mid_evaluation_caches_no_run() {
     drop(counting);
 }
 
-/// Admission control degrades rather than refuses: when the estimated
-/// sub-relation-cache footprint cannot fit the budget, the serve runs
-/// uncached, still answers exactly, and the degraded counter moves.
+/// The byte ledger degrades rather than refuses: under a budget no cache
+/// entry fits, every sub-relation cache insert is declined, the serve
+/// still answers exactly, and the degraded counter moves.
 #[test]
 fn over_budget_serve_degrades_to_uncached_and_stays_exact() {
     let _serial = serial();

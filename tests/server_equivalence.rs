@@ -547,3 +547,85 @@ fn multi_segment_answer_is_byte_identical_ad_hoc_and_bound() {
         expected.len()
     );
 }
+
+/// A tenant budget between one solution's base bytes (plus twice its
+/// snapshot) and the batch's full fill, sized on an in-process twin.
+/// Every cache insert reserves against the tenant's one ledger, so the
+/// tenant's stats report at most its budget after every batch, and its
+/// answers stay byte-identical to an unbudgeted tenant's.
+#[test]
+fn a_tenant_budget_bounds_cached_bytes_after_every_batch() {
+    let sv = sharded_serving_scenario(2048, 0x5AD5);
+    let queries = expressible(&sv);
+    let twin = MappingService::new();
+    let tid = twin.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    twin.set_shard_count(tid, 4).unwrap();
+    twin.prepare(tid, Semantics::nulls()).unwrap();
+    let base = twin.cached_bytes();
+    let snapshot = twin
+        .solution(tid, Semantics::nulls())
+        .unwrap()
+        .snapshot()
+        .approx_bytes();
+    let compiled: Vec<_> = queries.iter().map(|(_, _, q)| q.compile()).collect();
+    // the second, warm pass inserts nothing: the ledger reads the fill
+    for _ in 0..2 {
+        twin.answer_batch(tid, &compiled, Semantics::nulls());
+    }
+    let budget = base + 2 * snapshot;
+    assert!(
+        budget < twin.cached_bytes(),
+        "the batch outgrows the budget"
+    );
+
+    let handle = serve_scenario(&sv, "open", "m", 2);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let body = Json::obj([("cache_budget_bytes", Json::num(budget as f64))]);
+    assert_eq!(c.put("/tenants/tight", &body).unwrap().status, 201);
+    upload_mapping(&mut c, &sv, "tight", "m");
+    let batch = Json::obj([(
+        "queries",
+        Json::Arr(
+            queries
+                .iter()
+                .map(|(kind, text, _)| {
+                    Json::obj([("query", Json::str(text)), ("kind", Json::str(kind))])
+                })
+                .collect(),
+        ),
+    )]);
+    for tenant in ["open", "tight"] {
+        let shards = Json::obj([("shards", Json::num(4.0))]);
+        let r = c
+            .post(&format!("/tenants/{tenant}/mappings/m/shards"), &shards)
+            .unwrap();
+        assert_eq!(r.status, 200);
+    }
+    for pass in 0..3 {
+        let open = c.post("/tenants/open/mappings/m/batch", &batch).unwrap();
+        let tight = c.post("/tenants/tight/mappings/m/batch", &batch).unwrap();
+        assert_eq!(open.status, 200, "pass {pass}");
+        assert!(
+            tight.raw_body == open.raw_body,
+            "pass {pass}: answers differ"
+        );
+        let stats = c.get("/tenants/tight/stats").unwrap().json().unwrap();
+        let cached = stats
+            .get("service")
+            .and_then(|s| s.get("cached_bytes"))
+            .and_then(Json::as_u64)
+            .expect("stats carry cached_bytes");
+        let reported = stats.get("cache_budget_bytes").and_then(Json::as_u64);
+        assert_eq!(reported, Some(budget as u64));
+        assert!(
+            cached <= budget as u64,
+            "pass {pass}: {cached} B > {budget} B"
+        );
+    }
+    let stats = c.get("/tenants/tight/stats").unwrap().json().unwrap();
+    let degraded = stats
+        .get("serving")
+        .and_then(|s| s.get("degraded"))
+        .and_then(Json::as_u64);
+    assert!(degraded > Some(0), "no insert found the budget full");
+}

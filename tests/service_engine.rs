@@ -1,10 +1,11 @@
-//! `MappingService` lifecycle tests: LRU eviction under a byte budget,
-//! concurrent serving from scoped threads, and deltas (generation stamps;
-//! every delta shape checked against a one-shot serve of the mutated
-//! source and the exact engine).
+//! `MappingService` lifecycle tests: LRU eviction and the byte ledger
+//! under a budget, concurrent serving from scoped threads, the stripe
+//! count's cap, and deltas (generation stamps; every delta shape checked
+//! against a one-shot serve of the mutated source and the exact engine).
 
 use gde_automata::{parse_regex, Regex};
 use gde_core::certain::CertainAnswers;
+use gde_core::engine::ShardSpec;
 use gde_core::{
     answer_once, certain_answers_exact, Answer, ExactOptions, Gsm, MappingId, MappingService,
     Semantics, ServeError,
@@ -12,9 +13,11 @@ use gde_core::{
 use gde_datagraph::{Alphabet, DataGraph, GraphDelta, Label, NodeId, Value};
 use gde_dataquery::{parse_ree, CompiledQuery, DataQuery};
 use gde_workload::{
-    random_scenario, social_serving_scenario, GraphConfig, ScenarioConfig, ServingScenario,
-    SocialConfig,
+    random_scenario, sharded_serving_scenario, social_serving_scenario, GraphConfig,
+    ScenarioConfig, ServingScenario, SocialConfig,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, OnceLock};
 
 fn scenario(seed: u64) -> ServingScenario {
     social_serving_scenario(&SocialConfig {
@@ -54,17 +57,10 @@ fn lru_evicts_least_recently_served_under_byte_budget() {
         .collect();
     let q = svs[0].queries[0].1.compile();
     // measure what one serving solution occupies, then budget for about
-    // two of them: its resident bytes once a repeat serve has settled the
-    // sub-relation cache charge, plus the headroom admission control
-    // reserves for the cache a serve may fill (the snapshot's size)
+    // two of them: the ledger charges the solution, its snapshot and every
+    // cache entry as the serve inserts it, so one serve's bytes are exact
     svc.answer(ids[0], &q, Semantics::nulls()).unwrap();
-    svc.answer(ids[0], &q, Semantics::nulls()).unwrap();
-    let snapshot = svc
-        .solution(ids[0], Semantics::nulls())
-        .unwrap()
-        .snapshot()
-        .approx_bytes();
-    let one = svc.cached_bytes() + snapshot;
+    let one = svc.cached_bytes();
     assert!(one > 0);
     svc.set_cache_budget(one * 5 / 2);
     svc.answer(ids[1], &q, Semantics::nulls()).unwrap();
@@ -86,6 +82,191 @@ fn lru_evicts_least_recently_served_under_byte_budget() {
     let before = fingerprint(&svc, ids[2], &compiled_batch(&svs[2]));
     svc.set_cache_budget(0);
     assert_eq!(before, fingerprint(&svc, ids[2], &compiled_batch(&svs[2])));
+}
+
+/// The closure-heavy sharded workload every ledger test below serves at
+/// K = 4, with its tuple batch and what one mapping of it weighs on an
+/// unbudgeted twin.
+struct Heavy {
+    sv: ServingScenario,
+    batch: Vec<CompiledQuery>,
+    /// The batch's answers on the twin.
+    answers: Vec<Answer>,
+    /// Solution and snapshot bytes, charged when the build finishes.
+    base: usize,
+    /// The snapshot's bytes right after the build.
+    snapshot: usize,
+    /// Everything charged once the batch has filled the cache.
+    full: usize,
+}
+
+/// The workload at 8,192 nodes: one batch fills its sub-relation cache
+/// with about seven times the solution's and snapshot's bytes, so one
+/// mapping's full footprint is far above the budgets the tests set.
+fn heavy() -> &'static Heavy {
+    static HEAVY: OnceLock<Heavy> = OnceLock::new();
+    HEAVY.get_or_init(measure_heavy)
+}
+
+fn measure_heavy() -> Heavy {
+    let sv = sharded_serving_scenario(8192, 0x5AD5);
+    let batch = compiled_batch(&sv);
+    let twin = MappingService::new();
+    let id = register_heavy(&twin, &sv);
+    twin.prepare(id, Semantics::nulls()).unwrap();
+    let base = twin.cached_bytes();
+    let snapshot = twin
+        .solution(id, Semantics::nulls())
+        .unwrap()
+        .snapshot()
+        .approx_bytes();
+    let answers = serve_batch(&twin, id, &batch);
+    // a warm repeat inserts nothing, so the ledger reads the whole fill
+    assert_eq!(serve_batch(&twin, id, &batch), answers);
+    let full = twin.cached_bytes();
+    assert!(full > base + 4 * snapshot, "the batch fills {full} B");
+    Heavy {
+        sv,
+        batch,
+        answers,
+        base,
+        snapshot,
+        full,
+    }
+}
+
+fn register_heavy(svc: &MappingService, sv: &ServingScenario) -> MappingId {
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    svc.set_shard_count(id, 4).unwrap();
+    id
+}
+
+fn serve_batch(svc: &MappingService, id: MappingId, batch: &[CompiledQuery]) -> Vec<Answer> {
+    svc.answer_batch(id, batch, Semantics::nulls())
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect()
+}
+
+/// Every cache insert reserves its bytes against the one ledger, so a
+/// budget below one batch's fill bounds what is charged after every
+/// batch, not one serve later; inserts that find no room are served
+/// without being kept, and the answers do not change.
+#[test]
+fn a_budget_below_one_batch_bounds_every_charge() {
+    let h = heavy();
+    let budget = h.base + 2 * h.snapshot;
+    let svc = MappingService::with_cache_budget(budget);
+    let id = register_heavy(&svc, &h.sv);
+    for pass in 0..3 {
+        assert_eq!(serve_batch(&svc, id, &h.batch), h.answers, "pass {pass}");
+        let charged = svc.cached_bytes();
+        assert!(charged <= budget, "pass {pass}: {charged} B > {budget} B");
+    }
+    let degraded = svc.serving_stats(id).unwrap().degraded;
+    assert!(degraded > 0, "no insert ever found the ledger full");
+}
+
+/// Four threads serve two registrations of the workload, whose fills
+/// cannot both fit. A sampler never sees the ledger above the budget,
+/// and neither mapping evicts the other: each one's own bytes plus its
+/// shortfall exceed the budget, so its serves keep what fits instead.
+#[test]
+fn concurrent_serves_of_two_mappings_stay_within_the_budget() {
+    let h = heavy();
+    let budget = 2 * h.base + 4 * h.snapshot;
+    let svc = MappingService::with_cache_budget(budget);
+    let ids = [register_heavy(&svc, &h.sv), register_heavy(&svc, &h.sv)];
+    for &id in &ids {
+        svc.prepare(id, Semantics::nulls()).unwrap();
+    }
+    let (done, start) = (AtomicBool::new(false), Barrier::new(4));
+    let (svc, done, start) = (&svc, &done, &start);
+    let (served, high) = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut high = 0;
+            while !done.load(Ordering::Relaxed) {
+                high = high.max(svc.cached_bytes());
+                std::thread::yield_now();
+            }
+            high
+        });
+        let servers: Vec<_> = (0..4)
+            .map(|t| {
+                scope.spawn(move || {
+                    start.wait();
+                    (0..3).all(|_| serve_batch(svc, ids[t % 2], &h.batch) == h.answers)
+                })
+            })
+            .collect();
+        let served: Vec<_> = servers.into_iter().map(|s| s.join()).collect();
+        done.store(true, Ordering::Relaxed);
+        (served, sampler.join().unwrap())
+    });
+    for (t, exact) in served.into_iter().enumerate() {
+        assert!(exact.unwrap(), "thread {t} served a wrong answer");
+    }
+    assert!(high <= budget, "high-water {high} B > {budget} B");
+    assert!(svc.cached_bytes() <= budget);
+    assert_eq!(
+        svc.stats().evictions,
+        0,
+        "the two mappings evicted each other"
+    );
+}
+
+/// When traffic moves from one mapping to another, the budget moves with
+/// it: a serve whose inserts found no room evicts the colder solution
+/// when its own full footprint fits, so the newly hot mapping's repeats
+/// become all hits.
+#[test]
+fn a_popularity_shift_moves_the_budget_to_the_hot_mapping() {
+    let h = heavy();
+    let budget = h.full * 3 / 2;
+    let svc = MappingService::with_cache_budget(budget);
+    let (a, b) = (register_heavy(&svc, &h.sv), register_heavy(&svc, &h.sv));
+    for _ in 0..2 {
+        assert_eq!(serve_batch(&svc, a, &h.batch), h.answers);
+    }
+    for pass in 0..4 {
+        let before = svc.serving_stats(b).unwrap();
+        assert_eq!(serve_batch(&svc, b, &h.batch), h.answers, "pass {pass}");
+        let after = svc.serving_stats(b).unwrap();
+        if pass >= 2 {
+            assert_eq!(
+                after.cache_misses, before.cache_misses,
+                "pass {pass} missed"
+            );
+            assert!(after.cache_hits > before.cache_hits, "pass {pass}");
+        }
+        assert!(svc.cached_bytes() <= budget, "pass {pass}");
+    }
+    assert!(
+        !svc.is_cached(a, Semantics::nulls()),
+        "the cold mapping stayed"
+    );
+    assert!(svc.stats().evictions >= 1);
+}
+
+/// A fixed stripe count arrives unchecked from the wire; the engine
+/// clamps it to 64 stripes, and answers stay those of one stripe.
+#[test]
+fn a_fixed_stripe_count_is_clamped_to_sixty_four() {
+    let sv = sharded_serving_scenario(256, 0x5AD5);
+    let batch = compiled_batch(&sv);
+    let svc = MappingService::new();
+    let one = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    let many = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    svc.set_shard_count(many, 5_000_000).unwrap();
+    assert_eq!(svc.shard_count(many), Some(64));
+    assert_eq!(svc.shard_spec(many), Some(ShardSpec::Fixed(64)));
+    for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
+        assert_eq!(
+            svc.answer_batch(many, &batch, sem),
+            svc.answer_batch(one, &batch, sem),
+            "{sem:?}"
+        );
+    }
 }
 
 #[test]
