@@ -1,5 +1,6 @@
-//! HTTP/1.1 transport: request reading and response writing over a
-//! blocking [`TcpStream`], with hard limits on header and body size.
+//! HTTP/1.1 transport: request reading from a blocking [`TcpStream`],
+//! with hard limits on header and body size, and response writing to
+//! any [`Write`].
 //!
 //! This module is transport only — it knows nothing about tenants,
 //! mappings or JSON. [`read_request`] produces an [`HttpRequest`] (method,
@@ -22,7 +23,7 @@
 //! * nothing in this module panics on hostile input: every failure is a
 //!   typed error.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -267,8 +268,14 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Write one response. `keep_alive` controls the `Connection` header; the
 /// body is always sent with an exact `Content-Length`.
-pub fn write_response(
-    stream: &mut TcpStream,
+///
+/// Head and body go out together through `write_vectored`, so a small
+/// response leaves in one segment even on a `TCP_NODELAY` socket and a
+/// large body is never copied behind its head. The loop resumes after a
+/// short write, retries an `Interrupted` one, and fails with
+/// [`io::ErrorKind::WriteZero`] if the writer accepts nothing.
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     body: &[u8],
     keep_alive: bool,
@@ -280,7 +287,89 @@ pub fn write_response(
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero)),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts at most 7 bytes per call, across slice boundaries, and
+    /// fails every third call with `Interrupted`.
+    struct Trickle {
+        written: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let before = self.written.len();
+            for buf in bufs {
+                let room = 7 - (self.written.len() - before);
+                self.written.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.written.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Accepts nothing.
+    struct Stuck;
+
+    impl Write for Stuck {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Ok(0)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_send_head_and_body() {
+        for len in [0, 1, 1 << 20] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut out = Trickle {
+                written: Vec::new(),
+                calls: 0,
+            };
+            write_response(&mut out, 200, &body, true).expect("a trickling writer takes it all");
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: keep-alive\r\n\r\n"
+            );
+            assert_eq!(
+                out.written,
+                [head.as_bytes(), &body].concat(),
+                "{len}-byte body"
+            );
+        }
+    }
+
+    #[test]
+    fn a_writer_that_accepts_nothing_is_an_error() {
+        let err = write_response(&mut Stuck, 200, b"{}", false).expect_err("no progress");
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
 }

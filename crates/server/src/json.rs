@@ -15,7 +15,11 @@
 //!   integers up to 2⁵³ round-trip exactly, which covers every id,
 //!   counter and byte budget the protocol carries. One integer writer
 //!   (`int_text`) renders them, for [`Json::Num`] and for the answer
-//!   encoder alike, so the two cannot disagree on a number's text.
+//!   encoder alike, so the two cannot disagree on a number's text. It
+//!   takes four digits per lookup from a compile-time table of the
+//!   10,000 four-digit texts and stores eight at a time. JSON has no
+//!   NaN or infinity, so a non-finite [`Json::Num`] encodes as `null`,
+//!   as serde_json writes it.
 //! * **Pre-encoded fragments** — [`Json::Fragment`] carries text that an
 //!   encoder in this crate already wrote (a certain-answer body, written
 //!   in one pass over the engine's pairs with no tree). Its text is
@@ -130,16 +134,28 @@ impl Json {
         out
     }
 
+    /// [`Json::encode`] for an owned value: a fragment's text is moved
+    /// out rather than copied.
+    pub(crate) fn into_text(self) -> String {
+        match self {
+            Json::Fragment(Fragment(text)) => text,
+            other => other.encode(),
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    let mut buf = [0u8; 20];
-                    let at = int_text(*n as i64, &mut buf, 20);
-                    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+                if !n.is_finite() {
+                    out.push_str("null");
+                } else if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+                    // 17 characters at most, plus the writer's 7 bytes of room
+                    let mut buf = [0u8; 24];
+                    let end = int_text(*n as i64, &mut buf, 0);
+                    out.extend(buf[..end].iter().map(|&b| char::from(b)));
                 } else {
                     out.push_str(&format!("{n}"));
                 }
@@ -202,24 +218,65 @@ impl From<String> for Json {
     }
 }
 
-/// Write the decimal text of `n` into `buf` so that it ends just before
-/// `end`, and return where it starts. The text is byte-equal to
-/// `format!("{n}")`; this is the one integer writer behind [`Json::Num`]
-/// and the answer encoder.
-pub(crate) fn int_text(n: i64, buf: &mut [u8], end: usize) -> usize {
-    let mut m = n.unsigned_abs();
-    let mut at = end;
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (m % 10) as u8;
-        m /= 10;
-        if m == 0 {
-            break;
-        }
+/// The zero-padded text of every number below 10,000, built at compile
+/// time (40 KB): `QUADS[42]` is `*b"0042"`.
+static QUADS: [[u8; 4]; 10_000] = {
+    let mut table = [[0u8; 4]; 10_000];
+    let mut n = 0;
+    while n < 10_000 {
+        table[n] = [
+            b'0' + (n / 1000) as u8,
+            b'0' + (n / 100 % 10) as u8,
+            b'0' + (n / 10 % 10) as u8,
+            b'0' + (n % 10) as u8,
+        ];
+        n += 1;
     }
+    table
+};
+
+const E8: u64 = 100_000_000;
+
+/// The eight-digit, zero-padded text of `n < 10⁸` as a little-endian
+/// word: the first digit is the low byte.
+fn eight(n: u64) -> u64 {
+    let [a, b, c, d] = QUADS[(n / 10_000) as usize];
+    let [e, f, g, h] = QUADS[(n % 10_000) as usize];
+    u64::from_le_bytes([a, b, c, d, e, f, g, h])
+}
+
+/// Write the decimal text of `n` from `buf[at]` on and return where it
+/// ends. The text is byte-equal to `format!("{n}")`; this is the one
+/// integer writer behind [`Json::Num`] and the answer encoder.
+///
+/// Digits go out as eight-byte words: the leading group with its zeros
+/// shifted off, then every further group of eight whole. A word may run
+/// up to seven bytes past the end of the text, so `buf` needs that much
+/// room; those bytes are left for the caller to overwrite.
+#[inline]
+pub(crate) fn int_text(n: i64, buf: &mut [u8], mut at: usize) -> usize {
     if n < 0 {
-        at -= 1;
         buf[at] = b'-';
+        at += 1;
+    }
+    let m = n.unsigned_abs();
+    // |n| ≤ 2⁶³ < 10¹⁹: a leading group of one to eight digits, then
+    // `whole` groups of exactly eight, at most two
+    let mut lead = m;
+    let mut whole = 0;
+    while lead >= E8 {
+        lead /= E8;
+        whole += 1;
+    }
+    let digits = lead.checked_ilog10().unwrap_or(0) as usize + 1;
+    buf[at..at + 8].copy_from_slice(&(eight(lead) >> (8 * (8 - digits))).to_le_bytes());
+    at += digits;
+    while whole > 0 {
+        whole -= 1;
+        // `whole` more groups follow this one
+        let group = if whole == 1 { m / E8 % E8 } else { m % E8 };
+        buf[at..at + 8].copy_from_slice(&eight(group).to_le_bytes());
+        at += 8;
     }
     at
 }
@@ -749,15 +806,45 @@ mod tests {
             i64::MIN,
             i64::MAX,
         ] {
-            let mut buf = [0u8; 20];
-            let at = int_text(n, &mut buf, 20);
-            assert_eq!(&buf[at..], format!("{n}").as_bytes());
+            let mut buf = [0u8; 27];
+            let end = int_text(n, &mut buf, 0);
+            assert_eq!(&buf[..end], format!("{n}").as_bytes());
         }
         for n in [0i64, 1, -1, 9, 10, i64::from(u32::MAX), 1 << 53, -(1 << 53)] {
             assert_eq!(Json::Num(n as f64).encode(), format!("{n}"));
         }
+        // both sides of every digit-width step up to 10¹⁵, where the
+        // writer's group count changes
+        for k in 0..=15 {
+            let p = 10i64.pow(k);
+            for n in [p - 1, p, p + 1] {
+                for n in [n, -n] {
+                    assert_eq!(Json::Num(n as f64).encode(), format!("{n}"));
+                }
+            }
+        }
         assert_eq!(Json::Num(-0.0).encode(), "0");
         assert_eq!(Json::Num(0.5).encode(), "0.5");
+    }
+
+    #[test]
+    fn every_number_encodes_as_valid_json() {
+        for (n, text) in [
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+            (2f64.powi(53), "9007199254740992"),
+            (-(2f64.powi(53)), "-9007199254740992"),
+            (0.5, "0.5"),
+            (-0.0, "0"),
+        ] {
+            let encoded = Json::Num(n).encode();
+            assert_eq!(encoded, text, "{n}");
+            assert!(
+                parse(encoded.as_bytes()).is_ok(),
+                "{n} encodes as {encoded}"
+            );
+        }
     }
 
     #[test]

@@ -174,32 +174,48 @@ pub fn encode_answer(a: &Answer) -> Json {
     Json::Fragment(Fragment(text))
 }
 
-/// `{"pairs":[[u,v],…]}`, reserved once: a pair takes at most two ids of
-/// the widest id's digits, two brackets and two commas.
+/// `{"pairs":[[u,v],…]}` in one buffer, sized once: a pair takes at most
+/// two ids of the widest id's digits, two brackets and two commas, and
+/// `SLACK` covers the fixed-width stores that run past the last pair.
+///
+/// Pairs come sorted, so a source row's pairs are adjacent: its `,[u,`
+/// is written once into `row`, and every pair copies that as one 16-byte
+/// block, then writes `v` and `]`. Bytes a copy or a digit word writes
+/// past the text are overwritten by the next store or cut off at the end.
 fn encode_pairs(pairs: &[(NodeId, NodeId)]) -> String {
     const HEAD: &[u8] = b"{\"pairs\":[";
     const TAIL: &[u8] = b"]}";
+    const SLACK: usize = 16;
+    if pairs.is_empty() {
+        return "{\"pairs\":[]}".to_string();
+    }
     let widest = pairs.iter().map(|(u, v)| u.0.max(v.0)).max().unwrap_or(0);
     let digits = widest.checked_ilog10().unwrap_or(0) as usize + 1;
-    let mut out = Vec::with_capacity(HEAD.len() + pairs.len() * (2 * digits + 4) + TAIL.len());
-    out.extend_from_slice(HEAD);
-    // one pair's text `,[u,v]`, written back to front so it is appended
-    // with one copy; two 10-digit ids fill it exactly
-    let mut pair = [0u8; 24];
-    for (i, (u, v)) in pairs.iter().enumerate() {
-        let mut at = pair.len() - 1;
-        pair[at] = b']';
-        at = json::int_text(v.0.into(), &mut pair, at) - 1;
-        pair[at] = b',';
-        at = json::int_text(u.0.into(), &mut pair, at) - 1;
-        pair[at] = b'[';
-        if i > 0 {
-            at -= 1;
-            pair[at] = b',';
+    let mut out = vec![0u8; HEAD.len() + pairs.len() * (2 * digits + 4) + TAIL.len() + SLACK];
+    out[..HEAD.len()].copy_from_slice(HEAD);
+    // every pair is written as `,[u,v]`: the first one's comma lands on
+    // HEAD's `[`, which is put back after the loop
+    let mut len = HEAD.len() - 1;
+    // `,[u,` fits in 13 bytes; the rest is the integer writer's room
+    let mut row = [0u8; 24];
+    row[..2].copy_from_slice(b",[");
+    let mut row_len = 0;
+    let mut row_of = None;
+    for &(u, v) in pairs {
+        if row_of != Some(u) {
+            row_of = Some(u);
+            let end = json::int_text(u.0.into(), &mut row, 2);
+            row[end] = b',';
+            row_len = end + 1;
         }
-        out.extend_from_slice(&pair[at..]);
+        out[len..len + 16].copy_from_slice(&row[..16]);
+        len = json::int_text(v.0.into(), &mut out, len + row_len);
+        out[len] = b']';
+        len += 1;
     }
-    out.extend_from_slice(TAIL);
+    out[HEAD.len() - 1] = b'[';
+    out[len..len + TAIL.len()].copy_from_slice(TAIL);
+    out.truncate(len + TAIL.len());
     String::from_utf8(out).expect("invariant: the pair encoder writes only ASCII")
 }
 
@@ -519,8 +535,46 @@ mod tests {
         }
     }
 
-    /// Ids on both sides of decimal-width boundaries, and the extremes.
-    const EDGE_IDS: [u32; 7] = [0, 9, 10, 99, 100, 65_535, u32::MAX];
+    /// The reference that shares no code with the integer writer: each
+    /// pair printed by `format!`. Boolean and `all_vacuously` answers hold
+    /// no number, so the tree reference covers them.
+    fn encode_answer_format(a: &Answer) -> Json {
+        match a {
+            Answer::Tuples(CertainAnswers::Pairs(pairs)) => {
+                let items: Vec<String> = pairs
+                    .iter()
+                    .map(|(u, v)| format!("[{},{}]", u.0, v.0))
+                    .collect();
+                Json::Fragment(Fragment(format!("{{\"pairs\":[{}]}}", items.join(","))))
+            }
+            other => encode_answer_tree(other),
+        }
+    }
+
+    /// 0, `u32::MAX`, and 10ᵏ − 1 and 10ᵏ for k = 1..=9: the ids where
+    /// the writer's digit count, and so its group count, changes.
+    const EDGE_IDS: [u32; 20] = [
+        0,
+        9,
+        10,
+        99,
+        100,
+        999,
+        1_000,
+        9_999,
+        10_000,
+        99_999,
+        100_000,
+        999_999,
+        1_000_000,
+        9_999_999,
+        10_000_000,
+        99_999_999,
+        100_000_000,
+        999_999_999,
+        1_000_000_000,
+        u32::MAX,
+    ];
 
     fn arb_id() -> impl Strategy<Value = u32> {
         prop_oneof![
@@ -542,9 +596,31 @@ mod tests {
         })
     }
 
+    /// One to four source rows of up to 300 ascending targets each, so
+    /// that consecutive pairs share one `[u,` prefix and a row's targets
+    /// step across digit-width boundaries.
+    fn arb_dense_rows() -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
+        let row = (arb_id(), arb_id(), prop::collection::vec(1u32..4, 0..301));
+        prop::collection::vec(row, 1..5).prop_map(|rows| {
+            let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+            for (u, first, steps) in rows {
+                // start just below the drawn target so the run crosses it
+                let mut v = first.saturating_sub(150);
+                for step in steps {
+                    pairs.push((NodeId(u), NodeId(v)));
+                    v = v.saturating_add(step);
+                }
+            }
+            pairs.sort_unstable();
+            pairs.dedup();
+            pairs
+        })
+    }
+
     fn arb_answer() -> impl Strategy<Value = Answer> {
         prop_oneof![
             arb_pairs().prop_map(|p| Answer::Tuples(CertainAnswers::Pairs(p))),
+            arb_dense_rows().prop_map(|p| Answer::Tuples(CertainAnswers::Pairs(p))),
             Just(Answer::Tuples(CertainAnswers::Pairs(Vec::new()))),
             Just(Answer::Tuples(CertainAnswers::AllVacuously)),
             any::<bool>().prop_map(Answer::Boolean),
@@ -588,7 +664,9 @@ mod tests {
 
         #[test]
         fn answer_bytes_match_the_tree_reference(a in arb_answer()) {
-            prop_assert_eq!(encode_answer(&a).encode(), encode_answer_tree(&a).encode());
+            let bytes = encode_answer(&a).encode();
+            prop_assert_eq!(&bytes, &encode_answer_tree(&a).encode());
+            prop_assert_eq!(&bytes, &encode_answer_format(&a).encode());
         }
 
         #[test]
@@ -598,10 +676,9 @@ mod tests {
                 0..6,
             )
         ) {
-            prop_assert_eq!(
-                envelope(&items, encode_answer).encode(),
-                envelope(&items, encode_answer_tree).encode()
-            );
+            let bytes = envelope(&items, encode_answer).encode();
+            prop_assert_eq!(&bytes, &envelope(&items, encode_answer_tree).encode());
+            prop_assert_eq!(&bytes, &envelope(&items, encode_answer_format).encode());
         }
     }
 
@@ -612,7 +689,9 @@ mod tests {
             .flat_map(|&u| EDGE_IDS.iter().map(move |&v| (NodeId(u), NodeId(v))))
             .collect();
         let a = Answer::Tuples(CertainAnswers::Pairs(pairs));
-        assert_eq!(encode_answer(&a).encode(), encode_answer_tree(&a).encode());
+        let bytes = encode_answer(&a).encode();
+        assert_eq!(bytes, encode_answer_tree(&a).encode());
+        assert_eq!(bytes, encode_answer_format(&a).encode());
     }
 
     #[test]

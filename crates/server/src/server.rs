@@ -214,7 +214,8 @@ fn transport_message(e: &HttpError) -> String {
 
 /// Decode the body, dispatch under `catch_unwind`, and render the
 /// response. This is the containment boundary: a panic anywhere in the
-/// handler stack becomes a 500 on this request only.
+/// handler stack becomes a 500 on this request only. A single answer's
+/// body is already text (a [`Json::Fragment`]) and is moved out as is.
 fn dispatch(state: &Arc<ServerState>, method: &str, path: &str, raw_body: &[u8]) -> (u16, String) {
     let body = if raw_body.is_empty() {
         Json::Null
@@ -233,7 +234,7 @@ fn dispatch(state: &Arc<ServerState>, method: &str, path: &str, raw_body: &[u8])
     let req = ApiRequest::new(method, path, body);
     let out = catch_unwind(AssertUnwindSafe(|| handlers::handle(state, &req)));
     match out {
-        Ok(resp) => (resp.status, resp.body.encode()),
+        Ok(resp) => (resp.status, resp.body.into_text()),
         Err(_) => {
             state.contained_panics.fetch_add(1, Ordering::Relaxed);
             let err = ApiError::new(500, "internal", "handler panicked; contained");
