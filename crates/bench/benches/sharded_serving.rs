@@ -228,8 +228,8 @@ fn bench(c: &mut Criterion) {
     let warm_misses = after.cache_misses - before.cache_misses;
     let repeated_hit_rate = warm_hits as f64 / (warm_hits + warm_misses).max(1) as f64;
     assert!(
-        warm_hits > 0 && warm_misses == 0,
-        "every (query, stripe) of a repeated batch must hit the sub-relation cache: \
+        warm_hits == queries.len() as u64 && warm_misses == 0,
+        "every query of a repeated batch must hit the sub-relation cache once: \
          {warm_hits} hits / {warm_misses} misses"
     );
     println!(

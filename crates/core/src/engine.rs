@@ -79,8 +79,8 @@ use gde_datagraph::{
     ShardPlan, WorkerPanic,
 };
 use gde_dataquery::{
-    canonicalize, AnswerRun, BindError, ByteLedger, CompiledQuery, EvalControl, LruSubRelCache,
-    PlanSkeleton, QueryTemplate, RowEvalShared, StopCause, SubRelKey,
+    canonicalize, AnswerRun, BindError, ByteLedger, CacheHandle, CompiledQuery, EvalControl,
+    LruSubRelCache, PlanSkeleton, QueryTemplate, RowEvalShared, StopCause, SubRelKey,
 };
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -968,49 +968,33 @@ impl PreparedSolution {
     }
 
     /// One stripe's dom-filtered pairs as a **sorted run** — the unit
-    /// the `(query, stripe)` scheduler runs. Stripes are ascending row
-    /// ranges, so the runs of a query laid end to end in stripe order are
-    /// its answer. Also records the stripe's evaluation time and result
-    /// cardinality into the serving stats.
-    ///
-    /// The run itself is what the sub-relation cache holds, under
-    /// `(stripe, plan hash)`: a repeated query (same structure) reads it
-    /// back and neither evaluates nor filters. A miss evaluates and
-    /// dom-filters, then inserts the run unless the serve's control
-    /// fired; an insert that finds no room under the budget serves the
-    /// run without keeping it. The cache lives and dies with this
-    /// solution, so no run outlives the graph it was evaluated on.
-    fn shard_pairs(&self, q: &CompiledQuery, shard: usize, shared: &RowEvalShared) -> AnswerRun {
+    /// the `(query, stripe)` scheduler runs for a query the cache missed.
+    /// Stripes are ascending row ranges, so the runs of a query laid end
+    /// to end in stripe order are its answer. Also records the stripe's
+    /// evaluation time and result cardinality into the serving stats.
+    /// Nothing here touches the cache: the serve inserts the whole answer
+    /// once, after laying the runs end to end.
+    fn shard_pairs(
+        &self,
+        q: &CompiledQuery,
+        shard: usize,
+        shared: &RowEvalShared,
+    ) -> Vec<(NodeId, NodeId)> {
         // an injected panic here models a stripe worker dying at the top
         // of its evaluation, before any shared state is touched
         faults::point(FaultSite::StripeEval);
         let started = Instant::now();
-        let key = SubRelKey::stripe(shard, q.plan_hash()).with_binding(q.binding_hash());
-        let cached = shared.cache().and_then(|h| h.lookup_run(&key));
-        let run = match cached {
-            Some(run) => run,
-            None => {
-                let rows = self.plan.range(shard);
-                let pairs = {
-                    let rel = q.eval_relation_rows(&self.snapshot, rows.clone(), shared);
-                    // a control that fired mid-evaluation may have truncated
-                    // sub-factors: the run is garbage by design and must
-                    // never reach the cache — the caller discards it via
-                    // `fired()`
-                    if shared.control().should_stop() {
-                        return AnswerRun::from([]);
-                    }
-                    self.dom_pairs(&rel, rows)
-                };
-                let run = AnswerRun::from(pairs);
-                if let Some(h) = shared.cache() {
-                    h.insert_run(key, run.clone());
-                }
-                run
-            }
-        };
-        self.record(started.elapsed(), run.len(), false);
-        run
+        let rows = self.plan.range(shard);
+        let rel = q.eval_relation_rows(&self.snapshot, rows.clone(), shared);
+        // a control that fired mid-evaluation may have truncated
+        // sub-factors: the run is garbage by design, and the caller
+        // discards it via `fired()`
+        if shared.control().should_stop() {
+            return Vec::new();
+        }
+        let pairs = self.dom_pairs(&rel, rows);
+        self.record(started.elapsed(), pairs.len(), false);
+        pairs
     }
 
     /// One stripe's Boolean evaluation, with stats recording (the Boolean
@@ -1021,6 +1005,150 @@ impl PreparedSolution {
         let holds = q.holds_in_rows(&self.snapshot, self.plan.range(shard), shared);
         self.record(started.elapsed(), 0, true);
         holds
+    }
+
+    /// The query's whole served answer in `mode` if this solution's cache
+    /// holds it: an `Arc` clone of its tuple answer, counted through
+    /// `lookups`. Boolean serves are not cached.
+    fn cached(&self, q: &CompiledQuery, mode: Mode, lookups: &CacheHandle) -> Option<Answer> {
+        match mode {
+            Mode::Tuples => lookups
+                .lookup_answer(&answer_key(q))
+                .map(|answer| Answer::Tuples(CertainAnswers::Pairs(answer.to_vec()))),
+            Mode::Boolean => None,
+        }
+    }
+
+    /// Evaluate the queries the cache missed. Phase 1 — REE memos and
+    /// the full answers of non-decomposing queries — is factored out
+    /// before the fan-out, queries in parallel: because every build goes
+    /// through the shared cache, a closure or tail factor two queries
+    /// have in common is computed once and reused (up to a benign race
+    /// when structurally identical artifacts build concurrently — both
+    /// compute, either result serves). Workers then claim
+    /// `(query, stripe)` tasks dynamically; a query's tuple runs are
+    /// disjoint and ascend with the stripes, so its answer is their
+    /// concatenation in stripe order, made once and inserted whole.
+    /// Boolean stripes OR with a cross-stripe short-circuit. The exact
+    /// enumeration runs as one task per query and inserts nothing, and
+    /// neither does a serve whose control fired: a truncated evaluation
+    /// must never be served later.
+    ///
+    /// Adds the misses' phase-1 and assembly time, their cache traffic
+    /// and their shortfall to `tally`, whatever the outcome. `Err` is a
+    /// contained worker panic.
+    fn evaluate_misses(
+        &self,
+        queries: &[&CompiledQuery],
+        sem: Semantics,
+        ctrl: &Arc<EvalControl>,
+        tally: &mut Tally,
+    ) -> Result<Vec<Outcome>, WorkerPanic> {
+        let nq = queries.len();
+        let exact = matches!(sem, Semantics::Exact(..));
+        let k = if exact { 1 } else { self.shard_count() };
+        let shareds: Vec<RowEvalShared> = queries
+            .iter()
+            .map(|_| RowEvalShared::with_cache(self.sub_cache.clone()).with_control(ctrl.clone()))
+            .collect();
+        let prewarm = Instant::now();
+        let warmed = par::try_map_blocks(nq, 1, |range| {
+            for qi in range {
+                if !exact && !ctrl.should_stop() {
+                    queries[qi].prewarm_rows(&self.snapshot, &shareds[qi]);
+                }
+            }
+        });
+        tally.memo_ns = prewarm.elapsed().as_nanos() as u64;
+        let found: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
+        let completed = AtomicUsize::new(0);
+        let fanned = warmed.and_then(|_| {
+            par::try_map_tasks(nq * k, |t| {
+                // stripe-major order: task t → (query t % nq, stripe t / nq)
+                let (qi, shard) = (t % nq, t / nq);
+                if ctrl.should_stop() {
+                    return None;
+                }
+                let (q, shared) = (queries[qi], &shareds[qi]);
+                let part = match sem {
+                    Semantics::Exact(mode, opts) => Some(Part::Exact(self.exact(q, mode, opts))),
+                    Semantics::Nulls(Mode::Tuples) | Semantics::LeastInformative(Mode::Tuples) => {
+                        let run = self.shard_pairs(q, shard, shared);
+                        // a fired control truncates runs: drop them here
+                        // so the assembly below can never see one
+                        if ctrl.should_stop() {
+                            return None;
+                        }
+                        Some(Part::Run(run))
+                    }
+                    Semantics::Nulls(Mode::Boolean)
+                    | Semantics::LeastInformative(Mode::Boolean) => {
+                        if !found[qi].load(Ordering::Relaxed) && self.shard_holds(q, shard, shared)
+                        {
+                            found[qi].store(true, Ordering::Relaxed);
+                        }
+                        None
+                    }
+                };
+                completed.fetch_add(1, Ordering::Relaxed);
+                part
+            })
+        });
+        let settle = |tally: &mut Tally| {
+            for s in &shareds {
+                tally.hits += s.cache_hits();
+                tally.misses += s.cache_misses();
+                tally.shortfall += s.cache_shortfall() as usize;
+                tally.degraded += u64::from(s.cache_shortfall() > 0);
+            }
+        };
+        let mut parts = match fanned {
+            Ok(parts) => parts,
+            Err(panic) => {
+                settle(tally);
+                return Err(panic);
+            }
+        };
+        let stopped = ctrl
+            .fired()
+            .map(|cause| stop_error(cause, completed.load(Ordering::Relaxed), nq * k));
+        let merge = Instant::now();
+        let outcomes = (0..nq)
+            .map(|qi| {
+                if found[qi].load(Ordering::Relaxed) {
+                    return Ok(Answer::Boolean(true));
+                }
+                if let Some(e) = &stopped {
+                    return Err(e.clone());
+                }
+                let mut own = (0..k).map(|shard| parts[shard * nq + qi].take());
+                match sem {
+                    Semantics::Exact(..) => match own.next() {
+                        Some(Some(Part::Exact(outcome))) => outcome,
+                        _ => unreachable!("invariant: an unstopped exact task ran"),
+                    },
+                    _ if sem.mode() == Mode::Boolean => Ok(Answer::Boolean(false)),
+                    _ => {
+                        let runs: Vec<Vec<(NodeId, NodeId)>> = own
+                            .map(|part| match part {
+                                Some(Part::Run(run)) => run,
+                                _ => unreachable!("invariant: an unstopped tuple task ran"),
+                            })
+                            .collect();
+                        let answer = AnswerRun::from(runs.concat());
+                        if let Some(h) = shareds[qi].cache() {
+                            h.insert_answer(answer_key(queries[qi]), answer.clone());
+                        }
+                        Ok(Answer::Tuples(CertainAnswers::Pairs(answer.to_vec())))
+                    }
+                }
+            })
+            .collect();
+        if !exact && sem.mode() == Mode::Tuples {
+            tally.merge_ns = merge.elapsed().as_nanos() as u64;
+        }
+        settle(tally);
+        Ok(outcomes)
     }
 
     /// The exact enumeration (Theorem 2's coNP procedure) over the whole
@@ -1050,6 +1178,29 @@ impl PreparedSolution {
 
 /// One request's result.
 type Outcome = Result<Answer, ServeError>;
+
+/// The cache key of a query's whole tuple answer.
+fn answer_key(q: &CompiledQuery) -> SubRelKey {
+    SubRelKey::answer(q.plan_hash()).with_binding(q.binding_hash())
+}
+
+/// One serve's accounting, folded into the mapping's [`ServingStats`]
+/// under one lock.
+#[derive(Default)]
+struct Tally {
+    /// Phase-1 build nanoseconds of the misses.
+    memo_ns: u64,
+    /// Nanoseconds assembling the missed tuple answers.
+    merge_ns: u64,
+    /// Cache hits: answer lookups and the misses' phase-1 lookups.
+    hits: u64,
+    /// Cache misses, counted the same way.
+    misses: u64,
+    /// Bytes the misses' inserts found no room for.
+    shortfall: usize,
+    /// Missed queries with a shortfall.
+    degraded: u64,
+}
 
 /// One query as it arrives at the serve door.
 #[derive(Copy, Clone)]
@@ -1082,9 +1233,8 @@ impl std::ops::Deref for Routed<'_> {
 /// stripes hand nothing: their hits land in the scheduler's per-query
 /// flags.
 enum Part {
-    /// A stripe's dom-filtered pairs as a sorted run, shared with the
-    /// sub-relation cache when the serve is cached.
-    Run(AnswerRun),
+    /// A stripe's dom-filtered pairs as a sorted run.
+    Run(Vec<(NodeId, NodeId)>),
     /// A whole exact enumeration.
     Exact(Outcome),
 }
@@ -1890,30 +2040,23 @@ impl MappingService {
         unreachable!("the retry loop always returns")
     }
 
-    /// The one `(query, stripe)` scheduler: every query of a serve
-    /// evaluates on every stripe of the prepared solution's plan (a
-    /// mapping without sharding is a one-stripe plan).
-    ///
-    /// Phase 1 — REE memos and the full answers of
-    /// non-decomposing queries — is factored out before the fan-out,
-    /// queries in parallel: because every build goes through the shared
-    /// cache, a closure or tail factor two queries have in common is
-    /// computed once and reused (up to a benign race when structurally
-    /// identical artifacts build concurrently — both compute, either
-    /// result serves). Workers then claim `(query, stripe)` tasks
-    /// dynamically; a query's tuple runs are disjoint and ascend with the
-    /// stripes, so its answer is their concatenation in stripe order, and
-    /// Boolean stripes OR with a cross-stripe short-circuit.
-    /// The exact enumeration neither decomposes by stripe nor fills the
-    /// cache: it runs as one task per query over the whole solution.
-    /// Once answered, a serve whose cache inserts found no room may evict
-    /// colder solutions to make room for them.
+    /// The one scheduler behind every serve. Each query's whole answer
+    /// is looked up first, on this thread, under its plan hash and
+    /// binding: a serve whose queries all hit spawns no thread, builds no
+    /// phase-1 state, and records its hits under one stats lock. Only the
+    /// misses are evaluated ([`PreparedSolution::evaluate_misses`]), and
+    /// each inserts its whole answer once. The exact enumeration is never
+    /// cached: every exact query is a miss, run as one task over the whole
+    /// solution. Every answer handed out, hit or miss, passes the
+    /// [`FaultSite::Answer`] point on this thread. Once answered, a serve
+    /// whose cache inserts found no room may evict colder solutions to
+    /// make room for them.
     ///
     /// Returns `Err` only for a contained worker panic (the caller
     /// quarantines and retries). A control that fires mid-flight gives
-    /// every query the stop error, except a Boolean hit found before it
-    /// fired: certain answers are monotone across stripes, so the hit is
-    /// a definitive `true`.
+    /// every missed query the stop error, except a Boolean hit found
+    /// before it fired: certain answers are monotone across stripes, so
+    /// the hit is a definitive `true`.
     fn fan_out(
         &self,
         entry: &MappingEntry,
@@ -1922,114 +2065,66 @@ impl MappingService {
         sem: Semantics,
         ctrl: &Arc<EvalControl>,
     ) -> Result<Vec<Outcome>, ServeError> {
-        let nq = queries.len();
-        let exact = matches!(sem, Semantics::Exact(..));
-        let k = if exact { 1 } else { prep.shard_count() };
-        let shareds: Vec<RowEvalShared> = queries
+        let cached = !matches!(sem, Semantics::Exact(..));
+        let lookups = CacheHandle::new(prep.sub_cache.clone());
+        let mut outcomes: Vec<Option<Outcome>> = queries
             .iter()
-            .map(|_| RowEvalShared::with_cache(prep.sub_cache.clone()).with_control(ctrl.clone()))
-            .collect();
-        let prewarm = Instant::now();
-        let warmed = par::try_map_blocks(nq, 1, |range| {
-            for qi in range {
-                if !exact && !ctrl.should_stop() {
-                    queries[qi].prewarm_rows(&prep.snapshot, &shareds[qi]);
-                }
-            }
-        });
-        let memo_ns = prewarm.elapsed().as_nanos() as u64;
-        let found: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
-        let completed = AtomicUsize::new(0);
-        let fanned = warmed.and_then(|_| {
-            par::try_map_tasks(nq * k, |t| {
-                // stripe-major order: task t → (query t % nq, stripe t / nq)
-                let (qi, shard) = (t % nq, t / nq);
-                if ctrl.should_stop() {
-                    return None;
-                }
-                let (q, shared) = (&*queries[qi], &shareds[qi]);
-                let part = match sem {
-                    Semantics::Exact(mode, opts) => Some(Part::Exact(prep.exact(q, mode, opts))),
-                    Semantics::Nulls(Mode::Tuples) | Semantics::LeastInformative(Mode::Tuples) => {
-                        let run = prep.shard_pairs(q, shard, shared);
-                        // a fired control truncates runs: drop them here
-                        // so the merge below can never see one
-                        if ctrl.should_stop() {
-                            return None;
-                        }
-                        Some(Part::Run(run))
-                    }
-                    Semantics::Nulls(Mode::Boolean)
-                    | Semantics::LeastInformative(Mode::Boolean) => {
-                        if !found[qi].load(Ordering::Relaxed) && prep.shard_holds(q, shard, shared)
-                        {
-                            found[qi].store(true, Ordering::Relaxed);
-                        }
-                        None
-                    }
-                };
-                completed.fetch_add(1, Ordering::Relaxed);
-                part
+            .map(|q| {
+                let hit = cached.then(|| prep.cached(q, sem.mode(), &lookups));
+                hit.flatten().map(Ok)
             })
-        });
-        // record the shared-phase accounting and the assembly time under
-        // one lock whatever the fan-out's outcome, so stats stay
-        // consistent across faulted and cancelled serves
-        let (hits, misses) = shareds.iter().fold((0, 0), |(h, m), s| {
-            (h + s.cache_hits(), m + s.cache_misses())
-        });
-        let shortfall: usize = shareds.iter().map(|s| s.cache_shortfall() as usize).sum();
-        let degraded = shareds.iter().filter(|s| s.cache_shortfall() > 0).count() as u64;
-        let record = |merge_ns| {
+            .collect();
+        let misses: Vec<usize> = (0..queries.len())
+            .filter(|&qi| outcomes[qi].is_none())
+            .collect();
+        let mut tally = Tally {
+            hits: lookups.hits(),
+            misses: lookups.misses(),
+            ..Tally::default()
+        };
+        let evaluated = if misses.is_empty() {
+            Ok(Vec::new())
+        } else {
+            let missed: Vec<&CompiledQuery> = misses.iter().map(|&qi| &*queries[qi]).collect();
+            prep.evaluate_misses(&missed, sem, ctrl, &mut tally)
+        };
+        // one lock for the serve's accounting, whatever the misses'
+        // outcome, so stats stay consistent across faulted and cancelled
+        // serves
+        {
             let bytes = prep.sub_cache.bytes() as u64;
             let mut stats = lock(&prep.serving);
-            stats.record_overheads(memo_ns, merge_ns, hits, misses, bytes);
-            stats.degraded += degraded;
-        };
-        let mut parts = fanned.map_err(|panic| {
-            record(0);
-            panic_error(panic)
-        })?;
-        let stopped = ctrl
-            .fired()
-            .map(|cause| stop_error(cause, completed.load(Ordering::Relaxed), nq * k));
-        let merge = Instant::now();
-        let outcomes = (0..nq)
-            .map(|qi| {
-                if found[qi].load(Ordering::Relaxed) {
-                    return Ok(Answer::Boolean(true));
+            stats.record_overheads(
+                tally.memo_ns,
+                tally.merge_ns,
+                tally.hits,
+                tally.misses,
+                bytes,
+            );
+            stats.degraded += tally.degraded;
+        }
+        for (qi, outcome) in misses.into_iter().zip(evaluated.map_err(panic_error)?) {
+            outcomes[qi] = Some(outcome);
+        }
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| {
+                let o = o.expect("invariant: every query hit or was evaluated");
+                // the one fault point every served answer passes on this
+                // thread, hit or miss: a panic here quarantines like any
+                // other
+                if o.is_ok() {
+                    faults::point(FaultSite::Answer);
                 }
-                if let Some(e) = &stopped {
-                    return Err(e.clone());
-                }
-                let mut own = (0..k).map(|shard| parts[shard * nq + qi].take());
-                match sem {
-                    Semantics::Exact(..) => match own.next() {
-                        Some(Some(Part::Exact(outcome))) => outcome,
-                        _ => unreachable!("invariant: an unstopped exact task ran"),
-                    },
-                    _ if sem.mode() == Mode::Boolean => Ok(Answer::Boolean(false)),
-                    _ => {
-                        let runs: Vec<AnswerRun> = own
-                            .map(|part| match part {
-                                Some(Part::Run(run)) => run,
-                                _ => unreachable!("invariant: an unstopped tuple task ran"),
-                            })
-                            .collect();
-                        faults::point(FaultSite::Merge);
-                        Ok(Answer::Tuples(CertainAnswers::Pairs(runs.concat())))
-                    }
-                }
+                o
             })
             .collect();
-        let tuples = !exact && sem.mode() == Mode::Tuples;
-        let merge_ns = merge.elapsed().as_nanos() as u64;
-        record(if tuples { merge_ns } else { 0 });
         // inserts found no room: evict colder solutions for them, but only
         // when this solution's own footprint plus the shortfall fits the
         // budget. Two solutions that cannot both fit would otherwise evict
         // each other on every serve; without the eviction, one that does
         // fit would never win room from a colder one.
+        let shortfall = tally.shortfall;
         if shortfall > 0 && prep.approx_bytes() + shortfall <= self.ledger.budget() {
             self.enforce_budget(shortfall, Some((entry.id, sem.flavour() as usize)));
         }
@@ -2571,7 +2666,8 @@ mod tests {
         assert_eq!(stats.boolean_evals, 1);
         assert_eq!(stats.tuples, 2, "x y has two dom answers");
         assert_eq!(stats.mean_tuples(), 2);
-        // a one-stripe plan caches like any other: the repeat hits
+        // a one-stripe plan caches like any other: the repeat hits, and a
+        // hit evaluates nothing
         let misses = stats.cache_misses;
         assert!(misses > 0, "the cold K=1 serve fills the cache");
         svc.answer(id, &q, Semantics::nulls()).unwrap();
@@ -2581,41 +2677,45 @@ mod tests {
             "the repeated K=1 serve hits the cache"
         );
         assert_eq!(stats.cache_misses, misses);
-        assert_eq!(stats.tuple_evals, 2);
-        // sharded serving records one eval per (query, stripe)
+        assert_eq!(stats.tuple_evals, 1);
+        // a sharded miss records one eval per (query, stripe)
         svc.set_shard_count(id, 2).unwrap();
         svc.answer(id, &q, Semantics::nulls()).unwrap();
         let stats = svc.serving_stats(id).unwrap();
-        assert_eq!(stats.tuple_evals, 4);
+        assert_eq!(stats.tuple_evals, 3);
         // the accumulator belongs to the mapping: eviction keeps it
         svc.evict_all();
-        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 4);
+        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 3);
     }
 
     #[test]
-    fn warm_tuple_serve_reads_one_cached_run_per_stripe() {
+    fn warm_tuple_serve_reads_one_cached_answer() {
         let (m, gs) = scenario();
         let mut ta = m.target_alphabet().clone();
-        // an RPQ builds nothing in phase 1: every lookup is a stripe run's
+        // an RPQ builds nothing in phase 1: its one lookup is its answer's
         let q = DataQuery::Rpq(parse_regex("x y", &mut ta).unwrap()).compile();
-        for k in [1u64, 2, 4] {
+        for k in [1usize, 2, 4] {
             let svc = MappingService::new();
             let id = svc.register(m.clone(), gs.clone());
-            svc.set_shard_count(id, k as usize).unwrap();
+            svc.set_shard_count(id, k).unwrap();
             let cold = svc.answer(id, &q, Semantics::nulls()).unwrap();
             assert_eq!(
                 cold.clone().into_pairs(),
                 vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]
             );
             let before = svc.serving_stats(id).unwrap();
-            assert_eq!((before.cache_hits, before.cache_misses), (0, k), "k={k}");
+            assert_eq!((before.cache_hits, before.cache_misses), (0, 1), "k={k}");
             let prep = svc.solution(id, Semantics::nulls()).unwrap();
             let bytes = prep.sub_cache().bytes();
-            assert_eq!(bytes, 2 * 8, "k={k}: the runs weigh 8 bytes a pair");
+            assert_eq!(
+                bytes,
+                2 * 8 + gde_dataquery::ENTRY_OVERHEAD,
+                "k={k}: one entry of 8 bytes a pair"
+            );
             let warm = svc.answer(id, &q, Semantics::nulls()).unwrap();
             let after = svc.serving_stats(id).unwrap();
             assert_eq!(warm, cold, "k={k}");
-            assert_eq!(after.cache_hits - before.cache_hits, k, "k={k}");
+            assert_eq!(after.cache_hits - before.cache_hits, 1, "k={k}");
             assert_eq!(after.cache_misses, before.cache_misses, "k={k}");
             assert_eq!(
                 prep.sub_cache().bytes(),

@@ -9,8 +9,8 @@
 //! * [`FaultSite::StripeEval`] — top of every per-stripe evaluation
 //!   (`shard_pairs` / `shard_holds`), the unit the `try_` fan-outs
 //!   contain;
-//! * [`FaultSite::Merge`] — the assembly of every tuple answer from its
-//!   stripe runs, on the serving thread;
+//! * [`FaultSite::Answer`] — the hand-out of every served answer, tuple
+//!   or Boolean, hit or miss, on the serving thread;
 //! * [`FaultSite::CacheInsert`] — before a sub-relation cache admission;
 //! * [`FaultSite::Refreeze`] — top of every solution freeze (snapshot and
 //!   stripe plan), the first build and every rebuild after a delta alike.

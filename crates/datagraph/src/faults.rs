@@ -8,8 +8,8 @@
 //! per [`point`] call.
 //!
 //! Injection points sit at the four spots where the engine's containment
-//! story is interesting ([`FaultSite`]): stripe evaluation, the assembly
-//! of a tuple answer from its per-stripe runs, sub-relation cache
+//! story is interesting ([`FaultSite`]): stripe evaluation, the hand-out
+//! of every served answer on the serving thread, sub-relation cache
 //! inserts, and the solution freeze. A [`FaultPlan::seeded`] plan decides **deterministically**
 //! per `(site, hit-ordinal)` whether a point panics, sleeps briefly, or
 //! does nothing — so a failing soak seed replays exactly, regardless of
@@ -36,9 +36,9 @@ pub const INJECTED_PANIC_MARKER: &str = "gde::faults injected panic";
 pub enum FaultSite {
     /// Per-(query, stripe) evaluation inside the shard fan-out workers.
     StripeEval,
-    /// Assembling a tuple answer from its sorted per-stripe runs (the
-    /// runs laid end to end), once per answer.
-    Merge,
+    /// Handing one served answer out on the serving thread, once per
+    /// answer, whether the cache held it or the serve evaluated it.
+    Answer,
     /// Sub-relation cache admission (`LruSubRelCache::insert`).
     CacheInsert,
     /// Freezing a built solution into its snapshot and stripe plan: the
@@ -50,7 +50,7 @@ impl FaultSite {
     /// All sites, in counter order.
     pub const ALL: [FaultSite; 4] = [
         FaultSite::StripeEval,
-        FaultSite::Merge,
+        FaultSite::Answer,
         FaultSite::CacheInsert,
         FaultSite::Refreeze,
     ];
@@ -58,7 +58,7 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::StripeEval => 0,
-            FaultSite::Merge => 1,
+            FaultSite::Answer => 1,
             FaultSite::CacheInsert => 2,
             FaultSite::Refreeze => 3,
         }
@@ -249,7 +249,7 @@ mod tests {
         disarm();
         for _ in 0..1000 {
             point(FaultSite::StripeEval);
-            point(FaultSite::Merge);
+            point(FaultSite::Answer);
         }
         assert!(!is_armed());
     }
@@ -294,13 +294,13 @@ mod tests {
             assert!(is_armed());
             let hook = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
-            let err = std::panic::catch_unwind(|| point(FaultSite::Merge)).unwrap_err();
+            let err = std::panic::catch_unwind(|| point(FaultSite::Answer)).unwrap_err();
             std::panic::set_hook(hook);
             let msg = err.downcast_ref::<String>().expect("formatted panic");
             assert!(is_injected(msg), "{msg}");
-            assert!(hits(FaultSite::Merge) >= 1);
+            assert!(hits(FaultSite::Answer) >= 1);
         }
         assert!(!is_armed(), "guard drop must disarm");
-        point(FaultSite::Merge); // now inert
+        point(FaultSite::Answer); // now inert
     }
 }

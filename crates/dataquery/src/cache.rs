@@ -1,13 +1,13 @@
 //! The sub-relation cache: structural subplan keys, and a store for
-//! evaluated sub-relations and served answer runs bounded by a shared
-//! byte ledger.
+//! evaluated sub-relations, served answers and Boolean verdicts bounded
+//! by a shared byte ledger.
 //!
-//! Sharded serving evaluates the same *sub-plans* over and over: the
-//! closure bodies and non-head concatenation factors of an REE memo
+//! Serving evaluates the same *sub-plans* over and over: the closure
+//! bodies and non-head concatenation factors of an REE memo
 //! ([`crate::ReeRowMemo`]) are identical across every stripe, every call
 //! and — when two queries in a batch share a factor — across queries; a
-//! stripe's served answer (its sorted run of node-id pairs, an
-//! [`AnswerRun`]) is identical across repeated calls on one snapshot.
+//! query's served answer (its sorted pairs, an [`AnswerRun`]) and its
+//! Boolean verdict are identical across repeated calls on one snapshot.
 //! This module gives those artifacts **canonical keys** and a cache to
 //! live in:
 //!
@@ -18,17 +18,19 @@
 //!   body shared by two batch queries is computed once. 128 bits makes
 //!   accidental collision negligible (the cache stores no collision
 //!   payload; see the type docs).
-//! * [`SubRelKey`] — `(stripe-or-global, subplan hash, binding)`. A key
-//!   names an artifact of *one* snapshot: the serving engine owns one
-//!   cache per prepared solution and drops it with the solution, so a
-//!   delta that changes the graph never meets an entry evaluated before
-//!   it.
+//! * [`SubRelKey`] — `(kind, subplan hash, binding)`. The [`EntryKind`]
+//!   keeps a phase-1 artifact, a whole tuple answer and a Boolean verdict
+//!   of one query apart, so none of them replaces another. A key names an
+//!   entry of *one* snapshot: the serving engine owns one cache per
+//!   prepared solution and drops it with the solution, so a delta that
+//!   changes the graph never meets an entry evaluated before it.
 //! * [`ByteLedger`] — the one byte budget a serving engine shares with
 //!   every cache it owns: each insert reserves its bytes there first.
 //! * [`LruSubRelCache`] — the LRU store the serving engine owns per
-//!   prepared solution, sharable across stripe workers. Global keys hold
-//!   relations, stripe keys hold answer runs; both kinds share one LRU
-//!   order, and the ledger is the cache's only bound.
+//!   prepared solution, sharable across stripe workers. Artifact keys hold
+//!   relations, answer keys whole answers, verdict keys Booleans; all
+//!   share one LRU order, every entry is charged [`ENTRY_OVERHEAD`] on top
+//!   of its payload, and the ledger is the cache's only bound.
 //! * [`CacheHandle`] — a per-query view pairing a cache with hit, miss
 //!   and shortfall counters, carried by [`crate::RowEvalShared`].
 
@@ -80,18 +82,26 @@ impl Hasher for Fnv128 {
     }
 }
 
-/// Marker stripe index for artifacts that are global to the snapshot
-/// (closures, tail factors, full conjunctive answers) rather than owned
-/// by one stripe.
-const GLOBAL_STRIPE: u32 = u32::MAX;
+/// What a [`SubRelKey`] names. One query can have an entry of each kind
+/// under the same plan hash and binding — a conjunctive query's full
+/// relation is its phase-1 artifact, and its tuple answer and verdict are
+/// two more entries — so the kind is part of the key, and an insert of
+/// one kind never replaces another.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum EntryKind {
+    /// A phase-1 artifact global to the snapshot: a closure, a tail
+    /// factor, or the full relation of a conjunctive query.
+    Artifact,
+    /// A tuple serve's whole sorted answer, an [`AnswerRun`].
+    Answer,
+    /// A Boolean serve's verdict.
+    Verdict,
+}
 
-/// The cache key of one evaluated sub-relation:
-/// `(stripe-or-global, subplan hash, binding)`, within one cache that
-/// serves one snapshot.
+/// The cache key of one entry: `(kind, subplan hash, binding)`, within
+/// one cache that serves one snapshot.
 ///
-/// * `stripe` is [`u32::MAX`] for global artifacts, else the stripe
-///   index (only meaningful alongside a fixed shard plan — the engine
-///   guarantees a plan change always comes with a fresh cache).
+/// * `kind` says which [`EntryKind`] the entry is.
 /// * `hash` is [`subplan_hash`] of the sub-plan. There is no stored
 ///   collision payload: at 128 bits the collision probability is far
 ///   below hardware error rates.
@@ -105,8 +115,8 @@ const GLOBAL_STRIPE: u32 = u32::MAX;
 ///   skeleton never alias while repeat bindings share entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SubRelKey {
-    /// Stripe index, or [`u32::MAX`] for snapshot-global artifacts.
-    pub stripe: u32,
+    /// What the entry is.
+    pub kind: EntryKind,
     /// Structural hash of the sub-plan ([`subplan_hash`]).
     pub hash: u128,
     /// Binding discriminant: `0` for unparameterised artifacts, else the
@@ -115,21 +125,25 @@ pub struct SubRelKey {
 }
 
 impl SubRelKey {
-    /// Key for a snapshot-global artifact (closure, tail factor, full
-    /// answer of a non-decomposing query).
-    pub fn global(hash: u128) -> SubRelKey {
-        SubRelKey {
-            stripe: GLOBAL_STRIPE,
-            hash,
-            binding: 0,
-        }
+    /// Key for a phase-1 artifact (closure, tail factor, full relation of
+    /// a non-decomposing query).
+    pub fn artifact(hash: u128) -> SubRelKey {
+        SubRelKey::of(EntryKind::Artifact, hash)
     }
 
-    /// Key for one stripe's served [`AnswerRun`].
-    pub fn stripe(stripe: usize, hash: u128) -> SubRelKey {
-        let stripe = u32::try_from(stripe).unwrap_or(GLOBAL_STRIPE - 1);
+    /// Key for a query's whole tuple answer.
+    pub fn answer(hash: u128) -> SubRelKey {
+        SubRelKey::of(EntryKind::Answer, hash)
+    }
+
+    /// Key for a query's Boolean verdict.
+    pub fn verdict(hash: u128) -> SubRelKey {
+        SubRelKey::of(EntryKind::Verdict, hash)
+    }
+
+    fn of(kind: EntryKind, hash: u128) -> SubRelKey {
         SubRelKey {
-            stripe,
+            kind,
             hash,
             binding: 0,
         }
@@ -141,27 +155,31 @@ impl SubRelKey {
         self.binding = binding;
         self
     }
-
-    /// Is this a snapshot-global artifact key?
-    pub fn is_global(&self) -> bool {
-        self.stripe == GLOBAL_STRIPE
-    }
 }
 
-/// One stripe's served answer: its pairs over `dom(M, G_s)` as node ids,
-/// sorted ascending and duplicate-free — the run the serving engine lays
-/// end to end with its sibling stripes' runs to assemble the answer.
-/// Shared, so a cache hit is an `Arc` clone.
+/// A query's served tuple answer: its pairs over `dom(M, G_s)` as node
+/// ids, sorted ascending and duplicate-free. Shared, so a cache hit is an
+/// `Arc` clone and the serving engine hands the cached answer out as is.
 pub type AnswerRun = Arc<[(NodeId, NodeId)]>;
 
 /// What one cache entry holds.
 enum Cached {
-    /// A snapshot-global sub-relation (closure, tail factor, full
-    /// conjunctive answer).
+    /// A phase-1 artifact (closure, tail factor, full conjunctive
+    /// relation).
     Relation(Arc<Relation>),
-    /// A stripe's served answer run.
-    Run(AnswerRun),
+    /// A query's whole tuple answer.
+    Answer(AnswerRun),
+    /// A query's Boolean verdict.
+    Verdict(bool),
 }
+
+/// The bytes every entry is charged on top of its payload: its key and
+/// its slot in the LRU map, and the header of the `Arc` a payload sits
+/// behind. Without it an empty answer or a verdict would weigh nothing,
+/// and distinct ones would pile up entries the ledger never sees.
+pub const ENTRY_OVERHEAD: usize = std::mem::size_of::<SubRelKey>()
+    + std::mem::size_of::<LruEntry>()
+    + 2 * std::mem::size_of::<AtomicUsize>();
 
 /// The byte budget a serving engine and all its caches share: `used`
 /// counts every charged byte, `budget` bounds it (`0` = unlimited, the
@@ -238,15 +256,17 @@ struct LruInner {
 /// The LRU sub-relation cache the serving engine owns per prepared
 /// solution. Lookup and insert are sharable across threads (stripe
 /// workers hit the cache concurrently). An entry is an immutable
-/// `Arc<Relation>` or [`AnswerRun`], so a hit is an `Arc` clone, never a
-/// copy; a lookup of one kind never returns the other. A relation is
-/// charged its [`Relation::heap_bytes`], a run its pairs' bytes.
+/// `Arc<Relation>`, [`AnswerRun`] or verdict, so a hit is an `Arc` clone
+/// (or a copied `bool`), never a copy of the data; a lookup of one kind
+/// never returns another. Every entry is charged [`ENTRY_OVERHEAD`] plus
+/// its payload: a relation its [`Relation::heap_bytes`], an answer its
+/// pairs' bytes, a verdict nothing more.
 ///
-/// Both kinds share one LRU order, and the cache's only bound is its
+/// All kinds share one LRU order, and the cache's only bound is its
 /// [`ByteLedger`]. An insert reserves its bytes there under the cache
 /// lock, so the cache's bytes and the ledger move together. While the
 /// ledger is full, the insert evicts this cache's own least recently used
-/// entries, of either kind. When even that cannot make room, the insert is
+/// entries, of any kind. When even that cannot make room, the insert is
 /// declined: the caller still has its artifact, it is just not kept. An
 /// artifact that would not fit with every entry of this cache gone is
 /// declined at once, evicting nothing. Each insert reports its
@@ -301,15 +321,23 @@ impl LruSubRelCache {
     pub fn lookup(&self, key: &SubRelKey) -> Option<Arc<Relation>> {
         self.get(key, |c| match c {
             Cached::Relation(rel) => Some(rel.clone()),
-            Cached::Run(_) => None,
+            _ => None,
         })
     }
 
-    /// The cached answer run under `key`, if resident.
-    pub fn lookup_run(&self, key: &SubRelKey) -> Option<AnswerRun> {
+    /// The cached tuple answer under `key`, if resident.
+    pub fn lookup_answer(&self, key: &SubRelKey) -> Option<AnswerRun> {
         self.get(key, |c| match c {
-            Cached::Run(run) => Some(run.clone()),
-            Cached::Relation(_) => None,
+            Cached::Answer(answer) => Some(answer.clone()),
+            _ => None,
+        })
+    }
+
+    /// The cached Boolean verdict under `key`, if resident.
+    pub fn lookup_verdict(&self, key: &SubRelKey) -> Option<bool> {
+        self.get(key, |c| match c {
+            Cached::Verdict(holds) => Some(*holds),
+            _ => None,
         })
     }
 
@@ -325,20 +353,31 @@ impl LruSubRelCache {
         Some(got)
     }
 
-    /// Insert (or replace) `rel` under `key`; returns the shortfall.
+    /// Insert (or replace) `rel` under `key`, charged
+    /// [`ENTRY_OVERHEAD`] plus its heap bytes; returns the shortfall.
     pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) -> usize {
         let bytes = rel.heap_bytes();
         self.put(key, Cached::Relation(rel), bytes)
     }
 
-    /// Insert (or replace) `run` under `key`, charged
-    /// `len × size_of::<(NodeId, NodeId)>()` bytes; returns the shortfall.
-    pub fn insert_run(&self, key: SubRelKey, run: AnswerRun) -> usize {
-        let bytes = run.len() * std::mem::size_of::<(NodeId, NodeId)>();
-        self.put(key, Cached::Run(run), bytes)
+    /// Insert (or replace) a tuple answer under `key`, charged
+    /// [`ENTRY_OVERHEAD`] plus `len × size_of::<(NodeId, NodeId)>()`
+    /// bytes; returns the shortfall.
+    pub fn insert_answer(&self, key: SubRelKey, answer: AnswerRun) -> usize {
+        let bytes = std::mem::size_of_val(&*answer);
+        self.put(key, Cached::Answer(answer), bytes)
     }
 
-    fn put(&self, key: SubRelKey, value: Cached, bytes: usize) -> usize {
+    /// Insert (or replace) a Boolean verdict under `key`, charged
+    /// [`ENTRY_OVERHEAD`]; returns the shortfall.
+    pub fn insert_verdict(&self, key: SubRelKey, holds: bool) -> usize {
+        self.put(key, Cached::Verdict(holds), 0)
+    }
+
+    /// Insert `value`, whose payload weighs `payload` bytes, charging it
+    /// that plus [`ENTRY_OVERHEAD`].
+    fn put(&self, key: SubRelKey, value: Cached, payload: usize) -> usize {
+        let bytes = payload + ENTRY_OVERHEAD;
         // the fault site sits before the lock and the reservation inside
         // it: an injected panic models a worker dying at admission, never
         // a reservation without its entry
@@ -426,9 +465,14 @@ impl CacheHandle {
         self.count(self.cache.lookup(key))
     }
 
-    /// Counted lookup of a stripe's answer run.
-    pub fn lookup_run(&self, key: &SubRelKey) -> Option<AnswerRun> {
-        self.count(self.cache.lookup_run(key))
+    /// Counted lookup of a query's tuple answer.
+    pub fn lookup_answer(&self, key: &SubRelKey) -> Option<AnswerRun> {
+        self.count(self.cache.lookup_answer(key))
+    }
+
+    /// Counted lookup of a query's Boolean verdict.
+    pub fn lookup_verdict(&self, key: &SubRelKey) -> Option<bool> {
+        self.count(self.cache.lookup_verdict(key))
     }
 
     fn count<T>(&self, got: Option<T>) -> Option<T> {
@@ -444,16 +488,23 @@ impl CacheHandle {
     /// Insert, adding the insert's shortfall to this handle (the miss
     /// was already counted by the paired [`CacheHandle::lookup`]).
     pub fn insert(&self, key: SubRelKey, rel: Arc<Relation>) {
-        let shortfall = self.cache.insert(key, rel) as u64;
-        self.shortfall.fetch_add(shortfall, Ordering::Relaxed);
+        self.add_shortfall(self.cache.insert(key, rel));
     }
 
-    /// Insert a stripe's answer run, adding the insert's shortfall to
-    /// this handle (the miss was already counted by the paired
-    /// [`CacheHandle::lookup_run`]).
-    pub fn insert_run(&self, key: SubRelKey, run: AnswerRun) {
-        let shortfall = self.cache.insert_run(key, run) as u64;
-        self.shortfall.fetch_add(shortfall, Ordering::Relaxed);
+    /// Insert a query's tuple answer, adding the insert's shortfall to
+    /// this handle.
+    pub fn insert_answer(&self, key: SubRelKey, answer: AnswerRun) {
+        self.add_shortfall(self.cache.insert_answer(key, answer));
+    }
+
+    /// Insert a query's Boolean verdict, adding the insert's shortfall to
+    /// this handle.
+    pub fn insert_verdict(&self, key: SubRelKey, holds: bool) {
+        self.add_shortfall(self.cache.insert_verdict(key, holds));
+    }
+
+    fn add_shortfall(&self, bytes: usize) {
+        self.shortfall.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Counted lookup-or-compute: on a miss, `build` runs **outside**
@@ -539,8 +590,8 @@ mod tests {
     #[test]
     fn lru_cache_roundtrip() {
         let cache = cache(0);
-        let k0 = SubRelKey::global(42);
-        let k1 = SubRelKey::global(43);
+        let k0 = SubRelKey::artifact(42);
+        let k1 = SubRelKey::artifact(43);
         assert!(cache.lookup(&k0).is_none());
         cache.insert(k0, Arc::new(Relation::identity(8)));
         cache.insert(k1, Arc::new(Relation::identity(8)));
@@ -548,46 +599,58 @@ mod tests {
         assert!(cache.lookup(&k0).is_some());
         assert!(cache.bytes() > 0);
         // a different subplan hash is a different key entirely
-        assert!(cache.lookup(&SubRelKey::global(44)).is_none());
+        assert!(cache.lookup(&SubRelKey::artifact(44)).is_none());
     }
 
     #[test]
     fn lru_cache_enforces_byte_budget() {
         let one = Arc::new(Relation::identity(64));
-        let per = one.heap_bytes();
-        assert!(per > 0);
+        let per = one.heap_bytes() + ENTRY_OVERHEAD;
+        assert!(per > ENTRY_OVERHEAD);
         // room for about three entries
         let budget = 3 * per + per / 2;
         let ledger = ledger(budget);
         let cache = LruSubRelCache::new(ledger.clone());
         for i in 0..8u64 {
-            cache.insert(SubRelKey::global(i as u128), one.clone());
+            cache.insert(SubRelKey::artifact(i as u128), one.clone());
             // touch the first entry so it stays hot
-            cache.lookup(&SubRelKey::global(0));
+            cache.lookup(&SubRelKey::artifact(0));
         }
         assert!(cache.bytes() <= budget, "stays within budget");
         assert_eq!(ledger.used(), cache.bytes());
         assert!(cache.len() < 8, "something was evicted");
         assert!(
-            cache.lookup(&SubRelKey::global(0)).is_some(),
+            cache.lookup(&SubRelKey::artifact(0)).is_some(),
             "hot entry survives LRU pressure"
         );
         assert!(
-            cache.lookup(&SubRelKey::global(1)).is_none(),
+            cache.lookup(&SubRelKey::artifact(1)).is_none(),
             "cold entry evicted"
         );
     }
 
+    /// A conjunctive query's full relation, its tuple answer and its
+    /// verdict share one plan hash and binding: each kind is its own
+    /// entry, and inserting one never replaces another.
     #[test]
-    fn stripe_and_global_keys_do_not_alias() {
-        let g = SubRelKey::global(7);
-        let s = SubRelKey::stripe(0, 7);
-        assert_ne!(g, s);
-        assert!(g.is_global());
-        assert!(!s.is_global());
+    fn artifact_answer_and_verdict_keys_do_not_alias() {
+        let (a, t, v) = (
+            SubRelKey::artifact(7).with_binding(3),
+            SubRelKey::answer(7).with_binding(3),
+            SubRelKey::verdict(7).with_binding(3),
+        );
+        assert!(a != t && t != v && a != v);
         let cache = cache(0);
-        cache.insert(g, Arc::new(Relation::identity(4)));
-        assert!(cache.lookup(&s).is_none());
+        cache.insert(a, Arc::new(Relation::identity(4)));
+        cache.insert_answer(t, run(0));
+        cache.insert_verdict(v, true);
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.lookup(&a).map(|r| r.len()), Some(4));
+        assert_eq!(cache.lookup_answer(&t).map(|r| r.len()), Some(0));
+        assert_eq!(cache.lookup_verdict(&v), Some(true));
+        // an empty answer and a `true` verdict are different facts
+        assert!(cache.lookup_verdict(&t).is_none());
+        assert!(cache.lookup_answer(&v).is_none());
     }
 
     fn run(len: u32) -> AnswerRun {
@@ -595,108 +658,140 @@ mod tests {
     }
 
     #[test]
-    fn a_run_is_charged_eight_bytes_a_pair() {
+    fn an_answer_is_charged_eight_bytes_a_pair_plus_the_entry() {
         let cache = cache(0);
-        cache.insert_run(SubRelKey::stripe(0, 1), run(100));
-        assert_eq!(cache.bytes(), 800);
-        cache.insert_run(SubRelKey::stripe(1, 1), run(0));
-        assert_eq!(cache.bytes(), 800, "an empty run weighs nothing");
+        cache.insert_answer(SubRelKey::answer(1), run(100));
+        assert_eq!(cache.bytes(), 800 + ENTRY_OVERHEAD);
+        cache.insert_answer(SubRelKey::answer(2), run(0));
+        assert_eq!(
+            cache.bytes(),
+            800 + 2 * ENTRY_OVERHEAD,
+            "an empty answer weighs its entry"
+        );
+        cache.insert_verdict(SubRelKey::verdict(1), false);
+        assert_eq!(cache.bytes(), 800 + 3 * ENTRY_OVERHEAD, "so does a verdict");
         // a refresh replaces the charge rather than adding to it
-        cache.insert_run(SubRelKey::stripe(0, 1), run(10));
-        assert_eq!(cache.bytes(), 80);
-        assert_eq!(cache.len(), 2);
+        cache.insert_answer(SubRelKey::answer(1), run(10));
+        assert_eq!(cache.bytes(), 80 + 3 * ENTRY_OVERHEAD);
+        assert_eq!(cache.len(), 3);
+    }
+
+    /// Distinct empty answers are what a wire client can send without
+    /// limit: at a budget of `n` entries, `2n` of them leave at most `n`
+    /// resident and the ledger within its budget.
+    #[test]
+    fn distinct_empty_answers_cannot_outgrow_the_budget() {
+        let n = 16;
+        let budget = n * ENTRY_OVERHEAD;
+        let ledger = ledger(budget);
+        let cache = LruSubRelCache::new(ledger.clone());
+        for i in 0..2 * n {
+            cache.insert_answer(SubRelKey::answer(i as u128), run(0));
+            assert!(ledger.used() <= budget, "insert {i}");
+        }
+        assert!(cache.len() <= n, "{} entries", cache.len());
+        assert_eq!(ledger.used(), cache.bytes());
+        // the same holds for verdicts
+        for i in 0..2 * n {
+            cache.insert_verdict(SubRelKey::verdict(i as u128), i % 2 == 0);
+        }
+        assert!(cache.len() <= n && ledger.used() <= budget);
     }
 
     #[test]
-    fn runs_and_relations_share_one_lru_budget() {
+    fn answers_and_relations_share_one_lru_budget() {
         let rel = Arc::new(Relation::identity(64));
         let per = rel.heap_bytes();
-        // a run of the same weight as the relation
+        // an answer of the same weight as the relation
         let pairs = (per / 8) as u32;
         assert_eq!(run(pairs).len() * 8, per);
-        let cache = cache(2 * per);
-        let (g, s) = (SubRelKey::global(1), SubRelKey::stripe(0, 2));
+        let cache = cache(2 * (per + ENTRY_OVERHEAD));
+        let (g, s) = (SubRelKey::artifact(1), SubRelKey::answer(2));
         cache.insert(g, rel.clone());
-        cache.insert_run(s, run(pairs));
-        assert_eq!(cache.bytes(), 2 * per);
-        // a run past the budget evicts the least recently used relation
-        cache.insert_run(SubRelKey::stripe(1, 2), run(pairs));
+        cache.insert_answer(s, run(pairs));
+        assert_eq!(cache.bytes(), 2 * (per + ENTRY_OVERHEAD));
+        // an answer past the budget evicts the least recently used relation
+        cache.insert_answer(SubRelKey::answer(3), run(pairs));
         assert!(cache.lookup(&g).is_none(), "the cold relation went first");
-        // reading the older run leaves the newer one least recently used,
-        // so a relation past the budget evicts that run
-        assert!(cache.lookup_run(&s).is_some());
+        // reading the older answer leaves the newer one least recently
+        // used, so a relation past the budget evicts that answer
+        assert!(cache.lookup_answer(&s).is_some());
         cache.insert(g, rel);
-        assert!(cache.lookup_run(&SubRelKey::stripe(1, 2)).is_none());
-        assert!(cache.lookup_run(&s).is_some());
+        assert!(cache.lookup_answer(&SubRelKey::answer(3)).is_none());
+        assert!(cache.lookup_answer(&s).is_some());
         assert!(cache.lookup(&g).is_some());
-        assert_eq!(cache.bytes(), 2 * per);
+        assert_eq!(cache.bytes(), 2 * (per + ENTRY_OVERHEAD));
     }
 
     #[test]
     fn lookups_never_return_the_other_kind() {
         let cache = cache(0);
-        let (rk, sk) = (SubRelKey::global(5), SubRelKey::stripe(0, 5));
+        let (rk, sk) = (SubRelKey::artifact(5), SubRelKey::answer(5));
         cache.insert(rk, Arc::new(Relation::identity(4)));
-        cache.insert_run(sk, run(3));
-        assert!(cache.lookup_run(&rk).is_none());
+        cache.insert_answer(sk, run(3));
+        assert!(cache.lookup_answer(&rk).is_none());
         assert!(cache.lookup(&sk).is_none());
         assert_eq!(cache.lookup(&rk).map(|r| r.len()), Some(4));
-        assert_eq!(cache.lookup_run(&sk).map(|r| r.len()), Some(3));
+        assert_eq!(cache.lookup_answer(&sk).map(|r| r.len()), Some(3));
         // the counted view agrees, and counts a wrong-kind probe as a miss
         let h = CacheHandle::new(Arc::new(cache));
-        assert!(h.lookup_run(&rk).is_none());
-        assert!(h.lookup_run(&sk).is_some());
+        assert!(h.lookup_answer(&rk).is_none());
+        assert!(h.lookup_answer(&sk).is_some());
         assert_eq!((h.hits(), h.misses()), (1, 1));
     }
 
     #[test]
     fn bytes_return_to_zero_once_everything_is_evicted() {
         let rel = Arc::new(Relation::identity(64));
-        let per = rel.heap_bytes();
+        let per = rel.heap_bytes() + ENTRY_OVERHEAD;
         let ledger = ledger(per);
         let cache = LruSubRelCache::new(ledger.clone());
-        assert_eq!(cache.insert(SubRelKey::global(1), rel.clone()), 0);
-        // the run needs room: the relation is evicted for it
-        assert_eq!(cache.insert_run(SubRelKey::stripe(0, 1), run(8)), per);
-        assert_eq!((cache.len(), cache.bytes()), (1, 64));
+        assert_eq!(cache.insert(SubRelKey::artifact(1), rel.clone()), 0);
+        // the answer needs room: the relation is evicted for it
+        assert_eq!(cache.insert_answer(SubRelKey::answer(1), run(8)), per);
+        let small = 64 + ENTRY_OVERHEAD;
+        assert_eq!((cache.len(), cache.bytes()), (1, small));
         // an artifact bigger than the whole budget is declined at once:
-        // evicting the resident run could not have made room for it
-        let big = 8 * per;
+        // evicting the resident answer could not have made room for it
+        let big = 8 * per + ENTRY_OVERHEAD;
         assert_eq!(
-            cache.insert_run(SubRelKey::stripe(1, 1), run(per as u32)),
+            cache.insert_answer(SubRelKey::answer(2), run(per as u32)),
             big
         );
-        assert_eq!((cache.len(), cache.bytes()), (1, 64));
+        assert_eq!((cache.len(), cache.bytes()), (1, small));
         // closing drops every entry and gives its bytes back at once ...
         cache.close();
         assert!(cache.is_empty());
         assert_eq!((cache.bytes(), ledger.used()), (0, 0));
         // ... and declines every later insert, whatever room is left
-        assert_eq!(cache.insert_run(SubRelKey::stripe(2, 1), run(4)), 32);
-        assert!(cache.lookup_run(&SubRelKey::stripe(2, 1)).is_none());
+        assert_eq!(
+            cache.insert_answer(SubRelKey::answer(3), run(4)),
+            32 + ENTRY_OVERHEAD
+        );
+        assert!(cache.lookup_answer(&SubRelKey::answer(3)).is_none());
         assert_eq!((cache.bytes(), ledger.used()), (0, 0));
     }
 
     #[test]
     fn caches_sharing_a_ledger_make_room_only_from_their_own_entries() {
         let rel = Arc::new(Relation::identity(64));
-        let per = rel.heap_bytes();
+        let per = rel.heap_bytes() + ENTRY_OVERHEAD;
         let ledger = ledger(2 * per);
         let (a, b) = (
             LruSubRelCache::new(ledger.clone()),
             LruSubRelCache::new(ledger.clone()),
         );
-        assert_eq!(a.insert(SubRelKey::global(1), rel.clone()), 0);
-        assert_eq!(b.insert(SubRelKey::global(1), rel.clone()), 0);
+        assert_eq!(a.insert(SubRelKey::artifact(1), rel.clone()), 0);
+        assert_eq!(b.insert(SubRelKey::artifact(1), rel.clone()), 0);
         assert_eq!(ledger.used(), 2 * per);
         // the ledger is full: `a` makes room by evicting its own entry,
         // never `b`'s
-        assert_eq!(a.insert(SubRelKey::global(2), rel.clone()), per);
-        assert!(a.lookup(&SubRelKey::global(1)).is_none());
-        assert!(b.lookup(&SubRelKey::global(1)).is_some());
+        assert_eq!(a.insert(SubRelKey::artifact(2), rel.clone()), per);
+        assert!(a.lookup(&SubRelKey::artifact(1)).is_none());
+        assert!(b.lookup(&SubRelKey::artifact(1)).is_some());
         // `b` closes: its bytes return, and `a` finds room without evicting
         b.close();
-        assert_eq!(a.insert(SubRelKey::global(3), rel), 0);
+        assert_eq!(a.insert(SubRelKey::artifact(3), rel), 0);
         assert_eq!((a.len(), ledger.used()), (2, 2 * per));
         // a base charge may pass the budget; reservations then fail until
         // it is released
@@ -710,10 +805,12 @@ mod tests {
     /// One random cache operation of the ledger property test.
     #[derive(Clone, Debug)]
     enum Op {
-        /// Insert a relation of this many nodes under a global key.
+        /// Insert a relation of this many nodes under an artifact key.
         Insert(usize, u8, usize),
-        /// Insert a run of this many pairs under a stripe key.
-        InsertRun(usize, u8, u32),
+        /// Insert an answer of this many pairs under an answer key.
+        InsertAnswer(usize, u8, u32),
+        /// Insert a verdict under a verdict key.
+        InsertVerdict(usize, u8, bool),
         Lookup(usize, u8),
         Close(usize),
     }
@@ -722,40 +819,49 @@ mod tests {
     /// is drawn least.
     fn op() -> impl Strategy<Value = Op> {
         let insert = || (0usize..3, 0u8..6, 1usize..48).prop_map(|(c, k, n)| Op::Insert(c, k, n));
-        let run = || (0usize..3, 0u8..6, 0u32..400).prop_map(|(c, k, n)| Op::InsertRun(c, k, n));
+        let answer =
+            || (0usize..3, 0u8..6, 0u32..400).prop_map(|(c, k, n)| Op::InsertAnswer(c, k, n));
+        let verdict =
+            (0usize..3, 0u8..6, any::<bool>()).prop_map(|(c, k, b)| Op::InsertVerdict(c, k, b));
         prop_oneof![
             insert(),
             insert(),
             insert(),
-            run(),
-            run(),
-            run(),
+            answer(),
+            answer(),
+            answer(),
+            verdict,
             (0usize..3, 0u8..6).prop_map(|(c, k)| Op::Lookup(c, k)),
             (0usize..3, 0u8..6).prop_map(|(c, k)| Op::Lookup(c, k)),
             (0usize..3).prop_map(Op::Close),
         ]
     }
 
-    /// The resident bytes under `key` in `cache`, of either kind.
+    /// The resident bytes under `key` in `cache`, of any kind.
     fn resident(cache: &LruSubRelCache, key: &SubRelKey) -> usize {
-        let rel = cache.lookup(key).map_or(0, |r| r.heap_bytes());
-        rel + cache.lookup_run(key).map_or(0, |r| r.len() * 8)
+        let rel = cache.lookup(key).map(|r| r.heap_bytes());
+        let answer = cache.lookup_answer(key).map(|r| r.len() * 8);
+        let verdict = cache.lookup_verdict(key).map(|_| 0);
+        rel.or(answer)
+            .or(verdict)
+            .map_or(0, |payload| payload + ENTRY_OVERHEAD)
     }
 
-    /// Run one insert of a `bytes`-byte artifact under `key` and check
+    /// Run one insert of a `payload`-byte artifact under `key` and check
     /// its reported shortfall: the bytes it evicted, plus its own bytes
     /// when it was declined. (Probing `key` first only refreshes the
     /// entry the insert replaces, so eviction order is unchanged.)
     fn checked_insert(
         cache: &LruSubRelCache,
         key: SubRelKey,
-        bytes: usize,
+        payload: usize,
         insert: impl FnOnce() -> usize,
     ) {
+        let bytes = payload + ENTRY_OVERHEAD;
         let (before, old) = (cache.bytes(), resident(cache, &key));
         let shortfall = insert();
-        let kept = cache.lookup(&key).is_some() || cache.lookup_run(&key).is_some();
-        let kept_bytes = if kept { bytes } else { 0 };
+        let kept_bytes = resident(cache, &key);
+        assert!(kept_bytes == 0 || kept_bytes == bytes, "{key:?}");
         let evicted = before - old + kept_bytes - cache.bytes();
         assert_eq!(shortfall, evicted + bytes - kept_bytes, "{key:?}");
     }
@@ -778,19 +884,28 @@ mod tests {
             for op in ops {
                 match op {
                     Op::Insert(c, k, n) => {
-                        let key = SubRelKey::global(k.into());
+                        let key = SubRelKey::artifact(k.into());
                         let rel = Arc::new(Relation::identity(n));
                         let bytes = rel.heap_bytes();
                         checked_insert(&caches[c], key, bytes, || caches[c].insert(key, rel));
                     }
-                    Op::InsertRun(c, k, n) => {
-                        let key = SubRelKey::stripe(0, k.into());
+                    Op::InsertAnswer(c, k, n) => {
+                        let key = SubRelKey::answer(k.into());
                         let bytes = 8 * n as usize;
-                        checked_insert(&caches[c], key, bytes, || caches[c].insert_run(key, run(n)));
+                        checked_insert(&caches[c], key, bytes, || {
+                            caches[c].insert_answer(key, run(n))
+                        });
+                    }
+                    Op::InsertVerdict(c, k, holds) => {
+                        let key = SubRelKey::verdict(k.into());
+                        checked_insert(&caches[c], key, 0, || {
+                            caches[c].insert_verdict(key, holds)
+                        });
                     }
                     Op::Lookup(c, k) => {
-                        caches[c].lookup(&SubRelKey::global(k.into()));
-                        caches[c].lookup_run(&SubRelKey::stripe(0, k.into()));
+                        caches[c].lookup(&SubRelKey::artifact(k.into()));
+                        caches[c].lookup_answer(&SubRelKey::answer(k.into()));
+                        caches[c].lookup_verdict(&SubRelKey::verdict(k.into()));
                     }
                     Op::Close(c) => {
                         caches[c].close();
@@ -813,7 +928,7 @@ mod tests {
     fn handle_counts_hits_and_misses() {
         let cache = Arc::new(cache(0));
         let h = CacheHandle::new(cache.clone());
-        let key = SubRelKey::global(99);
+        let key = SubRelKey::artifact(99);
         let built = h.get_or_insert(key, || Relation::identity(4));
         assert_eq!(built.len(), 4);
         assert_eq!((h.hits(), h.misses()), (0, 1));

@@ -22,8 +22,8 @@
 //!   [`QueryTemplate::bind`] stamps out bound [`CompiledQuery`] instances
 //!   by rewriting transition labels — never re-running the construction.
 //! * Bound instances carry `(skeleton hash, binding hash)` as their cache
-//!   identity, so the sub-relation cache shares stripe answers across
-//!   repeat bindings while never aliasing different bindings (see
+//!   identity, so the sub-relation cache shares answers and verdicts
+//!   across repeat bindings while never aliasing different bindings (see
 //!   [`crate::SubRelKey`]).
 //!
 //! ## Canonicalisation rules

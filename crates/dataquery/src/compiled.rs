@@ -439,7 +439,7 @@ impl RowEvalShared {
             }
             match &self.cache {
                 Some(h) => h.get_or_insert(
-                    SubRelKey::global(q.plan_hash()).with_binding(q.binding),
+                    SubRelKey::artifact(q.plan_hash()).with_binding(q.binding),
                     || q.eval_relation(s),
                 ),
                 None => Arc::new(q.eval_relation(s)),

@@ -44,7 +44,10 @@ mod ree_props;
 pub mod rem;
 
 pub use analyze::{estimate_cardinality, CardinalityEstimate, QueryShape};
-pub use cache::{subplan_hash, AnswerRun, ByteLedger, CacheHandle, LruSubRelCache, SubRelKey};
+pub use cache::{
+    subplan_hash, AnswerRun, ByteLedger, CacheHandle, EntryKind, LruSubRelCache, SubRelKey,
+    ENTRY_OVERHEAD,
+};
 pub use canon::{binding_hash, canonicalize, BindError, Bindings, PlanSkeleton, QueryTemplate};
 pub use compiled::{CompiledQuery, RowEvalShared};
 pub use control::{EvalControl, StopCause};

@@ -625,7 +625,7 @@ fn build_memo(
         return None;
     }
     let key = match (memoises, cache) {
-        (true, Some(_)) => Some(SubRelKey::global(subplan_hash(REE_DOMAIN, e))),
+        (true, Some(_)) => Some(SubRelKey::artifact(subplan_hash(REE_DOMAIN, e))),
         _ => None,
     };
     if let (Some(h), Some(k)) = (cache, key) {

@@ -167,6 +167,31 @@ fn a_budget_below_one_batch_bounds_every_charge() {
     assert!(degraded > 0, "no insert ever found the ledger full");
 }
 
+/// A repeated batch whose fill outgrows the budget still hits: each
+/// query is one whole-answer entry, so the entries the ledger keeps are
+/// whole answers, and every pass after the first reads some of them back
+/// instead of recomputing every artifact.
+#[test]
+fn a_batch_over_budget_still_hits_on_every_repeat() {
+    let h = heavy();
+    let budget = h.base + 2 * h.snapshot;
+    let svc = MappingService::with_cache_budget(budget);
+    let id = register_heavy(&svc, &h.sv);
+    for pass in 0..3 {
+        let before = svc.serving_stats(id).unwrap();
+        assert_eq!(serve_batch(&svc, id, &h.batch), h.answers, "pass {pass}");
+        let after = svc.serving_stats(id).unwrap();
+        let (hits, misses) = (
+            after.cache_hits - before.cache_hits,
+            after.cache_misses - before.cache_misses,
+        );
+        if pass > 0 {
+            assert!(hits > 0, "pass {pass}: {hits} hits / {misses} misses");
+        }
+        assert!(svc.cached_bytes() <= budget, "pass {pass}");
+    }
+}
+
 /// Four threads serve two registrations of the workload, whose fills
 /// cannot both fit. A sampler never sees the ledger above the budget,
 /// and neither mapping evicts the other: each one's own bytes plus its
