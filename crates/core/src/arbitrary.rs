@@ -239,7 +239,7 @@ pub fn certain_answers_arbitrary(
             if i == indices.len() {
                 // done
                 return Ok(ArbitraryOutcome {
-                    answers: CertainAnswers::Pairs(candidates.unwrap_or_default()),
+                    answers: CertainAnswers::Pairs(candidates.unwrap_or_default().into()),
                     exact,
                 });
             }
@@ -252,7 +252,7 @@ pub fn certain_answers_arbitrary(
         }
     }
     Ok(ArbitraryOutcome {
-        answers: CertainAnswers::Pairs(candidates.unwrap_or_default()),
+        answers: CertainAnswers::Pairs(candidates.unwrap_or_default().into()),
         exact,
     })
 }
@@ -287,13 +287,13 @@ mod tests {
         // Q = x y : adversary picks z instead — not certain
         let q: DataQuery = parse_ree("x y", &mut ta).unwrap().into();
         let out = certain_answers_arbitrary(&m, &q, &gs, ArbitraryOptions::default()).unwrap();
-        assert_eq!(out.answers, CertainAnswers::Pairs(vec![]));
+        assert_eq!(out.answers, CertainAnswers::Pairs(vec![].into()));
         // Q = x (y|z): certain
         let q: DataQuery = parse_ree("x y | x z", &mut ta).unwrap().into();
         let out = certain_answers_arbitrary(&m, &q, &gs, ArbitraryOptions::default()).unwrap();
         assert_eq!(
             out.answers,
-            CertainAnswers::Pairs(vec![(NodeId(0), NodeId(1))])
+            CertainAnswers::Pairs(vec![(NodeId(0), NodeId(1))].into())
         );
     }
 
@@ -341,13 +341,13 @@ mod tests {
         let q: DataQuery = DataQuery::PathTest(PathTest::Atom(ta.label("x").unwrap()));
         let out = certain_answers_arbitrary(&m, &q, &gs, ArbitraryOptions::default()).unwrap();
         assert!(out.exact);
-        assert_eq!(out.answers, CertainAnswers::Pairs(vec![]));
+        assert_eq!(out.answers, CertainAnswers::Pairs(vec![].into()));
         let q: DataQuery = parse_ree("x+", &mut ta.clone()).unwrap().into();
         let out = certain_answers_arbitrary(&m, &q, &gs, ArbitraryOptions::default()).unwrap();
         assert!(!out.exact);
         assert_eq!(
             out.answers,
-            CertainAnswers::Pairs(vec![(NodeId(0), NodeId(1))])
+            CertainAnswers::Pairs(vec![(NodeId(0), NodeId(1))].into())
         );
     }
 
@@ -383,7 +383,7 @@ mod tests {
         // Q = x: adversary satisfies the loop pair with ε — not certain
         let q: DataQuery = DataQuery::PathTest(PathTest::Atom(ta.label("x").unwrap()));
         let out = certain_answers_arbitrary(&m, &q, &gs, ArbitraryOptions::default()).unwrap();
-        assert_eq!(out.answers, CertainAnswers::Pairs(vec![]));
+        assert_eq!(out.answers, CertainAnswers::Pairs(vec![].into()));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::solution::SolutionError;
 use gde_datagraph::NodeId;
+use gde_dataquery::AnswerRun;
 
 /// Errors from the tractable certain-answer engines.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,18 +49,20 @@ impl std::error::Error for SolveError {}
 /// conflict — then every tuple is vacuously certain).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CertainAnswers {
-    /// The computed set of certain pairs (sorted).
-    Pairs(Vec<(NodeId, NodeId)>),
+    /// The computed set of certain pairs (sorted). Shared: the serving
+    /// engine hands out the answer its cache holds, so a clone is an
+    /// `Arc` clone.
+    Pairs(AnswerRun),
     /// No solution exists; certain answers are all tuples, vacuously.
     AllVacuously,
 }
 
 impl CertainAnswers {
-    /// The pairs, treating the vacuous case as an error in contexts where it
-    /// cannot occur.
+    /// The pairs as an owned copy, treating the vacuous case as an error
+    /// in contexts where it cannot occur.
     pub fn into_pairs(self) -> Vec<(NodeId, NodeId)> {
         match self {
-            CertainAnswers::Pairs(p) => p,
+            CertainAnswers::Pairs(p) => p.to_vec(),
             CertainAnswers::AllVacuously => {
                 panic!("certain answers are vacuously all tuples (no solution exists)")
             }

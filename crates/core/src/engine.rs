@@ -1014,7 +1014,7 @@ impl PreparedSolution {
         match mode {
             Mode::Tuples => lookups
                 .lookup_answer(&answer_key(q))
-                .map(|answer| Answer::Tuples(CertainAnswers::Pairs(answer.to_vec()))),
+                .map(|answer| Answer::Tuples(CertainAnswers::Pairs(answer))),
             Mode::Boolean => None,
         }
     }
@@ -1139,7 +1139,7 @@ impl PreparedSolution {
                         if let Some(h) = shareds[qi].cache() {
                             h.insert_answer(answer_key(queries[qi]), answer.clone());
                         }
-                        Ok(Answer::Tuples(CertainAnswers::Pairs(answer.to_vec())))
+                        Ok(Answer::Tuples(CertainAnswers::Pairs(answer)))
                     }
                 }
             })
@@ -2429,7 +2429,7 @@ fn vacuous_answer(mode: Mode) -> Answer {
 /// The statically-empty answer: no pair is certain, nothing holds.
 fn empty_answer(mode: Mode) -> Answer {
     match mode {
-        Mode::Tuples => Answer::Tuples(CertainAnswers::Pairs(Vec::new())),
+        Mode::Tuples => Answer::Tuples(CertainAnswers::Pairs(AnswerRun::from([]))),
         Mode::Boolean => Answer::Boolean(false),
     }
 }

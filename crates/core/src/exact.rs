@@ -113,7 +113,7 @@ pub(crate) fn exact_answers_from(
         opts,
         &mut 0,
     )?;
-    Ok(CertainAnswers::Pairs(answers.unwrap_or_default()))
+    Ok(CertainAnswers::Pairs(answers.unwrap_or_default().into()))
 }
 
 /// Exact Boolean certain answer: does `Q` hold (match some pair) in *every*

@@ -222,7 +222,7 @@ impl RelToGraphMapping {
             .filter(|(u, v)| !invented.contains(u) && !invented.contains(v))
             .collect();
         pairs.sort();
-        Ok(CertainAnswers::Pairs(pairs))
+        Ok(CertainAnswers::Pairs(pairs.into()))
     }
 }
 

@@ -250,7 +250,7 @@ pub fn decode_answer(j: &Json) -> Result<Answer, ApiError> {
             .ok_or_else(|| ApiError::bad_request("malformed-request", "bad node id"))?;
         pairs.push((NodeId(u as u32), NodeId(v as u32)));
     }
-    Ok(Answer::Tuples(CertainAnswers::Pairs(pairs)))
+    Ok(Answer::Tuples(CertainAnswers::Pairs(pairs.into())))
 }
 
 // ---------------------------------------------------------------------------
@@ -619,9 +619,9 @@ mod tests {
 
     fn arb_answer() -> impl Strategy<Value = Answer> {
         prop_oneof![
-            arb_pairs().prop_map(|p| Answer::Tuples(CertainAnswers::Pairs(p))),
-            arb_dense_rows().prop_map(|p| Answer::Tuples(CertainAnswers::Pairs(p))),
-            Just(Answer::Tuples(CertainAnswers::Pairs(Vec::new()))),
+            arb_pairs().prop_map(|p| Answer::Tuples(CertainAnswers::Pairs(p.into()))),
+            arb_dense_rows().prop_map(|p| Answer::Tuples(CertainAnswers::Pairs(p.into()))),
+            Just(Answer::Tuples(CertainAnswers::Pairs(Vec::new().into()))),
             Just(Answer::Tuples(CertainAnswers::AllVacuously)),
             any::<bool>().prop_map(Answer::Boolean),
         ]
@@ -688,7 +688,7 @@ mod tests {
             .iter()
             .flat_map(|&u| EDGE_IDS.iter().map(move |&v| (NodeId(u), NodeId(v))))
             .collect();
-        let a = Answer::Tuples(CertainAnswers::Pairs(pairs));
+        let a = Answer::Tuples(CertainAnswers::Pairs(pairs.into()));
         let bytes = encode_answer(&a).encode();
         assert_eq!(bytes, encode_answer_tree(&a).encode());
         assert_eq!(bytes, encode_answer_format(&a).encode());
@@ -698,10 +698,9 @@ mod tests {
     fn answer_encoding_round_trips() {
         // through text, as a client decodes: a fragment has no fields
         let wire = |a: &Answer| json::parse(encode_answer(a).encode().as_bytes()).unwrap();
-        let a = Answer::Tuples(CertainAnswers::Pairs(vec![
-            (NodeId(0), NodeId(3)),
-            (NodeId(7), NodeId(7)),
-        ]));
+        let a = Answer::Tuples(CertainAnswers::Pairs(
+            vec![(NodeId(0), NodeId(3)), (NodeId(7), NodeId(7))].into(),
+        ));
         assert_eq!(decode_answer(&wire(&a)).unwrap(), a);
         let b = Answer::Boolean(true);
         assert_eq!(decode_answer(&wire(&b)).unwrap(), b);

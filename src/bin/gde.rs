@@ -127,7 +127,7 @@ fn cmd_exchange(args: &[String]) -> Result<(), String> {
             .into_tuples();
         match certain {
             gde_core::certain::CertainAnswers::Pairs(pairs) => {
-                for (u, v) in pairs {
+                for (u, v) in pairs.iter() {
                     println!("{u}\t{v}");
                 }
             }

@@ -210,7 +210,7 @@ fn sources_at_the_top_of_the_id_space_serve_typed_errors_or_answers() {
         // an RPQ is preserved under homomorphisms: its exact certain
         // answers are the served ones
         let opts = ExactOptions::default();
-        let exact = expected.clone().map(CertainAnswers::Pairs);
+        let exact = expected.clone().map(|p| CertainAnswers::Pairs(p.into()));
         assert_eq!(
             certain_answers_exact(&gsm, &query, &source, opts),
             exact.clone().map_err(|_| ExactError::IdSpaceExhausted),
@@ -219,7 +219,7 @@ fn sources_at_the_top_of_the_id_space_serve_typed_errors_or_answers() {
         assert_eq!(
             certain_boolean_exact(&gsm, &query, &source, opts),
             exact
-                .map(|a| a != CertainAnswers::Pairs(Vec::new()))
+                .map(|a| a != CertainAnswers::Pairs(Vec::new().into()))
                 .map_err(|_| ExactError::IdSpaceExhausted),
             "{nodes:?} {word}"
         );
