@@ -1008,14 +1008,15 @@ impl PreparedSolution {
     }
 
     /// The query's whole served answer in `mode` if this solution's cache
-    /// holds it: an `Arc` clone of its tuple answer, counted through
-    /// `lookups`. Boolean serves are not cached.
+    /// holds it — an `Arc` clone of its tuple answer, or its verdict —
+    /// counted through `lookups`.
     fn cached(&self, q: &CompiledQuery, mode: Mode, lookups: &CacheHandle) -> Option<Answer> {
+        let key = served_key(q, mode);
         match mode {
             Mode::Tuples => lookups
-                .lookup_answer(&answer_key(q))
+                .lookup_answer(&key)
                 .map(|answer| Answer::Tuples(CertainAnswers::Pairs(answer))),
-            Mode::Boolean => None,
+            Mode::Boolean => lookups.lookup_verdict(&key).map(Answer::Boolean),
         }
     }
 
@@ -1029,7 +1030,8 @@ impl PreparedSolution {
     /// `(query, stripe)` tasks dynamically; a query's tuple runs are
     /// disjoint and ascend with the stripes, so its answer is their
     /// concatenation in stripe order, made once and inserted whole.
-    /// Boolean stripes OR with a cross-stripe short-circuit. The exact
+    /// Boolean stripes OR with a cross-stripe short-circuit, and the
+    /// verdict is inserted as one more entry. The exact
     /// enumeration runs as one task per query and inserts nothing, and
     /// neither does a serve whose control fired: a truncated evaluation
     /// must never be served later.
@@ -1115,19 +1117,28 @@ impl PreparedSolution {
         let merge = Instant::now();
         let outcomes = (0..nq)
             .map(|qi| {
-                if found[qi].load(Ordering::Relaxed) {
-                    return Ok(Answer::Boolean(true));
-                }
-                if let Some(e) = &stopped {
-                    return Err(e.clone());
+                let holds = found[qi].load(Ordering::Relaxed);
+                match &stopped {
+                    // a Boolean hit found before the control fired is
+                    // definitive, but a stopped serve inserts nothing
+                    Some(_) if holds => return Ok(Answer::Boolean(true)),
+                    Some(e) => return Err(e.clone()),
+                    None => {}
                 }
                 let mut own = (0..k).map(|shard| parts[shard * nq + qi].take());
+                let key = served_key(queries[qi], sem.mode());
+                let cache = shareds[qi]
+                    .cache()
+                    .expect("invariant: every miss evaluates through the cache");
                 match sem {
                     Semantics::Exact(..) => match own.next() {
                         Some(Some(Part::Exact(outcome))) => outcome,
                         _ => unreachable!("invariant: an unstopped exact task ran"),
                     },
-                    _ if sem.mode() == Mode::Boolean => Ok(Answer::Boolean(false)),
+                    _ if sem.mode() == Mode::Boolean => {
+                        cache.insert_verdict(key, holds);
+                        Ok(Answer::Boolean(holds))
+                    }
                     _ => {
                         let runs: Vec<Vec<(NodeId, NodeId)>> = own
                             .map(|part| match part {
@@ -1136,9 +1147,7 @@ impl PreparedSolution {
                             })
                             .collect();
                         let answer = AnswerRun::from(runs.concat());
-                        if let Some(h) = shareds[qi].cache() {
-                            h.insert_answer(answer_key(queries[qi]), answer.clone());
-                        }
+                        cache.insert_answer(key, answer.clone());
                         Ok(Answer::Tuples(CertainAnswers::Pairs(answer)))
                     }
                 }
@@ -1179,9 +1188,16 @@ impl PreparedSolution {
 /// One request's result.
 type Outcome = Result<Answer, ServeError>;
 
-/// The cache key of a query's whole tuple answer.
-fn answer_key(q: &CompiledQuery) -> SubRelKey {
-    SubRelKey::answer(q.plan_hash()).with_binding(q.binding_hash())
+/// The cache key of a query's whole served answer in `mode`: its tuple
+/// answer, or its Boolean verdict. A verdict is its own entry: it cannot
+/// be read off the tuple answer, which keeps only pairs over
+/// `dom(M, G_s)` while a Boolean also sees the invented nodes.
+fn served_key(q: &CompiledQuery, mode: Mode) -> SubRelKey {
+    let key = match mode {
+        Mode::Tuples => SubRelKey::answer(q.plan_hash()),
+        Mode::Boolean => SubRelKey::verdict(q.plan_hash()),
+    };
+    key.with_binding(q.binding_hash())
 }
 
 /// One serve's accounting, folded into the mapping's [`ServingStats`]

@@ -13,7 +13,9 @@ use std::sync::{Arc, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
 use gde_core::faults::{self, FaultPlan, FaultSite};
-use gde_core::{Answer, MappingId, MappingService, Semantics, ServeError, ServeOptions, ShardSpec};
+use gde_core::{
+    Answer, MappingId, MappingService, Semantics, ServeError, ServeOptions, ServingStats, ShardSpec,
+};
 use gde_dataquery::{CompiledQuery, DataQuery};
 use gde_workload::{social_churn_deltas, social_serving_scenario, ServingScenario, SocialConfig};
 
@@ -400,12 +402,13 @@ fn deadline_expiry_never_leaves_stale_answers() {
     }
 }
 
-/// A cold serve whose deadline fires mid-evaluation caches no answer:
-/// the next unbounded serve misses and answers exactly, and a repeat
-/// after it reads the whole answer back without evaluating a stripe or
-/// inserting anything. (`cancel_mid_batch_then_retry_is_byte_identical`
-/// cancels on a warm cache, where every query is a hit, so it never
-/// reaches the first path.)
+/// A cold serve whose deadline fires mid-evaluation caches no answer and
+/// no verdict: the next unbounded serve misses and answers exactly, and a
+/// repeat after it reads the whole answer or verdict back without
+/// evaluating a stripe or inserting anything.
+/// (`cancel_mid_batch_then_retry_is_byte_identical` cancels on a warm
+/// cache, where every query is a hit, so it never reaches the first
+/// path.)
 #[test]
 fn deadline_mid_evaluation_caches_no_run() {
     let _serial = serial();
@@ -421,54 +424,100 @@ fn deadline_mid_evaluation_caches_no_run() {
         .expect("the social workload has an RPQ")
         .1
         .compile();
-    let k = 3u64;
-    let reference = {
-        let svc = MappingService::new();
-        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-        svc.answer(id, &q, Semantics::nulls()).unwrap()
-    };
     let svc = MappingService::new();
     let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(id, k as usize).unwrap();
+    svc.set_shard_count(id, 3).unwrap();
     svc.prepare(id, Semantics::nulls()).unwrap();
+    for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
+        let reference = {
+            let svc = MappingService::new();
+            let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+            svc.answer(id, &q, sem).unwrap()
+        };
 
-    // every fault hit stalls far past the deadline, and none panics
-    let plan = FaultPlan::seeded(0xD5)
-        .panic_one_in(0)
-        .delay_one_in(1)
-        .delay(Duration::from_millis(400));
-    let armed = faults::arm(plan);
-    let opts = ServeOptions::new().with_deadline(Instant::now() + Duration::from_millis(50));
-    match svc.answer_with(id, &q, Semantics::nulls(), &opts) {
-        Err(ServeError::DeadlineExceeded { .. }) => {}
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
+        // every fault hit stalls far past the deadline, and none panics
+        let plan = FaultPlan::seeded(0xD5)
+            .panic_one_in(0)
+            .delay_one_in(1)
+            .delay(Duration::from_millis(400));
+        let armed = faults::arm(plan);
+        let opts = ServeOptions::new().with_deadline(Instant::now() + Duration::from_millis(50));
+        match svc.answer_with(id, &q, sem, &opts) {
+            Err(ServeError::DeadlineExceeded { .. }) => {}
+            other => panic!("{sem:?}: expected DeadlineExceeded, got {other:?}"),
+        }
+        assert!(
+            faults::hits(FaultSite::StripeEval) >= 1,
+            "{sem:?}: the serve never reached a stripe evaluation"
+        );
+        drop(armed);
+
+        let before = svc.serving_stats(id).unwrap();
+        assert_eq!(svc.answer(id, &q, sem).unwrap(), reference, "{sem:?}");
+        let after = svc.serving_stats(id).unwrap();
+        assert!(
+            after.cache_misses - before.cache_misses >= 1,
+            "{sem:?}: an answer survived the fired deadline: {} misses",
+            after.cache_misses - before.cache_misses
+        );
+
+        // a plan that neither panics nor stalls only counts the sites
+        let counting = faults::arm(FaultPlan::seeded(0xD5).panic_one_in(0).delay_one_in(0));
+        assert_eq!(svc.answer(id, &q, sem).unwrap(), reference, "{sem:?}");
+        assert_eq!(faults::hits(FaultSite::StripeEval), 0, "{sem:?}");
+        assert_eq!(
+            faults::hits(FaultSite::CacheInsert),
+            0,
+            "{sem:?}: a warm serve inserted an answer"
+        );
+        assert_eq!(faults::hits(FaultSite::Answer), 1, "{sem:?}");
+        drop(counting);
     }
-    assert!(
-        faults::hits(FaultSite::StripeEval) >= 1,
-        "the serve never reached a stripe evaluation"
-    );
-    drop(armed);
+}
 
-    let before = svc.serving_stats(id).unwrap();
-    assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), reference);
-    let after = svc.serving_stats(id).unwrap();
-    assert!(
-        after.cache_misses - before.cache_misses >= 1,
-        "an answer survived the fired deadline: {} misses",
-        after.cache_misses - before.cache_misses
-    );
-
-    // a plan that neither panics nor stalls only counts the sites
-    let counting = faults::arm(FaultPlan::seeded(0xD5).panic_one_in(0).delay_one_in(0));
-    assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), reference);
-    assert_eq!(faults::hits(FaultSite::StripeEval), 0);
-    assert_eq!(
-        faults::hits(FaultSite::CacheInsert),
-        0,
-        "a warm serve inserted an answer"
-    );
-    assert_eq!(faults::hits(FaultSite::Answer), 1);
-    drop(counting);
+/// A warm repeat is one cache hit per query on the serving thread. At
+/// K = 1 and K = 4, repeating a tuple batch and a Boolean batch misses
+/// nothing, builds no phase-1 state, evaluates nothing and inserts
+/// nothing, and every answer still passes the answer fault point.
+#[test]
+fn warm_repeats_are_one_hit_per_query() {
+    let _serial = serial();
+    quiet_injected_panics();
+    let sv = scenario(0xB7);
+    let qs = compiled_batch(&sv);
+    for k in [1usize, 4] {
+        let svc = MappingService::new();
+        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+        svc.set_shard_count(id, k).unwrap();
+        for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
+            let cold = svc.answer_batch(id, &qs, sem);
+            assert!(cold.iter().all(Result::is_ok), "k={k} {sem:?}");
+            let before = svc.serving_stats(id).unwrap();
+            let counting = faults::arm(FaultPlan::seeded(0xB7).panic_one_in(0).delay_one_in(0));
+            let warm = svc.answer_batch(id, &qs, sem);
+            let [evals, inserts, answers] = [
+                FaultSite::StripeEval,
+                FaultSite::CacheInsert,
+                FaultSite::Answer,
+            ]
+            .map(faults::hits);
+            drop(counting);
+            let after = svc.serving_stats(id).unwrap();
+            assert_eq!(warm, cold, "k={k} {sem:?}");
+            // statically empty queries are answered at the door, before
+            // any lookup
+            let looked_up = (qs.len() as u64) - (after.static_empty - before.static_empty);
+            assert!(looked_up > 0, "k={k} {sem:?}");
+            let hits = after.cache_hits - before.cache_hits;
+            assert_eq!(hits, looked_up, "k={k} {sem:?}: one hit per query");
+            assert_eq!(after.cache_misses, before.cache_misses, "k={k} {sem:?}");
+            assert_eq!(after.memo_build_ns, before.memo_build_ns, "k={k} {sem:?}");
+            let evaluated = |s: &ServingStats| (s.tuple_evals, s.boolean_evals, s.eval_ns);
+            assert_eq!(evaluated(&after), evaluated(&before), "k={k} {sem:?}");
+            assert_eq!((evals, inserts), (0, 0), "k={k} {sem:?}");
+            assert_eq!(answers, looked_up, "k={k} {sem:?}");
+        }
+    }
 }
 
 /// The byte ledger degrades rather than refuses: under a budget no cache

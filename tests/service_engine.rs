@@ -167,6 +167,45 @@ fn a_budget_below_one_batch_bounds_every_charge() {
     assert!(degraded > 0, "no insert ever found the ledger full");
 }
 
+/// A conjunctive query's full relation is its phase-1 artifact, and its
+/// tuple answer and its verdict sit under the same plan hash and binding.
+/// They are three entries: tuple and Boolean serves alternated three
+/// times miss only in the first round, at K = 1 and K = 4.
+#[test]
+fn alternating_tuple_and_boolean_serves_of_a_conjunctive_query_stop_missing() {
+    let sv = scenario(0xC0);
+    let (_, query) = sv
+        .queries
+        .iter()
+        .find(|(name, _)| *name == "endorses-a-contacts-post")
+        .expect("the social workload has the conjunctive query");
+    assert!(matches!(query, DataQuery::Conjunctive(_)));
+    let q = query.compile();
+    for k in [1usize, 4] {
+        let svc = MappingService::new();
+        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+        svc.set_shard_count(id, k).unwrap();
+        let tuples = svc.answer(id, &q, Semantics::nulls()).unwrap();
+        let verdict = svc.answer(id, &q, Semantics::nulls_boolean()).unwrap();
+        for round in 1..3 {
+            let before = svc.serving_stats(id).unwrap();
+            assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), tuples);
+            let boolean = svc.answer(id, &q, Semantics::nulls_boolean()).unwrap();
+            assert_eq!(boolean, verdict);
+            let after = svc.serving_stats(id).unwrap();
+            assert_eq!(
+                after.cache_misses, before.cache_misses,
+                "k={k} round {round}: a kind evicted another"
+            );
+            assert_eq!(
+                after.cache_hits - before.cache_hits,
+                2,
+                "k={k} round {round}"
+            );
+        }
+    }
+}
+
 /// A repeated batch whose fill outgrows the budget still hits: each
 /// query is one whole-answer entry, so the entries the ledger keeps are
 /// whole answers, and every pass after the first reads some of them back
