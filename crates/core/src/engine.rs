@@ -31,9 +31,11 @@
 //!   is a batch of one. Each query passes the same door (template and
 //!   arity, fragment, an already-fired control, canonicalisation routing,
 //!   the statically-empty verdict), the admitted queries are evaluated
-//!   inside one panic → quarantine → retry-once loop, and one
-//!   `(query, stripe)` scheduler runs them; the exact enumeration enters
-//!   the same door and loop and runs as one task per query.
+//!   inside one panic → quarantine → retry-once loop. Each query's whole
+//!   answer (or Boolean verdict) is looked up in the solution's cache on
+//!   the calling thread first, and only the misses reach the one
+//!   `(query, stripe)` scheduler; the exact enumeration enters the same
+//!   door and loop, is never cached, and runs as one task per query.
 //! * **shard** — every prepared solution splits evaluation into
 //!   node-range stripes under an out-degree-balanced [`ShardPlan`]. A
 //!   stripe is a row range of the solution's one snapshot, not a copy:
@@ -41,13 +43,13 @@
 //!   sharding is a one-stripe plan that caches like any other K.
 //!   [`MappingService::set_shard_count`] takes a fixed count or
 //!   [`ShardSpec::Auto`], which picks K from the graph size, the thread
-//!   budget, and the observed [`ServingStats`]. Tuple answers evaluate
-//!   per stripe on [`gde_datagraph::par`] workers into sorted runs, which
-//!   the solution's sub-relation cache keeps for repeat serves; the runs
-//!   are disjoint and ascend with the stripes, so the answer is their
-//!   concatenation. Boolean answers OR across stripes with a
-//!   short-circuit. Answers are byte-identical at every K, `Auto`
-//!   included.
+//!   budget, and the observed [`ServingStats`]. A missed tuple answer
+//!   evaluates per stripe on [`gde_datagraph::par`] workers into sorted
+//!   runs; the runs are disjoint and ascend with the stripes, so the
+//!   answer is their concatenation, which the solution's sub-relation
+//!   cache keeps whole for repeat serves. A missed Boolean ORs across
+//!   stripes with a short-circuit, and its verdict is kept the same way.
+//!   Answers are byte-identical at every K, `Auto` included.
 //! * **apply_delta** — [`MappingService::apply_delta`] mutates the owned
 //!   source graph (copy-on-write behind the shared `Arc`) and bumps the
 //!   mapping's generation stamp. A delta whose net effect no rule can see
@@ -280,8 +282,9 @@ impl From<usize> for ShardSpec {
 
 /// Cumulative per-mapping serving statistics, collected by
 /// [`MappingService::answer`] / [`MappingService::answer_batch`] on every
-/// per-(query, stripe) evaluation: wall-clock evaluation time and result
-/// cardinality, summed over every stripe. [`ShardSpec::Auto`] feeds its
+/// per-(query, stripe) evaluation of a query the cache missed: wall-clock
+/// evaluation time and result cardinality, summed over every stripe. A
+/// cache hit evaluates nothing and records only its hit. [`ShardSpec::Auto`] feeds its
 /// shard-count picks from these; [`MappingService::serving_stats`] exposes
 /// them to operators. The accumulator survives shard-count changes and
 /// cache evictions (it belongs to the mapping, not to a prepared
@@ -296,26 +299,30 @@ pub struct ServingStats {
     /// label every mapping so cross-mapping aggregation
     /// ([`ServingStats::absorb`]) can refuse to mix tenants.
     pub tenant: String,
-    /// Tuple-mode per-(query, stripe) evaluations.
+    /// Tuple-mode per-(query, stripe) evaluations, of cache misses only.
     pub tuple_evals: u64,
-    /// Boolean-mode per-(query, stripe) evaluations.
+    /// Boolean-mode per-(query, stripe) evaluations, of cache misses
+    /// only.
     pub boolean_evals: u64,
     /// Total evaluation wall-clock nanoseconds across both modes (stripe
-    /// evaluation only; the shared phase-1 and merge work is accounted
-    /// separately below).
+    /// evaluation of cache misses only; the shared phase-1 and merge work
+    /// is accounted separately below).
     pub eval_ns: u64,
     /// Total tuples produced by tuple-mode evaluations.
     pub tuples: u64,
     /// Nanoseconds spent building shared phase-1 state (REE memos, full
-    /// conjunctive answers) ahead of the stripe fan-out — the serial work
-    /// that does not shrink with the stripe count.
+    /// conjunctive answers) ahead of the stripe fan-out of cache misses —
+    /// the serial work that does not shrink with the stripe count.
     pub memo_build_ns: u64,
-    /// Nanoseconds spent assembling tuple answers from their per-stripe
-    /// sorted runs (laying the runs end to end).
+    /// Nanoseconds spent assembling missed tuple answers from their
+    /// per-stripe sorted runs (laying the runs end to end, once).
     pub merge_ns: u64,
-    /// Sub-relation cache hits across serving calls.
+    /// Sub-relation cache hits across serving calls: one per query whose
+    /// whole answer or verdict was cached, plus the phase-1 artifact hits
+    /// of the misses.
     pub cache_hits: u64,
-    /// Sub-relation cache misses across serving calls.
+    /// Sub-relation cache misses across serving calls, counted the same
+    /// way.
     pub cache_misses: u64,
     /// Resident bytes in the mapping's sub-relation caches — a gauge
     /// (last observed value), unlike the cumulative counters above.
@@ -484,7 +491,9 @@ impl ServingStats {
 ///   first `true` one.
 /// * When observed evaluations are heavy (≥ 10 ms mean), stripes are
 ///   oversubscribed 2× so the dynamic `(query, stripe)` scheduler can
-///   balance uneven stripes across workers.
+///   balance uneven stripes across workers. Only cache misses record
+///   evaluations, so warm hits, which evaluate nothing, no longer pull
+///   the mean down.
 /// * When the observed workload spends most of its sharded time in the
 ///   shared phase-1 build ([`ServingStats::memo_share`] > ½) — the
 ///   serial prefix stripes cannot shrink — oversubscription is pointless
@@ -672,7 +681,7 @@ pub enum ServeError {
         message: String,
         /// Stripe (or task) indices whose workers panicked, sorted.
         /// Empty when the panic happened outside the fan-out (phase-1
-        /// build, merge, solution freeze).
+        /// build, answer assembly or hand-out, solution freeze).
         stripes: Vec<usize>,
     },
     /// The [`ServeOptions`] deadline expired before the serve finished.
@@ -853,9 +862,10 @@ pub struct PreparedSolution {
     dom_len: usize,
     /// The stripes of every serve: row ranges of `snapshot`.
     plan: ShardPlan,
-    /// Evaluated sub-relations (closures, tail factors, per-stripe
-    /// answers), keyed `(stripe-or-global, subplan hash)`, each charged to
-    /// the service's ledger as it is inserted. Owned per prepared
+    /// Phase-1 artifacts (closures, tail factors, full conjunctive
+    /// relations) and each served query's whole answer or verdict, keyed
+    /// `(kind, subplan hash, binding)`, each charged to the service's
+    /// ledger as it is inserted. Owned per prepared
     /// solution and closed when the service releases it — the two
     /// flavours of one mapping serve different solutions and never share
     /// entries, and a delta that changes a solution drops the solution,
@@ -933,8 +943,9 @@ impl PreparedSolution {
         &self.sub_cache
     }
 
-    /// Fold one per-(query, stripe) evaluation into the mapping's serving
-    /// stats (see [`ServingStats`]). One mutex acquisition per evaluation:
+    /// Fold one per-(query, stripe) evaluation of a cache miss into the
+    /// mapping's serving stats (see [`ServingStats`]). One mutex
+    /// acquisition per evaluation:
     /// the lock is held for a handful of adds, so at the µs-to-ms
     /// granularity of stripe evaluations the serialization is noise;
     /// revisit with per-worker accumulators if evaluations ever get micro
@@ -1146,7 +1157,15 @@ impl PreparedSolution {
                                 _ => unreachable!("invariant: an unstopped tuple task ran"),
                             })
                             .collect();
-                        let answer = AnswerRun::from(runs.concat());
+                        // the runs laid end to end straight into the shared
+                        // answer: an iterator of known length lets the `Arc`
+                        // be allocated once and filled in place, one copy,
+                        // and each run is freed once it is copied
+                        let len = runs.iter().map(Vec::len).sum();
+                        let mut pairs = runs.into_iter().flatten();
+                        let answer: AnswerRun = (0..len)
+                            .map(|_| pairs.next().expect("invariant: the runs hold len pairs"))
+                            .collect();
                         cache.insert_answer(key, answer.clone());
                         Ok(Answer::Tuples(CertainAnswers::Pairs(answer)))
                     }
@@ -1311,7 +1330,7 @@ struct MappingEntry {
     /// engine-picked).
     shards: AtomicUsize,
     cache: Mutex<[Slot; 2]>,
-    /// Per-(query, stripe) serving statistics, shared with every
+    /// Serving statistics, shared with every
     /// [`PreparedSolution`] built for this mapping so recording needs no
     /// registry access. Survives evictions and shard-count changes.
     serving: Arc<Mutex<ServingStats>>,
@@ -1419,10 +1438,11 @@ impl MappingService {
     /// Partition this mapping's prepared solutions into node-range
     /// stripes. Accepts a plain count (`0`/`1` = one stripe) or
     /// [`ShardSpec::Auto`], which picks K per mapping from the graph
-    /// size, the thread budget, and the observed serving stats. Answers
-    /// evaluate per stripe on [`gde_datagraph::par`] workers and combine —
-    /// the stripes' runs laid end to end for tuple mode, OR-short-circuit
-    /// for Boolean. Changing the spec drops resident frozen solutions (they
+    /// size, the thread budget, and the observed serving stats. A query the
+    /// cache misses evaluates per stripe on [`gde_datagraph::par`] workers
+    /// and combines — the stripes' runs laid end to end for tuple mode,
+    /// OR-short-circuit for Boolean. Changing the spec drops resident
+    /// frozen solutions (they
     /// re-prepare under the new stripe layout on the next answer); answers
     /// are byte-identical at every `k`, `Auto` included.
     pub fn set_shard_count(
@@ -1456,9 +1476,9 @@ impl MappingService {
             .map(|e| ShardSpec::decode(e.shards.load(Ordering::Relaxed)))
     }
 
-    /// The cumulative serving statistics recorded for a mapping: one
-    /// entry per (query, stripe) evaluation, aggregated and split by
-    /// stripe. See [`ServingStats`].
+    /// The cumulative serving statistics recorded for a mapping: cache
+    /// hits and misses, and one entry per (query, stripe) evaluation of a
+    /// miss, aggregated. See [`ServingStats`].
     pub fn serving_stats(&self, id: MappingId) -> Option<ServingStats> {
         read(&self.registry)
             .get(&id)
@@ -1726,8 +1746,8 @@ impl MappingService {
     ///
     /// Equivalent to [`MappingService::answer_with`] under unbounded
     /// [`ServeOptions`] (no deadline, never cancelled), and to a batch of
-    /// one: every entry point serves through the same door, retry loop and
-    /// `(query, stripe)` scheduler.
+    /// one: every entry point serves through the same door, retry loop,
+    /// cache lookup and `(query, stripe)` scheduler.
     pub fn answer(
         &self,
         id: MappingId,
@@ -1790,8 +1810,9 @@ impl MappingService {
     /// artifact is label-rewritten through `bindings` (memoised per
     /// binding vector, so a repeat binding is an `Arc` clone) and served
     /// like any compiled query. The bound instance's cache identity is
-    /// `(skeleton hash, binding hash)`, so repeat bindings hit the
-    /// sub-relation cache stripes their earlier serves populated.
+    /// `(skeleton hash, binding hash)`, so a repeat binding reads back the
+    /// whole answer or verdict its earlier serve cached, with one lookup
+    /// on the calling thread.
     pub fn answer_bound(
         &self,
         id: MappingId,
@@ -1818,7 +1839,9 @@ impl MappingService {
     }
 
     /// Answer a whole batch under one semantics. Results come back in
-    /// input order; per-query errors don't abort the batch. The
+    /// input order; per-query errors don't abort the batch. Every query
+    /// is looked up in the cache on the calling thread first, so a batch
+    /// whose queries all hit spawns no worker. For the misses the
     /// scheduling unit is a `(query, stripe)` task: workers (bounded by
     /// `par::set_max_threads` / `GDE_MAX_THREADS`) claim tasks
     /// dynamically, stripe-major so one query's stripes land on different
