@@ -42,12 +42,13 @@
 //!   generation stamp and the next answer rebuilds;
 //! * **shard** a mapping into node-range stripes
 //!   ([`engine::MappingService::set_shard_count`], taking a count or
-//!   [`engine::ShardSpec::Auto`]): answers evaluate per stripe into
-//!   sorted runs laid end to end into the answer (Boolean answers OR
-//!   with a short-circuit), batches schedule
-//!   `(query, stripe)` tasks, and answers are byte-identical at every
-//!   K, `Auto` included. A stripe is a row range of the one snapshot,
-//!   not a copy. Per-(query, stripe) serving statistics ([`engine::ServingStats`], via
+//!   [`engine::ShardSpec::Auto`]): a query the cache misses evaluates
+//!   per stripe into sorted runs laid end to end into the answer
+//!   (Boolean answers OR with a short-circuit), batches schedule
+//!   `(query, stripe)` tasks for their misses, each query's whole
+//!   answer or verdict is cached for repeat serves, and answers are
+//!   byte-identical at every K, `Auto` included. A stripe is a row range
+//!   of the one snapshot, not a copy. Serving statistics ([`engine::ServingStats`], via
 //!   [`engine::MappingService::serving_stats`]) feed the `Auto` pick;
 //! * cached solutions live under a byte budget with least-recently-served
 //!   **eviction**, and the service is `Send + Sync`, so scoped threads
