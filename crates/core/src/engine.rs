@@ -444,20 +444,14 @@ impl ServingStats {
     }
 
     /// Fold one serve's shared-phase accounting in: phase-1 build
-    /// and merge nanoseconds, this call's cache hit/miss counts, and the
-    /// current cache-bytes gauge.
-    fn record_overheads(
-        &mut self,
-        memo_ns: u64,
-        merge_ns: u64,
-        hits: u64,
-        misses: u64,
-        bytes: u64,
-    ) {
-        self.memo_build_ns += memo_ns;
-        self.merge_ns += merge_ns;
-        self.cache_hits += hits;
-        self.cache_misses += misses;
+    /// and merge nanoseconds, this call's cache hit/miss counts and
+    /// degraded queries, and the current cache-bytes gauge.
+    fn record_serve(&mut self, tally: &Tally, bytes: u64) {
+        self.memo_build_ns += tally.memo_ns;
+        self.merge_ns += tally.merge_ns;
+        self.cache_hits += tally.hits;
+        self.cache_misses += tally.misses;
+        self.degraded += tally.degraded;
         self.cache_bytes = bytes;
     }
 
@@ -2130,18 +2124,8 @@ impl MappingService {
         // one lock for the serve's accounting, whatever the misses'
         // outcome, so stats stay consistent across faulted and cancelled
         // serves
-        {
-            let bytes = prep.sub_cache.bytes() as u64;
-            let mut stats = lock(&prep.serving);
-            stats.record_overheads(
-                tally.memo_ns,
-                tally.merge_ns,
-                tally.hits,
-                tally.misses,
-                bytes,
-            );
-            stats.degraded += tally.degraded;
-        }
+        let bytes = prep.sub_cache.bytes() as u64;
+        lock(&prep.serving).record_serve(&tally, bytes);
         for (qi, outcome) in misses.into_iter().zip(evaluated.map_err(panic_error)?) {
             outcomes[qi] = Some(outcome);
         }
@@ -2163,9 +2147,8 @@ impl MappingService {
         // budget. Two solutions that cannot both fit would otherwise evict
         // each other on every serve; without the eviction, one that does
         // fit would never win room from a colder one.
-        let shortfall = tally.shortfall;
-        if shortfall > 0 && prep.approx_bytes() + shortfall <= self.ledger.budget() {
-            self.enforce_budget(shortfall, Some((entry.id, sem.flavour() as usize)));
+        if tally.shortfall > 0 && prep.approx_bytes() + tally.shortfall <= self.ledger.budget() {
+            self.enforce_budget(tally.shortfall, Some((entry.id, sem.flavour() as usize)));
         }
         Ok(outcomes)
     }

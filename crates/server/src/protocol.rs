@@ -276,11 +276,10 @@ fn pairs_bound(pairs: &[(NodeId, NodeId)]) -> usize {
 /// past the text are overwritten by the next store or lie past the
 /// returned length.
 fn write_pairs(pairs: &[(NodeId, NodeId)], out: &mut [u8]) -> usize {
-    const HEAD: &[u8] = PAIRS_HEAD;
-    out[..HEAD.len()].copy_from_slice(HEAD);
+    out[..PAIRS_HEAD.len()].copy_from_slice(PAIRS_HEAD);
     // every pair is written as `,[u,v]`: the first one's comma lands on
-    // HEAD's `[`, which is put back after the loop
-    let mut len = HEAD.len() - 1;
+    // PAIRS_HEAD's `[`, which is put back after the loop
+    let mut len = PAIRS_HEAD.len() - 1;
     // `,[u,` fits in 13 bytes; the rest is the integer writer's room
     let mut row = [0u8; 24];
     row[..2].copy_from_slice(b",[");
@@ -298,7 +297,7 @@ fn write_pairs(pairs: &[(NodeId, NodeId)], out: &mut [u8]) -> usize {
         out[len] = b']';
         len += 1;
     }
-    out[HEAD.len() - 1] = b'[';
+    out[PAIRS_HEAD.len() - 1] = b'[';
     out[len..len + PAIRS_TAIL.len()].copy_from_slice(PAIRS_TAIL);
     len + PAIRS_TAIL.len()
 }
