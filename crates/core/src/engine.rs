@@ -252,9 +252,9 @@ pub enum ShardSpec {
 const AUTO_SHARDS: usize = usize::MAX;
 
 /// The most stripes a mapping serves from, fixed or picked by
-/// [`ShardSpec::Auto`]. Every stripe costs a task and an answer run per
-/// query on every serve, and a fixed count arrives unchecked from the
-/// wire, so a larger request is clamped to this.
+/// [`ShardSpec::Auto`]. Every stripe costs a task and a run per query on
+/// every cache miss, and a fixed count arrives unchecked from the wire,
+/// so a larger request is clamped to this.
 const MAX_SHARDS: usize = 64;
 
 impl ShardSpec {
