@@ -1012,19 +1012,6 @@ impl PreparedSolution {
         holds
     }
 
-    /// The query's whole served answer in `mode` if this solution's cache
-    /// holds it — an `Arc` clone of its tuple answer, or its verdict —
-    /// counted through `lookups`.
-    fn cached(&self, q: &CompiledQuery, mode: Mode, lookups: &CacheHandle) -> Option<Answer> {
-        let key = served_key(q, mode);
-        match mode {
-            Mode::Tuples => lookups
-                .lookup_answer(&key)
-                .map(|answer| Answer::Tuples(CertainAnswers::Pairs(answer))),
-            Mode::Boolean => lookups.lookup_verdict(&key).map(Answer::Boolean),
-        }
-    }
-
     /// Evaluate the queries the cache missed. Phase 1 — REE memos and
     /// the full answers of non-decomposing queries — is factored out
     /// before the fan-out, queries in parallel: because every build goes
@@ -1131,17 +1118,18 @@ impl PreparedSolution {
                     None => {}
                 }
                 let mut own = (0..k).map(|shard| parts[shard * nq + qi].take());
-                let key = served_key(queries[qi], sem.mode());
-                let cache = shareds[qi]
-                    .cache()
-                    .expect("invariant: every miss evaluates through the cache");
+                let cache = || {
+                    shareds[qi]
+                        .cache()
+                        .expect("invariant: every miss evaluates through the cache")
+                };
                 match sem {
                     Semantics::Exact(..) => match own.next() {
                         Some(Some(Part::Exact(outcome))) => outcome,
                         _ => unreachable!("invariant: an unstopped exact task ran"),
                     },
                     _ if sem.mode() == Mode::Boolean => {
-                        cache.insert_verdict(key, holds);
+                        cache().insert_verdict(served_key(queries[qi], Mode::Boolean), holds);
                         Ok(Answer::Boolean(holds))
                     }
                     _ => {
@@ -1151,16 +1139,9 @@ impl PreparedSolution {
                                 _ => unreachable!("invariant: an unstopped tuple task ran"),
                             })
                             .collect();
-                        // the runs laid end to end straight into the shared
-                        // answer: an iterator of known length lets the `Arc`
-                        // be allocated once and filled in place, one copy,
-                        // and each run is freed once it is copied
-                        let len = runs.iter().map(Vec::len).sum();
-                        let mut pairs = runs.into_iter().flatten();
-                        let answer: AnswerRun = (0..len)
-                            .map(|_| pairs.next().expect("invariant: the runs hold len pairs"))
-                            .collect();
-                        cache.insert_answer(key, answer.clone());
+                        let answer = AnswerRun::from(runs.concat());
+                        cache()
+                            .insert_answer(served_key(queries[qi], Mode::Tuples), answer.clone());
                         Ok(Answer::Tuples(CertainAnswers::Pairs(answer)))
                     }
                 }
@@ -2098,13 +2079,21 @@ impl MappingService {
         sem: Semantics,
         ctrl: &Arc<EvalControl>,
     ) -> Result<Vec<Outcome>, ServeError> {
-        let cached = !matches!(sem, Semantics::Exact(..));
         let lookups = CacheHandle::new(prep.sub_cache.clone());
+        // a hit is the verdict, or an `Arc` clone of the tuple answer
         let mut outcomes: Vec<Option<Outcome>> = queries
             .iter()
             .map(|q| {
-                let hit = cached.then(|| prep.cached(q, sem.mode(), &lookups));
-                hit.flatten().map(Ok)
+                let hit = match sem {
+                    Semantics::Exact(..) => None,
+                    _ if sem.mode() == Mode::Boolean => lookups
+                        .lookup_verdict(&served_key(q, Mode::Boolean))
+                        .map(Answer::Boolean),
+                    _ => lookups
+                        .lookup_answer(&served_key(q, Mode::Tuples))
+                        .map(|answer| Answer::Tuples(CertainAnswers::Pairs(answer))),
+                };
+                hit.map(Ok)
             })
             .collect();
         let misses: Vec<usize> = (0..queries.len())
