@@ -28,8 +28,8 @@
 
 use crate::json::Json;
 use crate::protocol::{
-    delta_from_json, encode_answer, encode_batch, graph_from_json, parse_query, parse_semantics,
-    stats_to_json, ApiError, ApiRequest, ApiResponse,
+    delta_from_json, encode_answer, graph_from_json, parse_query, parse_semantics, stats_to_json,
+    ApiError, ApiRequest, ApiResponse,
 };
 use crate::tenant::{MappingHandle, ServerState};
 use gde_core::engine::{ServeOptions, ShardSpec};
@@ -347,7 +347,18 @@ fn batch(state: &ServerState, t: &str, m: &str, body: &Json) -> Result<ApiRespon
     let results = tenant
         .svc
         .answer_batch_with(handle.id, &compiled, sem, &opts);
-    Ok(ApiResponse::ok(encode_batch(&results)))
+    Ok(ApiResponse::ok(Json::obj([(
+        "answers",
+        Json::Arr(
+            results
+                .iter()
+                .map(|r| match r {
+                    Ok(a) => encode_answer(a),
+                    Err(e) => ApiError::from_serve_error(e).to_json(),
+                })
+                .collect(),
+        ),
+    )])))
 }
 
 fn register_template(

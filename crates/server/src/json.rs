@@ -21,8 +21,8 @@
 //!   NaN or infinity, so a non-finite [`Json::Num`] encodes as `null`,
 //!   as serde_json writes it.
 //! * **Pre-encoded fragments** — [`Json::Fragment`] carries text that an
-//!   encoder in this crate already wrote (a certain-answer or batch body,
-//!   written in one pass over the engine's pairs with no tree). Its text is
+//!   encoder in this crate already wrote (a certain-answer body, written
+//!   in one pass over the engine's pairs with no tree). Its text is
 //!   private and only this crate can build one, so every `Json` still
 //!   encodes to valid JSON. [`parse`] never produces a fragment, and the
 //!   accessors ([`Json::get`], `as_*`) see nothing inside one: to read a

@@ -18,7 +18,6 @@ use gde_core::CertainAnswers;
 use gde_core::ExactOptions;
 use gde_datagraph::{Alphabet, DataGraph, GraphDelta, NodeId, Value};
 use gde_dataquery::{parse_ree, parse_rem, DataQuery};
-use std::borrow::Cow;
 
 /// A typed protocol error: HTTP status, stable machine-readable code, and
 /// a human message. Every error path in the serving tier produces one of
@@ -166,120 +165,37 @@ impl ApiResponse {
 /// inside it. Encode it to read the text; to read it back as an
 /// [`Answer`], parse that text and pass it to [`decode_answer`].
 pub fn encode_answer(a: &Answer) -> Json {
-    let body = Body::of(a);
-    let mut out = vec![0u8; body.bound()];
-    let len = body.write(&mut out);
-    out.truncate(len);
-    Json::Fragment(Fragment(ascii(out)))
+    let text = match a {
+        Answer::Boolean(true) => "{\"boolean\":true}".to_string(),
+        Answer::Boolean(false) => "{\"boolean\":false}".to_string(),
+        Answer::Tuples(CertainAnswers::AllVacuously) => "{\"all_vacuously\":true}".to_string(),
+        Answer::Tuples(CertainAnswers::Pairs(pairs)) => encode_pairs(pairs),
+    };
+    Json::Fragment(Fragment(text))
 }
 
-/// Encode a batch's outcomes as its wire body, `{"answers":[…]}`, in one
-/// buffer sized once from every item's bound: each answer is written in
-/// place exactly as [`encode_answer`] writes it alone, and each error as
-/// its [`ApiError::to_json`] encodes. No answer's text is built apart and
-/// copied in. Returned as a [`Json::Fragment`], like an answer.
-pub fn encode_batch(results: &[Result<Answer, ServeError>]) -> Json {
-    const HEAD: &[u8] = b"{\"answers\":[";
-    const TAIL: &[u8] = b"]}";
-    let bodies: Vec<Body<'_>> = results
-        .iter()
-        .map(|r| match r {
-            Ok(a) => Body::of(a),
-            Err(e) => Body::Text(ApiError::from_serve_error(e).to_json().encode().into()),
-        })
-        .collect();
-    // each item's bound plus one byte for the comma before it
-    let bound = HEAD.len() + bodies.iter().map(|b| b.bound() + 1).sum::<usize>() + TAIL.len();
-    let mut out = vec![0u8; bound];
-    out[..HEAD.len()].copy_from_slice(HEAD);
-    let mut len = HEAD.len();
-    for (i, body) in bodies.iter().enumerate() {
-        if i > 0 {
-            out[len] = b',';
-            len += 1;
-        }
-        // the room left holds this item's bound: the bounds of the items
-        // after it, their commas and the tail are still unwritten
-        len += body.write(&mut out[len..]);
-    }
-    out[len..len + TAIL.len()].copy_from_slice(TAIL);
-    out.truncate(len + TAIL.len());
-    Json::Fragment(Fragment(ascii(out)))
-}
-
-/// The text the encoders wrote, which is ASCII by construction.
-fn ascii(bytes: Vec<u8>) -> String {
-    String::from_utf8(bytes).expect("invariant: the answer encoders write only ASCII")
-}
-
-/// One item of a response body: a fixed text, or a non-empty pair list
-/// for the pair writer.
-enum Body<'a> {
-    Text(Cow<'static, str>),
-    Pairs(&'a [(NodeId, NodeId)]),
-}
-
-impl<'a> Body<'a> {
-    fn of(a: &'a Answer) -> Body<'a> {
-        let text = match a {
-            Answer::Boolean(true) => "{\"boolean\":true}",
-            Answer::Boolean(false) => "{\"boolean\":false}",
-            Answer::Tuples(CertainAnswers::AllVacuously) => "{\"all_vacuously\":true}",
-            Answer::Tuples(CertainAnswers::Pairs(pairs)) if pairs.is_empty() => "{\"pairs\":[]}",
-            Answer::Tuples(CertainAnswers::Pairs(pairs)) => return Body::Pairs(pairs),
-        };
-        Body::Text(text.into())
-    }
-
-    /// The most bytes [`Body::write`] stores, past the text included.
-    fn bound(&self) -> usize {
-        match self {
-            Body::Text(text) => text.len(),
-            Body::Pairs(pairs) => pairs_bound(pairs),
-        }
-    }
-
-    /// Write the item at the start of `out`, which holds at least
-    /// [`Body::bound`] bytes; returns the text's length.
-    fn write(&self, out: &mut [u8]) -> usize {
-        match self {
-            Body::Text(text) => {
-                out[..text.len()].copy_from_slice(text.as_bytes());
-                text.len()
-            }
-            Body::Pairs(pairs) => write_pairs(pairs, out),
-        }
-    }
-}
-
-const PAIRS_HEAD: &[u8] = b"{\"pairs\":[";
-const PAIRS_TAIL: &[u8] = b"]}";
-/// Room for the fixed-width stores that run past the last pair.
-const PAIRS_SLACK: usize = 16;
-
-/// The bytes [`write_pairs`] may store for `pairs`: a pair takes at most
+/// `{"pairs":[[u,v],…]}` in one buffer, sized once: a pair takes at most
 /// two ids of the widest id's digits, two brackets and two commas, and
-/// [`PAIRS_SLACK`] covers the stores past the text.
-fn pairs_bound(pairs: &[(NodeId, NodeId)]) -> usize {
-    let widest = pairs.iter().map(|(u, v)| u.0.max(v.0)).max().unwrap_or(0);
-    let digits = widest.checked_ilog10().unwrap_or(0) as usize + 1;
-    PAIRS_HEAD.len() + pairs.len() * (2 * digits + 4) + PAIRS_TAIL.len() + PAIRS_SLACK
-}
-
-/// Write `{"pairs":[[u,v],…]}` for non-empty `pairs` at the start of
-/// `out`, which holds at least [`pairs_bound`] bytes; returns the text's
-/// length.
+/// `SLACK` covers the fixed-width stores that run past the last pair.
 ///
 /// Pairs come sorted, so a source row's pairs are adjacent: its `,[u,`
 /// is written once into `row`, and every pair copies that as one 16-byte
 /// block, then writes `v` and `]`. Bytes a copy or a digit word writes
-/// past the text are overwritten by the next store or lie past the
-/// returned length.
-fn write_pairs(pairs: &[(NodeId, NodeId)], out: &mut [u8]) -> usize {
-    out[..PAIRS_HEAD.len()].copy_from_slice(PAIRS_HEAD);
+/// past the text are overwritten by the next store or cut off at the end.
+fn encode_pairs(pairs: &[(NodeId, NodeId)]) -> String {
+    const HEAD: &[u8] = b"{\"pairs\":[";
+    const TAIL: &[u8] = b"]}";
+    const SLACK: usize = 16;
+    if pairs.is_empty() {
+        return "{\"pairs\":[]}".to_string();
+    }
+    let widest = pairs.iter().map(|(u, v)| u.0.max(v.0)).max().unwrap_or(0);
+    let digits = widest.checked_ilog10().unwrap_or(0) as usize + 1;
+    let mut out = vec![0u8; HEAD.len() + pairs.len() * (2 * digits + 4) + TAIL.len() + SLACK];
+    out[..HEAD.len()].copy_from_slice(HEAD);
     // every pair is written as `,[u,v]`: the first one's comma lands on
-    // PAIRS_HEAD's `[`, which is put back after the loop
-    let mut len = PAIRS_HEAD.len() - 1;
+    // HEAD's `[`, which is put back after the loop
+    let mut len = HEAD.len() - 1;
     // `,[u,` fits in 13 bytes; the rest is the integer writer's room
     let mut row = [0u8; 24];
     row[..2].copy_from_slice(b",[");
@@ -293,13 +209,14 @@ fn write_pairs(pairs: &[(NodeId, NodeId)], out: &mut [u8]) -> usize {
             row_len = end + 1;
         }
         out[len..len + 16].copy_from_slice(&row[..16]);
-        len = json::int_text(v.0.into(), out, len + row_len);
+        len = json::int_text(v.0.into(), &mut out, len + row_len);
         out[len] = b']';
         len += 1;
     }
-    out[PAIRS_HEAD.len() - 1] = b'[';
-    out[len..len + PAIRS_TAIL.len()].copy_from_slice(PAIRS_TAIL);
-    len + PAIRS_TAIL.len()
+    out[HEAD.len() - 1] = b'[';
+    out[len..len + TAIL.len()].copy_from_slice(TAIL);
+    out.truncate(len + TAIL.len());
+    String::from_utf8(out).expect("invariant: the pair encoder writes only ASCII")
 }
 
 /// Decode an answer body produced by [`encode_answer`], after it has been
@@ -760,44 +677,6 @@ mod tests {
             )
         ) {
             let bytes = envelope(&items, encode_answer).encode();
-            prop_assert_eq!(&bytes, &envelope(&items, encode_answer_tree).encode());
-            prop_assert_eq!(&bytes, &envelope(&items, encode_answer_format).encode());
-        }
-    }
-
-    /// Serve errors a batch carries next to answers, one whose message
-    /// holds characters the string encoder escapes included.
-    fn arb_serve_error() -> impl Strategy<Value = ServeError> {
-        prop_oneof![
-            Just(ServeError::DeadlineExceeded {
-                completed_stripes: 1,
-                total_stripes: 4,
-            }),
-            Just(ServeError::UnsupportedQuery("inequality")),
-            Just(ServeError::StripePanicked {
-                message: "rpq: unexpected \"(\" at 3\n\tnear \\".to_string(),
-                stripes: vec![2],
-            }),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The batch encoder writes every answer in place: its bytes are
-        /// the envelope's, built from either reference encoder.
-        #[test]
-        fn batch_bytes_match_the_envelope(
-            results in prop::collection::vec(
-                prop_oneof![arb_answer().prop_map(Ok), arb_serve_error().prop_map(Err)],
-                0..6,
-            )
-        ) {
-            let items: Vec<Result<Answer, ApiError>> = results
-                .iter()
-                .map(|r| r.clone().map_err(|e| ApiError::from_serve_error(&e)))
-                .collect();
-            let bytes = encode_batch(&results).encode();
             prop_assert_eq!(&bytes, &envelope(&items, encode_answer_tree).encode());
             prop_assert_eq!(&bytes, &envelope(&items, encode_answer_format).encode());
         }

@@ -214,9 +214,8 @@ fn transport_message(e: &HttpError) -> String {
 
 /// Decode the body, dispatch under `catch_unwind`, and render the
 /// response. This is the containment boundary: a panic anywhere in the
-/// handler stack becomes a 500 on this request only. An answer's or a
-/// batch's body is already text (a [`Json::Fragment`]) and is moved out
-/// as is.
+/// handler stack becomes a 500 on this request only. A single answer's
+/// body is already text (a [`Json::Fragment`]) and is moved out as is.
 fn dispatch(state: &Arc<ServerState>, method: &str, path: &str, raw_body: &[u8]) -> (u16, String) {
     let body = if raw_body.is_empty() {
         Json::Null
