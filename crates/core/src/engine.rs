@@ -406,18 +406,18 @@ impl ServingStats {
     /// the aggregation step a multi-tenant front-end runs per tenant.
     /// Returns `false` (and absorbs **nothing**) when the two sides
     /// carry different tenant labels: cumulative counters from one
-    /// tenant must never bleed into another tenant's aggregate. An
-    /// unlabelled accumulator (`tenant.is_empty()`) with no recorded
-    /// work adopts the other side's label, so
+    /// tenant must never bleed into another tenant's aggregate. A fresh
+    /// accumulator (equal to `ServingStats::default()`: unlabelled, every
+    /// counter 0) adopts the other side's label, so
     /// `stats.absorb(&svc.serving_stats(id)?)` folds a tenant's mappings
-    /// starting from `ServingStats::default()`.
+    /// starting from `ServingStats::default()`. An unlabelled one that
+    /// holds any count is refused like any other label.
     ///
     /// Cumulative counters add; the `cache_bytes` gauge adds too
     /// (resident bytes across a tenant's mappings are disjoint).
     pub fn absorb(&mut self, other: &ServingStats) -> bool {
         if self.tenant != other.tenant {
-            let fresh = self.tuple_evals == 0 && self.boolean_evals == 0 && self.eval_ns == 0;
-            if !(self.tenant.is_empty() && fresh) {
+            if *self != ServingStats::default() {
                 return false;
             }
             self.tenant = other.tenant.clone();
@@ -2660,6 +2660,29 @@ mod tests {
         };
         assert!(memo_bound.memo_share() > 0.5);
         assert_eq!(auto_shard_count(100_000, 4, &memo_bound), 4);
+    }
+
+    #[test]
+    fn an_unlabelled_aggregate_with_counts_refuses_a_tenant() {
+        // counters other than the evaluation ones still make an
+        // unlabelled aggregate non-fresh: it must not adopt a label
+        let mut unlabelled = ServingStats {
+            static_empty: 5,
+            template_hits: 2,
+            ..ServingStats::default()
+        };
+        let before = unlabelled.clone();
+        let tenant = ServingStats {
+            tenant: "a".to_string(),
+            static_empty: 1,
+            ..ServingStats::default()
+        };
+        assert!(!unlabelled.absorb(&tenant));
+        assert_eq!(unlabelled, before, "a refused absorb changes nothing");
+        // a default accumulator is fresh and adopts the label
+        let mut fresh = ServingStats::default();
+        assert!(fresh.absorb(&tenant));
+        assert_eq!(fresh, tenant);
     }
 
     #[test]
