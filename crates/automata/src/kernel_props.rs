@@ -7,7 +7,6 @@ use crate::register::{Builder, EpsAction};
 use crate::{Cond, Nfa, Reg, Regex, RegisterAutomaton};
 use gde_datagraph::{DataGraph, GraphSnapshot, Label, NodeId, Relation, Value};
 use proptest::prelude::*;
-use std::ops::Range;
 
 /// Edge labels `a`, `b`, `c` (interned first, so they are labels 0..3).
 const LABELS: u16 = 3;
@@ -133,9 +132,8 @@ fn arb_ra() -> impl Strategy<Value = RegisterAutomaton> {
 trait PerStart {
     fn reference(&self, s: &GraphSnapshot, from: NodeId) -> Vec<NodeId>;
     fn per_start(&self, s: &GraphSnapshot, from: NodeId) -> Vec<NodeId>;
-    fn rows(&self, s: &GraphSnapshot, rows: Range<usize>) -> Relation;
     fn full(&self, s: &GraphSnapshot) -> Relation;
-    fn holds(&self, s: &GraphSnapshot, rows: Range<usize>) -> bool;
+    fn holds(&self, s: &GraphSnapshot) -> bool;
 }
 
 impl PerStart for Nfa {
@@ -145,14 +143,11 @@ impl PerStart for Nfa {
     fn per_start(&self, s: &GraphSnapshot, from: NodeId) -> Vec<NodeId> {
         self.eval_from_snapshot(s, from)
     }
-    fn rows(&self, s: &GraphSnapshot, rows: Range<usize>) -> Relation {
-        self.eval_rows_snapshot(s, rows)
-    }
     fn full(&self, s: &GraphSnapshot) -> Relation {
         self.eval_snapshot(s)
     }
-    fn holds(&self, s: &GraphSnapshot, rows: Range<usize>) -> bool {
-        self.holds_in_rows(s, rows)
+    fn holds(&self, s: &GraphSnapshot) -> bool {
+        self.holds_snapshot(s)
     }
 }
 
@@ -163,51 +158,28 @@ impl PerStart for RegisterAutomaton {
     fn per_start(&self, s: &GraphSnapshot, from: NodeId) -> Vec<NodeId> {
         self.eval_from_snapshot(s, from)
     }
-    fn rows(&self, s: &GraphSnapshot, rows: Range<usize>) -> Relation {
-        self.eval_rows_snapshot(s, rows)
-    }
     fn full(&self, s: &GraphSnapshot) -> Relation {
         self.eval_snapshot(s)
     }
-    fn holds(&self, s: &GraphSnapshot, rows: Range<usize>) -> bool {
-        self.holds_in_rows(s, rows)
+    fn holds(&self, s: &GraphSnapshot) -> bool {
+        self.holds_snapshot(s)
     }
 }
 
-/// Every row of one whole-range evaluation (one workspace reused by all
-/// starts) equals the reference; the per-start entry point agrees; the
-/// pieces of a random row partition stay in their rows and union to the
-/// full evaluation; and the Boolean projection of each piece is its
-/// non-emptiness.
-fn check(a: &impl PerStart, g: &DataGraph, cuts: &[usize]) {
+/// Every row of one whole evaluation (one workspace reused by all starts)
+/// equals the reference; the per-start entry point agrees; and the
+/// Boolean projection, which stops at the first answer, is the
+/// evaluation's non-emptiness.
+fn check(a: &impl PerStart, g: &DataGraph) {
     let s = g.snapshot();
-    let n = s.n();
-    let all = a.rows(&s, 0..n);
-    for u in 0..n {
+    let all = a.full(&s);
+    for u in 0..s.n() {
         let want = a.reference(&s, s.id_at(u as u32));
         let row: Vec<NodeId> = all.row_iter(u).map(|v| s.id_at(v as u32)).collect();
         assert_eq!(row, want, "row {u}");
         assert_eq!(a.per_start(&s, s.id_at(u as u32)), want, "start {u}");
     }
-    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
-    bounds.extend([0, n]);
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mut union: Vec<(usize, usize)> = Vec::new();
-    for w in bounds.windows(2) {
-        let piece = a.rows(&s, w[0]..w[1]);
-        assert!(piece.iter_pairs().all(|(i, _)| (w[0]..w[1]).contains(&i)));
-        assert_eq!(a.holds(&s, w[0]..w[1]), !piece.is_empty(), "rows {w:?}");
-        union.extend(piece.iter_pairs());
-    }
-    union.sort_unstable();
-    let full: Vec<(usize, usize)> = a.full(&s).iter_pairs().collect();
-    assert_eq!(union, full);
-    assert_eq!(all.iter_pairs().collect::<Vec<_>>(), full);
-    assert_eq!(a.holds(&s, 0..n), !full.is_empty());
-    // empty and out-of-range row ranges evaluate to nothing
-    assert!(a.rows(&s, n..n + 2).is_empty());
-    assert!(!a.holds(&s, n..n + 2));
+    assert_eq!(a.holds(&s), !all.is_empty());
 }
 
 proptest! {
@@ -217,10 +189,9 @@ proptest! {
     fn nfa_kernel_matches_per_start_reference(
         g in arb_graph(),
         e in arb_regex(),
-        cuts in prop::collection::vec(0usize..10, 0..4),
     ) {
         let nfa = Nfa::from_regex(&e);
-        check(&nfa, &g, &cuts);
+        check(&nfa, &g);
         // the adjacency-list entry point runs the same kernel
         let s = g.snapshot();
         for id in g.node_ids() {
@@ -236,9 +207,8 @@ proptest! {
     fn register_kernel_matches_per_start_reference(
         g in arb_graph(),
         ra in arb_ra(),
-        cuts in prop::collection::vec(0usize..10, 0..4),
     ) {
-        check(&ra, &g, &cuts);
+        check(&ra, &g);
         // pairs are the relation's pairs as ids, sorted
         let s = g.snapshot();
         let mut want: Vec<(NodeId, NodeId)> = Vec::new();
@@ -268,7 +238,7 @@ fn workspace_reuse_forgets_the_previous_start() {
     }
     let s = g.snapshot();
     let nfa = Nfa::from_regex(&Regex::Plus(Box::new(Regex::Atom(a))));
-    let rows = nfa.eval_rows_snapshot(&s, 0..4);
+    let rows = nfa.eval_snapshot(&s);
     for u in 0..4u32 {
         let want = nfa.reference_eval_from(&s, s.id_at(u));
         let row: Vec<NodeId> = rows
@@ -286,7 +256,7 @@ fn workspace_reuse_forgets_the_previous_start() {
         &[(1, 0, 2), (2, 0, 2)],
         0,
     );
-    let rows = ra.eval_rows_snapshot(&s, 0..4);
+    let rows = ra.eval_snapshot(&s);
     for u in 0..4u32 {
         let want = ra.reference_eval_from(&s, s.id_at(u));
         let row: Vec<NodeId> = rows

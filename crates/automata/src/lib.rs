@@ -80,20 +80,18 @@ impl ReachedRows {
     }
 }
 
-/// Per-start row evaluation shared by the NFA and register-automaton
-/// row-restricted entry points: `reach(u, hit)` runs the automaton's
-/// search from dense start row `u` on the caller's per-call workspace,
-/// recording the answer rows in `hit`, and the rows go straight into the
-/// relation (no node-id round trip). The start set is what restricts the
-/// work; the walk itself crosses row-range boundaries freely.
-pub(crate) fn eval_rows_by(
+/// Per-start evaluation shared by the NFA and the register automaton:
+/// `reach(u, hit)` runs the automaton's search from dense start row `u`
+/// on the caller's per-call workspace, recording the answer rows in
+/// `hit`, and the rows go straight into the relation (no node-id round
+/// trip).
+pub(crate) fn eval_by(
     n: usize,
-    rows: std::ops::Range<usize>,
     mut reach: impl FnMut(u32, &mut ReachedRows),
 ) -> gde_datagraph::Relation {
     let mut b = gde_datagraph::RelationBuilder::new(n);
     let mut hit = ReachedRows::new(n, usize::MAX);
-    for u in rows.start..rows.end.min(n) {
+    for u in 0..n {
         hit.clear();
         reach(u as u32, &mut hit);
         for &v in hit.rows() {
@@ -103,16 +101,12 @@ pub(crate) fn eval_rows_by(
     b.build()
 }
 
-/// Boolean projection of [`eval_rows_by`]: does any start row in `rows`
-/// reach an answer? Each search stops at its first answer row, and the
-/// scan stops at the first start that has one.
-pub(crate) fn holds_in_rows_by(
-    n: usize,
-    rows: std::ops::Range<usize>,
-    mut reach: impl FnMut(u32, &mut ReachedRows),
-) -> bool {
+/// Boolean projection of [`eval_by`]: does any start row reach an
+/// answer? Each search stops at its first answer row, and the scan stops
+/// at the first start that has one.
+pub(crate) fn holds_by(n: usize, mut reach: impl FnMut(u32, &mut ReachedRows)) -> bool {
     let mut hit = ReachedRows::new(n, 1);
-    (rows.start..rows.end.min(n)).any(|u| {
+    (0..n).any(|u| {
         reach(u as u32, &mut hit);
         !hit.rows().is_empty()
     })

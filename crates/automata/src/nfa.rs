@@ -629,32 +629,21 @@ impl Nfa {
         self.eval_snapshot(&g.snapshot())
     }
 
-    /// Full RPQ evaluation against a prebuilt snapshot: the row-restricted
-    /// evaluation over every row. Rows are collected through a
+    /// Full RPQ evaluation against a prebuilt snapshot: the product BFS
+    /// from every start row, all starts sharing one workspace. Rows are
+    /// collected through a
     /// [`RelationBuilder`](gde_datagraph::RelationBuilder), so large sparse
     /// answers get the CSR representation directly.
     pub fn eval_snapshot(&self, s: &GraphSnapshot) -> Relation {
-        self.eval_rows_snapshot(s, 0..s.n())
+        let mut space = ProductSpace::new(s.n(), self);
+        crate::eval_by(s.n(), |u, hit| self.search(s, &mut space, u, hit))
     }
 
-    /// Row-restricted RPQ evaluation: the rows of
-    /// [`Nfa::eval_snapshot`]'s relation whose *source* index lies in
-    /// `rows`. The product BFS runs only from the given start rows — it
-    /// still walks the whole graph, crossing stripe boundaries freely —
-    /// so a partition of `0..n` splits the full evaluation's work across
-    /// shards exactly, with no overlap and no merge conflicts. Every start
-    /// shares one workspace.
-    pub fn eval_rows_snapshot(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> Relation {
+    /// Does any start row reach an answer? Stops at the first answer of
+    /// the first matching start row — the Boolean serve's early exit.
+    pub fn holds_snapshot(&self, s: &GraphSnapshot) -> bool {
         let mut space = ProductSpace::new(s.n(), self);
-        crate::eval_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
-    }
-
-    /// Does any source row in `rows` reach an answer? Stops at the first
-    /// answer of the first matching start row — the Boolean projection
-    /// sharded serving OR-merges across stripes.
-    pub fn holds_in_rows(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> bool {
-        let mut space = ProductSpace::new(s.n(), self);
-        crate::holds_in_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
+        crate::holds_by(s.n(), |u, hit| self.search(s, &mut space, u, hit))
     }
 
     /// Full RPQ evaluation as `(NodeId, NodeId)` pairs, sorted.

@@ -499,27 +499,18 @@ impl RegisterAutomaton {
     }
 
     /// Full evaluation `e(G)` as a [`Relation`] over the snapshot's dense
-    /// node indices: the row-restricted evaluation over every row.
+    /// node indices: the per-start BFS from every row, all starts sharing
+    /// one workspace.
     pub fn eval_snapshot(&self, s: &GraphSnapshot) -> Relation {
-        self.eval_rows_snapshot(s, 0..s.n())
+        let mut space = ConfigSpace::new(self.n_regs);
+        crate::eval_by(s.n(), |u, hit| self.search(s, &mut space, u, hit))
     }
 
-    /// Row-restricted evaluation: the rows of the full answer relation
-    /// whose *source* index lies in `rows`, over dense snapshot indices.
-    /// The per-start BFS only launches from the given rows (configurations
-    /// still roam the whole graph), so a partition of `0..n` splits the
-    /// full evaluation's work across shards exactly. Every start shares one
-    /// workspace.
-    pub fn eval_rows_snapshot(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> Relation {
+    /// Does any start row reach an answer? Stops at the first answer of
+    /// the first matching start row.
+    pub fn holds_snapshot(&self, s: &GraphSnapshot) -> bool {
         let mut space = ConfigSpace::new(self.n_regs);
-        crate::eval_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
-    }
-
-    /// Does any source row in `rows` reach an answer? Stops at the first
-    /// answer of the first matching start row.
-    pub fn holds_in_rows(&self, s: &GraphSnapshot, rows: std::ops::Range<usize>) -> bool {
-        let mut space = ConfigSpace::new(self.n_regs);
-        crate::holds_in_rows_by(s.n(), rows, |u, hit| self.search(s, &mut space, u, hit))
+        crate::holds_by(s.n(), |u, hit| self.search(s, &mut space, u, hit))
     }
 
     /// Full evaluation `e(G)` as sorted `(NodeId, NodeId)` pairs. The graph

@@ -4,7 +4,7 @@
 //!
 //! Every request in the trace is *textually* fresh — a new memory-variable
 //! name per request — so a cache keyed on raw plan hashes can never reuse
-//! anything. Three serving strategies answer the same trace at K = 4:
+//! anything. Three serving strategies answer the same trace:
 //!
 //! * **cold** — canonicalisation off: every request pays query
 //!   compilation (Thompson construction, REE memo layout, plan analysis)
@@ -12,7 +12,7 @@
 //!   from-scratch evaluation. This is per-variant cold compile+serve.
 //! * **routed** — canonicalisation on, same ad-hoc requests: the service
 //!   collapses every request onto the family's one interned template and
-//!   serves through the shared `(skeleton, binding)` cache stripes.
+//!   serves through the shared `(skeleton, binding)` cache entries.
 //! * **bound** — the prepared-statement API: `register_template` once,
 //!   then `answer_bound` per request with the variant's binding vector.
 //!
@@ -42,7 +42,6 @@ fn bench(c: &mut Criterion) {
     let threads = par::max_threads();
     let physical_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let alpha = 1.1;
-    let k = if smoke { 2 } else { 4 };
     let sample_size = if smoke { 3 } else { 5 };
     let trace_len = if smoke { 24 } else { 64 };
     let cfg = ParamConfig {
@@ -54,7 +53,7 @@ fn bench(c: &mut Criterion) {
     let mut ta = ps.scenario.gsm.target_alphabet().clone();
     let trace = zipf_trace(cfg.variants, alpha, trace_len, 0x21F5);
     println!(
-        "param_plans: {} variants, {} nodes, {} edges, trace of {} (α={alpha}), k={k}, {} threads",
+        "param_plans: {} variants, {} nodes, {} edges, trace of {} (α={alpha}), {} threads",
         cfg.variants,
         ps.scenario.source.node_count(),
         ps.scenario.source.edge_count(),
@@ -105,7 +104,6 @@ fn bench(c: &mut Criterion) {
         let svc = MappingService::new();
         let id = svc.register(ps.scenario.gsm.clone(), ps.scenario.source.clone());
         svc.set_canonicalisation(canon);
-        svc.set_shard_count(id, k).expect("registered");
         svc.prepare(id, Semantics::nulls()).expect("prepares");
         (svc, id)
     };
@@ -147,61 +145,49 @@ fn bench(c: &mut Criterion) {
     group.sample_size(sample_size);
 
     let mut cold_pass = 0usize;
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("cold_k{k}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let qs = &cold_pool[cold_pass % cold_pool.len()];
-                cold_pass += 1;
-                for q in qs {
-                    black_box(
-                        svc_cold
-                            .answer(cold_id, &q.compile(), Semantics::nulls())
-                            .expect("cold serve"),
-                    );
-                }
-            })
-        },
-    );
+    group.bench_with_input(BenchmarkId::from_parameter("cold"), &(), |b, ()| {
+        b.iter(|| {
+            let qs = &cold_pool[cold_pass % cold_pool.len()];
+            cold_pass += 1;
+            for q in qs {
+                black_box(
+                    svc_cold
+                        .answer(cold_id, &q.compile(), Semantics::nulls())
+                        .expect("cold serve"),
+                );
+            }
+        })
+    });
 
     let routed_before = stats(&svc_routed, routed_id);
     let mut routed_pass = 0usize;
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("routed_k{k}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                let qs = &routed_pool[routed_pass % routed_pool.len()];
-                routed_pass += 1;
-                for q in qs {
-                    black_box(
-                        svc_routed
-                            .answer(routed_id, &q.compile(), Semantics::nulls())
-                            .expect("routed serve"),
-                    );
-                }
-            })
-        },
-    );
+    group.bench_with_input(BenchmarkId::from_parameter("routed"), &(), |b, ()| {
+        b.iter(|| {
+            let qs = &routed_pool[routed_pass % routed_pool.len()];
+            routed_pass += 1;
+            for q in qs {
+                black_box(
+                    svc_routed
+                        .answer(routed_id, &q.compile(), Semantics::nulls())
+                        .expect("routed serve"),
+                );
+            }
+        })
+    });
     let routed_after = stats(&svc_routed, routed_id);
 
     let bound_before = stats(&svc_bound, bound_id);
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("bound_k{k}")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                for &v in &trace {
-                    black_box(
-                        svc_bound
-                            .answer_bound(bound_id, tpl, &bindings[v], Semantics::nulls())
-                            .expect("bound serve"),
-                    );
-                }
-            })
-        },
-    );
+    group.bench_with_input(BenchmarkId::from_parameter("bound"), &(), |b, ()| {
+        b.iter(|| {
+            for &v in &trace {
+                black_box(
+                    svc_bound
+                        .answer_bound(bound_id, tpl, &bindings[v], Semantics::nulls())
+                        .expect("bound serve"),
+                );
+            }
+        })
+    });
     let bound_after = stats(&svc_bound, bound_id);
     group.finish();
 
@@ -214,15 +200,12 @@ fn bench(c: &mut Criterion) {
     let compile_skipped_ns = (routed_after.compile_skipped_ns - routed_before.compile_skipped_ns)
         + (bound_after.compile_skipped_ns - bound_before.compile_skipped_ns);
 
-    let ns = |name: &str| {
-        c.median_ns("param_plans", &format!("{name}_k{k}"))
-            .expect("measured")
-    };
+    let ns = |name: &str| c.median_ns("param_plans", name).expect("measured");
     let (cold_ns, routed_ns, bound_ns) = (ns("cold"), ns("routed"), ns("bound"));
     let speedup_bound = cold_ns as f64 / bound_ns.max(1) as f64;
     let speedup_routed = cold_ns as f64 / routed_ns.max(1) as f64;
     println!(
-        "trace of {trace_len} at k={k}: cold {:.3} ms, routed {:.3} ms ({speedup_routed:.2}x), \
+        "trace of {trace_len}: cold {:.3} ms, routed {:.3} ms ({speedup_routed:.2}x), \
          bound {:.3} ms ({speedup_bound:.2}x)",
         cold_ns as f64 / 1e6,
         routed_ns as f64 / 1e6,
@@ -256,7 +239,7 @@ fn bench(c: &mut Criterion) {
         "{{\n  \"bench\": \"param_plans\",\n  \"workload\": \"param_family_scenario\",\n  \
          \"smoke\": false,\n  \"variants\": {},\n  \"source_nodes\": {},\n  \
          \"source_edges\": {},\n  \"zipf_alpha\": {alpha},\n  \"trace_len\": {trace_len},\n  \
-         \"k\": {k},\n  \"threads\": {threads},\n  \"physical_cpus\": {physical_cpus},\n  \
+         \"threads\": {threads},\n  \"physical_cpus\": {physical_cpus},\n  \
          \"cold_trace_ns\": {cold_ns},\n  \"routed_trace_ns\": {routed_ns},\n  \
          \"bound_trace_ns\": {bound_ns},\n  \
          \"speedup_bound_over_cold\": {speedup_bound:.2},\n  \

@@ -85,7 +85,6 @@ fn serve_warm(sv: &ServingScenario, queries: &[(String, String)], workers: usize
         ("name", Json::str("social")),
         ("source", graph_to_json(&sv.scenario.source)),
         ("rules", Json::Arr(rules)),
-        ("shards", Json::str("auto")),
     ]);
     let r = c.post("/tenants/load/mappings", &body).expect("post");
     assert_eq!(r.status, 201, "{}", String::from_utf8_lossy(&r.raw_body));

@@ -1,7 +1,8 @@
-//! Sharded serving bench: one prepared mapping served at shard counts
-//! K ∈ {1, 2, 4, 8}, measuring steady-state **batch throughput** of
-//! `MappingService::answer_batch` on the ~20k-node social workload
-//! (`sharded_serving_scenario`).
+//! Batch serving bench: one prepared mapping on the ~20k-node social
+//! workload (`sharded_serving_scenario`), measuring
+//! `MappingService::answer_batch` warm and cold across a **thread sweep**
+//! (`GDE_MAX_THREADS` ∈ {1, 2, 4, 8}, runtime-forced via
+//! `par::set_max_threads`).
 //!
 //! The measured batch is a serving mix: the selective data-test queries
 //! are answered in **tuple** mode (their results are what a caller
@@ -10,71 +11,49 @@
 //! the classic cheap probe in front of an expensive report. Both modes
 //! are also measured separately and all three series land in the JSON.
 //!
-//! Where the K-speedup comes from:
+//! * **Warm** batches read each query's whole answer or verdict back
+//!   from the sub-relation cache: one lookup per query on the calling
+//!   thread, no worker spawned, so the warm series should be flat across
+//!   the sweep. A repeated batch must hit once per query and miss
+//!   nothing, which the bench asserts (in smoke mode too).
+//! * **Cold** batches run on a freshly prepared solution, so every query
+//!   misses and is evaluated as one task on the `par` workers: this is
+//!   where the thread count can pay. Each cold cell is the median of a
+//!   few single timed batches, each on its own fresh service, with the
+//!   preparation outside the timing.
 //!
-//! * **Boolean mode** stops at the first witness inside a stripe at
-//!   every K, one stripe included: per-start classes (RPQ, REM) at the
-//!   first satisfying start row, and this batch's REEs, all rooted in an
-//!   `=`/`≠` test, at the first row with a passing pair. The stripes
-//!   OR-merge with a short-circuit — a satisfied flag stops remaining
-//!   stripes from starting — so K buys these Booleans parallelism only,
-//!   and on one thread the Boolean batch is flat across K.
-//! * **Tuple mode** splits every query into `(query, stripe)` tasks the
-//!   dynamic scheduler spreads over `par` workers, and steady-state
-//!   serving reads each stripe's answer back from the sub-relation
-//!   cache as the sorted, dom-filtered run it served: the timed
-//!   iterations measure warm-cache serving (read the cached runs and lay
-//!   them end to end), which is the production access pattern of a
-//!   long-lived service. K=1 is a one-stripe plan that reads and fills
-//!   the same cache, so the tuple K-speedup is the fan-out alone, with
-//!   hit rates recorded alongside to show every K serves warm; a repeated
-//!   batch must hit on every `(query, stripe)`, which the bench asserts
-//!   (in smoke mode too).
+//! Answers are asserted byte-identical before anything is measured: a
+//! cold batch at every swept thread count against single `answer` calls,
+//! in both modes and on the merge-bound batch.
 //!
-//! Answers are asserted byte-identical across every K, in both modes,
-//! before anything is measured.
-//!
-//! A **thread sweep** re-times the tuple and Boolean batches at
-//! GDE_MAX_THREADS ∈ {1, 2, 4, 8} × K (runtime-forced via
-//! `par::set_max_threads`), with per-cell cache hit/miss deltas from
-//! `ServingStats` — the scheduler had only ever been measured on however
-//! many cores the bench host happened to have. `physical_cpus` lands in
-//! the JSON so a 1-CPU container's sweep is read for what it is
-//! (scheduling overhead, not parallel speedup).
-//!
-//! Each K also records `prepared_bytes`, the prepared solution's
-//! `approx_bytes()` right after `prepare`. A stripe is a row range of the
-//! one snapshot, not a copy, so the figure is the same at every K; the
-//! bench asserts that (in smoke mode too), so a stripe that starts
-//! copying the snapshot again fails it.
+//! The bench also records `prepared_bytes`, the prepared solution's
+//! `approx_bytes()` right after `prepare`. `physical_cpus` lands in the
+//! JSON so a small host's sweep is read for what it is (scheduling
+//! overhead, not parallel speedup).
 //!
 //! Emits `BENCH_sharded.json` at the workspace root as a machine-readable
 //! perf baseline (full mode only). `SHARDED_SERVING_SMOKE=1` (CI) shrinks
-//! the graph, runs K ∈ {1, 2}, forces 2 threads unless GDE_MAX_THREADS
-//! is set (the CI matrix leg sets 4), and writes nothing.
+//! the graph, sweeps threads ∈ {1, 2}, and writes nothing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gde_core::{Gsm, MappingId, MappingService, Semantics};
+use gde_core::{Answer, Gsm, MappingId, MappingService, Semantics, ServeError};
 use gde_datagraph::{par, DataGraph};
 use gde_dataquery::CompiledQuery;
 use gde_workload::{merge_bound_queries, sharded_serving_scenario, SHARDED_BOOLEAN_QUERIES};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn smoke() -> bool {
     std::env::var("SHARDED_SERVING_SMOKE").is_ok()
 }
 
+type Batch = Vec<Result<Answer, ServeError>>;
+
 fn bench(c: &mut Criterion) {
     let smoke = smoke();
-    if smoke && std::env::var("GDE_MAX_THREADS").is_err() {
-        // the sharded scheduler must run even on single-core CI runners —
-        // but an explicit GDE_MAX_THREADS (the CI thread-matrix leg) wins
-        par::set_max_threads(2);
-    }
     let threads = par::max_threads();
     let physical_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scale = if smoke { 1600 } else { 20480 };
-    let ks: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4, 8] };
     let sv = sharded_serving_scenario(scale, 0x5AD5);
     let queries: Vec<CompiledQuery> = sv.queries.iter().map(|(_, q)| q.compile()).collect();
     let boolean: Vec<CompiledQuery> = sv
@@ -107,31 +86,22 @@ fn bench(c: &mut Criterion) {
         threads,
     );
 
-    // one service per K, prepared outside the measured path: the bench is
-    // steady-state serving, not preparation
-    let mut prepared_bytes: Vec<usize> = Vec::with_capacity(ks.len());
-    let services: Vec<(usize, MappingService, MappingId)> = ks
-        .iter()
-        .map(|&k| {
-            let svc = MappingService::new();
-            let id = svc.register(gsm.clone(), source.clone());
-            svc.set_shard_count(id, k).expect("registered");
-            svc.prepare(id, Semantics::nulls()).expect("prepares");
-            let prep = svc.solution(id, Semantics::nulls()).expect("prepared");
-            prepared_bytes.push(prep.approx_bytes());
-            (k, svc, id)
-        })
-        .collect();
-    for (&k, &bytes) in ks.iter().zip(&prepared_bytes) {
-        println!("k={k}: {bytes} prepared bytes");
-    }
-    assert!(
-        prepared_bytes.iter().all(|&b| b == prepared_bytes[0]),
-        "a stripe must not copy the snapshot: prepared bytes per K {prepared_bytes:?}"
-    );
+    // a freshly prepared service: preparation stays outside every timing
+    let fresh = || -> (MappingService, MappingId) {
+        let svc = MappingService::new();
+        let id = svc.register(gsm.clone(), source.clone());
+        svc.prepare(id, Semantics::nulls()).expect("prepares");
+        (svc, id)
+    };
+    let (svc, id) = fresh();
+    let prepared_bytes = svc
+        .solution(id, Semantics::nulls())
+        .expect("prepared")
+        .approx_bytes();
+    println!("{prepared_bytes} prepared bytes");
 
     // the merge-bound batch: high-cardinality tuple queries where
-    // assembling and copying the answer, not the evaluation, is the
+    // building and copying the answer, not the evaluation, is the
     // interesting cost
     let mut mta = gsm.target_alphabet().clone();
     let mb_queries: Vec<CompiledQuery> = merge_bound_queries(&mut mta)
@@ -139,90 +109,70 @@ fn bench(c: &mut Criterion) {
         .map(|(_, q)| q.compile())
         .collect();
 
-    // sanity: every K serves byte-identical answers in both modes, on the
-    // merge-bound batch too
-    let tuple_ref = services[0]
-        .1
-        .answer_batch(services[0].2, &queries, Semantics::nulls());
-    let bool_ref = services[0]
-        .1
-        .answer_batch(services[0].2, &queries, Semantics::nulls_boolean());
-    let mb_ref = services[0]
-        .1
-        .answer_batch(services[0].2, &mb_queries, Semantics::nulls());
-    for (k, svc, id) in &services[1..] {
-        assert_eq!(
-            svc.answer_batch(*id, &queries, Semantics::nulls()),
-            tuple_ref,
-            "tuple answers must match at k={k}"
-        );
-        assert_eq!(
-            svc.answer_batch(*id, &queries, Semantics::nulls_boolean()),
-            bool_ref,
-            "boolean answers must match at k={k}"
-        );
-        assert_eq!(
-            svc.answer_batch(*id, &mb_queries, Semantics::nulls()),
-            mb_ref,
-            "merge-bound answers must match at k={k}"
-        );
+    // sanity: a cold batch at every swept thread count serves what single
+    // answers serve, in both modes and on the merge-bound batch
+    let sweep_threads: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4, 8] };
+    let singles = |qs: &[CompiledQuery], sem: Semantics| -> Batch {
+        let (svc, id) = fresh();
+        qs.iter().map(|q| svc.answer(id, q, sem)).collect()
+    };
+    let checks = [
+        (&queries, Semantics::nulls(), "tuple"),
+        (&queries, Semantics::nulls_boolean(), "boolean"),
+        (&mb_queries, Semantics::nulls(), "merge-bound"),
+    ];
+    let references: Vec<Batch> = checks
+        .iter()
+        .map(|&(qs, sem, _)| singles(qs, sem))
+        .collect();
+    for &t in &sweep_threads {
+        par::set_max_threads(t);
+        for ((qs, sem, name), want) in checks.iter().zip(&references) {
+            let (svc, id) = fresh();
+            assert_eq!(
+                &svc.answer_batch(id, qs, *sem),
+                want,
+                "{name} batch at {t} threads"
+            );
+        }
     }
-
-    let mb_pairs_total: usize = mb_ref
+    par::set_max_threads(0); // restore the GDE_MAX_THREADS / auto default
+    let mb_pairs_total: usize = references[2]
         .iter()
         .map(|a| a.clone().expect("merge-bound answers").into_pairs().len())
         .sum();
 
+    // warm the measured service, then time steady-state batches
+    for (qs, sem, _) in checks {
+        svc.answer_batch(id, qs, sem);
+    }
     let mut group = c.benchmark_group("sharded_serving");
     group.sample_size(if smoke { 3 } else { 5 });
-    for (k, svc, id) in &services {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("merge_bound_k{k}")),
-            &(),
-            |b, ()| b.iter(|| svc.answer_batch(*id, &mb_queries, Semantics::nulls())),
-        );
-    }
-    for (k, svc, id) in &services {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("mixed_k{k}")),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    let t = svc.answer_batch(*id, &tuple, Semantics::nulls());
-                    let e = svc.answer_batch(*id, &boolean, Semantics::nulls_boolean());
-                    (t, e)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("tuple_k{k}")),
-            &(),
-            |b, ()| b.iter(|| svc.answer_batch(*id, &queries, Semantics::nulls())),
-        );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("boolean_k{k}")),
-            &(),
-            |b, ()| b.iter(|| svc.answer_batch(*id, &queries, Semantics::nulls_boolean())),
-        );
-    }
+    group.bench_with_input(BenchmarkId::from_parameter("merge_bound"), &(), |b, ()| {
+        b.iter(|| svc.answer_batch(id, &mb_queries, Semantics::nulls()))
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("mixed"), &(), |b, ()| {
+        b.iter(|| {
+            let t = svc.answer_batch(id, &tuple, Semantics::nulls());
+            let e = svc.answer_batch(id, &boolean, Semantics::nulls_boolean());
+            (t, e)
+        })
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("tuple"), &(), |b, ()| {
+        b.iter(|| svc.answer_batch(id, &queries, Semantics::nulls()))
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("boolean"), &(), |b, ()| {
+        b.iter(|| svc.answer_batch(id, &queries, Semantics::nulls_boolean()))
+    });
     group.finish();
 
-    // repeated-batch cache effectiveness, on a *fresh* K=4 (K=2 in
-    // smoke) service so the measured hit rate is the second batch's
-    // alone, not an artifact of the warmed bench services above
-    let fresh_k = if smoke { 2 } else { 4 };
-    let fresh = MappingService::new();
-    let fresh_id = fresh.register(gsm.clone(), source.clone());
-    fresh
-        .set_shard_count(fresh_id, fresh_k)
-        .expect("registered");
-    fresh
-        .prepare(fresh_id, Semantics::nulls())
-        .expect("prepares");
-    let cold = fresh.answer_batch(fresh_id, &queries, Semantics::nulls());
-    let before = fresh.serving_stats(fresh_id).expect("registered");
-    let warm = fresh.answer_batch(fresh_id, &queries, Semantics::nulls());
-    let after = fresh.serving_stats(fresh_id).expect("registered");
+    // repeated-batch cache effectiveness, on a *fresh* service so the
+    // measured hit rate is the second batch's alone
+    let (once, once_id) = fresh();
+    let cold = once.answer_batch(once_id, &queries, Semantics::nulls());
+    let before = once.serving_stats(once_id).expect("registered");
+    let warm = once.answer_batch(once_id, &queries, Semantics::nulls());
+    let after = once.serving_stats(once_id).expect("registered");
     assert_eq!(cold, warm, "cached batch must serve identical answers");
     let warm_hits = after.cache_hits - before.cache_hits;
     let warm_misses = after.cache_misses - before.cache_misses;
@@ -233,131 +183,114 @@ fn bench(c: &mut Criterion) {
          {warm_hits} hits / {warm_misses} misses"
     );
     println!(
-        "repeated batch at k={fresh_k}: {warm_hits} hits / {warm_misses} misses \
-         ({:.0}% hit rate), {} cache bytes, memo share {:.2}",
+        "repeated batch: {warm_hits} hits / {warm_misses} misses ({:.0}% hit rate), \
+         {} cache bytes, memo share {:.2}",
         repeated_hit_rate * 100.0,
         after.cache_bytes,
         after.memo_share(),
     );
 
-    // the thread sweep: tuple + boolean batches at every (threads, K),
-    // warm-cache steady state, with per-cell cache-counter deltas
-    let sweep_threads: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4, 8] };
-    let mut sweep_cells: Vec<(usize, usize, u64, u64)> = Vec::new();
+    // the thread sweep: warm batches through criterion, then one more
+    // warm tuple batch whose cache-counter delta must be one hit per
+    // query; cold batches as the median of single timed batches on fresh
+    // services
+    let cold_reps = if smoke { 1 } else { 3 };
+    let cold_ns = |sem: Semantics| -> u64 {
+        let mut times: Vec<u64> = (0..cold_reps)
+            .map(|_| {
+                let (svc, id) = fresh();
+                let started = Instant::now();
+                svc.answer_batch(id, &queries, sem);
+                started.elapsed().as_nanos() as u64
+            })
+            .collect();
+        times.sort_unstable();
+        times[times.len() / 2]
+    };
+    let mut sweep_cells: Vec<(usize, u64, u64, u64, u64)> = Vec::new();
     let mut sweep = c.benchmark_group("sharded_sweep");
     sweep.sample_size(3);
     for &t in &sweep_threads {
         par::set_max_threads(t);
-        for (k, svc, id) in &services {
-            let before = svc.serving_stats(*id).expect("registered");
-            sweep.bench_with_input(
-                BenchmarkId::from_parameter(format!("tuple_t{t}_k{k}")),
-                &(),
-                |b, ()| b.iter(|| svc.answer_batch(*id, &queries, Semantics::nulls())),
-            );
-            sweep.bench_with_input(
-                BenchmarkId::from_parameter(format!("boolean_t{t}_k{k}")),
-                &(),
-                |b, ()| b.iter(|| svc.answer_batch(*id, &queries, Semantics::nulls_boolean())),
-            );
-            let s = svc.serving_stats(*id).expect("registered");
-            sweep_cells.push((
-                t,
-                *k,
-                s.cache_hits - before.cache_hits,
-                s.cache_misses - before.cache_misses,
-            ));
-        }
+        sweep.bench_with_input(
+            BenchmarkId::from_parameter(format!("tuple_t{t}")),
+            &(),
+            |b, ()| b.iter(|| svc.answer_batch(id, &queries, Semantics::nulls())),
+        );
+        sweep.bench_with_input(
+            BenchmarkId::from_parameter(format!("boolean_t{t}")),
+            &(),
+            |b, ()| b.iter(|| svc.answer_batch(id, &queries, Semantics::nulls_boolean())),
+        );
+        let before = svc.serving_stats(id).expect("registered");
+        svc.answer_batch(id, &queries, Semantics::nulls());
+        let s = svc.serving_stats(id).expect("registered");
+        let (hits, misses) = (
+            s.cache_hits - before.cache_hits,
+            s.cache_misses - before.cache_misses,
+        );
+        assert_eq!(
+            (hits, misses),
+            (queries.len() as u64, 0),
+            "a warm batch at {t} threads is one hit per query"
+        );
+        sweep_cells.push((
+            t,
+            cold_ns(Semantics::nulls()),
+            cold_ns(Semantics::nulls_boolean()),
+            hits,
+            misses,
+        ));
     }
-    par::set_max_threads(0); // restore the GDE_MAX_THREADS / auto default
+    par::set_max_threads(0);
     sweep.finish();
 
-    let series = |name: &str| -> Vec<(usize, u64)> {
-        ks.iter()
-            .map(|&k| {
-                (
-                    k,
-                    c.median_ns("sharded_serving", &format!("{name}_k{k}"))
-                        .expect("measured"),
-                )
-            })
-            .collect()
-    };
-    let mixed = series("mixed");
-    let tuples = series("tuple");
-    let booleans = series("boolean");
-    let merge_bound = series("merge_bound");
-    println!(
-        "merge-bound batch: {} queries, {} answer pairs",
-        mb_queries.len(),
-        mb_pairs_total,
+    let warm_ns = |name: &str| c.median_ns("sharded_serving", name).expect("measured");
+    let (mixed, tuples, booleans, merge_bound) = (
+        warm_ns("mixed"),
+        warm_ns("tuple"),
+        warm_ns("boolean"),
+        warm_ns("merge_bound"),
     );
-    let speedup_at = |s: &[(usize, u64)], k: usize| -> f64 {
-        let t1 = s[0].1;
-        s.iter()
-            .find(|&&(kk, _)| kk == k)
-            .map(|&(_, ns)| t1 as f64 / ns.max(1) as f64)
-            .unwrap_or(1.0)
-    };
-    for &(k, ns) in &mixed {
-        println!(
-            "k={k}: mixed batch {:.3} ms ({:.2}x over k=1), tuple {:.3} ms, boolean {:.3} ms",
-            ns as f64 / 1e6,
-            speedup_at(&mixed, k),
-            tuples.iter().find(|&&(kk, _)| kk == k).unwrap().1 as f64 / 1e6,
-            booleans.iter().find(|&&(kk, _)| kk == k).unwrap().1 as f64 / 1e6,
-        );
-    }
-
+    println!(
+        "warm batches: mixed {:.3} ms, tuple {:.3} ms, boolean {:.3} ms, \
+         merge-bound {:.3} ms ({} queries, {mb_pairs_total} answer pairs)",
+        mixed as f64 / 1e6,
+        tuples as f64 / 1e6,
+        booleans as f64 / 1e6,
+        merge_bound as f64 / 1e6,
+        mb_queries.len(),
+    );
     // sweep summary (printed in smoke too; JSON is full-mode only)
-    let sweep_ns = |name: &str, t: usize, k: usize| -> u64 {
-        c.median_ns("sharded_sweep", &format!("{name}_t{t}_k{k}"))
+    let sweep_ns = |name: &str, t: usize| -> u64 {
+        c.median_ns("sharded_sweep", &format!("{name}_t{t}"))
             .expect("swept")
     };
-    for &(t, k, hits, misses) in &sweep_cells {
+    for &(t, cold_tuple, cold_bool, hits, misses) in &sweep_cells {
         println!(
-            "threads={t} k={k}: tuple {:.3} ms, boolean {:.3} ms, cache {hits} hits / {misses} misses",
-            sweep_ns("tuple", t, k) as f64 / 1e6,
-            sweep_ns("boolean", t, k) as f64 / 1e6,
+            "threads={t}: warm tuple {:.3} ms, warm boolean {:.3} ms, cache {hits} hits / \
+             {misses} misses; cold tuple {:.3} ms, cold boolean {:.3} ms",
+            sweep_ns("tuple", t) as f64 / 1e6,
+            sweep_ns("boolean", t) as f64 / 1e6,
+            cold_tuple as f64 / 1e6,
+            cold_bool as f64 / 1e6,
         );
     }
-    let sweep_speedup = |t: usize| -> f64 {
-        let k1 = sweep_ns("tuple", t, ks[0]);
-        let k4 = sweep_ns("tuple", t, if smoke { 2 } else { 4 });
-        k1 as f64 / k4.max(1) as f64
-    };
-    let t_hi = *sweep_threads.last().expect("nonempty sweep");
-    println!(
-        "tuple k{}-over-k1 speedup: {:.2}x at {} threads (physical cpus: {physical_cpus})",
-        if smoke { 2 } else { 4 },
-        sweep_speedup(t_hi),
-        t_hi,
-    );
+    println!("physical cpus: {physical_cpus}");
 
     if smoke {
         return;
     }
-    let per_k: Vec<String> = ks
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| {
-            format!(
-                "    {{ \"k\": {k}, \"prepared_bytes\": {}, \"mixed_batch_ns\": {}, \
-                 \"tuple_batch_ns\": {}, \"boolean_batch_ns\": {}, \
-                 \"merge_bound_batch_ns\": {} }}",
-                prepared_bytes[i], mixed[i].1, tuples[i].1, booleans[i].1, merge_bound[i].1
-            )
-        })
-        .collect();
     let sweep_json: Vec<String> = sweep_cells
         .iter()
-        .map(|&(t, k, hits, misses)| {
+        .map(|&(t, cold_tuple, cold_bool, hits, misses)| {
             format!(
-                "    {{ \"threads\": {t}, \"k\": {k}, \"tuple_batch_ns\": {}, \
-                 \"boolean_batch_ns\": {}, \"cache_hits\": {hits}, \"cache_misses\": {misses}, \
+                "    {{ \"threads\": {t}, \"tuple_batch_ns\": {}, \"boolean_batch_ns\": {}, \
+                 \"cold_tuple_batch_ns\": {cold_tuple}, \"cold_boolean_batch_ns\": {cold_bool}, \
+                 \"cache_hits\": {hits}, \"cache_misses\": {misses}, \
                  \"cache_hit_rate\": {:.2} }}",
-                sweep_ns("tuple", t, k),
-                sweep_ns("boolean", t, k),
+                sweep_ns("tuple", t),
+                sweep_ns("boolean", t),
                 hits as f64 / (hits + misses).max(1) as f64,
             )
         })
@@ -367,34 +300,25 @@ fn bench(c: &mut Criterion) {
          \"smoke\": false,\n  \"scale\": {},\n  \"source_nodes\": {},\n  \"source_edges\": {},\n  \
          \"solution_nodes\": {},\n  \"queries\": {},\n  \"boolean_queries\": {},\n  \
          \"threads\": {},\n  \"physical_cpus\": {physical_cpus},\n  \
-         \"per_k\": [\n{}\n  ],\n  \
-         \"speedup_k4_over_k1\": {:.2},\n  \"tuple_speedup_k4_over_k1\": {:.2},\n  \
-         \"boolean_speedup_k4_over_k1\": {:.2},\n  \
-         \"tuple_speedup_k4_over_k1_at_4_threads\": {:.2},\n  \
+         \"prepared_bytes\": {prepared_bytes},\n  \"mixed_batch_ns\": {mixed},\n  \
+         \"tuple_batch_ns\": {tuples},\n  \"boolean_batch_ns\": {booleans},\n  \
+         \"merge_bound_batch_ns\": {merge_bound},\n  \
          \"repeated_batch_cache_hit_rate\": {repeated_hit_rate:.2},\n  \
          \"thread_sweep\": [\n{}\n  ],\n  \"merge_bound\": {{\n    \
          \"workload\": \"merge_bound_queries\",\n    \"queries\": {},\n    \
-         \"answer_pairs\": {}\n  }}\n}}\n",
+         \"answer_pairs\": {mb_pairs_total}\n  }}\n}}\n",
         scale,
         source.node_count(),
         source.edge_count(),
-        services[0]
-            .1
-            .solution(services[0].2, Semantics::nulls())
+        svc.solution(id, Semantics::nulls())
             .expect("prepared")
             .snapshot()
             .n(),
         queries.len(),
         boolean.len(),
         threads,
-        per_k.join(",\n"),
-        speedup_at(&mixed, 4),
-        speedup_at(&tuples, 4),
-        speedup_at(&booleans, 4),
-        sweep_speedup(4),
         sweep_json.join(",\n"),
         mb_queries.len(),
-        mb_pairs_total,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded.json");
     std::fs::write(path, json).expect("write BENCH_sharded.json");

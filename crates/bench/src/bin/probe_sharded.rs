@@ -1,12 +1,12 @@
-//! Per-query timing probe for the sharded serving workload (dev tool).
-//! `cargo run --release -p gde-bench --bin probe_sharded [scale] [k]`
+//! Per-query timing probe for the `sharded_serving_scenario` workload
+//! (dev tool). `cargo run --release -p gde-bench --bin probe_sharded [scale]`
 //!
 //! Every measured call also prints the `ServingStats` **delta** it
-//! produced — stripe-eval vs memo/cache-build vs merge nanoseconds, and
-//! sub-relation cache hits/misses — so a flat tuple speedup is
-//! diagnosable from one run: a high memo share means the serial phase-1
-//! prefix dominates, a low hit rate on a repeated batch means the cache
-//! is being invalidated (or the queries aren't structurally stable).
+//! produced — eval vs memo/cache-build vs answer-building nanoseconds,
+//! and sub-relation cache hits/misses — so a slow first serve is
+//! diagnosable from one run: a high memo share means phase 1 dominates,
+//! a low hit rate on a repeated batch means the cache is being
+//! invalidated (or the queries aren't structurally stable).
 
 use gde_core::{MappingService, Semantics, ServingStats};
 use gde_dataquery::CompiledQuery;
@@ -51,9 +51,10 @@ fn phases(before: &ServingStats, after: &ServingStats) -> String {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(20480);
-    let k: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let scale: usize = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20480);
     let t0 = Instant::now();
     let sv = sharded_serving_scenario(scale, 0x5AD5);
     let queries: Vec<(String, CompiledQuery)> = sv
@@ -66,7 +67,6 @@ fn main() {
     // label the stats so aggregated reports (and this probe's output) say
     // which tenant namespace the counters belong to
     svc.set_tenant_label(id, "probe").unwrap();
-    svc.set_shard_count(id, k).unwrap();
     // register the workload so the analyzer can prune dead/subsumed rules
     // before the build
     let all: Vec<CompiledQuery> = queries.iter().map(|(_, q)| q.clone()).collect();

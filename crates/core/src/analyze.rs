@@ -207,7 +207,7 @@ pub struct QueryVerdict {
     /// The query's certain answer is empty on every source graph (labels
     /// disjoint from [`MappingFacts::produced`], not nullable, and the
     /// mapping is always solvable). The engine serves these without
-    /// touching a single stripe.
+    /// touching a prepared solution.
     pub statically_empty: bool,
     /// Cardinality prior from snapshot label densities; `None` when no
     /// snapshot was supplied.

@@ -33,23 +33,19 @@
 //!   the statically-empty verdict), the admitted queries are evaluated
 //!   inside one panic → quarantine → retry-once loop. Each query's whole
 //!   answer (or Boolean verdict) is looked up in the solution's cache on
-//!   the calling thread first, and only the misses reach the one
-//!   `(query, stripe)` scheduler; the exact enumeration enters the same
-//!   door and loop, is never cached, and runs as one task per query.
-//! * **shard** — every prepared solution splits evaluation into
-//!   node-range stripes under an out-degree-balanced [`ShardPlan`]. A
-//!   stripe is a row range of the solution's one snapshot, not a copy:
-//!   preparing at any K builds nothing per stripe, and a mapping without
-//!   sharding is a one-stripe plan that caches like any other K.
-//!   [`MappingService::set_shard_count`] takes a fixed count or
-//!   [`ShardSpec::Auto`], which picks K from the graph size, the thread
-//!   budget, and the observed [`ServingStats`]. A missed tuple answer
-//!   evaluates per stripe on [`gde_datagraph::par`] workers into sorted
-//!   runs; the runs are disjoint and ascend with the stripes, so the
-//!   answer is their concatenation, which the solution's sub-relation
-//!   cache keeps whole for repeat serves. A missed Boolean ORs across
-//!   stripes with a short-circuit, and its verdict is kept the same way.
-//!   Answers are byte-identical at every K, `Auto` included.
+//!   the calling thread first, and only the misses are evaluated.
+//! * **evaluate a miss** — a missed query is one task on a
+//!   [`gde_datagraph::par`] worker, and a batch's misses run one task per
+//!   query. The task builds the query's phase-1 state (REE closures and
+//!   tail factors, a conjunctive query's full answer) through the
+//!   solution's sub-relation cache, so artifacts the batch's queries share
+//!   are computed once, then evaluates on the whole snapshot. A tuple
+//!   answer is the dom rows' pairs, which come out sorted because the
+//!   snapshot's dom rows ascend by id; a Boolean stops at its first
+//!   witness where the query shape allows it. The cache keeps the whole
+//!   answer (or verdict) for repeat serves. The exact enumeration enters
+//!   the same door and loop, is never cached, and runs as one task per
+//!   query too.
 //! * **apply_delta** — [`MappingService::apply_delta`] mutates the owned
 //!   source graph (copy-on-write behind the shared `Arc`) and bumps the
 //!   mapping's generation stamp. A delta whose net effect no rule can see
@@ -78,7 +74,7 @@ use crate::solution::{
 };
 use gde_datagraph::{
     par, DataGraph, FxHashMap, FxHashSet, GraphDelta, GraphError, GraphSnapshot, Label, NodeId,
-    ShardPlan, WorkerPanic,
+    WorkerPanic,
 };
 use gde_dataquery::{
     canonicalize, AnswerRun, BindError, ByteLedger, CacheHandle, CompiledQuery, EvalControl,
@@ -228,50 +224,18 @@ impl Semantics {
     }
 }
 
-/// How many node-range stripes a mapping serves from — the argument of
-/// [`MappingService::set_shard_count`]. A plain `usize` converts into
-/// [`ShardSpec::Fixed`], so existing `set_shard_count(id, 4)` call sites
-/// keep working; [`ShardSpec::Auto`] lets the engine pick K itself.
+/// The argument of [`MappingService::set_shard_count`], which is
+/// accepted and ignored: every query evaluates as one task over the whole
+/// snapshot. The type, its `From<usize>`, `set_shard_count` and
+/// [`MappingService::shard_count`] are kept only for callers that still
+/// send a stripe count (the serving benchmark and wire clients' `shards`
+/// field); they go once none does.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShardSpec {
-    /// Exactly this many stripes (`0` and `1` both mean one stripe: the
-    /// unsharded plan; counts above 64 are clamped to 64).
+    /// A stripe count (ignored).
     Fixed(usize),
-    /// Let the engine choose K per mapping, from the source-graph size,
-    /// the worker-thread budget ([`par::max_threads`] /
-    /// `GDE_MAX_THREADS`), and the observed serving statistics
-    /// ([`MappingService::serving_stats`]): small graphs stay unsharded
-    /// and heavy evaluations oversubscribe stripes so the dynamic
-    /// scheduler can balance them. The pick is re-resolved on
-    /// every (re)preparation, so it tracks the workload as stats accrue.
+    /// An engine-picked stripe count (ignored).
     Auto,
-}
-
-/// The `entry.shards` encoding of [`ShardSpec::Auto`] (a fixed stripe
-/// count this large is not meaningful — plans cap far below it).
-const AUTO_SHARDS: usize = usize::MAX;
-
-/// The most stripes a mapping serves from, fixed or picked by
-/// [`ShardSpec::Auto`]. Every stripe costs a task and a run per query on
-/// every cache miss, and a fixed count arrives unchecked from the wire,
-/// so a larger request is clamped to this.
-const MAX_SHARDS: usize = 64;
-
-impl ShardSpec {
-    fn encode(self) -> usize {
-        match self {
-            ShardSpec::Fixed(k) => k.clamp(1, MAX_SHARDS),
-            ShardSpec::Auto => AUTO_SHARDS,
-        }
-    }
-
-    fn decode(raw: usize) -> ShardSpec {
-        if raw == AUTO_SHARDS {
-            ShardSpec::Auto
-        } else {
-            ShardSpec::Fixed(raw.max(1))
-        }
-    }
 }
 
 impl From<usize> for ShardSpec {
@@ -282,15 +246,13 @@ impl From<usize> for ShardSpec {
 
 /// Cumulative per-mapping serving statistics, collected by
 /// [`MappingService::answer`] / [`MappingService::answer_batch`] on every
-/// per-(query, stripe) evaluation of a query the cache missed: wall-clock
-/// evaluation time and result cardinality, summed over every stripe. A
-/// cache hit evaluates nothing and records only its hit. [`ShardSpec::Auto`] feeds its
-/// shard-count picks from these; [`MappingService::serving_stats`] exposes
-/// them to operators. The accumulator survives shard-count changes and
-/// cache evictions (it belongs to the mapping, not to a prepared
-/// solution). The exact-enumeration engine ([`Semantics::Exact`]) does
-/// not decompose into stripes; each of its serves is recorded as one
-/// evaluation, so hit-rate and template numbers cover every semantics.
+/// evaluation of a query the cache missed: wall-clock evaluation time and
+/// result cardinality. A cache hit evaluates nothing and records only its
+/// hit. [`MappingService::serving_stats`] exposes them to operators. The
+/// accumulator survives cache evictions (it belongs to the mapping, not
+/// to a prepared solution). Each serve of the exact-enumeration engine
+/// ([`Semantics::Exact`]) is recorded as one evaluation too, so hit-rate
+/// and template numbers cover every semantics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServingStats {
     /// The tenant namespace this mapping serves under (empty when the
@@ -299,23 +261,21 @@ pub struct ServingStats {
     /// label every mapping so cross-mapping aggregation
     /// ([`ServingStats::absorb`]) can refuse to mix tenants.
     pub tenant: String,
-    /// Tuple-mode per-(query, stripe) evaluations, of cache misses only.
+    /// Tuple-mode evaluations, one per missed query.
     pub tuple_evals: u64,
-    /// Boolean-mode per-(query, stripe) evaluations, of cache misses
-    /// only.
+    /// Boolean-mode evaluations, one per missed query.
     pub boolean_evals: u64,
-    /// Total evaluation wall-clock nanoseconds across both modes (stripe
-    /// evaluation of cache misses only; the shared phase-1 and merge work
-    /// is accounted separately below).
+    /// Total evaluation wall-clock nanoseconds across both modes (cache
+    /// misses only; their phase-1 and answer-building work is accounted
+    /// separately below).
     pub eval_ns: u64,
     /// Total tuples produced by tuple-mode evaluations.
     pub tuples: u64,
-    /// Nanoseconds spent building shared phase-1 state (REE memos, full
-    /// conjunctive answers) ahead of the stripe fan-out of cache misses —
-    /// the serial work that does not shrink with the stripe count.
+    /// Nanoseconds the cache misses spent building their phase-1 state
+    /// (REE memos, full conjunctive answers), summed over the misses.
     pub memo_build_ns: u64,
-    /// Nanoseconds spent assembling missed tuple answers from their
-    /// per-stripe sorted runs (laying the runs end to end, once).
+    /// Nanoseconds spent building missed tuple answers from their
+    /// evaluated pairs (one copy into the shared answer) and caching them.
     pub merge_ns: u64,
     /// Sub-relation cache hits across serving calls: one per query whose
     /// whole answer or verdict was cached, plus the phase-1 artifact hits
@@ -339,8 +299,7 @@ pub struct ServingStats {
     /// query's labels are disjoint from every label the mapping can
     /// produce and it cannot match an isolated node, so its certain
     /// answer is empty on every source graph. These serves touch no
-    /// stripe, no prepared solution, and no cache, and record no
-    /// evaluations.
+    /// prepared solution and no cache, and record no evaluations.
     pub static_empty: u64,
     /// Serves that returned [`ServeError::DeadlineExceeded`] after
     /// evaluation had started.
@@ -348,8 +307,8 @@ pub struct ServingStats {
     /// Serves that returned [`ServeError::Cancelled`] after evaluation
     /// had started.
     pub cancelled: u64,
-    /// Worker panics contained by the stripe fan-out (injected faults
-    /// and real bugs alike) — each panicking worker counts once.
+    /// Worker panics contained by the serve (injected faults and real
+    /// bugs alike) — each panicking task counts once.
     pub worker_panics: u64,
     /// Serves retried after a quarantine (panic containment rebuilds the
     /// prepared solution once and re-runs the serve).
@@ -381,10 +340,8 @@ impl ServingStats {
         self.tuples.checked_div(self.tuple_evals).unwrap_or(0)
     }
 
-    /// Fraction of serving time spent on shared phase-1 builds
-    /// (memo/cache construction) rather than stripe evaluation, in
-    /// `[0, 1]`. High values mean the serial prefix dominates and extra
-    /// stripes cannot pay off.
+    /// Fraction of the misses' serving time spent on phase-1 builds
+    /// (memo/cache construction) rather than evaluation, in `[0, 1]`.
     pub fn memo_share(&self) -> f64 {
         let total = self.memo_build_ns + self.eval_ns;
         if total == 0 {
@@ -443,9 +400,9 @@ impl ServingStats {
         true
     }
 
-    /// Fold one serve's shared-phase accounting in: phase-1 build
-    /// and merge nanoseconds, this call's cache hit/miss counts and
-    /// degraded queries, and the current cache-bytes gauge.
+    /// Fold one serve's accounting in: phase-1 build and answer-building
+    /// nanoseconds, this call's cache hit/miss counts and degraded
+    /// queries, and the current cache-bytes gauge.
     fn record_serve(&mut self, tally: &Tally, bytes: u64) {
         self.memo_build_ns += tally.memo_ns;
         self.merge_ns += tally.merge_ns;
@@ -464,47 +421,6 @@ impl ServingStats {
         }
         self.eval_ns += ns;
     }
-}
-
-/// The [`ShardSpec::Auto`] policy: pick a stripe count from the graph
-/// size, the thread budget, and the observed workload.
-///
-/// * Stripes below ~1k rows don't amortise their per-stripe overhead
-///   (one task, one row-restricted atom copy per letter and one answer
-///   run each): tiny graphs stay unsharded, and K never exceeds
-///   `nodes / 1024`.
-/// * The baseline is one stripe per worker thread, in either answer
-///   mode. A Boolean that stops at its first witness inside a stripe
-///   gains nothing from more stripes than workers: RPQ and REM stop at
-///   the first satisfying row, and so does an REE rooted in an `=`/`≠`
-///   test. BENCH_sharded's 1-thread Boolean batch, whose REEs are rooted
-///   in `=`/`≠`, reads flat across K. Any other REE root (a
-///   concatenation, union, closure, atom or ε) evaluates all of a
-///   stripe's rows first, so for those shapes one stripe on one thread
-///   can do up to K times the work of K stripes whose OR stops at the
-///   first `true` one.
-/// * When observed evaluations are heavy (≥ 10 ms mean), stripes are
-///   oversubscribed 2× so the dynamic `(query, stripe)` scheduler can
-///   balance uneven stripes across workers. Only cache misses record
-///   evaluations, so warm hits, which evaluate nothing, no longer pull
-///   the mean down.
-/// * When the observed workload spends most of its sharded time in the
-///   shared phase-1 build ([`ServingStats::memo_share`] > ½) — the
-///   serial prefix stripes cannot shrink — oversubscription is pointless
-///   and K is capped back to the thread count (Amdahl: extra stripes
-///   only add per-stripe overhead to a memo-bound workload).
-fn auto_shard_count(nodes: usize, threads: usize, stats: &ServingStats) -> usize {
-    const MIN_STRIPE_ROWS: usize = 1024;
-    const HEAVY_EVAL_NS: u64 = 10_000_000;
-    let by_size = (nodes / MIN_STRIPE_ROWS).max(1);
-    let mut k = threads.max(1).min(by_size);
-    if stats.mean_eval_ns() >= HEAVY_EVAL_NS {
-        k = (2 * k).min(by_size);
-    }
-    if stats.memo_share() > 0.5 {
-        k = k.min(threads.max(1));
-    }
-    k.clamp(1, MAX_SHARDS)
 }
 
 /// A certain-answer result from [`MappingService::answer`]: tuples for
@@ -544,9 +460,9 @@ impl Answer {
 /// [`MappingService::answer_batch_with`]: an optional wall-clock deadline
 /// and a caller-owned cancel flag.
 ///
-/// Both are **cooperative**: the engine checks between stripes of a
-/// fan-out, between phase-1 memo nodes, and before merges — a unit of
-/// work that has started runs to completion. An expired deadline returns
+/// Both are **cooperative**: the engine checks before each missed
+/// query's task, between phase-1 memo nodes, and after each evaluation —
+/// a unit of work that has started runs to completion. An expired deadline returns
 /// [`ServeError::DeadlineExceeded`] (with partial-work stats), a raised
 /// cancel flag [`ServeError::Cancelled`]; in both cases nothing
 /// incomplete is cached, so an immediate retry recomputes from
@@ -666,35 +582,36 @@ pub enum ServeError {
     },
     /// A delta failed validation against the source graph.
     InvalidDelta(GraphError),
-    /// A stripe worker (or the shared phase-1/merge work) panicked and
-    /// the panic was contained. The first occurrence quarantines the
-    /// prepared solution and retries once; this error means the retry
-    /// panicked too.
+    /// A serving worker (a missed query's task, or the answer building
+    /// and hand-out on the calling thread) panicked and the panic was
+    /// contained. The first occurrence quarantines the prepared solution
+    /// and retries once; this error means the retry panicked too. (The
+    /// name predates one task per query.)
     StripePanicked {
         /// The panic payload message of the first failed worker.
         message: String,
-        /// Stripe (or task) indices whose workers panicked, sorted.
-        /// Empty when the panic happened outside the fan-out (phase-1
-        /// build, answer assembly or hand-out, solution freeze).
+        /// Indices, among the serve's missed queries, of the tasks that
+        /// panicked, sorted. Empty when the panic happened outside the
+        /// fan-out (answer building or hand-out, solution freeze).
         stripes: Vec<usize>,
     },
     /// The [`ServeOptions`] deadline expired before the serve finished.
     /// Nothing incomplete was cached: a retry recomputes from consistent
     /// state and returns byte-identical answers.
     DeadlineExceeded {
-        /// Stripes whose evaluation had completed when the serve stopped.
+        /// Missed queries whose task had completed when the serve stopped.
         completed_stripes: usize,
-        /// Total stripes the serve was scheduled over (0 when the serve
-        /// was rejected before any plan was consulted).
+        /// Missed queries the serve ran tasks for (0 when the serve was
+        /// rejected at the door).
         total_stripes: usize,
     },
     /// The [`ServeOptions`] cancel flag was raised before the serve
     /// finished. Same consistency guarantee as
     /// [`ServeError::DeadlineExceeded`].
     Cancelled {
-        /// Stripes whose evaluation had completed when the serve stopped.
+        /// Missed queries whose task had completed when the serve stopped.
         completed_stripes: usize,
-        /// Total stripes the serve was scheduled over.
+        /// Missed queries the serve ran tasks for.
         total_stripes: usize,
     },
 }
@@ -725,7 +642,7 @@ impl std::fmt::Display for ServeError {
                 if stripes.is_empty() {
                     write!(f, "serving worker panicked: {message}")
                 } else {
-                    write!(f, "stripe worker(s) {stripes:?} panicked: {message}")
+                    write!(f, "serving task(s) {stripes:?} panicked: {message}")
                 }
             }
             ServeError::DeadlineExceeded {
@@ -733,14 +650,14 @@ impl std::fmt::Display for ServeError {
                 total_stripes,
             } => write!(
                 f,
-                "deadline exceeded ({completed_stripes}/{total_stripes} stripes completed)"
+                "deadline exceeded ({completed_stripes}/{total_stripes} tasks completed)"
             ),
             ServeError::Cancelled {
                 completed_stripes,
                 total_stripes,
             } => write!(
                 f,
-                "cancelled ({completed_stripes}/{total_stripes} stripes completed)"
+                "cancelled ({completed_stripes}/{total_stripes} tasks completed)"
             ),
         }
     }
@@ -837,25 +754,21 @@ pub struct ServiceStats {
     pub invalidating_deltas: u64,
 }
 
-/// A canonical solution frozen for serving: the solution itself, its
-/// snapshot, and the stripe plan that splits evaluation by source row (a
-/// mapping without sharding serves from a one-stripe plan). Every stripe
-/// evaluates on the one snapshot; a stripe is a row range, not a copy.
+/// A canonical solution frozen for serving: the solution itself and its
+/// snapshot. Every query evaluates on the whole snapshot.
 ///
 /// The snapshot's rows follow the canonical build: rows `0..dom_len` are
 /// `dom(M, G_s)` in ascending id order and every later row is invented,
 /// in creation order. Construction checks that layout, and the tuple
 /// serve path relies on it: a row or column is invented iff it is
-/// `≥ dom_len`, each stripe's run comes out sorted, and the stripes' runs
-/// laid end to end are the answer.
+/// `≥ dom_len`, so a tuple answer is the dom rows' pairs, read in row
+/// order, and comes out sorted.
 #[derive(Debug)]
 pub struct PreparedSolution {
     solution: CanonicalSolution,
     snapshot: Arc<GraphSnapshot>,
     /// Rows below this are `dom(M, G_s)`; the rest are invented.
     dom_len: usize,
-    /// The stripes of every serve: row ranges of `snapshot`.
-    plan: ShardPlan,
     /// Phase-1 artifacts (closures, tail factors, full conjunctive
     /// relations) and each served query's whole answer or verdict, keyed
     /// `(kind, subplan hash, binding)`, each charged to the service's
@@ -872,7 +785,6 @@ pub struct PreparedSolution {
 impl PreparedSolution {
     fn new(
         solution: CanonicalSolution,
-        shards: usize,
         serving: Arc<Mutex<ServingStats>>,
         ledger: &Arc<ByteLedger>,
     ) -> PreparedSolution {
@@ -890,12 +802,10 @@ impl PreparedSolution {
                 && ids.skip(dom_len).eq(solution.invented.iter().copied()),
             "invariant: dom rows ascend by id, then the invented nodes follow in creation order"
         );
-        let plan = ShardPlan::by_out_degree(&snapshot, shards);
         PreparedSolution {
             solution,
             snapshot,
             dom_len,
-            plan,
             sub_cache: Arc::new(LruSubRelCache::new(ledger.clone())),
             serving,
         }
@@ -911,23 +821,12 @@ impl PreparedSolution {
         &self.snapshot
     }
 
-    /// The stripe plan every serve splits its evaluation by (one stripe
-    /// when the mapping is not sharded).
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of stripes this solution serves from.
-    pub fn shard_count(&self) -> usize {
-        self.plan.shard_count()
-    }
-
     /// Approximate heap footprint now: solution, snapshot and the
-    /// sub-relation cache's resident entries. Stripes add nothing: they
-    /// are row ranges of the one snapshot. The service charges the first
-    /// two once, as they weigh when the build finishes, and each cache
-    /// entry as it is inserted. Label relations the snapshot materialises
-    /// later while serving grow this figure but are never charged.
+    /// sub-relation cache's resident entries. The service charges the
+    /// first two once, as they weigh when the build finishes, and each
+    /// cache entry as it is inserted. Label relations the snapshot
+    /// materialises later while serving grow this figure but are never
+    /// charged.
     pub fn approx_bytes(&self) -> usize {
         self.solution.approx_bytes() + self.snapshot.approx_bytes() + self.sub_cache.bytes()
     }
@@ -937,31 +836,24 @@ impl PreparedSolution {
         &self.sub_cache
     }
 
-    /// Fold one per-(query, stripe) evaluation of a cache miss into the
-    /// mapping's serving stats (see [`ServingStats`]). One mutex
-    /// acquisition per evaluation:
-    /// the lock is held for a handful of adds, so at the µs-to-ms
-    /// granularity of stripe evaluations the serialization is noise;
-    /// revisit with per-worker accumulators if evaluations ever get micro
-    /// enough to contend.
+    /// Fold one evaluation of a cache miss into the mapping's serving
+    /// stats (see [`ServingStats`]). One mutex acquisition per
+    /// evaluation: the lock is held for a handful of adds, so at the
+    /// µs-to-ms granularity of evaluations the serialization is noise.
     fn record(&self, elapsed: std::time::Duration, tuples: usize, boolean: bool) {
         lock(&self.serving).record(elapsed.as_nanos() as u64, tuples, boolean);
     }
 
-    /// Keep the pairs of a stripe's evaluated relation over `dom(M, G_s)`
-    /// (drop tuples touching invented nodes), translated to node ids.
-    /// Walks only the stripe's own dom rows, and each row only up to its
-    /// first invented column (a row's columns ascend), so only surviving
-    /// pairs pay the translation. Dom rows and columns ascend by id too,
-    /// so the pairs come out sorted.
-    fn dom_pairs(
-        &self,
-        rel: &gde_datagraph::Relation,
-        rows: std::ops::Range<usize>,
-    ) -> Vec<(NodeId, NodeId)> {
+    /// Keep the pairs of an evaluated relation over `dom(M, G_s)` (drop
+    /// tuples touching invented nodes), translated to node ids. Walks only
+    /// the dom rows, and each row only up to its first invented column (a
+    /// row's columns ascend), so only surviving pairs pay the translation.
+    /// Dom rows and columns ascend by id too, so the pairs come out
+    /// sorted.
+    fn dom_pairs(&self, rel: &gde_datagraph::Relation) -> Vec<(NodeId, NodeId)> {
         let (dom, snap) = (self.dom_len, self.snapshot());
         let mut pairs = Vec::new();
-        for i in rows.start..rows.end.min(dom) {
+        for i in 0..dom {
             let src = snap.id_at(i as u32);
             pairs.extend(
                 rel.row_iter(i)
@@ -972,65 +864,61 @@ impl PreparedSolution {
         pairs
     }
 
-    /// One stripe's dom-filtered pairs as a **sorted run** — the unit
-    /// the `(query, stripe)` scheduler runs for a query the cache missed.
-    /// Stripes are ascending row ranges, so the runs of a query laid end
-    /// to end in stripe order are its answer. Also records the stripe's
-    /// evaluation time and result cardinality into the serving stats.
-    /// Nothing here touches the cache: the serve inserts the whole answer
-    /// once, after laying the runs end to end.
-    fn shard_pairs(
+    /// Evaluate one query the cache missed — one task of the serve's
+    /// fan-out. Phase 1 (the REE memo, a conjunctive query's full answer)
+    /// builds through the solution's cache first, its time added to
+    /// `memo_ns`; then the query evaluates on the whole snapshot, and the
+    /// evaluation is recorded into the serving stats. Nothing here inserts
+    /// a served answer: the serve does that once every task has run.
+    /// `None` when the control fired before a tuple answer was complete.
+    fn evaluate_miss(
         &self,
         q: &CompiledQuery,
-        shard: usize,
+        mode: Mode,
         shared: &RowEvalShared,
-    ) -> Vec<(NodeId, NodeId)> {
-        // an injected panic here models a stripe worker dying at the top
-        // of its evaluation, before any shared state is touched
+        memo_ns: &AtomicU64,
+    ) -> Option<Part> {
+        // an injected panic here models a worker dying at the top of its
+        // task, before any shared state is touched
         faults::point(FaultSite::StripeEval);
+        let phase1 = Instant::now();
+        q.build_phase1(&self.snapshot, shared);
+        memo_ns.fetch_add(phase1.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let started = Instant::now();
-        let rows = self.plan.range(shard);
-        let rel = q.eval_relation_rows(&self.snapshot, rows.clone(), shared);
-        // a control that fired mid-evaluation may have truncated
-        // sub-factors: the run is garbage by design, and the caller
-        // discards it via `fired()`
-        if shared.control().should_stop() {
-            return Vec::new();
+        match mode {
+            Mode::Tuples => {
+                let rel = q.eval_relation_with(&self.snapshot, shared);
+                // a control that fired mid-evaluation may have truncated
+                // sub-factors: the pairs would be garbage, so drop them
+                if shared.control().should_stop() {
+                    return None;
+                }
+                let pairs = self.dom_pairs(&rel);
+                self.record(started.elapsed(), pairs.len(), false);
+                Some(Part::Pairs(pairs))
+            }
+            Mode::Boolean => {
+                let holds = q.holds_with(&self.snapshot, shared);
+                self.record(started.elapsed(), 0, true);
+                Some(Part::Holds(holds))
+            }
         }
-        let pairs = self.dom_pairs(&rel, rows);
-        self.record(started.elapsed(), pairs.len(), false);
-        pairs
     }
 
-    /// One stripe's Boolean evaluation, with stats recording (the Boolean
-    /// counterpart of [`PreparedSolution::shard_pairs`]).
-    fn shard_holds(&self, q: &CompiledQuery, shard: usize, shared: &RowEvalShared) -> bool {
-        faults::point(FaultSite::StripeEval);
-        let started = Instant::now();
-        let holds = q.holds_in_rows(&self.snapshot, self.plan.range(shard), shared);
-        self.record(started.elapsed(), 0, true);
-        holds
-    }
-
-    /// Evaluate the queries the cache missed. Phase 1 — REE memos and
-    /// the full answers of non-decomposing queries — is factored out
-    /// before the fan-out, queries in parallel: because every build goes
-    /// through the shared cache, a closure or tail factor two queries
-    /// have in common is computed once and reused (up to a benign race
-    /// when structurally identical artifacts build concurrently — both
-    /// compute, either result serves). Workers then claim
-    /// `(query, stripe)` tasks dynamically; a query's tuple runs are
-    /// disjoint and ascend with the stripes, so its answer is their
-    /// concatenation in stripe order, made once and inserted whole.
-    /// Boolean stripes OR with a cross-stripe short-circuit, and the
-    /// verdict is inserted as one more entry. The exact
-    /// enumeration runs as one task per query and inserts nothing, and
-    /// neither does a serve whose control fired: a truncated evaluation
-    /// must never be served later.
+    /// Evaluate the queries the cache missed, one task per query on
+    /// [`par::try_map_tasks`] workers. Each task builds its query's
+    /// phase-1 state through the shared cache, so a closure or tail factor
+    /// two queries have in common is computed once and reused (up to a
+    /// benign race when structurally identical artifacts build
+    /// concurrently — both compute, either result serves). Once every task
+    /// has run, each tuple answer becomes the shared answer in one copy
+    /// and each Boolean verdict is kept, both inserted into the cache. The
+    /// exact enumeration inserts nothing, and neither does a serve whose
+    /// control fired: a truncated evaluation must never be served later.
     ///
-    /// Adds the misses' phase-1 and assembly time, their cache traffic
-    /// and their shortfall to `tally`, whatever the outcome. `Err` is a
-    /// contained worker panic.
+    /// Adds the misses' phase-1 and answer-building time, their cache
+    /// traffic and their shortfall to `tally`, whatever the outcome.
+    /// `Err` is a contained worker panic.
     fn evaluate_misses(
         &self,
         queries: &[&CompiledQuery],
@@ -1039,55 +927,24 @@ impl PreparedSolution {
         tally: &mut Tally,
     ) -> Result<Vec<Outcome>, WorkerPanic> {
         let nq = queries.len();
-        let exact = matches!(sem, Semantics::Exact(..));
-        let k = if exact { 1 } else { self.shard_count() };
         let shareds: Vec<RowEvalShared> = queries
             .iter()
             .map(|_| RowEvalShared::with_cache(self.sub_cache.clone()).with_control(ctrl.clone()))
             .collect();
-        let prewarm = Instant::now();
-        let warmed = par::try_map_blocks(nq, 1, |range| {
-            for qi in range {
-                if !exact && !ctrl.should_stop() {
-                    queries[qi].prewarm_rows(&self.snapshot, &shareds[qi]);
-                }
-            }
-        });
-        tally.memo_ns = prewarm.elapsed().as_nanos() as u64;
-        let found: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
+        let memo_ns = AtomicU64::new(0);
         let completed = AtomicUsize::new(0);
-        let fanned = warmed.and_then(|_| {
-            par::try_map_tasks(nq * k, |t| {
-                // stripe-major order: task t → (query t % nq, stripe t / nq)
-                let (qi, shard) = (t % nq, t / nq);
-                if ctrl.should_stop() {
-                    return None;
-                }
-                let (q, shared) = (queries[qi], &shareds[qi]);
-                let part = match sem {
-                    Semantics::Exact(mode, opts) => Some(Part::Exact(self.exact(q, mode, opts))),
-                    Semantics::Nulls(Mode::Tuples) | Semantics::LeastInformative(Mode::Tuples) => {
-                        let run = self.shard_pairs(q, shard, shared);
-                        // a fired control truncates runs: drop them here
-                        // so the assembly below can never see one
-                        if ctrl.should_stop() {
-                            return None;
-                        }
-                        Some(Part::Run(run))
-                    }
-                    Semantics::Nulls(Mode::Boolean)
-                    | Semantics::LeastInformative(Mode::Boolean) => {
-                        if !found[qi].load(Ordering::Relaxed) && self.shard_holds(q, shard, shared)
-                        {
-                            found[qi].store(true, Ordering::Relaxed);
-                        }
-                        None
-                    }
-                };
-                completed.fetch_add(1, Ordering::Relaxed);
-                part
-            })
+        let fanned = par::try_map_tasks(nq, |qi| {
+            if ctrl.should_stop() {
+                return None;
+            }
+            let part = match sem {
+                Semantics::Exact(mode, opts) => Part::Exact(self.exact(queries[qi], mode, opts)),
+                _ => self.evaluate_miss(queries[qi], sem.mode(), &shareds[qi], &memo_ns)?,
+            };
+            completed.fetch_add(1, Ordering::Relaxed);
+            Some(part)
         });
+        tally.memo_ns = memo_ns.into_inner();
         let settle = |tally: &mut Tally| {
             for s in &shareds {
                 tally.hits += s.cache_hits();
@@ -1096,7 +953,7 @@ impl PreparedSolution {
                 tally.degraded += u64::from(s.cache_shortfall() > 0);
             }
         };
-        let mut parts = match fanned {
+        let parts = match fanned {
             Ok(parts) => parts,
             Err(panic) => {
                 settle(tally);
@@ -1105,59 +962,47 @@ impl PreparedSolution {
         };
         let stopped = ctrl
             .fired()
-            .map(|cause| stop_error(cause, completed.load(Ordering::Relaxed), nq * k));
-        let merge = Instant::now();
-        let outcomes = (0..nq)
-            .map(|qi| {
-                let holds = found[qi].load(Ordering::Relaxed);
-                match &stopped {
-                    // a Boolean hit found before the control fired is
-                    // definitive, but a stopped serve inserts nothing
-                    Some(_) if holds => return Ok(Answer::Boolean(true)),
-                    Some(e) => return Err(e.clone()),
-                    None => {}
-                }
-                let mut own = (0..k).map(|shard| parts[shard * nq + qi].take());
+            .map(|cause| stop_error(cause, completed.load(Ordering::Relaxed), nq));
+        let building = Instant::now();
+        let outcomes = parts
+            .into_iter()
+            .zip(queries.iter().zip(&shareds))
+            .map(|(part, (q, shared))| {
                 let cache = || {
-                    shareds[qi]
+                    shared
                         .cache()
                         .expect("invariant: every miss evaluates through the cache")
                 };
-                match sem {
-                    Semantics::Exact(..) => match own.next() {
-                        Some(Some(Part::Exact(outcome))) => outcome,
-                        _ => unreachable!("invariant: an unstopped exact task ran"),
-                    },
-                    _ if sem.mode() == Mode::Boolean => {
-                        cache().insert_verdict(served_key(queries[qi], Mode::Boolean), holds);
+                match (part, &stopped) {
+                    // a Boolean hit found before the control fired is
+                    // definitive, but a stopped serve inserts nothing
+                    (Some(Part::Holds(true)), Some(_)) => Ok(Answer::Boolean(true)),
+                    (_, Some(e)) => Err(e.clone()),
+                    (Some(Part::Exact(outcome)), None) => outcome,
+                    (Some(Part::Holds(holds)), None) => {
+                        cache().insert_verdict(served_key(q, Mode::Boolean), holds);
                         Ok(Answer::Boolean(holds))
                     }
-                    _ => {
-                        let runs: Vec<Vec<(NodeId, NodeId)>> = own
-                            .map(|part| match part {
-                                Some(Part::Run(run)) => run,
-                                _ => unreachable!("invariant: an unstopped tuple task ran"),
-                            })
-                            .collect();
-                        let answer = AnswerRun::from(runs.concat());
-                        cache()
-                            .insert_answer(served_key(queries[qi], Mode::Tuples), answer.clone());
+                    (Some(Part::Pairs(pairs)), None) => {
+                        let answer = AnswerRun::from(pairs);
+                        cache().insert_answer(served_key(q, Mode::Tuples), answer.clone());
                         Ok(Answer::Tuples(CertainAnswers::Pairs(answer)))
                     }
+                    (None, None) => unreachable!("invariant: an unstopped task ran"),
                 }
             })
             .collect();
-        if !exact && sem.mode() == Mode::Tuples {
-            tally.merge_ns = merge.elapsed().as_nanos() as u64;
+        if !matches!(sem, Semantics::Exact(..)) && sem.mode() == Mode::Tuples {
+            tally.merge_ns = building.elapsed().as_nanos() as u64;
         }
         settle(tally);
         Ok(outcomes)
     }
 
     /// The exact enumeration (Theorem 2's coNP procedure) over the whole
-    /// solution. It does not decompose into stripes or cooperative stop
-    /// points, but its serves are recorded all the same (as one
-    /// evaluation) so hit-rate and template numbers cover every semantics.
+    /// solution. It has no cooperative stop points, but its serves are
+    /// recorded all the same (as one evaluation) so hit-rate and template
+    /// numbers cover every semantics.
     fn exact(&self, q: &CompiledQuery, mode: Mode, opts: ExactOptions) -> Outcome {
         let started = Instant::now();
         let (answer, tuples) = match mode {
@@ -1200,7 +1045,7 @@ fn served_key(q: &CompiledQuery, mode: Mode) -> SubRelKey {
 struct Tally {
     /// Phase-1 build nanoseconds of the misses.
     memo_ns: u64,
-    /// Nanoseconds assembling the missed tuple answers.
+    /// Nanoseconds building the missed tuple answers.
     merge_ns: u64,
     /// Cache hits: answer lookups and the misses' phase-1 lookups.
     hits: u64,
@@ -1239,12 +1084,12 @@ impl std::ops::Deref for Routed<'_> {
     }
 }
 
-/// What one `(query, stripe)` task hands the answer assembly. Boolean
-/// stripes hand nothing: their hits land in the scheduler's per-query
-/// flags.
+/// What one missed query's task hands the answer building.
 enum Part {
-    /// A stripe's dom-filtered pairs as a sorted run.
-    Run(Vec<(NodeId, NodeId)>),
+    /// A tuple answer's dom-filtered pairs, sorted.
+    Pairs(Vec<(NodeId, NodeId)>),
+    /// A Boolean verdict.
+    Holds(bool),
     /// A whole exact enumeration.
     Exact(Outcome),
 }
@@ -1280,8 +1125,8 @@ struct Slot {
     bytes: usize,
 }
 
-/// One registered mapping: shared graphs, generation stamp, shard
-/// configuration, and the per-flavour solution cache.
+/// One registered mapping: shared graphs, generation stamp, and the
+/// per-flavour solution cache.
 struct MappingEntry {
     id: MappingId,
     gsm: Arc<Gsm>,
@@ -1300,19 +1145,15 @@ struct MappingEntry {
     facts: MappingFacts,
     source: RwLock<Arc<DataGraph>>,
     generation: AtomicU64,
-    /// Encoded [`ShardSpec`]: the stripe count the mapping's prepared
-    /// solutions are partitioned into (1 = one stripe, [`AUTO_SHARDS`] =
-    /// engine-picked).
-    shards: AtomicUsize,
     cache: Mutex<[Slot; 2]>,
     /// Serving statistics, shared with every
     /// [`PreparedSolution`] built for this mapping so recording needs no
-    /// registry access. Survives evictions and shard-count changes.
+    /// registry access. Survives evictions.
     serving: Arc<Mutex<ServingStats>>,
     /// Interned query templates, keyed by skeleton hash: one compiled
     /// artifact per canonical query shape, shared by `answer_bound` and
-    /// by canonicalisation-routed ad-hoc serves. Survives evictions,
-    /// deltas and shard-count changes (templates are graph-independent).
+    /// by canonicalisation-routed ad-hoc serves. Survives evictions and
+    /// deltas (templates are graph-independent).
     templates: Mutex<FxHashMap<u128, Arc<QueryTemplate>>>,
 }
 
@@ -1401,7 +1242,6 @@ impl MappingService {
             gsm,
             source: RwLock::new(source.into()),
             generation: AtomicU64::new(0),
-            shards: AtomicUsize::new(1),
             cache: Mutex::new(Default::default()),
             serving: Arc::new(Mutex::new(ServingStats::default())),
             templates: Mutex::new(FxHashMap::default()),
@@ -1410,50 +1250,28 @@ impl MappingService {
         id
     }
 
-    /// Partition this mapping's prepared solutions into node-range
-    /// stripes. Accepts a plain count (`0`/`1` = one stripe) or
-    /// [`ShardSpec::Auto`], which picks K per mapping from the graph
-    /// size, the thread budget, and the observed serving stats. A query the
-    /// cache misses evaluates per stripe on [`gde_datagraph::par`] workers
-    /// and combines — the stripes' runs laid end to end for tuple mode,
-    /// OR-short-circuit for Boolean. Changing the spec drops resident
-    /// frozen solutions (they
-    /// re-prepare under the new stripe layout on the next answer); answers
-    /// are byte-identical at every `k`, `Auto` included.
+    /// Accepted and ignored (see [`ShardSpec`]): checks that `id` is
+    /// registered and changes nothing. Kept only for callers that still
+    /// send a stripe count.
     pub fn set_shard_count(
         &self,
         id: MappingId,
-        k: impl Into<ShardSpec>,
+        _spec: impl Into<ShardSpec>,
     ) -> Result<(), ServeError> {
-        let entry = self.entry(id)?;
-        let enc = k.into().encode();
-        if entry.shards.swap(enc, Ordering::Relaxed) != enc {
-            let mut slots = lock(&entry.cache);
-            for slot in slots.iter_mut() {
-                self.release(slot);
-            }
-        }
-        Ok(())
+        self.entry(id).map(|_| ())
     }
 
-    /// The stripe count a mapping currently serves from.
-    /// Under [`ShardSpec::Auto`] this is the pick the next preparation
-    /// would use; it can drift as serving statistics accrue.
+    /// `Some(1)` for a registered mapping, `None` otherwise: every query
+    /// evaluates as one task over the whole snapshot. Kept, like
+    /// [`MappingService::set_shard_count`], only for callers that still
+    /// ask (see [`ShardSpec`]).
     pub fn shard_count(&self, id: MappingId) -> Option<usize> {
-        let entry = read(&self.registry).get(&id).cloned()?;
-        Some(self.resolve_shards(&entry))
-    }
-
-    /// The configured [`ShardSpec`] for a mapping.
-    pub fn shard_spec(&self, id: MappingId) -> Option<ShardSpec> {
-        read(&self.registry)
-            .get(&id)
-            .map(|e| ShardSpec::decode(e.shards.load(Ordering::Relaxed)))
+        read(&self.registry).contains_key(&id).then_some(1)
     }
 
     /// The cumulative serving statistics recorded for a mapping: cache
-    /// hits and misses, and one entry per (query, stripe) evaluation of a
-    /// miss, aggregated. See [`ServingStats`].
+    /// hits and misses, and one entry per evaluation of a miss,
+    /// aggregated. See [`ServingStats`].
     pub fn serving_stats(&self, id: MappingId) -> Option<ServingStats> {
         read(&self.registry)
             .get(&id)
@@ -1544,7 +1362,7 @@ impl MappingService {
     /// by default): whether [`MappingService::answer`] /
     /// [`MappingService::answer_batch`] normalise each query onto its
     /// canonical skeleton so alpha-equivalent variants share one interned
-    /// template — one compilation, one set of cached stripe answers.
+    /// template — one compilation, one cached answer.
     /// Answers are byte-identical either way (canonicalisation preserves
     /// the query's language); only compilation work and cache identity
     /// change. Explicit [`MappingService::answer_bound`] serves are
@@ -1611,19 +1429,6 @@ impl MappingService {
         }
         if grew {
             self.reprune(entry);
-        }
-    }
-
-    /// Resolve a mapping's encoded [`ShardSpec`] to a concrete stripe
-    /// count (the [`auto_shard_count`] policy for `Auto`).
-    fn resolve_shards(&self, entry: &MappingEntry) -> usize {
-        match entry.shards.load(Ordering::Relaxed) {
-            AUTO_SHARDS => {
-                let nodes = read(&entry.source).node_count();
-                let stats = lock(&entry.serving).clone();
-                auto_shard_count(nodes, par::max_threads(), &stats)
-            }
-            k => k,
         }
     }
 
@@ -1722,7 +1527,7 @@ impl MappingService {
     /// Equivalent to [`MappingService::answer_with`] under unbounded
     /// [`ServeOptions`] (no deadline, never cancelled), and to a batch of
     /// one: every entry point serves through the same door, retry loop,
-    /// cache lookup and `(query, stripe)` scheduler.
+    /// cache lookup and one-task-per-miss fan-out.
     pub fn answer(
         &self,
         id: MappingId,
@@ -1735,7 +1540,7 @@ impl MappingService {
     /// [`MappingService::answer`] under per-call [`ServeOptions`]: an
     /// optional cooperative deadline and a caller-owned cancel flag.
     ///
-    /// Fault isolation applies on every path: a panicking stripe worker
+    /// Fault isolation applies on every path: a panicking serving worker
     /// is contained, the flavour's prepared solution is quarantined
     /// (slot dropped with its cache, so no poisoned cache entry can ever
     /// serve again), and the serve retries once against a fresh
@@ -1761,8 +1566,7 @@ impl MappingService {
     /// [`MappingService::answer_bound`] serves from the shared artifact.
     /// Idempotent — re-registering an identical skeleton returns the
     /// same [`TemplateId`] without recompiling. Templates are
-    /// graph-independent: they survive deltas, evictions and shard-count
-    /// changes.
+    /// graph-independent: they survive deltas and evictions.
     pub fn register_template(
         &self,
         id: MappingId,
@@ -1816,13 +1620,10 @@ impl MappingService {
     /// Answer a whole batch under one semantics. Results come back in
     /// input order; per-query errors don't abort the batch. Every query
     /// is looked up in the cache on the calling thread first, so a batch
-    /// whose queries all hit spawns no worker. For the misses the
-    /// scheduling unit is a `(query, stripe)` task: workers (bounded by
-    /// `par::set_max_threads` / `GDE_MAX_THREADS`) claim tasks
-    /// dynamically, stripe-major so one query's stripes land on different
-    /// workers, partial answers merge per query — union for tuples, OR
-    /// with cross-stripe short-circuit for Booleans — and heavy queries
-    /// don't pin a whole worker for their full duration.
+    /// whose queries all hit spawns no worker. Each miss is one task:
+    /// workers (bounded by `par::set_max_threads` / `GDE_MAX_THREADS`)
+    /// claim the batch's missed queries dynamically, so one heavy query
+    /// does not hold up the cheap ones behind it.
     pub fn answer_batch(
         &self,
         id: MappingId,
@@ -1950,7 +1751,7 @@ impl MappingService {
         // disjoint from everything the mapping can produce and it cannot
         // match an isolated node — its certain answer is empty on every
         // source graph, under every semantics. O(1), no solution, no
-        // stripes, no cache. (Such a query also never constrains pruning,
+        // cache. (Such a query also never constrains pruning,
         // so it is deliberately not folded into the workload.)
         if analyze::statically_empty(q.shape(), &entry.facts) {
             Self::note(entry, |s| s.static_empty += 1);
@@ -1997,8 +1798,8 @@ impl MappingService {
 
     /// Step 7 of a serve: evaluate the queries the door admitted inside
     /// the one retry loop. Every panic on the serve path is contained —
-    /// fan-out workers by the `try_` fan-outs; (re)freezes, phase-1 builds
-    /// and merges on this thread by `catch_unwind` here. A contained panic
+    /// fan-out workers by the `try_` fan-out; (re)freezes, answer building
+    /// and hand-out on this thread by `catch_unwind` here. A contained panic
     /// quarantines the flavour and the call retries once against a fresh
     /// rebuild; a second one fails every query with
     /// [`ServeError::StripePanicked`]. A stop is not a fault: stop errors
@@ -2058,10 +1859,9 @@ impl MappingService {
     /// is looked up first, on this thread, under its plan hash and
     /// binding: a serve whose queries all hit spawns no thread, builds no
     /// phase-1 state, and records its hits under one stats lock. Only the
-    /// misses are evaluated ([`PreparedSolution::evaluate_misses`]), and
-    /// each inserts its whole answer once. The exact enumeration is never
-    /// cached: every exact query is a miss, run as one task over the whole
-    /// solution. Every answer handed out, hit or miss, passes the
+    /// misses are evaluated ([`PreparedSolution::evaluate_misses`]), one
+    /// task each, and each inserts its whole answer once. The exact
+    /// enumeration is never cached: every exact query is a miss. Every answer handed out, hit or miss, passes the
     /// [`FaultSite::Answer`] point on this thread. Once answered, a serve
     /// whose cache inserts found no room may evict colder solutions to
     /// make room for them.
@@ -2069,8 +1869,9 @@ impl MappingService {
     /// Returns `Err` only for a contained worker panic (the caller
     /// quarantines and retries). A control that fires mid-flight gives
     /// every missed query the stop error, except a Boolean hit found
-    /// before it fired: certain answers are monotone across stripes, so
-    /// the hit is a definitive `true`.
+    /// before it fired: a stop only truncates phase-1 artifacts to empty
+    /// relations and every query is monotone in them, so the hit is a
+    /// definitive `true`.
     fn fan_out(
         &self,
         entry: &MappingEntry,
@@ -2321,7 +2122,6 @@ impl MappingService {
             }
             // an Empty slot charges nothing, so a contained panic mid-build
             // leaves it Empty with zero bytes — consistent, just cold
-            let shards = self.resolve_shards(entry);
             let source = read(&entry.source).clone();
             // build from the served (possibly pruned) mapping —
             // answer-equivalent for every covered query, smaller when the
@@ -2334,7 +2134,7 @@ impl MappingService {
             // every solution built for this mapping records into the
             // mapping's own accumulator, and its cache charges the
             // service's ledger
-            .map(|sol| PreparedSolution::new(sol, shards, entry.serving.clone(), &self.ledger));
+            .map(|sol| PreparedSolution::new(sol, entry.serving.clone(), &self.ledger));
             match built {
                 Ok(prep) => {
                     let prep = Arc::new(prep);
@@ -2532,134 +2332,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_serving_matches_unsharded() {
+    fn batch_serving_matches_single_answers() {
         let (m, gs) = scenario();
-        let reference = MappingService::new();
-        let rid = reference.register(m.clone(), gs.clone());
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
         let mut ta = m.target_alphabet().clone();
         let queries: Vec<CompiledQuery> = ["x y", "(x y)=", "x+", "y x"]
             .iter()
             .map(|s| gde_dataquery::DataQuery::from(parse_ree(s, &mut ta).unwrap()).compile())
             .collect();
-        for k in [2, 3, 8] {
-            let svc = MappingService::new();
-            let id = svc.register(m.clone(), gs.clone());
-            svc.set_shard_count(id, k).unwrap();
-            assert_eq!(svc.shard_count(id), Some(k));
-            for sem in [
-                Semantics::nulls(),
-                Semantics::nulls_boolean(),
-                Semantics::least_informative(),
-                Semantics::least_informative_boolean(),
-                Semantics::exact(),
-                Semantics::exact_boolean(),
-            ] {
-                for q in &queries {
-                    assert_eq!(
-                        svc.answer(id, q, sem),
-                        reference.answer(rid, q, sem),
-                        "k={k} {sem:?}"
-                    );
-                }
-                let batch = svc.answer_batch(id, &queries, sem);
-                for (q, got) in queries.iter().zip(batch) {
-                    assert_eq!(got, reference.answer(rid, q, sem), "batch k={k} {sem:?}");
-                }
+        for sem in [
+            Semantics::nulls(),
+            Semantics::nulls_boolean(),
+            Semantics::least_informative(),
+            Semantics::least_informative_boolean(),
+            Semantics::exact(),
+            Semantics::exact_boolean(),
+        ] {
+            // a cold batch evaluates every query as its own task; the
+            // single serves after it read what the batch cached
+            let batch = svc.answer_batch(id, &queries, sem);
+            for (q, got) in queries.iter().zip(batch) {
+                assert_eq!(got, svc.answer(id, q, sem), "{sem:?}");
+                assert_eq!(got, answer_once(&m, &gs, q, sem), "one-shot {sem:?}");
             }
-            let prep = svc.solution(id, Semantics::nulls()).unwrap();
-            assert_eq!(prep.shard_count(), k);
-            assert_eq!(prep.plan().shard_count(), k);
         }
-        // resizing (including back to 1) re-prepares and keeps answers
-        let svc = MappingService::new();
-        let id = svc.register(m.clone(), gs.clone());
-        svc.set_shard_count(id, 4).unwrap();
-        let a4 = svc.answer(id, &queries[0], Semantics::nulls());
-        svc.set_shard_count(id, 1).unwrap();
-        assert_eq!(svc.answer(id, &queries[0], Semantics::nulls()), a4);
-        // a stripe is a row range of the one snapshot, not a copy: a
-        // freshly prepared solution weighs the same at every K
-        let fresh_bytes: Vec<usize> = [1, 2, 4]
-            .into_iter()
-            .map(|k| {
-                let svc = MappingService::new();
-                let id = svc.register(m.clone(), gs.clone());
-                svc.set_shard_count(id, k).unwrap();
-                svc.prepare(id, Semantics::nulls()).unwrap();
-                let prep = svc.solution(id, Semantics::nulls()).unwrap();
-                assert_eq!(prep.shard_count(), k);
-                prep.approx_bytes()
-            })
-            .collect();
-        assert!(
-            fresh_bytes.iter().all(|&b| b == fresh_bytes[0]),
-            "{fresh_bytes:?}"
-        );
-    }
-
-    #[test]
-    fn auto_shard_spec_resolves_and_serves_identically() {
-        let (m, gs) = scenario();
-        let reference = MappingService::new();
-        let rid = reference.register(m.clone(), gs.clone());
-        let svc = MappingService::new();
-        let id = svc.register(m.clone(), gs.clone());
-        svc.set_shard_count(id, ShardSpec::Auto).unwrap();
-        assert_eq!(svc.shard_spec(id), Some(ShardSpec::Auto));
-        // tiny graph: the policy keeps it unsharded, and the resolved
-        // count is what shard_count reports
-        let k = svc.shard_count(id).unwrap();
-        assert_eq!(k, 1, "3-node graphs must not shard");
-        let mut ta = m.target_alphabet().clone();
-        let q = gde_dataquery::DataQuery::from(parse_ree("x y", &mut ta).unwrap()).compile();
-        assert_eq!(
-            svc.answer(id, &q, Semantics::nulls()),
-            reference.answer(rid, &q, Semantics::nulls())
-        );
-        assert_eq!(
-            svc.solution(id, Semantics::nulls()).unwrap().shard_count(),
-            k
-        );
-        // switching back to a fixed spec round-trips
-        svc.set_shard_count(id, 3).unwrap();
-        assert_eq!(svc.shard_spec(id), Some(ShardSpec::Fixed(3)));
-        assert_eq!(svc.shard_count(id), Some(3));
-    }
-
-    #[test]
-    fn auto_policy_scales_with_size_threads_and_stats() {
-        let idle = ServingStats::default();
-        // tiny graphs never shard, whatever the thread budget
-        assert_eq!(auto_shard_count(100, 8, &idle), 1);
-        // big graph: one stripe per worker thread
-        assert_eq!(auto_shard_count(100_000, 4, &idle), 4);
-        // ... but never stripes below ~1k rows
-        assert_eq!(auto_shard_count(3000, 8, &idle), 2);
-        // Boolean-leaning workloads get no stripes beyond the thread budget
-        let boolish = ServingStats {
-            boolean_evals: 10,
-            tuple_evals: 2,
-            ..Default::default()
-        };
-        assert_eq!(auto_shard_count(100_000, 1, &boolish), 1);
-        // heavy evaluations oversubscribe the thread budget 2x
-        let heavy = ServingStats {
-            tuple_evals: 4,
-            eval_ns: 4 * 50_000_000,
-            ..Default::default()
-        };
-        assert_eq!(auto_shard_count(100_000, 4, &heavy), 8);
-        assert_eq!(heavy.mean_eval_ns(), 50_000_000);
-        // ... unless phase-1 memo construction dominates: the serial
-        // prefix caps the useful stripe count at the thread budget
-        let memo_bound = ServingStats {
-            tuple_evals: 4,
-            eval_ns: 4 * 50_000_000,
-            memo_build_ns: 5 * 4 * 50_000_000,
-            ..Default::default()
-        };
-        assert!(memo_bound.memo_share() > 0.5);
-        assert_eq!(auto_shard_count(100_000, 4, &memo_bound), 4);
     }
 
     #[test]
@@ -2686,7 +2383,7 @@ mod tests {
     }
 
     #[test]
-    fn serving_stats_accumulate_per_stripe() {
+    fn serving_stats_accumulate_per_evaluation() {
         let (m, gs) = scenario();
         let svc = MappingService::new();
         let id = svc.register(m.clone(), gs);
@@ -2700,26 +2397,20 @@ mod tests {
         assert_eq!(stats.boolean_evals, 1);
         assert_eq!(stats.tuples, 2, "x y has two dom answers");
         assert_eq!(stats.mean_tuples(), 2);
-        // a one-stripe plan caches like any other: the repeat hits, and a
-        // hit evaluates nothing
+        // the repeat hits, and a hit evaluates nothing
         let misses = stats.cache_misses;
-        assert!(misses > 0, "the cold K=1 serve fills the cache");
+        assert!(misses > 0, "the cold serve fills the cache");
         svc.answer(id, &q, Semantics::nulls()).unwrap();
         let stats = svc.serving_stats(id).unwrap();
-        assert!(
-            stats.cache_hits > 0,
-            "the repeated K=1 serve hits the cache"
-        );
+        assert!(stats.cache_hits > 0, "the repeated serve hits the cache");
         assert_eq!(stats.cache_misses, misses);
         assert_eq!(stats.tuple_evals, 1);
-        // a sharded miss records one eval per (query, stripe)
-        svc.set_shard_count(id, 2).unwrap();
-        svc.answer(id, &q, Semantics::nulls()).unwrap();
-        let stats = svc.serving_stats(id).unwrap();
-        assert_eq!(stats.tuple_evals, 3);
-        // the accumulator belongs to the mapping: eviction keeps it
+        // the accumulator belongs to the mapping: eviction keeps it, and
+        // the rebuilt solution's miss records one more evaluation
         svc.evict_all();
-        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 3);
+        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 1);
+        svc.answer(id, &q, Semantics::nulls()).unwrap();
+        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 2);
     }
 
     #[test]
@@ -2728,35 +2419,28 @@ mod tests {
         let mut ta = m.target_alphabet().clone();
         // an RPQ builds nothing in phase 1: its one lookup is its answer's
         let q = DataQuery::Rpq(parse_regex("x y", &mut ta).unwrap()).compile();
-        for k in [1usize, 2, 4] {
-            let svc = MappingService::new();
-            let id = svc.register(m.clone(), gs.clone());
-            svc.set_shard_count(id, k).unwrap();
-            let cold = svc.answer(id, &q, Semantics::nulls()).unwrap();
-            assert_eq!(
-                cold.clone().into_pairs(),
-                vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]
-            );
-            let before = svc.serving_stats(id).unwrap();
-            assert_eq!((before.cache_hits, before.cache_misses), (0, 1), "k={k}");
-            let prep = svc.solution(id, Semantics::nulls()).unwrap();
-            let bytes = prep.sub_cache().bytes();
-            assert_eq!(
-                bytes,
-                2 * 8 + gde_dataquery::ENTRY_OVERHEAD,
-                "k={k}: one entry of 8 bytes a pair"
-            );
-            let warm = svc.answer(id, &q, Semantics::nulls()).unwrap();
-            let after = svc.serving_stats(id).unwrap();
-            assert_eq!(warm, cold, "k={k}");
-            assert_eq!(after.cache_hits - before.cache_hits, 1, "k={k}");
-            assert_eq!(after.cache_misses, before.cache_misses, "k={k}");
-            assert_eq!(
-                prep.sub_cache().bytes(),
-                bytes,
-                "k={k}: a hit inserts nothing"
-            );
-        }
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
+        let cold = svc.answer(id, &q, Semantics::nulls()).unwrap();
+        assert_eq!(
+            cold.clone().into_pairs(),
+            vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]
+        );
+        let before = svc.serving_stats(id).unwrap();
+        assert_eq!((before.cache_hits, before.cache_misses), (0, 1));
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        let bytes = prep.sub_cache().bytes();
+        assert_eq!(
+            bytes,
+            2 * 8 + gde_dataquery::ENTRY_OVERHEAD,
+            "one entry of 8 bytes a pair"
+        );
+        let warm = svc.answer(id, &q, Semantics::nulls()).unwrap();
+        let after = svc.serving_stats(id).unwrap();
+        assert_eq!(warm, cold);
+        assert_eq!(after.cache_hits - before.cache_hits, 1);
+        assert_eq!(after.cache_misses, before.cache_misses);
+        assert_eq!(prep.sub_cache().bytes(), bytes, "a hit inserts nothing");
     }
 
     #[test]
@@ -2783,30 +2467,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_serving_records_memo_and_cache_stats() {
+    fn serving_records_memo_and_cache_stats() {
         let (m, gs) = scenario();
         let svc = MappingService::new();
         let id = svc.register(m.clone(), gs);
-        svc.set_shard_count(id, 2).unwrap();
         let mut ta = m.target_alphabet().clone();
         let q = gde_dataquery::DataQuery::from(parse_ree("(x y)+", &mut ta).unwrap()).compile();
-        // cold call: the closure memo is built once, before the stripe
-        // fan-out, and charged to memo_build_ns — not to stripe eval time
+        // cold call: the closure memo is built once, at the top of the
+        // query's task, and charged to memo_build_ns — not to eval time
         let cold = svc.answer(id, &q, Semantics::nulls()).unwrap();
         let stats = svc.serving_stats(id).unwrap();
         assert!(stats.memo_build_ns > 0, "phase-1 memo build must be timed");
         assert!(stats.cache_misses > 0, "cold run populates the cache");
         assert_eq!(stats.cache_hits, 0, "nothing to hit on a cold cache");
         assert!(stats.cache_bytes > 0, "resident entries are accounted");
-        // warm call: stripe results and shared artifacts come from the
-        // cache, byte-identical to the cold answer
+        // warm call: the answer comes from the cache, byte-identical to
+        // the cold one
         let warm = svc.answer(id, &q, Semantics::nulls()).unwrap();
         assert_eq!(warm, cold);
         let stats = svc.serving_stats(id).unwrap();
         assert!(stats.cache_hits > 0, "repeat serving must hit");
         assert!(stats.cache_hit_rate() > 0.0);
         // a delta bumps the generation: stale entries never serve, the
-        // next call misses again and still matches an unsharded reference
+        // next call misses again and still matches a fresh reference
         let misses_before = stats.cache_misses;
         let delta = GraphDelta::new().with_edge(NodeId(2), "a", NodeId(0));
         svc.apply_delta(id, &delta).unwrap();
@@ -3462,9 +3145,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_delta_rebuilds_every_stripe_at_the_same_count() {
-        // one release drops every stripe at once; the rebuild keeps K and
-        // answers like an unsharded service registered on the new source
+    fn delta_after_a_batch_rebuilds_like_a_fresh_registration() {
+        // one release drops the batch's cached answers at once; the
+        // rebuild answers like a service registered on the new source
         let (m, gs) = scenario();
         let mut ta = m.target_alphabet().clone();
         let queries: Vec<CompiledQuery> = ["x y", "(x y)=", "(x y)+", "x"]
@@ -3477,30 +3160,25 @@ mod tests {
             .without_edge(NodeId(0), "a", NodeId(1));
         let reference = MappingService::new();
         let rid = reference.register(m.clone(), mutated(&gs, &delta));
-        for k in [2, 3] {
-            let svc = MappingService::new();
-            let id = svc.register(m.clone(), gs.clone());
-            svc.set_shard_count(id, k).unwrap();
-            for got in svc.answer_batch(id, &queries, Semantics::nulls()) {
-                got.unwrap();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
+        for got in svc.answer_batch(id, &queries, Semantics::nulls()) {
+            got.unwrap();
+        }
+        assert!(!svc.apply_delta(id, &delta).unwrap().patched);
+        assert!(!svc.is_cached(id, Semantics::nulls()));
+        for sem in [
+            Semantics::nulls(),
+            Semantics::nulls_boolean(),
+            Semantics::least_informative(),
+        ] {
+            for q in &queries {
+                assert_eq!(
+                    svc.answer(id, q, sem),
+                    reference.answer(rid, q, sem),
+                    "{sem:?}"
+                );
             }
-            assert!(!svc.apply_delta(id, &delta).unwrap().patched);
-            assert!(!svc.is_cached(id, Semantics::nulls()));
-            for sem in [
-                Semantics::nulls(),
-                Semantics::nulls_boolean(),
-                Semantics::least_informative(),
-            ] {
-                for q in &queries {
-                    assert_eq!(
-                        svc.answer(id, q, sem),
-                        reference.answer(rid, q, sem),
-                        "k={k} {sem:?}"
-                    );
-                }
-            }
-            let prep = svc.solution(id, Semantics::nulls()).unwrap();
-            assert_eq!(prep.shard_count(), k);
         }
     }
 }

@@ -6,14 +6,13 @@
 //! single relaxed atomic load when no plan is armed, so production builds
 //! pay nothing measurable. The points the serving paths expose:
 //!
-//! * [`FaultSite::StripeEval`] — top of every per-stripe evaluation
-//!   (`shard_pairs` / `shard_holds`), the unit the `try_` fan-outs
-//!   contain;
+//! * [`FaultSite::StripeEval`] — top of every missed query's task, the
+//!   unit the `try_` fan-out contains;
 //! * [`FaultSite::Answer`] — the hand-out of every served answer, tuple
 //!   or Boolean, hit or miss, on the serving thread;
 //! * [`FaultSite::CacheInsert`] — before a sub-relation cache admission;
-//! * [`FaultSite::Refreeze`] — top of every solution freeze (snapshot and
-//!   stripe plan), the first build and every rebuild after a delta alike.
+//! * [`FaultSite::Refreeze`] — top of every solution freeze (the
+//!   snapshot), the first build and every rebuild after a delta alike.
 //!
 //! Arm a deterministic plan with [`arm`]`(`[`FaultPlan::seeded`]`(seed))`
 //! and every decision — which hit of which site panics or stalls — is a

@@ -40,20 +40,17 @@
 //!   ([`engine::MappingService::apply_delta`]): a delta no rule can see
 //!   keeps the cached solutions, any other drops them under a new
 //!   generation stamp and the next answer rebuilds;
-//! * **shard** a mapping into node-range stripes
-//!   ([`engine::MappingService::set_shard_count`], taking a count or
-//!   [`engine::ShardSpec::Auto`]): a query the cache misses evaluates
-//!   per stripe into sorted runs laid end to end into the answer
-//!   (Boolean answers OR with a short-circuit), batches schedule
-//!   `(query, stripe)` tasks for their misses, each query's whole
-//!   answer or verdict is cached for repeat serves, and answers are
-//!   byte-identical at every K, `Auto` included. A stripe is a row range
-//!   of the one snapshot, not a copy. Serving statistics ([`engine::ServingStats`], via
-//!   [`engine::MappingService::serving_stats`]) feed the `Auto` pick;
+//! * **evaluate misses** as one task per query: each query's whole
+//!   answer or verdict is cached for repeat serves, so a warm serve is
+//!   one lookup per query; a query the cache misses builds its phase-1
+//!   state through the solution's cache and evaluates on the whole
+//!   snapshot, and a batch's misses run in parallel, one task each.
+//!   Serving statistics ([`engine::ServingStats`], via
+//!   [`engine::MappingService::serving_stats`]) time each layer;
 //! * cached solutions live under a byte budget with least-recently-served
 //!   **eviction**, and the service is `Send + Sync`, so scoped threads
 //!   serve one instance concurrently;
-//! * serving is **fault-isolated**: a panicking stripe worker is
+//! * serving is **fault-isolated**: a panicking serving worker is
 //!   contained and quarantines only its `(mapping, flavour)` slot
 //!   (retried once against a rebuild), per-call [`engine::ServeOptions`] impose cooperative
 //!   deadlines and cancellation with typed errors, every cache insert
@@ -62,9 +59,8 @@
 //!   [`faults`] harness replays any failure deterministically.
 //!
 //! Every serve — one query, a batch, or a template binding — takes one
-//! path: the same per-query door, one retry loop and one
-//! `(query, stripe)` scheduler; a mapping without sharding is a
-//! one-stripe plan over the same snapshot. One-shot callers can use
+//! path: the same per-query door, one retry loop and one task per missed
+//! query. One-shot callers can use
 //! [`engine::answer_once`], which serves through a private service and
 //! throws it away (cold path: rebuild the solution per call). On the
 //! social serving workload a prepared batch of ten queries answers

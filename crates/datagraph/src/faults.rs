@@ -1,16 +1,16 @@
 //! Seeded fault injection for the serving stack.
 //!
-//! A production serving tier has to survive worker panics, slow stripes
-//! and poisoned caches; this module makes those failures **reproducible**
+//! A production serving tier has to survive worker panics, slow
+//! evaluations and poisoned caches; this module makes those failures **reproducible**
 //! so the recovery paths can be soaked in CI instead of discovered in
 //! production. It is compiled unconditionally and completely inert until
 //! armed: the only cost on the serving path is one relaxed atomic load
 //! per [`point`] call.
 //!
 //! Injection points sit at the four spots where the engine's containment
-//! story is interesting ([`FaultSite`]): stripe evaluation, the hand-out
-//! of every served answer on the serving thread, sub-relation cache
-//! inserts, and the solution freeze. A [`FaultPlan::seeded`] plan decides **deterministically**
+//! story is interesting ([`FaultSite`]): a missed query's evaluation, the
+//! hand-out of every served answer on the serving thread, sub-relation
+//! cache inserts, and the solution freeze. A [`FaultPlan::seeded`] plan decides **deterministically**
 //! per `(site, hit-ordinal)` whether a point panics, sleeps briefly, or
 //! does nothing — so a failing soak seed replays exactly, regardless of
 //! thread interleaving (the per-site hit counter is the only shared
@@ -34,14 +34,16 @@ pub const INJECTED_PANIC_MARKER: &str = "gde::faults injected panic";
 /// The serving-stack locations where an armed [`FaultPlan`] may fire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Per-(query, stripe) evaluation inside the shard fan-out workers.
+    /// The evaluation of one query the cache missed, at the top of its
+    /// task on a fan-out worker. (The name predates the one-task-per-query
+    /// serve; it keeps its counter index so seeded schedules replay.)
     StripeEval,
     /// Handing one served answer out on the serving thread, once per
     /// answer, whether the cache held it or the serve evaluated it.
     Answer,
     /// Sub-relation cache admission (`LruSubRelCache::insert`).
     CacheInsert,
-    /// Freezing a built solution into its snapshot and stripe plan: the
+    /// Freezing a built solution into its snapshot: the
     /// first build and every rebuild after a delta.
     Refreeze,
 }

@@ -29,12 +29,6 @@
 //! * [`GraphSnapshot`] — a frozen, label-partitioned CSR view with interned
 //!   values and cached per-label relations, the substrate of the
 //!   prepared-mapping serving engine in `gde-core`;
-//! * [`ShardPlan`] — node-range stripes over a snapshot, the partition
-//!   unit of the sharded serving pipeline in `gde-core`. A stripe is a
-//!   row range of the one snapshot, not a copy of it: each stripe
-//!   evaluates the rows of its range ([`Relation::restrict_rows`] for
-//!   relation-algebra atoms). Plans cut evenly or balance out-degree
-//!   ([`ShardPlan::by_out_degree`]);
 //! * [`merge`] — streaming k-way unions of sorted runs (heap-of-cursors
 //!   with galloping bulk copies), merging the per-row column lists of
 //!   k-ary relation unions ([`Relation::union_many`]) without
@@ -63,7 +57,6 @@ pub mod par;
 pub mod path;
 pub mod property;
 pub mod relation;
-pub mod shard;
 pub mod snapshot;
 pub mod value;
 
@@ -76,6 +69,5 @@ pub use par::{lock_recover, read_recover, write_recover, WorkerPanic};
 pub use path::{DataPath, Path};
 pub use property::{Properties, PropertyGraph};
 pub use relation::{Relation, RelationBuilder, RowIter};
-pub use shard::ShardPlan;
 pub use snapshot::GraphSnapshot;
 pub use value::Value;

@@ -4,8 +4,7 @@
 //! materialisation) split their work into contiguous **row blocks** and run
 //! the blocks on `std::thread::scope` workers — no external thread-pool
 //! dependency, and borrows of the input relations flow straight into the
-//! workers. Row blocks are also the sharding shape the serving engine
-//! needs: a block of CSR rows is a self-contained sub-relation.
+//! workers.
 //!
 //! One process-wide knob bounds every parallel operation:
 //! [`set_max_threads`]. The default (`0`) resolves to the `GDE_MAX_THREADS`
@@ -211,9 +210,9 @@ where
 
 /// Run `f(i)` for every task index `0..count` on scoped worker threads,
 /// collecting the results **in task order**. Tasks are claimed one at a
-/// time from a shared atomic queue — the dynamic scheduler behind the
-/// sharded batch serving in `gde-core`, where task costs are too uneven
-/// for [`map_blocks`]'s static cuts. Runs inline
+/// time from a shared atomic queue — the dynamic scheduler behind batch
+/// serving in `gde-core` (one task per missed query), where task costs
+/// are too uneven for [`map_blocks`]'s static cuts. Runs inline
 /// when parallelism is off or there is at most one task. A panicking task
 /// re-panics on the calling thread; see [`try_map_tasks`] for containment.
 pub fn map_tasks<T, F>(count: usize, f: F) -> Vec<T>
@@ -474,7 +473,7 @@ mod tests {
         let _guard = test_knob_lock();
         for t in [1, 3] {
             set_max_threads(t);
-            // one task per stripe of a plan, empty stripes included
+            // uneven ranges, empty ones included
             let ranges = [0..5, 5..6, 6..40, 40..40, 40..41];
             let got = map_tasks(ranges.len(), |i| (i, ranges[i].len()));
             assert_eq!(got, vec![(0, 5), (1, 1), (2, 34), (3, 0), (4, 1)]);

@@ -40,9 +40,7 @@
 //! dense boolean combinations, closure materialisation) run over contiguous
 //! row blocks on `std::thread::scope` workers. The thread-count knob lives
 //! in [`crate::par`] ([`crate::par::set_max_threads`]); relations below
-//! ~1k rows always run sequentially. Row blocks double as the sharding
-//! shape for partitioned serving: a CSR row range is a self-contained
-//! sub-relation.
+//! ~1k rows always run sequentially.
 //!
 //! **Mutation.** [`Relation::insert`] / [`Relation::remove`] are cheap on
 //! the dense matrix but `O(n + nnz)` on the sparse arena (offset bump plus
@@ -52,7 +50,6 @@
 
 use crate::par;
 use std::fmt;
-use std::ops::Range;
 
 /// Dimensions at or below this always use the dense matrix (≤ 8 KiB).
 const DENSE_MAX_N: usize = 256;
@@ -1189,52 +1186,6 @@ impl Relation {
     /// Project onto a boolean "has any pair" flag.
     pub fn any(&self) -> bool {
         !self.is_empty()
-    }
-
-    /// The sub-relation keeping only rows in `rows` (same dimension; other
-    /// rows become empty). This is what a stripe of sharded serving reads:
-    /// the union of `restrict_rows` over a partition of `0..n` rebuilds
-    /// the relation exactly. A range covering every row (the one stripe of
-    /// an unsharded plan) is a plain clone. A sparse relation's range is
-    /// copied straight out of its CSR arena — shifted offsets plus one
-    /// slice of columns — while a dense one goes through the builder,
-    /// which picks the result's representation by its density.
-    pub fn restrict_rows(&self, rows: Range<usize>) -> Relation {
-        let hi = rows.end.min(self.n);
-        let lo = rows.start.min(hi);
-        if lo == 0 && hi == self.n {
-            return self.clone();
-        }
-        match &self.repr {
-            Repr::Sparse(s) if !dense_is_better(self.n, s.off[hi] - s.off[lo]) => {
-                let (base, top) = (s.off[lo], s.off[hi]);
-                let mut off = Vec::with_capacity(self.n + 1);
-                off.resize(lo + 1, 0);
-                off.extend(s.off[lo + 1..=hi].iter().map(|&o| o - base));
-                off.resize(self.n + 1, top - base);
-                Relation {
-                    n: self.n,
-                    repr: Repr::Sparse(Csr {
-                        off,
-                        cols: s.cols[base..top].to_vec(),
-                    }),
-                }
-            }
-            _ => {
-                let mut b = RelationBuilder::new(self.n);
-                for i in lo..hi {
-                    for j in self.row_iter(i) {
-                        b.push(i, j);
-                    }
-                }
-                b.build()
-            }
-        }
-    }
-
-    /// Do any of the given rows hold at least one pair?
-    pub fn any_in_rows(&self, rows: Range<usize>) -> bool {
-        (rows.start..rows.end.min(self.n)).any(|i| self.row_iter(i).next().is_some())
     }
 }
 

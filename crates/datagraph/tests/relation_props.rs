@@ -4,8 +4,7 @@
 //! dense implementation (and Warshall for closure) as the oracle.
 //!
 //! Dimensions include the word boundaries `n = 64` and `n = 65`, the
-//! degenerate `n = 0`, and a multi-word dimension; row restriction also
-//! runs either side of the 256-node dense cutoff. Uses the vendored
+//! degenerate `n = 0`, and a multi-word dimension. Uses the vendored
 //! proptest shim (deterministic cases, no shrinking).
 
 use gde_datagraph::{Relation, RelationBuilder};
@@ -27,40 +26,6 @@ fn rel_pair(n: usize, raw: &[(u32, u32)], sparse: bool) -> Relation {
         r.force_sparse();
     } else {
         r.force_dense();
-    }
-    r
-}
-
-/// Dimensions for `restrict_rows`: either side of the 256-node dense
-/// cutoff, plus the degenerate ones.
-const RESTRICT_DIMS: [usize; 6] = [0, 1, 200, 256, 257, 300];
-
-/// A seeded random relation over `0..n`. `dense_density` puts its pair
-/// count past the dense/sparse switch (`nnz · 32 ≥ n²`), else well below
-/// it; `repr_sel` keeps the builder's density-picked representation (0)
-/// or forces the dense (1) or sparse (2) one.
-fn random_relation(n: usize, dense_density: bool, repr_sel: usize, seed: u64) -> Relation {
-    let mut state = seed;
-    let mut next = || {
-        // SplitMix64
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as usize
-    };
-    let pairs = if dense_density { n * n / 16 } else { n / 2 };
-    let mut b = RelationBuilder::new(n);
-    if n > 0 {
-        for _ in 0..pairs {
-            b.push(next() % n, next() % n);
-        }
-    }
-    let mut r = b.build();
-    match repr_sel {
-        1 => r.force_dense(),
-        2 => r.force_sparse(),
-        _ => {}
     }
     r
 }
@@ -157,39 +122,6 @@ proptest! {
         let mut expect = oracle.clone();
         expect.union_with(&Relation::identity(n));
         prop_assert_eq!(&rtc, &expect);
-    }
-
-    #[test]
-    fn restrict_rows_keeps_exactly_the_range_rows(
-        seed in any::<u64>(),
-        a in 0usize..400,
-        b in 0usize..400,
-    ) {
-        for n in RESTRICT_DIMS {
-            let (a, b) = (a % (n + 2), b % (n + 2));
-            for dense_density in [false, true] {
-                for repr_sel in 0..3 {
-                    let r = random_relation(n, dense_density, repr_sel, seed);
-                    // empty, full, a prefix, ending at or beyond n, and
-                    // any range at all (an inverted, empty one included)
-                    for rows in [a..a, 0..n, 0..b, a..n + b, a..b] {
-                        let got = r.restrict_rows(rows.clone());
-                        let kept = r.iter_pairs().filter(|(i, _)| rows.contains(i));
-                        let oracle = Relation::from_pairs(n, kept);
-                        prop_assert_eq!(got.dim(), n);
-                        prop_assert_eq!(got.len(), oracle.len());
-                        prop_assert_eq!(&got, &oracle);
-                        // the result has the representation the builder
-                        // picks for the kept pairs, except that a range
-                        // covering every row clones a forced one
-                        let clone = n == 0 || (rows.start == 0 && rows.end >= n);
-                        if repr_sel == 0 || !clone {
-                            prop_assert_eq!(got.is_dense(), oracle.is_dense());
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

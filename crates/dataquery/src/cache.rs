@@ -4,8 +4,8 @@
 //!
 //! Serving evaluates the same *sub-plans* over and over: the closure
 //! bodies and non-head concatenation factors of an REE memo
-//! ([`crate::ReeRowMemo`]) are identical across every stripe, every call
-//! and — when two queries in a batch share a factor — across queries; a
+//! ([`crate::ReeRowMemo`]) are identical across every call and — when
+//! two queries in a batch share a factor — across queries; a
 //! query's served answer (its sorted pairs, an [`AnswerRun`]) and its
 //! Boolean verdict are identical across repeated calls on one snapshot.
 //! This module gives those artifacts **canonical keys** and a cache to
@@ -27,7 +27,7 @@
 //! * [`ByteLedger`] — the one byte budget a serving engine shares with
 //!   every cache it owns: each insert reserves its bytes there first.
 //! * [`LruSubRelCache`] — the LRU store the serving engine owns per
-//!   prepared solution, sharable across stripe workers. Artifact keys hold
+//!   prepared solution, sharable across a batch's workers. Artifact keys hold
 //!   relations, answer keys whole answers, verdict keys Booleans; all
 //!   share one LRU order, every entry is charged [`ENTRY_OVERHEAD`] on top
 //!   of its payload, and the ledger is the cache's only bound.
@@ -254,8 +254,8 @@ struct LruInner {
 }
 
 /// The LRU sub-relation cache the serving engine owns per prepared
-/// solution. Lookup and insert are sharable across threads (stripe
-/// workers hit the cache concurrently). An entry is an immutable
+/// solution. Lookup and insert are sharable across threads (the workers
+/// of one batch hit the cache concurrently). An entry is an immutable
 /// `Arc<Relation>`, [`AnswerRun`] or verdict, so a hit is an `Arc` clone
 /// (or a copied `bool`), never a copy of the data; a lookup of one kind
 /// never returns another. Every entry is charged [`ENTRY_OVERHEAD`] plus

@@ -31,7 +31,6 @@ use crate::query::DataQuery;
 use crate::ree::ReeRowMemo;
 use gde_automata::{Nfa, RegisterAutomaton};
 use gde_datagraph::{DataGraph, GraphSnapshot, Label, NodeId, Relation, RelationBuilder};
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The lowered form of one query class.
@@ -243,14 +242,14 @@ impl CompiledQuery {
     }
 
     /// Boolean projection: is the answer set non-empty on this snapshot?
-    /// An REE goes through [`Ree::holds_rows_snapshot`] over every row, so
-    /// an `=`/`≠` test at its root stops at the first witness.
+    /// An REE goes through [`Ree::holds_rows_snapshot`], so an `=`/`≠`
+    /// test at its root stops at the first witness.
     ///
     /// [`Ree::holds_rows_snapshot`]: crate::ree::Ree::holds_rows_snapshot
     pub fn holds_somewhere(&self, s: &GraphSnapshot) -> bool {
         match &*self.form {
             CompiledForm::Rpq(_) => self.eval_relation(s).any(),
-            CompiledForm::Ree(e) => e.holds_rows_snapshot(s, 0..s.n(), &ReeRowMemo::build(e, s)),
+            CompiledForm::Ree(e) => e.holds_rows_snapshot(s, &ReeRowMemo::build(e, s)),
             _ => !self.eval_pairs(s).is_empty(),
         }
     }
@@ -262,78 +261,15 @@ impl CompiledQuery {
         self.eval_pairs(&g.snapshot())
     }
 
-    /// Row-restricted (sharded) evaluation: the rows of
-    /// [`CompiledQuery::eval_relation`] whose source index lies in `rows`,
-    /// one stripe of a partition of the snapshot's node domain. The union
-    /// over a partition's stripes equals the full relation exactly — this
-    /// is the per-stripe evaluation the sharded serving engine merges.
-    ///
-    /// How the work splits depends on the query class:
-    ///
-    /// * RPQs and memory RPQs evaluate per *start row* (product BFS), so
-    ///   every stripe does `|stripe| / n` of the full work;
-    /// * REEs decompose their relation algebra by source row, with
-    ///   closures and non-head concatenation factors coming from a shared
-    ///   phase-1 memo (see [`ReeRowMemo`]) built once on first use;
-    /// * conjunctive data RPQs don't decompose (their join mixes
-    ///   variables); the full answer is computed once into `shared` and
-    ///   each stripe takes its row slice.
-    ///
-    /// `shared` carries the lazily built phase-1 state and must be used
-    /// with a single `(query, snapshot)` pairing; create a fresh
-    /// [`RowEvalShared`] per pairing.
-    pub fn eval_relation_rows(
-        &self,
-        s: &GraphSnapshot,
-        rows: Range<usize>,
-        shared: &RowEvalShared,
-    ) -> Relation {
-        // cooperative stop point between stripes: a fired control makes
-        // the remaining stripes no-ops (the caller discards the serve)
-        if shared.control.should_stop() {
-            return Relation::empty(s.n());
-        }
-        match &*self.form {
-            CompiledForm::Rpq(nfa) => nfa.eval_rows_snapshot(s, rows),
-            CompiledForm::Ree(e) => e.eval_rows_snapshot(s, rows, shared.memo(e, s)),
-            CompiledForm::Rem(ra) => ra.eval_rows_snapshot(s, rows),
-            CompiledForm::Conjunctive { .. } => shared.full(self, s).restrict_rows(rows),
-        }
-    }
-
-    /// Boolean projection of one stripe: does any source row in `rows`
-    /// have an answer? Per-start classes early-exit on the first matching
-    /// row, and so does an REE rooted in an `=`/`≠` test
-    /// ([`Ree::holds_rows_snapshot`]); the sharded serving engine
-    /// OR-merges (and short-circuits) across stripes.
-    ///
-    /// [`Ree::holds_rows_snapshot`]: crate::ree::Ree::holds_rows_snapshot
-    pub fn holds_in_rows(
-        &self,
-        s: &GraphSnapshot,
-        rows: Range<usize>,
-        shared: &RowEvalShared,
-    ) -> bool {
-        if shared.control.should_stop() {
-            return false;
-        }
-        match &*self.form {
-            CompiledForm::Rpq(nfa) => nfa.holds_in_rows(s, rows),
-            CompiledForm::Rem(ra) => ra.holds_in_rows(s, rows),
-            CompiledForm::Ree(e) => e.holds_rows_snapshot(s, rows, shared.memo(e, s)),
-            CompiledForm::Conjunctive { .. } => shared.full(self, s).any_in_rows(rows),
-        }
-    }
-
-    /// Build this query's phase-1 artifacts into `shared` ahead of the
-    /// stripe fan-out: the REE memo (through `shared`'s cache when it has
-    /// one) or the full answer of a non-decomposing conjunctive query.
-    /// Per-start classes (RPQ, REM) have no shared phase-1 state — a
-    /// no-op. Calling this before spawning stripe workers takes the most
-    /// expensive serial work off the per-stripe critical path; it is
-    /// idempotent and safe to skip (the first stripe worker would build
-    /// the same state lazily).
-    pub fn prewarm_rows(&self, s: &GraphSnapshot, shared: &RowEvalShared) {
+    /// Build this query's phase-1 state into `shared`: the REE memo of
+    /// closures and tail factors (through `shared`'s cache when it has
+    /// one), or the full answer of a conjunctive query, whose join does
+    /// not run through the phase-2 evaluators. Per-start classes (RPQ,
+    /// REM) have no phase-1 state — a no-op. Idempotent, and safe to skip:
+    /// [`CompiledQuery::eval_relation_with`] and
+    /// [`CompiledQuery::holds_with`] build the same state lazily. The
+    /// serving engine calls it first so that phase 1 is timed on its own.
+    pub fn build_phase1(&self, s: &GraphSnapshot, shared: &RowEvalShared) {
         match &*self.form {
             CompiledForm::Ree(e) => {
                 shared.memo(e, s);
@@ -344,14 +280,50 @@ impl CompiledQuery {
             CompiledForm::Rpq(_) | CompiledForm::Rem(_) => {}
         }
     }
+
+    /// [`CompiledQuery::eval_relation`] through `shared`'s phase-1 state:
+    /// an REE reads its closures and tail factors from the memo, so
+    /// artifacts its cache holds are not recomputed, and a conjunctive
+    /// query reads its full answer from `shared`. `shared` must be used
+    /// with a single `(query, snapshot)` pairing; create a fresh
+    /// [`RowEvalShared`] per pairing. A control that has already fired
+    /// yields the empty relation: the caller discards the serve.
+    pub fn eval_relation_with(&self, s: &GraphSnapshot, shared: &RowEvalShared) -> Relation {
+        if shared.control.should_stop() {
+            return Relation::empty(s.n());
+        }
+        match &*self.form {
+            CompiledForm::Rpq(nfa) => nfa.eval_snapshot(s),
+            CompiledForm::Ree(e) => e.eval_rows_snapshot(s, shared.memo(e, s)),
+            CompiledForm::Rem(ra) => ra.eval_snapshot(s),
+            CompiledForm::Conjunctive { .. } => shared.full(self, s).clone(),
+        }
+    }
+
+    /// Boolean projection of [`CompiledQuery::eval_relation_with`]: is the
+    /// answer non-empty? RPQs and REMs stop at the first satisfying start
+    /// row, and so does an REE rooted in an `=`/`≠` test
+    /// ([`Ree::holds_rows_snapshot`]) at its first witness.
+    ///
+    /// [`Ree::holds_rows_snapshot`]: crate::ree::Ree::holds_rows_snapshot
+    pub fn holds_with(&self, s: &GraphSnapshot, shared: &RowEvalShared) -> bool {
+        if shared.control.should_stop() {
+            return false;
+        }
+        match &*self.form {
+            CompiledForm::Rpq(nfa) => nfa.holds_snapshot(s),
+            CompiledForm::Rem(ra) => ra.holds_snapshot(s),
+            CompiledForm::Ree(e) => e.holds_rows_snapshot(s, shared.memo(e, s)),
+            CompiledForm::Conjunctive { .. } => shared.full(self, s).any(),
+        }
+    }
 }
 
-/// Shared phase-1 state for row-restricted evaluation of **one** compiled
-/// query against **one** snapshot: the REE memo of globally materialised
-/// sub-relations, or (for classes that don't decompose) the full answer
-/// relation. Built lazily by the first stripe worker that
-/// needs it and reused by the rest — or, better, ahead of the fan-out via
-/// [`CompiledQuery::prewarm_rows`].
+/// Shared phase-1 state for evaluating **one** compiled query against
+/// **one** snapshot: the REE memo of materialised sub-relations, or the
+/// full answer relation of a conjunctive query. Built by
+/// [`CompiledQuery::build_phase1`], or lazily by the first evaluation
+/// that needs it.
 ///
 /// Constructed [`RowEvalShared::with_cache`], phase-1 artifacts are
 /// looked up in / inserted into an [`LruSubRelCache`] under their
@@ -385,8 +357,8 @@ impl RowEvalShared {
         }
     }
 
-    /// Attach a deadline/cancellation control: row evaluation checks it
-    /// between stripes and between phase-1 memo nodes, returning empty
+    /// Attach a deadline/cancellation control: evaluation checks it
+    /// before it starts and between phase-1 memo nodes, returning empty
     /// results (and inserting nothing into the cache) once it fires. The
     /// caller must check [`EvalControl::fired`] and discard the serve.
     pub fn with_control(mut self, control: Arc<EvalControl>) -> RowEvalShared {
@@ -543,10 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_rows_union_to_full_eval_for_every_class() {
-        use gde_datagraph::{ShardPlan, Value};
+    fn shared_evaluation_matches_full_eval_for_every_class() {
+        use gde_datagraph::Value;
 
-        // a denser graph than sample_graph so stripes are non-trivial
+        // a denser graph than sample_graph, so closures are non-trivial
         let mut g = DataGraph::new();
         for i in 0..12u32 {
             g.add_node(NodeId(i), Value::int(i as i64 % 4)).unwrap();
@@ -582,7 +554,7 @@ mod tests {
         .collect();
         let snap = g.snapshot();
         // a label interned after the snapshot froze has no edges in it: as
-        // a head atom and as a memoised tail factor, every stripe is empty
+        // a head atom and as a memoised tail factor, the answer is empty
         let foreign: Vec<DataQuery> = ["zz", "(a zz)="]
             .iter()
             .map(|s| parse_ree(s, g.alphabet_mut()).unwrap().into())
@@ -591,27 +563,12 @@ mod tests {
         for q in queries.iter().chain(&extra).chain(&foreign) {
             let compiled = q.compile();
             let full = compiled.eval_relation(&snap);
-            for k in [1, 2, 3, 5] {
-                let plan = ShardPlan::even(snap.n(), k);
-                let shared = RowEvalShared::new();
-                let mut union = Relation::empty(snap.n());
-                let mut holds = false;
-                for shard in 0..plan.shard_count() {
-                    let range = plan.range(shard);
-                    let rows = compiled.eval_relation_rows(&snap, range.clone(), &shared);
-                    // stripe results stay inside the stripe
-                    assert!(rows.iter_pairs().all(|(i, _)| range.contains(&i)));
-                    union.union_with(&rows);
-                    holds |= compiled.holds_in_rows(&snap, range, &shared);
-                }
-                assert_eq!(
-                    union, full,
-                    "stripes must union to the full answer (k={k}, {q:?})"
-                );
-                assert_eq!(holds, compiled.holds_somewhere(&snap));
-                // the Booleans against the independent full evaluation
-                assert_eq!(holds, full.any(), "k={k}, {q:?}");
-            }
+            let shared = RowEvalShared::new();
+            assert_eq!(compiled.eval_relation_with(&snap, &shared), full, "{q:?}");
+            let holds = compiled.holds_with(&snap, &shared);
+            assert_eq!(holds, compiled.holds_somewhere(&snap), "{q:?}");
+            // the Booleans against the independent full evaluation
+            assert_eq!(holds, full.any(), "{q:?}");
         }
         for q in &foreign {
             assert!(q.compile().eval_relation(&snap).is_empty(), "{q:?}");
@@ -619,8 +576,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_shared_state_serves_identical_stripe_answers() {
-        use gde_datagraph::{ShardPlan, Value};
+    fn cached_shared_state_serves_identical_answers() {
+        use gde_datagraph::Value;
 
         let mut g = DataGraph::new();
         for i in 0..16u32 {
@@ -638,11 +595,8 @@ mod tests {
             .map(|s| parse_ree(s, g.alphabet_mut()).unwrap().into())
             .collect();
         let snap = g.snapshot();
-        let plan = ShardPlan::even(snap.n(), 4);
-        let eval_all = |shared: &RowEvalShared, cq: &CompiledQuery| -> Vec<Relation> {
-            (0..4)
-                .map(|s| cq.eval_relation_rows(&snap, plan.range(s), shared))
-                .collect()
+        let eval_all = |shared: &RowEvalShared, cq: &CompiledQuery| -> Relation {
+            cq.eval_relation_with(&snap, shared)
         };
         let unbounded = || Arc::new(LruSubRelCache::new(Arc::default()));
         for q in queries.iter().chain(&extra) {
@@ -686,18 +640,15 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_builds_phase1_state_off_the_stripe_path() {
-        use gde_datagraph::ShardPlan;
-
+    fn build_phase1_fills_exactly_the_shared_state() {
         let mut g = sample_graph();
         let queries = all_query_classes(&mut g);
         let snap = g.snapshot();
-        let plan = ShardPlan::even(snap.n(), 2);
         for q in &queries {
             let cq = q.compile();
             let shared = RowEvalShared::new();
             assert!(!shared.memo_ready());
-            cq.prewarm_rows(&snap, &shared);
+            cq.build_phase1(&snap, &shared);
             let needs_phase1 = matches!(
                 q,
                 DataQuery::Ree(_) | DataQuery::PathTest(_) | DataQuery::Conjunctive(_)
@@ -705,16 +656,13 @@ mod tests {
             assert_eq!(
                 shared.memo_ready(),
                 needs_phase1,
-                "prewarm builds exactly the classes with shared state ({q:?})"
+                "phase 1 builds exactly the classes with shared state ({q:?})"
             );
-            // prewarmed state serves the same answers
-            let fresh = RowEvalShared::new();
-            for s in 0..2 {
-                assert_eq!(
-                    cq.eval_relation_rows(&snap, plan.range(s), &shared),
-                    cq.eval_relation_rows(&snap, plan.range(s), &fresh),
-                );
-            }
+            // a built phase 1 serves the same answers as a lazy one
+            assert_eq!(
+                cq.eval_relation_with(&snap, &shared),
+                cq.eval_relation_with(&snap, &RowEvalShared::new()),
+            );
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Cooperative deadline and cancellation control for query evaluation.
 //!
 //! Relation algebra has no preemption points: once a closure
-//! materialisation or a stripe evaluation starts, it runs to completion.
+//! materialisation or a query's evaluation starts, it runs to completion.
 //! What the serving engine *can* do is stop **between** units of work —
-//! between stripes of a fan-out, between phase-1 memo nodes, before an
+//! between the queries of a batch, between phase-1 memo nodes, before an
 //! answer is assembled — and that is exactly what [`EvalControl`] provides: a
 //! cheap, latching "stop now" decision shared by every worker of one
 //! serve.

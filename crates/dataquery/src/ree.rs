@@ -21,7 +21,6 @@ use crate::cache::{subplan_hash, CacheHandle, SubRelKey};
 use gde_datagraph::{
     DataGraph, DataPath, FxHashMap, GraphSnapshot, Label, Relation, RelationBuilder, Value,
 };
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Domain separator for REE subexpression keys in the sub-relation cache
@@ -220,48 +219,32 @@ impl Ree {
         }
     }
 
-    /// Phase 2 of sharded REE evaluation: the rows of `R(e)` whose source
-    /// lies in `rows` — exactly `eval_snapshot(s).restrict_rows(rows)`,
-    /// but computed from the row-restricted atoms wherever the algebra
-    /// decomposes by source row. Letter atoms are the snapshot's label
-    /// relations restricted to `rows`, head concatenation factors and
-    /// tests evaluate on those rows only, while closures and non-head
-    /// factors — whose paths cross stripes arbitrarily — come from the
-    /// shared `memo` built once by [`ReeRowMemo::build`]. A test over a
-    /// closure reads the closure's memo entry in place, row by row, with
-    /// no copy of the stripe's rows. The union over a partition's stripes
-    /// equals the full evaluation exactly.
-    pub fn eval_rows_snapshot(
-        &self,
-        s: &GraphSnapshot,
-        rows: Range<usize>,
-        memo: &ReeRowMemo,
-    ) -> Relation {
+    /// Phase 2 of the two-phase REE evaluation: `R(e)`, exactly
+    /// `eval_snapshot(s)`, but with every closure and non-head
+    /// concatenation factor read from the `memo` phase 1 built
+    /// ([`ReeRowMemo::build`]), so artifacts the sub-relation cache holds
+    /// are not recomputed. A test over a closure reads the closure's memo
+    /// entry in place, row by row, with no copy of the closure.
+    pub fn eval_rows_snapshot(&self, s: &GraphSnapshot, memo: &ReeRowMemo) -> Relation {
         let mut id = 0usize;
-        self.eval_rows_rec(s, &rows, memo, &mut id)
+        self.eval_rows_rec(s, memo, &mut id)
     }
 
-    fn eval_rows_rec(
-        &self,
-        s: &GraphSnapshot,
-        rows: &Range<usize>,
-        memo: &ReeRowMemo,
-        id: &mut usize,
-    ) -> Relation {
+    fn eval_rows_rec(&self, s: &GraphSnapshot, memo: &ReeRowMemo, id: &mut usize) -> Relation {
         let my_id = *id;
         *id += 1;
         let n = s.n();
         match self {
-            Ree::Epsilon => identity_rows(n, rows.clone()),
+            Ree::Epsilon => Relation::identity(n),
             Ree::Atom(l) => s
                 .label_relation(*l)
-                .map_or_else(|| Relation::empty(n), |r| r.restrict_rows(rows.clone())),
+                .map_or_else(|| Relation::empty(n), Relation::clone),
             Ree::Concat(es) => {
                 let mut it = es.iter();
                 let Some(head) = it.next() else {
-                    return identity_rows(n, rows.clone());
+                    return Relation::identity(n);
                 };
-                let mut acc = head.eval_rows_rec(s, rows, memo, id);
+                let mut acc = head.eval_rows_rec(s, memo, id);
                 for child in it {
                     let child_id = *id;
                     *id += child.subtree_size();
@@ -276,20 +259,19 @@ impl Ree {
                 // k-ary streaming union: sorted CSR rows merge in one pass
                 Relation::union_many_iter(
                     n,
-                    es.iter()
-                        .map(|child| child.eval_rows_rec(s, rows, memo, id)),
+                    es.iter().map(|child| child.eval_rows_rec(s, memo, id)),
                 )
             }
             Ree::Plus(b) | Ree::Star(b) => {
                 *id += b.subtree_size();
-                memo.get(my_id).restrict_rows(rows.clone())
+                memo.get(my_id).clone()
             }
             Ree::Eq(b) | Ree::Neq(b) => {
                 let eq = matches!(self, Ree::Eq(_));
                 match spine_closure(b, memo, id) {
                     Some(closure) => {
                         let mut out = RelationBuilder::new(n);
-                        for i in rows.start..rows.end.min(n) {
+                        for i in 0..n {
                             for j in test_witnesses(s, closure, i, eq) {
                                 out.push(i, j);
                             }
@@ -297,37 +279,32 @@ impl Ree {
                         out.build()
                     }
                     None => b
-                        .eval_rows_rec(s, rows, memo, id)
+                        .eval_rows_rec(s, memo, id)
                         .filter(|i, j| sql_test(s, eq, i, j)),
                 }
             }
         }
     }
 
-    /// Boolean projection of [`Ree::eval_rows_snapshot`]: does any source
-    /// row in `rows` have an answer? An `=`/`≠` test at the root stops at
-    /// the first row with a passing pair: over a closure it reads the
-    /// memo entry in place, over any other operand it scans the operand's
-    /// stripe rows without building the filtered relation. Any other root
-    /// evaluates its stripe rows and asks whether a pair is left.
-    pub fn holds_rows_snapshot(
-        &self,
-        s: &GraphSnapshot,
-        rows: Range<usize>,
-        memo: &ReeRowMemo,
-    ) -> bool {
+    /// Boolean projection of [`Ree::eval_rows_snapshot`]: does any row
+    /// have an answer? An `=`/`≠` test at the root stops at the first row
+    /// with a passing pair: over a closure it reads the memo entry in
+    /// place, over any other operand it scans the operand's rows without
+    /// building the filtered relation. Any other root evaluates in full
+    /// and asks whether a pair is left.
+    pub fn holds_rows_snapshot(&self, s: &GraphSnapshot, memo: &ReeRowMemo) -> bool {
         let (Ree::Eq(b) | Ree::Neq(b)) = self else {
-            return self.eval_rows_snapshot(s, rows, memo).any();
+            return self.eval_rows_snapshot(s, memo).any();
         };
         let eq = matches!(self, Ree::Eq(_));
         // the operand's pre-order id: the root test is node 0
         let mut id = 1usize;
-        let mut stripe = rows.start..rows.end.min(s.n());
+        let mut rows = 0..s.n();
         match spine_closure(b, memo, &mut id) {
-            Some(closure) => stripe.any(|i| test_witnesses(s, closure, i, eq).next().is_some()),
+            Some(closure) => rows.any(|i| test_witnesses(s, closure, i, eq).next().is_some()),
             None => {
-                let inner = b.eval_rows_rec(s, &rows, memo, &mut id);
-                stripe.any(|i| inner.row_iter(i).any(|j| sql_test(s, eq, i, j)))
+                let inner = b.eval_rows_rec(s, memo, &mut id);
+                rows.any(|i| inner.row_iter(i).any(|j| sql_test(s, eq, i, j)))
             }
         }
     }
@@ -495,27 +472,17 @@ fn test_witnesses<'a>(
     probed.chain(walked)
 }
 
-/// The identity relation restricted to a row range.
-fn identity_rows(n: usize, rows: Range<usize>) -> Relation {
-    let mut b = RelationBuilder::new(n);
-    for i in rows.start..rows.end.min(n) {
-        b.push(i, i);
-    }
-    b.build()
-}
-
-/// Phase 1 of sharded REE evaluation: the full relations of exactly those
-/// subexpressions row-restricted evaluation cannot decompose by source
-/// row, computed **once** and shared by every stripe worker:
+/// Phase 1 of the two-phase REE evaluation: the relations of exactly
+/// the subexpressions worth sharing through the sub-relation cache,
+/// computed **once** (or read from the cache) before phase 2 walks the
+/// expression:
 ///
-/// * closure bodies (`e⁺`/`e*`): a path's interior crosses stripes
-///   arbitrarily often, so the closure is materialised globally (over
-///   the already row-block-parallel relation algebra) and each stripe
-///   takes its row slice, or under an `=`/`≠` test reads its rows in
-///   place;
-/// * non-head concatenation factors: `restrict(A·B) = restrict(A) ∘ B`,
-///   so only the head factor is row-restricted and every tail factor is
-///   needed in full.
+/// * closure bodies (`e⁺`/`e*`): materialised over the row-block-parallel
+///   relation algebra; phase 2 copies one, or under an `=`/`≠` test reads
+///   its rows in place;
+/// * non-head concatenation factors (`A·B` composes the head's relation
+///   with every tail factor in full), which queries with a common suffix
+///   share.
 ///
 /// Entries are keyed by the expression's stable pre-order node numbering,
 /// which [`Ree::eval_rows_snapshot`] reproduces during its walk. Values

@@ -1,12 +1,12 @@
 //! Property tests for the REE row evaluator's in-place tests and its
 //! early-exit Boolean walk: `=`/`≠` over a memoised closure, read row by
 //! row through the snapshot's value groups, and
-//! [`Ree::holds_rows_snapshot`], checked stripe by stripe against the
-//! full evaluation on random small graphs with self-loops, isolated
-//! nodes and null values.
+//! [`Ree::holds_rows_snapshot`], checked against the one-shot
+//! evaluation on random small graphs with self-loops, isolated nodes and
+//! null values.
 
 use crate::ree::{Ree, ReeRowMemo};
-use gde_datagraph::{DataGraph, Label, NodeId, Relation, Value};
+use gde_datagraph::{DataGraph, Label, NodeId, Value};
 use proptest::prelude::*;
 
 /// Edge labels `a`, `b`, `c` (interned first, so they are labels 0..3).
@@ -94,39 +94,14 @@ fn arb_test_over_closure() -> impl Strategy<Value = Ree> {
     })
 }
 
-/// Every stripe of a random row partition evaluates to the full
-/// evaluation's rows and Boolean; the stripes union to the full
-/// evaluation; the walk over every row is the full answer's
-/// non-emptiness; and rows beyond the domain hold nothing.
-fn check(e: &Ree, g: &DataGraph, cuts: &[usize]) {
+/// The memo-driven evaluation equals the one-shot one, and the
+/// early-exit walk is the one-shot answer's non-emptiness.
+fn check(e: &Ree, g: &DataGraph) {
     let s = g.snapshot();
-    let n = s.n();
     let memo = ReeRowMemo::build(e, &s);
     let full = e.eval_snapshot(&s);
-    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
-    bounds.extend([0, n]);
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mut union = Relation::empty(n);
-    for w in bounds.windows(2) {
-        let rows = w[0]..w[1];
-        let got = e.eval_rows_snapshot(&s, rows.clone(), &memo);
-        assert_eq!(
-            got,
-            full.restrict_rows(rows.clone()),
-            "rows {rows:?} of {e:?}"
-        );
-        assert_eq!(
-            e.holds_rows_snapshot(&s, rows.clone(), &memo),
-            full.any_in_rows(rows.clone()),
-            "Boolean of rows {rows:?} of {e:?}"
-        );
-        union.union_with(&got);
-    }
-    assert_eq!(union, full, "{e:?}");
-    assert_eq!(e.holds_rows_snapshot(&s, 0..n, &memo), full.any(), "{e:?}");
-    assert!(e.eval_rows_snapshot(&s, n..n + 2, &memo).is_empty());
-    assert!(!e.holds_rows_snapshot(&s, n..n + 2, &memo));
+    assert_eq!(e.eval_rows_snapshot(&s, &memo), full, "{e:?}");
+    assert_eq!(e.holds_rows_snapshot(&s, &memo), full.any(), "{e:?}");
 }
 
 proptest! {
@@ -136,18 +111,16 @@ proptest! {
     fn tests_over_closures_match_the_full_evaluation(
         g in arb_graph(),
         e in arb_test_over_closure(),
-        cuts in prop::collection::vec(0usize..10, 0..4),
     ) {
-        check(&e, &g, &cuts);
+        check(&e, &g);
     }
 
     #[test]
     fn random_rees_match_the_full_evaluation(
         g in arb_graph(),
         e in arb_ree(),
-        cuts in prop::collection::vec(0usize..10, 0..4),
     ) {
-        check(&e, &g, &cuts);
+        check(&e, &g);
     }
 }
 
@@ -181,14 +154,12 @@ fn equality_over_a_closure_walks_either_side() {
         Ree::Atom(a).plus().neq(),
         Ree::Atom(a).star().neq(),
     ] {
-        for cuts in [vec![], vec![3], vec![1, 5, 7]] {
-            check(&e, &g, &cuts);
-        }
+        check(&e, &g);
     }
     let s = g.snapshot();
     let ix = |id: u32| s.idx(NodeId(id)).expect("node exists") as usize;
     let e = Ree::Atom(a).plus().eq();
-    let rows = e.eval_rows_snapshot(&s, 0..s.n(), &ReeRowMemo::build(&e, &s));
+    let rows = e.eval_rows_snapshot(&s, &ReeRowMemo::build(&e, &s));
     assert!(rows.contains(ix(4), ix(7)), "probed from the value group");
     assert!(rows.contains(ix(9), ix(8)), "walked along the closure row");
     assert!(rows.contains(ix(0), ix(0)), "around the cycle");

@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Environment:
-//! * `GDE_MAX_THREADS` — caps both connection workers and stripe fan-out.
+//! * `GDE_MAX_THREADS` — caps both connection workers and the engine's
+//!   fan-out of a batch's missed queries.
 //! * `GDE_SERVER_WORKERS` — overrides the connection worker count.
 //! * `GDE_SERVER_DEADLINE_MS` — default per-request deadline.
 

@@ -19,7 +19,7 @@
 //! | `GET /tenants/{t}/stats`                                | per-tenant aggregate stats |
 //! | `POST /tenants/{t}/mappings`                            | register mapping (graph + rules) |
 //! | `GET /tenants/{t}/mappings/{m}/stats`                   | per-mapping serving stats |
-//! | `POST /tenants/{t}/mappings/{m}/shards`                 | set stripe count (`n` or `"auto"`) |
+//! | `POST /tenants/{t}/mappings/{m}/shards`                 | accepted and ignored (`n` or `"auto"`): `{"shards":1}` |
 //! | `POST /tenants/{t}/mappings/{m}/query`                  | answer one query |
 //! | `POST /tenants/{t}/mappings/{m}/batch`                  | answer a query batch |
 //! | `POST /tenants/{t}/mappings/{m}/templates`              | register a prepared template |
@@ -32,7 +32,7 @@ use crate::protocol::{
     ApiError, ApiRequest, ApiResponse,
 };
 use crate::tenant::{MappingHandle, ServerState};
-use gde_core::engine::{ServeOptions, ShardSpec};
+use gde_core::engine::ServeOptions;
 use gde_core::Gsm;
 use gde_datagraph::par::lock_recover;
 use gde_datagraph::{Alphabet, Label};
@@ -188,6 +188,9 @@ fn register_mapping(state: &ServerState, t: &str, body: &Json) -> Result<ApiResp
         .get("rules")
         .and_then(Json::as_arr)
         .ok_or_else(|| ApiError::bad_request("malformed-request", "missing \"rules\" array"))?;
+    if let Some(shards) = body.get("shards") {
+        check_shards(shards)?;
+    }
     // the rule source sides extend the graph's own alphabet (shared label
     // indices); the target sides build the target alphabet, optionally
     // pre-seeded so label order is caller-controlled
@@ -226,13 +229,6 @@ fn register_mapping(state: &ServerState, t: &str, body: &Json) -> Result<ApiResp
         .svc
         .set_tenant_label(id, &tenant.name)
         .map_err(|e| ApiError::from_serve_error(&e))?;
-    if let Some(spec) = body.get("shards") {
-        let spec = shard_spec(spec)?;
-        tenant
-            .svc
-            .set_shard_count(id, spec)
-            .map_err(|e| ApiError::from_serve_error(&e))?;
-    }
     tenant.insert_mapping(
         name,
         MappingHandle {
@@ -250,36 +246,26 @@ fn register_mapping(state: &ServerState, t: &str, body: &Json) -> Result<ApiResp
     })
 }
 
-fn shard_spec(j: &Json) -> Result<ShardSpec, ApiError> {
-    if j.as_str() == Some("auto") {
-        return Ok(ShardSpec::Auto);
+/// Validate a `shards` value: a count or `"auto"`. The value is accepted
+/// and ignored — every query evaluates as one task over the whole
+/// solution — and kept on the wire only for clients that still send it.
+fn check_shards(j: &Json) -> Result<(), ApiError> {
+    if j.as_str() == Some("auto") || j.as_u64().is_some() {
+        return Ok(());
     }
-    j.as_u64()
-        .map(|k| ShardSpec::Fixed(k as usize))
-        .ok_or_else(|| {
-            ApiError::bad_request(
-                "malformed-request",
-                "\"shards\" must be a count or \"auto\"",
-            )
-        })
+    Err(ApiError::bad_request(
+        "malformed-request",
+        "\"shards\" must be a count or \"auto\"",
+    ))
 }
 
 fn set_shards(state: &ServerState, t: &str, m: &str, body: &Json) -> Result<ApiResponse, ApiError> {
-    let tenant = state.tenant(t)?;
-    let handle = tenant.mapping(m)?;
-    let spec = shard_spec(
+    state.tenant(t)?.mapping(m)?;
+    check_shards(
         body.get("shards")
             .ok_or_else(|| ApiError::bad_request("malformed-request", "missing \"shards\""))?,
     )?;
-    tenant
-        .svc
-        .set_shard_count(handle.id, spec)
-        .map_err(|e| ApiError::from_serve_error(&e))?;
-    let k = tenant.svc.shard_count(handle.id);
-    Ok(ApiResponse::ok(Json::obj([(
-        "shards",
-        k.map(|k| Json::num(k as f64)).unwrap_or(Json::Null),
-    )])))
+    Ok(ApiResponse::ok(Json::obj([("shards", Json::num(1.0))])))
 }
 
 fn mapping_stats(state: &ServerState, t: &str, m: &str) -> Result<ApiResponse, ApiError> {

@@ -4,10 +4,10 @@
 //! The container has no async runtime, so the serving tier is a
 //! hand-rolled `std::net` loop: one accept thread pushes connections into
 //! an [`mpsc`] channel and `config.workers` threads each run a keep-alive
-//! connection loop. The engine's own stripe fan-out
-//! ([`gde_datagraph::par`]) still parallelises *inside* a request, so the
-//! two pools compose: connection concurrency up here, data parallelism
-//! below.
+//! connection loop. The engine's own fan-out ([`gde_datagraph::par`])
+//! still parallelises *inside* a request — a batch's missed queries, and
+//! the relation algebra's row blocks — so the two pools compose:
+//! connection concurrency up here, data parallelism below.
 //!
 //! Fault posture, mirroring the engine's serving tier:
 //!

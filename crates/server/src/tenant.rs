@@ -8,7 +8,7 @@
 //! live inside a service, so giving every tenant its own service makes
 //! budgets, evictions, quarantines and statistics tenant-local by
 //! construction — one tenant's hot queries can never evict another
-//! tenant's solutions, and a quarantined stripe only ever retries inside
+//! tenant's solutions, and a quarantined solution only ever retries inside
 //! the tenant that tripped it. Every mapping is labelled with its tenant
 //! name ([`MappingService::set_tenant_label`]) so aggregated
 //! [`ServingStats`] refuse cross-tenant bleed structurally.
@@ -31,8 +31,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Connection-serving worker threads. Defaults to the engine's
     /// worker-thread budget ([`gde_datagraph::par::max_threads`], i.e.
-    /// `GDE_MAX_THREADS`), floor 2 — connections and stripe fan-outs
-    /// share one thread budget by default.
+    /// `GDE_MAX_THREADS`), floor 2 — connections and the engine's
+    /// fan-outs share one thread budget by default.
     pub workers: usize,
     /// Sub-relation/solution cache budget for each newly created tenant,
     /// in bytes (tunable per tenant at creation).

@@ -3,8 +3,8 @@
 //! The engine's injection sites ([`gde_core::faults`]) fire while real
 //! clients hammer the server over TCP. The invariants, per seed:
 //!
-//! * the process never aborts — a panicking stripe is contained by the
-//!   engine and surfaces as a typed 503 (`worker-panicked`), never as a
+//! * the process never aborts — a panicking serving task is contained by
+//!   the engine and surfaces as a typed 503 (`worker-panicked`), never as a
 //!   dead worker or a torn response;
 //! * every successful response is **byte-identical** to the fault-free
 //!   reference;
@@ -97,7 +97,6 @@ fn upload(c: &mut Client, sv: &ServingScenario) {
         ("name", Json::str("social")),
         ("source", graph_to_json(&sv.scenario.source)),
         ("rules", Json::Arr(rules)),
-        ("shards", Json::num(3.0)),
     ]);
     let r = c.post("/tenants/soak/mappings", &body).unwrap();
     assert_eq!(r.status, 201, "{}", String::from_utf8_lossy(&r.raw_body));

@@ -200,11 +200,11 @@ fn unknown_names_get_typed_404s() {
     assert_alive(&handle);
 }
 
-/// A fixed stripe count is any u64 on the wire; the engine clamps it to
-/// 64 stripes and the reply reports the clamped count, so a huge request
-/// never sizes a plan by it.
+/// A stripe count is any u64 or `"auto"` on the wire, accepted and
+/// ignored: the reply reads 1 whatever was asked, and the mapping keeps
+/// serving.
 #[test]
-fn an_oversized_stripe_count_is_clamped_to_sixty_four() {
+fn any_stripe_count_is_accepted_and_reads_one() {
     let handle = tight_server();
     let mut c = Client::connect(handle.addr()).unwrap();
     assert_eq!(c.put("/tenants/t", &Json::obj([])).unwrap().status, 201);
@@ -220,16 +220,17 @@ fn an_oversized_stripe_count_is_clamped_to_sixty_four() {
         ),
     ]);
     assert_eq!(c.post("/tenants/t/mappings", &mapping).unwrap().status, 201);
-    for k in [65.0, 5_000_000.0, 4_294_967_296.0] {
+    let asks = [65.0, 5_000_000.0, 4_294_967_296.0].map(Json::num);
+    for k in asks.into_iter().chain([Json::str("auto")]) {
         let r = c
             .post(
                 "/tenants/t/mappings/m/shards",
-                &Json::obj([("shards", Json::num(k))]),
+                &Json::obj([("shards", k.clone())]),
             )
             .unwrap();
-        assert_eq!(r.status, 200, "{k}");
+        assert_eq!(r.status, 200, "{k:?}");
         let shards = r.json().unwrap().get("shards").and_then(Json::as_u64);
-        assert_eq!(shards, Some(64), "{k}");
+        assert_eq!(shards, Some(1), "{k:?}");
         let q = Json::obj([("query", Json::str("contact"))]);
         assert_eq!(
             c.post("/tenants/t/mappings/m/query", &q).unwrap().status,

@@ -168,18 +168,6 @@ pub fn social_serving_scenario(cfg: &SocialConfig) -> ServingScenario {
     }
 }
 
-/// The social exchange scaled to a target node count, with a query batch
-/// tuned for **sharded** serving: per-start-heavy classes (memory RPQs,
-/// navigational RPQs) that split cleanly across node-range stripes,
-/// row-decomposable equality REEs, one closure REE exercising the
-/// two-phase (memoised) path, and one conjunctive query exercising the
-/// slice-only fallback. Answer sizes stay near-linear in the graph so the
-/// batch measures evaluation work, not result materialisation.
-///
-/// `scale` is the approximate *source-graph* node count (persons, posts,
-/// attribute and reified-like nodes included); the canonical solution adds
-/// the invented nodes on top. The `sharded_serving` bench runs this at
-/// `scale = 20480` against shard counts K ∈ {1, 2, 4, 8}.
 /// The [`sharded_serving_scenario`] queries best served as Boolean
 /// existence checks: the heavy navigational/analytic ones, where "does
 /// any answer exist?" is the realistic cheap probe. The `sharded_serving`
@@ -194,6 +182,18 @@ pub const SHARDED_BOOLEAN_QUERIES: [&str; 6] = [
     "two-hops-to-namesake",
 ];
 
+/// The social exchange scaled to a target node count, with a query batch
+/// that covers every evaluation path of a missed query: per-start-heavy
+/// classes (memory RPQs, navigational RPQs), equality REEs, one closure
+/// REE exercising the two-phase (memoised) path, and one conjunctive
+/// query whose full answer is its phase-1 artifact. Answer sizes stay
+/// near-linear in the graph so the batch measures evaluation work, not
+/// result materialisation.
+///
+/// `scale` is the approximate *source-graph* node count (persons, posts,
+/// attribute and reified-like nodes included); the canonical solution adds
+/// the invented nodes on top. The `sharded_serving` bench runs this at
+/// `scale = 20480` across a worker-thread sweep.
 pub fn sharded_serving_scenario(scale: usize, seed: u64) -> ServingScenario {
     // node budget per person: 1 + @name + @city = 3; per post: 1 + @topic
     // = 2, plus ~1.5 reified likes × (1 middle + 1 @reaction) = 3 more
@@ -219,16 +219,16 @@ pub fn sharded_serving_scenario(scale: usize, seed: u64) -> ServingScenario {
     }
     let mut queries: Vec<(String, DataQuery)> = Vec::new();
     let mut push = |name: &str, q: DataQuery| queries.push((name.to_string(), q));
-    // navigational RPQs: per-start product BFS, shards by start row
+    // navigational RPQs: per-start product BFS
     push("friend-of-author", rpq(&mut ta, "contact authored"));
     push("two-hop-contact", rpq(&mut ta, "contact contact"));
     push("endorsement-path", rpq(&mut ta, "endorses via on"));
     push("co-located", rpq(&mut ta, "located hub"));
-    // equality REEs: row-decomposable relation algebra
+    // equality REEs: relation algebra with a root test
     push("same-name-two-hops", ree(&mut ta, "(contact contact)="));
     push("authored-by-namesake", ree(&mut ta, "(contact authored)="));
     push("different-name-contact", ree(&mut ta, "contact!="));
-    // a closure REE: the two-phase path (global closure, per-stripe slice)
+    // a closure REE: the two-phase path (the closure is a phase-1 artifact)
     push("same-name-reachable", ree(&mut ta, "(contact+)="));
     // memory RPQs: the heaviest per-start work in the batch
     push(
@@ -243,7 +243,7 @@ pub fn sharded_serving_scenario(scale: usize, seed: u64) -> ServingScenario {
             .expect("static query parses")
             .into(),
     );
-    // a conjunctive data RPQ: the slice-only fallback path
+    // a conjunctive data RPQ: its full answer is built in phase 1
     push(
         "endorses-a-contacts-post",
         ConjunctiveDataRpq::new(
@@ -276,10 +276,9 @@ pub fn sharded_serving_scenario(scale: usize, seed: u64) -> ServingScenario {
 
 /// The **merge-bound** tuple batch for the sharded scenario: long
 /// contact-walk queries whose answer cardinality is a large multiple of
-/// the node count, so at K stripes the per-stripe evaluation produces big
-/// sorted runs and assembling and copying the answer — not the
+/// the node count, so building and copying the answer — not the
 /// evaluation — dominates the cost profile. The `sharded_serving` bench
-/// times it per K as its big-answer batch.
+/// times it as its big-answer batch.
 ///
 /// `ta` must be the scenario's target-alphabet interner
 /// (`gsm.target_alphabet().clone()`) so label indices line up.

@@ -44,7 +44,6 @@ pub const SERVE_PATH_FILES: &[&str] = &[
     "crates/dataquery/src/rem.rs",
     "crates/dataquery/src/cache.rs",
     "crates/datagraph/src/relation.rs",
-    "crates/datagraph/src/shard.rs",
     "crates/datagraph/src/merge.rs",
     "crates/datagraph/src/snapshot.rs",
 ];

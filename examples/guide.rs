@@ -1,6 +1,6 @@
 //! The user guide (`docs/GUIDE.md`) as one runnable program: build a
 //! graph, define a mapping, register it, compile a query, answer under
-//! every semantics, apply a delta, tune sharding, bound a serve
+//! every semantics, apply a delta, serve a batch cold and warm, bound a serve
 //! with deadlines and cancellation, consult the static analyzer, serve a
 //! prepared template by binding labels per call, and put the same engine
 //! behind the `gde-server` network front-end. Each step asserts
@@ -89,25 +89,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(after.into_pairs(), vec![(NodeId(0), NodeId(2))]);
     println!("delta applied: generation {}", report.generation);
 
-    // §7 — sharding is a pure performance knob: answers never change
-    let unsharded = service.answer(id, &compiled, Semantics::nulls())?;
-    service.set_shard_count(id, 4)?;
-    assert_eq!(
-        service.answer(id, &compiled, Semantics::nulls())?,
-        unsharded
-    );
-    service.set_shard_count(id, ShardSpec::Auto)?;
-    assert_eq!(service.shard_spec(id), Some(ShardSpec::Auto));
-    assert_eq!(
-        service.answer(id, &compiled, Semantics::nulls())?,
-        unsharded
-    );
+    // §7 — a batch's misses run one task each; a repeat is one cache
+    // lookup per query and evaluates nothing
+    let reference = service.answer(id, &compiled, Semantics::nulls())?;
+    let closure = DataQuery::from(parse_ree("((knows trusts)+)=", &mut ta)?).compile();
+    let batch = [compiled.clone(), closure.clone()];
+    let cold = service.answer_batch(id, &batch, Semantics::nulls());
+    assert_eq!(cold[0], Ok(reference.clone()));
+    assert_eq!(cold[1], service.answer(id, &closure, Semantics::nulls()));
+    let before = service.serving_stats(id).expect("registered");
+    assert_eq!(service.answer_batch(id, &batch, Semantics::nulls()), cold);
     let stats = service.serving_stats(id).expect("registered");
+    assert_eq!(stats.cache_hits - before.cache_hits, 2);
+    assert_eq!(stats.tuple_evals, before.tuple_evals);
     println!(
-        "auto-resolved shard count: {:?}; serving stats: {} tuple evals, {} tuples",
-        service.shard_count(id).expect("registered"),
+        "serving stats: {} tuple evals, {} tuples, cache hit rate {:.2}",
         stats.tuple_evals,
         stats.tuples,
+        stats.cache_hit_rate(),
     );
 
     // §8 — bounded serves: deadlines and cancellation are typed errors,
@@ -125,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     assert_eq!(
         service.answer(id, &compiled, Semantics::nulls())?,
-        unsharded
+        reference
     );
     let stats = service.serving_stats(id).expect("registered");
     assert_eq!(stats.rejected, 2);
@@ -143,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(empty.into_pairs(), vec![]);
     let after = service.serving_stats(id).expect("registered");
     assert_eq!(after.static_empty, before.static_empty + 1);
-    assert_eq!(after.tuple_evals, before.tuple_evals, "no stripe touched");
+    assert_eq!(after.tuple_evals, before.tuple_evals, "nothing evaluated");
     println!(
         "analyzer: {}/{} rules live, {} statically empty quer(ies) served O(1)",
         report.live_rules(),
@@ -228,7 +227,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gsm2 = service.gsm(id).expect("registered");
     let src2 = service.source(id).expect("registered");
     let once = answer_once(&gsm2, &src2, &compiled, Semantics::nulls())?;
-    assert_eq!(once, unsharded);
+    assert_eq!(once, reference);
     println!("guide complete");
     Ok(())
 }

@@ -1,12 +1,12 @@
 //! Static-analyzer edge cases and the engine guarantees built on top of
 //! it: workload-driven rule pruning must be invisible in the answers
-//! (byte-identical at every shard count), must actually shrink the
+//! (byte-identical to the full mapping's), must actually shrink the
 //! resident solution, and statically-empty queries must serve O(1)
-//! without touching a single stripe.
+//! without evaluating anything.
 
 use gde_automata::{parse_regex, Regex};
 use gde_core::{
-    analyze_mapping, pruned_gsm, Answer, Gsm, MappingFacts, MappingService, Semantics, ShardSpec,
+    analyze_mapping, pruned_gsm, Answer, Gsm, MappingFacts, MappingService, Semantics,
     WorkloadProfile,
 };
 use gde_datagraph::{Alphabet, DataGraph, NodeId, Value};
@@ -101,7 +101,7 @@ fn query_over_unproduced_labels_serves_o1() {
     let after = svc.serving_stats(id).unwrap();
     assert_eq!(a.into_pairs(), vec![]);
     assert_eq!(b, Answer::Boolean(false));
-    // the verdict short-circuits before any stripe evaluation
+    // the verdict short-circuits before any evaluation
     assert_eq!(after.static_empty - before.static_empty, 2);
     assert_eq!(after.tuple_evals, before.tuple_evals);
     assert_eq!(after.boolean_evals, before.boolean_evals);
@@ -112,7 +112,6 @@ fn static_empty_short_circuits_in_batches_too() {
     let m = mapping(&[("a", "x"), ("b", "y")]);
     let svc = MappingService::new();
     let id = svc.register(m.clone(), chain_source(40));
-    svc.set_shard_count(id, 3).unwrap();
     let live = query(&m, "x y*");
     let dead = query(&m, "z");
     let batch = vec![live.clone(), dead.clone(), live.clone()];
@@ -134,8 +133,8 @@ fn static_empty_short_circuits_in_batches_too() {
 }
 
 /// The acceptance scenario: a workload with dead and subsumed rules must
-/// shrink the resident solution while staying byte-identical at every
-/// shard count, pruning on or off.
+/// shrink the resident solution while staying byte-identical to the full
+/// mapping's answers.
 #[test]
 fn pruning_is_invisible_and_shrinks_the_solution() {
     let rules: &[(&str, &str)] = &[
@@ -160,30 +159,24 @@ fn pruning_is_invisible_and_shrinks_the_solution() {
         .unwrap()
         .approx_bytes();
 
-    for spec in [ShardSpec::Fixed(1), ShardSpec::Fixed(4), ShardSpec::Auto] {
-        let on = MappingService::new();
-        let id = on.register(mapping(rules), gs.clone());
-        on.register_queries(id, &workload).unwrap();
-        on.set_shard_count(id, spec).unwrap();
-        // the serve mapping really did lose the dead + subsumed rules
-        let serve = on.serve_gsm(id).unwrap();
-        assert!(
-            serve.rules().len() < rules.len(),
-            "pruning dropped rules at {spec:?}"
-        );
-        let on_bytes = on.solution(id, Semantics::nulls()).unwrap().approx_bytes();
-        assert!(
-            on_bytes < off_bytes,
-            "pruned solution is smaller ({on_bytes} < {off_bytes})"
-        );
-        for q in &workload {
-            for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
-                assert_eq!(
-                    on.answer(id, q, sem).unwrap(),
-                    off.answer(off_id, q, sem).unwrap(),
-                    "byte-identical at {spec:?}"
-                );
-            }
+    let on = MappingService::new();
+    let id = on.register(mapping(rules), gs.clone());
+    on.register_queries(id, &workload).unwrap();
+    // the serve mapping really did lose the dead + subsumed rules
+    let serve = on.serve_gsm(id).unwrap();
+    assert!(serve.rules().len() < rules.len(), "pruning dropped rules");
+    let on_bytes = on.solution(id, Semantics::nulls()).unwrap().approx_bytes();
+    assert!(
+        on_bytes < off_bytes,
+        "pruned solution is smaller ({on_bytes} < {off_bytes})"
+    );
+    for q in &workload {
+        for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
+            assert_eq!(
+                on.answer(id, q, sem).unwrap(),
+                off.answer(off_id, q, sem).unwrap(),
+                "byte-identical {sem:?}"
+            );
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Prepared-template equivalence: `answer_bound` must serve answers
-//! byte-identical to ad-hoc `answer` for **every** `Semantics` × `Mode`
-//! at K ∈ {1, 4, Auto}, stay identical across churn deltas (each drops
-//! the cached solutions, templates stay interned), and survive the
+//! byte-identical to ad-hoc `answer` for **every** `Semantics` × `Mode`,
+//! cold and warm, against a reference service that serves ad-hoc queries
+//! without canonicalisation (so it shares no template or cache key with
+//! the bound path), stay identical across churn deltas (each drops the
+//! cached solutions, templates stay interned), and survive the
 //! seeded fault-injection soak. Alpha-equivalent ad-hoc requests must
 //! transparently collapse onto one interned template.
 //!
@@ -14,8 +16,7 @@ use std::time::Duration;
 
 use gde_core::faults::{self, FaultPlan};
 use gde_core::{
-    Answer, ExactOptions, MappingId, MappingService, Mode, Semantics, ServeError, ShardSpec,
-    TemplateId,
+    Answer, ExactOptions, MappingId, MappingService, Mode, Semantics, ServeError, TemplateId,
 };
 use gde_datagraph::{GraphDelta, Label, NodeId};
 use gde_dataquery::{canonicalize, DataQuery, PlanSkeleton};
@@ -53,10 +54,6 @@ fn all_semantics() -> Vec<Semantics> {
         out.push(Semantics::Exact(mode, ExactOptions::default()));
     }
     out
-}
-
-fn all_specs() -> [ShardSpec; 3] {
-    [ShardSpec::Fixed(1), ShardSpec::Fixed(4), ShardSpec::Auto]
 }
 
 /// The family scenario plus everything the prepared path needs: one
@@ -100,10 +97,12 @@ fn family(variants: usize, nodes: usize, seed: u64) -> Family {
     }
 }
 
-fn register(fam: &Family, spec: ShardSpec) -> (MappingService, MappingId, TemplateId) {
+/// A service for the family, its template interned; `canonical` turns
+/// the routing of ad-hoc queries onto templates on or off.
+fn register(fam: &Family, canonical: bool) -> (MappingService, MappingId, TemplateId) {
     let svc = MappingService::new();
+    svc.set_canonicalisation(canonical);
     let id = svc.register(fam.ps.scenario.gsm.clone(), fam.ps.scenario.source.clone());
-    svc.set_shard_count(id, spec).expect("registered");
     let tpl = svc
         .register_template(id, &fam.skeleton)
         .expect("registered mapping interns the template");
@@ -134,36 +133,27 @@ fn fingerprints(
 }
 
 #[test]
-fn bound_answers_identical_for_all_semantics_modes_and_shard_specs() {
+fn bound_answers_identical_for_all_semantics_and_modes() {
     let _serial = serial();
     let fam = family(5, 48, 0xB0);
-    let reference = MappingService::new();
-    let rid = reference.register(fam.ps.scenario.gsm.clone(), fam.ps.scenario.source.clone());
-    let rtpl = reference
-        .register_template(rid, &fam.skeleton)
-        .expect("interned");
+    let (reference, rid, rtpl) = register(&fam, false);
     let (expected, expected_bound) = fingerprints(&fam, &reference, rid, rtpl);
-    assert_eq!(
-        expected, expected_bound,
-        "unsharded bound == unsharded ad-hoc"
-    );
+    assert_eq!(expected, expected_bound, "reference bound == ad-hoc");
     assert!(
         expected
             .iter()
             .any(|a| matches!(a, Ok(ans) if !ans.clone().into_pairs().is_empty())),
         "workload must produce real answers"
     );
-    for spec in all_specs() {
-        let (svc, id, tpl) = register(&fam, spec);
-        let (adhoc, bound) = fingerprints(&fam, &svc, id, tpl);
-        assert_eq!(adhoc, expected, "{spec:?} ad-hoc must match the reference");
-        assert_eq!(bound, expected, "{spec:?} bound must match the reference");
-        // warm pass: the second serve comes out of the sub-relation
-        // cache stripes and must still be byte-identical
-        let (adhoc, bound) = fingerprints(&fam, &svc, id, tpl);
-        assert_eq!(adhoc, expected, "warm {spec:?} ad-hoc");
-        assert_eq!(bound, expected, "warm {spec:?} bound");
-    }
+    let (svc, id, tpl) = register(&fam, true);
+    let (adhoc, bound) = fingerprints(&fam, &svc, id, tpl);
+    assert_eq!(adhoc, expected, "ad-hoc must match the reference");
+    assert_eq!(bound, expected, "bound must match the reference");
+    // warm pass: the second serve comes out of the sub-relation cache
+    // and must still be byte-identical
+    let (adhoc, bound) = fingerprints(&fam, &svc, id, tpl);
+    assert_eq!(adhoc, expected, "warm ad-hoc");
+    assert_eq!(bound, expected, "warm bound");
 }
 
 #[test]
@@ -186,39 +176,23 @@ fn bound_answers_survive_churn_deltas() {
             d
         })
         .collect();
-    let reference = MappingService::new();
-    let rid = reference.register(fam.ps.scenario.gsm.clone(), fam.ps.scenario.source.clone());
-    let rtpl = reference
-        .register_template(rid, &fam.skeleton)
-        .expect("interned");
-    let sharded: Vec<_> = all_specs()
-        .into_iter()
-        .map(|spec| {
-            let (svc, id, tpl) = register(&fam, spec);
-            (spec, svc, id, tpl)
-        })
-        .collect();
-    for delta in &deltas {
+    let (reference, rid, rtpl) = register(&fam, false);
+    let (svc, id, tpl) = register(&fam, true);
+    for (step, delta) in deltas.iter().enumerate() {
         // warm caches so every delta meets a resident solution
         let (expected, expected_bound) = fingerprints(&fam, &reference, rid, rtpl);
         assert_eq!(expected, expected_bound);
-        for (spec, svc, id, tpl) in &sharded {
-            let (adhoc, bound) = fingerprints(&fam, svc, *id, *tpl);
-            assert_eq!(adhoc, expected, "pre-delta {spec:?}");
-            assert_eq!(bound, expected, "pre-delta {spec:?} bound");
-        }
+        let (adhoc, bound) = fingerprints(&fam, &svc, id, tpl);
+        assert_eq!(adhoc, expected, "pre-delta {step}");
+        assert_eq!(bound, expected, "pre-delta {step} bound");
         reference.apply_delta(rid, delta).expect("delta applies");
-        for (_, svc, id, _) in &sharded {
-            svc.apply_delta(*id, delta).expect("delta applies");
-        }
+        svc.apply_delta(id, delta).expect("delta applies");
     }
     let (expected, expected_bound) = fingerprints(&fam, &reference, rid, rtpl);
     assert_eq!(expected, expected_bound);
-    for (spec, svc, id, tpl) in &sharded {
-        let (adhoc, bound) = fingerprints(&fam, svc, *id, *tpl);
-        assert_eq!(adhoc, expected, "post-churn {spec:?}");
-        assert_eq!(bound, expected, "post-churn {spec:?} bound");
-    }
+    let (adhoc, bound) = fingerprints(&fam, &svc, id, tpl);
+    assert_eq!(adhoc, expected, "post-churn");
+    assert_eq!(bound, expected, "post-churn bound");
 }
 
 #[test]
@@ -226,7 +200,7 @@ fn bound_answers_identical_under_fault_soak_seeds() {
     let _serial = serial();
     quiet_injected_panics();
     let fam = family(3, 36, 0xFA);
-    let (svc, id, tpl) = register(&fam, ShardSpec::Fixed(3));
+    let (svc, id, tpl) = register(&fam, true);
     let sems = [Semantics::nulls(), Semantics::nulls_boolean()];
     let mut reference = Vec::new();
     for sem in sems {

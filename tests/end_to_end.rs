@@ -88,7 +88,7 @@ fn least_informative_equals_exact_for_equality_only() {
 }
 
 /// Boolean answers of tests over closures, served through a
-/// `MappingService` at K ∈ {1, 2, 3}, against the Exact enumeration: a
+/// `MappingService`, against the Exact enumeration: a
 /// Nulls `true` is an Exact `true`, and LI equals Exact on equality-only
 /// queries. The Nulls Boolean also equals the one-shot full evaluation's
 /// non-emptiness on the universal solution, which shares no code with
@@ -131,29 +131,25 @@ fn boolean_tests_over_closures_agree_with_exact() {
             .iter()
             .map(|q| q.holds_somewhere(&universal))
             .collect();
-        for k in [1, 2, 3] {
-            let svc = MappingService::new();
-            let id = svc.register(sc.gsm.clone(), sc.source.clone());
-            svc.set_shard_count(id, k).unwrap();
-            for (((qsrc, q), &exact), &full) in sources.iter().zip(&queries).zip(&exact).zip(&full)
-            {
-                let cq = q.compile();
-                let nulls = svc.answer(id, &cq, Semantics::nulls_boolean()).unwrap();
-                assert_eq!(
-                    nulls.boolean(),
-                    full,
-                    "Nulls vs full evaluation: seed {seed}, K={k}, query {qsrc}"
-                );
-                assert!(
-                    !nulls.boolean() || exact,
-                    "Nulls true but Exact false: seed {seed}, K={k}, query {qsrc}"
-                );
-                if q.is_equality_only() {
-                    let li = svc
-                        .answer(id, &cq, Semantics::least_informative_boolean())
-                        .unwrap();
-                    assert_eq!(li.boolean(), exact, "seed {seed}, K={k}, query {qsrc}");
-                }
+        let svc = MappingService::new();
+        let id = svc.register(sc.gsm.clone(), sc.source.clone());
+        for (((qsrc, q), &exact), &full) in sources.iter().zip(&queries).zip(&exact).zip(&full) {
+            let cq = q.compile();
+            let nulls = svc.answer(id, &cq, Semantics::nulls_boolean()).unwrap();
+            assert_eq!(
+                nulls.boolean(),
+                full,
+                "Nulls vs full evaluation: seed {seed}, query {qsrc}"
+            );
+            assert!(
+                !nulls.boolean() || exact,
+                "Nulls true but Exact false: seed {seed}, query {qsrc}"
+            );
+            if q.is_equality_only() {
+                let li = svc
+                    .answer(id, &cq, Semantics::least_informative_boolean())
+                    .unwrap();
+                assert_eq!(li.boolean(), exact, "seed {seed}, query {qsrc}");
             }
         }
     }

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use gde_core::faults::{self, FaultPlan, FaultSite};
 use gde_core::{
-    Answer, MappingId, MappingService, Semantics, ServeError, ServeOptions, ServingStats, ShardSpec,
+    Answer, MappingId, MappingService, Semantics, ServeError, ServeOptions, ServingStats,
 };
 use gde_dataquery::{CompiledQuery, DataQuery};
 use gde_workload::{social_churn_deltas, social_serving_scenario, ServingScenario, SocialConfig};
@@ -70,7 +70,7 @@ fn fingerprint(svc: &MappingService, id: MappingId, qs: &[CompiledQuery]) -> Vec
 }
 
 /// The soak: across ≥32 seeds (plus an optional `GDE_FAULT_SEED` smoke
-/// seed from the environment), drive a sharded service through batch and
+/// seed from the environment), drive a service through batch and
 /// single serves while panics and delays fire at every injection site.
 /// The process must never abort, every error must be a typed contained
 /// one, and after each seed disarms the same service must return
@@ -83,7 +83,6 @@ fn seeded_soak_never_aborts_and_recovers_byte_identical() {
     let qs: Vec<CompiledQuery> = compiled_batch(&sv).into_iter().take(6).collect();
     let svc = MappingService::new();
     let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(id, 3).unwrap();
     let reference = fingerprint(&svc, id, &qs);
     let ref_batch: Vec<Answer> = svc
         .answer_batch(id, &qs, Semantics::nulls())
@@ -180,7 +179,6 @@ fn seeded_soak_delta_then_batch_matches_a_fault_free_twin() {
     let [(svc, id), (twin, tid)] = [(); 2].map(|_| {
         let svc = MappingService::new();
         let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-        svc.set_shard_count(id, 3).unwrap();
         (svc, id)
     });
     assert_eq!(fingerprint(&svc, id, &qs), fingerprint(&twin, tid, &qs));
@@ -250,10 +248,10 @@ fn sem_index(sem: Semantics) -> usize {
     usize::from(sem == Semantics::nulls_boolean())
 }
 
-/// A panicking stripe quarantines only its own mapping: a sibling
+/// A panicking serve quarantines only its own mapping: a sibling
 /// mapping's cached solution, counters and answers are untouched.
 #[test]
-fn panicking_stripe_quarantines_only_that_mapping() {
+fn a_panicking_serve_quarantines_only_that_mapping() {
     let _serial = serial();
     quiet_injected_panics();
     let (sva, svb) = (scenario(0xA1), scenario(0xB2));
@@ -261,8 +259,6 @@ fn panicking_stripe_quarantines_only_that_mapping() {
     let svc = MappingService::new();
     let ida = svc.register(sva.scenario.gsm.clone(), sva.scenario.source.clone());
     let idb = svc.register(svb.scenario.gsm.clone(), svb.scenario.source.clone());
-    svc.set_shard_count(ida, 2).unwrap();
-    svc.set_shard_count(idb, 2).unwrap();
     let ref_a = svc.answer(ida, &qa, Semantics::nulls()).unwrap();
     let ref_b = svc.answer(idb, &qb, Semantics::nulls()).unwrap();
     assert!(svc.is_cached(ida, Semantics::nulls()));
@@ -277,9 +273,9 @@ fn panicking_stripe_quarantines_only_that_mapping() {
         .unwrap();
     let li_a = svc.solution(ida, Semantics::least_informative()).unwrap();
 
-    // every hit panics: the warm serve's stripe panics, the quarantine
-    // retry's rebuild panics at the freeze, and the serve surfaces the
-    // typed error after both contained attempts
+    // every hit panics: the warm serve's answer hand-out panics, the
+    // quarantine retry's rebuild panics at the freeze, and the serve
+    // surfaces the typed error after both contained attempts
     let armed = faults::arm(FaultPlan::seeded(9).panic_one_in(1).delay_one_in(0));
     match svc.answer(ida, &qa, Semantics::nulls()) {
         Err(ServeError::StripePanicked { message, .. }) => {
@@ -311,57 +307,99 @@ fn panicking_stripe_quarantines_only_that_mapping() {
 }
 
 /// Cancelling mid-batch leaves every cache consistent: a retry of the
-/// same batch is byte-identical, at K = 1, K = 4 and under `Auto`.
+/// same batch is byte-identical, whether the cancel lands on a warm batch
+/// or a deadline stops a cold one between the tasks of its queries.
 #[test]
 fn cancel_mid_batch_then_retry_is_byte_identical() {
     let _serial = serial();
     quiet_injected_panics();
     let sv = scenario(0xC3);
     let qs = compiled_batch(&sv);
-    for spec in [ShardSpec::Fixed(1), ShardSpec::Fixed(4), ShardSpec::Auto] {
-        let svc = MappingService::new();
-        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-        svc.set_shard_count(id, spec).unwrap();
-        let reference: Vec<Answer> = svc
-            .answer_batch(id, &qs, Semantics::nulls())
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    let reference: Vec<Answer> = svc
+        .answer_batch(id, &qs, Semantics::nulls())
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
 
-        // raised before the call: refused at the door, every query gets
-        // the typed cancel error and the rejected counter moves
-        let cancel = Arc::new(AtomicBool::new(true));
-        let opts = ServeOptions::new().with_cancel(cancel);
-        for r in svc.answer_batch_with(id, &qs, Semantics::nulls(), &opts) {
-            assert!(matches!(r, Err(ServeError::Cancelled { .. })), "{spec:?}");
-        }
-        assert!(svc.serving_stats(id).unwrap().rejected >= qs.len() as u64);
-
-        // raised from another thread mid-flight: each query either
-        // finished with the exact reference answer or was cancelled
-        let cancel = Arc::new(AtomicBool::new(false));
-        let opts = ServeOptions::new().with_cancel(cancel.clone());
-        let flipper = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_micros(150));
-            cancel.store(true, Ordering::SeqCst);
-        });
-        let midway = svc.answer_batch_with(id, &qs, Semantics::nulls(), &opts);
-        flipper.join().unwrap();
-        for (i, r) in midway.into_iter().enumerate() {
-            match r {
-                Ok(ans) => assert_eq!(ans, reference[i], "{spec:?} query {i}"),
-                Err(ServeError::Cancelled { .. }) => {}
-                Err(e) => panic!("{spec:?}: unexpected serve error: {e}"),
-            }
-        }
-        // the retry must reproduce the reference bytes exactly
-        let retry: Vec<Answer> = svc
-            .answer_batch(id, &qs, Semantics::nulls())
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(retry, reference, "{spec:?}");
+    // raised before the call: refused at the door, every query gets the
+    // typed cancel error and the rejected counter moves
+    let cancel = Arc::new(AtomicBool::new(true));
+    let opts = ServeOptions::new().with_cancel(cancel);
+    for r in svc.answer_batch_with(id, &qs, Semantics::nulls(), &opts) {
+        assert!(matches!(r, Err(ServeError::Cancelled { .. })));
     }
+    assert!(svc.serving_stats(id).unwrap().rejected >= qs.len() as u64);
+
+    // raised from another thread mid-flight: each query either finished
+    // with the exact reference answer or was cancelled
+    let cancel = Arc::new(AtomicBool::new(false));
+    let opts = ServeOptions::new().with_cancel(cancel.clone());
+    let flipper = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_micros(150));
+        cancel.store(true, Ordering::SeqCst);
+    });
+    let midway = svc.answer_batch_with(id, &qs, Semantics::nulls(), &opts);
+    flipper.join().unwrap();
+    for (i, r) in midway.into_iter().enumerate() {
+        match r {
+            Ok(ans) => assert_eq!(ans, reference[i], "query {i}"),
+            Err(ServeError::Cancelled { .. }) => {}
+            Err(e) => panic!("unexpected serve error: {e}"),
+        }
+    }
+    // the retry must reproduce the reference bytes exactly
+    let retry: Vec<Answer> = svc
+        .answer_batch(id, &qs, Semantics::nulls())
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    assert_eq!(retry, reference);
+
+    // cold: the first tasks stall at the evaluation fault point past the
+    // deadline, so the batch stops between its queries; a stopped batch
+    // keeps no answer, so the retry misses on every query it stopped and
+    // still returns the reference bytes
+    let cold = MappingService::new();
+    let cid = cold.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    cold.prepare(cid, Semantics::nulls()).unwrap();
+    let plan = FaultPlan::seeded(0xC3)
+        .panic_one_in(0)
+        .delay_one_in(1)
+        .delay(Duration::from_millis(20));
+    let armed = faults::arm(plan);
+    let opts = ServeOptions::new().with_deadline(Instant::now() + Duration::from_millis(5));
+    let stopped = cold.answer_batch_with(cid, &qs, Semantics::nulls(), &opts);
+    drop(armed);
+    let mut expired = 0u64;
+    for (i, r) in stopped.into_iter().enumerate() {
+        match r {
+            // a statically empty query is answered at the door
+            Ok(ans) => assert_eq!(ans, reference[i], "cold query {i}"),
+            Err(ServeError::DeadlineExceeded {
+                completed_stripes,
+                total_stripes,
+            }) => {
+                assert!(completed_stripes < total_stripes, "cold query {i}");
+                expired += 1;
+            }
+            Err(e) => panic!("cold: unexpected serve error: {e}"),
+        }
+    }
+    assert!(expired > 0, "the deadline stopped no query");
+    let before = cold.serving_stats(cid).unwrap();
+    let retry: Vec<Answer> = cold
+        .answer_batch(cid, &qs, Semantics::nulls())
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    assert_eq!(retry, reference, "cold retry");
+    let after = cold.serving_stats(cid).unwrap();
+    assert!(
+        after.tuple_evals - before.tuple_evals >= expired,
+        "a stopped query's answer was kept"
+    );
 }
 
 /// Deadline expiry — at the door and mid-serve — never leaves a stale
@@ -374,10 +412,9 @@ fn deadline_expiry_never_leaves_stale_answers() {
     let q = sv.queries[0].1.compile();
     let svc = MappingService::new();
     let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(id, 3).unwrap();
     let reference = svc.answer(id, &q, Semantics::nulls()).unwrap();
 
-    // already expired: refused at the door with zero completed stripes
+    // already expired: refused at the door with zero completed tasks
     let opts = ServeOptions::new().with_deadline(Instant::now());
     match svc.answer_with(id, &q, Semantics::nulls(), &opts) {
         Err(ServeError::DeadlineExceeded {
@@ -405,7 +442,7 @@ fn deadline_expiry_never_leaves_stale_answers() {
 /// A cold serve whose deadline fires mid-evaluation caches no answer and
 /// no verdict: the next unbounded serve misses and answers exactly, and a
 /// repeat after it reads the whole answer or verdict back without
-/// evaluating a stripe or inserting anything.
+/// evaluating or inserting anything.
 /// (`cancel_mid_batch_then_retry_is_byte_identical` cancels on a warm
 /// cache, where every query is a hit, so it never reaches the first
 /// path.)
@@ -415,8 +452,8 @@ fn deadline_mid_evaluation_caches_no_run() {
     quiet_injected_panics();
     let sv = scenario(0xD5);
     // a tuple RPQ builds nothing in phase 1, so the serve's only cache
-    // lookup is its answer's, and its evaluation sits behind the stripe
-    // fault site
+    // lookup is its answer's, and its evaluation sits behind the
+    // evaluation fault site
     let q = sv
         .queries
         .iter()
@@ -426,7 +463,6 @@ fn deadline_mid_evaluation_caches_no_run() {
         .compile();
     let svc = MappingService::new();
     let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(id, 3).unwrap();
     svc.prepare(id, Semantics::nulls()).unwrap();
     for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
         let reference = {
@@ -448,7 +484,7 @@ fn deadline_mid_evaluation_caches_no_run() {
         }
         assert!(
             faults::hits(FaultSite::StripeEval) >= 1,
-            "{sem:?}: the serve never reached a stripe evaluation"
+            "{sem:?}: the serve never reached an evaluation"
         );
         drop(armed);
 
@@ -475,48 +511,45 @@ fn deadline_mid_evaluation_caches_no_run() {
     }
 }
 
-/// A warm repeat is one cache hit per query on the serving thread. At
-/// K = 1 and K = 4, repeating a tuple batch and a Boolean batch misses
-/// nothing, builds no phase-1 state, evaluates nothing and inserts
-/// nothing, and every answer still passes the answer fault point.
+/// A warm repeat is one cache hit per query on the serving thread:
+/// repeating a tuple batch and a Boolean batch misses nothing, builds no
+/// phase-1 state, evaluates nothing and inserts nothing, and every answer
+/// still passes the answer fault point.
 #[test]
 fn warm_repeats_are_one_hit_per_query() {
     let _serial = serial();
     quiet_injected_panics();
     let sv = scenario(0xB7);
     let qs = compiled_batch(&sv);
-    for k in [1usize, 4] {
-        let svc = MappingService::new();
-        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-        svc.set_shard_count(id, k).unwrap();
-        for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
-            let cold = svc.answer_batch(id, &qs, sem);
-            assert!(cold.iter().all(Result::is_ok), "k={k} {sem:?}");
-            let before = svc.serving_stats(id).unwrap();
-            let counting = faults::arm(FaultPlan::seeded(0xB7).panic_one_in(0).delay_one_in(0));
-            let warm = svc.answer_batch(id, &qs, sem);
-            let [evals, inserts, answers] = [
-                FaultSite::StripeEval,
-                FaultSite::CacheInsert,
-                FaultSite::Answer,
-            ]
-            .map(faults::hits);
-            drop(counting);
-            let after = svc.serving_stats(id).unwrap();
-            assert_eq!(warm, cold, "k={k} {sem:?}");
-            // statically empty queries are answered at the door, before
-            // any lookup
-            let looked_up = (qs.len() as u64) - (after.static_empty - before.static_empty);
-            assert!(looked_up > 0, "k={k} {sem:?}");
-            let hits = after.cache_hits - before.cache_hits;
-            assert_eq!(hits, looked_up, "k={k} {sem:?}: one hit per query");
-            assert_eq!(after.cache_misses, before.cache_misses, "k={k} {sem:?}");
-            assert_eq!(after.memo_build_ns, before.memo_build_ns, "k={k} {sem:?}");
-            let evaluated = |s: &ServingStats| (s.tuple_evals, s.boolean_evals, s.eval_ns);
-            assert_eq!(evaluated(&after), evaluated(&before), "k={k} {sem:?}");
-            assert_eq!((evals, inserts), (0, 0), "k={k} {sem:?}");
-            assert_eq!(answers, looked_up, "k={k} {sem:?}");
-        }
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
+        let cold = svc.answer_batch(id, &qs, sem);
+        assert!(cold.iter().all(Result::is_ok), "{sem:?}");
+        let before = svc.serving_stats(id).unwrap();
+        let counting = faults::arm(FaultPlan::seeded(0xB7).panic_one_in(0).delay_one_in(0));
+        let warm = svc.answer_batch(id, &qs, sem);
+        let [evals, inserts, answers] = [
+            FaultSite::StripeEval,
+            FaultSite::CacheInsert,
+            FaultSite::Answer,
+        ]
+        .map(faults::hits);
+        drop(counting);
+        let after = svc.serving_stats(id).unwrap();
+        assert_eq!(warm, cold, "{sem:?}");
+        // statically empty queries are answered at the door, before
+        // any lookup
+        let looked_up = (qs.len() as u64) - (after.static_empty - before.static_empty);
+        assert!(looked_up > 0, "{sem:?}");
+        let hits = after.cache_hits - before.cache_hits;
+        assert_eq!(hits, looked_up, "{sem:?}: one hit per query");
+        assert_eq!(after.cache_misses, before.cache_misses, "{sem:?}");
+        assert_eq!(after.memo_build_ns, before.memo_build_ns, "{sem:?}");
+        let evaluated = |s: &ServingStats| (s.tuple_evals, s.boolean_evals, s.eval_ns);
+        assert_eq!(evaluated(&after), evaluated(&before), "{sem:?}");
+        assert_eq!((evals, inserts), (0, 0), "{sem:?}");
+        assert_eq!(answers, looked_up, "{sem:?}");
     }
 }
 
@@ -531,7 +564,6 @@ fn over_budget_serve_degrades_to_uncached_and_stays_exact() {
     let q = sv.queries[0].1.compile();
     let svc = MappingService::new();
     let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(id, 3).unwrap();
     let reference = svc.answer(id, &q, Semantics::nulls()).unwrap();
     assert_eq!(svc.serving_stats(id).unwrap().degraded, 0);
 

@@ -23,7 +23,6 @@
 //! assertion names the case seed, which replays the case on its own.
 
 use gde_core::certain::CertainAnswers;
-use gde_core::engine::ShardSpec;
 use gde_core::exact::ExactError;
 use gde_core::{
     certain_answers_exact, certain_boolean_exact, Answer, ExactOptions, Gsm, MappingId,
@@ -56,9 +55,6 @@ const SEMANTICS: [Semantics; 4] = [
     Semantics::LeastInformative(Mode::Tuples),
     Semantics::LeastInformative(Mode::Boolean),
 ];
-
-/// Stripe specs the served stack runs each case at.
-const SPECS: [ShardSpec; 3] = [ShardSpec::Fixed(1), ShardSpec::Fixed(4), ShardSpec::Auto];
 
 /// A mapping onto target labels `x`, `y`, `z` from a 5–7-node source over
 /// `a`, `b` with two data values, so equality tests both hold and fail.
@@ -246,34 +242,22 @@ fn run_case(seed: u64) -> Option<usize> {
         .iter()
         .map(|s| truth(seed, &sc.gsm, s, &qs))
         .collect::<Option<Vec<_>>>()?;
-    let mut pruned = 0;
-    for spec in SPECS {
-        let svc = MappingService::new();
-        let id = svc.register(sc.gsm.clone(), sc.source.clone());
-        svc.set_shard_count(id, spec).unwrap();
-        let at = |what: &str| format!("{spec:?}, {what}");
-        serve_all(seed, &at("initial"), &svc, id, &qs, &truths[0]);
-        for (step, d) in deltas.iter().enumerate() {
-            svc.apply_delta(id, d).unwrap();
-            let what = format!("after delta {step}");
-            serve_all(seed, &at(&what), &svc, id, &qs, &truths[step + 1]);
-        }
-        // the covered queries serve from the pruned rules; the last one
-        // reads `z`, so its first serve re-expands them
-        let (covered, last) = (qs.len() - 1, &truths[truths.len() - 1]);
-        let registered: Vec<CompiledQuery> = qs[..covered].iter().map(DataQuery::compile).collect();
-        svc.register_queries(id, &registered).unwrap();
-        pruned = sc.gsm.rules().len() - svc.serve_gsm(id).unwrap().rules().len();
-        serve_all(
-            seed,
-            &at("pruned"),
-            &svc,
-            id,
-            &qs[..covered],
-            &last[..covered],
-        );
-        serve_all(seed, &at("re-expanded"), &svc, id, &qs, last);
+    let svc = MappingService::new();
+    let id = svc.register(sc.gsm.clone(), sc.source.clone());
+    serve_all(seed, "initial", &svc, id, &qs, &truths[0]);
+    for (step, d) in deltas.iter().enumerate() {
+        svc.apply_delta(id, d).unwrap();
+        let at = format!("after delta {step}");
+        serve_all(seed, &at, &svc, id, &qs, &truths[step + 1]);
     }
+    // the covered queries serve from the pruned rules; the last one reads
+    // `z`, so its first serve re-expands them
+    let (covered, last) = (qs.len() - 1, &truths[truths.len() - 1]);
+    let registered: Vec<CompiledQuery> = qs[..covered].iter().map(DataQuery::compile).collect();
+    svc.register_queries(id, &registered).unwrap();
+    let pruned = sc.gsm.rules().len() - svc.serve_gsm(id).unwrap().rules().len();
+    serve_all(seed, "pruned", &svc, id, &qs[..covered], &last[..covered]);
+    serve_all(seed, "re-expanded", &svc, id, &qs, last);
     Some(pruned)
 }
 

@@ -1,7 +1,7 @@
 //! Wire equivalence: every answer served over a real socket is
 //! **byte-identical** to the in-process engine's answer for the same
-//! query — across Semantics × Mode, shard counts K ∈ {1, 4, Auto}, ad-hoc
-//! and bound-template serving, and under churn deltas applied mid-traffic.
+//! query — across Semantics × Mode, ad-hoc and bound-template serving,
+//! and under churn deltas applied mid-traffic.
 //!
 //! The comparison works because both sides share one deterministic
 //! encoder ([`gde_server::protocol::encode_answer`]): the mirror encodes
@@ -11,7 +11,7 @@
 //! outside the tractable class), the wire must carry the matching typed
 //! error instead.
 
-use gde_core::engine::{ShardSpec, TemplateId};
+use gde_core::engine::TemplateId;
 use gde_core::{Answer, MappingId, MappingService, Semantics, ServeError};
 use gde_datagraph::Alphabet;
 use gde_dataquery::parser::{display_ree, display_rem};
@@ -181,7 +181,7 @@ fn assert_matches_wire(exp: &Expected, r: &gde_server::Response, ctx: &str) {
 }
 
 #[test]
-fn wire_answers_match_in_process_across_semantics_modes_and_shards() {
+fn wire_answers_match_in_process_across_semantics_and_modes() {
     let sv = social_serving_scenario(&small_cfg(0xA1));
     let queries = expressible(&sv);
     assert!(queries.len() >= 8, "scenario expresses most queries");
@@ -192,39 +192,20 @@ fn wire_answers_match_in_process_across_semantics_modes_and_shards() {
     let mirror = MappingService::new();
     let mid = mirror.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
 
-    for (wire_shards, spec) in [
-        (Json::num(1.0), ShardSpec::Fixed(1)),
-        (Json::num(4.0), ShardSpec::Fixed(4)),
-        (Json::str("auto"), ShardSpec::Auto),
-    ] {
-        let r = c
-            .post(
-                "/tenants/acme/mappings/social/shards",
-                &Json::obj([("shards", wire_shards.clone())]),
-            )
-            .unwrap();
-        assert_eq!(r.status, 200, "set shards {}", wire_shards.encode());
-        mirror.set_shard_count(mid, spec).unwrap();
-
-        for (kind, text, q) in &queries {
-            let compiled = q.compile();
-            for (sem_str, mode_str, sem) in semantics_grid() {
-                let exp = expected(mirror.answer(mid, &compiled, sem));
-                let body = Json::obj([
-                    ("query", Json::str(text)),
-                    ("kind", Json::str(kind)),
-                    ("semantics", Json::str(sem_str)),
-                    ("mode", Json::str(mode_str)),
-                ]);
-                let r = c
-                    .post("/tenants/acme/mappings/social/query", &body)
-                    .unwrap();
-                let ctx = format!(
-                    "K={} {sem_str}/{mode_str} {kind} {text}",
-                    wire_shards.encode()
-                );
-                assert_matches_wire(&exp, &r, &ctx);
-            }
+    for (kind, text, q) in &queries {
+        let compiled = q.compile();
+        for (sem_str, mode_str, sem) in semantics_grid() {
+            let exp = expected(mirror.answer(mid, &compiled, sem));
+            let body = Json::obj([
+                ("query", Json::str(text)),
+                ("kind", Json::str(kind)),
+                ("semantics", Json::str(sem_str)),
+                ("mode", Json::str(mode_str)),
+            ]);
+            let r = c
+                .post("/tenants/acme/mappings/social/query", &body)
+                .unwrap();
+            assert_matches_wire(&exp, &r, &format!("{sem_str}/{mode_str} {kind} {text}"));
         }
     }
     assert_eq!(
@@ -349,7 +330,6 @@ fn churn_deltas_under_live_traffic_stay_equivalent() {
     // generations' answers — never a torn in-between
     let mirror = MappingService::new();
     let mid: MappingId = mirror.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    mirror.set_shard_count(mid, ShardSpec::Fixed(4)).unwrap();
     let compiled: Vec<_> = queries.iter().map(|(_, _, q)| q.compile()).collect();
     let mut by_generation: Vec<Vec<String>> = Vec::with_capacity(rounds + 1);
     let fingerprint = |svc: &MappingService, id| -> Vec<String> {
@@ -365,16 +345,6 @@ fn churn_deltas_under_live_traffic_stay_equivalent() {
     }
 
     let handle = serve_scenario(&sv, "acme", "live", 8);
-    {
-        let mut c = Client::connect(handle.addr()).unwrap();
-        let r = c
-            .post(
-                "/tenants/acme/mappings/live/shards",
-                &Json::obj([("shards", Json::num(4.0))]),
-            )
-            .unwrap();
-        assert_eq!(r.status, 200);
-    }
 
     // live traffic: three clients hammer the query endpoints while the
     // main thread applies churn deltas over the wire
@@ -491,7 +461,6 @@ fn multi_segment_answer_is_byte_identical_ad_hoc_and_bound() {
 
     let mirror = MappingService::new();
     let mid = mirror.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    mirror.set_shard_count(mid, ShardSpec::Fixed(4)).unwrap();
     let answer = mirror
         .answer(mid, &q.compile(), Semantics::nulls())
         .unwrap();
@@ -504,14 +473,6 @@ fn multi_segment_answer_is_byte_identical_ad_hoc_and_bound() {
 
     let handle = serve_scenario(&sv, "acme", "big", 2);
     let mut c = Client::connect(handle.addr()).unwrap();
-    let r = c
-        .post(
-            "/tenants/acme/mappings/big/shards",
-            &Json::obj([("shards", Json::num(4.0))]),
-        )
-        .unwrap();
-    assert_eq!(r.status, 200);
-
     let body = Json::obj([("query", Json::str(&text)), ("kind", Json::str(kind))]);
     let r = c.post("/tenants/acme/mappings/big/query", &body).unwrap();
     assert_eq!(r.status, 200);
@@ -559,7 +520,6 @@ fn a_tenant_budget_bounds_cached_bytes_after_every_batch() {
     let queries = expressible(&sv);
     let twin = MappingService::new();
     let tid = twin.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    twin.set_shard_count(tid, 4).unwrap();
     twin.prepare(tid, Semantics::nulls()).unwrap();
     let base = twin.cached_bytes();
     let snapshot = twin
@@ -594,13 +554,6 @@ fn a_tenant_budget_bounds_cached_bytes_after_every_batch() {
                 .collect(),
         ),
     )]);
-    for tenant in ["open", "tight"] {
-        let shards = Json::obj([("shards", Json::num(4.0))]);
-        let r = c
-            .post(&format!("/tenants/{tenant}/mappings/m/shards"), &shards)
-            .unwrap();
-        assert_eq!(r.status, 200);
-    }
     for pass in 0..3 {
         let open = c.post("/tenants/open/mappings/m/batch", &batch).unwrap();
         let tight = c.post("/tenants/tight/mappings/m/batch", &batch).unwrap();

@@ -1,7 +1,8 @@
 //! `MappingService` lifecycle tests: LRU eviction and the byte ledger
-//! under a budget, concurrent serving from scoped threads, the stripe
-//! count's cap, and deltas (generation stamps; every delta shape checked
-//! against a one-shot serve of the mutated source and the exact engine).
+//! under a budget, concurrent serving from scoped threads, the ignored
+//! stripe-count surface, and deltas (generation stamps; every delta shape
+//! checked against a one-shot serve of the mutated source and the exact
+//! engine).
 
 use gde_automata::{parse_regex, Regex};
 use gde_core::certain::CertainAnswers;
@@ -84,9 +85,9 @@ fn lru_evicts_least_recently_served_under_byte_budget() {
     assert_eq!(before, fingerprint(&svc, ids[2], &compiled_batch(&svs[2])));
 }
 
-/// The closure-heavy sharded workload every ledger test below serves at
-/// K = 4, with its tuple batch and what one mapping of it weighs on an
-/// unbudgeted twin.
+/// The closure-heavy `sharded_serving_scenario` workload every ledger
+/// test below serves, with its tuple batch and what one mapping of it
+/// weighs on an unbudgeted twin.
 struct Heavy {
     sv: ServingScenario,
     batch: Vec<CompiledQuery>,
@@ -136,9 +137,7 @@ fn measure_heavy() -> Heavy {
 }
 
 fn register_heavy(svc: &MappingService, sv: &ServingScenario) -> MappingId {
-    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(id, 4).unwrap();
-    id
+    svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone())
 }
 
 fn serve_batch(svc: &MappingService, id: MappingId, batch: &[CompiledQuery]) -> Vec<Answer> {
@@ -170,7 +169,7 @@ fn a_budget_below_one_batch_bounds_every_charge() {
 /// A conjunctive query's full relation is its phase-1 artifact, and its
 /// tuple answer and its verdict sit under the same plan hash and binding.
 /// They are three entries: tuple and Boolean serves alternated three
-/// times miss only in the first round, at K = 1 and K = 4.
+/// times miss only in the first round.
 #[test]
 fn alternating_tuple_and_boolean_serves_of_a_conjunctive_query_stop_missing() {
     let sv = scenario(0xC0);
@@ -181,28 +180,21 @@ fn alternating_tuple_and_boolean_serves_of_a_conjunctive_query_stop_missing() {
         .expect("the social workload has the conjunctive query");
     assert!(matches!(query, DataQuery::Conjunctive(_)));
     let q = query.compile();
-    for k in [1usize, 4] {
-        let svc = MappingService::new();
-        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-        svc.set_shard_count(id, k).unwrap();
-        let tuples = svc.answer(id, &q, Semantics::nulls()).unwrap();
-        let verdict = svc.answer(id, &q, Semantics::nulls_boolean()).unwrap();
-        for round in 1..3 {
-            let before = svc.serving_stats(id).unwrap();
-            assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), tuples);
-            let boolean = svc.answer(id, &q, Semantics::nulls_boolean()).unwrap();
-            assert_eq!(boolean, verdict);
-            let after = svc.serving_stats(id).unwrap();
-            assert_eq!(
-                after.cache_misses, before.cache_misses,
-                "k={k} round {round}: a kind evicted another"
-            );
-            assert_eq!(
-                after.cache_hits - before.cache_hits,
-                2,
-                "k={k} round {round}"
-            );
-        }
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    let tuples = svc.answer(id, &q, Semantics::nulls()).unwrap();
+    let verdict = svc.answer(id, &q, Semantics::nulls_boolean()).unwrap();
+    for round in 1..3 {
+        let before = svc.serving_stats(id).unwrap();
+        assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), tuples);
+        let boolean = svc.answer(id, &q, Semantics::nulls_boolean()).unwrap();
+        assert_eq!(boolean, verdict);
+        let after = svc.serving_stats(id).unwrap();
+        assert_eq!(
+            after.cache_misses, before.cache_misses,
+            "round {round}: a kind evicted another"
+        );
+        assert_eq!(after.cache_hits - before.cache_hits, 2, "round {round}");
     }
 }
 
@@ -312,25 +304,44 @@ fn a_popularity_shift_moves_the_budget_to_the_hot_mapping() {
     assert!(svc.stats().evictions >= 1);
 }
 
-/// A fixed stripe count arrives unchecked from the wire; the engine
-/// clamps it to 64 stripes, and answers stay those of one stripe.
+/// The stripe-count surface kept for callers that still send a count:
+/// any spec is accepted for a registered mapping and changes nothing,
+/// `shard_count` reads 1, and an unknown mapping is refused.
 #[test]
-fn a_fixed_stripe_count_is_clamped_to_sixty_four() {
+fn any_stripe_count_is_accepted_and_reads_one() {
     let sv = sharded_serving_scenario(256, 0x5AD5);
     let batch = compiled_batch(&sv);
     let svc = MappingService::new();
-    let one = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    let many = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(many, 5_000_000).unwrap();
-    assert_eq!(svc.shard_count(many), Some(64));
-    assert_eq!(svc.shard_spec(many), Some(ShardSpec::Fixed(64)));
+    let plain = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    let asked = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
+        svc.answer_batch(asked, &batch, sem);
+    }
+    let cached = svc.cached_bytes();
+    for spec in [
+        ShardSpec::Fixed(0),
+        ShardSpec::Fixed(4),
+        ShardSpec::from(5_000_000),
+        ShardSpec::Auto,
+    ] {
+        svc.set_shard_count(asked, spec).unwrap();
+        assert_eq!(svc.shard_count(asked), Some(1), "{spec:?}");
+    }
+    // nothing was released: the cached answers are still there
+    assert_eq!(svc.cached_bytes(), cached);
     for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
         assert_eq!(
-            svc.answer_batch(many, &batch, sem),
-            svc.answer_batch(one, &batch, sem),
+            svc.answer_batch(asked, &batch, sem),
+            svc.answer_batch(plain, &batch, sem),
             "{sem:?}"
         );
     }
+    svc.unregister(plain);
+    assert_eq!(
+        svc.set_shard_count(plain, 2),
+        Err(ServeError::UnknownMapping(plain))
+    );
+    assert_eq!(svc.shard_count(plain), None);
 }
 
 #[test]
@@ -518,27 +529,22 @@ fn contained(sub: &CertainAnswers, sup: &CertainAnswers) -> bool {
     }
 }
 
-/// Serve every query at K = 1 and K = 2 and check the answers against a
-/// one-shot serve of the current source, and against the exact engine:
-/// Nulls ⊆ Exact, and LI = Exact on equality-only queries.
-fn check_against_oracle(case: &OracleCase, services: &[(MappingService, MappingId)], at: &str) {
-    let src = services[0].0.source(services[0].1).unwrap();
+/// Serve every query and check the answers against a one-shot serve of
+/// the current source, and against the exact engine: Nulls ⊆ Exact, and
+/// LI = Exact on equality-only queries.
+fn check_against_oracle(case: &OracleCase, svc: &MappingService, id: MappingId, at: &str) {
+    let src = svc.source(id).unwrap();
     for q in &case.queries {
         let cq = q.compile();
         let nulls = answer_once(&case.gsm, &src, &cq, Semantics::nulls()).unwrap();
         let li = cq
             .is_equality_only()
             .then(|| answer_once(&case.gsm, &src, &cq, Semantics::least_informative()).unwrap());
-        for (svc, id) in services {
-            let k = svc.shard_count(*id).unwrap();
-            let got = svc.answer(*id, &cq, Semantics::nulls()).unwrap();
-            assert_eq!(got, nulls, "{} {at} K={k}: nulls {q:?}", case.name);
-            if let Some(li) = &li {
-                let got = svc
-                    .answer(*id, &cq, Semantics::least_informative())
-                    .unwrap();
-                assert_eq!(&got, li, "{} {at} K={k}: LI {q:?}", case.name);
-            }
+        let got = svc.answer(id, &cq, Semantics::nulls()).unwrap();
+        assert_eq!(got, nulls, "{} {at}: nulls {q:?}", case.name);
+        if let Some(li) = &li {
+            let got = svc.answer(id, &cq, Semantics::least_informative()).unwrap();
+            assert_eq!(&got, li, "{} {at}: LI {q:?}", case.name);
         }
         match certain_answers_exact(&case.gsm, q, &src, ExactOptions::default()) {
             Ok(exact) => {
@@ -566,52 +572,41 @@ fn check_against_oracle(case: &OracleCase, services: &[(MappingService, MappingI
     }
 }
 
-/// Drive one case through every delta shape at K ∈ {1, 2}; returns how
-/// many times each shape applied.
+/// Drive one case through every delta shape; returns how many times each
+/// shape applied.
 fn run_oracle_case(case: &OracleCase) -> [usize; SHAPES.len()] {
     let mut applied = [0; SHAPES.len()];
-    let services: Vec<(MappingService, MappingId)> = [1, 2]
-        .into_iter()
-        .map(|k| {
-            let svc = MappingService::new();
-            let id = svc.register(case.gsm.clone(), case.source.clone());
-            svc.set_shard_count(id, k).unwrap();
-            (svc, id)
-        })
-        .collect();
+    let svc = MappingService::new();
+    let id = svc.register(case.gsm.clone(), case.source.clone());
     // the check serves both flavours, so every delta meets warm caches
-    check_against_oracle(case, &services, "before any delta");
+    check_against_oracle(case, &svc, id, "before any delta");
     let lav = case.gsm.classify().lav;
     for (si, &shape) in SHAPES.iter().enumerate() {
-        let src = services[0].0.source(services[0].1).unwrap();
+        let src = svc.source(id).unwrap();
         let Some(delta) = shape_delta(shape, &case.gsm, &src) else {
             continue;
         };
         applied[si] += 1;
-        for (svc, id) in &services {
-            let generation = svc.generation(*id).unwrap();
-            let report = svc.apply_delta(*id, &delta).unwrap();
-            assert_eq!(report.generation, generation + 1, "{} {shape:?}", case.name);
-            if lav {
-                let keeps = matches!(shape, Shape::AddAndRemove | Shape::UnreadLabel);
-                assert_eq!(report.patched, keeps, "{} {shape:?}", case.name);
-                assert_eq!(svc.is_cached(*id, Semantics::nulls()), keeps);
-            }
+        let generation = svc.generation(id).unwrap();
+        let report = svc.apply_delta(id, &delta).unwrap();
+        assert_eq!(report.generation, generation + 1, "{} {shape:?}", case.name);
+        if lav {
+            let keeps = matches!(shape, Shape::AddAndRemove | Shape::UnreadLabel);
+            assert_eq!(report.patched, keeps, "{} {shape:?}", case.name);
+            assert_eq!(svc.is_cached(id, Semantics::nulls()), keeps);
         }
-        check_against_oracle(case, &services, &format!("after {shape:?}"));
+        check_against_oracle(case, &svc, id, &format!("after {shape:?}"));
     }
     // a delta that changes nothing bumps nothing and keeps the caches
-    for (svc, id) in &services {
-        let generation = svc.generation(*id).unwrap();
-        let noop = GraphDelta::new().without_edge(NodeId(0), "unread", NodeId(0));
-        let report = svc.apply_delta(*id, &noop).unwrap();
-        assert_eq!(report.generation, generation);
-        assert!(report.patched && svc.is_cached(*id, Semantics::nulls()));
-    }
+    let generation = svc.generation(id).unwrap();
+    let noop = GraphDelta::new().without_edge(NodeId(0), "unread", NodeId(0));
+    let report = svc.apply_delta(id, &noop).unwrap();
+    assert_eq!(report.generation, generation);
+    assert!(report.patched && svc.is_cached(id, Semantics::nulls()));
     applied
 }
 
-/// Every delta shape, on LAV and non-LAV mappings at K ∈ {1, 2}: answers
+/// Every delta shape, on LAV and non-LAV mappings: answers
 /// after the delta equal a one-shot serve of the mutated source and pass
 /// the exact oracle, and on LAV mappings only the two shapes no rule can
 /// see keep the cached solutions (`patched`). The cases are independent,
@@ -653,42 +648,39 @@ fn epsilon_rule_deltas_toggle_solvability() {
     gs.add_edge_str(NodeId(0), "a", NodeId(1)).unwrap();
     gs.add_edge_str(NodeId(2), "b", NodeId(2)).unwrap();
     let q = DataQuery::from(parse_ree("x y", &mut ta).unwrap()).compile();
-    for k in [1, 2] {
-        let svc = MappingService::new();
-        let id = svc.register(m.clone(), gs.clone());
-        svc.set_shard_count(id, k).unwrap();
-        let solvable = svc.answer(id, &q, Semantics::nulls()).unwrap();
-        assert_eq!(solvable.clone().into_pairs(), vec![(NodeId(0), NodeId(1))]);
-        let report = svc
-            .apply_delta(id, &GraphDelta::new().with_edge(NodeId(1), "b", NodeId(2)))
-            .unwrap();
-        assert!(!report.patched);
-        for sem in [Semantics::nulls(), Semantics::least_informative()] {
-            assert_eq!(
-                svc.answer(id, &q, sem).unwrap().into_tuples(),
-                CertainAnswers::AllVacuously,
-                "K={k} {sem:?}"
-            );
-        }
-        assert!(svc
-            .answer(id, &q, Semantics::nulls_boolean())
-            .unwrap()
-            .boolean());
-        assert!(!svc.prepare(id, Semantics::nulls()).unwrap(), "no solution");
-        let report = svc
-            .apply_delta(
-                id,
-                &GraphDelta::new().without_edge(NodeId(1), "b", NodeId(2)),
-            )
-            .unwrap();
-        assert!(!report.patched, "the failed slot is dropped, not kept");
-        assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), solvable);
-        let src = svc.source(id).unwrap();
+    let svc = MappingService::new();
+    let id = svc.register(m.clone(), gs.clone());
+    let solvable = svc.answer(id, &q, Semantics::nulls()).unwrap();
+    assert_eq!(solvable.clone().into_pairs(), vec![(NodeId(0), NodeId(1))]);
+    let report = svc
+        .apply_delta(id, &GraphDelta::new().with_edge(NodeId(1), "b", NodeId(2)))
+        .unwrap();
+    assert!(!report.patched);
+    for sem in [Semantics::nulls(), Semantics::least_informative()] {
         assert_eq!(
-            svc.answer(id, &q, Semantics::least_informative()).unwrap(),
-            answer_once(&m, &src, &q, Semantics::least_informative()).unwrap()
+            svc.answer(id, &q, sem).unwrap().into_tuples(),
+            CertainAnswers::AllVacuously,
+            "{sem:?}"
         );
     }
+    assert!(svc
+        .answer(id, &q, Semantics::nulls_boolean())
+        .unwrap()
+        .boolean());
+    assert!(!svc.prepare(id, Semantics::nulls()).unwrap(), "no solution");
+    let report = svc
+        .apply_delta(
+            id,
+            &GraphDelta::new().without_edge(NodeId(1), "b", NodeId(2)),
+        )
+        .unwrap();
+    assert!(!report.patched, "the failed slot is dropped, not kept");
+    assert_eq!(svc.answer(id, &q, Semantics::nulls()).unwrap(), solvable);
+    let src = svc.source(id).unwrap();
+    assert_eq!(
+        svc.answer(id, &q, Semantics::least_informative()).unwrap(),
+        answer_once(&m, &src, &q, Semantics::least_informative()).unwrap()
+    );
 }
 
 #[test]

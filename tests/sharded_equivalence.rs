@@ -1,14 +1,14 @@
-//! Sharded serving equivalence: a `MappingService` partitioned into
-//! K ∈ {1, 2, 4, 8} node-range stripes must serve answers byte-identical
-//! to the unsharded engine for **every** `Semantics` × `Mode` on the
-//! social serving workload — through both `answer` and `answer_batch` —
-//! and stay identical across churn deltas (each drops the warm solution
-//! and its sub-relation cache, so no pre-delta entry may ever serve),
-//! across worker-thread budgets, and with the sub-relation cache warm.
+//! Serving equivalence on the social serving workload: a
+//! `MappingService` must serve, for **every** `Semantics` × `Mode` and
+//! through both `answer` and `answer_batch`, exactly what a one-shot
+//! serve (`answer_once`, a fresh service per query) answers; and it must
+//! stay identical across churn deltas (each drops the warm solution and
+//! its sub-relation cache, so no pre-delta entry may ever serve), across
+//! worker-thread budgets, and with the sub-relation cache warm.
 
 use gde_core::{
-    Answer, ExactOptions, Gsm, MappingId, MappingService, Mode, Semantics, ServeError,
-    ServeOptions, ShardSpec,
+    answer_once, Answer, ExactOptions, Gsm, MappingId, MappingService, Mode, Semantics, ServeError,
+    ServeOptions,
 };
 use gde_datagraph::{Alphabet, DataGraph, NodeId, Value};
 use gde_dataquery::{canonicalize, parse_ree, CompiledQuery, DataQuery};
@@ -18,16 +18,6 @@ use gde_workload::{
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-
-const KS: [usize; 4] = [1, 2, 4, 8];
-
-/// Every shard configuration under test: the fixed counts plus the
-/// engine-picked `Auto`.
-fn all_specs() -> Vec<ShardSpec> {
-    let mut specs: Vec<ShardSpec> = KS.iter().map(|&k| ShardSpec::Fixed(k)).collect();
-    specs.push(ShardSpec::Auto);
-    specs
-}
 
 fn all_semantics() -> Vec<Semantics> {
     let mut out = Vec::new();
@@ -56,8 +46,27 @@ fn fingerprint(
     out
 }
 
+/// [`fingerprint`]'s answers from one-shot serves: a private service per
+/// query, so no answer is ever read back from a cache.
+fn one_shot_fingerprint(
+    gsm: &Gsm,
+    source: &DataGraph,
+    queries: &[CompiledQuery],
+) -> Vec<Result<Answer, ServeError>> {
+    let mut out = Vec::new();
+    for sem in all_semantics() {
+        let once: Vec<_> = queries
+            .iter()
+            .map(|q| answer_once(gsm, source, q, sem))
+            .collect();
+        out.extend(once.iter().cloned());
+        out.extend(once);
+    }
+    out
+}
+
 #[test]
-fn sharded_answers_identical_for_all_semantics_and_modes() {
+fn served_answers_match_one_shot_for_all_semantics_and_modes() {
     let sv: ServingScenario = social_serving_scenario(&SocialConfig {
         persons: 30,
         knows_per_person: 3,
@@ -66,30 +75,19 @@ fn sharded_answers_identical_for_all_semantics_and_modes() {
         seed: 0x5A4D,
     });
     let queries: Vec<CompiledQuery> = sv.queries.iter().map(|(_, q)| q.compile()).collect();
-    let reference = MappingService::new();
-    let rid = reference.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    let expected = fingerprint(&reference, rid, &queries);
+    let expected = one_shot_fingerprint(&sv.scenario.gsm, &sv.scenario.source, &queries);
     assert!(
         expected.iter().any(|a| a.is_ok()),
         "workload must produce real answers"
     );
-    for spec in all_specs() {
-        let svc = MappingService::new();
-        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-        svc.set_shard_count(id, spec).unwrap();
-        assert_eq!(
-            fingerprint(&svc, id, &queries),
-            expected,
-            "{spec:?} must serve byte-identical answers"
-        );
-        // the spec round-trips and resolves to a concrete stripe count
-        assert_eq!(svc.shard_spec(id), Some(spec));
-        assert!(svc.shard_count(id).unwrap() >= 1);
-    }
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    assert_eq!(fingerprint(&svc, id, &queries), expected, "cold");
+    assert_eq!(fingerprint(&svc, id, &queries), expected, "warm");
 }
 
 #[test]
-fn sharded_answers_survive_incremental_deltas() {
+fn served_answers_survive_incremental_deltas() {
     let cfg = SocialConfig {
         persons: 24,
         knows_per_person: 3,
@@ -100,55 +98,46 @@ fn sharded_answers_survive_incremental_deltas() {
     let sv = social_serving_scenario(&cfg);
     let queries: Vec<CompiledQuery> = sv.queries.iter().map(|(_, q)| q.compile()).collect();
     let deltas = social_churn_deltas(&cfg, 3, 4, 0xBEEF);
-    // one unsharded reference, one service per K, all fed the same churn
-    let reference = MappingService::new();
-    let rid = reference.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    let sharded: Vec<_> = all_specs()
-        .into_iter()
-        .map(|spec| {
-            let svc = MappingService::new();
-            let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-            svc.set_shard_count(id, spec).unwrap();
-            (spec, svc, id)
-        })
-        .collect();
-    for delta in &deltas {
+    // the churned service against a fresh one registered on each mutated
+    // source, which has never seen a pre-delta state
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    let mut source = sv.scenario.source.clone();
+    let fresh = |source: &DataGraph| {
+        let reference = MappingService::new();
+        let rid = reference.register(sv.scenario.gsm.clone(), source.clone());
+        fingerprint(&reference, rid, &queries)
+    };
+    for (step, delta) in deltas.iter().enumerate() {
         // warm caches so every delta meets a resident solution
-        let expected = fingerprint(&reference, rid, &queries);
-        for (k, svc, id) in &sharded {
-            assert_eq!(fingerprint(svc, *id, &queries), expected, "pre-delta {k:?}");
-        }
-        reference.apply_delta(rid, delta).unwrap();
-        for (_, svc, id) in &sharded {
-            svc.apply_delta(*id, delta).unwrap();
-        }
-    }
-    let expected = fingerprint(&reference, rid, &queries);
-    for (k, svc, id) in &sharded {
+        let expected = fresh(&source);
         assert_eq!(
-            fingerprint(svc, *id, &queries),
+            fingerprint(&svc, id, &queries),
             expected,
-            "post-churn {k:?}"
+            "pre-delta {step}"
         );
-        assert!(
-            svc.stats().invalidating_deltas >= 1,
-            "churn must invalidate warm caches at {k:?}"
-        );
-        // the warm fingerprints before each delta and the batch half of
-        // every fingerprint reuse cached stripe results; the equivalence
-        // asserts above prove no pre-delta entry ever served (every fixed
-        // K caches, one stripe included)
-        if matches!(k, ShardSpec::Fixed(_)) {
-            assert!(
-                svc.serving_stats(*id).unwrap().cache_hits > 0,
-                "churned serving at {k:?} must reuse the sub-relation cache"
-            );
-        }
+        svc.apply_delta(id, delta).unwrap();
+        source.apply_delta(delta).unwrap();
     }
+    assert_eq!(
+        fingerprint(&svc, id, &queries),
+        fresh(&source),
+        "post-churn"
+    );
+    assert!(
+        svc.stats().invalidating_deltas >= 1,
+        "churn must invalidate warm caches"
+    );
+    // the batch half of every fingerprint reuses cached answers; the
+    // equivalence asserts above prove no pre-delta entry ever served
+    assert!(
+        svc.serving_stats(id).unwrap().cache_hits > 0,
+        "churned serving must reuse the sub-relation cache"
+    );
 }
 
 #[test]
-fn sharded_answers_identical_across_thread_counts() {
+fn served_answers_identical_across_thread_counts() {
     // `par::set_max_threads` is process-global; this is the only test in
     // the binary that moves it, and answers must be identical at every
     // setting anyway, so concurrent tests cannot observe a difference.
@@ -165,23 +154,20 @@ fn sharded_answers_identical_across_thread_counts() {
     let expected = fingerprint(&reference, rid, &queries);
     for threads in [1usize, 2, 4] {
         gde_datagraph::par::set_max_threads(threads);
-        for spec in all_specs() {
-            let svc = MappingService::new();
-            let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-            svc.set_shard_count(id, spec).unwrap();
-            assert_eq!(
-                fingerprint(&svc, id, &queries),
-                expected,
-                "cold, {threads} thread(s), {spec:?}"
-            );
-            // second pass serves out of the warm sub-relation cache and
-            // must still be byte-identical
-            assert_eq!(
-                fingerprint(&svc, id, &queries),
-                expected,
-                "warm, {threads} thread(s), {spec:?}"
-            );
-        }
+        let svc = MappingService::new();
+        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+        assert_eq!(
+            fingerprint(&svc, id, &queries),
+            expected,
+            "cold, {threads} thread(s)"
+        );
+        // second pass serves out of the warm sub-relation cache and
+        // must still be byte-identical
+        assert_eq!(
+            fingerprint(&svc, id, &queries),
+            expected,
+            "warm, {threads} thread(s)"
+        );
     }
     gde_datagraph::par::set_max_threads(0); // restore the env default
 }
@@ -192,7 +178,6 @@ fn repeated_batches_hit_the_sub_relation_cache() {
     let queries: Vec<CompiledQuery> = sv.queries.iter().map(|(_, q)| q.compile()).collect();
     let svc = MappingService::new();
     let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-    svc.set_shard_count(id, 4).unwrap();
     let cold = svc.answer_batch(id, &queries, Semantics::nulls());
     assert!(cold.iter().any(|a| a.is_ok()));
     let stats = svc.serving_stats(id).unwrap();
@@ -200,7 +185,7 @@ fn repeated_batches_hit_the_sub_relation_cache() {
     assert!(misses0 > 0, "cold batch must populate the cache");
     assert!(
         stats.memo_build_ns > 0,
-        "phase-1 memo construction runs (and is timed) before the fan-out"
+        "phase-1 memo construction runs (and is timed) in each miss's task"
     );
     let warm = svc.answer_batch(id, &queries, Semantics::nulls());
     assert_eq!(warm, cold, "warm batch must be byte-identical");
@@ -217,10 +202,11 @@ fn repeated_batches_hit_the_sub_relation_cache() {
 }
 
 #[test]
-fn sharded_scenario_batch_is_consistent_at_small_scale() {
-    // the bench workload itself, shrunk: equivalence across K plus class
-    // coverage sanity — including the high-cardinality merge-bound batch
-    // whose tuple merges exercise the streaming k-way path
+fn batch_scenario_is_consistent_at_small_scale() {
+    // the bench workload itself, shrunk: a cold batch, whose misses share
+    // phase-1 artifacts through the cache, against single serves, plus
+    // class coverage sanity — including the high-cardinality merge-bound
+    // batch
     let sv = sharded_serving_scenario(900, 0x77);
     let mut queries: Vec<CompiledQuery> = sv.queries.iter().map(|(_, q)| q.compile()).collect();
     assert!(queries.len() >= 10);
@@ -234,13 +220,13 @@ fn sharded_scenario_batch_is_consistent_at_small_scale() {
     let reference = MappingService::new();
     let rid = reference.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
     for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
-        let expected = reference.answer_batch(rid, &queries, sem);
-        for spec in [ShardSpec::Fixed(2), ShardSpec::Fixed(4), ShardSpec::Auto] {
-            let svc = MappingService::new();
-            let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
-            svc.set_shard_count(id, spec).unwrap();
-            assert_eq!(svc.answer_batch(id, &queries, sem), expected, "{spec:?}");
-        }
+        let expected: Vec<_> = queries
+            .iter()
+            .map(|q| reference.answer(rid, q, sem))
+            .collect();
+        let svc = MappingService::new();
+        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+        assert_eq!(svc.answer_batch(id, &queries, sem), expected, "{sem:?}");
     }
 }
 
@@ -292,10 +278,10 @@ fn door_mappings() -> (DataGraph, Vec<(&'static str, Gsm)>) {
 /// and moves the door counters (`rejected`, `static_empty`,
 /// `template_hits`) by the same amounts whichever entry point it comes
 /// through — `answer`, `answer_bound` on its template, a batch of one, or
-/// its slot in a mixed batch. The table is K ∈ {1, 3} × every `Semantics`
-/// × {an ordinary query, an inequality query (out of fragment under LI),
-/// a statically-empty one} × {unbounded, already cancelled}, on a normal,
-/// a NoSolution and a NotRelational mapping.
+/// its slot in a mixed batch. The table is every `Semantics` × {an
+/// ordinary query, an inequality query (out of fragment under LI), a
+/// statically-empty one} × {unbounded, already cancelled}, on a normal, a
+/// NoSolution and a NotRelational mapping.
 #[test]
 fn every_entry_point_passes_the_same_door() {
     let (gs, mappings) = door_mappings();
@@ -305,64 +291,56 @@ fn every_entry_point_passes_the_same_door() {
             .iter()
             .map(|s| DataQuery::from(parse_ree(s, &mut ta).unwrap()).compile())
             .collect();
-        for k in [1usize, 3] {
-            let svc = MappingService::new();
-            let id = svc.register(gsm.clone(), gs.clone());
-            svc.set_shard_count(id, k).unwrap();
-            // intern every template up front, so each routed serve counts
-            // the same hit a bound serve does
-            let bound: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let (skeleton, bindings) = canonicalize(q.source());
-                    let tid = svc.register_template(id, &skeleton).unwrap();
-                    (tid, bindings.labels().to_vec())
-                })
-                .collect();
-            for sem in all_semantics() {
-                for cancelled in [false, true] {
-                    let opts =
-                        ServeOptions::new().with_cancel(Arc::new(AtomicBool::new(cancelled)));
-                    let ctx = format!("{name} k={k} {sem:?} cancelled={cancelled}");
-                    let mut singles = Vec::new();
-                    let mut total = [0u64; 3];
-                    for (qi, q) in queries.iter().enumerate() {
-                        let (single, moved) =
-                            metered(&svc, id, || svc.answer_with(id, q, sem, &opts));
-                        let (tid, labels) = &bound[qi];
-                        assert_eq!(
-                            metered(&svc, id, || {
-                                svc.answer_bound_with(id, *tid, labels, sem, &opts)
-                            }),
-                            (single.clone(), moved),
-                            "answer_bound, query {qi}, {ctx}"
-                        );
-                        assert_eq!(
-                            metered(&svc, id, || {
-                                svc.answer_batch_with(id, std::slice::from_ref(q), sem, &opts)
-                            }),
-                            (vec![single.clone()], moved),
-                            "batch of one, query {qi}, {ctx}"
-                        );
-                        singles.push(single);
-                        for (t, m) in total.iter_mut().zip(moved) {
-                            *t += m;
-                        }
-                    }
+        let svc = MappingService::new();
+        let id = svc.register(gsm.clone(), gs.clone());
+        // intern every template up front, so each routed serve counts
+        // the same hit a bound serve does
+        let bound: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let (skeleton, bindings) = canonicalize(q.source());
+                let tid = svc.register_template(id, &skeleton).unwrap();
+                (tid, bindings.labels().to_vec())
+            })
+            .collect();
+        for sem in all_semantics() {
+            for cancelled in [false, true] {
+                let opts = ServeOptions::new().with_cancel(Arc::new(AtomicBool::new(cancelled)));
+                let ctx = format!("{name} {sem:?} cancelled={cancelled}");
+                let mut singles = Vec::new();
+                let mut total = [0u64; 3];
+                for (qi, q) in queries.iter().enumerate() {
+                    let (single, moved) = metered(&svc, id, || svc.answer_with(id, q, sem, &opts));
+                    let (tid, labels) = &bound[qi];
                     assert_eq!(
-                        metered(&svc, id, || svc.answer_batch_with(id, &queries, sem, &opts)),
-                        (singles, total),
-                        "mixed batch, {ctx}"
+                        metered(&svc, id, || {
+                            svc.answer_bound_with(id, *tid, labels, sem, &opts)
+                        }),
+                        (single.clone(), moved),
+                        "answer_bound, query {qi}, {ctx}"
                     );
+                    assert_eq!(
+                        metered(&svc, id, || {
+                            svc.answer_batch_with(id, std::slice::from_ref(q), sem, &opts)
+                        }),
+                        (vec![single.clone()], moved),
+                        "batch of one, query {qi}, {ctx}"
+                    );
+                    singles.push(single);
+                    for (t, m) in total.iter_mut().zip(moved) {
+                        *t += m;
+                    }
                 }
+                assert_eq!(
+                    metered(&svc, id, || svc.answer_batch_with(id, &queries, sem, &opts)),
+                    (singles, total),
+                    "mixed batch, {ctx}"
+                );
             }
-            // the table reaches every counter it pins
-            let stats = svc.serving_stats(id).unwrap();
-            assert!(
-                stats.rejected > 0 && stats.template_hits > 0,
-                "{name} k={k}"
-            );
-            assert!(name != "normal" || stats.static_empty > 0, "{name} k={k}");
         }
+        // the table reaches every counter it pins
+        let stats = svc.serving_stats(id).unwrap();
+        assert!(stats.rejected > 0 && stats.template_hits > 0, "{name}");
+        assert!(name != "normal" || stats.static_empty > 0, "{name}");
     }
 }
