@@ -35,9 +35,9 @@
 //!   intermediate concatenation;
 //! * homomorphisms between data graphs, both the exact form of §6 and the
 //!   null-absorbing form of §7 ([`hom`]);
-//! * fault-tolerance plumbing: panic-containing `try_` fan-out variants
-//!   ([`par::try_map_blocks`], [`par::try_map_tasks`]) reporting
-//!   [`WorkerPanic`] instead of aborting, shared poisoned-lock recovery
+//! * fault-tolerance plumbing: the panic-containing task fan-out
+//!   ([`par::try_map_tasks`]) reporting [`WorkerPanic`] instead of
+//!   aborting, shared poisoned-lock recovery
 //!   ([`par::lock_recover`]), and the seeded, inert-unless-armed
 //!   fault-injection points of [`faults`] that the serving engine's
 //!   recovery soak drives.

@@ -125,9 +125,8 @@ pub(crate) fn threads_for(items: usize, min_per_thread: usize) -> usize {
 /// instead of aborting the process.
 ///
 /// Carries the first panic payload rendered as a string plus **every**
-/// failed index (task index for [`try_map_tasks`], block index for
-/// [`try_map_blocks`]) — the whole fan-out is still driven to completion
-/// so one poisoned unit doesn't hide others.
+/// failed task index ([`try_map_tasks`]) — the whole fan-out is still
+/// driven to completion so one poisoned unit doesn't hide others.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// The first caught panic payload (`&str`/`String` payloads verbatim,
@@ -169,10 +168,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Falls back to a single inline call when the work is too small; `0`
 /// items yield no blocks at all.
 ///
-/// Public so engines layered above (the relation algebra here, batch
-/// serving in `gde-core`) share one fan-out primitive and one thread knob.
-/// A panicking block worker re-panics on the calling thread; serving
-/// paths that must survive poisoned workers use [`try_map_blocks`].
+/// Public so the relation algebra and the engines layered above share one
+/// thread knob. A panicking block worker re-panics on the calling thread;
+/// serving paths that must survive poisoned workers use
+/// [`try_map_tasks`].
 pub fn map_blocks<T, F>(items: usize, min_per_thread: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -185,11 +184,7 @@ where
 /// `catch_unwind`: a panicking block becomes an `Err(WorkerPanic)` naming
 /// the failed **block** indices instead of aborting the process. All
 /// blocks still run (results of surviving blocks are discarded on error).
-pub fn try_map_blocks<T, F>(
-    items: usize,
-    min_per_thread: usize,
-    f: F,
-) -> Result<Vec<T>, WorkerPanic>
+fn try_map_blocks<T, F>(items: usize, min_per_thread: usize, f: F) -> Result<Vec<T>, WorkerPanic>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
