@@ -117,3 +117,48 @@ pub use nfa::Nfa;
 pub use parser::{parse_regex, ParseError};
 pub use regex::Regex;
 pub use register::{Cond, Reg, RegisterAutomaton};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stand-in search: start `u` reaches `targets[u]` in that order,
+    /// stopping when [`ReachedRows::insert`] says the limit is reached.
+    fn search<'a>(targets: &'a [&'a [u32]]) -> impl Fn(u32, &mut ReachedRows) + 'a {
+        move |u, hit| {
+            for &v in targets[u as usize] {
+                if hit.insert(v) {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_by_collects_each_start_rows_on_a_cleared_workspace() {
+        // start 1 reaches row 0 twice; start 3 reaches nothing
+        let targets: [&[u32]; 4] = [&[3, 1], &[0, 2, 0], &[2], &[]];
+        let rel = eval_by(4, search(&targets));
+        let rows: Vec<Vec<usize>> = (0..4).map(|u| rel.row_iter(u).collect()).collect();
+        assert_eq!(rows, [vec![1, 3], vec![0, 2], vec![2], vec![]]);
+        assert_eq!(rel.len(), 5);
+    }
+
+    #[test]
+    fn holds_by_stops_at_the_first_start_with_an_answer() {
+        let targets: [&[u32]; 5] = [&[], &[], &[4, 1], &[0], &[2]];
+        let (reach, mut starts, mut reached) = (search(&targets), Vec::new(), Vec::new());
+        let holds = holds_by(5, |u, hit| {
+            starts.push(u);
+            reach(u, hit);
+            reached.push(hit.rows().to_vec());
+        });
+        assert!(holds);
+        assert_eq!(starts, [0, 1, 2], "the scan stops at start 2");
+        assert_eq!(reached[2], [4], "the search stops at its first answer row");
+        // no start reaches anything: every start is searched, and it fails
+        let mut searched = 0;
+        assert!(!holds_by(5, |_, _| searched += 1));
+        assert_eq!(searched, 5);
+    }
+}

@@ -2444,6 +2444,161 @@ mod tests {
     }
 
     #[test]
+    fn a_boolean_miss_caches_its_verdict_and_builds_no_answer() {
+        let (m, gs) = scenario();
+        let mut ta = m.target_alphabet().clone();
+        // RPQs build nothing in phase 1: a verdict is the only entry
+        let holds = DataQuery::Rpq(parse_regex("x y", &mut ta).unwrap()).compile();
+        let fails = DataQuery::Rpq(parse_regex("x x", &mut ta).unwrap()).compile();
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
+        let sem = Semantics::nulls_boolean();
+        assert!(svc.answer(id, &holds, sem).unwrap().boolean());
+        assert!(!svc.answer(id, &fails, sem).unwrap().boolean());
+        let cold = svc.serving_stats(id).unwrap();
+        assert_eq!((cold.boolean_evals, cold.tuple_evals), (2, 0));
+        assert_eq!(cold.merge_ns, 0, "a verdict builds no answer");
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        assert_eq!(
+            prep.sub_cache().bytes(),
+            2 * gde_dataquery::ENTRY_OVERHEAD,
+            "two payload-free verdict entries"
+        );
+        // both verdicts, true and false alike, serve warm
+        assert!(svc.answer(id, &holds, sem).unwrap().boolean());
+        assert!(!svc.answer(id, &fails, sem).unwrap().boolean());
+        let warm = svc.serving_stats(id).unwrap();
+        assert_eq!(warm.boolean_evals, 2);
+        assert_eq!(warm.cache_hits, cold.cache_hits + 2);
+        // a verdict never answers the tuple query under the same plan
+        let pairs = svc.answer(id, &holds, Semantics::nulls()).unwrap();
+        assert_eq!(pairs.into_pairs().len(), 2);
+        assert_eq!(svc.serving_stats(id).unwrap().tuple_evals, 1);
+    }
+
+    #[test]
+    fn a_cold_batch_evaluates_each_missed_query_once() {
+        let (m, gs) = scenario();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
+        let mut ta = m.target_alphabet().clone();
+        let queries: Vec<CompiledQuery> = ["x y", "(x y)=", "x+", "(x y)+"]
+            .iter()
+            .map(|s| DataQuery::from(parse_ree(s, &mut ta).unwrap()).compile())
+            .collect();
+        // warm the first query: the batch evaluates the other three only
+        let first = svc.answer(id, &queries[0], Semantics::nulls());
+        let before = svc.serving_stats(id).unwrap();
+        assert_eq!(before.tuple_evals, 1);
+        let cold = svc.answer_batch(id, &queries, Semantics::nulls());
+        assert_eq!(cold[0], first);
+        let after = svc.serving_stats(id).unwrap();
+        assert_eq!(after.tuple_evals - before.tuple_evals, 3);
+        // every answer was kept: a warm batch evaluates and misses nothing
+        let warm = svc.answer_batch(id, &queries, Semantics::nulls());
+        assert_eq!(warm, cold);
+        let again = svc.serving_stats(id).unwrap();
+        assert_eq!(again.tuple_evals, after.tuple_evals);
+        assert_eq!(again.cache_misses, after.cache_misses);
+        assert_eq!(again.cache_hits - after.cache_hits, 4);
+    }
+
+    #[test]
+    fn a_repeated_query_in_a_cold_batch_is_charged_once() {
+        let (m, gs) = scenario();
+        let mut ta = m.target_alphabet().clone();
+        let q = DataQuery::Rpq(parse_regex("x y", &mut ta).unwrap()).compile();
+        let single = MappingService::new();
+        let sid = single.register(m.clone(), gs.clone());
+        let want = single.answer(sid, &q, Semantics::nulls()).unwrap();
+        let svc = MappingService::new();
+        let id = svc.register(m, gs);
+        // every copy misses (lookups precede evaluation) and inserts the
+        // same key: the answers agree and the cache holds one entry
+        let batch = svc.answer_batch(id, &[q.clone(), q.clone(), q], Semantics::nulls());
+        for got in batch {
+            assert_eq!(got.unwrap(), want);
+        }
+        let bytes = |svc: &MappingService, id| {
+            let prep = svc.solution(id, Semantics::nulls()).unwrap();
+            prep.sub_cache().bytes()
+        };
+        assert_eq!(bytes(&svc, id), bytes(&single, sid));
+        assert_eq!(svc.cached_bytes(), single.cached_bytes());
+    }
+
+    #[test]
+    fn served_pairs_keep_dom_nodes_in_id_order() {
+        // a source inserted out of id order, so dense rows and ids differ:
+        // 9 -a-> 2, 4 -a-> 9, and 30 isolated; each a-edge becomes x y
+        // through one invented node
+        let (m, _) = scenario();
+        let mut gs = DataGraph::new();
+        for (id, v) in [(9, 7), (4, 5), (30, 1), (2, 5)] {
+            gs.add_node(NodeId(id), Value::int(v)).unwrap();
+        }
+        gs.add_edge_str(NodeId(9), "a", NodeId(2)).unwrap();
+        gs.add_edge_str(NodeId(4), "a", NodeId(9)).unwrap();
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs.clone());
+        let mut ta = m.target_alphabet().clone();
+        let n = NodeId;
+        for (src, want) in [
+            ("(x y)+", vec![(n(4), n(2)), (n(4), n(9)), (n(9), n(2))]),
+            ("(x y x y)=", vec![(n(4), n(2))]),
+            // these end or start at invented nodes only
+            ("x", vec![]),
+            ("y", vec![]),
+            ("x y x", vec![]),
+        ] {
+            let q = DataQuery::from(parse_ree(src, &mut ta).unwrap()).compile();
+            for sem in [Semantics::nulls(), Semantics::least_informative()] {
+                if sem == Semantics::least_informative() && !q.is_equality_only() {
+                    continue;
+                }
+                let got = svc.answer(id, &q, sem).unwrap();
+                assert_eq!(got, answer_once(&m, &gs, &q, sem).unwrap(), "{src} {sem:?}");
+                assert_eq!(got.into_pairs(), want, "{src} {sem:?}");
+            }
+            // the Boolean reads the whole snapshot, invented rows too: the
+            // queries with no dom pair still hold
+            let holds = svc.answer(id, &q, Semantics::nulls_boolean()).unwrap();
+            assert!(holds.boolean(), "{src}");
+        }
+    }
+
+    #[test]
+    fn auto_shard_spec_resolves_and_serves_identically() {
+        // every stripe-count spec is accepted and ignored: the count reads
+        // one, nothing is rebuilt, and the answers are a plain service's
+        let (m, gs) = scenario();
+        let reference = MappingService::new();
+        let rid = reference.register(m.clone(), gs.clone());
+        let svc = MappingService::new();
+        let id = svc.register(m.clone(), gs);
+        let mut ta = m.target_alphabet().clone();
+        let q = DataQuery::from(parse_ree("(x y)=", &mut ta).unwrap()).compile();
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        for spec in [ShardSpec::Auto, ShardSpec::Fixed(3), ShardSpec::from(64)] {
+            svc.set_shard_count(id, spec).unwrap();
+            assert_eq!(svc.shard_count(id), Some(1), "{spec:?}");
+            for sem in [Semantics::nulls(), Semantics::nulls_boolean()] {
+                assert_eq!(
+                    svc.answer(id, &q, sem),
+                    reference.answer(rid, &q, sem),
+                    "{spec:?} {sem:?}"
+                );
+            }
+        }
+        let after = svc.solution(id, Semantics::nulls()).unwrap();
+        assert!(
+            Arc::ptr_eq(&prep, &after),
+            "a spec change rebuilt the solution"
+        );
+        assert_eq!(svc.generation(id), Some(0));
+    }
+
+    #[test]
     fn prepared_rows_are_sorted_dom_then_invented() {
         // a source inserted out of id order, with a node no rule reads
         let (m, _) = scenario();

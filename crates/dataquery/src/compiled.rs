@@ -665,4 +665,61 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn phase1_built_by_one_task_serves_the_next_from_the_cache() {
+        let mut g = sample_graph();
+        let mut queries = all_query_classes(&mut g);
+        queries.push(parse_ree("(a+)= b", g.alphabet_mut()).unwrap().into());
+        let snap = g.snapshot();
+        for q in &queries {
+            let cq = q.compile();
+            let cache = Arc::new(LruSubRelCache::new(Arc::default()));
+            let first = RowEvalShared::with_cache(cache.clone());
+            cq.build_phase1(&snap, &first);
+            assert_eq!(first.cache_hits(), 0, "{q:?}");
+            if matches!(q, DataQuery::Ree(_) | DataQuery::Conjunctive(_)) {
+                assert!(first.cache_misses() > 0, "{q:?} has phase-1 artifacts");
+            }
+            // a later miss of the same query (its own task, its own
+            // shared state) reads every phase-1 artifact back
+            let next = RowEvalShared::with_cache(cache.clone());
+            cq.build_phase1(&snap, &next);
+            assert_eq!(next.cache_misses(), 0, "{q:?}");
+            assert_eq!(next.cache_hits(), first.cache_misses(), "{q:?}");
+            assert_eq!(
+                cq.eval_relation_with(&snap, &next),
+                cq.eval_relation(&snap),
+                "{q:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_fired_control_builds_and_caches_nothing() {
+        use std::sync::atomic::AtomicBool;
+
+        let mut g = sample_graph();
+        let queries = all_query_classes(&mut g);
+        let snap = g.snapshot();
+        let cancelled = Arc::new(EvalControl::new(
+            None,
+            Some(Arc::new(AtomicBool::new(true))),
+        ));
+        for q in &queries {
+            let cq = q.compile();
+            let full = cq.eval_relation(&snap);
+            assert!(full.any(), "{q:?} has answers on the sample graph");
+            let cache = Arc::new(LruSubRelCache::new(Arc::default()));
+            let stopped = RowEvalShared::with_cache(cache.clone()).with_control(cancelled.clone());
+            cq.build_phase1(&snap, &stopped);
+            assert!(cq.eval_relation_with(&snap, &stopped).is_empty(), "{q:?}");
+            assert!(!cq.holds_with(&snap, &stopped), "{q:?}");
+            assert_eq!(cache.bytes(), 0, "a stopped phase 1 inserted ({q:?})");
+            // nothing truncated was left behind for a live serve to read
+            let live = RowEvalShared::with_cache(cache);
+            assert_eq!(cq.eval_relation_with(&snap, &live), full, "{q:?}");
+            assert!(cq.holds_with(&snap, &live), "{q:?}");
+        }
+    }
 }

@@ -240,6 +240,81 @@ fn any_stripe_count_is_accepted_and_reads_one() {
     assert_alive(&handle);
 }
 
+/// An upload's `shards` value is checked before anything registers: a
+/// bad one is a 400 that leaves the name free, and a count or `"auto"`
+/// registers a mapping that serves.
+#[test]
+fn a_bad_shards_value_in_an_upload_is_refused_before_registering() {
+    let handle = tight_server();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert_eq!(c.put("/tenants/t", &Json::obj([])).unwrap().status, 201);
+    let upload = |name: &str, shards: Json| {
+        Json::obj([
+            ("name", Json::str(name)),
+            ("source", Json::obj([])),
+            (
+                "rules",
+                Json::Arr(vec![Json::obj([
+                    ("source", Json::str("knows")),
+                    ("target", Json::str("contact")),
+                ])]),
+            ),
+            ("shards", shards),
+        ])
+    };
+    for bad in [Json::str("lots"), Json::num(-1.0), Json::Null] {
+        let r = c
+            .post("/tenants/t/mappings", &upload("m", bad.clone()))
+            .unwrap();
+        assert_eq!(
+            (r.status, r.error_code().as_deref()),
+            (400, Some("malformed-request")),
+            "{bad:?}"
+        );
+    }
+    let q = Json::obj([("query", Json::str("contact"))]);
+    let r = c.post("/tenants/t/mappings/m/query", &q).unwrap();
+    assert_eq!(
+        (r.status, r.error_code().as_deref()),
+        (404, Some("unknown-mapping"))
+    );
+    for (name, good) in [("m", Json::num(4.0)), ("n", Json::str("auto"))] {
+        let r = c.post("/tenants/t/mappings", &upload(name, good)).unwrap();
+        assert_eq!(r.status, 201, "{}", String::from_utf8_lossy(&r.raw_body));
+        let path = format!("/tenants/t/mappings/{name}/query");
+        assert_eq!(c.post(&path, &q).unwrap().status, 200);
+    }
+    assert_alive(&handle);
+}
+
+/// `POST …/shards` names its mapping before its value is read: an
+/// unknown mapping is a 404 whatever the body says.
+#[test]
+fn a_shards_post_to_an_unknown_mapping_is_a_404() {
+    let handle = tight_server();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    assert_eq!(c.put("/tenants/t", &Json::obj([])).unwrap().status, 201);
+    for body in [
+        Json::obj([("shards", Json::num(2.0))]),
+        Json::obj([("shards", Json::str("lots"))]),
+        Json::obj([]),
+    ] {
+        let r = c.post("/tenants/t/mappings/ghost/shards", &body).unwrap();
+        assert_eq!(
+            (r.status, r.error_code().as_deref()),
+            (404, Some("unknown-mapping")),
+            "{body:?}"
+        );
+        let r = c.post("/tenants/ghost/mappings/m/shards", &body).unwrap();
+        assert_eq!(
+            (r.status, r.error_code().as_deref()),
+            (404, Some("unknown-tenant")),
+            "{body:?}"
+        );
+    }
+    assert_alive(&handle);
+}
+
 #[test]
 fn bad_request_shapes_get_typed_4xx() {
     let handle = tight_server();

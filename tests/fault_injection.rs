@@ -511,6 +511,70 @@ fn deadline_mid_evaluation_caches_no_run() {
     }
 }
 
+/// A stop counts a serve's missed queries as its tasks: when every
+/// evaluation of a cold batch stalls past the deadline, the warm query
+/// still answers from the cache, and each missed query gets the same stop
+/// error, none completed out of as many tasks as there were misses.
+#[test]
+fn a_stopped_batch_counts_its_missed_queries_as_tasks() {
+    let _serial = serial();
+    quiet_injected_panics();
+    let sv = scenario(0xE6);
+    let qs = compiled_batch(&sv);
+    let reference: Vec<Answer> = {
+        let svc = MappingService::new();
+        let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+        svc.answer_batch(id, &qs, Semantics::nulls())
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect()
+    };
+    let svc = MappingService::new();
+    let id = svc.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    svc.prepare(id, Semantics::nulls()).unwrap();
+    assert_eq!(
+        svc.answer(id, &qs[0], Semantics::nulls()).unwrap(),
+        reference[0]
+    );
+    let warmed = svc.serving_stats(id).unwrap();
+    assert_eq!(
+        (warmed.static_empty, warmed.tuple_evals),
+        (0, 1),
+        "the warm query must reach the cache"
+    );
+
+    let plan = FaultPlan::seeded(0xE6)
+        .panic_one_in(0)
+        .delay_one_in(1)
+        .delay(Duration::from_millis(300));
+    let armed = faults::arm(plan);
+    let opts = ServeOptions::new().with_deadline(Instant::now() + Duration::from_millis(100));
+    let stopped = svc.answer_batch_with(id, &qs, Semantics::nulls(), &opts);
+    drop(armed);
+    assert!(stopped[0].is_ok(), "the warm query was evaluated");
+    let mut stops = Vec::new();
+    for (i, r) in stopped.into_iter().enumerate() {
+        match r {
+            // a hit, or a statically empty query answered at the door
+            Ok(ans) => assert_eq!(ans, reference[i], "query {i}"),
+            Err(ServeError::DeadlineExceeded {
+                completed_stripes,
+                total_stripes,
+            }) => stops.push((completed_stripes, total_stripes)),
+            Err(e) => panic!("query {i}: unexpected serve error: {e}"),
+        }
+    }
+    let misses = stops.len();
+    assert!(misses > 1, "the batch missed {misses} queries");
+    assert!(stops.iter().all(|&s| s == (0, misses)), "{stops:?}");
+    let retry: Vec<Answer> = svc
+        .answer_batch(id, &qs, Semantics::nulls())
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    assert_eq!(retry, reference);
+}
+
 /// A warm repeat is one cache hit per query on the serving thread:
 /// repeating a tuple batch and a Boolean batch misses nothing, builds no
 /// phase-1 state, evaluates nothing and inserts nothing, and every answer
