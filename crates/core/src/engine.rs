@@ -275,7 +275,7 @@ pub struct ServingStats {
     /// (REE memos, full conjunctive answers), summed over the misses.
     pub memo_build_ns: u64,
     /// Nanoseconds spent building missed tuple answers from their
-    /// evaluated pairs (one copy into the shared answer) and caching them.
+    /// evaluated pairs (moved into the shared answer) and caching them.
     pub merge_ns: u64,
     /// Sub-relation cache hits across serving calls: one per query whose
     /// whole answer or verdict was cached, plus the phase-1 artifact hits
@@ -911,10 +911,12 @@ impl PreparedSolution {
     /// two queries have in common is computed once and reused (up to a
     /// benign race when structurally identical artifacts build
     /// concurrently — both compute, either result serves). Once every task
-    /// has run, each tuple answer becomes the shared answer in one copy
-    /// and each Boolean verdict is kept, both inserted into the cache. The
-    /// exact enumeration inserts nothing, and neither does a serve whose
-    /// control fired: a truncated evaluation must never be served later.
+    /// has run, each tuple answer's pairs move into a shared answer built
+    /// with its cache entry, so that a server can keep the answer's text
+    /// there, and each Boolean verdict is kept, both inserted into the
+    /// cache. The exact enumeration inserts nothing, and neither does a
+    /// serve whose control fired: a truncated evaluation must never be
+    /// served later.
     ///
     /// Adds the misses' phase-1 and answer-building time, their cache
     /// traffic and their shortfall to `tally`, whatever the outcome.
@@ -984,8 +986,7 @@ impl PreparedSolution {
                         Ok(Answer::Boolean(holds))
                     }
                     (Some(Part::Pairs(pairs)), None) => {
-                        let answer = AnswerRun::from(pairs);
-                        cache().insert_answer(served_key(q, Mode::Tuples), answer.clone());
+                        let answer = cache().insert_answer(served_key(q, Mode::Tuples), pairs);
                         Ok(Answer::Tuples(CertainAnswers::Pairs(answer)))
                     }
                     (None, None) => unreachable!("invariant: an unstopped task ran"),
@@ -1218,7 +1219,10 @@ impl MappingService {
     }
 
     /// Bytes currently charged: resident solutions with their snapshots,
-    /// plus every resident sub-relation cache entry.
+    /// plus every resident sub-relation cache entry. A cached tuple
+    /// answer's entry includes the text a server keeps for it
+    /// ([`AnswerRun::text`]) once kept, so encoding an answer the first
+    /// time raises this figure by the text's length.
     pub fn cached_bytes(&self) -> usize {
         self.ledger.used()
     }
@@ -2240,7 +2244,7 @@ fn vacuous_answer(mode: Mode) -> Answer {
 /// The statically-empty answer: no pair is certain, nothing holds.
 fn empty_answer(mode: Mode) -> Answer {
     match mode {
-        Mode::Tuples => Answer::Tuples(CertainAnswers::Pairs(AnswerRun::from([]))),
+        Mode::Tuples => Answer::Tuples(CertainAnswers::Pairs(AnswerRun::from(Vec::new()))),
         Mode::Boolean => Answer::Boolean(false),
     }
 }
@@ -2441,6 +2445,67 @@ mod tests {
         assert_eq!(after.cache_hits - before.cache_hits, 1);
         assert_eq!(after.cache_misses, before.cache_misses);
         assert_eq!(prep.sub_cache().bytes(), bytes, "a hit inserts nothing");
+    }
+
+    /// A stand-in for the server's encoder, which the engine does not
+    /// know: a cached answer keeps whatever text it is handed first.
+    fn text(a: &Answer) -> Arc<String> {
+        match a {
+            Answer::Tuples(CertainAnswers::Pairs(run)) => run.text(|pairs| format!("{pairs:?}")),
+            other => panic!("a tuple answer, not {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_kept_text_is_charged_with_its_answer_and_leaves_with_it() {
+        let (m, gs) = scenario();
+        let mut ta = m.target_alphabet().clone();
+        let q = DataQuery::Rpq(parse_regex("x y", &mut ta).unwrap()).compile();
+        let q2 = DataQuery::Rpq(parse_regex("x y x y", &mut ta).unwrap()).compile();
+        let svc = MappingService::new();
+        let other = svc.register(m.clone(), gs.clone());
+        text(&svc.answer(other, &q, Semantics::nulls()).unwrap());
+        let other_bytes = svc.cached_bytes();
+        let id = svc.register(m, gs);
+        let a = svc.answer(id, &q, Semantics::nulls()).unwrap();
+        let unencoded = svc.answer(id, &q2, Semantics::nulls()).unwrap();
+        let prep = svc.solution(id, Semantics::nulls()).unwrap();
+        let (charged, cache) = (svc.cached_bytes(), prep.sub_cache().bytes());
+        assert_eq!(svc.serving_stats(id).unwrap().cache_bytes, cache as u64);
+        // keeping the text raises the entry's charge, the cache's bytes
+        // and the ledger by exactly its length ...
+        let kept = text(&a);
+        assert_eq!(svc.cached_bytes(), charged + kept.len());
+        assert_eq!(prep.sub_cache().bytes(), cache + kept.len());
+        // ... and the stats gauge, which reads the cache at the next
+        // serve; that serve's answer hands out the kept text
+        let hit = svc.answer(id, &q, Semantics::nulls()).unwrap();
+        assert!(Arc::ptr_eq(&text(&hit), &kept));
+        let stats = svc.serving_stats(id).unwrap();
+        assert_eq!(stats.cache_bytes, (cache + kept.len()) as u64);
+        assert_eq!(svc.cached_bytes(), charged + kept.len());
+        // a delta drops the solution with its cache and the kept text, and
+        // an answer whose entry went with it keeps nothing
+        let delta = GraphDelta::new().with_edge(NodeId(2), "a", NodeId(0));
+        assert!(!svc.apply_delta(id, &delta).unwrap().patched);
+        assert_eq!(svc.cached_bytes(), other_bytes);
+        text(&unencoded);
+        assert_eq!(svc.cached_bytes(), other_bytes);
+        // eviction gives it back too: the rebuilt solution keeps a text,
+        // then is the least recently served when the budget tightens
+        text(&svc.answer(id, &q, Semantics::nulls()).unwrap());
+        svc.answer(other, &q, Semantics::nulls()).unwrap();
+        svc.set_cache_budget(svc.cached_bytes() - 1);
+        assert!(!svc.is_cached(id, Semantics::nulls()));
+        assert_eq!(svc.cached_bytes(), other_bytes);
+        // and so does unregister: the last one leaves nothing charged
+        svc.set_cache_budget(0);
+        text(&svc.answer(id, &q, Semantics::nulls()).unwrap());
+        assert!(svc.cached_bytes() > other_bytes);
+        assert!(svc.unregister(id));
+        assert_eq!(svc.cached_bytes(), other_bytes);
+        assert!(svc.unregister(other));
+        assert_eq!(svc.cached_bytes(), 0);
     }
 
     #[test]

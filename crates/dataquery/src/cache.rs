@@ -30,7 +30,9 @@
 //!   prepared solution, sharable across a batch's workers. Artifact keys hold
 //!   relations, answer keys whole answers, verdict keys Booleans; all
 //!   share one LRU order, every entry is charged [`ENTRY_OVERHEAD`] on top
-//!   of its payload, and the ledger is the cache's only bound.
+//!   of its payload, and the ledger is the cache's only bound. A cached
+//!   answer keeps the first text a server renders for it, charged to its
+//!   entry ([`AnswerRun::text`]).
 //! * [`CacheHandle`] — a per-query view pairing a cache with hit, miss
 //!   and shortfall counters, carried by [`crate::RowEvalShared`].
 
@@ -38,7 +40,7 @@ use gde_datagraph::par::lock_recover;
 use gde_datagraph::{FxHashMap, NodeId, Relation};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// 128-bit FNV-1a over the `Hash` feed of a query AST, with a domain
 /// separator so different AST types (an REE subexpression vs a whole
@@ -158,9 +160,94 @@ impl SubRelKey {
 }
 
 /// A query's served tuple answer: its pairs over `dom(M, G_s)` as node
-/// ids, sorted ascending and duplicate-free. Shared, so a cache hit is an
-/// `Arc` clone and the serving engine hands the cached answer out as is.
-pub type AnswerRun = Arc<[(NodeId, NodeId)]>;
+/// ids, sorted ascending and duplicate-free, and one slot for the text a
+/// server sends for them. Shared, so a cache hit is an `Arc` clone, the
+/// serving engine hands the cached answer out as is, and every clone sees
+/// the text once it is kept. It dereferences to its pairs; equality
+/// compares the pairs alone.
+///
+/// An answer built from pairs in process ([`AnswerRun::from`]) belongs to
+/// no cache entry and keeps no text. An answer the serving engine caches
+/// is built with its entry ([`CacheHandle::insert_answer`]), and
+/// [`AnswerRun::text`] keeps the first text rendered for it, charged to
+/// that entry.
+#[derive(Clone)]
+pub struct AnswerRun(Arc<Run>);
+
+struct Run {
+    pairs: Box<[(NodeId, NodeId)]>,
+    /// The cache and key of the entry this answer was built for; `None`
+    /// for an answer built in process.
+    entry: Option<(Weak<LruSubRelCache>, SubRelKey)>,
+    /// The kept text, set at most once, under the entry's cache lock.
+    text: OnceLock<Arc<String>>,
+}
+
+impl AnswerRun {
+    fn new(
+        pairs: Vec<(NodeId, NodeId)>,
+        entry: Option<(Weak<LruSubRelCache>, SubRelKey)>,
+    ) -> AnswerRun {
+        AnswerRun(Arc::new(Run {
+            pairs: pairs.into_boxed_slice(),
+            entry,
+            text: OnceLock::new(),
+        }))
+    }
+
+    /// The text of this answer: the kept text, or else `render(pairs)`.
+    ///
+    /// An answer built with its cache entry keeps the first text it
+    /// renders, charged to that entry on the cache's ledger, if the entry
+    /// still holds this answer and the ledger has room for the text
+    /// without evicting anything. Every later call, on any clone, returns
+    /// the kept text without rendering, and the text is given back with
+    /// its entry (eviction, replacement, or the cache's close). Two
+    /// threads rendering at once keep one text, charged once. Any other
+    /// answer keeps nothing, and every call renders.
+    pub fn text(&self, render: impl FnOnce(&[(NodeId, NodeId)]) -> String) -> Arc<String> {
+        if let Some(kept) = self.0.text.get() {
+            return kept.clone();
+        }
+        let text = Arc::new(render(&self.0.pairs));
+        match &self.0.entry {
+            Some((cache, key)) => match cache.upgrade() {
+                Some(cache) => cache.keep_text(key, self, text),
+                None => text,
+            },
+            None => text,
+        }
+    }
+}
+
+impl std::ops::Deref for AnswerRun {
+    type Target = [(NodeId, NodeId)];
+
+    fn deref(&self) -> &[(NodeId, NodeId)] {
+        &self.0.pairs
+    }
+}
+
+impl PartialEq for AnswerRun {
+    fn eq(&self, other: &AnswerRun) -> bool {
+        self.0.pairs == other.0.pairs
+    }
+}
+
+impl Eq for AnswerRun {}
+
+impl std::fmt::Debug for AnswerRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.pairs.fmt(f)
+    }
+}
+
+impl From<Vec<(NodeId, NodeId)>> for AnswerRun {
+    /// An answer of `pairs` that belongs to no cache entry.
+    fn from(pairs: Vec<(NodeId, NodeId)>) -> AnswerRun {
+        AnswerRun::new(pairs, None)
+    }
+}
 
 /// What one cache entry holds.
 enum Cached {
@@ -260,7 +347,10 @@ struct LruInner {
 /// (or a copied `bool`), never a copy of the data; a lookup of one kind
 /// never returns another. Every entry is charged [`ENTRY_OVERHEAD`] plus
 /// its payload: a relation its [`Relation::heap_bytes`], an answer its
-/// pairs' bytes, a verdict nothing more.
+/// pairs' bytes, a verdict nothing more. An answer's text, once
+/// [`AnswerRun::text`] keeps it, is charged to the answer's entry on top:
+/// only while the entry holds that answer, only if the ledger has room
+/// without evicting, and given back with the entry.
 ///
 /// All kinds share one LRU order, and the cache's only bound is its
 /// [`ByteLedger`]. An insert reserves its bytes there under the cache
@@ -360,12 +450,45 @@ impl LruSubRelCache {
         self.put(key, Cached::Relation(rel), bytes)
     }
 
-    /// Insert (or replace) a tuple answer under `key`, charged
-    /// [`ENTRY_OVERHEAD`] plus `len × size_of::<(NodeId, NodeId)>()`
-    /// bytes; returns the shortfall.
-    pub fn insert_answer(&self, key: SubRelKey, answer: AnswerRun) -> usize {
+    /// Insert (or replace) the tuple answer of `pairs` under `key`,
+    /// charged [`ENTRY_OVERHEAD`] plus `len × size_of::<(NodeId,
+    /// NodeId)>()` bytes. Returns the answer, built with this entry so
+    /// that it can keep its text here ([`AnswerRun::text`]), and the
+    /// shortfall.
+    pub fn insert_answer(
+        self: &Arc<Self>,
+        key: SubRelKey,
+        pairs: Vec<(NodeId, NodeId)>,
+    ) -> (AnswerRun, usize) {
+        let answer = AnswerRun::new(pairs, Some((Arc::downgrade(self), key)));
         let bytes = std::mem::size_of_val(&*answer);
-        self.put(key, Cached::Answer(answer), bytes)
+        let shortfall = self.put(key, Cached::Answer(answer.clone()), bytes);
+        (answer, shortfall)
+    }
+
+    /// Keep `text` as `answer`'s text, charged to the entry under `key`,
+    /// if that entry still holds `answer` and the ledger has room for the
+    /// text without evicting anything. Returns the text `answer` keeps,
+    /// or `text` when nothing is kept. The check, the charge and the keep
+    /// all happen under the cache lock, so the entry's bytes, the cache's
+    /// and the ledger's move together, and a text racing another
+    /// thread's for the same answer finds that one kept.
+    fn keep_text(&self, key: &SubRelKey, answer: &AnswerRun, text: Arc<String>) -> Arc<String> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if let Some(kept) = answer.0.text.get() {
+            return kept.clone();
+        }
+        let Some(e) = inner.map.get_mut(key) else {
+            return text;
+        };
+        let holds = matches!(&e.value, Cached::Answer(held) if Arc::ptr_eq(&held.0, &answer.0));
+        if !holds || !self.ledger.try_reserve(text.len()) {
+            return text;
+        }
+        e.bytes += text.len();
+        inner.bytes += text.len();
+        answer.0.text.get_or_init(|| text).clone()
     }
 
     /// Insert (or replace) a Boolean verdict under `key`, charged
@@ -491,10 +614,13 @@ impl CacheHandle {
         self.add_shortfall(self.cache.insert(key, rel));
     }
 
-    /// Insert a query's tuple answer, adding the insert's shortfall to
-    /// this handle.
-    pub fn insert_answer(&self, key: SubRelKey, answer: AnswerRun) {
-        self.add_shortfall(self.cache.insert_answer(key, answer));
+    /// Insert the tuple answer of `pairs`, adding the insert's shortfall
+    /// to this handle. Returns the answer, built with its entry (see
+    /// [`LruSubRelCache::insert_answer`]).
+    pub fn insert_answer(&self, key: SubRelKey, pairs: Vec<(NodeId, NodeId)>) -> AnswerRun {
+        let (answer, shortfall) = self.cache.insert_answer(key, pairs);
+        self.add_shortfall(shortfall);
+        answer
     }
 
     /// Insert a query's Boolean verdict, adding the insert's shortfall to
@@ -551,8 +677,8 @@ mod tests {
     }
 
     /// A cache charged to a ledger of its own with this budget.
-    fn cache(budget: usize) -> LruSubRelCache {
-        LruSubRelCache::new(ledger(budget))
+    fn cache(budget: usize) -> Arc<LruSubRelCache> {
+        Arc::new(LruSubRelCache::new(ledger(budget)))
     }
 
     #[test]
@@ -653,7 +779,7 @@ mod tests {
         assert!(cache.lookup_answer(&v).is_none());
     }
 
-    fn run(len: u32) -> AnswerRun {
+    fn run(len: u32) -> Vec<(NodeId, NodeId)> {
         (0..len).map(|i| (NodeId(i), NodeId(i + 1))).collect()
     }
 
@@ -684,7 +810,7 @@ mod tests {
         let n = 16;
         let budget = n * ENTRY_OVERHEAD;
         let ledger = ledger(budget);
-        let cache = LruSubRelCache::new(ledger.clone());
+        let cache = Arc::new(LruSubRelCache::new(ledger.clone()));
         for i in 0..2 * n {
             cache.insert_answer(SubRelKey::answer(i as u128), run(0));
             assert!(ledger.used() <= budget, "insert {i}");
@@ -734,7 +860,7 @@ mod tests {
         assert_eq!(cache.lookup(&rk).map(|r| r.len()), Some(4));
         assert_eq!(cache.lookup_answer(&sk).map(|r| r.len()), Some(3));
         // the counted view agrees, and counts a wrong-kind probe as a miss
-        let h = CacheHandle::new(Arc::new(cache));
+        let h = CacheHandle::new(cache);
         assert!(h.lookup_answer(&rk).is_none());
         assert!(h.lookup_answer(&sk).is_some());
         assert_eq!((h.hits(), h.misses()), (1, 1));
@@ -745,17 +871,17 @@ mod tests {
         let rel = Arc::new(Relation::identity(64));
         let per = rel.heap_bytes() + ENTRY_OVERHEAD;
         let ledger = ledger(per);
-        let cache = LruSubRelCache::new(ledger.clone());
+        let cache = Arc::new(LruSubRelCache::new(ledger.clone()));
         assert_eq!(cache.insert(SubRelKey::artifact(1), rel.clone()), 0);
         // the answer needs room: the relation is evicted for it
-        assert_eq!(cache.insert_answer(SubRelKey::answer(1), run(8)), per);
+        assert_eq!(cache.insert_answer(SubRelKey::answer(1), run(8)).1, per);
         let small = 64 + ENTRY_OVERHEAD;
         assert_eq!((cache.len(), cache.bytes()), (1, small));
         // an artifact bigger than the whole budget is declined at once:
         // evicting the resident answer could not have made room for it
         let big = 8 * per + ENTRY_OVERHEAD;
         assert_eq!(
-            cache.insert_answer(SubRelKey::answer(2), run(per as u32)),
+            cache.insert_answer(SubRelKey::answer(2), run(per as u32)).1,
             big
         );
         assert_eq!((cache.len(), cache.bytes()), (1, small));
@@ -765,7 +891,7 @@ mod tests {
         assert_eq!((cache.bytes(), ledger.used()), (0, 0));
         // ... and declines every later insert, whatever room is left
         assert_eq!(
-            cache.insert_answer(SubRelKey::answer(3), run(4)),
+            cache.insert_answer(SubRelKey::answer(3), run(4)).1,
             32 + ENTRY_OVERHEAD
         );
         assert!(cache.lookup_answer(&SubRelKey::answer(3)).is_none());
@@ -811,6 +937,9 @@ mod tests {
         InsertAnswer(usize, u8, u32),
         /// Insert a verdict under a verdict key.
         InsertVerdict(usize, u8, bool),
+        /// Render a text of this many bytes for one of the answers
+        /// inserted so far, resident, replaced or evicted.
+        Text(usize, usize),
         Lookup(usize, u8),
         Close(usize),
     }
@@ -831,16 +960,23 @@ mod tests {
             answer(),
             answer(),
             verdict,
+            (0usize..64, 0usize..600).prop_map(|(i, len)| Op::Text(i, len)),
+            (0usize..64, 0usize..600).prop_map(|(i, len)| Op::Text(i, len)),
             (0usize..3, 0u8..6).prop_map(|(c, k)| Op::Lookup(c, k)),
             (0usize..3, 0u8..6).prop_map(|(c, k)| Op::Lookup(c, k)),
             (0usize..3).prop_map(Op::Close),
         ]
     }
 
+    /// The bytes of `answer`'s kept text (0 when none is kept).
+    fn kept(answer: &AnswerRun) -> usize {
+        answer.0.text.get().map_or(0, |t| t.len())
+    }
+
     /// The resident bytes under `key` in `cache`, of any kind.
     fn resident(cache: &LruSubRelCache, key: &SubRelKey) -> usize {
         let rel = cache.lookup(key).map(|r| r.heap_bytes());
-        let answer = cache.lookup_answer(key).map(|r| r.len() * 8);
+        let answer = cache.lookup_answer(key).map(|r| r.len() * 8 + kept(&r));
         let verdict = cache.lookup_verdict(key).map(|_| 0);
         rel.or(answer)
             .or(verdict)
@@ -870,17 +1006,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Three caches share one budgeted ledger. After every operation
-        /// the ledger holds exactly the caches' bytes and never more than
-        /// its budget, and a closed cache stays empty.
+        /// the ledger holds exactly the caches' bytes, kept texts
+        /// included, and never more than its budget, and a closed cache
+        /// stays empty.
         #[test]
         fn three_caches_share_one_ledger(
             budget in 1usize..6000,
             ops in prop::collection::vec(op(), 1..80),
         ) {
             let ledger = ledger(budget);
-            let caches: Vec<LruSubRelCache> =
-                (0..3).map(|_| LruSubRelCache::new(ledger.clone())).collect();
+            let caches: Vec<Arc<LruSubRelCache>> =
+                (0..3).map(|_| Arc::new(LruSubRelCache::new(ledger.clone()))).collect();
             let mut closed = [false; 3];
+            let mut answers: Vec<AnswerRun> = Vec::new();
             for op in ops {
                 match op {
                     Op::Insert(c, k, n) => {
@@ -893,9 +1031,19 @@ mod tests {
                         let key = SubRelKey::answer(k.into());
                         let bytes = 8 * n as usize;
                         checked_insert(&caches[c], key, bytes, || {
-                            caches[c].insert_answer(key, run(n))
+                            let (answer, shortfall) = caches[c].insert_answer(key, run(n));
+                            answers.push(answer);
+                            shortfall
                         });
                     }
+                    Op::Text(i, len) if !answers.is_empty() => {
+                        let answer = &answers[i % answers.len()];
+                        let before = kept(answer);
+                        let text = answer.text(|_| "x".repeat(len));
+                        prop_assert!(before == 0 || before == text.len());
+                        prop_assert!(kept(answer) == 0 || kept(answer) == text.len());
+                    }
+                    Op::Text(..) => {}
                     Op::InsertVerdict(c, k, holds) => {
                         let key = SubRelKey::verdict(k.into());
                         checked_insert(&caches[c], key, 0, || {
@@ -912,7 +1060,7 @@ mod tests {
                         closed[c] = true;
                     }
                 }
-                let total: usize = caches.iter().map(LruSubRelCache::bytes).sum();
+                let total: usize = caches.iter().map(|c| c.bytes()).sum();
                 prop_assert_eq!(ledger.used(), total);
                 prop_assert!(ledger.used() <= budget);
                 for (cache, &shut) in caches.iter().zip(&closed) {
@@ -924,9 +1072,169 @@ mod tests {
         }
     }
 
+    /// The text a renderer writes for `pairs`, counting its calls.
+    fn render<'a>(calls: &'a AtomicUsize) -> impl Fn(&[(NodeId, NodeId)]) -> String + 'a {
+        move |pairs| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            format!("{pairs:?}")
+        }
+    }
+
+    #[test]
+    fn keeping_a_text_charges_its_entry_by_exactly_its_length() {
+        let ledger = ledger(0);
+        let cache = Arc::new(LruSubRelCache::new(ledger.clone()));
+        let key = SubRelKey::answer(1);
+        let (answer, _) = cache.insert_answer(key, run(5));
+        let before = cache.bytes();
+        assert_eq!(before, 40 + ENTRY_OVERHEAD);
+        let calls = AtomicUsize::new(0);
+        let text = answer.text(render(&calls));
+        assert_eq!(text.as_str(), format!("{:?}", run(5)));
+        assert_eq!(cache.bytes(), before + text.len());
+        assert_eq!(ledger.used(), cache.bytes());
+        assert_eq!(resident(&cache, &key), cache.bytes());
+        // every later call, on any clone, hands out the kept text: the
+        // hit the engine serves is the same answer
+        let hit = cache.lookup_answer(&key).expect("resident");
+        for kept in [answer.text(render(&calls)), hit.text(render(&calls))] {
+            assert!(Arc::ptr_eq(&kept, &text));
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.bytes(), before + text.len());
+    }
+
+    #[test]
+    fn a_kept_text_goes_back_with_its_entry() {
+        let other = SubRelKey::artifact(9);
+        let rel = Arc::new(Relation::identity(8));
+        let per = rel.heap_bytes() + ENTRY_OVERHEAD;
+        let calls = AtomicUsize::new(0);
+        let keep = |cache: &Arc<LruSubRelCache>, key| {
+            let (answer, _) = cache.insert_answer(key, run(4));
+            answer.text(render(&calls)).len()
+        };
+        // replaced: a new answer under the key takes the old one's place
+        // and charge, text included
+        let ledger = ledger(0);
+        let cache = Arc::new(LruSubRelCache::new(ledger.clone()));
+        cache.insert(other, rel.clone());
+        let key = SubRelKey::answer(1);
+        assert!(keep(&cache, key) > 0);
+        cache.insert_answer(key, run(4));
+        assert_eq!(ledger.used(), per + 32 + ENTRY_OVERHEAD);
+        // closed: every byte returns
+        assert!(keep(&cache, SubRelKey::answer(2)) > 0);
+        cache.close();
+        assert_eq!(ledger.used(), 0);
+        // evicted: a relation that needs the room takes it, text and all,
+        // and the ledger is back where it stood before the answer came
+        let text = format!("{:?}", run(4)).len();
+        let ledger = self::ledger(per + 32 + ENTRY_OVERHEAD + text);
+        let cache = Arc::new(LruSubRelCache::new(ledger.clone()));
+        cache.insert(other, rel.clone());
+        assert_eq!(keep(&cache, key), text);
+        assert_eq!(ledger.used(), ledger.budget());
+        // reading the relation leaves the answer least recently used
+        assert!(cache.lookup(&other).is_some());
+        assert_eq!(
+            cache.insert(SubRelKey::artifact(10), rel),
+            32 + ENTRY_OVERHEAD + text
+        );
+        assert!(cache.lookup_answer(&key).is_none());
+        assert_eq!(ledger.used(), 2 * per);
+    }
+
+    #[test]
+    fn an_answer_outside_its_entry_keeps_nothing() {
+        let calls = AtomicUsize::new(0);
+        let check = |answer: &AnswerRun, cache: &LruSubRelCache| {
+            let before = (cache.bytes(), calls.load(Ordering::Relaxed));
+            let (first, second) = (answer.text(render(&calls)), answer.text(render(&calls)));
+            assert_eq!(first, second);
+            assert!(!Arc::ptr_eq(&first, &second), "nothing is kept");
+            assert_eq!(cache.bytes(), before.0, "nothing is charged");
+            assert_eq!(calls.load(Ordering::Relaxed), before.1 + 2);
+        };
+        let cache = cache(0);
+        let key = SubRelKey::answer(1);
+        // replaced before its first encode
+        let (replaced, _) = cache.insert_answer(key, run(3));
+        let (current, _) = cache.insert_answer(key, run(3));
+        check(&replaced, &cache);
+        // evicted before its first encode
+        let (evicted, _) = cache.insert_answer(SubRelKey::answer(2), run(3));
+        cache.insert(SubRelKey::answer(2), Arc::new(Relation::identity(2)));
+        check(&evicted, &cache);
+        // built in process
+        check(&AnswerRun::from(run(3)), &cache);
+        // the cache is gone
+        let orphan = {
+            let gone = self::cache(0);
+            gone.insert_answer(key, run(3)).0
+        };
+        check(&orphan, &cache);
+        // declined at insert: its cache was closed
+        current.text(render(&calls));
+        cache.close();
+        let (declined, shortfall) = cache.insert_answer(key, run(3));
+        assert_eq!(shortfall, 24 + ENTRY_OVERHEAD);
+        check(&declined, &cache);
+    }
+
+    #[test]
+    fn a_text_without_ledger_room_keeps_nothing_and_evicts_nothing() {
+        let rel = Arc::new(Relation::identity(8));
+        let per = rel.heap_bytes() + ENTRY_OVERHEAD;
+        let text = format!("{:?}", run(4)).len();
+        // room for the relation and the answer's pairs, one byte short of
+        // its text
+        let ledger = ledger(per + 32 + ENTRY_OVERHEAD + text - 1);
+        let cache = Arc::new(LruSubRelCache::new(ledger.clone()));
+        cache.insert(SubRelKey::artifact(1), rel);
+        let (answer, shortfall) = cache.insert_answer(SubRelKey::answer(1), run(4));
+        assert_eq!(shortfall, 0);
+        let used = ledger.used();
+        let calls = AtomicUsize::new(0);
+        for _ in 0..3 {
+            assert_eq!(answer.text(render(&calls)).len(), text);
+            assert_eq!(ledger.used(), used);
+            assert!(ledger.used() <= ledger.budget());
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "rendered on every call");
+        assert_eq!(cache.len(), 2, "nothing was evicted");
+    }
+
+    #[test]
+    fn two_threads_rendering_one_answer_keep_one_text_charged_once() {
+        let cache = cache(0);
+        let (answer, _) = cache.insert_answer(SubRelKey::answer(1), run(50));
+        let before = cache.bytes();
+        // both threads render before either keeps
+        let both_rendering = std::sync::Barrier::new(2);
+        let texts: Vec<Arc<String>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        answer.text(|pairs| {
+                            both_rendering.wait();
+                            format!("{pairs:?}")
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("renderer"))
+                .collect()
+        });
+        assert!(Arc::ptr_eq(&texts[0], &texts[1]), "one text is kept");
+        assert_eq!(cache.bytes(), before + texts[0].len(), "charged once");
+    }
+
     #[test]
     fn handle_counts_hits_and_misses() {
-        let cache = Arc::new(cache(0));
+        let cache = cache(0);
         let h = CacheHandle::new(cache.clone());
         let key = SubRelKey::artifact(99);
         let built = h.get_or_insert(key, || Relation::identity(4));

@@ -22,13 +22,16 @@
 //!   as serde_json writes it.
 //! * **Pre-encoded fragments** — [`Json::Fragment`] carries text that an
 //!   encoder in this crate already wrote (a certain-answer body, written
-//!   in one pass over the engine's pairs with no tree). Its text is
-//!   private and only this crate can build one, so every `Json` still
-//!   encodes to valid JSON. [`parse`] never produces a fragment, and the
+//!   in one pass over the engine's pairs with no tree, or the text a
+//!   cached answer kept from its first encode). The text is shared, so a
+//!   fragment is cloned and moved without copying it. It is private and
+//!   only this crate can build one, so every `Json` still encodes to
+//!   valid JSON. [`parse`] never produces a fragment, and the
 //!   accessors ([`Json::get`], `as_*`) see nothing inside one: to read a
 //!   fragment's fields, encode it and parse the text, as a client does.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum nesting depth the parser accepts (arrays + objects combined).
 pub const MAX_DEPTH: usize = 64;
@@ -55,10 +58,10 @@ pub enum Json {
     Fragment(Fragment),
 }
 
-/// The text of a [`Json::Fragment`]: exactly one JSON value. The field is
-/// private to this crate, so only its encoders build one.
+/// The text of a [`Json::Fragment`]: exactly one JSON value, shared. The
+/// field is private to this crate, so only its encoders build one.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Fragment(pub(crate) String);
+pub struct Fragment(pub(crate) Arc<String>);
 
 impl Json {
     /// Build an object from key/value pairs.
@@ -134,12 +137,12 @@ impl Json {
         out
     }
 
-    /// [`Json::encode`] for an owned value: a fragment's text is moved
-    /// out rather than copied.
-    pub(crate) fn into_text(self) -> String {
+    /// [`Json::encode`] for an owned value: a fragment's shared text is
+    /// handed out rather than copied.
+    pub(crate) fn into_text(self) -> Arc<String> {
         match self {
             Json::Fragment(Fragment(text)) => text,
-            other => other.encode(),
+            other => Arc::new(other.encode()),
         }
     }
 
@@ -849,7 +852,7 @@ mod tests {
 
     #[test]
     fn fragments_encode_verbatim_and_hide_their_fields() {
-        let frag = Json::Fragment(Fragment("{\"a\":[1,2]}".to_string()));
+        let frag = Json::Fragment(Fragment(Arc::new("{\"a\":[1,2]}".to_string())));
         assert_eq!(frag.encode(), "{\"a\":[1,2]}");
         assert_eq!(frag.get("a"), None);
         assert_eq!(frag.as_arr(), None);

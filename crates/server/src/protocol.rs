@@ -18,6 +18,7 @@ use gde_core::CertainAnswers;
 use gde_core::ExactOptions;
 use gde_datagraph::{Alphabet, DataGraph, GraphDelta, NodeId, Value};
 use gde_dataquery::{parse_ree, parse_rem, DataQuery};
+use std::sync::Arc;
 
 /// A typed protocol error: HTTP status, stable machine-readable code, and
 /// a human message. Every error path in the serving tier produces one of
@@ -164,12 +165,20 @@ impl ApiResponse {
 /// is built, so [`Json::get`] and the `as_*` accessors see nothing
 /// inside it. Encode it to read the text; to read it back as an
 /// [`Answer`], parse that text and pass it to [`decode_answer`].
+///
+/// A tuple answer's text goes through [`AnswerRun::text`]: an answer the
+/// engine caches keeps the text of its first encode, charged to its
+/// cache entry, and every later encode hands out that text without
+/// writing it again. Any other answer is written on every encode.
+///
+/// [`AnswerRun::text`]: gde_dataquery::AnswerRun::text
 pub fn encode_answer(a: &Answer) -> Json {
+    let constant = |text: &str| Arc::new(text.to_string());
     let text = match a {
-        Answer::Boolean(true) => "{\"boolean\":true}".to_string(),
-        Answer::Boolean(false) => "{\"boolean\":false}".to_string(),
-        Answer::Tuples(CertainAnswers::AllVacuously) => "{\"all_vacuously\":true}".to_string(),
-        Answer::Tuples(CertainAnswers::Pairs(pairs)) => encode_pairs(pairs),
+        Answer::Boolean(true) => constant("{\"boolean\":true}"),
+        Answer::Boolean(false) => constant("{\"boolean\":false}"),
+        Answer::Tuples(CertainAnswers::AllVacuously) => constant("{\"all_vacuously\":true}"),
+        Answer::Tuples(CertainAnswers::Pairs(pairs)) => pairs.text(encode_pairs),
     };
     Json::Fragment(Fragment(text))
 }
@@ -545,7 +554,10 @@ mod tests {
                     .iter()
                     .map(|(u, v)| format!("[{},{}]", u.0, v.0))
                     .collect();
-                Json::Fragment(Fragment(format!("{{\"pairs\":[{}]}}", items.join(","))))
+                Json::Fragment(Fragment(Arc::new(format!(
+                    "{{\"pairs\":[{}]}}",
+                    items.join(",")
+                ))))
             }
             other => encode_answer_tree(other),
         }
@@ -679,6 +691,52 @@ mod tests {
             let bytes = envelope(&items, encode_answer).encode();
             prop_assert_eq!(&bytes, &envelope(&items, encode_answer_tree).encode());
             prop_assert_eq!(&bytes, &envelope(&items, encode_answer_format).encode());
+        }
+    }
+
+    /// `a` as the serving engine hands it out: a tuple answer built with
+    /// an entry of `cache`, so its first encode keeps its text there.
+    fn cached(a: &Answer, cache: &Arc<gde_dataquery::LruSubRelCache>) -> Answer {
+        match a {
+            Answer::Tuples(CertainAnswers::Pairs(pairs)) => {
+                let key = gde_dataquery::SubRelKey::answer(7);
+                let (run, _) = cache.insert_answer(key, pairs.to_vec());
+                Answer::Tuples(CertainAnswers::Pairs(run))
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// The shared text of an encoded answer.
+    fn text_of(j: Json) -> Arc<String> {
+        match j {
+            Json::Fragment(Fragment(text)) => text,
+            other => panic!("an answer encodes to a fragment, not {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A cached answer's first encode renders its body and keeps it,
+        /// charged to its entry; the second hands out the kept text. Both
+        /// are the bytes of the two references.
+        #[test]
+        fn a_cached_answer_encodes_the_same_rendered_and_kept(a in arb_answer()) {
+            let cache = Arc::new(gde_dataquery::LruSubRelCache::new(Arc::default()));
+            let a = cached(&a, &cache);
+            let before = cache.bytes();
+            let rendered = text_of(encode_answer(&a));
+            let tuples = matches!(a, Answer::Tuples(CertainAnswers::Pairs(_)));
+            let kept_bytes = if tuples { rendered.len() } else { 0 };
+            prop_assert_eq!(cache.bytes(), before + kept_bytes);
+            let kept = text_of(encode_answer(&a));
+            prop_assert_eq!(Arc::ptr_eq(&rendered, &kept), tuples);
+            prop_assert_eq!(cache.bytes(), before + kept_bytes);
+            for text in [&rendered, &kept] {
+                prop_assert_eq!(text.as_str(), encode_answer_tree(&a).encode());
+                prop_assert_eq!(text.as_str(), encode_answer_format(&a).encode());
+            }
         }
     }
 

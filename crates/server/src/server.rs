@@ -215,8 +215,14 @@ fn transport_message(e: &HttpError) -> String {
 /// Decode the body, dispatch under `catch_unwind`, and render the
 /// response. This is the containment boundary: a panic anywhere in the
 /// handler stack becomes a 500 on this request only. A single answer's
-/// body is already text (a [`Json::Fragment`]) and is moved out as is.
-fn dispatch(state: &Arc<ServerState>, method: &str, path: &str, raw_body: &[u8]) -> (u16, String) {
+/// body is already text (a [`Json::Fragment`]), shared with its cached
+/// answer once kept, and is handed out as is, without a copy.
+fn dispatch(
+    state: &Arc<ServerState>,
+    method: &str,
+    path: &str,
+    raw_body: &[u8],
+) -> (u16, Arc<String>) {
     let body = if raw_body.is_empty() {
         Json::Null
     } else {
@@ -227,7 +233,7 @@ fn dispatch(state: &Arc<ServerState>, method: &str, path: &str, raw_body: &[u8])
                     "malformed-json",
                     format!("body is not valid JSON at byte {}: {}", e.pos, e.msg),
                 );
-                return (err.status, err.to_json().encode());
+                return (err.status, err.to_json().into_text());
             }
         }
     };
@@ -238,7 +244,7 @@ fn dispatch(state: &Arc<ServerState>, method: &str, path: &str, raw_body: &[u8])
         Err(_) => {
             state.contained_panics.fetch_add(1, Ordering::Relaxed);
             let err = ApiError::new(500, "internal", "handler panicked; contained");
-            (err.status, err.to_json().encode())
+            (err.status, err.to_json().into_text())
         }
     }
 }
