@@ -31,6 +31,7 @@ use crate::query::DataQuery;
 use crate::ree::ReeRowMemo;
 use gde_automata::{Nfa, RegisterAutomaton};
 use gde_datagraph::{DataGraph, GraphSnapshot, Label, NodeId, Relation, RelationBuilder};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// The lowered form of one query class.
@@ -288,15 +289,23 @@ impl CompiledQuery {
     /// with a single `(query, snapshot)` pairing; create a fresh
     /// [`RowEvalShared`] per pairing. A control that has already fired
     /// yields the empty relation: the caller discards the serve.
-    pub fn eval_relation_with(&self, s: &GraphSnapshot, shared: &RowEvalShared) -> Relation {
+    ///
+    /// A relation that already lives elsewhere is borrowed, not copied: a
+    /// conjunctive query's full answer from `shared`, and an REE that is
+    /// a label or a memoised closure from the snapshot or the memo.
+    pub fn eval_relation_with<'a>(
+        &self,
+        s: &'a GraphSnapshot,
+        shared: &'a RowEvalShared,
+    ) -> Cow<'a, Relation> {
         if shared.control.should_stop() {
-            return Relation::empty(s.n());
+            return Cow::Owned(Relation::empty(s.n()));
         }
         match &*self.form {
-            CompiledForm::Rpq(nfa) => nfa.eval_snapshot(s),
-            CompiledForm::Ree(e) => e.eval_rows_snapshot(s, shared.memo(e, s)),
-            CompiledForm::Rem(ra) => ra.eval_snapshot(s),
-            CompiledForm::Conjunctive { .. } => shared.full(self, s).clone(),
+            CompiledForm::Rpq(nfa) => Cow::Owned(nfa.eval_snapshot(s)),
+            CompiledForm::Ree(e) => e.eval_rows(s, shared.memo(e, s)),
+            CompiledForm::Rem(ra) => Cow::Owned(ra.eval_snapshot(s)),
+            CompiledForm::Conjunctive { .. } => Cow::Borrowed(shared.full(self, s)),
         }
     }
 
@@ -564,7 +573,7 @@ mod tests {
             let compiled = q.compile();
             let full = compiled.eval_relation(&snap);
             let shared = RowEvalShared::new();
-            assert_eq!(compiled.eval_relation_with(&snap, &shared), full, "{q:?}");
+            assert_eq!(*compiled.eval_relation_with(&snap, &shared), full, "{q:?}");
             let holds = compiled.holds_with(&snap, &shared);
             assert_eq!(holds, compiled.holds_somewhere(&snap), "{q:?}");
             // the Booleans against the independent full evaluation
@@ -596,7 +605,7 @@ mod tests {
             .collect();
         let snap = g.snapshot();
         let eval_all = |shared: &RowEvalShared, cq: &CompiledQuery| -> Relation {
-            cq.eval_relation_with(&snap, shared)
+            cq.eval_relation_with(&snap, shared).into_owned()
         };
         let unbounded = || Arc::new(LruSubRelCache::new(Arc::default()));
         for q in queries.iter().chain(&extra) {
@@ -688,7 +697,7 @@ mod tests {
             assert_eq!(next.cache_misses(), 0, "{q:?}");
             assert_eq!(next.cache_hits(), first.cache_misses(), "{q:?}");
             assert_eq!(
-                cq.eval_relation_with(&snap, &next),
+                *cq.eval_relation_with(&snap, &next),
                 cq.eval_relation(&snap),
                 "{q:?}"
             );
@@ -718,7 +727,7 @@ mod tests {
             assert_eq!(cache.bytes(), 0, "a stopped phase 1 inserted ({q:?})");
             // nothing truncated was left behind for a live serve to read
             let live = RowEvalShared::with_cache(cache);
-            assert_eq!(cq.eval_relation_with(&snap, &live), full, "{q:?}");
+            assert_eq!(*cq.eval_relation_with(&snap, &live), full, "{q:?}");
             assert!(cq.holds_with(&snap, &live), "{q:?}");
         }
     }

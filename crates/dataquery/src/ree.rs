@@ -21,6 +21,7 @@ use crate::cache::{subplan_hash, CacheHandle, SubRelKey};
 use gde_datagraph::{
     DataGraph, DataPath, FxHashMap, GraphSnapshot, Label, Relation, RelationBuilder, Value,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Domain separator for REE subexpression keys in the sub-relation cache
@@ -226,23 +227,42 @@ impl Ree {
     /// are not recomputed. A test over a closure reads the closure's memo
     /// entry in place, row by row, with no copy of the closure.
     pub fn eval_rows_snapshot(&self, s: &GraphSnapshot, memo: &ReeRowMemo) -> Relation {
+        self.eval_rows(s, memo).into_owned()
+    }
+
+    /// [`Ree::eval_rows_snapshot`] without the final copy: an expression
+    /// that is a label or a memoised closure is handed out as the
+    /// snapshot's or the memo's own relation.
+    pub(crate) fn eval_rows<'a>(
+        &self,
+        s: &'a GraphSnapshot,
+        memo: &'a ReeRowMemo,
+    ) -> Cow<'a, Relation> {
         let mut id = 0usize;
         self.eval_rows_rec(s, memo, &mut id)
     }
 
-    fn eval_rows_rec(&self, s: &GraphSnapshot, memo: &ReeRowMemo, id: &mut usize) -> Relation {
+    /// One node of [`Ree::eval_rows`]: a label's relation and a
+    /// closure's memo entry are borrowed, not copied, so an operator
+    /// reads its operands where they live.
+    fn eval_rows_rec<'a>(
+        &self,
+        s: &'a GraphSnapshot,
+        memo: &'a ReeRowMemo,
+        id: &mut usize,
+    ) -> Cow<'a, Relation> {
         let my_id = *id;
         *id += 1;
         let n = s.n();
         match self {
-            Ree::Epsilon => Relation::identity(n),
+            Ree::Epsilon => Cow::Owned(Relation::identity(n)),
             Ree::Atom(l) => s
                 .label_relation(*l)
-                .map_or_else(|| Relation::empty(n), Relation::clone),
+                .map_or_else(|| Cow::Owned(Relation::empty(n)), Cow::Borrowed),
             Ree::Concat(es) => {
                 let mut it = es.iter();
                 let Some(head) = it.next() else {
-                    return Relation::identity(n);
+                    return Cow::Owned(Relation::identity(n));
                 };
                 let mut acc = head.eval_rows_rec(s, memo, id);
                 for child in it {
@@ -251,24 +271,27 @@ impl Ree {
                     if acc.is_empty() {
                         continue; // result stays empty; keep ids advancing
                     }
-                    acc = acc.compose(memo.get(child_id));
+                    acc = Cow::Owned(acc.compose(memo.get(child_id)));
                 }
                 acc
             }
             Ree::Union(es) => {
-                // k-ary streaming union: sorted CSR rows merge in one pass
-                Relation::union_many_iter(
-                    n,
-                    es.iter().map(|child| child.eval_rows_rec(s, memo, id)),
-                )
+                // k-ary union of the operands where they live: sorted CSR
+                // rows merge in one pass
+                let parts: Vec<Cow<'a, Relation>> = es
+                    .iter()
+                    .map(|child| child.eval_rows_rec(s, memo, id))
+                    .collect();
+                let parts: Vec<&Relation> = parts.iter().map(|p| &**p).collect();
+                Cow::Owned(Relation::union_many(n, &parts))
             }
             Ree::Plus(b) | Ree::Star(b) => {
                 *id += b.subtree_size();
-                memo.get(my_id).clone()
+                Cow::Borrowed(memo.get(my_id))
             }
             Ree::Eq(b) | Ree::Neq(b) => {
                 let eq = matches!(self, Ree::Eq(_));
-                match spine_closure(b, memo, id) {
+                Cow::Owned(match spine_closure(b, memo, id) {
                     Some(closure) => {
                         let mut out = RelationBuilder::new(n);
                         for i in 0..n {
@@ -281,7 +304,7 @@ impl Ree {
                     None => b
                         .eval_rows_rec(s, memo, id)
                         .filter(|i, j| sql_test(s, eq, i, j)),
-                }
+                })
             }
         }
     }
@@ -294,7 +317,7 @@ impl Ree {
     /// and asks whether a pair is left.
     pub fn holds_rows_snapshot(&self, s: &GraphSnapshot, memo: &ReeRowMemo) -> bool {
         let (Ree::Eq(b) | Ree::Neq(b)) = self else {
-            return self.eval_rows_snapshot(s, memo).any();
+            return self.eval_rows(s, memo).any();
         };
         let eq = matches!(self, Ree::Eq(_));
         // the operand's pre-order id: the root test is node 0
