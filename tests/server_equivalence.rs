@@ -202,10 +202,15 @@ fn wire_answers_match_in_process_across_semantics_and_modes() {
                 ("semantics", Json::str(sem_str)),
                 ("mode", Json::str(mode_str)),
             ]);
-            let r = c
-                .post("/tenants/acme/mappings/social/query", &body)
-                .unwrap();
-            assert_matches_wire(&exp, &r, &format!("{sem_str}/{mode_str} {kind} {text}"));
+            // the first response renders a cached answer's body, the
+            // second sends the text it kept: both are the in-process bytes
+            for fetch in ["rendered", "kept"] {
+                let r = c
+                    .post("/tenants/acme/mappings/social/query", &body)
+                    .unwrap();
+                let ctx = format!("{fetch}: {sem_str}/{mode_str} {kind} {text}");
+                assert_matches_wire(&exp, &r, &ctx);
+            }
         }
     }
     assert_eq!(
@@ -270,13 +275,16 @@ fn bound_template_answers_match_in_process() {
                 ("semantics", Json::str(sem_str)),
                 ("mode", Json::str(mode_str)),
             ]);
-            let r = c
-                .post(
-                    &format!("/tenants/acme/mappings/social/templates/{wire_id}/query"),
-                    &body,
-                )
-                .unwrap();
-            assert_matches_wire(&exp, &r, &format!("bound {sem_str}/{mode_str} {text}"));
+            for fetch in ["rendered", "kept"] {
+                let r = c
+                    .post(
+                        &format!("/tenants/acme/mappings/social/templates/{wire_id}/query"),
+                        &body,
+                    )
+                    .unwrap();
+                let ctx = format!("{fetch}: bound {sem_str}/{mode_str} {text}");
+                assert_matches_wire(&exp, &r, &ctx);
+            }
         }
     }
 
@@ -507,6 +515,64 @@ fn multi_segment_answer_is_byte_identical_ad_hoc_and_bound() {
         r.raw_body.len(),
         expected.len()
     );
+}
+
+/// The tenant's charged bytes as its stats report them.
+fn tenant_cached_bytes(c: &mut Client, tenant: &str) -> u64 {
+    c.get(&format!("/tenants/{tenant}/stats"))
+        .unwrap()
+        .json()
+        .unwrap()
+        .get("service")
+        .and_then(|s| s.get("cached_bytes"))
+        .and_then(Json::as_u64)
+        .expect("stats carry cached_bytes")
+}
+
+/// A tenant budget with room for an answer's pairs but not for its text,
+/// sized on an in-process twin. Every repeat is rendered again,
+/// byte-identical to an unbudgeted tenant's kept text; nothing is kept,
+/// so the tenant's charge stays where the first serve left it, inside
+/// the budget, while the unbudgeted tenant's is one text higher.
+#[test]
+fn a_budget_without_room_for_the_text_renders_every_repeat() {
+    let sv = sharded_serving_scenario(1024, 0x10AD);
+    let mut ta = sv.scenario.gsm.target_alphabet().clone();
+    let (_, q) = merge_bound_queries(&mut ta)
+        .into_iter()
+        .find(|(name, _)| name == "four-hop-contact")
+        .expect("merge-bound batch has four-hop-contact");
+    let (kind, text) = wire_query(&q, &ta).expect("an RPQ has wire text");
+    let twin = MappingService::new();
+    let tid = twin.register(sv.scenario.gsm.clone(), sv.scenario.source.clone());
+    let answer = twin.answer(tid, &q.compile(), Semantics::nulls()).unwrap();
+    let fill = twin.cached_bytes() as u64;
+    let expected = encode_answer(&answer).encode();
+    let text_len = expected.len() as u64;
+    let budget = fill + text_len / 2;
+
+    let handle = serve_scenario(&sv, "open", "m", 2);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let body = Json::obj([("cache_budget_bytes", Json::num(budget as f64))]);
+    assert_eq!(c.put("/tenants/tight", &body).unwrap().status, 201);
+    upload_mapping(&mut c, &sv, "tight", "m");
+    let query = Json::obj([("query", Json::str(&text)), ("kind", Json::str(kind))]);
+    let mut first = None;
+    for fetch in 0..4 {
+        let open = c.post("/tenants/open/mappings/m/query", &query).unwrap();
+        let tight = c.post("/tenants/tight/mappings/m/query", &query).unwrap();
+        assert_eq!((open.status, tight.status), (200, 200), "fetch {fetch}");
+        assert!(open.raw_body == expected.as_bytes(), "fetch {fetch}: open");
+        assert!(
+            tight.raw_body == expected.as_bytes(),
+            "fetch {fetch}: tight"
+        );
+        let cached = tenant_cached_bytes(&mut c, "tight");
+        assert!(cached <= budget, "fetch {fetch}: {cached} B > {budget} B");
+        assert!(cached + text_len > budget, "the text never fits");
+        assert_eq!(*first.get_or_insert(cached), cached, "fetch {fetch} kept");
+        assert_eq!(tenant_cached_bytes(&mut c, "open"), cached + text_len);
+    }
 }
 
 /// A tenant budget between one solution's base bytes (plus twice its
